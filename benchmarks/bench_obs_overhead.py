@@ -61,6 +61,10 @@ class BareLeakageSimulator(LeakageSimulator):
     tracer active the two engines draw the identical RNG stream.
     """
 
+    #: The frozen body reads ``self._phase_ns``, which the engine no longer
+    #: defines; phase timing is always off here, as in the timed runs.
+    _phase_ns = None
+
     def _run_round(
         self,
         state,

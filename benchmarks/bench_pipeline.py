@@ -15,8 +15,8 @@ extraction, decode through overlapping sliding windows) runs twice:
 * ``fused`` — :class:`repro.pipeline.FusedPipeline`: detector chunks stream
   from ``run_incremental(detector_out=...)`` straight into bit-packed ring
   buffers, windows decode per *unique* syndrome through the compiled
-  kernels (row hashing for dedup, the one-call ``dp_decode`` entry
-  construction for ≤8-detector syndromes), and no detector history is
+  kernels (row hashing for dedup, the one-call ``decode_syndrome`` entry
+  construction for exact syndromes), and no detector history is
   ever materialised.
 
 Both sides consume the identical RNG stream (recording never touches it),

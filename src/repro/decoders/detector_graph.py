@@ -267,7 +267,7 @@ class DetectorGraph:
         ``flips_dense[a, b]`` is 1 exactly when :meth:`edge_between` returns
         an edge with ``flips_logical`` (after parallel-edge collapsing), so a
         matrix lookup is interchangeable with the edge-object path.  Used by
-        the compiled :func:`repro.decoders._ckernels.dp_decode` kernel;
+        the compiled :func:`repro.decoders._ckernels.decode_syndrome` kernel;
         ``None`` past the all-pairs size gate, where the kernel cannot run
         anyway.
         """

@@ -5,12 +5,17 @@ the boundary) so that the total weight of the connecting error chains is
 minimised; the prediction for the logical observable is the parity of
 logical-crossing edges along the chosen chains.
 
-Exact matching uses the blossom implementation in ``networkx``; because its
-cost grows quickly with the number of fired detectors, large syndromes
-(typically produced by un-mitigated leakage) fall back to a greedy
-nearest-neighbour pairing, which preserves the qualitative behaviour at a
-fraction of the cost.  The same trade-off is configurable via
-``max_exact_nodes``.
+Exact matching picks its backend by syndrome size: one or two fired
+detectors are matched analytically, up to eight by an exact bitmask DP, and
+larger syndromes by blossom matching on a graph with one virtual boundary
+copy per detector.  The blossom backend is a compiled line-for-line port of
+``networkx.max_weight_matching`` (:mod:`repro.decoders._ckernels`) whose
+matched pair set is identical to networkx's, ties included; networkx itself
+remains the fallback when the kernels are off and the test oracle.  Before
+the port, networkx blossom was ~62% of the durable sweep's shard compute.
+Syndromes past ``max_exact_nodes`` (typically produced by un-mitigated
+leakage) fall back to a greedy nearest-neighbour pairing, which preserves
+the qualitative behaviour at a fraction of the cost.
 
 Batching, syndrome deduplication and the cross-call correction cache are
 inherited from :class:`~repro.decoders.base.DecoderBase`; this module only
@@ -45,6 +50,9 @@ _OBS_FALLBACKS = METRICS.counter(
 )
 _OBS_DP_KERNEL = METRICS.counter(
     "decode.matching.dp_kernel", "bitmask-DP matchings served by the C kernel"
+)
+_OBS_BLOSSOM_KERNEL = METRICS.counter(
+    "decode.matching.blossom_kernel", "blossom matchings served by the C kernel"
 )
 
 
@@ -108,33 +116,32 @@ class MatchingDecoder(DecoderBase):
         )
 
     def _fast_entry(self, flagged: np.ndarray) -> tuple | None:
-        """Serve a ≤8-detector exact matching entirely from the C kernel.
+        """Serve an exact matching entirely from the C kernel.
 
         Returns the identical ``(edges, flip)`` entry the interpreted path
         builds — same analytic 1/2-detector rules, same DP tie-breaking,
-        same retrace edge order, same parity — or ``None`` to defer (large
-        syndromes, greedy strategy, kernels disabled, or the DP's infinite
-        dead end, which the interpreted path demotes to greedy).  Backend
-        tallies mirror the interpreted path so diagnostics stay
-        kernel-independent.
+        same blossom pair set and order, same retrace edge order, same
+        parity — or ``None`` to defer (greedy-sized syndromes, kernels
+        disabled, the DP's infinite dead end, which the interpreted path
+        demotes to greedy, or a non-finite blossom cost, which it hands to
+        networkx).  Backend tallies mirror the interpreted path so
+        diagnostics stay kernel-independent.
         """
         count = flagged.size
-        if (
-            count > _DP_EXACT_MAX
-            or not self._use_exact(count)
-            or not _ckernels.available()
-        ):
+        if not self._use_exact(count) or not _ckernels.available():
             return None
         ctx = self._fast_ctx
         if ctx is None:
             return None
-        result = _ckernels.dp_decode(ctx, flagged)
+        result = _ckernels.decode_syndrome(ctx, flagged)
         if result is None:
             return None
         edge_list, parity = result
         self.matchings_exact += 1
         _OBS_EXACT.inc()
-        if count > 2:
+        if count > _DP_EXACT_MAX:
+            _OBS_BLOSSOM_KERNEL.inc()
+        elif count > 2:
             _OBS_DP_KERNEL.inc()
         return tuple(edge_list), parity
 
@@ -189,7 +196,10 @@ class MatchingDecoder(DecoderBase):
         rates — never reach the blossom solver: one or two fired detectors
         are matched analytically, and up to :data:`_DP_EXACT_MAX` detectors
         go through an exact bitmask DP.  All three backends minimise the
-        same total weight; only ties may be broken differently.
+        same total weight; only ties may be broken differently.  Blossom
+        runs in the compiled port when available and in networkx otherwise
+        (or on non-finite costs); both return the same pairs in the same
+        order.
         """
         count = flagged.size
         if count == 1:
@@ -201,27 +211,16 @@ class MatchingDecoder(DecoderBase):
             return [(int(flagged[0]), boundary), (int(flagged[1]), boundary)]
         if count <= _DP_EXACT_MAX:
             return self._dp_matching(flagged, distances, boundary)
-        graph = nx.Graph()
-        large = 1e9
-        for i in range(count):
-            for j in range(i + 1, count):
-                weight = distances[i, int(flagged[j])]
-                graph.add_edge(("d", i), ("d", j), weight=large - weight)
-            boundary_weight = distances[i, boundary]
-            graph.add_edge(("d", i), ("b", i), weight=large - boundary_weight)
-        for i in range(count):
-            for j in range(i + 1, count):
-                graph.add_edge(("b", i), ("b", j), weight=large)
-        matching = nx.max_weight_matching(graph, maxcardinality=True)
-        pairs: list[tuple[int, int]] = []
-        for left, right in matching:
-            kinds = {left[0], right[0]}
-            if kinds == {"d"}:
-                pairs.append((int(flagged[left[1]]), int(flagged[right[1]])))
-            elif kinds == {"d", "b"}:
-                detector = left if left[0] == "d" else right
-                pairs.append((int(flagged[detector[1]]), boundary))
-        return pairs
+        boundary_cost = distances[:, boundary]
+        pair_cost = distances[:, flagged]
+        index_pairs: list[tuple[int, int]] | None = None
+        if _ckernels.available():
+            index_pairs = _ckernels.blossom_match(boundary_cost, pair_cost)
+            if index_pairs is not None:
+                _OBS_BLOSSOM_KERNEL.inc()
+        if index_pairs is None:
+            index_pairs = _networkx_matching(boundary_cost, pair_cost)
+        return _node_pairs(flagged, boundary, index_pairs)
 
     def _dp_matching(
         self, flagged: np.ndarray, distances: np.ndarray, boundary: int
@@ -250,10 +249,7 @@ class MatchingDecoder(DecoderBase):
                 _OBS_FALLBACKS.inc()
                 return self._greedy_matching(flagged, distances, boundary)
             _OBS_DP_KERNEL.inc()
-            return [
-                (int(flagged[i]), boundary) if j < 0 else (int(flagged[i]), int(flagged[j]))
-                for i, j in index_pairs
-            ]
+            return _node_pairs(flagged, boundary, index_pairs)
         nodes = [int(node) for node in flagged]
         boundary_cost = [float(distances[i, boundary]) for i in range(count)]
         pair_cost = [
@@ -333,3 +329,48 @@ class MatchingDecoder(DecoderBase):
         for i in list(unmatched):
             pairs.append((int(flagged[i]), boundary))
         return pairs
+
+
+def _node_pairs(
+    flagged: np.ndarray, boundary: int, index_pairs: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Map flagged-array index pairs (``j == -1``: boundary) to node pairs."""
+    return [
+        (int(flagged[i]), boundary) if j < 0 else (int(flagged[i]), int(flagged[j]))
+        for i, j in index_pairs
+    ]
+
+
+def _networkx_matching(
+    boundary_cost: np.ndarray, pair_cost: np.ndarray
+) -> list[tuple[int, int]]:
+    """Blossom matching through ``networkx`` (the compiled port's oracle).
+
+    Detector ``i`` is node ``("d", i)`` with a private boundary copy
+    ``("b", i)``; detector pairs weigh ``large - pair_cost[i, j]`` (upper
+    triangle), a detector and its copy ``large - boundary_cost[i]``, and
+    boundary copies pair freely at ``large``, so the maximum-weight
+    maximum-cardinality matching is the minimum-cost pairing.  Returns
+    ``(i, j)`` index pairs (``j == -1`` meaning the boundary), each oriented
+    as networkx reports it, ordered by their lower detector index — the
+    order :func:`~repro.decoders._ckernels.blossom_match` emits, and
+    independent of ``PYTHONHASHSEED`` (the result set's iteration order).
+    """
+    count = int(boundary_cost.shape[0])
+    graph = nx.Graph()
+    large = 1e9
+    for i in range(count):
+        for j in range(i + 1, count):
+            graph.add_edge(("d", i), ("d", j), weight=large - pair_cost[i, j])
+        graph.add_edge(("d", i), ("b", i), weight=large - boundary_cost[i])
+    for i in range(count):
+        for j in range(i + 1, count):
+            graph.add_edge(("b", i), ("b", j), weight=large)
+    by_lower: dict[int, tuple[int, int]] = {}
+    for left, right in nx.max_weight_matching(graph, maxcardinality=True):
+        if left[0] == "d" and right[0] == "d":
+            by_lower[min(left[1], right[1])] = (left[1], right[1])
+        elif left[0] != right[0]:
+            detector = left if left[0] == "d" else right
+            by_lower[detector[1]] = (detector[1], -1)
+    return [by_lower[i] for i in sorted(by_lower)]

@@ -26,13 +26,11 @@ to the pure-NumPy implementations (results are identical either way —
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import platform
-import subprocess
-import tempfile
 
 import numpy as np
+
+from .._cbuild import build
 
 __all__ = ["available", "pcg64_bern", "cnot_layer"]
 
@@ -121,62 +119,10 @@ void cnot_layer(uint8_t* pd, uint8_t* pa, const uint8_t* isz,
 _lib: ctypes.CDLL | None = None
 
 
-def _cpu_tag() -> str:
-    """A machine fingerprint for the build cache.
-
-    The library is compiled with ``-march=native``, so a cached ``.so``
-    must never be loaded on a CPU with a different ISA (e.g. a container
-    image baked on an AVX-512 host and run elsewhere would SIGILL).
-    """
-    parts = [platform.machine()]
-    try:
-        with open("/proc/cpuinfo") as handle:
-            for line in handle:
-                if line.startswith(("model name", "flags", "Features")):
-                    parts.append(line.strip())
-                    break
-    except OSError:
-        parts.append(platform.processor())
-    return "|".join(parts)
-
-
 def _build() -> ctypes.CDLL | None:
     """Compile (or load the cached build of) the kernel library."""
-    digest = hashlib.sha256(
-        (_SOURCE + "|O3-native|" + _cpu_tag()).encode()
-    ).hexdigest()[:16]
-    cache_dir = os.environ.get("REPRO_CKERNEL_DIR") or os.path.join(
-        tempfile.gettempdir(), "repro-ckernels"
-    )
-    so_path = os.path.join(cache_dir, f"simkernels-{digest}.so")
-    if not os.path.exists(so_path):
-        try:
-            os.makedirs(cache_dir, exist_ok=True)
-            src_path = os.path.join(cache_dir, f"simkernels-{digest}.c")
-            with open(src_path, "w") as handle:
-                handle.write(_SOURCE)
-            tmp_path = f"{so_path}.{os.getpid()}.tmp"
-            # -march=native is safe: the library is built on the machine that
-            # runs it (and rebuilt per machine via the temp-dir cache).  Some
-            # toolchains reject it; retry generic before giving up.
-            for extra in (["-march=native"], []):
-                try:
-                    subprocess.run(
-                        ["cc", "-O3", "-fPIC", "-shared", *extra, src_path, "-o", tmp_path],
-                        check=True,
-                        capture_output=True,
-                        timeout=120,
-                    )
-                    break
-                except subprocess.CalledProcessError:
-                    if not extra:
-                        raise
-            os.replace(tmp_path, so_path)  # atomic under concurrent builds
-        except Exception:
-            return None
-    try:
-        lib = ctypes.CDLL(so_path)
-    except OSError:
+    lib = build(_SOURCE, "simkernels")
+    if lib is None:
         return None
     lib.pcg64_bern.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_uint64,

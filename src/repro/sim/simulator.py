@@ -230,7 +230,6 @@ class LeakageSimulator:
         # Run-constant gadget rates, hoisted out of the round loop.
         self._lrc_gate_error = self.gadget.gate_error(noise)
         self._lrc_induced_leak = self.gadget.induced_leakage(noise)
-        self._phase_ns: dict[str, int] | None = None
         self._round_tracer: Tracer | None = None
         self._use_ckernels = _ckernels.available()
         self._build_gather_structures()
@@ -448,35 +447,16 @@ class LeakageSimulator:
         return body
 
     # ------------------------------------------------------------------ #
-    # Phase instrumentation (tools/profile_sim.py)
+    # Phase instrumentation (sim.phase.* spans; tools/profile_sim.py)
     # ------------------------------------------------------------------ #
-    def enable_phase_timing(self) -> dict[str, int]:
-        """Accumulate per-phase wall-clock (ns) across subsequent rounds.
-
-        Returns the live accumulator dict (phase name -> total ns); it is
-        also readable through :meth:`phase_times`.  Timing adds two
-        ``perf_counter_ns`` calls per phase per round; leave it disabled for
-        production sweeps.
-        """
-        self._phase_ns = {name: 0 for name in PHASE_NAMES}
-        return self._phase_ns
-
-    def phase_times(self) -> dict[str, int] | None:
-        """Per-phase accumulated nanoseconds, or ``None`` when disabled."""
-        return self._phase_ns
-
     def _phase_mark(self, phase: str, tick: int, round_index: int) -> int:
         """Close one round phase that started at ``tick``; return the new tick.
 
-        Feeds both instrumentation sinks from a single clock read: the
-        legacy phase-timing accumulator (when enabled) and the active
-        tracer's ``sim.phase.*`` spans (when a telemetry scope is open).
-        Pure observation — no RNG access, no state mutation.
+        Emits the active tracer's ``sim.phase.*`` span (only called while a
+        telemetry scope is open).  Pure observation — no RNG access, no
+        state mutation.
         """
         now = time.perf_counter_ns()
-        timing = self._phase_ns
-        if timing is not None:
-            timing[phase] += now - tick
         tracer = self._round_tracer
         if tracer is not None:
             tracer.complete_ns(f"sim.phase.{phase}", tick, now, {"round": round_index})
@@ -619,7 +599,7 @@ class LeakageSimulator:
         noise = self.noise.params_for_round(round_index)
         shots = state.shots
         tracer = self._round_tracer
-        instrument = self._phase_ns is not None or tracer is not None
+        instrument = tracer is not None
         tick = time.perf_counter_ns() if instrument else 0
         round_start_ns = tick
 

@@ -31,6 +31,7 @@ __all__ = [
     "bit_widths",
     "bit_patterns",
     "gf2_matrices",
+    "matching_instances",
     "detector_blocks",
     "detector_chunk_pairs",
     "stabilizer_supports",
@@ -115,6 +116,59 @@ def gf2_matrices(draw, max_rows: int = 6, max_cols: int = 8) -> np.ndarray:
     cols = draw(st.integers(min_value=1, max_value=max_cols))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     return np.random.default_rng(seed).integers(0, 2, size=(rows, cols))
+
+
+# --------------------------------------------------------------------------- #
+# Matching instances (repro.decoders.matching backends)
+# --------------------------------------------------------------------------- #
+@st.composite
+def matching_instances(
+    draw,
+    min_count: int = 1,
+    max_count: int = 10,
+    kinds: tuple[str, ...] = ("integer", "dyadic", "lattice"),
+    infinite: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A complete ``(boundary_cost, pair_cost)`` matching instance.
+
+    ``pair_cost`` is symmetric with a zero diagonal.  Kinds: ``integer``
+    (0..4, so equal-weight ties abound), ``dyadic`` (multiples of 1/16, so
+    every sum the backends form is exact in doubles), ``lattice``
+    (Manhattan distances between points of a small 3-D grid with a
+    boundary on one axis: metric costs with the dense ties of a real
+    detector graph) and ``euclidean`` (planar point distances: generic
+    floats).  With ``infinite`` a few
+    costs may be ``inf`` (unreachable boundary or partner).  Seeded so
+    shrinking stays deterministic.
+    """
+    count = draw(st.integers(min_value=min_count, max_value=max_count))
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    if kind == "integer":
+        pair = rng.integers(0, 5, size=(count, count)).astype(np.float64)
+        boundary = rng.integers(0, 5, size=count).astype(np.float64)
+    elif kind == "lattice":
+        side = int(rng.integers(3, 9))
+        points = rng.integers(0, side, size=(count, 3))
+        pair = np.abs(points[:, None] - points[None]).sum(axis=-1).astype(np.float64)
+        boundary = np.minimum(points[:, 0] + 1, side - points[:, 0]).astype(np.float64)
+    elif kind == "dyadic":
+        pair = rng.integers(1, 321, size=(count, count)) / 16.0
+        boundary = rng.integers(1, 321, size=count) / 16.0
+    else:
+        points = rng.random((count, 2)) * 10.0
+        pair = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=-1))
+        boundary = rng.random(count) * 6.0
+    pair = np.triu(pair, 1)
+    pair = pair + pair.T
+    if infinite:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            i, j = rng.integers(0, count, size=2)
+            if i == j:
+                boundary[i] = np.inf
+            else:
+                pair[i, j] = pair[j, i] = np.inf
+    return boundary, pair
 
 
 # --------------------------------------------------------------------------- #

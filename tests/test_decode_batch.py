@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.codes import color_code, surface_code
+from repro.core import make_policy
 from repro.decoders import (
     DetectorGraph,
     MatchingDecoder,
@@ -19,7 +20,9 @@ from repro.decoders import (
     UnionFindDecoder,
     make_decoder,
 )
+from repro.decoders import _ckernels
 from repro.noise import paper_noise
+from repro.sim import LeakageSimulator, SimulatorOptions
 
 ROUNDS = 4
 CODE_MAKERS = {"surface": lambda: surface_code(3), "color": lambda: color_code(3)}
@@ -244,3 +247,44 @@ def test_cache_clear_resets_counters():
     assert len(cache) == 0
     assert stats["hits"] == stats["misses"] == stats["evictions"] == 0
     assert stats["hit_rate"] == 0.0
+
+
+# --------------------------------------------------------------------- #
+# Compiled kernels on == off over leakage records with heavy syndromes
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("family", ["surface", "color"])
+@pytest.mark.parametrize("policy", ["gladiator+m", "eraser+m"])
+def test_kernels_on_and_off_agree_on_leakage_records(monkeypatch, family, policy):
+    """The compiled decode (DP and blossom port) reproduces the
+    interpreted/networkx path exactly: same flips, same per-shot edge
+    sequences, on d=5 leakage records whose syndromes reach the blossom
+    backend (9+ fired detectors)."""
+    monkeypatch.setenv("REPRO_DECODER_CKERNELS", "1")
+    if not _ckernels.available():
+        pytest.skip("no C toolchain available")
+    code = {"surface": surface_code, "color": color_code}[family](5)
+    noise = paper_noise(p=2e-3, leakage_ratio=1.0)
+    rounds = 10
+    run = LeakageSimulator(
+        code=code,
+        noise=noise,
+        policy=make_policy(policy),
+        options=SimulatorOptions(record_detectors=True),
+        seed=41,
+    ).run(shots=60, rounds=rounds)
+    history, final = run.detector_history, run.final_detectors
+    graph = DetectorGraph(code=code, rounds=rounds, noise=noise, hyperedges="decompose")
+    fired = [graph.flagged_nodes(history[shot], final[shot]).size for shot in range(60)]
+    assert sum(count > 8 for count in fired) >= 10, "records never reach blossom"
+
+    decoded = {}
+    for flag in ("1", "0"):
+        monkeypatch.setenv("REPRO_DECODER_CKERNELS", flag)
+        decoder = make_decoder(graph, "matching", cache_size=0)
+        decoded[flag] = (
+            decoder.decode_batch(history, final),
+            decoder.decode_edges_batch(history, final),
+        )
+    (flips_on, edges_on), (flips_off, edges_off) = decoded["1"], decoded["0"]
+    assert np.array_equal(flips_on, flips_off)
+    assert edges_on == edges_off

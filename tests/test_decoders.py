@@ -1,5 +1,10 @@
 """Tests of the detector graph, MWPM decoder and union-find decoder."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -143,7 +148,7 @@ def test_greedy_fallback_used_for_large_syndromes(surface_d3):
 def _spy_on_strategies(decoder):
     """Count which matching backend a decoder actually invokes.
 
-    A syndrome served whole by the compiled ``dp_decode`` shortcut
+    A syndrome served whole by the compiled ``decode_syndrome`` shortcut
     (``_fast_entry``) is an exact matching by construction, so it counts
     toward ``"exact"`` — the tallies describe backend *selection*, not
     which implementation (interpreted or C) carried it out.
@@ -266,3 +271,53 @@ def test_hyperedge_decomposition_has_no_conflicting_parallel_edges():
             flips_by_pair[key].add(edge.flips_logical)
         conflicts = [key for key, flips in flips_by_pair.items() if len(flips) > 1]
         assert not conflicts, f"d={distance}: {len(conflicts)} ambiguous pairs"
+
+
+# --------------------------------------------------------------------- #
+# Blossom entries are process-independent
+# --------------------------------------------------------------------- #
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+_HASH_SEED_PROBE = """
+import json
+import numpy as np
+from repro.codes import surface_code
+from repro.decoders import DetectorGraph, MatchingDecoder
+from repro.noise import paper_noise
+
+graph = DetectorGraph(code=surface_code(5), rounds=4, noise=paper_noise())
+rng = np.random.default_rng(3)
+entries = []
+while len(entries) < 10:
+    history = rng.random((4, graph.num_z_stabs)) < 0.2
+    final = rng.random(graph.num_z_stabs) < 0.2
+    if graph.flagged_nodes(history, final).size < 9:
+        continue
+    decoder = MatchingDecoder(graph)
+    entries.append(
+        [decoder.decode_shot_edges(history, final), int(decoder.decode_shot(history, final))]
+    )
+print(json.dumps(entries))
+"""
+
+
+def test_blossom_entries_do_not_depend_on_the_hash_seed():
+    """networkx returns its matching as a set of node tuples, whose
+    iteration order follows ``PYTHONHASHSEED``; entries for 9+ fired
+    detectors must not.  Two networkx-path processes with different hash
+    seeds and one compiled-kernel process emit identical edge sequences."""
+    outputs = []
+    for hash_seed, kernels in (("1", "0"), ("2", "0"), ("3", "1")):
+        env = {
+            **os.environ,
+            "PYTHONPATH": SRC,
+            "PYTHONHASHSEED": hash_seed,
+            "REPRO_DECODER_CKERNELS": kernels,
+        }
+        completed = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.append(completed.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[2]

@@ -417,7 +417,7 @@ def test_dp_kernel_rejects_oversized_inputs():
 
 @pytest.mark.parametrize("family", sorted(CODES))
 def test_dp_decode_entry_matches_interpreted_path(monkeypatch, family):
-    """The one-call ``dp_decode`` kernel reproduces the interpreted entry
+    """The one-call ``decode_syndrome`` kernel reproduces the interpreted entry
     construction bit for bit — identical edge sequences (same retrace
     order), identical logical parity — across random syndromes on all
     three code families, including the analytic 1/2-detector rules and

@@ -5,7 +5,12 @@ scenario-fuzz tier; the profiles (derandomized ``ci`` vs randomized
 ``nightly``) are registered there and loaded by ``tests/conftest.py``.
 """
 
+import os
+from contextlib import contextmanager
+from functools import cache
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +20,7 @@ from strategies import (
     detector_blocks,
     detector_chunk_pairs,
     gf2_matrices,
+    matching_instances,
     group_bases_lists,
     shard_payloads,
     stabilizer_supports,
@@ -28,6 +34,10 @@ from repro.codes.scheduling import assign_conflict_free_slots
 from repro.core import CalibrationData, GraphModelConfig, TransitionModel
 from repro.core.boolean_minimize import evaluate, quine_mccluskey
 from repro.core.graph_model import GroupInfo, QubitContext
+from repro.decoders import DetectorGraph, MatchingDecoder
+from repro.decoders import _ckernels as deckernels
+from repro.decoders.matching import _networkx_matching
+from repro.noise import paper_noise
 from repro.core.patterns import (
     bits_to_int,
     eraser_flags_pattern,
@@ -312,3 +322,94 @@ def test_journal_replay_survives_torn_writes(tmp_path_factory, torn):
     # The slot is immediately reusable: a clean rewrite journals fine.
     store.write_task(record)
     assert store.load_task(record["task"]) is not None
+
+
+# --------------------------------------------------------------------------- #
+# Matching optimality oracle: every exact backend vs brute force
+# --------------------------------------------------------------------------- #
+def _pairings(items):
+    """Every way to pair up ``items`` or send each to the boundary (-1)."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for tail in _pairings(rest):
+        yield [(first, -1), *tail]
+    for k, partner in enumerate(rest):
+        for tail in _pairings(rest[:k] + rest[k + 1 :]):
+            yield [(first, partner), *tail]
+
+
+def _pairing_cost(pairs, boundary, pair):
+    return sum(boundary[i] if j < 0 else pair[i, j] for i, j in pairs)
+
+
+@contextmanager
+def _decoder_kernels(flag):
+    previous = os.environ.get("REPRO_DECODER_CKERNELS")
+    os.environ["REPRO_DECODER_CKERNELS"] = flag
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["REPRO_DECODER_CKERNELS"]
+        else:
+            os.environ["REPRO_DECODER_CKERNELS"] = previous
+
+
+@cache
+def _dp_decoder():
+    return MatchingDecoder(DetectorGraph(code=surface_code(3), rounds=1, noise=paper_noise()))
+
+
+def _dp_pairs(boundary, pair):
+    """The bitmask DP on a synthetic instance: detectors are nodes
+    ``0..n-1`` and node ``n`` is the boundary."""
+    count = boundary.size
+    distances = np.hstack([pair, boundary[:, None]])
+    pairs = _dp_decoder()._dp_matching(np.arange(count), distances, count)
+    return [(a, -1 if b == count else b) for a, b in pairs]
+
+
+@given(matching_instances(max_count=10))
+@settings(max_examples=40, deadline=None)
+def test_exact_matching_backends_reach_the_brute_force_minimum(instance):
+    """The DP (interpreted and compiled), the compiled blossom port and
+    networkx blossom each return a complete pairing whose total cost equals
+    the minimum over every pairing-with-boundary, ties included (integer
+    and dyadic costs keep every sum exact)."""
+    boundary, pair = instance
+    count = boundary.size
+    best = min(_pairing_cost(p, boundary, pair) for p in _pairings(list(range(count))))
+    chosen = {"networkx": _networkx_matching(boundary, pair)}
+    for flag in ("0", "1"):
+        with _decoder_kernels(flag):
+            chosen[f"dp kernels={flag}"] = _dp_pairs(boundary, pair)
+            if deckernels.available():
+                chosen["blossom kernel"] = deckernels.blossom_match(boundary, pair)
+    for backend, pairs in chosen.items():
+        covered = sorted(i for p in pairs for i in p if i >= 0)
+        assert covered == list(range(count)), backend
+        assert _pairing_cost(pairs, boundary, pair) == best, backend
+
+
+@pytest.mark.skipif(not deckernels.available(), reason="no C toolchain available")
+@given(
+    matching_instances(
+        min_count=9,
+        max_count=40,
+        kinds=("integer", "dyadic", "lattice", "euclidean"),
+        infinite=True,
+    )
+)
+@settings(max_examples=30, deadline=None)
+def test_blossom_kernel_pairs_equal_networkx(instance):
+    """The compiled blossom port returns networkx's exact pair list — same
+    pairs, orientation and order, ties included — and defers (``None``)
+    on any non-finite cost."""
+    boundary, pair = instance
+    kernel = deckernels.blossom_match(boundary, pair)
+    if not (np.isfinite(boundary).all() and np.isfinite(pair).all()):
+        assert kernel is None
+        return
+    assert kernel == _networkx_matching(boundary, pair)
