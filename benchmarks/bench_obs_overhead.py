@@ -4,11 +4,11 @@ The ``repro.obs`` contract is that telemetry costs nothing measurable when
 it is off: a disabled instrument is one attribute load and one branch, and
 the simulator's span hooks reduce to a hoisted ``is not None`` check per
 round.  This benchmark pins that contract.  :class:`BareLeakageSimulator`
-freezes the pre-telemetry ``_run_round`` *verbatim* (phase accounting via
-``self._phase_ns`` only, no tracer hooks) so the baseline cannot drift as
-instrumentation accumulates, then races the instrumented engine against it
-on the same reference configuration ``bench_sim_round.py`` asserts its
-speedup floor on (d=5, 100 rounds, 20k shots, leakage sampling on).
+copies the engine's ``_run_round`` with every tracer hook removed, so the
+race isolates exactly what the hooks cost, then races the instrumented
+engine against it on the same reference configuration
+``bench_sim_round.py`` asserts its speedup floor on (d=5, 100 rounds, 20k
+shots, leakage sampling on).
 
 Runs are interleaved and each side takes its min-of-N, which strips
 scheduler jitter; the asserted bound is ``OVERHEAD_CEILING`` (<=2%).  Both
@@ -52,18 +52,16 @@ FLOOR_ROUNDS = 100
 
 
 class BareLeakageSimulator(LeakageSimulator):
-    """The pre-telemetry round loop, frozen for baseline timing.
+    """The engine's round loop with every telemetry hook stripped.
 
-    ``_run_round`` is the body as it stood before the ``repro.obs`` span
-    hooks landed: phase accounting through the optional ``self._phase_ns``
-    dict only.  The signature is unchanged, so ``run_incremental`` (which
-    now also primes ``self._round_tracer``) drives it as-is — with no
-    tracer active the two engines draw the identical RNG stream.
+    ``_run_round`` is a verbatim copy of :meth:`LeakageSimulator._run_round`
+    minus the tracer resolution, the ``sim.phase.*`` marks and the
+    ``sim.round`` span; everything it calls (draw source, layer kernel,
+    measurement, speculation) is the engine's own.  Re-derive it whenever
+    the engine's round loop changes shape: the signature must stay
+    call-compatible with ``run_incremental``, and with no tracer active the
+    two engines draw the identical RNG stream.
     """
-
-    #: The frozen body reads ``self._phase_ns``, which the engine no longer
-    #: defines; phase timing is always off here, as in the timed runs.
-    _phase_ns = None
 
     def _run_round(
         self,
@@ -74,11 +72,10 @@ class BareLeakageSimulator(LeakageSimulator):
         totals,
         detector_history,
         pattern_histogram,
+        detector_out=None,
     ):
         noise = self.noise.params_for_round(round_index)
         shots = state.shots
-        timing = self._phase_ns
-        tick = time.perf_counter_ns() if timing is not None else 0
 
         lrcs_this_round = int(np.count_nonzero(ws.data_lrc))
         anc_lrcs_this_round = int(np.count_nonzero(ws.anc_lrc))
@@ -110,10 +107,6 @@ class BareLeakageSimulator(LeakageSimulator):
         totals["leak_events"] += state.inject_ancilla_leakage(
             noise.p_leak, source=source, scratch=ws.anc
         )
-        if timing is not None:
-            now = time.perf_counter_ns()
-            timing["noise"] += now - tick
-            tick = now
 
         _pack_register(ws.data_pack, state.data_x, state.data_z, state.data_leaked, ws.data_u8)
         _pack_register(ws.anc_pack, state.anc_x, state.anc_z, state.anc_leaked, ws.anc_u8)
@@ -121,23 +114,20 @@ class BareLeakageSimulator(LeakageSimulator):
             totals["leak_events"] += self._apply_cnot_layer(layer_index, ws, source)
         _unpack_register(ws.data_pack, state.data_x, state.data_z, state.data_leaked, ws.data_u8)
         _unpack_register(ws.anc_pack, state.anc_x, state.anc_z, state.anc_leaked, ws.anc_u8)
-        if timing is not None:
-            now = time.perf_counter_ns()
-            timing["cnot_layers"] += now - tick
-            tick = now
 
         self._measure(state, ws, source)
         np.logical_xor(ws.measurement, state.prev_measurement, out=ws.detectors)
         if round_index == 0:
             ws.detectors[:, self._x_stab_indices] = False
         state.prev_measurement, ws.measurement = ws.measurement, state.prev_measurement
-        z_detectors = ws.detectors[:, self._z_stab_indices]
+        if detector_out is not None:
+            z_detectors = np.take(
+                ws.detectors, self._z_stab_indices, axis=1, out=detector_out
+            )
+        else:
+            z_detectors = ws.detectors[:, self._z_stab_indices]
         if detector_history is not None:
             detector_history[:, round_index, :] = z_detectors
-        if timing is not None:
-            now = time.perf_counter_ns()
-            timing["measure"] += now - tick
-            tick = now
 
         self._extract_patterns(ws.detectors, ws.pattern_a, ws)
         if ws.mlr_flags is not None and ws.mlr_neighbor is not None:
@@ -154,10 +144,6 @@ class BareLeakageSimulator(LeakageSimulator):
         self.policy.decide_into(
             ctx, ws.data_lrc, ws.anc_lrc if ws.emits_ancilla_lrc else None
         )
-        if timing is not None:
-            now = time.perf_counter_ns()
-            timing["speculate"] += now - tick
-            tick = now
 
         data = ws.data
         lrc_u8 = ws.data_lrc.view(np.uint8)
@@ -187,8 +173,6 @@ class BareLeakageSimulator(LeakageSimulator):
             true_positives=true_positives / shots,
         )
         ws.pattern_a, ws.pattern_b = ws.pattern_b, ws.pattern_a
-        if timing is not None:
-            timing["bookkeeping"] += time.perf_counter_ns() - tick
         return record, z_detectors
 
 

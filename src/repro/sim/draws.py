@@ -1,73 +1,64 @@
-"""Ordered Bernoulli/integer draw sources for the simulator hot path.
+"""The simulator's ordered draw schedule and the source that executes it.
 
 The simulator's RNG contract is *sequential*: every round consumes a fixed
 schedule of ``Generator.random`` and ``Generator.integers`` calls whose
 order, shapes and dtypes must match the historical implementation draw for
 draw (that is what keeps runs bit-for-bit reproducible).  This module turns
-that schedule into an explicit object so the same consumption order can be
-executed two ways:
+that schedule into an explicit object and executes it:
 
-* :class:`SerialDrawSource` — generates on demand on the calling thread,
-  drawing into pinned buffers (``Generator.random(out=...)``) and comparing
-  in place.  This is the low-overhead path for small shot batches.
-* :class:`PipelinedDrawSource` — a prefetch worker thread runs the round's
-  draw schedule ahead of the consumer, so PCG64 generation (which releases
-  the GIL and is otherwise ~half the round's wall-clock at 20k shots)
-  overlaps with the Pauli algebra on the main thread.  Buffers cycle
-  through bounded per-shape rings, so memory stays fixed and the worker
-  applies natural backpressure.
+* The schedule is declared once per run as a :class:`DrawPlan` — a fixed
+  body per round plus two conditional LRC segments whose activation is only
+  known at round start (``mask.any()`` on the pending LRC decisions).  The
+  consumer posts those two flags per round; everything else is
+  run-constant.
+* :class:`DrawSource` compiles each round's op list once into a *program*:
+  every op is bound to its output buffer (per-shape slots, reassigned from
+  the first slot at each segment start; no mask outlives its segment) and,
+  when the compiled kernels are loaded, to one row of a
+  ``repro.sim._ckernels.draw_ops`` table.  The consumer then pulls ops in
+  stream order, one (:meth:`DrawSource.next`) or a contiguous block
+  (:meth:`DrawSource.next_block`, e.g. an entangling layer's nine masks)
+  per compiled call.
 
-Both sources yield the *identical* value stream: the worker executes the
-exact same ``Generator`` calls in the exact same order, just earlier in
-wall-clock time.  Two further contract-preserving tricks live here:
+With the kernels, the whole run executes in C against a shadow copy of the
+PCG64 state, including NumPy's buffered half-word (``has_uint32`` /
+``uinteger``) that bounded ``integers`` calls consume; :meth:`DrawSource.close`
+writes it back, so the ``Generator`` is exactly where the NumPy path leaves
+it.  The NumPy path (``REPRO_SIM_CKERNELS=0``, no compiler, or another bit
+generator) runs the identical calls through the ``Generator`` and is the
+kernels' oracle.  Two further contract-preserving tricks hold in both:
 
 * Bernoulli draws with ``p <= 0`` or ``p >= 1`` have constant results, so
-  the source skips generation entirely and advances the bit generator's
-  state by the exact number of skipped variates
-  (``BitGenerator.advance(n)``), returning a shared constant mask.  This
-  turns e.g. the default ``removal_prob = 1.0`` LRC draw and every
+  the source skips generation and advances the bit generator by the exact
+  number of skipped variates, returning a shared read-only constant mask.
+  This turns e.g. the default ``removal_prob = 1.0`` LRC draw and every
   ideal-noise draw into (amortised) no-ops.
 * Masks are uint8 0/1 rather than bool so the packed-plane kernels can use
   them in bitwise arithmetic directly; bool views are free either way.
-
-The schedule is declared once per run as a :class:`DrawPlan` — a fixed body
-per round plus two conditional LRC segments whose activation is only known
-at round start (``mask.any()`` on the pending LRC decisions).  The consumer
-posts those two flags per round; everything else is run-constant.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import queue
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _ckernels
 
-_MASK64 = (1 << 64) - 1
+__all__ = ["DrawOp", "DrawPlan", "DrawSource"]
 
-__all__ = [
-    "DrawOp",
-    "DrawPlan",
-    "SerialDrawSource",
-    "PipelinedDrawSource",
-    "make_draw_source",
-]
-
-#: Ring slots per shape: the layer kernel holds a full round's worth of one
-#: shape's masks at once (8 of them) while computing its tiled op pass, so
-#: the rings must be deeper than that (plus pipelined lookahead).
+#: Buffer slots per shape within one segment: an entangling layer holds its
+#: nine masks at once, so the slots cycle only well past a layer's block.
 RING_SLOTS = 12
 
-#: Target float64 bytes per generation chunk: draws are produced and
-#: thresholded in row blocks that fit L2, so the comparison reads the fresh
-#: draws from cache instead of streaming the whole buffer back from memory.
-#: Row-blocking a C-contiguous fill preserves the exact value sequence.
+#: Target float64 bytes per generation chunk on the NumPy path: draws are
+#: produced and thresholded in row blocks that fit L2, so the comparison
+#: reads the fresh draws from cache instead of streaming the whole buffer
+#: back from memory.  Row-blocking a C-contiguous fill preserves the exact
+#: value sequence.
 CHUNK_BYTES = 256 * 1024
+
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -116,317 +107,201 @@ class DrawPlan:
             self.shapes.append(shape)
             return len(self.shapes) - 1
 
-    def round_ops(
+    def round_segments(
         self, lrc_data_any: bool, lrc_anc_any: bool, round_index: int = 0
-    ) -> list[DrawOp]:
-        """The ops of one round given the two per-round LRC flags."""
-        ops: list[DrawOp] = []
+    ) -> list[list[DrawOp]]:
+        """The op segments of one round given the two per-round LRC flags."""
+        segments: list[list[DrawOp]] = []
         if lrc_data_any:
-            ops.extend(self.lrc_data)
+            segments.append(self.lrc_data)
         if lrc_anc_any:
-            ops.extend(self.lrc_anc)
-        ops.extend(self.body if self.bodies is None else self.bodies[round_index])
-        return ops
+            segments.append(self.lrc_anc)
+        segments.append(self.body if self.bodies is None else self.bodies[round_index])
+        return segments
 
 
-def _constant_kind(threshold: float) -> str | None:
-    """``"zeros"`` / ``"ones"`` when a Bernoulli draw has a constant result."""
+def _constant(threshold: float) -> int | None:
+    """0 / 1 when a Bernoulli draw has a constant result, else ``None``."""
     if threshold <= 0.0:
-        return "zeros"
+        return 0
     if threshold >= 1.0:
-        return "ones"
+        return 1
     return None
 
 
-class _Executor:
-    """Shared machinery that runs :class:`DrawOp` lists against a Generator.
+@dataclass
+class _Program:
+    """One op list bound to its outputs (and, with the kernels, its table)."""
 
-    When the compiled kernels are available, Bernoulli masks are produced by
-    the C PCG64 loop operating on a *shadow* copy of the bit generator's
-    128-bit state; the shadow is flushed back into the ``Generator`` before
-    any operation that must run through NumPy (``integers`` with its
-    rejection sampling, ``advance`` for constant draws, and at teardown), so
-    the Generator remains authoritative at every NumPy call and after the
-    run.  The value stream is identical in all modes.
+    ops: list[DrawOp]
+    results: list[np.ndarray]
+    table: np.ndarray | None
+    table_address: int = 0
+
+
+class DrawSource:
+    """Executes a :class:`DrawPlan` in stream order against one Generator.
+
+    The source owns the Generator from construction to :meth:`close`: with
+    the compiled kernels its state lives in a shadow copy in between.
+    Returned masks are valid until the consumer moves past the current
+    segment (LRC, body or final) or draws ``RING_SLOTS`` more of the same
+    shape, whichever comes first.
     """
 
     def __init__(self, rng: np.random.Generator, plan: DrawPlan) -> None:
         self.rng = rng
-        self.plan = plan
-        self._use_c = _ckernels.available() and self._is_pcg64(rng)
-        self._shadow = False
-        self._state_hl = np.zeros(2, dtype=np.uint64)
-        self._inc_hl = np.zeros(2, dtype=np.uint64)
-        self._chunk_rows = [
-            max(64, CHUNK_BYTES // (max(1, shape[1]) * 8)) for shape in plan.shapes
-        ]
-        self._draw_bufs = [
-            np.empty((min(rows, shape[0]), shape[1]), dtype=np.float64)
-            for rows, shape in zip(self._chunk_rows, plan.shapes)
-        ]
-        self._const_zeros = [
-            _FrozenMask(np.zeros(shape, dtype=np.uint8)) for shape in plan.shapes
-        ]
-        self._const_ones = [
-            _FrozenMask(np.ones(shape, dtype=np.uint8)) for shape in plan.shapes
-        ]
-
-    @staticmethod
-    def _is_pcg64(rng: np.random.Generator) -> bool:
-        state = rng.bit_generator.state
-        return state.get("bit_generator") == "PCG64"
-
-    def _load_shadow(self) -> None:
-        if not self._shadow:
-            state = self.rng.bit_generator.state["state"]
-            value, inc = state["state"], state["inc"]
-            self._state_hl[0] = value >> 64
-            self._state_hl[1] = value & _MASK64
-            self._inc_hl[0] = inc >> 64
-            self._inc_hl[1] = inc & _MASK64
-            self._shadow = True
-
-    def flush(self) -> None:
-        """Write the shadow PCG64 state back into the Generator."""
-        if self._shadow:
-            generator = self.rng.bit_generator
-            state = generator.state
-            state["state"]["state"] = (
-                int(self._state_hl[0]) << 64
-            ) | int(self._state_hl[1])
-            generator.state = state
-            self._shadow = False
-
-    def execute(self, op: DrawOp, out: np.ndarray | None) -> np.ndarray:
-        """Run one op; fill ``out`` (uint8) or return a shared constant mask."""
-        if op.kind == "bern":
-            constant = _constant_kind(op.threshold)
-            if constant is not None:
-                # The baseline still consumed shots*n variates here; skip
-                # the generation but advance the stream by exactly that much.
-                # ``advance`` also resets PCG64's buffered half-word
-                # (``has_uint32``/``uinteger``), which real double draws
-                # leave untouched and a later bounded ``integers`` call would
-                # consume — restore it or the integer stream forks.
-                shape = self.plan.shapes[op.shape_id]
-                self.flush()
-                generator = self.rng.bit_generator
-                before = generator.state
-                generator.advance(shape[0] * shape[1])
-                if before["has_uint32"]:
-                    after = generator.state
-                    after["has_uint32"] = before["has_uint32"]
-                    after["uinteger"] = before["uinteger"]
-                    generator.state = after
-                bank = self._const_zeros if constant == "zeros" else self._const_ones
-                return bank[op.shape_id].mask
-            assert out is not None
-            if self._use_c:
-                # ceil(p * 2**53) << 11 is exact (power-of-two scaling) and
-                # decides u < p on the raw integer draw, see _ckernels.
-                self._load_shadow()
-                threshold = math.ceil(op.threshold * 9007199254740992.0) << 11
-                _ckernels.pcg64_bern(self._state_hl, self._inc_hl, threshold, out)
-                return out
-            # Generate + threshold in row blocks: contiguous row slices of a
-            # C-order fill consume the identical value sequence, and the
-            # comparison then reads L2-resident draws.
-            shots = self.plan.shapes[op.shape_id][0]
-            chunk = self._draw_bufs[op.shape_id]
-            rows = chunk.shape[0]
-            random = self.rng.random
-            for start in range(0, shots, rows):
-                stop = min(start + rows, shots)
-                draw = chunk[: stop - start]
-                random(out=draw)
-                np.less(draw, op.threshold, out=out[start:stop])
-            return out
-        # randint: the generator call matches the baseline exactly (int64,
-        # rejection sampling and all); only the returned copy is narrowed.
-        self.flush()
-        values = self.rng.integers(
-            op.low, op.high, size=self.plan.shapes[op.shape_id]
-        )
-        assert out is not None
-        np.copyto(out, values, casting="unsafe")
-        return out
-
-
-class _FrozenMask:
-    """A shared read-only constant mask (all zeros or all ones)."""
-
-    def __init__(self, mask: np.ndarray) -> None:
-        mask.flags.writeable = False
-        self.mask = mask
-
-
-class SerialDrawSource:
-    """On-demand draw source: same thread, pinned buffers, zero lookahead."""
-
-    def __init__(self, rng: np.random.Generator, plan: DrawPlan) -> None:
-        self._executor = _Executor(rng, plan)
         self._plan = plan
-        self._rings = [
-            [np.empty(shape, dtype=np.uint8) for _ in range(RING_SLOTS)]
+        use_c = _ckernels.available()
+        use_c = use_c and rng.bit_generator.state["bit_generator"] == "PCG64"
+        self._gen = _ckernels.load_pcg64(rng.bit_generator) if use_c else None
+        self._gen_address = self._gen.ctypes.data if use_c else 0
+        self._slots: list[list[np.ndarray]] = [[] for _ in plan.shapes]
+        self._constants = [
+            [_frozen(np.full(shape, value, dtype=np.uint8)) for value in (0, 1)]
             for shape in plan.shapes
         ]
-        self._cursor = [0] * len(plan.shapes)
-        self._pending: list[DrawOp] = []
+        self._draw_bufs: list[np.ndarray] = []
+        if not use_c:
+            for shots, n in plan.shapes:
+                rows = max(64, CHUNK_BYTES // (max(1, n) * 8))
+                self._draw_bufs.append(np.empty((min(rows, shots), n)))
+        self._programs: dict[tuple, _Program] = {}
+        self._program: _Program | None = None
         self._index = 0
         self._round = 0
 
     # -- schedule driving ------------------------------------------------
     def start_round(self, lrc_data_any: bool, lrc_anc_any: bool) -> None:
         """Declare the next round's conditional segments."""
-        self._pending = self._plan.round_ops(lrc_data_any, lrc_anc_any, self._round)
+        segments = self._plan.round_segments(lrc_data_any, lrc_anc_any, self._round)
         self._round += 1
-        self._index = 0
+        self._start(segments)
 
     def start_final(self) -> None:
         """Switch to the end-of-run readout segment."""
-        self._pending = list(self._plan.final)
+        self._start([self._plan.final])
+
+    def _start(self, segments: list[list[DrawOp]]) -> None:
+        key = tuple(id(segment) for segment in segments)
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = self._compile(segments)
+        self._program = program
         self._index = 0
+
+    def _compile(self, segments: list[list[DrawOp]]) -> _Program:
+        ops: list[DrawOp] = []
+        results: list[np.ndarray] = []
+        rows: list[tuple[int, int, int, int, int]] = []
+        for segment in segments:
+            cursor = [0] * len(self._plan.shapes)
+            for op in segment:
+                shots, n = self._plan.shapes[op.shape_id]
+                size = shots * n
+                ops.append(op)
+                constant = _constant(op.threshold) if op.kind == "bern" else None
+                if constant is not None:
+                    results.append(self._constants[op.shape_id][constant])
+                    rows.append((_ckernels.OP_SKIP, 0, 0, size, 0))
+                    continue
+                slots = self._slots[op.shape_id]
+                slot = cursor[op.shape_id] % RING_SLOTS
+                cursor[op.shape_id] += 1
+                if slot == len(slots):
+                    slots.append(np.empty((shots, n), dtype=np.uint8))
+                out = slots[slot]
+                results.append(out)
+                address = out.ctypes.data
+                if op.kind == "bern":
+                    threshold = _ckernels.bern_threshold(op.threshold)
+                    rows.append((_ckernels.OP_BERN, threshold, 0, size, address))
+                else:
+                    span = op.high - op.low - 1
+                    assert 1 <= span <= _ckernels.MAX_INT_RANGE
+                    off = op.low & _MASK64
+                    rows.append((_ckernels.OP_INT8, span, off, size, address))
+        if self._gen is None:
+            return _Program(ops, results, None)
+        table = np.array(rows, dtype=np.uint64).reshape(len(rows), 5)
+        return _Program(ops, results, table, table.ctypes.data)
 
     # -- consumption -----------------------------------------------------
     def next(self) -> np.ndarray:
         """The next mask/values array of the schedule, in stream order."""
-        op = self._pending[self._index]
-        self._index += 1
-        ring = self._rings[op.shape_id]
-        slot = self._cursor[op.shape_id]
-        self._cursor[op.shape_id] = (slot + 1) % RING_SLOTS
-        return self._executor.execute(op, ring[slot])
+        index = self._index
+        self._index = index + 1
+        program = self._program
+        assert program is not None
+        if self._gen is not None:
+            _ckernels.draw_ops(
+                self._gen_address,
+                program.table_address + index * _ckernels.ROW_BYTES,
+                1,
+            )
+        else:
+            self._execute(program.ops[index], program.results[index])
+        return program.results[index]
 
-    def release(self, mask: np.ndarray) -> None:
-        """No-op serially; ring slots recycle by draw order."""
-
-    def close(self) -> None:
-        """Resync the Generator with anything the C kernels consumed."""
-        self._executor.flush()
-
-
-class PipelinedDrawSource:
-    """Prefetching draw source: a worker thread runs the schedule ahead.
-
-    The worker owns the Generator for the duration of the run and executes
-    the same op sequence the consumer will request, pushing finished masks
-    through a bounded queue; per-shape rings of reusable buffers bound both
-    memory and lookahead.  ``release`` must be called once per consumed
-    mask — that is what hands the buffer back to the worker.
-    """
-
-    def __init__(self, rng: np.random.Generator, plan: DrawPlan, rounds: int) -> None:
-        self._plan = plan
-        self._rounds = rounds
-        self._executor = _Executor(rng, plan)
-        self._results: queue.Queue = queue.Queue(maxsize=2 * RING_SLOTS)
-        self._flags: queue.Queue = queue.Queue()
-        self._free: list[queue.SimpleQueue] = []
-        self._slot_of: dict[int, int] = {}
-        for shape in plan.shapes:
-            ring: queue.SimpleQueue = queue.SimpleQueue()
-            for _ in range(RING_SLOTS):
-                buf = np.empty(shape, dtype=np.uint8)
-                self._slot_of[id(buf)] = len(self._free)
-                ring.put(buf)
-            self._free.append(ring)
-        self._stop = threading.Event()
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._work, name="sim-draw-prefetch", daemon=True
-        )
-        self._thread.start()
-
-    # -- worker ----------------------------------------------------------
-    def _work(self) -> None:
-        try:
-            for round_index in range(self._rounds):
-                flags = self._get(self._flags)
-                if flags is None:
-                    return
-                for op in self._plan.round_ops(*flags, round_index):
-                    if not self._produce(op):
-                        return
-            for op in self._plan.final:
-                if not self._produce(op):
-                    return
-        except BaseException as error:  # pragma: no cover - defensive
-            self._error = error
-            self._results.put(None)
-        finally:
-            # Leave the Generator authoritative wherever consumption stopped.
-            self._executor.flush()
-
-    def _produce(self, op: DrawOp) -> bool:
-        out = None
-        if op.kind != "bern" or _constant_kind(op.threshold) is None:
-            out = self._get(self._free[op.shape_id])
-            if out is None:
-                return False
-        result = self._executor.execute(op, out)
-        while not self._stop.is_set():
-            try:
-                self._results.put(result, timeout=0.1)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def _get(self, source: queue.Queue | queue.SimpleQueue):
-        while not self._stop.is_set():
-            try:
-                return source.get(timeout=0.1)
-            except queue.Empty:
-                continue
-        return None
-
-    # -- schedule driving -------------------------------------------------
-    def start_round(self, lrc_data_any: bool, lrc_anc_any: bool) -> None:
-        self._flags.put((lrc_data_any, lrc_anc_any))
-
-    def start_final(self) -> None:
-        """The worker enters the final segment on its own after ``rounds``."""
-
-    # -- consumption ------------------------------------------------------
-    def next(self) -> np.ndarray:
-        result = self._results.get()
-        if result is None:
-            raise RuntimeError("draw prefetch worker failed") from self._error
-        return result
-
-    def release(self, mask: np.ndarray) -> None:
-        slot = self._slot_of.get(id(mask))
-        if slot is not None:  # constant masks and integer arrays aren't pooled
-            self._free[slot].put(mask)
+    def next_block(self, count: int) -> list[np.ndarray]:
+        """The next ``count`` arrays of the schedule, drawn in one call."""
+        start = self._index
+        stop = self._index = start + count
+        program = self._program
+        assert program is not None and stop <= len(program.ops)
+        if self._gen is not None:
+            _ckernels.draw_ops(
+                self._gen_address,
+                program.table_address + start * _ckernels.ROW_BYTES,
+                count,
+            )
+        else:
+            for index in range(start, stop):
+                self._execute(program.ops[index], program.results[index])
+        return program.results[start:stop]
 
     def close(self) -> None:
-        """Stop the worker (idempotent); the generator state is left wherever
-        the worker got to, exactly as an abandoned serial run would."""
-        self._stop.set()
-        self._flags.put(None)
-        self._thread.join(timeout=5.0)
+        """Write the shadow state back into the Generator (idempotent)."""
+        if self._gen is not None:
+            _ckernels.store_pcg64(self._gen, self.rng.bit_generator)
+
+    # -- the NumPy path --------------------------------------------------
+    def _execute(self, op: DrawOp, out: np.ndarray) -> None:
+        shape = self._plan.shapes[op.shape_id]
+        if op.kind == "randint":
+            # The generator call matches the baseline exactly (int64,
+            # rejection sampling and all); only the stored copy is narrowed.
+            values = self.rng.integers(op.low, op.high, size=shape)
+            np.copyto(out, values, casting="unsafe")
+            return
+        if _constant(op.threshold) is not None:
+            # The baseline still consumed shots*n variates here; skip the
+            # generation but advance the stream by exactly that much.
+            # ``advance`` also resets PCG64's buffered half-word
+            # (``has_uint32``/``uinteger``), which real double draws leave
+            # untouched and a later bounded ``integers`` call would consume —
+            # restore it or the integer stream forks.
+            generator = self.rng.bit_generator
+            before = generator.state
+            generator.advance(shape[0] * shape[1])
+            after = generator.state
+            after["has_uint32"] = before["has_uint32"]
+            after["uinteger"] = before["uinteger"]
+            generator.state = after
+            return
+        # Generate + threshold in row blocks: contiguous row slices of a
+        # C-order fill consume the identical value sequence, and the
+        # comparison then reads L2-resident draws.
+        chunk = self._draw_bufs[op.shape_id]
+        rows = chunk.shape[0]
+        random = self.rng.random
+        for start in range(0, shape[0], rows):
+            stop = min(start + rows, shape[0])
+            draw = chunk[: stop - start]
+            random(out=draw)
+            np.less(draw, op.threshold, out=out[start:stop])
 
 
-def make_draw_source(
-    rng: np.random.Generator,
-    plan: DrawPlan,
-    rounds: int,
-    shots: int,
-    prefetch: str = "auto",
-):
-    """Pick the draw source for a run.
-
-    ``prefetch``: ``"on"`` / ``"off"`` force the choice; ``"auto"`` enables
-    the worker thread on multi-core hosts for batches large enough that
-    PCG64 generation dominates (the crossover sits around a few thousand
-    shots).  Single-core hosts always run serially — a prefetch thread can
-    only add queue overhead there.
-    """
-    if prefetch not in ("auto", "on", "off"):
-        raise ValueError(
-            f"rng_prefetch must be 'auto', 'on' or 'off', got {prefetch!r}"
-        )
-    multicore = (os.cpu_count() or 1) >= 2
-    if prefetch == "on" or (prefetch == "auto" and multicore and shots >= 4096):
-        return PipelinedDrawSource(rng, plan, rounds)
-    return SerialDrawSource(rng, plan)
+def _frozen(mask: np.ndarray) -> np.ndarray:
+    mask.flags.writeable = False
+    return mask

@@ -8,14 +8,17 @@ Circuits.  Everything is vectorised over a batch of shots with NumPy, which
 is what makes the paper's 100d-round sweeps tractable in pure Python.
 
 The per-round hot path runs entirely inside a preallocated
-:class:`~repro.sim.workspace.RoundWorkspace`: Bernoulli draws land in pinned
-float64 buffers via ``Generator.random(out=...)`` and the Pauli/XOR algebra
-is written as in-place ufunc kernels, so a round performs no round-shaped
-allocations.  The *sequence, shapes and order* of RNG draws is a frozen
+:class:`~repro.sim.workspace.RoundWorkspace`, so a round performs no
+round-shaped allocations.  Draws come from a
+:class:`~repro.sim.draws.DrawSource` as pre-thresholded uint8 masks; the
+Pauli/XOR algebra is in-place bitwise kernels on them.  With the compiled
+kernels (:mod:`repro.sim._ckernels`) each entangling layer costs two calls:
+one draws its nine masks, one gathers, updates and scatters the packed
+planes.  The *sequence, shapes and order* of RNG draws is a frozen
 contract — it matches the allocating baseline draw for draw, so runs are
 bit-for-bit reproducible against recorded fixtures and against the frozen
 reference implementation in ``benchmarks/bench_sim_round.py``
-(``tests/test_sim_equivalence.py`` pins this).
+(``tests/test_sim_equivalence.py`` pins this, with the kernels on and off).
 
 The simulator reports the evaluation metrics of Section 7: data-leakage
 population, LRC usage, false positives/negatives, and (optionally) the full
@@ -25,7 +28,6 @@ rate.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Generator as GeneratorType
@@ -39,7 +41,7 @@ from ..core.speculator import LeakagePolicy, SpeculationInput
 from ..noise import NoiseParams
 from ..obs.trace import Tracer, current_tracer
 from . import _ckernels
-from .draws import DrawOp, DrawPlan, make_draw_source
+from .draws import DrawOp, DrawPlan, DrawSource
 from .state import ChannelScratch, SimState
 from .workspace import RoundWorkspace
 
@@ -92,18 +94,11 @@ class SimulatorOptions:
         Keep a histogram of observed speculation patterns, split by whether
         the data qubit was genuinely leaked (used by the Figure 5 / Figure 8
         pattern-breakdown benchmarks).
-    rng_prefetch:
-        Draw-generation strategy (performance-only; results are bit-identical
-        either way): ``"auto"`` overlaps PCG64 generation with the Pauli
-        algebra on a worker thread for large shot batches, ``"on"``/``"off"``
-        force the choice.  The ``REPRO_SIM_PREFETCH`` environment variable
-        overrides this field.
     """
 
     leakage_sampling: bool = False
     record_detectors: bool = False
     record_patterns: bool = False
-    rng_prefetch: str = "auto"
 
 
 @dataclass
@@ -522,10 +517,7 @@ class LeakageSimulator:
             state.data_leaked[np.arange(shots), seeded] = True
 
         ws = self._make_workspace(shots)
-        prefetch = os.environ.get("REPRO_SIM_PREFETCH", "") or self.options.rng_prefetch
-        source = make_draw_source(
-            rng, self._build_draw_plan(shots, rounds), rounds, shots, prefetch
-        )
+        source = DrawSource(rng, self._build_draw_plan(shots, rounds))
         detector_history = (
             np.zeros((shots, rounds, len(self._z_stab_indices)), dtype=bool)
             if self.options.record_detectors
@@ -606,8 +598,7 @@ class LeakageSimulator:
         # 1. Apply the LRCs scheduled by last round's decision.  ``ws.data_lrc``
         #    / ``ws.anc_lrc`` still hold that decision; they are fully consumed
         #    here, freeing the buffers for this round's decision in phase 6.
-        #    The two any-flags gate the conditional draw segments — posting
-        #    them first lets the prefetch worker start on this round.
+        #    The two any-flags gate the conditional draw segments.
         lrcs_this_round = int(np.count_nonzero(ws.data_lrc))
         anc_lrcs_this_round = int(np.count_nonzero(ws.anc_lrc))
         source.start_round(bool(lrcs_this_round), bool(anc_lrcs_this_round))
@@ -771,7 +762,6 @@ class LeakageSimulator:
         removal = source.next()
         np.bitwise_and(mask_u8, leaked_u8, out=t1)
         t1 &= removal
-        source.release(removal)
         leaked_u8 ^= t1  # removed is a subset of leaked
         if return_flips:
             # A returned data qubit re-enters the computational subspace in a
@@ -780,16 +770,13 @@ class LeakageSimulator:
             # these for them.)
             flip = source.next()
             np.bitwise_and(flip, t1, out=t2)
-            source.release(flip)
             x_u8 ^= t2
             flip = source.next()
             np.bitwise_and(flip, t1, out=t2)
-            source.release(flip)
             z_u8 ^= t2
         # Gadget noise on every treated qubit (leaked or not).
         hit = source.next()
         np.bitwise_and(hit, mask_u8, out=t2)
-        source.release(hit)
         pauli = source.next()
         np.not_equal(pauli, 2, out=t1)
         t1 &= t2
@@ -797,11 +784,9 @@ class LeakageSimulator:
         np.not_equal(pauli, 0, out=t1)
         t1 &= t2
         z_u8 ^= t1
-        source.release(pauli)
         # Gadget-induced leakage.
         induced = source.next()
         np.bitwise_and(induced, mask_u8, out=t1)
-        source.release(induced)
         np.bitwise_xor(leaked_u8, 1, out=t2)
         t1 &= t2  # new leaks
         leaked_u8 |= t1
@@ -816,13 +801,17 @@ class LeakageSimulator:
         """Execute one entangling layer on the packed planes; return new leaks.
 
         All masks are uint8 0/1 so the whole layer is bitwise arithmetic on
-        byte arrays.  The Bernoulli masks arrive pre-thresholded from the
-        draw source in their baseline order and shapes (the frozen RNG
-        contract); they are pulled up front so the ~40-op algebra can then
-        run *tiled over shot blocks*, keeping every operand in cache instead
-        of streaming full ``(shots, gates)`` arrays through memory once per
-        op.  Tiling is pure loop blocking — the computation per element is
-        unchanged.
+        byte arrays.  The layer's nine draws (transport, four random Pauli
+        bits, gate hit, Pauli pair 1..15, two gate-leak masks) arrive
+        pre-thresholded from the draw source in one block, in their baseline
+        order and shapes (the frozen RNG contract).
+
+        With the compiled kernels the gather, the algebra and the scatter
+        are one C call on the full planes.  The NumPy fallback gathers the
+        operand columns, runs the ~40-op algebra *tiled over shot blocks*
+        (every operand stays in cache instead of streaming full ``(shots,
+        gates)`` arrays through memory once per op; tiling is pure loop
+        blocking) and scatters them back.
         """
         lw = ws.layers[layer_index]
         if lw is None:
@@ -831,40 +820,21 @@ class LeakageSimulator:
         data_idx = self._slot_data[layer_index]
         is_z_full = ws.layer_is_z_full[layer_index]
         assert is_z_full is not None  # allocated for every non-empty layer
-
-        # NB: ``pack[:, idx]`` yields a transposed-layout copy (advanced
-        # indexing iterates the index axis first); the C kernel needs C-order.
-        if self._use_ckernels:
-            pd = ws.data_pack.take(data_idx, axis=1)
-            pa = ws.anc_pack.take(anc_idx, axis=1)
-        else:
-            pd = ws.data_pack[:, data_idx]
-            pa = ws.anc_pack[:, anc_idx]
-        # The layer's full draw schedule, in stream order.
-        transport = source.next()
-        rand_x = source.next()
-        rand_z = source.next()
-        rand_x2 = source.next()
-        rand_z2 = source.next()
-        gate_hit = source.next()
-        pauli_pair = source.next()  # uint8 1..15
-        data_gate_leak = source.next()
-        anc_gate_leak = source.next()
-        masks = (
-            transport, rand_x, rand_z, rand_x2, rand_z2,
-            gate_hit, pauli_pair, data_gate_leak, anc_gate_leak,
-        )
+        masks = source.next_block(9)
 
         if self._use_ckernels:
-            # One fused C pass over all operands (identical per-element
-            # semantics to the tiled NumPy loop below).
-            _ckernels.cnot_layer(pd, pa, is_z_full, masks, ws.layer_counts)
-            for mask in masks:
-                source.release(mask)
-            ws.data_pack[:, data_idx] = pd
-            ws.anc_pack[:, anc_idx] = pa
+            _ckernels.cnot_layer(
+                ws.data_pack, ws.anc_pack, data_idx, anc_idx, is_z_full,
+                masks, ws.layer_counts,
+            )
             return int(ws.layer_counts[0]) + int(ws.layer_counts[1])
 
+        (
+            transport, rand_x, rand_z, rand_x2, rand_z2,
+            gate_hit, pauli_pair, data_gate_leak, anc_gate_leak,
+        ) = masks
+        pd = ws.data_pack[:, data_idx]
+        pa = ws.anc_pack[:, anc_idx]
         shots = pd.shape[0]
         tile = self._LAYER_TILE_ROWS
         # Hoist the ufuncs: with every operand pre-sliced per tile the loop
@@ -955,9 +925,6 @@ class LeakageSimulator:
             lshift(m4, 2, out=t)
             bor(cpa, t, out=cpa)
 
-        for mask in masks:
-            source.release(mask)
-
         # Write the packed planes back.
         ws.data_pack[:, data_idx] = pd
         ws.anc_pack[:, anc_idx] = pa
@@ -975,12 +942,10 @@ class LeakageSimulator:
         meas_u8 &= 1
         flip = source.next()
         meas_u8 ^= flip
-        source.release(flip)
         leaked_u8 = state.anc_leaked.view(np.uint8)
         if noise.readout_leak_random:
             random_bits = source.next()
             np.copyto(meas_u8, random_bits, where=state.anc_leaked)
-            source.release(random_bits)
         else:
             meas_u8 |= leaked_u8
 
@@ -990,11 +955,9 @@ class LeakageSimulator:
             missed = source.next()
             false_flag = source.next()
             np.bitwise_xor(missed, 1, out=t1)
-            source.release(missed)
             np.bitwise_and(leaked_u8, t1, out=mlr_u8)
             np.bitwise_xor(leaked_u8, 1, out=t1)
             t1 &= false_flag
-            source.release(false_flag)
             mlr_u8 |= t1
             # MLR-triggered resets return correctly flagged ancillas to the
             # computational subspace before the next round.
@@ -1073,11 +1036,9 @@ class LeakageSimulator:
         noise = self.noise
         flip = source.next()
         data_meas = np.bitwise_xor(state.data_x.view(np.uint8), flip)
-        source.release(flip)
         if noise.readout_leak_random:
             random_bits = source.next()
             np.copyto(data_meas, random_bits, where=state.data_leaked)
-            source.release(random_bits)
         else:
             data_meas |= state.data_leaked.view(np.uint8)
         # Final-round detectors: parity of the measured data over each

@@ -104,8 +104,6 @@ class SimState:
         np.not_equal(pauli, 0, out=scratch.t1)
         scratch.t1 &= hit
         self.data_z.view(np.uint8)[...] ^= scratch.t1
-        source.release(hit)
-        source.release(pauli)
 
     def inject_data_leakage(
         self,
@@ -151,7 +149,6 @@ class SimState:
         leaked_u8 = leaked.view(np.uint8)
         np.bitwise_xor(leaked_u8, 1, out=scratch.t1)
         np.bitwise_and(mask, scratch.t1, out=scratch.t2)  # new leaks
-        source.release(mask)
         leaked_u8 |= scratch.t2
         return int(np.count_nonzero(scratch.t2))
 
@@ -187,15 +184,12 @@ class SimState:
         if flip_probability > 0:
             mask = source.next()
             self.anc_x.view(np.uint8)[...] ^= mask
-            source.release(mask)
             mask = source.next()
             self.anc_z.view(np.uint8)[...] ^= mask
-            source.release(mask)
         if leakage_removal_probability > 0:
             mask = source.next()
             leaked_u8 = self.anc_leaked.view(np.uint8)
             np.bitwise_and(mask, leaked_u8, out=scratch.t1)  # cleared
-            source.release(mask)
             leaked_u8 ^= scratch.t1  # cleared is a subset of leaked
 
     def leaked_fraction(self) -> float:

@@ -11,12 +11,11 @@ round-shaped arrays — not arithmetic — dominated wall-clock.
 :class:`RoundWorkspace` hoists the buffers out of the round loop: the
 round-shaped temporaries are allocated once per
 :meth:`~repro.sim.LeakageSimulator.run_incremental` call and reused every
-round.  Random draws land in the pinned float64 buffers via
-``Generator.random(out=...)`` — the same C stream as
-``Generator.random(shape)``, so the optimized simulator consumes the
-*identical* sequence of RNG values as the allocating baseline and stays
-bit-for-bit reproducible (the frozen contract ``tests/test_sim_equivalence.py``
-enforces).
+round.  Random draws land in buffers the run's
+:class:`~repro.sim.draws.DrawSource` owns, consuming the *identical*
+sequence of RNG values as the allocating baseline, so the optimized
+simulator stays bit-for-bit reproducible (the frozen contract
+``tests/test_sim_equivalence.py`` enforces).
 
 Two further representations live here because they make the hot loops much
 cheaper than the public boolean layout:
@@ -24,10 +23,11 @@ cheaper than the public boolean layout:
 * ``data_pack`` / ``anc_pack`` are uint8 planes packing each register's
   Pauli frame and leakage flag as ``x | z << 1 | leaked << 2``.  The CNOT
   layers gather/scatter *one* packed array per register instead of six
-  boolean ones, and apply the two-qubit Pauli-pair error with two bitwise
-  ops instead of eight.  The packs are rebuilt from the boolean state before
-  the entangling layers and unpacked right after, so every other phase (and
-  every policy) keeps seeing plain ``bool`` arrays.
+  boolean ones (the compiled layer kernel updates them in place), and apply
+  the two-qubit Pauli-pair error with two bitwise ops instead of eight.  The
+  packs are rebuilt from the boolean state before the entangling layers and
+  unpacked right after, so every other phase (and every policy) keeps
+  seeing plain ``bool`` arrays.
 * ``det_f32`` / ``counts_f32`` / ``pat_f32`` back the pattern extraction,
   which is two small float32 matmuls (member-count GEMM, OR-threshold,
   position-weight GEMM) instead of per-group gather/shift/scatter loops.
@@ -115,7 +115,7 @@ class RoundWorkspace:
         pattern_dtype: type = np.int64,
     ) -> None:
         self.shots = shots
-        # Per-channel scratch (Bernoulli landing zones + two bool temporaries).
+        # Per-channel scratch (two uint8 temporaries).
         self.data = ChannelScratch.allocate(shots, num_data)
         self.anc = ChannelScratch.allocate(shots, num_ancilla)
         # Pending-LRC / decision buffers.

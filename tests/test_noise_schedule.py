@@ -3,7 +3,7 @@
 The contract under test: a scheduled preset is a deterministic function of
 the round index, applies strictly positive multiplicative factors (so it
 can never create probability mass where the stationary base has none), and
-runs bit-identically through the serial and prefetch draw pipelines.
+runs bit-identically with the compiled kernels and on the NumPy path.
 """
 
 import numpy as np
@@ -130,7 +130,7 @@ def test_schedule_validation():
 # --------------------------------------------------------------------------- #
 # End-to-end: scheduled presets through the simulator
 # --------------------------------------------------------------------------- #
-def _run(noise, prefetch):
+def _run(noise):
     from repro.codes import surface_code
     from repro.core import make_policy
     from repro.sim import LeakageSimulator, SimulatorOptions
@@ -139,7 +139,7 @@ def _run(noise, prefetch):
         code=surface_code(3),
         noise=noise,
         policy=make_policy("eraser"),
-        options=SimulatorOptions(record_detectors=True, rng_prefetch=prefetch),
+        options=SimulatorOptions(record_detectors=True),
         seed=7,
     )
     return simulator.run(shots=12, rounds=9)
@@ -154,24 +154,24 @@ def _run(noise, prefetch):
     ],
     ids=["drift", "bursts", "floods"],
 )
-def test_scheduled_runs_are_prefetch_invariant(preset):
-    serial = _run(preset(), "off")
-    threaded = _run(preset(), "on")
-    assert np.array_equal(serial.detector_history, threaded.detector_history)
-    assert np.array_equal(serial.final_detectors, threaded.final_detectors)
-    assert np.array_equal(serial.observable_flips, threaded.observable_flips)
+def test_scheduled_runs_match_numpy_path(monkeypatch, preset):
+    compiled = _run(preset())
+    monkeypatch.setenv("REPRO_SIM_CKERNELS", "0")
+    interpreted = _run(preset())
+    assert np.array_equal(compiled.detector_history, interpreted.detector_history)
+    assert np.array_equal(compiled.final_detectors, interpreted.final_detectors)
+    assert np.array_equal(compiled.observable_flips, interpreted.observable_flips)
 
 
 def test_floods_inject_more_leakage_than_the_stationary_base():
-    stationary = _run(paper_noise(p=4e-3, leakage_ratio=1.0), "off")
+    stationary = _run(paper_noise(p=4e-3, leakage_ratio=1.0))
     flooded = _run(
         flood_noise(p=4e-3, leakage_ratio=1.0, flood_period=3, flood_rounds=1, flood_leak_factor=25.0),
-        "off",
     )
     assert flooded.total_leakage_events > stationary.total_leakage_events
 
 
 def test_ideal_noise_stays_noiseless():
-    run = _run(ideal_noise(), "off")
+    run = _run(ideal_noise())
     assert not run.detector_history.any()
     assert not run.observable_flips.any()

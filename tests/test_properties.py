@@ -38,6 +38,8 @@ from repro.decoders import DetectorGraph, MatchingDecoder
 from repro.decoders import _ckernels as deckernels
 from repro.decoders.matching import _networkx_matching
 from repro.noise import paper_noise
+from repro.sim import _ckernels as simkernels
+from repro.sim.draws import DrawOp, DrawPlan, DrawSource
 from repro.core.patterns import (
     bits_to_int,
     eraser_flags_pattern,
@@ -345,16 +347,16 @@ def _pairing_cost(pairs, boundary, pair):
 
 
 @contextmanager
-def _decoder_kernels(flag):
-    previous = os.environ.get("REPRO_DECODER_CKERNELS")
-    os.environ["REPRO_DECODER_CKERNELS"] = flag
+def _kernels(flag, variable="REPRO_DECODER_CKERNELS"):
+    previous = os.environ.get(variable)
+    os.environ[variable] = flag
     try:
         yield
     finally:
         if previous is None:
-            del os.environ["REPRO_DECODER_CKERNELS"]
+            del os.environ[variable]
         else:
-            os.environ["REPRO_DECODER_CKERNELS"] = previous
+            os.environ[variable] = previous
 
 
 @cache
@@ -383,7 +385,7 @@ def test_exact_matching_backends_reach_the_brute_force_minimum(instance):
     best = min(_pairing_cost(p, boundary, pair) for p in _pairings(list(range(count))))
     chosen = {"networkx": _networkx_matching(boundary, pair)}
     for flag in ("0", "1"):
-        with _decoder_kernels(flag):
+        with _kernels(flag):
             chosen[f"dp kernels={flag}"] = _dp_pairs(boundary, pair)
             if deckernels.available():
                 chosen["blossom kernel"] = deckernels.blossom_match(boundary, pair)
@@ -413,3 +415,105 @@ def test_blossom_kernel_pairs_equal_networkx(instance):
         assert kernel is None
         return
     assert kernel == _networkx_matching(boundary, pair)
+
+
+# --------------------------------------------------------------------------- #
+# Simulator draw kernels: value- and state-exact against numpy's Generator
+# --------------------------------------------------------------------------- #
+def _pcg64(seed, buffered, half):
+    """A PCG64 Generator whose half-word buffer is full (``buffered``, holding
+    ``half``) or empty on entry."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = int(buffered), half
+    rng.bit_generator.state = state
+    return rng
+
+
+_SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
+_HALF_WORDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@pytest.mark.skipif(not simkernels.available(), reason="no C toolchain available")
+@given(
+    seed=_SEEDS,
+    low=st.integers(min_value=-(2**40), max_value=2**40),
+    span=st.one_of(
+        st.integers(min_value=2, max_value=300),
+        st.integers(min_value=2, max_value=2**32 - 1),
+        st.sampled_from([2, 3, 15, 2**31 + 1, 2**32 - 2, 2**32 - 1]),
+    ),
+    size=st.one_of(
+        st.sampled_from([0, 1]),
+        st.integers(min_value=1, max_value=64).map(lambda k: 2 * k + 1),
+        st.integers(min_value=1000, max_value=5000),
+    ),
+    buffered=st.booleans(),
+    half=_HALF_WORDS,
+)
+@settings(max_examples=80, deadline=None)
+def test_bounded_integer_kernel_matches_numpy(seed, low, span, size, buffered, half):
+    """``OP_INT64`` / ``OP_INT8`` rows reproduce ``integers(low, low + span,
+    size)`` value for value (narrowed like the simulator's unsafe cast), and
+    leave the identical post-state, half-word buffer included."""
+    expected_rng = _pcg64(seed, buffered, half)
+    expected = expected_rng.integers(low, low + span, size=size)
+    outputs = {
+        simkernels.OP_INT64: np.empty(size, np.int64),
+        simkernels.OP_INT8: np.empty(size, np.uint8),
+    }
+    for kind, out in outputs.items():
+        rng = _pcg64(seed, buffered, half)
+        gen = simkernels.load_pcg64(rng.bit_generator)
+        row = np.array([[kind, span - 1, low % 2**64, size, out.ctypes.data]], np.uint64)
+        simkernels.draw_ops(gen.ctypes.data, row.ctypes.data, 1)
+        simkernels.store_pcg64(gen, rng.bit_generator)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+    assert np.array_equal(outputs[simkernels.OP_INT64], expected)
+    assert np.array_equal(outputs[simkernels.OP_INT8], expected.astype(np.uint8))
+
+
+_PROBABILITIES = st.sampled_from([0.0, 5e-324, 1e-3, 0.5, 1.0 - 2**-53, 1.0]) | st.floats(
+    min_value=0.0, max_value=1.0
+)
+
+
+@given(
+    seed=_SEEDS,
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+    ops=st.lists(
+        _PROBABILITIES | st.sampled_from([(0, 3), (1, 16), (0, 256)]), min_size=1, max_size=9
+    ),
+    buffered=st.booleans(),
+    half=_HALF_WORDS,
+    ckernels=st.sampled_from(["0", "1"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_draw_block_matches_sequential_generator_calls(seed, shape, ops, buffered, half, ckernels):
+    """One ``next_block`` (one compiled call) equals the schedule's numpy
+    calls made one by one: ``random(shape) < p`` for Bernoulli ops (constant
+    ``p`` included: jumped ahead, half-word buffer kept) and
+    ``integers(low, high, shape)`` for integer ops — masks, values and the
+    Generator's final state, on both execution paths."""
+    plan = DrawPlan()
+    shape_id = plan.shape_id(shape)
+    plan.body = [
+        DrawOp("randint", shape_id, low=op[0], high=op[1])
+        if isinstance(op, tuple)
+        else DrawOp("bern", shape_id, threshold=op)
+        for op in ops
+    ]
+    with _kernels(ckernels, "REPRO_SIM_CKERNELS"):
+        rng = _pcg64(seed, buffered, half)
+        source = DrawSource(rng, plan)
+        source.start_round(False, False)
+        drawn = source.next_block(len(ops))
+        source.close()
+    expected_rng = _pcg64(seed, buffered, half)
+    for op, values in zip(plan.body, drawn):
+        if op.kind == "bern":
+            expected = expected_rng.random(shape) < op.threshold
+        else:
+            expected = expected_rng.integers(op.low, op.high, size=shape)
+        assert np.array_equal(values, expected.astype(np.uint8)), op
+    assert rng.bit_generator.state == expected_rng.bit_generator.state

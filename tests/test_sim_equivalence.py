@@ -5,9 +5,9 @@ pre-optimization simulator — same RNG stream, same arrays, same histograms.
 The reference implementation is frozen verbatim inside
 ``benchmarks/bench_sim_round.py`` (where it also anchors the speedup floor);
 these tests race it against the optimized engine across the pinned scenario
-matrix and through every execution mode (compiled kernels on/off, draw
-prefetch on/off), and check that workspace reuse cannot leak state across
-rounds or across ``run_incremental`` calls.
+matrix and through both execution modes (compiled kernels on/off), and
+check that workspace reuse cannot leak state across rounds or across
+``run_incremental`` calls.
 """
 
 import os
@@ -64,9 +64,8 @@ def test_optimized_matches_reference(family, distance, policy, options):
 
 
 @pytest.mark.parametrize("ckernels", ["0", "1"])
-@pytest.mark.parametrize("prefetch", ["off", "on"])
-def test_all_execution_modes_are_bit_identical(monkeypatch, ckernels, prefetch):
-    """C kernels and the prefetch worker never change a single bit."""
+def test_all_execution_modes_are_bit_identical(monkeypatch, ckernels):
+    """The C kernels never change a single bit."""
     monkeypatch.setenv("REPRO_SIM_CKERNELS", ckernels)
     reference = _build(
         ReferenceLeakageSimulator, "surface", 3, "gladiator+m",
@@ -74,19 +73,19 @@ def test_all_execution_modes_are_bit_identical(monkeypatch, ckernels, prefetch):
     )
     optimized = _build(
         LeakageSimulator, "surface", 3, "gladiator+m",
-        leakage_sampling=True, record_detectors=True, rng_prefetch=prefetch,
+        leakage_sampling=True, record_detectors=True,
     )
     assert_results_identical(
         reference.run(shots=40, rounds=5), optimized.run(shots=40, rounds=5)
     )
 
 
-def test_constant_draw_advance_preserves_uint32_buffer():
+def test_constant_draw_advance_preserves_uint32_buffer(monkeypatch):
     """``advance`` resets PCG64's buffered half-word; the constant-draw fast
-    path must restore it, or the next bounded ``integers`` call forks from
-    the baseline stream (observed as a rare, stream-position-dependent
-    divergence in long runs)."""
-    from repro.sim.draws import DrawOp, DrawPlan, SerialDrawSource
+    path must keep it (restore it on the NumPy path, never touch it in C),
+    or the next bounded ``integers`` call forks from the baseline stream
+    (observed as a rare, stream-position-dependent divergence in long runs)."""
+    from repro.sim.draws import DrawOp, DrawPlan, DrawSource
 
     seed = next(
         s for s in range(100)
@@ -94,25 +93,25 @@ def test_constant_draw_advance_preserves_uint32_buffer():
             np.random.default_rng(s)
         )
     )
-    baseline = np.random.default_rng(seed)
-    optimized = np.random.default_rng(seed)
-    baseline.integers(0, 3, size=7)
-    optimized.integers(0, 3, size=7)
-    assert baseline.bit_generator.state["has_uint32"] == 1
-    baseline.random((5, 4))  # consumes 20 doubles, half-word buffer intact
-    plan = DrawPlan()
-    shape_id = plan.shape_id((5, 4))
-    plan.body = [DrawOp("bern", shape_id, threshold=1.5)]  # constant ones
-    source = SerialDrawSource(optimized, plan)
-    source.start_round(False, False)
-    mask = source.next()
-    assert mask.all()
-    source.release(mask)
-    source.close()
-    assert baseline.bit_generator.state == optimized.bit_generator.state
-    assert np.array_equal(
-        baseline.integers(0, 3, size=9), optimized.integers(0, 3, size=9)
-    )
+    for ckernels in ("0", "1"):
+        monkeypatch.setenv("REPRO_SIM_CKERNELS", ckernels)
+        baseline = np.random.default_rng(seed)
+        optimized = np.random.default_rng(seed)
+        baseline.integers(0, 3, size=7)
+        optimized.integers(0, 3, size=7)
+        assert baseline.bit_generator.state["has_uint32"] == 1
+        baseline.random((5, 4))  # consumes 20 doubles, half-word buffer intact
+        plan = DrawPlan()
+        shape_id = plan.shape_id((5, 4))
+        plan.body = [DrawOp("bern", shape_id, threshold=1.5)]  # constant ones
+        source = DrawSource(optimized, plan)
+        source.start_round(False, False)
+        assert source.next().all()
+        source.close()
+        assert baseline.bit_generator.state == optimized.bit_generator.state
+        assert np.array_equal(
+            baseline.integers(0, 3, size=9), optimized.integers(0, 3, size=9)
+        )
 
 
 def test_long_run_after_warmup_stays_identical():
@@ -138,6 +137,59 @@ def test_ckernels_skipped_when_disabled(monkeypatch):
     assert not _ckernels.available()
     sim = _build(LeakageSimulator, "surface", 3, "eraser")
     assert not sim._use_ckernels
+
+
+def test_shared_constant_masks_match_numpy_path(monkeypatch):
+    """With ``p_leak = 0`` both gate-leak draws of a layer are the *same*
+    read-only constant buffer.  The layer kernel's pointers are
+    ``restrict``-qualified, which allows read-only aliasing between masks;
+    the compiled run must still equal the NumPy path bit for bit."""
+    from repro.sim.draws import DrawSource
+
+    def run(ckernels):
+        monkeypatch.setenv("REPRO_SIM_CKERNELS", ckernels)
+        sim = LeakageSimulator(
+            code=make_code("surface", 3),
+            noise=NoiseParams(p=4e-3, leakage_ratio=0.0, leakage_mobility=0.5),
+            policy=make_policy("gladiator+m"),
+            options=SimulatorOptions(leakage_sampling=True, record_detectors=True),
+            seed=11,
+        )
+        return sim, sim.run(shots=64, rounds=8)
+
+    sim, compiled = run("1")
+    _, interpreted = run("0")
+    assert_results_identical(interpreted, compiled)
+    assert compiled.total_leakage_events > 0  # transport by sampled leaks
+
+    plan = sim._build_draw_plan(4, 1)
+    # A layer block is (transport, 4 x rand, gate hit, Pauli pair 1..15, 2 x
+    # gate leak): locate the first one by its Pauli-pair draw.
+    pauli_pair = next(
+        i for i, op in enumerate(plan.body) if (op.kind, op.high) == ("randint", 16)
+    )
+    source = DrawSource(np.random.default_rng(0), plan)
+    source.start_round(False, False)
+    source.next_block(pauli_pair - 6)
+    masks = source.next_block(9)
+    assert masks[7] is masks[8] and not masks[7].flags.writeable
+    source.close()
+
+
+def test_layer_kernel_rejects_masks_aliasing_a_plane():
+    from repro.sim import _ckernels
+
+    if not _ckernels.available():
+        pytest.skip("compiled kernels unavailable")
+    data_pack = np.zeros((4, 5), dtype=np.uint8)
+    anc_pack = np.zeros((4, 4), dtype=np.uint8)
+    masks = [np.zeros((4, 2), dtype=np.uint8) for _ in range(9)]
+    masks[3] = data_pack.reshape(-1)[:8].reshape(4, 2)  # contiguous alias
+    with pytest.raises(AssertionError, match="aliases"):
+        _ckernels.cnot_layer(
+            data_pack, anc_pack, np.array([0, 1]), np.array([0, 1]),
+            np.zeros((4, 2), dtype=np.uint8), masks, np.zeros(2, dtype=np.int64),
+        )
 
 
 def test_pattern_histograms_match_reference_loop():

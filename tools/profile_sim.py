@@ -53,7 +53,6 @@ def build_simulator(args: argparse.Namespace) -> LeakageSimulator:
         options=SimulatorOptions(
             leakage_sampling=True,
             record_detectors=args.record_detectors,
-            rng_prefetch=args.prefetch,
         ),
         seed=args.seed,
     )
@@ -130,10 +129,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--leakage-ratio", type=float, default=0.1)
     parser.add_argument("--seed", type=int, default=202)
     parser.add_argument("--record-detectors", action="store_true")
-    parser.add_argument(
-        "--prefetch", choices=("auto", "on", "off"), default="auto",
-        help="draw-generation strategy (see SimulatorOptions.rng_prefetch)",
-    )
     parser.add_argument("--top", type=int, default=15, help="cProfile rows to print")
     parser.add_argument(
         "--no-cprofile", action="store_true",
