@@ -215,6 +215,25 @@ def test_digest_ignores_performance_only_knobs():
     assert base.digest() != base.override("code.distance", 3).digest()
 
 
+def test_decoded_windowed_config_keys_are_pinned():
+    """Literal config digest and sweep unit key of a decoded windowed config.
+
+    Sweep caches and durable job stores are addressed by these keys, so a
+    change to either value orphans every stored result; such a change must
+    come with an ``ENGINE_VERSION`` bump.
+    """
+    from repro.api.session import workunit_from_config
+    from repro.sweeps.units import unit_key
+
+    config = _full_config()
+    assert config.digest() == (
+        "732fd98822b3ee718cbd7f14606148d2d65828a667d757731964e23f9835c8b9"
+    )
+    assert unit_key(workunit_from_config(config)) == (
+        "1442e85c252291b06eb1667c2935dab8ed09070da7c2bb1cc43224936eb47d6a"
+    )
+
+
 def test_build_helpers_construct_the_configured_components():
     config = _full_config()
     code = build_code(config)

@@ -52,6 +52,8 @@ def test_fixture_set_is_present():
         "golden_surface_d3_bursts.json",
         "golden_toric_d3_floods.json",
         "golden_surface_d3_windowed.json",
+        "golden_color_d3_windowed.json",
+        "golden_toric_d3_windowed.json",
     } <= names
 
 

@@ -131,6 +131,37 @@ SCENARIOS = [
         "window_rounds": 3,
         "commit_rounds": 1,
     },
+    # Windowed color and toric runs at twice the rate: every intermediate
+    # window of the matching decode deposits boundary artifacts, and the
+    # windowed failure counts differ from the offline decode of the record.
+    {
+        "name": "color_d3_windowed",
+        "family": "color",
+        "distance": 3,
+        "noise": "paper",
+        "p": 4e-3,
+        "leakage_ratio": 1.0,
+        "policy": "gladiator+m",
+        "shots": 24,
+        "rounds": 6,
+        "seed": 59,
+        "window_rounds": 3,
+        "commit_rounds": 1,
+    },
+    {
+        "name": "toric_d3_windowed",
+        "family": "toric",
+        "distance": 3,
+        "noise": "paper",
+        "p": 4e-3,
+        "leakage_ratio": 1.0,
+        "policy": "eraser+m",
+        "shots": 24,
+        "rounds": 6,
+        "seed": 61,
+        "window_rounds": 3,
+        "commit_rounds": 1,
+    },
 ]
 
 
