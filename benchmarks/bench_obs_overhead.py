@@ -72,7 +72,6 @@ class BareLeakageSimulator(LeakageSimulator):
         totals,
         detector_history,
         pattern_histogram,
-        detector_out=None,
     ):
         noise = self.noise.params_for_round(round_index)
         shots = state.shots
@@ -120,12 +119,7 @@ class BareLeakageSimulator(LeakageSimulator):
         if round_index == 0:
             ws.detectors[:, self._x_stab_indices] = False
         state.prev_measurement, ws.measurement = ws.measurement, state.prev_measurement
-        if detector_out is not None:
-            z_detectors = np.take(
-                ws.detectors, self._z_stab_indices, axis=1, out=detector_out
-            )
-        else:
-            z_detectors = ws.detectors[:, self._z_stab_indices]
+        z_detectors = ws.detectors[:, self._z_stab_indices]
         if detector_history is not None:
             detector_history[:, round_index, :] = z_detectors
 

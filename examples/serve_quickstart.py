@@ -1,7 +1,7 @@
 """Quickstart for decode-as-a-service: stream syndromes to a TCP server.
 
-Spins up a :class:`repro.serve.ServerThread` (two decode shards, fused
-sliding windows, cross-stream coalescing), records a handful of noisy
+Spins up a :class:`repro.serve.ServerThread` (two decode shards, sliding
+windows, cross-stream coalescing), records a handful of noisy
 memory runs, streams them to the server as concurrent clients with
 :func:`repro.serve.decode_records`, and prints the per-stream logical
 error rates next to the server's live SLO snapshot — round latency
@@ -59,7 +59,6 @@ def main() -> None:
         shards=2,
         workers_per_shard=2,
         window_rounds=4,
-        fused=True,
         coalesce=True,
     )
     with ServerThread(config) as server:

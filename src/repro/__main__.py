@@ -359,7 +359,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         method=config.decoder.name,
         strategy=config.decoder.strategy,
         cache_size=config.decoder.cache_size,
-        fused=not args.no_fused,
         coalesce=not args.no_coalesce,
     )
 
@@ -568,9 +567,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--no-coalesce", action="store_true", help="disable cross-stream batch coalescing"
-    )
-    serve_parser.add_argument(
-        "--no-fused", action="store_true", help="decode through unpacked window sessions"
     )
     serve_parser.add_argument(
         "--serve-seconds",

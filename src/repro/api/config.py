@@ -177,12 +177,10 @@ class ExecutionConfig:
     ``telemetry`` activates the observability layer (``"1"``/``"on"`` for
     metrics only, any other string as the Chrome-trace output path); like
     ``workers`` it is observability-only — it never changes results and is
-    excluded from the sweep cache key.  ``fused`` routes decoding through
-    the zero-copy :mod:`repro.pipeline` (bit-identical results, fewer
-    allocations); it is performance-only and key-exempt like ``workers``.
-    ``serve_shards`` / ``serve_max_streams`` shape the network decode
-    server (``python -m repro serve``): shard count and the server-wide
-    admission cap.  They describe a serving deployment, never an
+    excluded from the sweep cache key.  ``serve_shards`` /
+    ``serve_max_streams`` shape the network decode server
+    (``python -m repro serve``): shard count and the server-wide admission
+    cap.  They describe a serving deployment, never an
     experiment — digest-exempt like the other perf knobs.  ``durable``
     routes sweeps through the journaled :mod:`repro.fabric` executor
     (checkpointed shards, worker leases, crash-safe resume); results are
@@ -199,7 +197,6 @@ class ExecutionConfig:
     commit_rounds: int | None = None
     workers: int | None = None
     telemetry: str | None = None
-    fused: bool = False
     durable: bool = False
     serve_shards: int | None = None
     serve_max_streams: int | None = None
@@ -207,8 +204,6 @@ class ExecutionConfig:
     def validate(self) -> None:
         if self.shots <= 0 or self.rounds <= 0:
             raise ValueError("shots and rounds must be positive")
-        if self.fused and not self.decoded:
-            raise ValueError("fused only applies to decoded runs")
         if self.decode_batch_size is not None and self.decode_batch_size <= 0:
             raise ValueError("decode_batch_size must be positive")
         if self.window_rounds is not None:
@@ -363,7 +358,7 @@ class ExperimentConfig:
         """:meth:`to_dict` minus everything that cannot change results.
 
         Performance-only knobs — ``decoder.cache_size``, ``execution.workers``,
-        ``execution.telemetry``, ``execution.fused``, ``execution.durable`` —
+        ``execution.telemetry``, ``execution.durable`` —
         and the cosmetic ``name`` are dropped, and component names are
         canonicalised through the registries (``mwpm`` -> ``matching``,
         ``always`` -> ``always-lrc``, case folded), so two configs that
@@ -376,7 +371,6 @@ class ExperimentConfig:
         payload["decoder"].pop("cache_size")
         payload["execution"].pop("workers")
         payload["execution"].pop("telemetry")
-        payload["execution"].pop("fused")
         payload["execution"].pop("durable")
         payload["execution"].pop("serve_shards")
         payload["execution"].pop("serve_max_streams")

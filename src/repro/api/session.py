@@ -118,7 +118,6 @@ def build_experiment(
         decoder_strategy=config.decoder.strategy,
         decode_batch_size=execution.decode_batch_size,
         decoder_cache_size=config.decoder.cache_size,
-        fused=execution.fused,
     )
 
 
@@ -158,7 +157,6 @@ def workunit_from_config(
         commit_rounds=execution.commit_rounds if decoded else None,
         decode_batch_size=execution.decode_batch_size if decoded else None,
         decoder_cache_size=config.decoder.cache_size if decoded else None,
-        fused=execution.fused if decoded else False,
         seed=execution.seed,
         policy_config=(
             GraphModelConfig(**config.policy.options) if config.policy.options else None

@@ -163,7 +163,7 @@ class DecoderBase:
 
         Returns ``(entries, inverse)`` where ``entries[inverse[s]]`` is shot
         ``s``'s correction — the representation
-        :class:`repro.pipeline.FusedWindowSession` consumes so per-window
+        :class:`repro.realtime.window.WindowSession` consumes so per-window
         commit work scales with unique syndromes instead of shots.
         :meth:`decode_edges_batch` is exactly this followed by the scatter.
         """

@@ -130,11 +130,10 @@ class MemoryExperiment:
     the decoder's cross-call syndrome cache (``0`` disables it; ``None``
     keeps the default) — it changes speed only, never results.
 
-    ``fused`` routes each batch through the zero-copy
-    :class:`~repro.pipeline.FusedPipeline` (no recorded detector history,
-    bit-packed streaming buffers) instead of the record-then-decode
-    two-step; results are bit-identical — only the allocation profile
-    changes, which is why the flag is digest-exempt in sweeps.
+    Every batch takes one path: the simulator records the batch's detector
+    history (:meth:`_run_batch`) and the decoder consumes it in one
+    ``decode_batch`` call.  A windowed decoder replays that record round by
+    round through its bit-packed :class:`~repro.realtime.window.WindowSession`.
     """
 
     code: StabilizerCode
@@ -150,7 +149,6 @@ class MemoryExperiment:
     decoder_strategy: str | None = None
     decode_batch_size: int | None = None
     decoder_cache_size: int | None = None
-    fused: bool = False
 
     #: Default simulate-and-decode chunk size when neither the experiment nor
     #: the ``run`` call overrides it.
@@ -205,16 +203,8 @@ class MemoryExperiment:
         batch_index = 0
         while remaining > 0:
             batch = min(batch_size, remaining)
-            if self.fused:
-                fused_run = self._run_batch_fused(
-                    batch, rounds, seed_offset=batch_index, provider=decoder
-                )
-                predictions, result = fused_run.predictions, fused_run.result
-            else:
-                result = self._run_batch(batch, rounds, seed_offset=batch_index)
-                predictions = decode_batch(
-                    result.detector_history, result.final_detectors
-                )
+            result = self._run_batch(batch, rounds, seed_offset=batch_index)
+            predictions = decode_batch(result.detector_history, result.final_detectors)
             failures += int((predictions ^ result.observable_flips).sum())
             dlp_accumulator += result.dlp_per_round * batch
             totals["lrc"] += result.total_data_lrcs
@@ -300,28 +290,3 @@ class MemoryExperiment:
             seed=self.seed + 1009 * seed_offset,
         )
         return simulator.run(shots=shots, rounds=rounds)
-
-    def _run_batch_fused(self, shots: int, rounds: int, seed_offset: int, provider):
-        """One batch through the fused pipeline (same seeds, no recording).
-
-        ``record_detectors`` never touches the RNG stream, so the fused
-        simulator consumes the identical draw sequence as :meth:`_run_batch`
-        — the detector record just stays bit-packed in the ring instead of
-        being materialised on the :class:`~repro.sim.RunResult`.
-        """
-        from ..pipeline import FusedPipeline
-
-        simulator = LeakageSimulator(
-            code=self.code,
-            noise=self.noise,
-            policy=self.policy,
-            gadget=self.gadget,
-            options=SimulatorOptions(
-                leakage_sampling=self.leakage_sampling, record_detectors=False
-            ),
-            seed=self.seed + 1009 * seed_offset,
-        )
-        pipeline = FusedPipeline(simulator, shots, rounds)
-        if self.window_rounds is not None:
-            return pipeline.run_windowed(provider)
-        return pipeline.run_offline(provider)

@@ -1,17 +1,11 @@
-"""Fused zero-copy sim->decode pipeline (see :mod:`repro.pipeline.fused`).
+"""Bit-packed ring buffers shared by the window session and the wire format.
 
-Enabled per experiment via the digest-exempt ``execution.fused`` config
-flag; results are bit-identical to the two-step path, only faster.
+:class:`PackedRing` holds a stream's recent rounds eight detector bits per
+byte; :class:`repro.realtime.window.WindowSession` decodes its windows out
+of one, and :mod:`repro.serve.protocol` ships round chunks in the same
+packed domain.
 """
 
-from .fused import FusedPipeline, FusedRun, FusedWindowSession
 from .ring import PackedRing, pack_chunk, unpack_chunk
 
-__all__ = [
-    "FusedPipeline",
-    "FusedRun",
-    "FusedWindowSession",
-    "PackedRing",
-    "pack_chunk",
-    "unpack_chunk",
-]
+__all__ = ["PackedRing", "pack_chunk", "unpack_chunk"]

@@ -1,326 +1,10 @@
-"""The fused sim->decode pipeline: streaming chunks, no ``RunResult`` detour.
+"""Compatibility alias: the ring-backed session is now the only session.
 
-The two-step path materialises the full detector record inside a
-:class:`~repro.sim.RunResult` (``record_detectors=True``) and the decoder
-re-extracts syndromes from it — an allocation round-trip between the two
-fastest subsystems in the repo.  :class:`FusedPipeline` removes it:
-
-* the simulator's :meth:`~repro.sim.LeakageSimulator.run_incremental`
-  writes each round's Z-detector chunk straight into one preallocated
-  staging buffer (``detector_out=``, a gathered ``np.take`` instead of a
-  fresh fancy-index copy per round),
-* the chunk is immediately bit-packed into a :class:`~repro.pipeline.ring.
-  PackedRing` slot (8 detector bits per byte, allocated once),
-* windows are unpacked from the ring directly into the batched decoder's
-  reusable input buffer and decoded through
-  :meth:`~repro.decoders.base.DecoderBase.decode_edges_unique`, so the
-  per-window Python commit loop runs once per *unique* syndrome and the
-  results scatter back over shots vectorised.
-
-Bit-identity is the contract, not an aspiration: pack→unpack is exact,
-artifact XOR commutes with packing (GF(2) linearity), and the commit logic
-is shared with :mod:`repro.realtime.window` (same ``_commit_edges``), so
-fused and two-step results are equal bit for bit — pinned across the full
-code × decoder × mode × kernel matrix by ``tests/test_pipeline.py`` and
-against the golden fixtures.
-
-Everything routes through the ``execution.fused`` config flag
-(digest-exempt, like the other perf knobs): offline
-:class:`~repro.experiments.memory.MemoryExperiment` batches, windowed
-streaming, sweeps, and the :class:`~repro.realtime.service.DecodeService`.
+``FusedWindowSession`` names :class:`repro.realtime.window.WindowSession`.
 """
 
-from __future__ import annotations
+from ..realtime.window import WindowSession
 
-import time
-from dataclasses import dataclass
+__all__ = ["FusedWindowSession"]
 
-import numpy as np
-
-from ..obs.metrics import METRICS
-from ..obs.trace import span
-from ..realtime.accounting import LatencyRecorder
-from ..realtime.stream import FinalChunk, RoundChunk
-from ..realtime.window import WindowedDecoder, _commit_edges, entries_commit
-from ..sim import LeakageSimulator, RunResult
-from .ring import PackedRing
-
-__all__ = ["FusedPipeline", "FusedRun", "FusedWindowSession"]
-
-#: Fused-path telemetry; no-ops unless a telemetry scope is active.
-_OBS_CHUNKS = METRICS.counter(
-    "pipeline.chunks", "detector chunks streamed through fused rings"
-)
-_OBS_WINDOWS = METRICS.counter(
-    "pipeline.windows", "windows decoded on the fused streaming path"
-)
-
-
-@dataclass(frozen=True)
-class FusedRun:
-    """Outcome of one fused pipeline run.
-
-    ``predictions`` are the per-shot logical-flip predictions and ``result``
-    the simulator's :class:`~repro.sim.RunResult` — identical to the one the
-    two-step path produces except that ``detector_history`` is ``None``
-    (the record stayed in the ring; recording it would re-create exactly
-    the allocation the fused path removes).
-    """
-
-    predictions: np.ndarray
-    result: RunResult
-
-    @property
-    def failures(self) -> int | None:
-        """Logical failures against the recorded observable flips."""
-        if self.result.observable_flips is None:
-            return None
-        return int((self.predictions ^ self.result.observable_flips).sum())
-
-
-def _num_z_stabs(code) -> int:
-    return sum(1 for stab in code.stabilizers if stab.basis == "Z")
-
-
-class FusedPipeline:
-    """Wire one simulator run directly into a batched decoder.
-
-    The pipeline owns the zero-copy staging buffer handed to
-    ``run_incremental(detector_out=...)``; each yielded chunk *is* that
-    buffer, consumed (packed into the ring) before the generator advances —
-    the streaming contract documented on the simulator.
-    """
-
-    def __init__(
-        self, simulator: LeakageSimulator, shots: int, rounds: int
-    ) -> None:
-        if shots <= 0 or rounds <= 0:
-            raise ValueError("shots and rounds must be positive")
-        self.simulator = simulator
-        self.shots = int(shots)
-        self.rounds = int(rounds)
-        self.num_z_stabs = _num_z_stabs(simulator.code)
-        self._staging = np.zeros((self.shots, self.num_z_stabs), dtype=bool)
-
-    # ------------------------------------------------------------------ #
-    # Entry points
-    # ------------------------------------------------------------------ #
-    def run_offline(self, decoder) -> FusedRun:
-        """Simulate and batch-decode without recording a detector history.
-
-        ``decoder`` is anything exposing ``decode_batch(history, final)`` —
-        a :class:`~repro.decoders.base.DecoderBase` or a
-        :class:`~repro.realtime.window.WindowedDecoder`.  The whole run is
-        buffered bit-packed (one eighth of the boolean record) and unpacked
-        once into a single reusable history block for the batched decode.
-        """
-        ring = PackedRing(self.rounds, self.shots, self.num_z_stabs)
-        with span("pipeline.run", mode="offline", shots=self.shots):
-            result = self._drive(ring)
-            history = ring.window(
-                0,
-                self.rounds,
-                out=np.empty(
-                    (self.shots, self.rounds, self.num_z_stabs), dtype=bool
-                ),
-            )
-            predictions = decoder.decode_batch(history, result.final_detectors)
-        return FusedRun(predictions=np.asarray(predictions, dtype=bool), result=result)
-
-    def run_windowed(
-        self, windowed: WindowedDecoder, recorder: LatencyRecorder | None = None
-    ) -> FusedRun:
-        """Simulate and decode through fused sliding windows."""
-        if windowed.rounds != self.rounds:
-            raise ValueError(
-                f"windowed decoder expects {windowed.rounds} rounds, "
-                f"pipeline runs {self.rounds}"
-            )
-        session = FusedWindowSession(windowed=windowed, shots=self.shots, recorder=recorder)
-        with span("pipeline.run", mode="windowed", shots=self.shots):
-            result = self._drive(session.ring, session)
-            predictions = session.finish(
-                FinalChunk(result.final_detectors, result.observable_flips)
-            )
-        return FusedRun(predictions=predictions, result=result)
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _drive(
-        self, ring: PackedRing, session: "FusedWindowSession | None" = None
-    ) -> RunResult:
-        """Run the incremental generator to exhaustion, packing every chunk.
-
-        Every yield refills ``self._staging`` in place; the chunk is packed
-        into the ring before the next ``next()`` call, which is what makes
-        the in-place reuse sound.  A generator that exhausts without
-        returning a :class:`~repro.sim.RunResult` (e.g. a patched or broken
-        simulator) trips the guard instead of silently yielding ``None``.
-        """
-        generator = self.simulator.run_incremental(
-            self.shots, self.rounds, detector_out=self._staging
-        )
-        result: RunResult | None = None
-        try:
-            while True:
-                round_index, chunk = next(generator)
-                ring.push(round_index, chunk)
-                _OBS_CHUNKS.inc()
-                if session is not None:
-                    while session.ready():
-                        session.step()
-        except StopIteration as stop:
-            result = stop.value
-        finally:
-            generator.close()
-        if result is None:
-            raise RuntimeError(
-                "run_incremental exhausted without producing a RunResult"
-            )
-        return result
-
-
-@dataclass
-class FusedWindowSession:
-    """Ring-backed drop-in for :class:`~repro.realtime.window.WindowSession`.
-
-    Same protocol (``feed`` / ``ready`` / ``step`` / ``finish`` /
-    ``windows_decoded``), same commit logic (shared ``_commit_edges``), same
-    results bit for bit — but the round buffer is a bit-packed
-    :class:`~repro.pipeline.ring.PackedRing` of ``window_rounds + 1`` slots,
-    the decoder input is one preallocated window block refilled in place,
-    and corrections are committed per *unique* syndrome
-    (:meth:`~repro.decoders.base.DecoderBase.decode_edges_unique`) with the
-    per-shot parity/artifact scatter vectorised.
-
-    Buffer ownership within a step (see ``docs/architecture.md``): the
-    producer may only :meth:`feed` the next round; :meth:`step` owns
-    ``_history`` / ``_context`` / ``_artifacts`` and the committed ring
-    slots it XORs artifacts into and releases.  Nothing here retains a view
-    of a caller's chunk — ``feed`` packs the bits out immediately, so the
-    caller (e.g. the fused staging buffer) may overwrite its array as soon
-    as ``feed`` returns.
-    """
-
-    windowed: WindowedDecoder
-    shots: int
-    recorder: LatencyRecorder | None = None
-
-    def __post_init__(self) -> None:
-        self.start = 0
-        self.windows_decoded = 0
-        self.num_z_stabs = _num_z_stabs(self.windowed.code)
-        window = self.windowed.effective_window
-        # window + 1 slots: a full window plus its context round.
-        self.ring = PackedRing(window + 1, self.shots, self.num_z_stabs)
-        self._parity = np.zeros(self.shots, dtype=bool)
-        self._history = np.empty((self.shots, window, self.num_z_stabs), dtype=bool)
-        self._context = np.empty((self.shots, self.num_z_stabs), dtype=bool)
-        self._artifacts = np.empty((self.shots, self.num_z_stabs), dtype=bool)
-
-    # ------------------------------------------------------------------ #
-    # Streaming interface (WindowSession protocol)
-    # ------------------------------------------------------------------ #
-    def feed(self, chunk: RoundChunk) -> None:
-        """Buffer one round chunk (must arrive in round order)."""
-        detectors = np.asarray(chunk.detectors)
-        if detectors.shape[0] != self.shots:
-            raise ValueError("chunk shot dimension does not match the session")
-        self.ring.push(chunk.round_index, detectors)
-
-    def ready(self) -> bool:
-        """Whether an intermediate window can be decoded now."""
-        window = self.windowed.effective_window
-        end = self.start + window
-        return end < self.windowed.rounds and end < self.ring.next_round
-
-    @property
-    def rounds_fed(self) -> int:
-        """Rounds buffered so far (the next expected chunk index)."""
-        return self.ring.next_round
-
-    def window_inputs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The next ready window's ``(history, context)`` decode inputs.
-
-        Both arrays are this session's reusable unpack buffers — valid until
-        the next ``window_inputs`` / ``step`` call, so a coalescer stacking
-        several sessions' inputs must copy (``np.concatenate`` does).
-        """
-        if not self.ready():
-            raise RuntimeError("no window is ready; feed more chunks first")
-        window = self.windowed.effective_window
-        self.ring.window(self.start, window, out=self._history)
-        self.ring.read_round(self.start + window, out=self._context)
-        return self._history, self._context
-
-    def commit_window(
-        self,
-        entries: list[tuple[tuple[int, int], ...]],
-        inverse: np.ndarray,
-        started: float | None = None,
-    ) -> None:
-        """Commit one decoded window from per-unique-syndrome ``entries``.
-
-        Same contract as :meth:`repro.realtime.window.WindowSession.
-        commit_window`; artifacts are XOR-ed in the packed domain.
-        """
-        window = self.windowed.effective_window
-        commit = self.windowed.commit_rounds
-        assert commit is not None  # WindowedDecoder.__post_init__ resolves it
-        start = self.start
-        graph, _ = self.windowed.decoder_for(window)
-        flips, masks = entries_commit(entries, graph, commit)
-        self._parity ^= flips[inverse]
-        if masks.any():
-            # Scatter the unique artifact masks back over shots and XOR them
-            # into the boundary round *in the packed domain* — bit-identical
-            # to the boolean XOR because packing is GF(2)-linear.
-            np.take(masks, inverse, axis=0, out=self._artifacts)
-            self.ring.xor_round(start + commit, self._artifacts)
-
-        self.ring.release_until(start + commit)
-        self.start += commit
-        self.windows_decoded += 1
-        _OBS_WINDOWS.inc()
-        if self.recorder is not None:
-            elapsed = 0.0 if started is None else time.perf_counter() - started
-            self.recorder.record(commit, elapsed)
-
-    def step(self) -> None:
-        """Decode the next intermediate window and commit its oldest rounds."""
-        started = time.perf_counter()
-        history, context = self.window_inputs()
-        _, decoder = self.windowed.decoder_for(self.windowed.effective_window)
-        entries, inverse = decoder.decode_edges_unique(history, context)
-        self.commit_window(entries, inverse, started)
-
-    def finish(self, final: FinalChunk) -> np.ndarray:
-        """Decode the tail window against the final readout; return predictions."""
-        if self.ring.next_round != self.windowed.rounds:
-            raise RuntimeError(
-                f"stream incomplete: fed {self.ring.next_round} of "
-                f"{self.windowed.rounds} rounds"
-            )
-        while self.ready():  # flush any windows the caller did not step
-            self.step()
-        tail = self.windowed.rounds - self.start
-        started = time.perf_counter()
-        history = self.ring.window(self.start, tail, out=self._history[:, :tail, :])
-        final_detectors = np.asarray(final.final_detectors, dtype=bool)
-        graph, decoder = self.windowed.decoder_for(tail)
-        # Commit boundary beyond the last layer: every edge is finalised.
-        commit_all = graph.num_layers
-        entries, inverse = decoder.decode_edges_unique(history, final_detectors)
-        flips = np.zeros(len(entries), dtype=bool)
-        for index, edges in enumerate(entries):
-            flip, artifact_stabs = _commit_edges(edges, graph, commit_all)
-            assert not artifact_stabs
-            flips[index] = flip
-        self._parity ^= flips[inverse]
-        self.ring.clear()
-        self.windows_decoded += 1
-        _OBS_WINDOWS.inc()
-        if self.recorder is not None:
-            self.recorder.record(tail, time.perf_counter() - started)
-        return self._parity.copy()
+FusedWindowSession = WindowSession

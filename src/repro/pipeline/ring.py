@@ -1,25 +1,23 @@
-"""Packed-uint8 ring buffers for the fused sim->decode streaming path.
+"""Packed-uint8 ring buffers for the streaming window session.
 
-The two-step pipeline hands detector data between the simulator and the
-decoder as boolean arrays: one byte per detector bit, one fresh allocation
-per round, and — offline — a full ``(shots, rounds, num_z)`` record inside
-a :class:`~repro.sim.RunResult`.  The fused path replaces all of that with
-one preallocated :class:`PackedRing`: each round's chunk is bit-packed
-(``np.packbits``, 8 detector bits per byte) into a fixed slot of a
-circular ``(capacity, shots, nbytes)`` uint8 store, windows are unpacked
-straight into the decoder's reusable input buffer, and boundary artifacts
-are XOR-ed in the *packed* domain (packing is GF(2)-linear per bit
-position, so ``pack(a ^ b) == pack(a) ^ pack(b)`` exactly — the property
+A sliding-window decode only ever needs the newest ``window_rounds + 1``
+rounds of a stream.  :class:`PackedRing` holds them in one preallocated
+store: each round's chunk is bit-packed (``np.packbits``, 8 detector bits
+per byte) into a fixed slot of a circular ``(capacity, shots, nbytes)``
+uint8 array, windows are unpacked straight into the decoder's reusable
+input buffer, and boundary artifacts are XOR-ed in the *packed* domain
+(packing is GF(2)-linear per bit position, so
+``pack(a ^ b) == pack(a) ^ pack(b)`` exactly — the property
 ``tests/test_properties.py`` pins).
 
 Buffer ownership (see ``docs/architecture.md`` for the full diagram):
 
-* the **producer** (simulator side) may write only through :meth:`push`,
-  and only the round one past the newest buffered round;
-* the **consumer** (decoder side) reads any buffered round via
-  :meth:`read_round` / :meth:`window`, may XOR artifact masks into a
-  buffered round via :meth:`xor_round`, and releases rounds in order with
-  :meth:`release_until`;
+* the **producer** (``WindowSession.feed``) may write only through
+  :meth:`push`, and only the round one past the newest buffered round;
+* the **consumer** (the session's window decode and commit) reads any
+  buffered round via :meth:`read_round` / :meth:`window`, may XOR artifact
+  masks into a buffered round via :meth:`xor_round`, and releases rounds in
+  order with :meth:`release_until`;
 * a slot is reusable by the producer only after the consumer released it —
   :meth:`push` enforces the capacity bound instead of silently wrapping.
 """

@@ -139,7 +139,6 @@ class _StreamTask:
             1 for stab in windowed.code.stabilizers if stab.basis == "Z"
         )
         self.recorder = LatencyRecorder()
-        # WindowSession or FusedWindowSession — same protocol either way.
         self.session = windowed.session(self.shots, self.recorder)
         self.chunk_iter = stream.chunks() if stream is not None else None
         self.exhausted = False
@@ -333,6 +332,10 @@ class StreamHandle:
 class DecodeService:
     """Decode N syndrome streams concurrently through sliding windows.
 
+    Every stream owns one :class:`~repro.realtime.window.WindowSession`,
+    whose bit-packed ring bounds the stream's buffered rounds to one window
+    plus its context round.
+
     Parameters
     ----------
     window_rounds / commit_rounds / method / max_exact_nodes / strategy:
@@ -350,10 +353,6 @@ class DecodeService:
         decode through this one cache — streams of the same code and noise
         overwhelmingly share sparse syndromes, so one stream's decode work
         serves every other stream the service multiplexes.
-    fused:
-        Per-stream sessions use the bit-packed ring buffers of
-        :class:`repro.pipeline.FusedWindowSession` (bit-identical results,
-        bounded packed memory per stream).
     coalesce:
         Merge same-pass ready windows of compatible streams into one
         batched decode call (bit-identical demux; see module docstring).
@@ -372,7 +371,6 @@ class DecodeService:
         workers: int = 4,
         queue_depth: int | None = None,
         cache_size: int | None = None,
-        fused: bool = False,
         coalesce: bool = False,
         observer: ServiceObserver | None = None,
     ) -> None:
@@ -383,7 +381,6 @@ class DecodeService:
         self.method = method
         self.max_exact_nodes = max_exact_nodes
         self.strategy = strategy
-        self.fused = bool(fused)
         self.coalesce = bool(coalesce)
         self.observer = observer
         self.workers = int(workers)
@@ -444,7 +441,6 @@ class DecodeService:
             workers=workers,
             queue_depth=queue_depth,
             cache_size=config.decoder.cache_size,
-            fused=execution.fused,
             coalesce=coalesce,
             observer=observer,
         )
@@ -524,7 +520,6 @@ class DecodeService:
         commit_rounds: int | None = None,
         method: str | None = None,
         strategy: str | None = None,
-        fused: bool | None = None,
     ) -> StreamHandle:
         """Open a push-mode stream on the persistent pool (auto-starts it).
 
@@ -543,7 +538,6 @@ class DecodeService:
             commit_rounds=commit_rounds,
             method=method,
             strategy=strategy,
-            fused=fused,
         )
         with self._wake:
             if self._closed:
@@ -637,7 +631,6 @@ class DecodeService:
         commit_rounds: int | None = None,
         method: str | None = None,
         strategy: str | None = None,
-        fused: bool | None = None,
     ) -> WindowedDecoder:
         return WindowedDecoder(
             code=code,
@@ -649,7 +642,6 @@ class DecodeService:
             max_exact_nodes=self.max_exact_nodes,
             strategy=self.strategy if strategy is None else strategy,
             cache=self.cache,
-            fused=self.fused if fused is None else fused,
         )
 
     def _start_threads(self, worker_count: int) -> None:

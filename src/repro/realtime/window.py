@@ -25,22 +25,26 @@ underlying decoder returns its correction as explicit graph edges
 When ``window_rounds >= rounds`` the first window is also the last: every
 edge commits and the result is bit-for-bit identical to offline decoding —
 the proof-of-equivalence path the tests pin down.
+
+One stream's incremental state is a :class:`WindowSession`: it keeps the
+newest ``window_rounds + 1`` rounds bit-packed in a
+:class:`~repro.pipeline.ring.PackedRing` and commits each window once per
+unique syndrome.  Offline-shaped callers (:meth:`WindowedDecoder.
+decode_batch`, the windowed :class:`~repro.experiments.memory.
+MemoryExperiment`) replay a recorded history through the same session.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from ..pipeline.fused import FusedWindowSession
 
 from ..codes.base import StabilizerCode
 from ..decoders import DetectorGraph, SyndromeCache, make_decoder
 from ..noise import NoiseParams
+from ..pipeline.ring import PackedRing
 from .accounting import LatencyRecorder
 from .stream import FinalChunk, ReplayStream, RoundChunk, SyndromeStream
 
@@ -50,6 +54,9 @@ __all__ = ["WindowedDecoder", "WindowSession", "entries_commit"]
 @dataclass
 class WindowedDecoder:
     """Wrap any ``repro.decoders`` decoder with overlapping sliding windows.
+
+    :meth:`session` opens a :class:`WindowSession` for one batch of shots;
+    :meth:`decode_stream` and :meth:`decode_batch` drive one to completion.
 
     Parameters
     ----------
@@ -75,12 +82,6 @@ class WindowedDecoder:
         :class:`~repro.decoders.SyndromeCache` to pool syndromes across
         decoders (the decode service shares one per service), or
         ``cache_size=0`` to disable reuse.
-    fused:
-        Route sessions through the bit-packed ring buffers of
-        :class:`repro.pipeline.FusedWindowSession` instead of the dict
-        buffer of :class:`WindowSession`.  Results are bit-identical (the
-        fused session shares this module's commit logic); only the memory
-        and allocation profile changes.
     """
 
     code: StabilizerCode
@@ -93,7 +94,6 @@ class WindowedDecoder:
     strategy: str | None = None
     cache: SyndromeCache | None = None
     cache_size: int | None = None
-    fused: bool = False
     _decoders: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -146,13 +146,8 @@ class WindowedDecoder:
     # ------------------------------------------------------------------ #
     def session(
         self, shots: int, recorder: LatencyRecorder | None = None
-    ) -> "WindowSession | FusedWindowSession":
+    ) -> "WindowSession":
         """Start an incremental decode session for a batch of ``shots`` shots."""
-        if self.fused:
-            # Imported lazily: repro.pipeline builds on this module.
-            from ..pipeline.fused import FusedWindowSession
-
-            return FusedWindowSession(windowed=self, shots=shots, recorder=recorder)
         return WindowSession(windowed=self, shots=shots, recorder=recorder)
 
     def decode_stream(
@@ -197,49 +192,58 @@ class WindowSession:
     ``feed`` buffers round chunks, ``step`` decodes the next ready window and
     commits its oldest ``commit_rounds`` rounds, ``finish`` decodes the tail
     window against the final readout and returns the per-shot predictions.
-    The buffer only ever holds ``window_rounds + 1`` rounds, which is the
-    memory bound that makes streaming worthwhile.
+
+    Rounds are held bit-packed in a :class:`~repro.pipeline.ring.PackedRing`
+    of ``window_rounds + 1`` slots, which is the memory bound that makes
+    streaming worthwhile.  The decoder input is one preallocated window
+    block refilled in place, corrections are committed once per *unique*
+    syndrome (:meth:`~repro.decoders.base.DecoderBase.decode_edges_unique`)
+    and scattered back over shots, and boundary artifacts are XOR-ed into
+    the ring in the packed domain.
+
+    Buffer ownership within a step (see ``docs/architecture.md``): the
+    producer may only :meth:`feed` the next round; :meth:`step` owns
+    ``_history`` / ``_context`` / ``_artifacts`` and the committed ring
+    slots it XORs artifacts into and releases.  ``feed`` packs the bits out
+    immediately, so the caller may overwrite its chunk array as soon as
+    ``feed`` returns.
     """
 
     windowed: WindowedDecoder
     shots: int
     recorder: LatencyRecorder | None = None
-    start: int = field(init=False, default=0)
-    windows_decoded: int = field(init=False, default=0)
-    _buffer: dict = field(init=False, default_factory=dict, repr=False)
-    _parity: np.ndarray = field(init=False, repr=False)
-    _next_round: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
+        self.start = 0
+        self.windows_decoded = 0
+        num_z = sum(1 for stab in self.windowed.code.stabilizers if stab.basis == "Z")
+        window = self.windowed.effective_window
+        # window + 1 slots: a full window plus its context round.
+        self.ring = PackedRing(window + 1, self.shots, num_z)
         self._parity = np.zeros(self.shots, dtype=bool)
+        self._history = np.empty((self.shots, window, num_z), dtype=bool)
+        self._context = np.empty((self.shots, num_z), dtype=bool)
+        self._artifacts = np.empty((self.shots, num_z), dtype=bool)
 
     # ------------------------------------------------------------------ #
     # Streaming interface
     # ------------------------------------------------------------------ #
     def feed(self, chunk: RoundChunk) -> None:
         """Buffer one round chunk (must arrive in round order)."""
-        if chunk.round_index != self._next_round:
-            raise ValueError(
-                f"chunks must arrive in order; expected round {self._next_round}, "
-                f"got {chunk.round_index}"
-            )
-        detectors = np.array(chunk.detectors, dtype=bool)
+        detectors = np.asarray(chunk.detectors)
         if detectors.shape[0] != self.shots:
             raise ValueError("chunk shot dimension does not match the session")
-        # A mutable copy: later windows XOR boundary artifacts into it.
-        self._buffer[chunk.round_index] = detectors
-        self._next_round += 1
+        self.ring.push(chunk.round_index, detectors)
 
     def ready(self) -> bool:
         """Whether an intermediate window can be decoded now."""
-        window = self.windowed.effective_window
-        end = self.start + window
-        return end < self.windowed.rounds and end in self._buffer
+        end = self.start + self.windowed.effective_window
+        return end < self.windowed.rounds and end < self.ring.next_round
 
     @property
     def rounds_fed(self) -> int:
         """Rounds buffered so far (the next expected chunk index)."""
-        return self._next_round
+        return self.ring.next_round
 
     def window_inputs(self) -> tuple[np.ndarray, np.ndarray]:
         """The next ready window's ``(history, context)`` decode inputs.
@@ -250,16 +254,17 @@ class WindowSession:
         concatenates several sessions' inputs, decodes them in one batched
         call, and hands each session its slice of the results — which is
         bit-identical to each session decoding alone, because every unique
-        syndrome decodes independently (see ``repro.serve``).
+        syndrome decodes independently (see ``repro.serve``).  Both arrays
+        are this session's reusable unpack buffers, valid until the next
+        ``window_inputs`` / ``step`` call, so a coalescer must copy them
+        (``np.concatenate`` does).
         """
         if not self.ready():
             raise RuntimeError("no window is ready; feed more chunks first")
         window = self.windowed.effective_window
-        start = self.start
-        history = np.stack(
-            [self._buffer[r] for r in range(start, start + window)], axis=1
-        )
-        return history, self._buffer[start + window]
+        self.ring.window(self.start, window, out=self._history)
+        self.ring.read_round(self.start + window, out=self._context)
+        return self._history, self._context
 
     def commit_window(
         self,
@@ -276,18 +281,20 @@ class WindowSession:
         window's decode began at; the recorder logs the elapsed time through
         the end of this commit against the committed rounds.
         """
-        window = self.windowed.effective_window
         commit = self.windowed.commit_rounds
-        assert commit is not None  # __post_init__ resolves it
-        start = self.start
-        graph, _ = self.windowed.decoder_for(window)
+        assert commit is not None  # WindowedDecoder.__post_init__ resolves it
+        graph, _ = self.windowed.decoder_for(self.windowed.effective_window)
         flips, masks = entries_commit(entries, graph, commit)
         self._parity ^= flips[inverse]
-        # Boundary artifacts become extra defects on the first uncommitted
-        # round, so cross-window chains re-terminate correctly next window.
-        self._buffer[start + commit] ^= masks[inverse]
-        for done in range(start, start + commit):
-            del self._buffer[done]
+        if masks.any():
+            # Boundary artifacts become extra defects on the first
+            # uncommitted round, so cross-window chains re-terminate
+            # correctly next window.  The XOR happens in the packed domain,
+            # bit-identical to the boolean XOR because packing is
+            # GF(2)-linear.
+            np.take(masks, inverse, axis=0, out=self._artifacts)
+            self.ring.xor_round(self.start + commit, self._artifacts)
+        self.ring.release_until(self.start + commit)
         self.start += commit
         self.windows_decoded += 1
         if self.recorder is not None:
@@ -306,29 +313,24 @@ class WindowSession:
 
     def finish(self, final: FinalChunk) -> np.ndarray:
         """Decode the tail window against the final readout; return predictions."""
-        if self._next_round != self.windowed.rounds:
+        if self.ring.next_round != self.windowed.rounds:
             raise RuntimeError(
-                f"stream incomplete: fed {self._next_round} of "
+                f"stream incomplete: fed {self.ring.next_round} of "
                 f"{self.windowed.rounds} rounds"
             )
         while self.ready():  # flush any windows the caller did not step
             self.step()
         tail = self.windowed.rounds - self.start
         started = time.perf_counter()
-        history = np.stack(
-            [self._buffer[r] for r in range(self.start, self.start + tail)], axis=1
-        )
+        history = self.ring.window(self.start, tail, out=self._history[:, :tail, :])
         final_detectors = np.asarray(final.final_detectors, dtype=bool)
         graph, decoder = self.windowed.decoder_for(tail)
+        entries, inverse = decoder.decode_edges_unique(history, final_detectors)
         # Commit boundary beyond the last layer: every edge is finalised.
-        commit_all = graph.num_layers
-        for shot, edges in enumerate(
-            decoder.decode_edges_batch(history, final_detectors)
-        ):
-            flip, artifact_stabs = _commit_edges(edges, graph, commit_all)
-            assert not artifact_stabs
-            self._parity[shot] ^= flip
-        self._buffer.clear()
+        flips, masks = entries_commit(entries, graph, graph.num_layers)
+        assert not masks.any()
+        self._parity ^= flips[inverse]
+        self.ring.clear()
         self.windows_decoded += 1
         if self.recorder is not None:
             self.recorder.record(tail, time.perf_counter() - started)
@@ -345,8 +347,7 @@ def entries_commit(
     Returns ``(flips, masks)``: one committed logical-parity bit and one
     ``(num_z,)`` boundary-artifact mask per entry.  Scattering both through
     the dedup ``inverse`` map reproduces the per-shot commit loop exactly —
-    the shared kernel of :class:`WindowSession`,
-    :class:`repro.pipeline.FusedWindowSession` and the decode service's
+    the shared kernel of :class:`WindowSession` and the decode service's
     cross-stream coalescer.
     """
     flips = np.zeros(len(entries), dtype=bool)

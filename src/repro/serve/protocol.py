@@ -5,8 +5,9 @@ counts the type byte plus the payload.  Control frames (session setup,
 stream management, status) carry UTF-8 JSON payloads; data frames (round
 chunks, final readouts, results) carry a fixed binary header followed by
 ``np.packbits``-packed detector bits — eight detectors per byte, the same
-packed domain the fused pipeline's ring buffers use, so a round chunk on
-the wire is one eighth of its boolean footprint.
+packed domain the window session's ring buffer
+(:class:`repro.pipeline.PackedRing`) holds, so a round chunk on the wire
+is one eighth of its boolean footprint.
 
 Robustness contract: anything a peer can send — truncated frames, garbage
 bytes, oversized lengths, unknown types, malformed JSON, packed payloads
@@ -64,7 +65,9 @@ class FrameType(IntEnum):
 
     HELLO = 1  # client->server: {tenant, protocol}
     WELCOME = 2  # server->client: {server, protocol, shards}
-    OPEN = 3  # client->server: {stream, shots, rounds, code, noise, ...}
+    # client->server: {stream, shots, rounds, code, noise} plus optional
+    # window_rounds / commit_rounds / method / strategy; other keys are ignored
+    OPEN = 3
     ACCEPT = 4  # server->client: {stream}
     REJECT = 5  # server->client: {stream, reason}
     CHUNK = 6  # client->server: binary round chunk

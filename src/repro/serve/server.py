@@ -149,7 +149,6 @@ class ServerConfig:
     method: str = "matching"
     strategy: str | None = None
     cache_size: int | None = None
-    fused: bool = True
     coalesce: bool = True
     drain_timeout: float = 10.0
 
@@ -237,7 +236,6 @@ class DecodeServer:
                 workers=self.config.workers_per_shard,
                 queue_depth=self.config.queue_depth,
                 cache_size=self.config.cache_size,
-                fused=self.config.fused,
                 coalesce=self.config.coalesce,
                 observer=self.slo,
             )
@@ -441,7 +439,6 @@ class DecodeServer:
                     commit_rounds=request.get("commit_rounds"),
                     method=request.get("method"),
                     strategy=request.get("strategy"),
-                    fused=request.get("fused"),
                 )
         except ServiceClosed:
             self.slo.on_rejected()

@@ -474,21 +474,16 @@ class LeakageSimulator:
             return stop.value
 
     def run_incremental(
-        self, shots: int, rounds: int, detector_out: np.ndarray | None = None
+        self, shots: int, rounds: int
     ) -> GeneratorType[tuple[int, np.ndarray], None, RunResult]:
         """Generator variant of :meth:`run` for online (streaming) consumers.
 
         Yields one ``(round_index, z_detectors)`` pair after every QEC round,
         where ``z_detectors`` is the ``(shots, num_z_stabs)`` boolean array of
         this round's Z-detector flips — the exact per-round chunk the
-        :mod:`repro.realtime` streaming pipeline consumes.  By default each
-        yielded array is freshly allocated (not a workspace view), so
-        consumers may retain it across rounds.  Passing ``detector_out`` (a
-        writable ``(shots, num_z_stabs)`` bool array) switches to zero-copy
-        streaming: every yield returns *that same buffer*, refilled in place
-        each round, so the consumer must use the chunk before advancing the
-        generator — the contract :class:`repro.pipeline.FusedPipeline` relies
-        on.  The generator's ``StopIteration`` value is the full
+        :mod:`repro.realtime` streaming pipeline consumes.  Each yielded
+        array is freshly allocated (not a workspace view), so consumers may
+        retain it across rounds.  The generator's ``StopIteration`` value is the full
         :class:`RunResult` (drive it with ``next`` inside ``try``/``except``
         or through :class:`repro.realtime.SimulatorStream`).  :meth:`run` is
         implemented on top of this generator, so both paths execute the
@@ -496,16 +491,6 @@ class LeakageSimulator:
         """
         if shots <= 0 or rounds <= 0:
             raise ValueError("shots and rounds must be positive")
-        if detector_out is not None:
-            expected = (shots, len(self._z_stab_indices))
-            if (
-                detector_out.shape != expected
-                or detector_out.dtype != np.bool_
-                or not detector_out.flags.writeable
-            ):
-                raise ValueError(
-                    f"detector_out must be a writable bool array of shape {expected}"
-                )
         # Resolve the telemetry scope once per run; the round loop then only
         # pays ``is not None`` checks (see benchmarks/bench_obs_overhead.py).
         tracer = self._round_tracer = current_tracer()
@@ -532,7 +517,7 @@ class LeakageSimulator:
             for round_index in range(rounds):
                 record, z_detectors = self._run_round(
                     state, round_index, ws, source, totals, detector_history,
-                    pattern_histogram, detector_out,
+                    pattern_histogram,
                 )
                 round_records.append(record)
                 yield round_index, z_detectors
@@ -583,7 +568,6 @@ class LeakageSimulator:
         totals: dict[str, int],
         detector_history: np.ndarray | None,
         pattern_histogram: dict[int, dict[int, tuple[int, int]]],
-        detector_out: np.ndarray | None = None,
     ) -> tuple[RoundRecord, np.ndarray]:
         # Time-structured presets swap in this round's effective parameters;
         # the schedule preserves zero-ness, so the conditional draws consumed
@@ -660,14 +644,7 @@ class LeakageSimulator:
         # at this round's outcomes, and the retired buffer becomes next
         # round's measurement landing zone.
         state.prev_measurement, ws.measurement = ws.measurement, state.prev_measurement
-        if detector_out is not None:
-            # Zero-copy streaming: refill the caller's chunk buffer in place
-            # (np.take with out= writes the gathered columns directly).
-            z_detectors = np.take(
-                ws.detectors, self._z_stab_indices, axis=1, out=detector_out
-            )
-        else:
-            z_detectors = ws.detectors[:, self._z_stab_indices]
+        z_detectors = ws.detectors[:, self._z_stab_indices]
         if detector_history is not None:
             detector_history[:, round_index, :] = z_detectors
         if instrument:

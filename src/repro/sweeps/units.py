@@ -83,7 +83,6 @@ class WorkUnit:
     commit_rounds: int | None = None
     decode_batch_size: int | None = None
     decoder_cache_size: int | None = None
-    fused: bool = False
     seed: int = 0
     policy_config: GraphModelConfig | None = None
     code: StabilizerCode | None = None
@@ -198,9 +197,6 @@ def unit_to_config(unit: WorkUnit, seed: int | None = None) -> "ExperimentConfig
             decode_batch_size=unit.decode_batch_size if decoded else None,
             window_rounds=unit.window_rounds if decoded else None,
             commit_rounds=unit.commit_rounds if decoded else None,
-            # Digest-exempt perf knob: cache_payload() drops it, so fused and
-            # two-step runs of the same physics share one cache key.
-            fused=unit.fused if decoded else False,
         ),
     )
 

@@ -142,6 +142,13 @@ def test_from_dict_rejects_unknown_fields_with_suggestions():
         ExperimentConfig.from_dict({"codes": {}})
 
 
+def test_removed_fused_flag_is_an_unknown_field():
+    with pytest.raises(ValueError, match="unknown execution config field 'fused'"):
+        ExperimentConfig.from_dict({"execution": {"fused": True}})
+    with pytest.raises(ValueError, match="unknown"):
+        ExperimentConfig().override("execution.fused", True)
+
+
 def test_validation_rejects_bad_sections():
     with pytest.raises(ValueError):
         ExperimentConfig(execution=ExecutionConfig(shots=0)).validate()

@@ -102,8 +102,8 @@ def test_decoders_reproduce_pinned_predictions(path, method):
     assert int((predictions ^ observable).sum()) == pinned["failures"]
 
 
-def _run_pinned_experiment(scenario, method, fused=False):
-    """Replay a fixture's MemoryExperiment (window-aware, optionally fused)."""
+def _run_pinned_experiment(scenario, method):
+    """Replay a fixture's MemoryExperiment (window-aware)."""
     return MemoryExperiment(
         code=_build_code(scenario),
         noise=_noise(scenario),
@@ -112,7 +112,6 @@ def _run_pinned_experiment(scenario, method, fused=False):
         seed=scenario["seed"],
         window_rounds=scenario.get("window_rounds"),
         commit_rounds=scenario.get("commit_rounds"),
-        fused=fused,
     ).run(shots=scenario["shots"], rounds=scenario["rounds"])
 
 
@@ -132,16 +131,4 @@ def test_memory_experiment_reproduces_pinned_summary(path, method):
     """End-to-end LER/metrics summary matches the pinned JSON exactly."""
     fixture = _load(path)
     result = _run_pinned_experiment(fixture["scenario"], method)
-    _assert_summary_matches(result.summary(), fixture["memory_summaries"][method])
-
-
-@pytest.mark.parametrize("method", ["matching", "union_find"])
-@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
-def test_fused_pipeline_reproduces_pinned_summary(path, method):
-    """The fused zero-copy path replays every golden fixture bit-identically
-    — including the perf diagnostics — against summaries that were pinned on
-    the two-step path.  The fixtures are NOT regenerated for the fused
-    pipeline; equality against the existing bytes is the point."""
-    fixture = _load(path)
-    result = _run_pinned_experiment(fixture["scenario"], method, fused=True)
     _assert_summary_matches(result.summary(), fixture["memory_summaries"][method])

@@ -1,15 +1,11 @@
-"""Bit-identity of the fused zero-copy pipeline against the two-step path.
+"""The streaming plumbing behind the window session, and the decoder kernels.
 
-The fused pipeline (``repro.pipeline``) streams detector chunks from the
-simulator straight into bit-packed ring buffers and decodes windows out of
-them per *unique* syndrome — no recorded ``RunResult`` history, no per-round
-allocations.  Its contract is exact equality with the record-then-decode
-two-step path: same predictions, same failure counts, same summary, bit for
-bit.  These tests pin that contract across the scenario matrix (code family
-× decoder backend × execution mode × compiled kernels on/off), mirror the
-style of ``tests/test_sim_equivalence.py``, and cover the streaming
-plumbing itself: ring-buffer ownership (no aliasing), generator early close
-(workspace release) and the exhaustion guard.
+Covers the bit-packed ring buffer (round trip, capacity bound, no aliasing
+of the producer's array, packed-domain XOR), the simulator generator's
+lifecycle (early close releases the workspace), windowed decoding against
+the offline decode on quiet and artifact-heavy records, and the compiled
+decoder kernels against their interpreted fallbacks.  Windowed results are
+pinned against stored numbers by ``tests/test_golden_fixtures.py``.
 """
 
 import numpy as np
@@ -21,10 +17,9 @@ from repro.decoders import DetectorGraph, make_decoder
 from repro.decoders import _ckernels as deckernels
 from repro.experiments import MemoryExperiment
 from repro.noise import paper_noise
-from repro.pipeline import FusedPipeline, PackedRing, pack_chunk, unpack_chunk
-from repro.realtime import DecodeService, ReplayStream, SimulatorStream, WindowedDecoder
+from repro.pipeline import PackedRing, pack_chunk, unpack_chunk
+from repro.realtime import ReplayStream, WindowedDecoder
 from repro.sim import LeakageSimulator, SimulatorOptions
-from repro.sweeps.units import WorkUnit, run_unit_serial, unit_key
 
 HEAVY = paper_noise(p=2e-3, leakage_ratio=1.0)
 
@@ -35,20 +30,16 @@ CODES = {
 }
 
 
-def _experiment(code, method, window_rounds, fused, **overrides):
-    kwargs = dict(
-        code=code,
+def _windowed_experiment():
+    return MemoryExperiment(
+        code=surface_code(3),
         noise=HEAVY,
         policy=make_policy("eraser+m"),
-        decoder_method=method,
         seed=13,
-        window_rounds=window_rounds,
-        commit_rounds=1 if window_rounds else None,
+        window_rounds=3,
+        commit_rounds=1,
         decode_batch_size=20,
-        fused=fused,
     )
-    kwargs.update(overrides)
-    return MemoryExperiment(**kwargs)
 
 
 def _simulator(code, seed=7, **options):
@@ -62,91 +53,27 @@ def _simulator(code, seed=7, **options):
 
 
 # --------------------------------------------------------------------- #
-# The equivalence matrix: code × decoder × mode × kernels
+# The window session: one class, compiled kernels never change results
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("ckernels", ["0", "1"])
-@pytest.mark.parametrize("mode", ["offline", "windowed"])
-@pytest.mark.parametrize("method", ["matching", "union_find"])
-@pytest.mark.parametrize("family", sorted(CODES))
-def test_fused_matches_two_step(monkeypatch, family, method, mode, ckernels):
-    """Fused and two-step runs agree on the *entire* summary, perf keys
-    included: the fused path drives the same decoder through the same unique
-    syndromes in the same order, so even the cache/dedup diagnostics match."""
-    monkeypatch.setenv("REPRO_DECODER_CKERNELS", ckernels)
-    code = CODES[family]()
-    window = 3 if mode == "windowed" else None
-    two_step = _experiment(code, method, window, fused=False).run(shots=40, rounds=5)
-    fused = _experiment(code, method, window, fused=True).run(shots=40, rounds=5)
-    assert fused.summary() == two_step.summary()
-
-
-def test_fused_kernels_on_off_agree(monkeypatch):
+def test_decoder_kernels_on_off_agree(monkeypatch):
     """The compiled decoder kernels never change a single prediction."""
-    code = surface_code(3)
     monkeypatch.setenv("REPRO_DECODER_CKERNELS", "0")
-    plain = _experiment(code, "matching", 3, fused=True).run(shots=60, rounds=6)
+    plain = _windowed_experiment().run(shots=60, rounds=6)
     monkeypatch.setenv("REPRO_DECODER_CKERNELS", "1")
     if not deckernels.available():
         pytest.skip("no C toolchain available")
-    compiled = _experiment(code, "matching", 3, fused=True).run(shots=60, rounds=6)
+    compiled = _windowed_experiment().run(shots=60, rounds=6)
     assert compiled.summary() == plain.summary()
 
 
-def test_fused_sweep_unit_matches_and_shares_cache_key():
-    """``execution.fused`` through the sweep engine: same summary row, and —
-    because the flag is digest-exempt — the *same* unit cache key."""
-    base = dict(
-        family="surface",
-        distance=3,
-        noise=HEAVY,
-        policy="eraser+m",
-        shots=40,
-        rounds=5,
-        decoded=True,
-        window_rounds=3,
-        commit_rounds=1,
-        seed=5,
-    )
-    two_step = WorkUnit(**base, fused=False)
-    fused = WorkUnit(**base, fused=True)
-    assert unit_key(fused) == unit_key(two_step)
-    assert run_unit_serial(fused) == run_unit_serial(two_step)
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_fused_service_matches_two_step(workers):
-    """The decode service with fused sessions reports identical failures."""
-
-    def streams():
-        return [
-            SimulatorStream(
-                code=surface_code(3),
-                noise=HEAVY,
-                policy=make_policy("gladiator+m"),
-                shots=12,
-                rounds=8,
-                seed=21 + index,
-            )
-            for index in range(3)
-        ]
-
-    plain = DecodeService(window_rounds=4, workers=workers).run(streams())
-    fused = DecodeService(window_rounds=4, workers=workers, fused=True).run(streams())
-    assert [r.failures for r in fused] == [r.failures for r in plain]
-    assert all(r.failures is not None for r in fused)
-
-
 def test_windowed_decoder_fused_session_type():
-    from repro.pipeline import FusedWindowSession
+    """One session class, reachable under both import paths."""
+    from repro.pipeline.fused import FusedWindowSession
     from repro.realtime.window import WindowSession
 
-    kwargs = dict(
-        code=surface_code(3), noise=HEAVY, rounds=6, window_rounds=3
-    )
-    assert isinstance(WindowedDecoder(**kwargs).session(5), WindowSession)
-    assert isinstance(
-        WindowedDecoder(**kwargs, fused=True).session(5), FusedWindowSession
-    )
+    assert FusedWindowSession is WindowSession
+    windowed = WindowedDecoder(code=surface_code(3), noise=HEAVY, rounds=6, window_rounds=3)
+    assert type(windowed.session(5)) is WindowSession
 
 
 # --------------------------------------------------------------------- #
@@ -182,7 +109,7 @@ def test_packed_ring_does_not_alias_producer_buffer():
     expected = []
     rng = np.random.default_rng(11)
     for round_index in range(4):
-        staging[...] = rng.random((4, 9)) < 0.5  # in-place reuse, like _drive
+        staging[...] = rng.random((4, 9)) < 0.5  # the producer reuses its array
         expected.append(staging.copy())
         ring.push(round_index, staging)
     for round_index in range(4):
@@ -211,36 +138,8 @@ def test_pack_unpack_validate_out_buffers():
     assert unpack_chunk(packed, 10, out=out) is out
 
 
-def test_fused_staging_buffer_is_reused_in_place():
-    """``run_incremental(detector_out=...)`` yields the caller's buffer every
-    round — the zero-copy contract the fused pipeline is built on."""
-    code = surface_code(3)
-    sim = _simulator(code)
-    num_z = sum(1 for stab in code.stabilizers if stab.basis == "Z")
-    staging = np.zeros((7, num_z), dtype=bool)
-    generator = sim.run_incremental(7, 4, detector_out=staging)
-    seen = 0
-    while True:
-        try:
-            _, chunk = next(generator)
-        except StopIteration:
-            break
-        assert chunk is staging
-        seen += 1
-    assert seen == 4
-
-
-def test_detector_out_shape_is_validated():
-    code = surface_code(3)
-    sim = _simulator(code)
-    with pytest.raises(ValueError):
-        next(sim.run_incremental(5, 3, detector_out=np.zeros((5, 3), dtype=bool)))
-    with pytest.raises(ValueError):
-        next(sim.run_incremental(5, 3, detector_out=np.zeros((5, 8), dtype=np.uint8)))
-
-
 # --------------------------------------------------------------------- #
-# Generator lifecycle: early close releases the workspace, exhaustion guard
+# Generator lifecycle: early close releases the workspace
 # --------------------------------------------------------------------- #
 def _capture_workspace(monkeypatch, captured):
     original = LeakageSimulator._make_workspace
@@ -275,44 +174,6 @@ def test_completed_run_releases_workspace(monkeypatch):
     assert captured and all(ws.released for ws in captured)
 
 
-def test_fused_pipeline_closes_generator_on_decode_error(monkeypatch):
-    """If the consumer dies mid-stream the pipeline still closes the
-    generator, releasing the simulator workspace."""
-    captured = []
-    _capture_workspace(monkeypatch, captured)
-    sim = _simulator(surface_code(3))
-    pipeline = FusedPipeline(sim, shots=5, rounds=4)
-
-    class Boom(Exception):
-        pass
-
-    class ExplodingRing:
-        def push(self, round_index, detectors):
-            raise Boom
-
-    with pytest.raises(Boom):
-        pipeline._drive(ExplodingRing())
-    assert captured and captured[0].released
-
-
-def test_fused_pipeline_exhaustion_guard(monkeypatch):
-    """A generator that exhausts without returning a RunResult trips the
-    guard instead of silently handing the decoder ``None``."""
-    code = surface_code(3)
-    sim = _simulator(code)
-    pipeline = FusedPipeline(sim, shots=4, rounds=3)
-    num_z = pipeline.num_z_stabs
-
-    def hollow(shots, rounds, detector_out=None):
-        for round_index in range(rounds):
-            yield round_index, np.zeros((shots, num_z), dtype=bool)
-        # falls off the end: StopIteration carries None, not a RunResult
-
-    monkeypatch.setattr(sim, "run_incremental", hollow)
-    with pytest.raises(RuntimeError, match="without producing a RunResult"):
-        pipeline.run_offline(object())
-
-
 # --------------------------------------------------------------------- #
 # Windowed regressions: empty commit regions, artifact XOR
 # --------------------------------------------------------------------- #
@@ -330,8 +191,7 @@ def _quiet_record_with_late_defects(code, rounds=6):
     return history, final, graph
 
 
-@pytest.mark.parametrize("fused", [False, True], ids=["two_step", "fused"])
-def test_windowed_empty_commit_regions_match_offline(fused):
+def test_windowed_empty_commit_regions_match_offline():
     """Windows that commit zero corrections (and deposit zero artifacts)
     leave the boundary round untouched; windowed == offline regardless."""
     code = surface_code(3)
@@ -343,14 +203,12 @@ def test_windowed_empty_commit_regions_match_offline(fused):
         rounds=history.shape[1],
         window_rounds=3,
         commit_rounds=1,
-        fused=fused,
     )
     assert np.array_equal(windowed.decode_batch(history, final), offline)
 
 
-@pytest.mark.parametrize("fused", [False, True], ids=["two_step", "fused"])
 @pytest.mark.parametrize("commit", [1, 2])
-def test_windowed_artifact_scenarios_match_offline_experiment(fused, commit):
+def test_windowed_artifact_scenarios_match_offline_experiment(commit):
     """A heavy-noise windowed decode (artifacts in most windows) stays equal
     to the offline decode of the same record across commit granularities."""
     code = surface_code(3)
@@ -365,7 +223,6 @@ def test_windowed_artifact_scenarios_match_offline_experiment(fused, commit):
         rounds=7,
         window_rounds=3,
         commit_rounds=commit,
-        fused=fused,
     )
     stream = ReplayStream.from_run_result(result)
     assert np.array_equal(windowed.decode_stream(stream), offline)

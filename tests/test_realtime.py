@@ -178,7 +178,7 @@ def test_window_session_buffer_stays_bounded_and_records_latency(surface_d3):
         session.feed(chunk)
         while session.ready():
             session.step()
-        max_buffered = max(max_buffered, len(session._buffer))
+        max_buffered = max(max_buffered, session.ring.next_round - session.ring.base)
     session.finish(ReplayStream.from_run_result(result).final())
     # The buffer never holds more than window + 1 context rounds.
     assert max_buffered <= 5
@@ -351,7 +351,7 @@ def test_service_backpressure_bounds_queue_under_slow_decoder(surface_d3, monkey
 def test_push_mode_matches_serial_decode_with_coalescing(surface_d3):
     """Two identical push-mode streams, coalesced, equal the serial decode."""
     result = _recorded_run(surface_d3, HEAVY, shots=10, rounds=8, seed=23)
-    service = DecodeService(window_rounds=4, workers=2, fused=True, coalesce=True)
+    service = DecodeService(window_rounds=4, workers=2, coalesce=True)
     service.start()
     try:
         handles = [
@@ -462,14 +462,10 @@ def test_service_close_while_streams_backpressured(surface_d3, monkeypatch):
 
     monkeypatch.setattr(WindowSession, "step", step)
     result = _recorded_run(surface_d3, HEAVY, shots=4, rounds=12, seed=31)
-    service = DecodeService(
-        window_rounds=2, commit_rounds=1, workers=1, queue_depth=1, fused=False
-    )
+    service = DecodeService(window_rounds=2, commit_rounds=1, workers=1, queue_depth=1)
     service.start()
     handles = [
-        service.open_stream(
-            code=surface_d3, noise=HEAVY, shots=4, rounds=12, fused=False
-        )
+        service.open_stream(code=surface_d3, noise=HEAVY, shots=4, rounds=12)
         for _ in range(3)
     ]
     for round_index in range(12):

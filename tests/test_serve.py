@@ -82,7 +82,6 @@ def _inprocess(family: str, method: str, coalesce: bool) -> list[np.ndarray]:
         window_rounds=WINDOW,
         method=method,
         workers=2,
-        fused=True,
         coalesce=coalesce,
     )
     try:
@@ -125,7 +124,6 @@ def test_served_predictions_bit_identical(family, method, coalesce):
         workers_per_shard=2,
         window_rounds=WINDOW,
         method=method,
-        fused=True,
         coalesce=coalesce,
     )
     with ServerThread(config) as server:
