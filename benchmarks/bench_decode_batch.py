@@ -3,10 +3,12 @@
 One d=5, p=1e-3 memory batch (10k shots at the default scale) is decoded
 four ways per decoder backend:
 
-* ``legacy``  — the pre-engine per-shot loop, reproduced verbatim below
-  (per-syndrome dijkstra, blossom matching for every exact syndrome, no
-  caching): the hot path as it stood before the batched engine landed,
-  frozen here so the baseline cannot drift as the library improves,
+* ``legacy``  — the pre-engine per-shot loop: for matching, reproduced
+  verbatim below (per-syndrome dijkstra, blossom matching for every exact
+  syndrome, no caching), frozen here so the baseline cannot drift as the
+  library improves; for union-find, the engine's uncached per-shot loop
+  with the decoder kernels off (the interpreted cluster growth and
+  peeling),
 * ``per_shot`` — the engine's own ``decode_shot`` looped shot by shot with
   the syndrome cache disabled,
 * ``batch``   — ``decode_batch`` on a cold cache: whole-batch NumPy
@@ -22,7 +24,9 @@ rows must be bit-identical to each other by construction.  Rows land in
 points alongside ``BENCH_realtime.json``.
 """
 
+import os
 import time
+from contextlib import contextmanager
 
 import networkx as nx
 import numpy as np
@@ -100,6 +104,20 @@ def _legacy_decode_shot(graph, greedy_fallback, history, final, max_exact_nodes=
     return parity
 
 
+@contextmanager
+def _decoder_kernels_off():
+    """Force the interpreted decoder paths inside the block only."""
+    previous = os.environ.get("REPRO_DECODER_CKERNELS")
+    os.environ["REPRO_DECODER_CKERNELS"] = "0"
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["REPRO_DECODER_CKERNELS"]
+        else:
+            os.environ["REPRO_DECODER_CKERNELS"] = previous
+
+
 def _timed(fn):
     started = time.perf_counter()
     result = fn()
@@ -140,14 +158,20 @@ def test_decode_batch_throughput(benchmark):
                     )
                 )
             else:
-                # Union-find predates the engine unchanged: its legacy loop
-                # is the engine's own per-shot path without the cache.
+                # Union-find's algorithm predates the engine unchanged: its
+                # legacy loop is the engine's own per-shot path without the
+                # cache, on the interpreted path (kernels off for this row
+                # only), so the row keeps measuring the compiled kernel too.
                 uncached = make_decoder(graph, method, cache_size=0)
-                legacy, legacy_s = _timed(
-                    lambda: np.array(
-                        [bool(uncached.decode_shot(history[i], final[i])) for i in range(shots)]
+                with _decoder_kernels_off():
+                    legacy, legacy_s = _timed(
+                        lambda: np.array(
+                            [
+                                bool(uncached.decode_shot(history[i], final[i]))
+                                for i in range(shots)
+                            ]
+                        )
                     )
-                )
             per_shot_decoder = make_decoder(graph, method, cache_size=0)
             per_shot, per_shot_s = _timed(
                 lambda: np.array(

@@ -41,6 +41,23 @@ bit-identical NumPy/Python fallbacks when no compiler is available:
   the analytic 1/2-detector rules, the DP (3..8) or blossom (9+), the
   predecessor retrace and the logical parity — emitting the exact edge
   sequence the interpreted path would produce.
+* **Union-find decoding.**  ``uf_decode`` mirrors
+  :class:`~repro.decoders.union_find.UnionFindDecoder`'s cluster growth,
+  peeling and parity line for line in one call per syndrome, over a
+  :class:`UnionFindContext`: the graph as CSR (``graph.neighbors`` in list
+  order plus one logical-flip bit per slot, O(nodes + edges), so graphs
+  past the all-pairs gate are covered too).  The Python algorithm's output
+  depends on CPython's ``set`` iteration order for ints (the fired set
+  fixes cluster order, each member set the frontier order, its first slot
+  the peeling root), so the kernel rebuilds each such set's slot layout —
+  ``hash(n) == n``, 8 initial slots, 9 linear probes then perturbed
+  probing, growth to the next power of two above ``4 * used`` — and the
+  entry is the interpreted one, edge for edge (iterating in insertion
+  order instead changed the logical parity of 46 in 900 random 1-19
+  detector colour d=5 syndromes, and of 278 in 900 toric ones).  A load-time self-check compares the emulation with
+  ``list(set(...))`` on fixed add sequences and, on disagreement (a
+  future CPython changing its set layout), disables only this kernel;
+  :func:`intset_order` exposes the emulation to the tests.
 
 Matched pairs leave both blossom backends in one canonical order: by
 ascending lower detector index, each pair oriented as networkx's
@@ -57,8 +74,10 @@ one variable still disables every compiled kernel in the repo.
 from __future__ import annotations
 
 import ctypes
+import operator
 import os
 import threading
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -71,6 +90,10 @@ __all__ = [
     "blossom_match",
     "decode_syndrome",
     "DecodeContext",
+    "uf_available",
+    "uf_decode",
+    "intset_order",
+    "UnionFindContext",
 ]
 
 _SOURCE = r"""
@@ -819,6 +842,286 @@ int32_t decode_syndrome(int32_t count, const int64_t* flagged, int64_t num_nodes
     *out_parity = parity;
     return n;
 }
+
+/* ------------------------------------------------------------------------
+ * CPython int-set emulation.  The union-find decoder's output depends on
+ * the iteration order of Python sets of node ids, so the port rebuilds each
+ * such set's slot layout: hash(n) == n, an 8-slot start, probe slot
+ * i = h & mask then up to 9 linear slots while i + 9 <= mask, then
+ * perturb >>= 5 and i = (i*5 + 1 + perturb) & mask; after each new key,
+ * resize when used*5 >= mask*3 to the smallest power of two above 4*used
+ * (2*used past 50000), re-inserting the old slots in slot order.  Nothing
+ * is ever deleted, so dummy slots never occur.  Iteration is slot order.
+ * ---------------------------------------------------------------------- */
+
+static int is_insert(int32_t* table, size_t mask, int32_t key) {
+    size_t perturb = (size_t)key, i = (size_t)key & mask;
+    for (;;) {
+        int32_t* entry = table + i;
+        int probes = (i + 9 <= mask) ? 9 : 0;
+        do {
+            if (*entry < 0) { *entry = key; return 1; }
+            if (*entry == key) return 0;
+            entry++;
+        } while (probes--);
+        perturb >>= 5;
+        i = (i * 5 + 1 + perturb) & mask;
+    }
+}
+
+/* Iteration order of the set built by adding keys[0..k) in order: writes
+ * the distinct keys to out in slot order and returns their number.  table
+ * holds at least 8*k + 8 ints, tmp at least k. */
+static int32_t is_build(const int32_t* keys, int32_t k, int32_t* table,
+                        int32_t* tmp, int32_t* out) {
+    size_t mask = 7, used = 0;
+    for (size_t t = 0; t <= mask; t++) table[t] = -1;
+    for (int32_t a = 0; a < k; a++) {
+        if (!is_insert(table, mask, keys[a])) continue;
+        used++;
+        if (used * 5 < mask * 3) continue;
+        size_t minused = used > 50000 ? used * 2 : used * 4, size = 8;
+        while (size <= minused) size <<= 1;
+        int32_t n = 0;
+        for (size_t t = 0; t <= mask; t++)
+            if (table[t] >= 0) tmp[n++] = table[t];
+        mask = size - 1;
+        for (size_t t = 0; t <= mask; t++) table[t] = -1;
+        for (int32_t b = 0; b < n; b++) is_insert(table, mask, tmp[b]);
+    }
+    int32_t n = 0;
+    for (size_t t = 0; t <= mask; t++)
+        if (table[t] >= 0) out[n++] = table[t];
+    return n;
+}
+
+/* Test and self-check entry: list(set(keys)) for k non-negative ints.
+ * work holds 9*k + 8 ints. */
+int32_t intset_order(const int32_t* keys, int32_t k, int32_t* work, int32_t* out) {
+    return is_build(keys, k, work, work + 8 * (int64_t)k + 8, out);
+}
+
+/* ------------------------------------------------------------------------
+ * Union-find decoding: a line-for-line mirror of
+ * UnionFindDecoder._grow_clusters + _peel + DecoderBase's parity loop over
+ * a CSR copy of graph.neighbors (same list order) with one logical-flip bit
+ * per slot.  Python dicts keep insertion order, so `membership` is the
+ * `mem` list; every Python set of nodes is rebuilt by is_build.  Per-node
+ * arrays are only valid where their stamp matches the current call (mark,
+ * vis) or grouping (clst), so a call touches O(cluster) memory.
+ * ---------------------------------------------------------------------- */
+
+typedef struct {
+    uint32_t *hdr;                /* [call stamp, grouping stamp] */
+    uint32_t *mark, *vis, *clst;  /* cap */
+    int32_t *dpar, *mem, *clidx, *ci, *clroot, *clfill, *clstart, *cllist;
+    int32_t *odd, *front, *order, *bpar, *settab, *settmp;
+    uint8_t *flags, *bflip, *syn; /* flags: 1 parity, 2 boundary, 4 fired */
+} UF;
+
+static int64_t uf_layout(UF* u, char* mem, int32_t cap) {
+    int64_t off = 0, N = cap;
+#define TAKE(field, type, count) do { \
+        if (mem) u->field = (type*)(mem + off); \
+        off += ((int64_t)(count) * (int64_t)sizeof(type) + 7) & ~(int64_t)7; \
+    } while (0)
+    TAKE(hdr, uint32_t, 2);
+    TAKE(mark, uint32_t, 2 * N);  /* mark then vis: one memset on wrap */
+    TAKE(clst, uint32_t, N);
+    TAKE(dpar, int32_t, N); TAKE(mem, int32_t, N); TAKE(clidx, int32_t, N);
+    TAKE(ci, int32_t, N); TAKE(clroot, int32_t, N); TAKE(clfill, int32_t, N);
+    TAKE(clstart, int32_t, N + 1); TAKE(cllist, int32_t, N);
+    TAKE(odd, int32_t, N); TAKE(front, int32_t, N); TAKE(order, int32_t, N);
+    TAKE(bpar, int32_t, N); TAKE(settab, int32_t, 8 * N + 8);
+    TAKE(settmp, int32_t, N);
+    TAKE(flags, uint8_t, N); TAKE(bflip, uint8_t, N); TAKE(syn, uint8_t, N);
+#undef TAKE
+    if (mem) u->vis = u->mark + N;
+    return off;
+}
+
+/* Bytes of (zero-initialised) work buffer uf_decode needs for graphs of up
+ * to cap nodes. */
+int64_t uf_work_bytes(int32_t cap) {
+    UF u;
+    return uf_layout(&u, 0, cap);
+}
+
+/* Next stamp of counter; on wrap-around the stamped arrays are cleared. */
+static uint32_t uf_stamp(uint32_t* counter, uint32_t* arrays, int64_t len) {
+    if (*counter == UINT32_MAX) {
+        memset(arrays, 0, (size_t)len * sizeof(uint32_t));
+        *counter = 0;
+    }
+    return ++*counter;
+}
+
+static inline int32_t uf_find(int32_t* par, int32_t node) {
+    int32_t root = node;
+    while (par[root] != root) root = par[root];
+    while (par[node] != root) {
+        int32_t next = par[node];
+        par[node] = root;
+        node = next;
+    }
+    return root;
+}
+
+static inline void uf_union(UF* u, int32_t a, int32_t b) {
+    int32_t ra = uf_find(u->dpar, a), rb = uf_find(u->dpar, b);
+    if (ra == rb) return;
+    u->dpar[rb] = ra;
+    u->flags[ra] ^= u->flags[rb] & 1;
+    u->flags[ra] |= u->flags[rb] & 2;
+}
+
+static inline int uf_neutral(UF* u, int32_t node) {
+    uint8_t f = u->flags[uf_find(u->dpar, node)];
+    return !(f & 1) || (f & 2);
+}
+
+/* cluster_members(): roots in order of first appearance in membership,
+ * each cluster's nodes (cllist[clstart[c]..clstart[c+1])) in membership
+ * order, i.e. the order they were added to the Python member set.
+ * Leaves every member's dpar pointing straight at its root. */
+static int32_t uf_group(UF* u, int32_t nmem, int32_t cap) {
+    uint32_t st = uf_stamp(&u->hdr[1], u->clst, cap);
+    int32_t ncl = 0;
+    for (int32_t i = 0; i < nmem; i++) {
+        int32_t r = uf_find(u->dpar, u->mem[i]);
+        if (u->clst[r] != st) {
+            u->clst[r] = st;
+            u->clidx[r] = ncl;
+            u->clroot[ncl] = r;
+            u->clfill[ncl] = 0;
+            ncl++;
+        }
+        int32_t c = u->clidx[r];
+        u->ci[i] = c;
+        u->clfill[c]++;
+    }
+    u->clstart[0] = 0;
+    for (int32_t c = 0; c < ncl; c++) {
+        u->clstart[c + 1] = u->clstart[c] + u->clfill[c];
+        u->clfill[c] = u->clstart[c];
+    }
+    for (int32_t i = 0; i < nmem; i++) u->cllist[u->clfill[u->ci[i]]++] = u->mem[i];
+    return ncl;
+}
+
+/* Set-iteration order of cluster c's member set, into u->front. */
+static int32_t uf_members(UF* u, int32_t c) {
+    return is_build(u->cllist + u->clstart[c], u->clstart[c + 1] - u->clstart[c],
+                    u->settab, u->settmp, u->front);
+}
+
+static inline void uf_add(UF* u, uint32_t stamp, int32_t node, int fired,
+                          int32_t boundary) {
+    u->mark[node] = stamp;
+    u->dpar[node] = node;
+    u->flags[node] = (uint8_t)((fired ? 5 : 0) | (node == boundary ? 2 : 0));
+}
+
+/* Decode one non-empty syndrome.  flagged holds count node ids in the
+ * order the Python set was built from; indptr / indices / flips are the
+ * CSR graph of num_nodes <= cap nodes.  Emits (node, parent) edges into
+ * out_edges in _peel's order with their logical parity, and returns the
+ * edge count; -1 when growth does not converge within max_steps (the
+ * caller re-runs the Python path, which raises), -2 on a frontier root
+ * outside the stale grouping (the caller defers to Python), -3 on a node
+ * id outside [0, num_nodes). */
+int32_t uf_decode(int32_t count, const int64_t* flagged, int32_t num_nodes,
+                  int32_t boundary, const int32_t* indptr,
+                  const int32_t* indices, const uint8_t* flips,
+                  int32_t max_steps, int32_t cap, void* work,
+                  int32_t* out_edges, int32_t* out_parity) {
+    UF u;
+    uf_layout(&u, (char*)work, cap);
+    for (int32_t a = 0; a < count; a++)
+        if (flagged[a] < 0 || flagged[a] >= num_nodes) return -3;
+    uint32_t stamp = uf_stamp(&u.hdr[0], u.mark, 2 * (int64_t)cap);
+    /* fired_nodes = set(flagged): its slot order is membership order. */
+    for (int32_t a = 0; a < count; a++) u.order[a] = (int32_t)flagged[a];
+    int32_t nfired = is_build(u.order, count, u.settab, u.settmp, u.front);
+    int32_t nmem = 0;
+    for (int32_t a = 0; a < nfired; a++) {
+        uf_add(&u, stamp, u.front[a], 1, boundary);
+        u.mem[nmem++] = u.front[a];
+    }
+    int converged = 0;
+    for (int32_t step = 0; step < max_steps; step++) {
+        int32_t ncl = uf_group(&u, nmem, cap), nodd = 0;
+        for (int32_t c = 0; c < ncl; c++)
+            if (!uf_neutral(&u, u.clroot[c])) u.odd[nodd++] = u.clroot[c];
+        if (!nodd) { converged = 1; break; }
+        int32_t progress_mem = nmem, progress_cl = ncl;
+        for (int32_t o = 0; o < nodd; o++) {
+            int32_t root = u.odd[o];
+            if (uf_neutral(&u, root)) continue;
+            /* members[dsu.find(root)]: the grouping from this step's start. */
+            int32_t r = uf_find(u.dpar, root);
+            if (u.clst[r] != u.hdr[1]) return -2;
+            int32_t nfront = uf_members(&u, u.clidx[r]);
+            for (int32_t a = 0; a < nfront; a++) {
+                int32_t node = u.front[a];
+                for (int32_t s = indptr[node]; s < indptr[node + 1]; s++) {
+                    int32_t nb = indices[s];
+                    if (u.mark[nb] != stamp) {
+                        uf_add(&u, stamp, nb, 0, boundary);
+                        u.mem[nmem++] = nb;
+                    }
+                    uf_union(&u, node, nb);
+                }
+            }
+        }
+        int32_t roots = 0;
+        for (int32_t i = 0; i < nmem; i++) roots += u.dpar[u.mem[i]] == u.mem[i];
+        if (nmem == progress_mem && roots == progress_cl) { converged = 1; break; }
+    }
+    if (!converged) return -1;
+
+    int32_t ncl = uf_group(&u, nmem, cap), nedges = 0, parity = 0;
+    for (int32_t c = 0; c < ncl; c++) {
+        int32_t R = u.clroot[c], any = 0;
+        for (int32_t k = u.clstart[c]; k < u.clstart[c + 1]; k++)
+            any |= u.flags[u.cllist[k]] & 4;
+        if (!any) continue;
+        /* uf_group left every member's dpar at its root. */
+        int32_t root = (u.mark[boundary] == stamp && u.dpar[boundary] == R)
+                     ? boundary : (uf_members(&u, c), u.front[0]);
+        /* _spanning_tree: BFS inside the cluster, order doubling as queue. */
+        int32_t head = 0, tail = 0;
+        u.order[tail++] = root;
+        u.vis[root] = stamp;
+        u.bpar[root] = root;
+        while (head < tail) {
+            int32_t node = u.order[head++];
+            for (int32_t s = indptr[node]; s < indptr[node + 1]; s++) {
+                int32_t nb = indices[s];
+                if (u.mark[nb] == stamp && u.dpar[nb] == R && u.vis[nb] != stamp) {
+                    u.vis[nb] = stamp;
+                    u.bpar[nb] = node;
+                    u.bflip[nb] = flips[s];
+                    u.order[tail++] = nb;
+                }
+            }
+        }
+        for (int32_t a = 0; a < tail; a++) u.syn[u.order[a]] = (u.flags[u.order[a]] & 4) != 0;
+        for (int32_t a = tail - 1; a >= 0; a--) {
+            int32_t node = u.order[a];
+            if (node == root || !u.syn[node]) continue;
+            int32_t p = u.bpar[node];
+            out_edges[2 * nedges] = node;
+            out_edges[2 * nedges + 1] = p;
+            nedges++;
+            parity ^= u.bflip[node];
+            u.syn[p] ^= 1;
+            u.syn[node] = 0;
+        }
+    }
+    *out_parity = parity;
+    return nedges;
+}
 """
 
 #: Largest syndrome the C DP accepts (its DP tables are stack-allocated for
@@ -829,6 +1132,23 @@ _FNV_OFFSET = np.uint64(14695981039346656037)
 _FNV_PRIME = np.uint64(1099511628211)
 
 _lib: ctypes.CDLL | None = None
+
+#: Whether the load-time self-check found the compiled int-set emulation
+#: laying sets out exactly as this interpreter does; when it does not (a
+#: future CPython changing its set layout), only the union-find kernel is
+#: disabled and union-find decodes through its Python path.
+_uf_layout_ok = False
+
+#: Fixed add sequences the self-check replays through the emulation and
+#: ``list(set(...))``: first-table collisions, strided keys that collide
+#: again after each resize, a scattered spread across several resizes, and
+#: repeated keys.
+_SET_SELF_CHECK: tuple[tuple[int, ...], ...] = (
+    (5, 13, 21, 29, 37, 45),
+    tuple(range(0, 4096, 32)),
+    tuple((7919 * i) % 3001 for i in range(400)),
+    (3, 3, 11, 3, 19, 11, 27, 35, 43, 51, 59),
+)
 
 
 def _build() -> ctypes.CDLL | None:
@@ -850,6 +1170,19 @@ def _build() -> ctypes.CDLL | None:
         ptr, ptr, ptr, ptr, ptr, ptr, ptr,
     ]
     lib.decode_syndrome.restype = ctypes.c_int32
+    lib.intset_order.argtypes = [ptr, ctypes.c_int32, ptr, ptr]
+    lib.intset_order.restype = ctypes.c_int32
+    lib.uf_work_bytes.argtypes = [ctypes.c_int32]
+    lib.uf_work_bytes.restype = ctypes.c_int64
+    lib.uf_decode.argtypes = [
+        ctypes.c_int32, ptr, ctypes.c_int32, ctypes.c_int32, ptr, ptr, ptr,
+        ctypes.c_int32, ctypes.c_int32, ptr, ptr, ptr,
+    ]
+    lib.uf_decode.restype = ctypes.c_int32
+    global _uf_layout_ok
+    _uf_layout_ok = all(
+        _intset_order(lib, keys) == list(set(keys)) for keys in _SET_SELF_CHECK
+    )
     return lib
 
 
@@ -866,8 +1199,25 @@ def available() -> bool:
     return _lib is not None
 
 
+def uf_available() -> bool:
+    """Whether :func:`uf_decode` may run: the kernels are available and the
+    load-time self-check passed (see ``_uf_layout_ok``)."""
+    return available() and _uf_layout_ok
+
+
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
+
+
+def _intset_order(lib: ctypes.CDLL, keys: Sequence[int]) -> list[int]:
+    values = np.ascontiguousarray(keys, dtype=np.int32)
+    count = int(values.size)
+    if count and int(values.min()) < 0:
+        raise ValueError("the int-set emulation covers non-negative keys only")
+    work = np.empty(9 * count + 8, dtype=np.int32)
+    out = np.empty(max(count, 1), dtype=np.int32)
+    emitted = lib.intset_order(_ptr(values), count, _ptr(work), _ptr(out))
+    return out[:emitted].tolist()
 
 
 class _Scratch(threading.local):
@@ -884,6 +1234,7 @@ class _Scratch(threading.local):
     def __init__(self) -> None:
         self.count = 0
         self.edge_capacity = 0
+        self.uf_capacity = 0
         self.parity = np.zeros(1, dtype=np.int32)
         self.parity_ptr = _ptr(self.parity)
 
@@ -906,6 +1257,23 @@ class _Scratch(threading.local):
             self.edges = np.empty(capacity, dtype=np.int32)
             self.edges_ptr = _ptr(self.edges)
             self.edge_capacity = capacity
+
+    def reserve_uf(self, num_nodes: int) -> None:
+        """Size the union-find work, syndrome and edge buffers for ``num_nodes``.
+
+        The work buffer starts zeroed (its per-node stamps must), and the
+        kernel lays it out by ``uf_capacity``, so one buffer serves every
+        graph up to that size.
+        """
+        if num_nodes > self.uf_capacity:
+            assert _lib is not None
+            work_bytes = int(_lib.uf_work_bytes(num_nodes))
+            self.uf_work = np.zeros((work_bytes + 7) // 8, dtype=np.uint64)
+            self.uf_flagged = np.empty(num_nodes, dtype=np.int64)
+            self.uf_work_ptr = _ptr(self.uf_work)
+            self.uf_flagged_ptr = _ptr(self.uf_flagged)
+            self.uf_capacity = num_nodes
+        self.reserve_edges(2 * num_nodes)
 
     def load_costs(self, boundary_cost: np.ndarray, pair_cost: np.ndarray) -> int:
         count = int(boundary_cost.shape[0])
@@ -953,6 +1321,38 @@ class DecodeContext:
             ctypes.c_int64(int(boundary)),
             _ptr(self.distances),
             _ptr(self.predecessors),
+            _ptr(self.flips),
+        )
+
+
+class UnionFindContext:
+    """One graph's CSR adjacency pinned for :func:`uf_decode`.
+
+    ``indptr``/``indices`` are ``graph.neighbors`` flattened in list order
+    and ``flips`` holds the logical-flip bit of each CSR slot's (collapsed)
+    edge — O(nodes + edges) memory, so graphs past the all-pairs gate are
+    covered too.  Built once per decoder (``UnionFindDecoder._fast_ctx``)
+    and kept alive by it, so the pointers can never dangle.
+    """
+
+    __slots__ = ("indptr", "indices", "flips", "num_nodes", "args")
+
+    def __init__(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        flips: np.ndarray,
+        boundary: int,
+    ) -> None:
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.int32)
+        self.indices = np.ascontiguousarray(indices, dtype=np.int32)
+        self.flips = np.ascontiguousarray(flips, dtype=np.uint8)
+        self.num_nodes = int(self.indptr.shape[0]) - 1
+        self.args = (
+            self.num_nodes,
+            int(boundary),
+            _ptr(self.indptr),
+            _ptr(self.indices),
             _ptr(self.flips),
         )
 
@@ -1064,3 +1464,49 @@ def decode_syndrome(
         return None
     flat = scratch.edges[: 2 * edges_emitted].tolist()
     return list(zip(flat[0::2], flat[1::2])), int(scratch.parity[0])
+
+
+def uf_decode(
+    ctx: UnionFindContext, flagged: np.ndarray, max_steps: int
+) -> tuple[tuple[tuple[int, int], ...], int] | None:
+    """Union-find decode of one syndrome entirely in C against ``ctx``.
+
+    Returns the ``(edges, parity)`` entry the interpreted
+    ``_grow_clusters`` + ``_peel`` + parity path builds — same edges, order
+    and orientation — or ``None`` when growth does not converge within
+    ``max_steps`` (the caller re-runs the Python path, which raises).
+    ``flagged`` lists fired node ids in the order the Python set is built
+    from; an id outside the graph raises ``ValueError``.  Only call when
+    :func:`uf_available` is true.
+    """
+    assert _lib is not None
+    steps = max(0, min(operator.index(max_steps), 2**31 - 1))
+    count = int(flagged.shape[0])
+    scratch = _scratch
+    scratch.reserve_uf(ctx.num_nodes)
+    # Copied into the pinned buffer: cheaper than a fresh ctypes pointer.
+    scratch.uf_flagged[:count] = flagged
+    emitted = int(
+        _lib.uf_decode(
+            count, scratch.uf_flagged_ptr, *ctx.args, steps,
+            scratch.uf_capacity, scratch.uf_work_ptr, scratch.edges_ptr,
+            scratch.parity_ptr,
+        )
+    )
+    if emitted == -3:
+        raise ValueError(f"flagged node ids must lie in [0, {ctx.num_nodes})")
+    if emitted < 0:
+        return None
+    flat = scratch.edges[: 2 * emitted].tolist()
+    return tuple(zip(flat[0::2], flat[1::2])), int(scratch.parity[0])
+
+
+def intset_order(keys: Sequence[int]) -> list[int]:
+    """``list(set(keys))`` as the compiled int-set emulation lays it out.
+
+    The exposed half of the union-find kernel's order model, for tests and
+    the load-time self-check; keys must be non-negative.  Only call when
+    :func:`available` is true.
+    """
+    assert _lib is not None
+    return _intset_order(_lib, keys)

@@ -8,6 +8,16 @@ the cost scales almost linearly with the syndrome size, which makes it the
 better choice for the long leakage-heavy runs where un-mitigated leakage
 floods the syndrome record.
 
+Growth and peeling run compiled when the decoder kernels are available:
+``uf_decode`` in :mod:`repro.decoders._ckernels` builds the whole
+``(edges, flip)`` entry in one call per syndrome, a line-for-line port of
+this module's loops that also reproduces CPython's int-set iteration order
+(which the loops below depend on), so its entries equal the interpreted
+ones edge for edge.  The Python path stays as the fallback and the test
+oracle.  On the durable sweep benchmark's syndromes (surface and colour
+d=5, 10 rounds, 6-9 fired detectors at the median) it takes ~85-110 µs
+each, the kernel's whole entry ~11-12 µs (shared 2-vCPU x86-64 host).
+
 Batching, syndrome deduplication and the cross-call correction cache are
 inherited from :class:`~repro.decoders.base.DecoderBase`; this module only
 implements cluster growth and peeling.
@@ -17,10 +27,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..api.registry import register_decoder
+from . import _ckernels
 from .base import DecoderBase
 
 __all__ = ["UnionFindDecoder"]
@@ -74,6 +86,37 @@ class UnionFindDecoder(DecoderBase):
 
     def _cache_config(self) -> tuple:
         return ("union_find", self.max_growth_steps)
+
+    # ------------------------------------------------------------------ #
+    # Compiled whole-entry shortcut (the DecoderBase._fast_entry hook)
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def _fast_ctx(self) -> _ckernels.UnionFindContext:
+        """The graph as CSR for the union-find kernel, built on first use.
+
+        Slots follow ``graph.neighbors`` list order, each carrying the
+        logical-flip bit of its (parallel-collapsed) edge.
+        """
+        neighbors = self.graph.neighbors
+        lookup = self.graph._edge_lookup
+        slots = [(a, b) for a, row in enumerate(neighbors) for b in row]
+        return _ckernels.UnionFindContext(
+            np.cumsum([0, *map(len, neighbors)]),
+            np.array([b for _, b in slots]),
+            np.array([lookup[min(a, b), max(a, b)].flips_logical for a, b in slots]),
+            self.graph.boundary_node,
+        )
+
+    def _fast_entry(self, flagged: np.ndarray) -> tuple | None:
+        """Serve the whole entry from the C kernel when it is available.
+
+        The kernel returns the identical ``(edges, flip)`` entry the
+        interpreted path builds; ``None`` (kernels off, or growth that does
+        not converge, which the interpreted path then reports) defers.
+        """
+        if not _ckernels.uf_available():
+            return None
+        return _ckernels.uf_decode(self._fast_ctx, flagged, self.max_growth_steps)
 
     # ------------------------------------------------------------------ #
     # Correction construction (the DecoderBase hook)

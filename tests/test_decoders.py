@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import make_policy
 from repro.decoders import DetectorGraph, MatchingDecoder, UnionFindDecoder, make_decoder
+from repro.decoders import _ckernels as deckernels
 from repro.noise import ideal_noise, paper_noise
 from repro.sim import LeakageSimulator, SimulatorOptions
 
@@ -321,3 +322,12 @@ def test_blossom_entries_do_not_depend_on_the_hash_seed():
         outputs.append(completed.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0] == outputs[2]
+
+
+@pytest.mark.skipif(not deckernels.uf_available(), reason="no C toolchain available")
+def test_union_find_kernel_rejects_nodes_outside_the_graph(graph_d3):
+    """Node ids are bounds-checked before the kernel indexes by them."""
+    decoder = UnionFindDecoder(graph_d3)
+    for flagged in ([0, graph_d3.num_nodes], [-1]):
+        with pytest.raises(ValueError, match="must lie in"):
+            deckernels.uf_decode(decoder._fast_ctx, np.array(flagged), 10)

@@ -28,15 +28,15 @@ from strategies import (
     torn_journal_bytes,
 )
 
-from repro.codes import surface_code, two_block_cyclic_code
+from repro.codes import color_code, surface_code, toric_code, two_block_cyclic_code
 from repro.codes.gf2 import gf2_nullspace, gf2_rank
 from repro.codes.scheduling import assign_conflict_free_slots
 from repro.core import CalibrationData, GraphModelConfig, TransitionModel
 from repro.core.boolean_minimize import evaluate, quine_mccluskey
 from repro.core.graph_model import GroupInfo, QubitContext
-from repro.decoders import DetectorGraph, MatchingDecoder
+from repro.decoders import DetectorGraph, MatchingDecoder, UnionFindDecoder, make_decoder
 from repro.decoders import _ckernels as deckernels
-from repro.decoders.matching import _networkx_matching
+from repro.decoders.matching import STRATEGIES, _networkx_matching
 from repro.noise import paper_noise
 from repro.sim import _ckernels as simkernels
 from repro.sim.draws import DrawOp, DrawPlan, DrawSource
@@ -415,6 +415,138 @@ def test_blossom_kernel_pairs_equal_networkx(instance):
         assert kernel is None
         return
     assert kernel == _networkx_matching(boundary, pair)
+
+
+# --------------------------------------------------------------------------- #
+# Syndrome-consistency oracle and the compiled union-find port
+# --------------------------------------------------------------------------- #
+_CODES = {"surface": surface_code, "color": color_code, "toric": toric_code}
+
+
+@cache
+def _graph(family, distance):
+    """A small decoding graph (hyperedges chained, so colour codes decode)."""
+    return DetectorGraph(
+        code=_CODES[family](distance), rounds=2, noise=paper_noise(),
+        hyperedges="decompose",
+    )
+
+
+def _boundary_mod2(graph, edges):
+    """Nodes of odd degree in ``edges``, the virtual boundary node ignored."""
+    odd = set()
+    for edge in edges:
+        odd ^= {*edge}
+    odd.discard(graph.boundary_node)
+    return odd
+
+
+def _records(graph, nodes):
+    """The ``(history, final)`` detector record firing exactly ``nodes``."""
+    flat = np.zeros(graph.boundary_node, dtype=bool)
+    flat[sorted(nodes)] = True
+    history = flat[: graph.rounds * graph.num_z_stabs]
+    return (
+        history.reshape(graph.rounds, graph.num_z_stabs),
+        flat[graph.rounds * graph.num_z_stabs :],
+    )
+
+
+_DECODER_TUNINGS = [
+    *(("matching", {"strategy": strategy}) for strategy in STRATEGIES),
+    ("union_find", {}),
+]
+
+_graph_families = st.tuples(st.sampled_from(sorted(_CODES)), st.sampled_from([3, 5]))
+
+
+@given(_graph_families, st.integers(0, 2**31 - 1), st.floats(0.02, 0.5))
+@settings(max_examples=30, deadline=None)
+def test_corrections_reproduce_their_syndrome(family, seed, density):
+    """Oracle independent of any decoder path: the syndrome of a random set
+    of graph edges is decoded by every decoder and matching strategy,
+    kernels on and off, and the mod-2 boundary of each correction must be
+    that syndrome again."""
+    graph = _graph(*family)
+    edges = sorted(graph._edge_lookup)
+    rng = np.random.default_rng(seed)
+    chosen = [edges[k] for k in np.flatnonzero(rng.random(len(edges)) < density)]
+    syndrome = _boundary_mod2(graph, chosen)
+    history, final = _records(graph, syndrome)
+    for flag in ("0", "1"):
+        with _kernels(flag):
+            for method, tuning in _DECODER_TUNINGS:
+                decoder = make_decoder(graph, method, cache_size=0, **tuning)
+                correction = decoder.decode_shot_edges(history, final)
+                assert _boundary_mod2(graph, correction) == syndrome, (method, tuning, flag)
+
+
+def _set_by_adds(keys):
+    built = set()
+    for key in keys:
+        built.add(key)
+    return built
+
+
+@pytest.mark.skipif(not deckernels.available(), reason="no C toolchain available")
+@given(st.lists(st.integers(0, 4000), max_size=300))
+@settings(max_examples=60, deadline=None)
+def test_intset_emulation_matches_cpython_set_order(keys):
+    """The union-find kernel's int-set model iterates exactly like CPython's
+    ``set``, built in one go or one ``add`` at a time."""
+    order = deckernels.intset_order(keys)
+    assert order == list(set(keys)) == list(_set_by_adds(keys))
+
+
+def _interpreted_uf_entry(decoder, flagged):
+    """The Python ``(edges, parity)`` entry, grown and peeled directly."""
+    clusters, fired = decoder._grow_clusters(set(int(n) for n in flagged))
+    edges = tuple((int(a), int(b)) for a, b in decoder._peel(clusters, fired))
+    parity = 0
+    for node_a, node_b in edges:
+        parity ^= decoder.graph.edge_between(node_a, node_b).flips_logical
+    return edges, parity
+
+
+@pytest.mark.skipif(not deckernels.uf_available(), reason="no C toolchain available")
+@given(_graph_families, st.integers(0, 2**31 - 1), st.integers(1, 90))
+@settings(max_examples=60, deadline=None)
+def test_union_find_kernel_entry_equals_interpreted(family, seed, fired):
+    """The compiled union-find entry is the interpreted one: same edges in
+    the same order and orientation, same parity — for random syndromes on
+    surface, colour and boundary-less toric graphs, heavy ones (past the
+    32-detector cache bound) included."""
+    graph = _graph(*family)
+    decoder = UnionFindDecoder(graph)
+    rng = np.random.default_rng(seed)
+    count = min(fired, graph.boundary_node)
+    flagged = np.sort(rng.choice(graph.boundary_node, size=count, replace=False))
+    expected = _interpreted_uf_entry(decoder, flagged)
+    assert deckernels.uf_decode(decoder._fast_ctx, flagged, 10_000) == expected
+    history, final = _records(graph, flagged.tolist())
+    assert decoder.decode_shot_edges(history, final) == list(expected[0])
+
+
+@pytest.mark.skipif(not deckernels.uf_available(), reason="no C toolchain available")
+@given(_graph_families, st.integers(0, 2**31 - 1), st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_union_find_kernel_agrees_when_growth_is_capped(family, seed, steps):
+    """With a tiny ``max_growth_steps`` both paths fail together (the kernel
+    defers and the interpreted path raises) or agree exactly."""
+    graph = _graph(*family)
+    decoder = UnionFindDecoder(graph, max_growth_steps=steps)
+    rng = np.random.default_rng(seed)
+    count = min(int(rng.integers(1, 12)), graph.boundary_node)
+    flagged = np.sort(rng.choice(graph.boundary_node, size=count, replace=False))
+    kernel = deckernels.uf_decode(decoder._fast_ctx, flagged, steps)
+    try:
+        expected = _interpreted_uf_entry(decoder, flagged)
+    except RuntimeError:
+        assert kernel is None
+        with pytest.raises(RuntimeError, match="did not converge"):
+            decoder.decode_shot(*_records(graph, flagged.tolist()))
+    else:
+        assert kernel == expected
 
 
 # --------------------------------------------------------------------------- #

@@ -301,6 +301,9 @@ def test_service_propagates_mid_decode_exception(surface_d3, monkeypatch):
     def explode(self, flagged):
         raise RuntimeError("decoder blew up mid-window")
 
+    # Both entry points: the compiled whole-entry shortcut and the
+    # interpreted path it defers to.
+    monkeypatch.setattr(UnionFindDecoder, "_fast_entry", explode)
     monkeypatch.setattr(UnionFindDecoder, "_edges_for_syndrome", explode)
     service = DecodeService(window_rounds=6, workers=2, method="union_find")
     with pytest.raises(RuntimeError, match="blew up mid-window"):
