@@ -78,7 +78,6 @@ class BareLeakageSimulator(LeakageSimulator):
 
         lrcs_this_round = int(np.count_nonzero(ws.data_lrc))
         anc_lrcs_this_round = int(np.count_nonzero(ws.anc_lrc))
-        source.start_round(bool(lrcs_this_round), bool(anc_lrcs_this_round))
         totals["lrc"] += lrcs_this_round
         totals["anc_lrc"] += anc_lrcs_this_round
         if lrcs_this_round:
@@ -92,29 +91,20 @@ class BareLeakageSimulator(LeakageSimulator):
                 ws.anc, source, totals, return_flips=False,
             )
 
-        state.depolarize_data(noise.p, source=source, scratch=ws.data)
-        totals["leak_events"] += state.inject_data_leakage(
-            noise.p_leak, source=source, scratch=ws.data
-        )
+        state.depolarize_data(noise.p, source, ws.data)
+        totals["leak_events"] += state.inject_data_leakage(noise.p_leak, source, ws.data)
 
-        state.reset_ancillas(
-            noise.p,
-            leakage_removal_probability=noise.ancilla_reset_removes_leakage,
-            source=source,
-            scratch=ws.anc,
-        )
-        totals["leak_events"] += state.inject_ancilla_leakage(
-            noise.p_leak, source=source, scratch=ws.anc
-        )
+        state.reset_ancillas(noise.p, noise.ancilla_reset_removes_leakage, source, ws.anc)
+        totals["leak_events"] += state.inject_ancilla_leakage(noise.p_leak, source, ws.anc)
 
         _pack_register(ws.data_pack, state.data_x, state.data_z, state.data_leaked, ws.data_u8)
         _pack_register(ws.anc_pack, state.anc_x, state.anc_z, state.anc_leaked, ws.anc_u8)
         for layer_index in range(len(self._slot_anc)):
-            totals["leak_events"] += self._apply_cnot_layer(layer_index, ws, source)
+            totals["leak_events"] += self._apply_cnot_layer(layer_index, ws, source, noise)
         _unpack_register(ws.data_pack, state.data_x, state.data_z, state.data_leaked, ws.data_u8)
         _unpack_register(ws.anc_pack, state.anc_x, state.anc_z, state.anc_leaked, ws.anc_u8)
 
-        self._measure(state, ws, source)
+        self._measure(state, ws, source, noise)
         np.logical_xor(ws.measurement, state.prev_measurement, out=ws.detectors)
         if round_index == 0:
             ws.detectors[:, self._x_stab_indices] = False

@@ -186,6 +186,11 @@ class TransitionModel:
     context: QubitContext
     calibration: CalibrationData
     config: GraphModelConfig = field(default_factory=GraphModelConfig)
+    #: :meth:`_leakage_outcomes` per mask: the two-round enumeration asks
+    #: for the same few masks inside its nested outcome loops.
+    _outcomes_by_mask: dict[int, tuple[tuple[int, float], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------ #
     # Pattern algebra
@@ -401,6 +406,9 @@ class TransitionModel:
         distribution, for the colour code's plaquette pairs it is biased
         towards heavier patterns.
         """
+        cached = self._outcomes_by_mask.get(mask)
+        if cached is not None:
+            return cached
         positions = [i for i in range(mask.bit_length()) if mask & (1 << i)]
         flip_probabilities = []
         group_by_position = {g.position: g for g in self.context.groups}
@@ -419,7 +427,8 @@ class TransitionModel:
                 else:
                     probability *= 1.0 - flip_probabilities[bit_index]
             outcomes.append((pattern, probability))
-        return tuple(outcomes)
+        cached = self._outcomes_by_mask[mask] = tuple(outcomes)
+        return cached
 
     # ------------------------------------------------------------------ #
     # Mechanism enumeration: two-round window (GLADIATOR-D)

@@ -27,7 +27,7 @@ is how tests pin "dies once, then recovers" without flakiness.  Decisions
 are a pure hash of ``(REPRO_CHAOS_SEED, site, key, attempt)``: the same
 spec and seed inject exactly the same faults on every run, on every
 machine, in every worker process.  The simulation RNG is never touched —
-chaos lives entirely outside the frozen RNG-draw-order contract.
+chaos lives entirely outside the simulator's RNG draw contract.
 """
 
 from __future__ import annotations

@@ -152,8 +152,8 @@ class NoiseParams:
         presets (:mod:`repro.noise.schedule`) override it with a
         *deterministic* function of the round index; the returned object
         must keep the zero-ness of every probability identical to the base
-        parameters, because the simulator's draw plan decides which RNG
-        draws exist per round from exactly those zero tests.
+        parameters: a schedule rescales noise channels, it never switches
+        one on or off.
         """
         return self
 

@@ -18,12 +18,12 @@ multiplicatively on top of the stationary paper model:
 * ``floods`` — rare rounds whose leakage injection rate jumps by a large
   factor, modelling transient leakage showers.
 
-Determinism matters twice over: it keeps runs bit-for-bit reproducible under
-the frozen RNG-draw-order contract, and it lets the simulator pre-compile
-one draw-plan body per distinct epoch.  Every schedule preserves the
-zero-ness of each probability (factors are strictly positive and apply
-multiplicatively), which is what keeps the per-round draw plan aligned with
-the per-round consumption.
+Determinism matters twice over: it keeps runs bit-for-bit reproducible per
+seed and ``ENGINE_VERSION``, and it lets the simulator compile one set of
+draw rates per distinct epoch.  Every schedule preserves the zero-ness of
+each probability (factors are strictly positive and apply
+multiplicatively), so a schedule rescales noise channels without switching
+any on or off.
 """
 
 from __future__ import annotations

@@ -3,41 +3,41 @@
 Two jobs dominate the simulator once the NumPy-level waste is gone, and
 both are awkward for NumPy itself:
 
-* **The draw schedule.**  ``draw_ops`` executes a contiguous block of the
-  run's :class:`~repro.sim.draws.DrawOp` list in one call, against a shadow
-  copy of NumPy's PCG64 state (``gen``: the 128-bit state and increment as
-  (high, low) u64 pairs, then ``has_uint32`` and ``uinteger``, the
-  half-word buffer ``next_uint32`` keeps).  Each row of the op table is one
-  ``Generator`` call of the frozen contract:
+* **The sparse draws.**  The kernels execute the draw contract of
+  :mod:`repro.sim.draws` against a shadow copy of the run's PCG64 state
+  (``gen``: the 128-bit state and increment as (high, low) u64 pairs).
+  Only raw ``uint64`` outputs are consumed; a Bernoulli row is described by
+  a *rate record* (``RATE_WORDS`` u64: kind, per-site threshold, gap-table
+  length, gap-table address) built once per probability by
+  :func:`repro.sim.draws.rate`:
 
-  - ``OP_BERN``: ``random(n) < p`` as a uint8 mask.  For ``u ~ U[0,1) =
-    (raw >> 11) * 2**-53``, ``u < p`` ⟺ ``raw < ceil(p * 2**53) << 11``
-    exactly, so the mask is decided on the raw integer and no float64 is
-    ever materialised.
-  - ``OP_SKIP``: a Bernoulli draw with a constant result (``p <= 0`` or
-    ``p >= 1``).  The state jumps ahead by ``n`` steps (PCG's O(log n)
-    LCG advance) and the half-word buffer is left alone, exactly like
-    ``n`` real double draws.
-  - ``OP_INT8`` / ``OP_INT64``: ``integers(low, high, n)`` with NumPy's
-    int64 path for ranges below ``2**32 - 1``: 32-bit Lemire rejection
-    sampling over ``next_uint32``, which hands out the buffered upper half
-    of a 64-bit step before taking a new one.  ``OP_INT8`` narrows each
-    value to one byte on store (the simulator's masks), ``OP_INT64`` keeps
-    it whole.
+  - ``draw_row`` fills one Bernoulli row: constant rows (``RATE_ZERO`` /
+    ``RATE_ONE``) consume nothing, fair rows (``RATE_FAIR``) take 64 bits
+    per output, and rare-event rows (``RATE_GAPS``, or ``RATE_GAPS_NOT``
+    for ``p > 1/2``, sampled as the complement) take one output per event:
+    the gap to the next event is the number of gap-table thresholds above
+    the output, and a gap of the full table length means "no event in
+    that many sites" (the geometric law is memoryless).
+  - ``draw_choices`` draws ``low + raw % span`` at the nonzero sites of a
+    mask, in row-major order, and zero elsewhere.
 
-  ``load_pcg64`` / ``store_pcg64`` move the state between the Generator
-  and ``gen``; ``tests/test_properties.py`` checks the kernels against
-  ``Generator.random`` / ``Generator.integers`` value for value and on the
-  post-state.
-* **The entangling layer.**  ``cnot_layer`` gathers one layer's operand
-  pairs straight out of the full packed planes, applies the ~40-op
-  per-element algebra and scatters them back, in cache-sized tiles.  A
-  layer's gates touch each qubit at most once (``RoundSchedule.validate``),
-  so updating in place equals gather-all/compute/scatter-all.  Every
-  pointer is ``restrict``-qualified, which is what lets the compiler
-  vectorise the algebra; the Python wrapper asserts that neither writable
-  plane overlaps a mask (masks may share one constant buffer: they are
-  only read).
+  ``load_pcg64`` / ``store_pcg64`` move the state between the Generator and
+  ``gen``; NumPy's buffered half-word is neither read nor written.
+  ``tests/test_properties.py`` checks the kernels against the NumPy oracle
+  value for value and both against the laws they sample.
+* **The entangling layer.**  ``cnot_layer`` draws the layer's gate-hit and
+  two gate-leak rows, then gathers one layer's operand pairs straight out
+  of the full packed planes, applies the per-element algebra and scatters
+  them back, in cache-sized tiles.  The algebra runs in two passes per
+  tile: a branch-free pass (vectorised: ideal propagation and gate-induced
+  leakage) that flags the rare sites needing conditional draws, then a
+  scalar pass over the flagged sites, in row-major order, that draws the
+  transport decision and partner flips where exactly one operand is
+  leaked and the Pauli pair where the gate hit.  A layer's gates touch
+  each qubit at most once (``RoundSchedule.validate``), so updating in
+  place equals gather-all/compute/scatter-all.  Every plane and row
+  pointer is ``restrict``-qualified; the Python wrapper asserts that no
+  row buffer overlaps a plane.
 
 Both are compiled on demand with the system C compiler into a cached
 shared library; when no compiler is available everything falls back to the
@@ -49,7 +49,6 @@ pure-NumPy implementations (results are identical either way —
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 
 import numpy as np
@@ -57,147 +56,142 @@ import numpy as np
 from .._cbuild import build
 
 __all__ = [
-    "OP_BERN",
-    "OP_SKIP",
-    "OP_INT8",
-    "OP_INT64",
-    "ROW_BYTES",
+    "RATE_ZERO",
+    "RATE_ONE",
+    "RATE_FAIR",
+    "RATE_GAPS",
+    "RATE_GAPS_NOT",
+    "RATE_WORDS",
     "available",
-    "bern_threshold",
-    "draw_ops",
+    "draw_row",
+    "draw_choices",
     "load_pcg64",
     "store_pcg64",
     "cnot_layer",
 ]
 
-#: Op-table row kinds (column 0 of a ``draw_ops`` table row).
-OP_BERN, OP_SKIP, OP_INT8, OP_INT64 = 0, 1, 2, 3
+#: Rate-record kinds (word 0 of a rate record).
+RATE_ZERO, RATE_ONE, RATE_FAIR, RATE_GAPS, RATE_GAPS_NOT = 0, 1, 2, 3, 4
 
-#: Bytes per op-table row: five uint64 columns.
-ROW_BYTES = 40
-
-#: Largest ``high - low - 1`` the bounded-integer kernel ports: NumPy
-#: switches to a different generator path at ``2**32 - 1`` and above (and
-#: draws nothing at 0, which the kernel does not port either).
-MAX_INT_RANGE = 0xFFFFFFFE
+#: u64 words per rate record: kind, threshold, gap-table length, address.
+RATE_WORDS = 4
 
 _MASK64 = (1 << 64) - 1
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 
 typedef unsigned __int128 u128;
 #define MULT ((((u128)0x2360ed051fc65da4ULL) << 64) | (u128)0x4385df649fccf645ULL)
 
-enum { OP_BERN = 0, OP_SKIP = 1, OP_INT8 = 2, OP_INT64 = 3 };
+enum { RATE_ZERO = 0, RATE_ONE = 1, RATE_FAIR = 2, RATE_GAPS = 3, RATE_GAPS_NOT = 4 };
 
-static inline uint64_t out_xsl_rr(u128 state) {
-    uint64_t hi = (uint64_t)(state >> 64), lo = (uint64_t)state;
-    uint64_t x = hi ^ lo;
-    unsigned rot = (unsigned)(state >> 122);
+typedef struct { u128 state, incr; } pcg_t;
+
+/* kind, per-site threshold (u < threshold), gap-table length and table. */
+typedef struct {
+    uint64_t kind, threshold;
+    int64_t k;
+    const uint64_t* table;
+} rate_t;
+
+static inline pcg_t load(const uint64_t* gen) {
+    pcg_t g = {(((u128)gen[0]) << 64) | gen[1], (((u128)gen[2]) << 64) | gen[3]};
+    return g;
+}
+
+static inline void store(uint64_t* gen, const pcg_t* g) {
+    gen[0] = (uint64_t)(g->state >> 64);
+    gen[1] = (uint64_t)g->state;
+}
+
+/* numpy's pcg64 next64: step the LCG, then the XSL-RR output. */
+static inline uint64_t next64(pcg_t* g) {
+    g->state = g->state * MULT + g->incr;
+    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
     return (x >> rot) | (x << ((-rot) & 63u));
 }
 
-/* pcg_advance_lcg_128: the state after `delta` steps, in O(log delta). */
-static u128 advance(u128 state, u128 delta, u128 incr) {
-    u128 cur_mult = MULT, cur_plus = incr, acc_mult = 1u, acc_plus = 0u;
-    while (delta > 0) {
-        if (delta & 1u) {
-            acc_mult *= cur_mult;
-            acc_plus = acc_plus * cur_mult + cur_plus;
+/* The number of (decreasing) gap thresholds above u. */
+static inline int64_t gap(uint64_t u, const uint64_t* t, int64_t k) {
+    int64_t lo = 0, hi = k;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) >> 1;
+        if (t[mid] > u) lo = mid + 1; else hi = mid;
+    }
+    return lo;
+}
+
+static void fill_row(pcg_t* g, const rate_t* r, uint8_t* out, int64_t n) {
+    if (r->kind <= RATE_ONE) {
+        memset(out, (int)r->kind, (size_t)n);
+        return;
+    }
+    if (r->kind == RATE_FAIR) {
+        for (int64_t i = 0; i < n; i += 64) {
+            const uint64_t w = next64(g);
+            const int64_t m = n - i < 64 ? n - i : 64;
+            for (int64_t b = 0; b < m; b++) out[i + b] = (uint8_t)((w >> b) & 1u);
         }
-        cur_plus = (cur_mult + 1u) * cur_plus;
-        cur_mult *= cur_mult;
-        delta >>= 1;
+        return;
     }
-    return acc_mult * state + acc_plus;
-}
-
-typedef struct {
-    u128 state, incr;
-    int has32;      /* numpy's has_uint32 */
-    uint32_t half;  /* numpy's uinteger */
-} pcg_t;
-
-static inline uint64_t next64(pcg_t* g) {
-    g->state = g->state * MULT + g->incr;
-    return out_xsl_rr(g->state);
-}
-
-/* pcg64_next32: the buffered upper half first, else a fresh step. */
-static inline uint32_t next32(pcg_t* g) {
-    if (g->has32) {
-        g->has32 = 0;
-        return g->half;
-    }
-    uint64_t next = next64(g);
-    g->has32 = 1;
-    g->half = (uint32_t)(next >> 32);
-    return (uint32_t)next;
-}
-
-/* numpy's buffered_bounded_lemire_uint32: uniform on [0, rng], rng given
- * as rng_excl = rng + 1 with threshold = 2**32 mod rng_excl. */
-static inline uint64_t lemire32(pcg_t* g, uint32_t rng_excl, uint32_t threshold) {
-    uint64_t m;
-    do {
-        m = (uint64_t)next32(g) * rng_excl;
-    } while ((uint32_t)m < threshold);  /* threshold < rng_excl */
-    return m >> 32;
-}
-
-/* Run `count` op-table rows (kind, param, off, n, out) in order against the
- * shadow generator gen = {state_hi, state_lo, inc_hi, inc_lo, has_uint32,
- * uinteger}.  OP_BERN: param is the raw-integer threshold.  OP_INT*:
- * param is rng = high - low - 1 (1 <= rng < 2**32 - 1; numpy draws nothing
- * for rng = 0, which no caller uses) and off is low. */
-void draw_ops(uint64_t* gen, const uint64_t* table, int64_t count) {
-    pcg_t g = {
-        (((u128)gen[0]) << 64) | gen[1], (((u128)gen[2]) << 64) | gen[3],
-        gen[4] != 0, (uint32_t)gen[5],
-    };
-    for (int64_t k = 0; k < count; k++) {
-        const uint64_t* row = table + 5 * k;
-        const uint64_t kind = row[0], param = row[1], off = row[2];
-        const int64_t n = (int64_t)row[3];
-        void* out = (void*)(uintptr_t)row[4];
-        if (kind == OP_SKIP) {
-            g.state = advance(g.state, (u128)(uint64_t)n, g.incr);
-        } else if (kind == OP_BERN) {
-            uint8_t* out8 = out;
-            for (int64_t i = 0; i < n; i++)
-                out8[i] = next64(&g) < param;
-        } else {
-            const uint32_t rng_excl = (uint32_t)param + 1u;
-            const uint32_t threshold = (UINT32_MAX - (uint32_t)param) % rng_excl;
-            if (kind == OP_INT8) {
-                uint8_t* out8 = out;
-                for (int64_t i = 0; i < n; i++)
-                    out8[i] = (uint8_t)(off + lemire32(&g, rng_excl, threshold));
-            } else {
-                uint64_t* out64 = out;
-                for (int64_t i = 0; i < n; i++)
-                    out64[i] = off + lemire32(&g, rng_excl, threshold);
-            }
+    const uint8_t base = r->kind == RATE_GAPS_NOT;
+    const int64_t k = r->k;
+    memset(out, base, (size_t)n);
+    for (int64_t c = 0; c < n;) {
+        const int64_t j = gap(next64(g), r->table, k);
+        if (j == k) {  /* no event within the next k sites */
+            c += k;
+            continue;
         }
+        c += j;
+        if (c < n) out[c] = base ^ 1u;
+        c++;
     }
-    gen[0] = (uint64_t)(g.state >> 64);
-    gen[1] = (uint64_t)g.state;
-    gen[4] = (uint64_t)g.has32;
-    gen[5] = g.half;  /* numpy keeps the last half-word after using it */
 }
 
-/* The per-element layer algebra on one gathered tile (packed planes
- * x | z<<1 | leaked<<2), the exact semantics of the NumPy tile loop in
- * sim/simulator.py.  counts[0]/counts[1] accumulate new data/ancilla leaks. */
+static inline uint8_t bern1(pcg_t* g, const rate_t* r) {
+    return r->kind <= RATE_ONE ? (uint8_t)r->kind : (uint8_t)(next64(g) < r->threshold);
+}
+
+void draw_row(uint64_t* gen, const rate_t* rate, uint8_t* out, int64_t n) {
+    pcg_t g = load(gen);
+    fill_row(&g, rate, out, n);
+    store(gen, &g);
+}
+
+/* Whether the 8 bytes at p have any of `bits` set (skips empty stretches). */
+static inline int any8(const uint8_t* p, uint64_t bits) {
+    uint64_t w;
+    memcpy(&w, p, 8);
+    return (w & bits) != 0;
+}
+
+void draw_choices(uint64_t* gen, const uint8_t* where, uint8_t* out, int64_t n,
+                  uint64_t low, uint64_t span) {
+    pcg_t g = load(gen);
+    memset(out, 0, (size_t)n);
+    for (int64_t i = 0; i < n; i += 8) {
+        const int64_t stop = n - i < 8 ? n : i + 8;
+        if (stop == i + 8 && !any8(where + i, ~0ULL)) continue;
+        for (int64_t j = i; j < stop; j++)
+            if (where[j]) out[j] = (uint8_t)(low + next64(&g) % span);
+    }
+    store(gen, &g);
+}
+
+/* Pass 1 of a tile (packed planes x | z<<1 | leaked<<2): ideal CNOT
+ * propagation on healthy pairs and gate-induced leakage, the exact
+ * semantics of the NumPy tile loop in sim/simulator.py minus the
+ * conditional draws.  flags[i] marks the sites pass 2 visits: bit 0 exactly
+ * one operand leaked, bit 1 the gate hit, bit 2 the data operand was the
+ * leaked one.  counts[0]/counts[1] accumulate new data/ancilla leaks. */
 static void layer_tile(uint8_t* restrict pd, uint8_t* restrict pa,
-                       const uint8_t* restrict isz,
-                       const uint8_t* restrict tr, const uint8_t* restrict rx,
-                       const uint8_t* restrict rz, const uint8_t* restrict rx2,
-                       const uint8_t* restrict rz2, const uint8_t* restrict gh,
-                       const uint8_t* restrict pp, const uint8_t* restrict dgl,
-                       const uint8_t* restrict agl, int64_t n,
-                       int64_t* restrict counts) {
+                       const uint8_t* restrict isz, const uint8_t* restrict gh,
+                       const uint8_t* restrict dgl, const uint8_t* restrict agl,
+                       uint8_t* restrict flags, int64_t n, int64_t* restrict counts) {
     int64_t new_data = 0, new_anc = 0;
     for (int64_t i = 0; i < n; i++) {
         uint8_t d = pd[i], a = pa[i];
@@ -205,40 +199,59 @@ static void layer_tile(uint8_t* restrict pd, uint8_t* restrict pa,
         uint8_t h = (uint8_t)((ld | la) ^ 1u);
         uint8_t hz = h & isz[i], hnz = h ^ hz;
         uint8_t t;
-        /* ideal CNOT propagation (Z-type: data controls ancilla X / ancilla
-         * feeds data Z; X-type: the mirror), healthy columns only */
+        /* Z-type: data controls ancilla X / ancilla feeds data Z; X-type:
+         * the mirror; healthy columns only */
         t = d & hz;               a ^= t;
         t = (a >> 1) & hz;        d ^= (uint8_t)(t << 1);
         t = a & hnz;              d ^= t;
         t = (d >> 1) & hnz;       a ^= (uint8_t)(t << 1);
-        /* leaked-operand malfunction: transport or scramble */
-        uint8_t m1 = (uint8_t)(ld & (la ^ 1u));  /* data_only */
-        uint8_t m2 = (uint8_t)(la & (ld ^ 1u));  /* anc_only  */
-        uint8_t m4 = m1 & tr[i];                 /* anc_gets_leak  */
-        uint8_t m5 = m2 & tr[i];                 /* data_gets_leak */
-        uint8_t tni = tr[i] ^ 1u;
-        m1 &= tni;                               /* scramble_anc  */
-        m2 &= tni;                               /* scramble_data */
-        a ^= m1 & rx[i];
-        a ^= (uint8_t)((m1 & rz[i]) << 1);
-        d ^= m2 & rx2[i];
-        d ^= (uint8_t)((m2 & rz2[i]) << 1);
-        /* two-qubit depolarising gate error */
-        uint8_t ghm = (uint8_t)(gh[i] * 3u);
-        d ^= (uint8_t)(pp[i] & 3u) & ghm;
-        a ^= (uint8_t)(pp[i] >> 2) & ghm;
-        /* gate-induced leakage */
-        m5 |= dgl[i];  m5 &= (uint8_t)(ld ^ 1u);
-        m4 |= agl[i];  m4 &= (uint8_t)(la ^ 1u);
+        uint8_t m5 = dgl[i] & (uint8_t)(ld ^ 1u);
+        uint8_t m4 = agl[i] & (uint8_t)(la ^ 1u);
         new_data += m5;
         new_anc += m4;
-        d |= (uint8_t)(m5 << 2);
-        a |= (uint8_t)(m4 << 2);
-        pd[i] = d;
-        pa[i] = a;
+        pd[i] = d | (uint8_t)(m5 << 2);
+        pa[i] = a | (uint8_t)(m4 << 2);
+        flags[i] = (uint8_t)((ld ^ la) | (gh[i] << 1) | (ld << 2));
     }
     counts[0] += new_data;
     counts[1] += new_anc;
+}
+
+/* Pass 2: the conditional draws at flagged sites, in row-major order.  A
+ * one-leaked site draws the transport decision, then one output whose low
+ * two bits are the healthy partner's X/Z flips (applied unless the leak is
+ * transported to it); a hit site then draws its Pauli pair in 1..15 (low
+ * two bits on the data, high two on the ancilla). */
+static void layer_fixups(pcg_t* g, const rate_t* transport, uint8_t* restrict pd,
+                         uint8_t* restrict pa, const uint8_t* restrict flags,
+                         int64_t n, int64_t* restrict counts) {
+    for (int64_t i = 0; i < n; i++) {
+        if (!(i & 7) && n - i >= 8 && !any8(flags + i, 0x0303030303030303ULL)) {
+            i += 7;
+            continue;
+        }
+        const uint8_t f = flags[i];
+        if (!(f & 3u)) continue;
+        uint8_t d = pd[i], a = pa[i];
+        if (f & 1u) {
+            const uint8_t moved = bern1(g, transport);
+            const uint8_t flips = (uint8_t)(next64(g) & 3u);
+            uint8_t* partner = (f & 4u) ? &a : &d;
+            if (!moved) {
+                *partner ^= flips;
+            } else if (!(*partner & 4u)) {
+                *partner |= 4u;
+                counts[(f & 4u) ? 1 : 0]++;
+            }
+        }
+        if (f & 2u) {
+            const uint8_t pair = (uint8_t)(1u + next64(g) % 15u);
+            d ^= pair & 3u;
+            a ^= pair >> 2;
+        }
+        pd[i] = d;
+        pa[i] = a;
+    }
 }
 
 /* Elements per tile (whole shot rows, at least one). */
@@ -246,23 +259,28 @@ static void layer_tile(uint8_t* restrict pd, uint8_t* restrict pa,
 
 /* One entangling layer on the full packed planes: data_pack (shots x nd)
  * and anc_pack (shots x na) are updated in place at columns didx[g] /
- * aidx[g] of every shot row.  masks[0..8] (transport, rand_x, rand_z,
- * rand_x2, rand_z2, gate_hit, pauli_pair, data_gate_leak, anc_gate_leak)
- * and isz are (shots x gates) row-major.  Each tile gathers its operands
- * through flat per-tile offsets, runs the algebra and scatters them back. */
+ * aidx[g] of every shot row.  rates[0..2] are the gate-hit, gate-leak and
+ * transport rates; the gate-hit and the two gate-leak rows (shots x gates,
+ * row-major, like isz) are drawn into gh / dgl / agl first, then the tiles
+ * run both passes in order. */
 void cnot_layer(uint8_t* restrict data_pack, uint8_t* restrict anc_pack,
                 int64_t shots, int64_t nd, int64_t na,
                 const int64_t* restrict didx, const int64_t* restrict aidx,
-                int64_t gates, const uint8_t* restrict isz,
-                const uint8_t* const* masks, int64_t* restrict counts) {
+                int64_t gates, const uint8_t* restrict isz, uint64_t* gen,
+                const rate_t* rates, uint8_t* restrict gh, uint8_t* restrict dgl,
+                uint8_t* restrict agl, int64_t* restrict counts) {
     const int64_t rows = gates < TILE ? TILE / gates : 1;
     const int64_t width = rows * gates;
     int32_t doff[width], aoff[width];
-    uint8_t dt[width], at[width];
+    uint8_t dt[width], at[width], flags[width];
+    pcg_t g = load(gen);
+    fill_row(&g, &rates[0], gh, shots * gates);
+    fill_row(&g, &rates[1], dgl, shots * gates);
+    fill_row(&g, &rates[1], agl, shots * gates);
     for (int64_t r = 0; r < rows; r++) {
-        for (int64_t g = 0; g < gates; g++) {
-            doff[r * gates + g] = (int32_t)(r * nd + didx[g]);
-            aoff[r * gates + g] = (int32_t)(r * na + aidx[g]);
+        for (int64_t c = 0; c < gates; c++) {
+            doff[r * gates + c] = (int32_t)(r * nd + didx[c]);
+            aoff[r * gates + c] = (int32_t)(r * na + aidx[c]);
         }
     }
     counts[0] = 0;
@@ -276,15 +294,14 @@ void cnot_layer(uint8_t* restrict data_pack, uint8_t* restrict anc_pack,
             dt[i] = dbase[doff[i]];
             at[i] = abase[aoff[i]];
         }
-        layer_tile(dt, at, isz + e0,
-                   masks[0] + e0, masks[1] + e0, masks[2] + e0, masks[3] + e0,
-                   masks[4] + e0, masks[5] + e0, masks[6] + e0, masks[7] + e0,
-                   masks[8] + e0, m, counts);
+        layer_tile(dt, at, isz + e0, gh + e0, dgl + e0, agl + e0, flags, m, counts);
+        layer_fixups(&g, &rates[2], dt, at, flags, m, counts);
         for (int64_t i = 0; i < m; i++) {
             dbase[doff[i]] = dt[i];
             abase[aoff[i]] = at[i];
         }
     }
+    store(gen, &g);
 }
 """
 
@@ -296,13 +313,14 @@ def _build() -> ctypes.CDLL | None:
     lib = build(_SOURCE, "simkernels")
     if lib is None:
         return None
-    lib.draw_ops.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
-    lib.draw_ops.restype = None
+    pointer, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.draw_row.argtypes = [pointer, pointer, pointer, i64]
+    lib.draw_choices.argtypes = [pointer] * 3 + [i64, ctypes.c_uint64, ctypes.c_uint64]
     lib.cnot_layer.argtypes = (
-        [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
-        + [ctypes.c_int64] + [ctypes.c_void_p] * 3
+        [pointer] * 2 + [i64] * 3 + [pointer] * 2 + [i64] + [pointer] * 7
     )
-    lib.cnot_layer.restype = None
+    for function in (lib.draw_row, lib.draw_choices, lib.cnot_layer):
+        function.restype = None
     return lib
 
 
@@ -316,46 +334,39 @@ def available() -> bool:
     return _lib is not None
 
 
-def bern_threshold(probability: float) -> int:
-    """The raw-u64 threshold deciding ``U[0,1) < probability``, ``0 < p < 1``.
-
-    ``ceil(p * 2**53) << 11`` is exact (power-of-two scaling) and at most
-    ``(2**53 - 1) << 11`` for any double below one.
-    """
-    return math.ceil(probability * 9007199254740992.0) << 11
-
-
 def load_pcg64(bit_generator: np.random.BitGenerator) -> np.ndarray:
-    """The ``gen`` array (uint64[6]) of a PCG64 bit generator's state."""
-    state = bit_generator.state
-    value, inc = state["state"]["state"], state["state"]["inc"]
+    """The ``gen`` array (uint64[4]) of a PCG64 bit generator's state."""
+    state = bit_generator.state["state"]
+    value, inc = state["state"], state["inc"]
     return np.array(
-        [value >> 64, value & _MASK64, inc >> 64, inc & _MASK64,
-         state["has_uint32"], state["uinteger"]],
-        dtype=np.uint64,
+        [value >> 64, value & _MASK64, inc >> 64, inc & _MASK64], dtype=np.uint64
     )
 
 
 def store_pcg64(gen: np.ndarray, bit_generator: np.random.BitGenerator) -> None:
-    """Write ``gen`` back into the bit generator (state and half-word buffer)."""
+    """Write ``gen``'s state back into the bit generator."""
     state = bit_generator.state
     state["state"]["state"] = (int(gen[0]) << 64) | int(gen[1])
-    state["has_uint32"] = int(gen[4])
-    state["uinteger"] = int(gen[5])
     bit_generator.state = state
 
 
-def draw_ops(gen_address: int, rows_address: int, count: int) -> None:
-    """Execute ``count`` consecutive op-table rows in order.
+def draw_row(gen_address: int, rate_address: int, out: np.ndarray) -> None:
+    """Fill the C-contiguous uint8 ``out`` with one Bernoulli row.
 
-    Rows are C-contiguous uint64 ``(kind, param, off, n, out_address)``
-    quintuples (``ROW_BYTES`` each) starting at ``rows_address``; the
-    ``gen`` array at ``gen_address`` advances in place.  Callers pass raw
-    addresses (``array.ctypes.data``, resolved once per table) because this
-    runs once per draw block and ``.ctypes`` costs microseconds a call.
+    Callers pass raw addresses for the generator and the rate record
+    (resolved once per run): ``.ctypes`` costs microseconds a call.
     """
-    assert _lib is not None
-    _lib.draw_ops(gen_address, rows_address, count)
+    assert _lib is not None and out.flags.c_contiguous and out.dtype == np.uint8
+    _lib.draw_row(gen_address, rate_address, out.ctypes.data, out.size)
+
+
+def draw_choices(
+    gen_address: int, where: np.ndarray, out: np.ndarray, low: int, span: int
+) -> None:
+    """``out = low + raw % span`` at the nonzero sites of ``where``, else 0."""
+    assert _lib is not None and where.shape == out.shape and span >= 1
+    assert where.flags.c_contiguous and out.flags.c_contiguous
+    _lib.draw_choices(gen_address, where.ctypes.data, out.ctypes.data, out.size, low, span)
 
 
 def cnot_layer(
@@ -364,29 +375,32 @@ def cnot_layer(
     data_idx: np.ndarray,
     anc_idx: np.ndarray,
     isz: np.ndarray,
-    masks: tuple,
+    gen_address: int,
+    rates: np.ndarray,
+    rows: tuple,
     counts: np.ndarray,
 ) -> None:
-    """Run one entangling layer in place on the full packed planes.
+    """Draw and run one entangling layer in place on the full packed planes.
 
     ``data_idx`` / ``anc_idx`` (int64) are the layer's gate columns, ``isz``
-    the ``(shots, gates)`` uint8 Z-type flags, ``masks`` the layer's nine
-    ``(shots, gates)`` draws in stream order (transport, rand_x, rand_z,
-    rand_x2, rand_z2, gate_hit, pauli_pair, data_gate_leak, anc_gate_leak);
-    ``counts`` (int64[2]) receives the new data/ancilla leak counts.
+    the ``(shots, gates)`` uint8 Z-type flags, ``rates`` the gate-hit,
+    gate-leak and transport rate records (uint64 ``(3, RATE_WORDS)``),
+    ``rows`` three ``(shots, gates)`` uint8 buffers that receive the
+    gate-hit and data/ancilla gate-leak rows; ``counts`` (int64[2])
+    receives the new data/ancilla leak counts.
     """
-    assert _lib is not None
-    for mask in masks:
-        assert mask.shape == isz.shape and mask.flags.c_contiguous
-        # The planes are restrict-qualified in C: a mask sharing their memory
+    assert _lib is not None and rates.shape == (3, RATE_WORDS)
+    for row in rows:
+        assert row.shape == isz.shape and row.flags.c_contiguous
+        # The planes are restrict-qualified in C: a row sharing their memory
         # would be undefined behaviour, not just a wrong answer.
-        assert not np.may_share_memory(mask, data_pack), "mask aliases data plane"
-        assert not np.may_share_memory(mask, anc_pack), "mask aliases ancilla plane"
-    pointers = (ctypes.c_void_p * 9)(*(mask.ctypes.data for mask in masks))
+        assert not np.may_share_memory(row, data_pack), "row aliases data plane"
+        assert not np.may_share_memory(row, anc_pack), "row aliases ancilla plane"
     shots, gates = isz.shape
     _lib.cnot_layer(
         data_pack.ctypes.data, anc_pack.ctypes.data,
         shots, data_pack.shape[1], anc_pack.shape[1],
         data_idx.ctypes.data, anc_idx.ctypes.data,
-        gates, isz.ctypes.data, pointers, counts.ctypes.data,
+        gates, isz.ctypes.data, gen_address, rates.ctypes.data,
+        *(row.ctypes.data for row in rows), counts.ctypes.data,
     )

@@ -1,307 +1,298 @@
-"""The simulator's ordered draw schedule and the source that executes it.
+"""The simulator's sparse draw contract and the source that executes it.
 
-The simulator's RNG contract is *sequential*: every round consumes a fixed
-schedule of ``Generator.random`` and ``Generator.integers`` calls whose
-order, shapes and dtypes must match the historical implementation draw for
-draw (that is what keeps runs bit-for-bit reproducible).  This module turns
-that schedule into an explicit object and executes it:
+Every random variate of a run comes from raw PCG64 ``uint64`` outputs of
+the run's Generator, consumed in the order the simulator asks for them
+(``ENGINE_VERSION`` 6).  The contract is defined on those outputs alone —
+no ``Generator.random`` / ``integers`` call and no half-word buffer — and
+draws only what the simulation consumes:
 
-* The schedule is declared once per run as a :class:`DrawPlan` — a fixed
-  body per round plus two conditional LRC segments whose activation is only
-  known at round start (``mask.any()`` on the pending LRC decisions).  The
-  consumer posts those two flags per round; everything else is
-  run-constant.
-* :class:`DrawSource` compiles each round's op list once into a *program*:
-  every op is bound to its output buffer (per-shape slots, reassigned from
-  the first slot at each segment start; no mask outlives its segment) and,
-  when the compiled kernels are loaded, to one row of a
-  ``repro.sim._ckernels.draw_ops`` table.  The consumer then pulls ops in
-  stream order, one (:meth:`DrawSource.next`) or a contiguous block
-  (:meth:`DrawSource.next_block`, e.g. an entangling layer's nine masks)
-  per compiled call.
+* **Bernoulli rows.**  A ``(shots, n)`` mask of rate ``p`` covers its sites
+  in row-major order.  Rows with a constant result (``p <= 0`` or
+  ``p >= 1``) consume nothing.  ``p = 1/2`` takes 64 fair bits per output,
+  least significant bit first.  Any other ``p < 1/2`` is sampled by
+  geometric gaps, one output per event: with ``T = ceil(p * 2**64)`` and
+  ``q = 2**64 - T``, the gap table holds ``t_1 = q`` and ``t_{j+1} =
+  floor(t_j * q / 2**64)`` (integers only, so every platform and both
+  execution paths build the same table) up to ``GAP_TABLE_MAX`` nonzero
+  entries; an output ``u`` skips ``j = #{t > u}`` sites and marks the next
+  one, or, when ``j`` is the table length, skips that many sites and marks
+  nothing (the geometric law is memoryless).  The row ends with the output
+  that reaches past its last site.  ``p > 1/2`` samples the complement
+  row of rate ``1 - p`` (exact in floating point) and inverts it.
+* **Conditional variates** are drawn only at the sites that consume them,
+  in row-major site order, after the row that selects them:
+  :meth:`DrawSource.choices` draws ``low + u % span`` per site (the
+  depolarising Pauli choice where data depolarised, the LRC frame flips
+  where leakage was removed, the LRC Pauli choice where its gate hit).
+  The entangling layer draws its gate-hit, data-gate-leak and
+  ancilla-gate-leak rows, then sweeps its sites: where exactly one operand
+  is leaked, the transport decision (``u < T`` of the mobility, unless
+  constant) and one output whose low two bits flip the healthy partner's
+  X/Z; where the gate hit, the Pauli pair ``1 + u % 15``.
 
-With the kernels, the whole run executes in C against a shadow copy of the
-PCG64 state, including NumPy's buffered half-word (``has_uint32`` /
-``uinteger``) that bounded ``integers`` calls consume; :meth:`DrawSource.close`
-writes it back, so the ``Generator`` is exactly where the NumPy path leaves
-it.  The NumPy path (``REPRO_SIM_CKERNELS=0``, no compiler, or another bit
-generator) runs the identical calls through the ``Generator`` and is the
-kernels' oracle.  Two further contract-preserving tricks hold in both:
-
-* Bernoulli draws with ``p <= 0`` or ``p >= 1`` have constant results, so
-  the source skips generation and advances the bit generator by the exact
-  number of skipped variates, returning a shared read-only constant mask.
-  This turns e.g. the default ``removal_prob = 1.0`` LRC draw and every
-  ideal-noise draw into (amortised) no-ops.
-* Masks are uint8 0/1 rather than bool so the packed-plane kernels can use
-  them in bitwise arithmetic directly; bool views are free either way.
+The NumPy path here is the contract's oracle; the compiled kernels
+(:mod:`repro.sim._ckernels`) run the same contract against a shadow copy of
+the PCG64 state and must match it value for value.  Closing the source
+leaves the Generator's state advanced by exactly the outputs consumed, and
+its half-word buffer as it was, on both paths.  Masks are uint8 0/1 so the
+packed-plane kernels can use them in bitwise arithmetic directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import _ckernels
 
-__all__ = ["DrawOp", "DrawPlan", "DrawSource"]
+__all__ = ["GAP_TABLE_MAX", "Rate", "rate", "DrawSource"]
 
-#: Buffer slots per shape within one segment: an entangling layer holds its
-#: nine masks at once, so the slots cycle only well past a layer's block.
-RING_SLOTS = 12
+#: Longest gap table: at ``p = 1e-3`` a gap reaches past it 1.7% of the time
+#: (one extra output), and the table stays L2-resident.
+GAP_TABLE_MAX = 4096
 
-#: Target float64 bytes per generation chunk on the NumPy path: draws are
-#: produced and thresholded in row blocks that fit L2, so the comparison
-#: reads the fresh draws from cache instead of streaming the whole buffer
-#: back from memory.  Row-blocking a C-contiguous fill preserves the exact
-#: value sequence.
-CHUNK_BYTES = 256 * 1024
+#: Mask buffers per shape: a consumer holds at most two masks of one shape
+#: at once, and a buffer is reused ``RING_SLOTS`` draws later.
+RING_SLOTS = 4
 
-_MASK64 = (1 << 64) - 1
+#: Raw outputs the NumPy path generates per refill.
+RAW_BLOCK = 1 << 14
+
+_TWO64 = 1 << 64
 
 
-@dataclass(frozen=True)
-class DrawOp:
-    """One RNG call of the per-round schedule.
+@dataclass(frozen=True, eq=False)
+class Rate:
+    """One probability compiled for the draw contract.
 
-    ``kind`` is ``"bern"`` (``random(shape) < threshold`` -> uint8 mask) or
-    ``"randint"`` (``integers(low, high, shape)`` narrowed to uint8; the
-    draw itself stays int64 exactly like the baseline).  ``shape_id``
-    indexes :attr:`DrawPlan.shapes`.
+    ``record`` is the uint64 rate record the kernels read (kind, per-site
+    threshold, gap-table length, gap-table address); ``table`` the
+    decreasing gap thresholds of the sampled (``p`` or ``1 - p``) rate.
     """
 
-    kind: str
-    shape_id: int
-    threshold: float = 0.0
-    low: int = 0
-    high: int = 0
+    probability: float
+    kind: int
+    threshold: int
+    table: np.ndarray
+    record: np.ndarray
+
+    @property
+    def constant(self) -> bool:
+        return self.kind <= _ckernels.RATE_ONE
 
 
-@dataclass
-class DrawPlan:
-    """The complete, ordered draw schedule of one simulator run.
+@lru_cache(maxsize=512)  # bounded: a gap table holds up to 32 KiB
+def rate(probability: float) -> Rate:
+    """The compiled :class:`Rate` of ``probability`` (built once per value)."""
+    if probability <= 0.0 or probability >= 1.0:
+        kind = _ckernels.RATE_ONE if probability >= 1.0 else _ckernels.RATE_ZERO
+        return _rate(probability, kind, 0, [])
+    threshold = math.ceil(probability * 18446744073709551616.0)
+    if probability == 0.5:
+        return _rate(probability, _ckernels.RATE_FAIR, threshold, [])
+    sampled = probability if probability < 0.5 else 1.0 - probability
+    keep = _TWO64 - math.ceil(sampled * 18446744073709551616.0)
+    table = []
+    value = keep
+    while value and len(table) < GAP_TABLE_MAX:
+        table.append(value)
+        value = (value * keep) >> 64
+    kind = _ckernels.RATE_GAPS if probability < 0.5 else _ckernels.RATE_GAPS_NOT
+    return _rate(probability, kind, threshold, table)
 
-    ``body`` runs every round; ``lrc_data`` / ``lrc_anc`` are prepended when
-    the round's pending-LRC flags say so; ``final`` runs once after the last
-    round.  ``shapes`` maps shape ids to ``(shots, n)`` tuples.
 
-    Time-structured noise (``NoiseParams.is_time_structured``) sets
-    ``bodies`` — one pre-compiled body per round, indexed by round number —
-    in which case ``body`` is ignored.  Stationary runs leave ``bodies`` as
-    ``None`` and execute the identical schedule they always have.
+def _rate(probability: float, kind: int, threshold: int, table: list[int]) -> Rate:
+    array = np.array(table, dtype=np.uint64)
+    record = np.array(
+        [kind, threshold, len(table), array.ctypes.data if len(table) else 0],
+        dtype=np.uint64,
+    )
+    array.flags.writeable = False
+    return Rate(probability, kind, threshold, array, record)
+
+
+class _RawStream:
+    """The NumPy path's supply of raw outputs, read ahead in blocks.
+
+    Reads come from a private copy of the bit generator; :meth:`commit`
+    advances the real one by exactly the outputs consumed.
     """
 
-    shapes: list[tuple[int, int]] = field(default_factory=list)
-    lrc_data: list[DrawOp] = field(default_factory=list)
-    lrc_anc: list[DrawOp] = field(default_factory=list)
-    body: list[DrawOp] = field(default_factory=list)
-    final: list[DrawOp] = field(default_factory=list)
-    bodies: list[list[DrawOp]] | None = None
+    def __init__(self, bit_generator: np.random.BitGenerator) -> None:
+        self._start = bit_generator.state
+        self._private = np.random.PCG64()
+        self._private.state = self._start
+        self._buffer = np.empty(0, dtype=np.uint64)
+        self._position = 0
+        self.consumed = 0
 
-    def shape_id(self, shape: tuple[int, int]) -> int:
-        """Intern ``shape`` and return its id."""
-        try:
-            return self.shapes.index(shape)
-        except ValueError:
-            self.shapes.append(shape)
-            return len(self.shapes) - 1
+    def peek(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs, not yet consumed."""
+        available = self._buffer.size - self._position
+        if available < count:
+            fresh = self._private.random_raw(max(count - available, RAW_BLOCK))
+            self._buffer = np.concatenate((self._buffer[self._position:], fresh))
+            self._position = 0
+        return self._buffer[self._position : self._position + count]
 
-    def round_segments(
-        self, lrc_data_any: bool, lrc_anc_any: bool, round_index: int = 0
-    ) -> list[list[DrawOp]]:
-        """The op segments of one round given the two per-round LRC flags."""
-        segments: list[list[DrawOp]] = []
-        if lrc_data_any:
-            segments.append(self.lrc_data)
-        if lrc_anc_any:
-            segments.append(self.lrc_anc)
-        segments.append(self.body if self.bodies is None else self.bodies[round_index])
-        return segments
+    def skip(self, count: int) -> None:
+        self._position += count
+        self.consumed += count
 
+    def take(self, count: int) -> np.ndarray:
+        values = self.peek(count)
+        self.skip(count)
+        return values
 
-def _constant(threshold: float) -> int | None:
-    """0 / 1 when a Bernoulli draw has a constant result, else ``None``."""
-    if threshold <= 0.0:
-        return 0
-    if threshold >= 1.0:
-        return 1
-    return None
-
-
-@dataclass
-class _Program:
-    """One op list bound to its outputs (and, with the kernels, its table)."""
-
-    ops: list[DrawOp]
-    results: list[np.ndarray]
-    table: np.ndarray | None
-    table_address: int = 0
+    def commit(self, bit_generator: np.random.BitGenerator) -> None:
+        advanced = np.random.PCG64()
+        advanced.state = self._start
+        advanced.advance(self.consumed)
+        state = bit_generator.state
+        state["state"]["state"] = advanced.state["state"]["state"]
+        bit_generator.state = state
 
 
 class DrawSource:
-    """Executes a :class:`DrawPlan` in stream order against one Generator.
+    """Executes the draw contract in call order against one Generator.
 
-    The source owns the Generator from construction to :meth:`close`: with
-    the compiled kernels its state lives in a shadow copy in between.
-    Returned masks are valid until the consumer moves past the current
-    segment (LRC, body or final) or draws ``RING_SLOTS`` more of the same
-    shape, whichever comes first.
+    The source owns the Generator's stream from construction to
+    :meth:`close`.  With the compiled kernels the state lives in a shadow
+    copy (``gen_address`` is its address, for kernels that draw inside,
+    like :func:`~repro.sim._ckernels.cnot_layer`); otherwise a
+    :class:`_RawStream` supplies the NumPy oracle.  Returned masks are
+    valid until ``RING_SLOTS`` more of the same shape are drawn.
     """
 
-    def __init__(self, rng: np.random.Generator, plan: DrawPlan) -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
-        self._plan = plan
         use_c = _ckernels.available()
         use_c = use_c and rng.bit_generator.state["bit_generator"] == "PCG64"
         self._gen = _ckernels.load_pcg64(rng.bit_generator) if use_c else None
-        self._gen_address = self._gen.ctypes.data if use_c else 0
-        self._slots: list[list[np.ndarray]] = [[] for _ in plan.shapes]
-        self._constants = [
-            [_frozen(np.full(shape, value, dtype=np.uint8)) for value in (0, 1)]
-            for shape in plan.shapes
-        ]
-        self._draw_bufs: list[np.ndarray] = []
-        if not use_c:
-            for shots, n in plan.shapes:
-                rows = max(64, CHUNK_BYTES // (max(1, n) * 8))
-                self._draw_bufs.append(np.empty((min(rows, shots), n)))
-        self._programs: dict[tuple, _Program] = {}
-        self._program: _Program | None = None
-        self._index = 0
-        self._round = 0
+        self.gen_address = self._gen.ctypes.data if self._gen is not None else 0
+        self._stream = None if use_c else _RawStream(rng.bit_generator)
+        self._rings: dict[tuple[int, ...], tuple[list[np.ndarray], list[int]]] = {}
+        self._constants: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
 
-    # -- schedule driving ------------------------------------------------
-    def start_round(self, lrc_data_any: bool, lrc_anc_any: bool) -> None:
-        """Declare the next round's conditional segments."""
-        segments = self._plan.round_segments(lrc_data_any, lrc_anc_any, self._round)
-        self._round += 1
-        self._start(segments)
+    @property
+    def compiled(self) -> bool:
+        """Whether the compiled kernels execute this source's draws."""
+        return self._gen is not None
 
-    def start_final(self) -> None:
-        """Switch to the end-of-run readout segment."""
-        self._start([self._plan.final])
+    def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
+        buffers, cursor = self._rings.setdefault(tuple(shape), ([], [0]))
+        slot = cursor[0] % RING_SLOTS
+        cursor[0] += 1
+        if slot == len(buffers):
+            buffers.append(np.empty(shape, dtype=np.uint8))
+        return buffers[slot]
 
-    def _start(self, segments: list[list[DrawOp]]) -> None:
-        key = tuple(id(segment) for segment in segments)
-        program = self._programs.get(key)
-        if program is None:
-            program = self._programs[key] = self._compile(segments)
-        self._program = program
-        self._index = 0
-
-    def _compile(self, segments: list[list[DrawOp]]) -> _Program:
-        ops: list[DrawOp] = []
-        results: list[np.ndarray] = []
-        rows: list[tuple[int, int, int, int, int]] = []
-        for segment in segments:
-            cursor = [0] * len(self._plan.shapes)
-            for op in segment:
-                shots, n = self._plan.shapes[op.shape_id]
-                size = shots * n
-                ops.append(op)
-                constant = _constant(op.threshold) if op.kind == "bern" else None
-                if constant is not None:
-                    results.append(self._constants[op.shape_id][constant])
-                    rows.append((_ckernels.OP_SKIP, 0, 0, size, 0))
-                    continue
-                slots = self._slots[op.shape_id]
-                slot = cursor[op.shape_id] % RING_SLOTS
-                cursor[op.shape_id] += 1
-                if slot == len(slots):
-                    slots.append(np.empty((shots, n), dtype=np.uint8))
-                out = slots[slot]
-                results.append(out)
-                address = out.ctypes.data
-                if op.kind == "bern":
-                    threshold = _ckernels.bern_threshold(op.threshold)
-                    rows.append((_ckernels.OP_BERN, threshold, 0, size, address))
-                else:
-                    span = op.high - op.low - 1
-                    assert 1 <= span <= _ckernels.MAX_INT_RANGE
-                    off = op.low & _MASK64
-                    rows.append((_ckernels.OP_INT8, span, off, size, address))
-        if self._gen is None:
-            return _Program(ops, results, None)
-        table = np.array(rows, dtype=np.uint64).reshape(len(rows), 5)
-        return _Program(ops, results, table, table.ctypes.data)
-
-    # -- consumption -----------------------------------------------------
-    def next(self) -> np.ndarray:
-        """The next mask/values array of the schedule, in stream order."""
-        index = self._index
-        self._index = index + 1
-        program = self._program
-        assert program is not None
+    # -- the contract ----------------------------------------------------
+    def mask(self, probability: float, shape: tuple[int, ...]) -> np.ndarray:
+        """A Bernoulli(``probability``) row of ``shape`` as a uint8 mask."""
+        compiled = rate(probability)
+        if compiled.constant:
+            key = (tuple(shape), compiled.kind)
+            constant = self._constants.get(key)
+            if constant is None:
+                constant = np.full(shape, compiled.kind, dtype=np.uint8)
+                constant.flags.writeable = False
+                self._constants[key] = constant
+            return constant
+        out = self._buffer(shape)
         if self._gen is not None:
-            _ckernels.draw_ops(
-                self._gen_address,
-                program.table_address + index * _ckernels.ROW_BYTES,
-                1,
-            )
+            _ckernels.draw_row(self.gen_address, compiled.record.ctypes.data, out)
         else:
-            self._execute(program.ops[index], program.results[index])
-        return program.results[index]
+            self._fill_row(compiled, out.reshape(-1))
+        return out
 
-    def next_block(self, count: int) -> list[np.ndarray]:
-        """The next ``count`` arrays of the schedule, drawn in one call."""
-        start = self._index
-        stop = self._index = start + count
-        program = self._program
-        assert program is not None and stop <= len(program.ops)
+    def choices(self, where: np.ndarray, low: int, high: int) -> np.ndarray:
+        """``low + u % (high - low)`` at ``where``'s nonzero sites, else 0."""
+        out = self._buffer(where.shape)
         if self._gen is not None:
-            _ckernels.draw_ops(
-                self._gen_address,
-                program.table_address + start * _ckernels.ROW_BYTES,
-                count,
-            )
+            _ckernels.draw_choices(self.gen_address, where, out, low, high - low)
         else:
-            for index in range(start, stop):
-                self._execute(program.ops[index], program.results[index])
-        return program.results[start:stop]
+            out.fill(0)
+            sites = np.flatnonzero(where)
+            raw = self._take(sites.size)
+            out.reshape(-1)[sites] = low + raw % np.uint64(high - low)
+        return out
+
+    def layer_draws(
+        self, one: np.ndarray, hit: np.ndarray, mobility: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The layer's conditional sweep (NumPy path; the kernel draws inline).
+
+        ``one`` flags the sites with exactly one leaked operand, ``hit`` the
+        gate-hit row.  Returns dense uint8 ``(transport, flips, pair)``,
+        zero where nothing was drawn.
+        """
+        moved = rate(mobility)
+        per_one = 1 if moved.constant else 2
+        counts = one.reshape(-1) * np.int64(per_one) + hit.reshape(-1)
+        sites = np.flatnonzero(counts)
+        used = counts[sites]
+        offsets = np.cumsum(used) - used
+        raw = self._take(int(used.sum()))
+        transport, flips, pair = (np.zeros(one.shape, dtype=np.uint8) for _ in range(3))
+        is_one = one.reshape(-1)[sites].astype(bool)
+        leaked_sites, leaked_offsets = sites[is_one], offsets[is_one]
+        if moved.constant:
+            transport.reshape(-1)[leaked_sites] = moved.kind
+        else:
+            transport.reshape(-1)[leaked_sites] = raw[leaked_offsets] < np.uint64(
+                moved.threshold
+            )
+        flips.reshape(-1)[leaked_sites] = raw[leaked_offsets + per_one - 1] & np.uint64(3)
+        is_hit = hit.reshape(-1)[sites].astype(bool)
+        pair_offsets = offsets[is_hit] + per_one * is_one[is_hit]
+        pair.reshape(-1)[sites[is_hit]] = 1 + raw[pair_offsets] % np.uint64(15)
+        return transport, flips, pair
 
     def close(self) -> None:
-        """Write the shadow state back into the Generator (idempotent)."""
+        """Write the advanced state back into the Generator (idempotent)."""
         if self._gen is not None:
             _ckernels.store_pcg64(self._gen, self.rng.bit_generator)
+        elif self._stream is not None:
+            self._stream.commit(self.rng.bit_generator)
 
-    # -- the NumPy path --------------------------------------------------
-    def _execute(self, op: DrawOp, out: np.ndarray) -> None:
-        shape = self._plan.shapes[op.shape_id]
-        if op.kind == "randint":
-            # The generator call matches the baseline exactly (int64,
-            # rejection sampling and all); only the stored copy is narrowed.
-            values = self.rng.integers(op.low, op.high, size=shape)
-            np.copyto(out, values, casting="unsafe")
+    # -- the NumPy oracle ------------------------------------------------
+    def _take(self, count: int) -> np.ndarray:
+        assert self._stream is not None
+        return self._stream.take(count)
+
+    def _fill_row(self, compiled: Rate, out: np.ndarray) -> None:
+        assert self._stream is not None
+        n = out.size
+        if compiled.kind == _ckernels.RATE_FAIR:
+            words = self._stream.take(-(-n // 64)).astype("<u8")
+            bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+            out[:] = bits[:n]
             return
-        if _constant(op.threshold) is not None:
-            # The baseline still consumed shots*n variates here; skip the
-            # generation but advance the stream by exactly that much.
-            # ``advance`` also resets PCG64's buffered half-word
-            # (``has_uint32``/``uinteger``), which real double draws leave
-            # untouched and a later bounded ``integers`` call would consume —
-            # restore it or the integer stream forks.
-            generator = self.rng.bit_generator
-            before = generator.state
-            generator.advance(shape[0] * shape[1])
-            after = generator.state
-            after["has_uint32"] = before["has_uint32"]
-            after["uinteger"] = before["uinteger"]
-            generator.state = after
-            return
-        # Generate + threshold in row blocks: contiguous row slices of a
-        # C-order fill consume the identical value sequence, and the
-        # comparison then reads L2-resident draws.
-        chunk = self._draw_bufs[op.shape_id]
-        rows = chunk.shape[0]
-        random = self.rng.random
-        for start in range(0, shape[0], rows):
-            stop = min(start + rows, shape[0])
-            draw = chunk[: stop - start]
-            random(out=draw)
-            np.less(draw, op.threshold, out=out[start:stop])
+        base = int(compiled.kind == _ckernels.RATE_GAPS_NOT)
+        out.fill(base)
+        out[self._gap_sites(compiled, n)] = base ^ 1
 
-
-def _frozen(mask: np.ndarray) -> np.ndarray:
-    mask.flags.writeable = False
-    return mask
+    def _gap_sites(self, compiled: Rate, n: int) -> np.ndarray:
+        """The event sites of one gap-sampled row of ``n`` sites."""
+        assert self._stream is not None
+        table = compiled.table
+        k = table.size
+        ascending = table[::-1]
+        sampled = min(compiled.probability, 1.0 - compiled.probability)
+        found = []
+        cursor = 0
+        while cursor < n:
+            count = int((n - cursor) * sampled * 1.25) + 64
+            raw = self._stream.peek(count)
+            gaps = k - np.searchsorted(ascending, raw, side="right")
+            ends = cursor + np.cumsum(np.where(gaps == k, k, gaps + 1))
+            used = min(int(np.searchsorted(ends, n)) + 1, count)
+            events = ends[:used][gaps[:used] < k] - 1
+            found.append(events[events < n])
+            cursor = int(ends[used - 1])
+            self._stream.skip(used)
+        return np.concatenate(found) if found else np.empty(0, dtype=np.int64)

@@ -10,15 +10,15 @@ is what makes the paper's 100d-round sweeps tractable in pure Python.
 The per-round hot path runs entirely inside a preallocated
 :class:`~repro.sim.workspace.RoundWorkspace`, so a round performs no
 round-shaped allocations.  Draws come from a
-:class:`~repro.sim.draws.DrawSource` as pre-thresholded uint8 masks; the
+:class:`~repro.sim.draws.DrawSource` as uint8 masks under the sparse draw
+contract (only the variates the round consumes, in call order); the
 Pauli/XOR algebra is in-place bitwise kernels on them.  With the compiled
-kernels (:mod:`repro.sim._ckernels`) each entangling layer costs two calls:
-one draws its nine masks, one gathers, updates and scatters the packed
-planes.  The *sequence, shapes and order* of RNG draws is a frozen
-contract — it matches the allocating baseline draw for draw, so runs are
-bit-for-bit reproducible against recorded fixtures and against the frozen
-reference implementation in ``benchmarks/bench_sim_round.py``
-(``tests/test_sim_equivalence.py`` pins this, with the kernels on and off).
+kernels (:mod:`repro.sim._ckernels`) each entangling layer is one call
+that draws its rows and gathers, updates and scatters the packed planes.
+Runs are bit-for-bit reproducible per seed and ``ENGINE_VERSION``, with
+the kernels on or off (``tests/test_sim_equivalence.py`` pins both modes
+and checks the engine statistically against the frozen dense-contract
+simulator in ``tests/reference_sim.py``).
 
 The simulator reports the evaluation metrics of Section 7: data-leakage
 population, LRC usage, false positives/negatives, and (optionally) the full
@@ -41,7 +41,7 @@ from ..core.speculator import LeakagePolicy, SpeculationInput
 from ..noise import NoiseParams
 from ..obs.trace import Tracer, current_tracer
 from . import _ckernels
-from .draws import DrawOp, DrawPlan, DrawSource
+from .draws import DrawSource, Rate, rate
 from .state import ChannelScratch, SimState
 from .workspace import RoundWorkspace
 
@@ -226,7 +226,7 @@ class LeakageSimulator:
         self._lrc_gate_error = self.gadget.gate_error(noise)
         self._lrc_induced_leak = self.gadget.induced_leakage(noise)
         self._round_tracer: Tracer | None = None
-        self._use_ckernels = _ckernels.available()
+        self._layer_rates_by_noise: dict[NoiseParams, tuple[np.ndarray, tuple[Rate, ...]]] = {}
         self._build_gather_structures()
 
     # ------------------------------------------------------------------ #
@@ -345,101 +345,17 @@ class LeakageSimulator:
             emits_ancilla_lrc=self.policy.emits_ancilla_lrc,
         )
 
-    def _build_draw_plan(self, shots: int, rounds: int) -> DrawPlan:
-        """Declare the run's per-round RNG schedule (the frozen contract).
-
-        Every entry mirrors one ``Generator`` call of the baseline
-        implementation, in baseline order; conditional channels that the
-        baseline skips entirely (``p <= 0`` guards) are omitted, while
-        unconditional draws with degenerate probabilities stay in the plan
-        and are satisfied by ``BitGenerator.advance`` plus a constant mask.
-
-        Stationary noise compiles one shared ``body``; time-structured noise
-        compiles one body per round from that round's effective parameters
-        (distinct epochs only — identical epochs share the same op list).
-        Schedules preserve zero-ness, so per-round bodies contain the same
-        *set* of draws as the stationary body, just different thresholds.
-        """
-        noise, gadget = self.noise, self.gadget
-        plan = DrawPlan()
-        data = plan.shape_id((shots, self.code.num_data))
-        anc = plan.shape_id((shots, self.code.num_ancilla))
-
-        def lrc_segment(shape_id: int, with_flips: bool) -> list[DrawOp]:
-            ops = [DrawOp("bern", shape_id, threshold=gadget.removal_prob)]
-            if with_flips:
-                # Only data qubits randomise their frame on return from the
-                # leaked subspace; ancillas are reset right afterwards, so
-                # the baseline never drew these for them.
-                ops.append(DrawOp("bern", shape_id, threshold=0.5))
-                ops.append(DrawOp("bern", shape_id, threshold=0.5))
-            ops.extend(
-                (
-                    DrawOp("bern", shape_id, threshold=self._lrc_gate_error),
-                    DrawOp("randint", shape_id, low=0, high=3),
-                    DrawOp("bern", shape_id, threshold=self._lrc_induced_leak),
-                )
-            )
-            return ops
-
-        plan.lrc_data = lrc_segment(data, with_flips=True)
-        plan.lrc_anc = lrc_segment(anc, with_flips=False)
-
-        if noise.is_time_structured:
-            plan.bodies = []
-            compiled: dict = {}
-            for round_index in range(rounds):
-                round_noise = noise.params_for_round(round_index)
-                body = compiled.get(round_noise)
-                if body is None:
-                    body = self._plan_round_body(plan, round_noise, shots, data, anc)
-                    compiled[round_noise] = body
-                plan.bodies.append(body)
-        else:
-            plan.body = self._plan_round_body(plan, noise, shots, data, anc)
-
-        final = [DrawOp("bern", data, threshold=noise.p)]
-        if noise.readout_leak_random:
-            final.append(DrawOp("bern", data, threshold=0.5))
-        plan.final = final
-        return plan
-
-    def _plan_round_body(
-        self, plan: DrawPlan, noise, shots: int, data: int, anc: int
-    ) -> list[DrawOp]:
-        """One round's fixed draw schedule for the given (flat) parameters."""
-        body: list[DrawOp] = []
-        if noise.p > 0:  # depolarize_data
-            body.append(DrawOp("bern", data, threshold=noise.p))
-            body.append(DrawOp("randint", data, low=0, high=3))
-        if noise.p_leak > 0:  # inject_data_leakage
-            body.append(DrawOp("bern", data, threshold=noise.p_leak))
-        if noise.p > 0:  # reset_ancillas flips
-            body.append(DrawOp("bern", anc, threshold=noise.p))
-            body.append(DrawOp("bern", anc, threshold=noise.p))
-        if noise.ancilla_reset_removes_leakage > 0:
-            body.append(
-                DrawOp("bern", anc, threshold=noise.ancilla_reset_removes_leakage)
-            )
-        if noise.p_leak > 0:  # inject_ancilla_leakage
-            body.append(DrawOp("bern", anc, threshold=noise.p_leak))
-        for anc_idx in self._slot_anc:  # entangling layers
-            if not len(anc_idx):
-                continue
-            layer = plan.shape_id((shots, len(anc_idx)))
-            body.append(DrawOp("bern", layer, threshold=noise.leakage_mobility))
-            body.extend(DrawOp("bern", layer, threshold=0.5) for _ in range(4))
-            body.append(DrawOp("bern", layer, threshold=noise.gate_error))
-            body.append(DrawOp("randint", layer, low=1, high=16))
-            body.append(DrawOp("bern", layer, threshold=noise.p_leak))
-            body.append(DrawOp("bern", layer, threshold=noise.p_leak))
-        body.append(DrawOp("bern", anc, threshold=noise.p))  # measurement flip
-        if noise.readout_leak_random:
-            body.append(DrawOp("bern", anc, threshold=0.5))
-        if self.policy.uses_mlr:
-            body.append(DrawOp("bern", anc, threshold=noise.mlr_error))
-            body.append(DrawOp("bern", anc, threshold=noise.p))
-        return body
+    def _layer_rates(self, noise: NoiseParams) -> np.ndarray:
+        """The gate-hit, gate-leak and transport rate records of one round's
+        (flat) noise, stacked for :func:`~repro.sim._ckernels.cnot_layer`."""
+        entry = self._layer_rates_by_noise.get(noise)
+        if entry is None:
+            # The Rate objects stay referenced: the records hold the raw
+            # addresses of their gap tables.
+            rates = tuple(rate(p) for p in (noise.gate_error, noise.p_leak, noise.leakage_mobility))
+            entry = np.stack([r.record for r in rates]), rates
+            self._layer_rates_by_noise[noise] = entry
+        return entry[0]
 
     # ------------------------------------------------------------------ #
     # Phase instrumentation (sim.phase.* spans; tools/profile_sim.py)
@@ -502,7 +418,7 @@ class LeakageSimulator:
             state.data_leaked[np.arange(shots), seeded] = True
 
         ws = self._make_workspace(shots)
-        source = DrawSource(rng, self._build_draw_plan(shots, rounds))
+        source = DrawSource(rng)
         detector_history = (
             np.zeros((shots, rounds, len(self._z_stab_indices)), dtype=bool)
             if self.options.record_detectors
@@ -522,7 +438,6 @@ class LeakageSimulator:
                 round_records.append(record)
                 yield round_index, z_detectors
 
-            source.start_final()
             final_tick = time.perf_counter_ns() if tracer is not None else 0
             final_detectors, observable_flips = self._final_readout(state, ws, source)
             if tracer is not None:
@@ -569,9 +484,7 @@ class LeakageSimulator:
         detector_history: np.ndarray | None,
         pattern_histogram: dict[int, dict[int, tuple[int, int]]],
     ) -> tuple[RoundRecord, np.ndarray]:
-        # Time-structured presets swap in this round's effective parameters;
-        # the schedule preserves zero-ness, so the conditional draws consumed
-        # below stay aligned with the per-round plan body.
+        # Time-structured presets swap in this round's effective parameters.
         noise = self.noise.params_for_round(round_index)
         shots = state.shots
         tracer = self._round_tracer
@@ -582,10 +495,9 @@ class LeakageSimulator:
         # 1. Apply the LRCs scheduled by last round's decision.  ``ws.data_lrc``
         #    / ``ws.anc_lrc`` still hold that decision; they are fully consumed
         #    here, freeing the buffers for this round's decision in phase 6.
-        #    The two any-flags gate the conditional draw segments.
+        #    A register without LRCs draws nothing for them.
         lrcs_this_round = int(np.count_nonzero(ws.data_lrc))
         anc_lrcs_this_round = int(np.count_nonzero(ws.anc_lrc))
-        source.start_round(bool(lrcs_this_round), bool(anc_lrcs_this_round))
         totals["lrc"] += lrcs_this_round
         totals["anc_lrc"] += anc_lrcs_this_round
         if lrcs_this_round:
@@ -600,22 +512,13 @@ class LeakageSimulator:
             )
 
         # 2. Start-of-round data noise: depolarisation plus environment leakage.
-        state.depolarize_data(noise.p, source=source, scratch=ws.data)
-        totals["leak_events"] += state.inject_data_leakage(
-            noise.p_leak, source=source, scratch=ws.data
-        )
+        state.depolarize_data(noise.p, source, ws.data)
+        totals["leak_events"] += state.inject_data_leakage(noise.p_leak, source, ws.data)
 
         # 3. Ancilla reset (clears most parity-qubit leakage; data-qubit
         #    leakage has no such escape hatch).
-        state.reset_ancillas(
-            noise.p,
-            leakage_removal_probability=noise.ancilla_reset_removes_leakage,
-            source=source,
-            scratch=ws.anc,
-        )
-        totals["leak_events"] += state.inject_ancilla_leakage(
-            noise.p_leak, source=source, scratch=ws.anc
-        )
+        state.reset_ancillas(noise.p, noise.ancilla_reset_removes_leakage, source, ws.anc)
+        totals["leak_events"] += state.inject_ancilla_leakage(noise.p_leak, source, ws.anc)
         if instrument:
             tick = self._phase_mark("noise", tick, round_index)
 
@@ -626,14 +529,14 @@ class LeakageSimulator:
         _pack_register(ws.data_pack, state.data_x, state.data_z, state.data_leaked, ws.data_u8)
         _pack_register(ws.anc_pack, state.anc_x, state.anc_z, state.anc_leaked, ws.anc_u8)
         for layer_index in range(len(self._slot_anc)):
-            totals["leak_events"] += self._apply_cnot_layer(layer_index, ws, source)
+            totals["leak_events"] += self._apply_cnot_layer(layer_index, ws, source, noise)
         _unpack_register(ws.data_pack, state.data_x, state.data_z, state.data_leaked, ws.data_u8)
         _unpack_register(ws.anc_pack, state.anc_x, state.anc_z, state.anc_leaked, ws.anc_u8)
         if instrument:
             tick = self._phase_mark("cnot_layers", tick, round_index)
 
         # 5. Measurement, MLR, detectors.
-        self._measure(state, ws, source)
+        self._measure(state, ws, source, noise)
         np.logical_xor(ws.measurement, state.prev_measurement, out=ws.detectors)
         if round_index == 0:
             # X-stabilizer outcomes are intrinsically random in the first
@@ -725,36 +628,35 @@ class LeakageSimulator:
     ) -> None:
         """Apply LRC gadgets to the masked qubits of one register, in place.
 
-        Draw order (removal, [X-flip, Z-flip for data qubits], gate hit,
-        Pauli choice, induced leakage) is the frozen RNG contract; the caller
-        gates the whole block on the baseline's ``mask.any()`` condition (via
-        the round's LRC flag), so the draw sequence stays identical.
+        Draws: the removal row, the frame flips where leakage was removed
+        (data qubits only), the gate-hit row, the Pauli choice where the
+        gadget's gate hit, the induced-leakage row.  The caller skips the
+        call (and so every draw) when no qubit of the register is treated.
         """
         t1, t2 = scratch.t1, scratch.t2
+        shape = mask.shape
         mask_u8 = mask.view(np.uint8)
         leaked_u8 = leaked.view(np.uint8)
         x_u8 = frame_x.view(np.uint8)
         z_u8 = frame_z.view(np.uint8)
         # removed = mask & leaked & (U < removal_prob)
-        removal = source.next()
+        removal = source.mask(self.gadget.removal_prob, shape)
         np.bitwise_and(mask_u8, leaked_u8, out=t1)
         t1 &= removal
         leaked_u8 ^= t1  # removed is a subset of leaked
         if return_flips:
             # A returned data qubit re-enters the computational subspace in a
             # random state: model as a 50/50 X flip plus full dephasing.
-            # (Ancillas are reset right afterwards; the baseline never drew
-            # these for them.)
-            flip = source.next()
-            np.bitwise_and(flip, t1, out=t2)
+            # (Ancillas are reset right afterwards, so they draw none.)
+            flips = source.choices(t1, 0, 4)
+            np.bitwise_and(flips, 1, out=t2)
             x_u8 ^= t2
-            flip = source.next()
-            np.bitwise_and(flip, t1, out=t2)
+            np.right_shift(flips, 1, out=t2)
             z_u8 ^= t2
         # Gadget noise on every treated qubit (leaked or not).
-        hit = source.next()
+        hit = source.mask(self._lrc_gate_error, shape)
         np.bitwise_and(hit, mask_u8, out=t2)
-        pauli = source.next()
+        pauli = source.choices(t2, 0, 3)
         np.not_equal(pauli, 2, out=t1)
         t1 &= t2
         x_u8 ^= t1
@@ -762,7 +664,7 @@ class LeakageSimulator:
         t1 &= t2
         z_u8 ^= t1
         # Gadget-induced leakage.
-        induced = source.next()
+        induced = source.mask(self._lrc_induced_leak, shape)
         np.bitwise_and(induced, mask_u8, out=t1)
         np.bitwise_xor(leaked_u8, 1, out=t2)
         t1 &= t2  # new leaks
@@ -774,21 +676,23 @@ class LeakageSimulator:
     #: sweeps over them.
     _LAYER_TILE_ROWS = 2048
 
-    def _apply_cnot_layer(self, layer_index: int, ws: RoundWorkspace, source) -> int:
+    def _apply_cnot_layer(
+        self, layer_index: int, ws: RoundWorkspace, source: DrawSource, noise: NoiseParams
+    ) -> int:
         """Execute one entangling layer on the packed planes; return new leaks.
 
         All masks are uint8 0/1 so the whole layer is bitwise arithmetic on
-        byte arrays.  The layer's nine draws (transport, four random Pauli
-        bits, gate hit, Pauli pair 1..15, two gate-leak masks) arrive
-        pre-thresholded from the draw source in one block, in their baseline
-        order and shapes (the frozen RNG contract).
+        byte arrays.  Draws (see :mod:`repro.sim.draws`): the gate-hit,
+        data-gate-leak and ancilla-gate-leak rows, then, in site order, the
+        transport decision and partner flips where exactly one operand is
+        leaked and the Pauli pair 1..15 where the gate hit.
 
-        With the compiled kernels the gather, the algebra and the scatter
-        are one C call on the full planes.  The NumPy fallback gathers the
-        operand columns, runs the ~40-op algebra *tiled over shot blocks*
-        (every operand stays in cache instead of streaming full ``(shots,
-        gates)`` arrays through memory once per op; tiling is pure loop
-        blocking) and scatters them back.
+        With the compiled kernels the draws, the gather, the algebra and
+        the scatter are one C call on the full planes.  The NumPy fallback
+        gathers the operand columns, draws, runs the algebra *tiled over
+        shot blocks* (every operand stays in cache instead of streaming full
+        ``(shots, gates)`` arrays through memory once per op; tiling is pure
+        loop blocking) and scatters them back.
         """
         lw = ws.layers[layer_index]
         if lw is None:
@@ -797,21 +701,26 @@ class LeakageSimulator:
         data_idx = self._slot_data[layer_index]
         is_z_full = ws.layer_is_z_full[layer_index]
         assert is_z_full is not None  # allocated for every non-empty layer
-        masks = source.next_block(9)
 
-        if self._use_ckernels:
+        if source.compiled:
             _ckernels.cnot_layer(
                 ws.data_pack, ws.anc_pack, data_idx, anc_idx, is_z_full,
-                masks, ws.layer_counts,
+                source.gen_address, self._layer_rates(noise),
+                (lw.m1, lw.m2, lw.m4), ws.layer_counts,
             )
             return int(ws.layer_counts[0]) + int(ws.layer_counts[1])
 
-        (
-            transport, rand_x, rand_z, rand_x2, rand_z2,
-            gate_hit, pauli_pair, data_gate_leak, anc_gate_leak,
-        ) = masks
+        shape = is_z_full.shape
+        gate_hit = source.mask(noise.gate_error, shape)
+        data_gate_leak = source.mask(noise.p_leak, shape)
+        anc_gate_leak = source.mask(noise.p_leak, shape)
         pd = ws.data_pack[:, data_idx]
         pa = ws.anc_pack[:, anc_idx]
+        np.bitwise_xor(pd, pa, out=lw.t)
+        np.right_shift(lw.t, 2, out=lw.t)  # exactly one operand leaked
+        transport, flips, pauli_pair = source.layer_draws(
+            lw.t, gate_hit, noise.leakage_mobility
+        )
         shots = pd.shape[0]
         tile = self._LAYER_TILE_ROWS
         # Hoist the ufuncs: with every operand pre-sliced per tile the loop
@@ -825,9 +734,7 @@ class LeakageSimulator:
             hz, hnz = lw.hz[s], lw.hnz[s]
             t = lw.t[s]
             m1, m2, m4, m5 = lw.m1[s], lw.m2[s], lw.m4[s], lw.m5[s]
-            tr, rx, rz = transport[s], rand_x[s], rand_z[s]
-            rx2, rz2 = rand_x2[s], rand_z2[s]
-            gh, pp = gate_hit[s], pauli_pair[s]
+            tr, fl, pp = transport[s], flips[s], pauli_pair[s]
             dgl, agl = data_gate_leak[s], anc_gate_leak[s]
 
             rshift(cpd, 2, out=ld)  # original leak flags (3-bit packs)
@@ -858,7 +765,8 @@ class LeakageSimulator:
             bxor(cpa, t, out=cpa)
 
             # Leaked-operand malfunction: the healthy partner either inherits
-            # the leakage (probability = mobility) or picks up a random Pauli.
+            # the leakage (probability = mobility) or picks up a random
+            # X/Z flip pair (``flips``, drawn only at these sites).
             bxor(la, 1, out=t)
             band(ld, t, out=m1)  # data_only
             bxor(ld, 1, out=t)
@@ -868,26 +776,19 @@ class LeakageSimulator:
             bxor(tr, 1, out=t)
             band(m1, t, out=m1)  # scramble_anc
             band(m2, t, out=m2)  # scramble_data
-            band(m1, rx, out=t)
-            bxor(cpa, t, out=cpa)
-            band(m1, rz, out=t)
-            add(t, t, out=t)
-            bxor(cpa, t, out=cpa)
-            band(m2, rx2, out=t)
-            bxor(cpd, t, out=cpd)
-            band(m2, rz2, out=t)
-            add(t, t, out=t)
-            bxor(cpd, t, out=cpd)
+            mul(m1, 3, out=m1)
+            band(m1, fl, out=m1)
+            bxor(cpa, m1, out=cpa)
+            mul(m2, 3, out=m2)
+            band(m2, fl, out=m2)
+            bxor(cpd, m2, out=cpd)
 
-            # Two-qubit depolarising gate error: the low Pauli-pair bits land
-            # on the data plane, the high bits on the ancilla plane — two
-            # bitwise ANDs per register instead of one op per plane bit.
-            mul(gh, 3, out=m1)  # hit mask over both plane bits
+            # Two-qubit depolarising gate error: the Pauli pair is zero off
+            # the hit sites; its low bits land on the data plane, its high
+            # bits on the ancilla plane.
             band(pp, 3, out=t)
-            band(t, m1, out=t)
             bxor(cpd, t, out=cpd)
             rshift(pp, 2, out=t)
-            band(t, m1, out=t)
             bxor(cpa, t, out=cpa)
 
             # Gate-induced leakage on both operands.
@@ -907,21 +808,23 @@ class LeakageSimulator:
         ws.anc_pack[:, anc_idx] = pa
         return int(np.count_nonzero(lw.m5)) + int(np.count_nonzero(lw.m4))
 
-    def _measure(self, state: SimState, ws: RoundWorkspace, source) -> None:
+    def _measure(
+        self, state: SimState, ws: RoundWorkspace, source: DrawSource, noise: NoiseParams
+    ) -> None:
         """Measure every ancilla into ``ws.measurement`` (+ MLR flags)."""
-        noise = self.noise
         meas = ws.measurement
+        shape = meas.shape
         t1 = ws.anc.t1
         # Select the measured plane per ancilla straight from the packed
         # representation: bit 0 for Z-type checks, bit 1 for X-type.
         meas_u8 = meas.view(np.uint8)
         np.right_shift(ws.anc_pack, self._measure_shift_row, out=meas_u8)
         meas_u8 &= 1
-        flip = source.next()
+        flip = source.mask(noise.p, shape)
         meas_u8 ^= flip
         leaked_u8 = state.anc_leaked.view(np.uint8)
         if noise.readout_leak_random:
-            random_bits = source.next()
+            random_bits = source.mask(0.5, shape)
             np.copyto(meas_u8, random_bits, where=state.anc_leaked)
         else:
             meas_u8 |= leaked_u8
@@ -929,8 +832,8 @@ class LeakageSimulator:
         if self.policy.uses_mlr:
             assert ws.mlr_flags is not None
             mlr_u8 = ws.mlr_flags.view(np.uint8)
-            missed = source.next()
-            false_flag = source.next()
+            missed = source.mask(noise.mlr_error, shape)
+            false_flag = source.mask(noise.p, shape)
             np.bitwise_xor(missed, 1, out=t1)
             np.bitwise_and(leaked_u8, t1, out=mlr_u8)
             np.bitwise_xor(leaked_u8, 1, out=t1)
@@ -1011,10 +914,11 @@ class LeakageSimulator:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Transversal data readout: final detectors and the logical observable."""
         noise = self.noise
-        flip = source.next()
+        shape = state.data_x.shape
+        flip = source.mask(noise.p, shape)
         data_meas = np.bitwise_xor(state.data_x.view(np.uint8), flip)
         if noise.readout_leak_random:
-            random_bits = source.next()
+            random_bits = source.mask(0.5, shape)
             np.copyto(data_meas, random_bits, where=state.data_leaked)
         else:
             data_meas |= state.data_leaked.view(np.uint8)

@@ -8,17 +8,10 @@ leakage is tracked classically, exactly as in the ERASER/GLADIATOR artifacts
 randomise their partners), which is the behavioural model calibrated on IBM
 hardware in Section 2.3 of the paper.
 
-Every noise channel comes in two bit-identical flavours:
-
-* the historical allocating path (``rng=...``): fresh arrays per draw,
-  kept as the plain-NumPy reference semantics;
-* an in-place path (``source=...``, ``scratch=...``) that consumes
-  pre-thresholded uint8 masks from a :mod:`repro.sim.draws` source and
-  applies them with bitwise kernels on uint8 views of the bool planes
-  (bool arrays are byte-backed 0/1, so the views are free).
-
-Both consume the same RNG values in the same order — the in-place path only
-changes *where* draws land and *who* generates them, never *what* is drawn.
+Every noise channel draws from a :class:`~repro.sim.draws.DrawSource` (the
+run's sparse draw contract) as uint8 masks and applies them with bitwise
+kernels on uint8 views of the bool planes (bool arrays are byte-backed 0/1,
+so the views are free).
 """
 
 from __future__ import annotations
@@ -26,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .draws import DrawSource
 
 __all__ = ["ChannelScratch", "SimState"]
 
@@ -78,74 +73,43 @@ class SimState:
     # Noise channels (vectorised over shots and qubits)
     # ------------------------------------------------------------------ #
     def depolarize_data(
-        self,
-        probability: float,
-        rng: np.random.Generator | None = None,
-        source=None,
-        scratch: ChannelScratch | None = None,
+        self, probability: float, source: DrawSource, scratch: ChannelScratch
     ) -> None:
-        """Apply single-qubit depolarising noise to every data qubit."""
+        """Apply single-qubit depolarising noise to every data qubit.
+
+        Draws the hit row, then the Pauli choice (X, Y or Z) at hit sites.
+        """
         if probability <= 0:
             return
-        if source is None:
-            assert rng is not None
-            hit = rng.random(self.data_x.shape) < probability
-            # Choose uniformly among X, Y, Z when the channel fires.
-            pauli = rng.integers(0, 3, size=self.data_x.shape)
-            self.data_x ^= hit & (pauli != 2)  # X or Y flips the X frame
-            self.data_z ^= hit & (pauli != 0)  # Y or Z flips the Z frame
-            return
-        assert scratch is not None
-        hit = source.next()
-        pauli = source.next()
-        np.not_equal(pauli, 2, out=scratch.t1)
+        hit = source.mask(probability, self.data_x.shape)
+        pauli = source.choices(hit, 0, 3)
+        np.not_equal(pauli, 2, out=scratch.t1)  # X or Y flips the X frame
         scratch.t1 &= hit
         self.data_x.view(np.uint8)[...] ^= scratch.t1
-        np.not_equal(pauli, 0, out=scratch.t1)
+        np.not_equal(pauli, 0, out=scratch.t1)  # Y or Z flips the Z frame
         scratch.t1 &= hit
         self.data_z.view(np.uint8)[...] ^= scratch.t1
 
     def inject_data_leakage(
-        self,
-        probability: float,
-        rng: np.random.Generator | None = None,
-        source=None,
-        scratch: ChannelScratch | None = None,
-    ) -> np.ndarray | int:
-        """Leak data qubits independently with ``probability``.
-
-        The allocating path returns the new-leak mask (baseline semantics);
-        the source path applies it in place and returns the event count.
-        """
-        return self._inject_leakage(self.data_leaked, probability, rng, source, scratch)
+        self, probability: float, source: DrawSource, scratch: ChannelScratch
+    ) -> int:
+        """Leak data qubits independently with ``probability``; return the
+        number of new leaks."""
+        return self._inject_leakage(self.data_leaked, probability, source, scratch)
 
     def inject_ancilla_leakage(
-        self,
-        probability: float,
-        rng: np.random.Generator | None = None,
-        source=None,
-        scratch: ChannelScratch | None = None,
-    ) -> np.ndarray | int:
+        self, probability: float, source: DrawSource, scratch: ChannelScratch
+    ) -> int:
         """Leak ancilla qubits independently with ``probability``."""
-        return self._inject_leakage(self.anc_leaked, probability, rng, source, scratch)
+        return self._inject_leakage(self.anc_leaked, probability, source, scratch)
 
+    @staticmethod
     def _inject_leakage(
-        self,
-        leaked: np.ndarray,
-        probability: float,
-        rng: np.random.Generator | None,
-        source,
-        scratch: ChannelScratch | None,
-    ) -> np.ndarray | int:
+        leaked: np.ndarray, probability: float, source: DrawSource, scratch: ChannelScratch
+    ) -> int:
         if probability <= 0:
-            return 0 if source is not None else np.zeros_like(leaked)
-        if source is None:
-            assert rng is not None
-            new_leak = (rng.random(leaked.shape) < probability) & ~leaked
-            leaked |= new_leak
-            return new_leak
-        assert scratch is not None
-        mask = source.next()
+            return 0
+        mask = source.mask(probability, leaked.shape)
         leaked_u8 = leaked.view(np.uint8)
         np.bitwise_xor(leaked_u8, 1, out=scratch.t1)
         np.bitwise_and(mask, scratch.t1, out=scratch.t2)  # new leaks
@@ -155,10 +119,9 @@ class SimState:
     def reset_ancillas(
         self,
         flip_probability: float,
-        rng: np.random.Generator | None = None,
-        leakage_removal_probability: float = 1.0,
-        source=None,
-        scratch: ChannelScratch | None = None,
+        leakage_removal_probability: float,
+        source: DrawSource,
+        scratch: ChannelScratch,
     ) -> None:
         """Reset every ancilla frame; imperfect resets start with a Pauli flip.
 
@@ -169,25 +132,12 @@ class SimState:
         """
         self.anc_x[:] = False
         self.anc_z[:] = False
-        if source is None:
-            assert rng is not None
-            if flip_probability > 0:
-                self.anc_x ^= rng.random(self.anc_x.shape) < flip_probability
-                self.anc_z ^= rng.random(self.anc_z.shape) < flip_probability
-            if leakage_removal_probability > 0:
-                cleared = self.anc_leaked & (
-                    rng.random(self.anc_leaked.shape) < leakage_removal_probability
-                )
-                self.anc_leaked &= ~cleared
-            return
-        assert scratch is not None
+        shape = self.anc_x.shape
         if flip_probability > 0:
-            mask = source.next()
-            self.anc_x.view(np.uint8)[...] ^= mask
-            mask = source.next()
-            self.anc_z.view(np.uint8)[...] ^= mask
+            self.anc_x.view(np.uint8)[...] ^= source.mask(flip_probability, shape)
+            self.anc_z.view(np.uint8)[...] ^= source.mask(flip_probability, shape)
         if leakage_removal_probability > 0:
-            mask = source.next()
+            mask = source.mask(leakage_removal_probability, shape)
             leaked_u8 = self.anc_leaked.view(np.uint8)
             np.bitwise_and(mask, leaked_u8, out=scratch.t1)  # cleared
             leaked_u8 ^= scratch.t1  # cleared is a subset of leaked

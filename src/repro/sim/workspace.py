@@ -12,10 +12,8 @@ round-shaped arrays — not arithmetic — dominated wall-clock.
 round-shaped temporaries are allocated once per
 :meth:`~repro.sim.LeakageSimulator.run_incremental` call and reused every
 round.  Random draws land in buffers the run's
-:class:`~repro.sim.draws.DrawSource` owns, consuming the *identical*
-sequence of RNG values as the allocating baseline, so the optimized
-simulator stays bit-for-bit reproducible (the frozen contract
-``tests/test_sim_equivalence.py`` enforces).
+:class:`~repro.sim.draws.DrawSource` owns (or, for an entangling layer's
+rows, in the layer scratch below).
 
 Two further representations live here because they make the hot loops much
 cheaper than the public boolean layout:
@@ -55,8 +53,9 @@ class LayerWorkspace:
 
     Layers with the same gate count share one instance: a layer's buffers
     are dead once its write-back completes, so reuse across layers is safe.
-    All masks are uint8 holding 0/1 (the packed-plane algebra is bitwise);
-    the Bernoulli masks themselves arrive from the run's draw source.
+    All masks are uint8 holding 0/1 (the packed-plane algebra is bitwise).
+    With the compiled kernels ``m1`` / ``m2`` / ``m4`` receive the layer's
+    gate-hit and gate-leak rows.
     """
 
     ld: np.ndarray  # original data-leak flags (0/1)

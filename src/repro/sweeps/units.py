@@ -51,8 +51,11 @@ __all__ = [
 #: :func:`unit_to_config`), so every construction route — legacy wrappers,
 #: ``SweepSpec`` grids, ``Session.sweep`` — keys the same simulation
 #: identically.  v5: decoded payloads and summaries gained the
-#: decoder-cache hit-rate and batch-dedup-ratio diagnostics.
-ENGINE_VERSION = 5
+#: decoder-cache hit-rate and batch-dedup-ratio diagnostics.  v6: the
+#: simulator's sparse draw contract (:mod:`repro.sim.draws`) replaced the
+#: dense ``Generator.random`` schedule, so every simulated sample changed
+#: (statistically equivalent, see ``tools/contract_equivalence.py``).
+ENGINE_VERSION = 6
 
 
 @dataclass(frozen=True)

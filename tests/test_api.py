@@ -237,7 +237,7 @@ def test_decoded_windowed_config_keys_are_pinned():
         "732fd98822b3ee718cbd7f14606148d2d65828a667d757731964e23f9835c8b9"
     )
     assert unit_key(workunit_from_config(config)) == (
-        "1442e85c252291b06eb1667c2935dab8ed09070da7c2bb1cc43224936eb47d6a"
+        "b95b7bbd13c0003b90b4491861054df7d74ddfe4143f856436b24337d472580b"
     )
 
 

@@ -1,32 +1,33 @@
-"""Bit-identity of the optimized simulator against the frozen reference.
+"""Equivalence of the simulator against an independent oracle and itself.
 
-The workspace/C-kernel hot path must produce *exactly* the results of the
-pre-optimization simulator — same RNG stream, same arrays, same histograms.
-The reference implementation is frozen verbatim inside
-``benchmarks/bench_sim_round.py`` (where it also anchors the speedup floor);
-these tests race it against the optimized engine across the pinned scenario
-matrix and through both execution modes (compiled kernels on/off), and
-check that workspace reuse cannot leak state across rounds or across
-``run_incremental`` calls.
+Two kinds of check:
+
+* **Statistical oracle.**  The engine samples under the sparse draw
+  contract (:mod:`repro.sim.draws`); the frozen pre-workspace simulator in
+  ``tests/reference_sim.py`` samples the same physics under the dense old
+  contract with ``Generator.random`` / ``integers`` and shares no draw
+  code with it.  Over independent replicate runs, their DLP, LRCs/round,
+  FP/FN per round and leakage-event rates must agree within a two-sample
+  ``|z| < 4``.
+* **Bit identity.**  The compiled kernels and the NumPy oracle path run
+  the same contract, so they must agree exactly across the pinned
+  scenario matrix, across back-to-back runs and on the Generator's
+  post-state; workspace reuse must not leak state across rounds or runs.
 """
 
 import os
-import sys
-from pathlib import Path
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-_BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
-if str(_BENCHMARKS) not in sys.path:
-    sys.path.insert(0, str(_BENCHMARKS))
-
-from bench_sim_round import ReferenceLeakageSimulator, assert_results_identical  # noqa: E402
+from reference_sim import ReferenceLeakageSimulator, assert_results_identical
 
 from repro.core import make_policy
 from repro.experiments import make_code
-from repro.noise import NoiseParams, paper_noise
+from repro.noise import NoiseParams, burst_noise, drifting_noise, paper_noise
 from repro.sim import LeakageSimulator, SimulatorOptions
+from repro.sim.draws import DrawSource
 from repro.sim.workspace import RoundWorkspace
 
 #: The pinned scenario matrix: surface and colour codes, MLR and non-MLR
@@ -44,171 +45,220 @@ SCENARIOS = [
 ]
 
 
-def _build(simulator_cls, family, distance, policy, seed=7, **options):
+@contextmanager
+def _ckernels(value):
+    previous = os.environ.get("REPRO_SIM_CKERNELS")
+    os.environ["REPRO_SIM_CKERNELS"] = value
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_SIM_CKERNELS", None)
+        else:
+            os.environ["REPRO_SIM_CKERNELS"] = previous
+
+
+def _build(simulator_cls, family, distance, policy, seed=7, noise=None, **options):
     return simulator_cls(
         code=make_code(family, distance),
-        noise=paper_noise(p=2e-3, leakage_ratio=0.1),
+        noise=noise or paper_noise(p=2e-3, leakage_ratio=0.1),
         policy=make_policy(policy),
         options=SimulatorOptions(**options),
         seed=seed,
     )
 
 
+def _both_paths(runs, *args, **kwargs):
+    """``runs(simulator)`` on fresh simulators with the kernels on and off."""
+    results = []
+    for value in ("1", "0"):
+        with _ckernels(value):
+            results.append(runs(_build(LeakageSimulator, *args, **kwargs)))
+    return results
+
+
+# --------------------------------------------------------------------- #
+# Statistical oracle: sparse contract vs the frozen dense-contract engine
+# --------------------------------------------------------------------- #
+#: (family, distance, policy, noise): surface d3 at paper noise, colour d3,
+#: one drift and one burst scenario.  Leakage ratio 1 keeps every metric
+#: well away from zero at these sizes.
+ORACLE_SCENARIOS = {
+    "surface-paper": ("surface", 3, "gladiator+m", paper_noise(p=2e-3, leakage_ratio=1.0)),
+    "color-paper": ("color", 3, "gladiator+m", paper_noise(p=2e-3, leakage_ratio=1.0)),
+    "surface-drift": ("surface", 3, "eraser+m", drifting_noise(p=2e-3, leakage_ratio=1.0)),
+    "surface-bursts": ("surface", 3, "gladiator+m", burst_noise(p=2e-3, leakage_ratio=1.0)),
+}
+ORACLE_REPLICATES, ORACLE_SHOTS, ORACLE_ROUNDS = 10, 600, 14
+
+
+def _replicate_metrics(simulator) -> np.ndarray:
+    """Per-replicate metric rows of back-to-back runs (one RNG stream)."""
+    rows = []
+    for _ in range(ORACLE_REPLICATES):
+        run = simulator.run(shots=ORACLE_SHOTS, rounds=ORACLE_ROUNDS)
+        rows.append([
+            run.mean_dlp,
+            run.lrcs_per_round,
+            run.false_positives_per_round,
+            run.false_negatives_per_round,
+            run.total_leakage_events / (ORACLE_SHOTS * ORACLE_ROUNDS),
+        ])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("scenario", sorted(ORACLE_SCENARIOS))
+def test_sparse_contract_matches_old_contract_statistically(scenario):
+    family, distance, policy, noise = ORACLE_SCENARIOS[scenario]
+    reference = _replicate_metrics(
+        _build(ReferenceLeakageSimulator, family, distance, policy, seed=101, noise=noise)
+    )
+    engine = _replicate_metrics(
+        _build(LeakageSimulator, family, distance, policy, seed=202, noise=noise)
+    )
+    spread = np.sqrt(
+        (reference.var(axis=0, ddof=1) + engine.var(axis=0, ddof=1)) / ORACLE_REPLICATES
+    )
+    z = (engine.mean(axis=0) - reference.mean(axis=0)) / spread
+    names = ("mean_dlp", "lrcs_per_round", "fp_per_round", "fn_per_round", "leak_events")
+    assert np.all(reference.mean(axis=0) > 0), dict(zip(names, reference.mean(axis=0)))
+    assert np.all(np.abs(z) < 4), dict(zip(names, np.round(z, 2)))
+
+
+# --------------------------------------------------------------------- #
+# Bit identity: compiled kernels vs the NumPy oracle path
+# --------------------------------------------------------------------- #
 @pytest.mark.parametrize("family,distance,policy,options", SCENARIOS)
 def test_optimized_matches_reference(family, distance, policy, options):
-    reference = _build(ReferenceLeakageSimulator, family, distance, policy, **options)
-    optimized = _build(LeakageSimulator, family, distance, policy, **options)
-    ref_result = reference.run(shots=48, rounds=6)
-    opt_result = optimized.run(shots=48, rounds=6)
-    assert_results_identical(ref_result, opt_result)
+    """The compiled kernels reproduce the NumPy oracle path bit for bit."""
+    compiled, interpreted = _both_paths(
+        lambda sim: sim.run(shots=48, rounds=6), family, distance, policy, **options
+    )
+    assert_results_identical(interpreted, compiled)
 
 
 @pytest.mark.parametrize("ckernels", ["0", "1"])
-def test_all_execution_modes_are_bit_identical(monkeypatch, ckernels):
-    """The C kernels never change a single bit."""
-    monkeypatch.setenv("REPRO_SIM_CKERNELS", ckernels)
-    reference = _build(
-        ReferenceLeakageSimulator, "surface", 3, "gladiator+m",
-        leakage_sampling=True, record_detectors=True,
-    )
-    optimized = _build(
-        LeakageSimulator, "surface", 3, "gladiator+m",
-        leakage_sampling=True, record_detectors=True,
-    )
-    assert_results_identical(
-        reference.run(shots=40, rounds=5), optimized.run(shots=40, rounds=5)
-    )
+def test_all_execution_modes_are_bit_identical(ckernels):
+    """Whichever path runs first, both paths agree on the run and leave the
+    Generator in the same state (half-word buffer included: leakage
+    sampling's ``integers`` call fills it before the draw source opens)."""
+    other = "1" if ckernels == "0" else "0"
+    outcomes = []
+    for value in (ckernels, other):
+        with _ckernels(value):
+            sim = _build(
+                LeakageSimulator, "surface", 3, "gladiator+m",
+                leakage_sampling=True, record_detectors=True,
+            )
+            outcomes.append((sim.run(shots=40, rounds=5), sim.rng.bit_generator.state))
+    (first, first_state), (second, second_state) = outcomes
+    assert_results_identical(first, second)
+    assert first_state == second_state
 
 
-def test_constant_draw_advance_preserves_uint32_buffer(monkeypatch):
-    """``advance`` resets PCG64's buffered half-word; the constant-draw fast
-    path must keep it (restore it on the NumPy path, never touch it in C),
-    or the next bounded ``integers`` call forks from the baseline stream
-    (observed as a rare, stream-position-dependent divergence in long runs)."""
-    from repro.sim.draws import DrawOp, DrawPlan, DrawSource
-
+def test_constant_draw_advance_preserves_uint32_buffer():
+    """Constant rows consume no output, and the source never touches
+    PCG64's buffered half-word: closing it leaves the Generator advanced by
+    exactly the outputs consumed, on both paths."""
     seed = next(
         s for s in range(100)
         if (lambda r: (r.integers(0, 3, size=7), r.bit_generator.state["has_uint32"])[1])(
             np.random.default_rng(s)
         )
     )
-    for ckernels in ("0", "1"):
-        monkeypatch.setenv("REPRO_SIM_CKERNELS", ckernels)
-        baseline = np.random.default_rng(seed)
-        optimized = np.random.default_rng(seed)
-        baseline.integers(0, 3, size=7)
-        optimized.integers(0, 3, size=7)
-        assert baseline.bit_generator.state["has_uint32"] == 1
-        baseline.random((5, 4))  # consumes 20 doubles, half-word buffer intact
-        plan = DrawPlan()
-        shape_id = plan.shape_id((5, 4))
-        plan.body = [DrawOp("bern", shape_id, threshold=1.5)]  # constant ones
-        source = DrawSource(optimized, plan)
-        source.start_round(False, False)
-        assert source.next().all()
-        source.close()
-        assert baseline.bit_generator.state == optimized.bit_generator.state
-        assert np.array_equal(
-            baseline.integers(0, 3, size=9), optimized.integers(0, 3, size=9)
-        )
+    for value in ("0", "1"):
+        with _ckernels(value):
+            expected = np.random.default_rng(seed)
+            drawn = np.random.default_rng(seed)
+            expected.integers(0, 3, size=7)
+            drawn.integers(0, 3, size=7)
+            assert drawn.bit_generator.state["has_uint32"] == 1
+            source = DrawSource(drawn)
+            assert source.mask(1.5, (5, 4)).all()  # constant ones
+            assert not source.mask(0.0, (5, 4)).any()  # constant zeros
+            source.mask(0.5, (5, 26))  # 130 fair bits: three outputs
+            source.close()
+            expected.bit_generator.random_raw(3)
+            assert drawn.bit_generator.state == expected.bit_generator.state
+            assert np.array_equal(expected.integers(0, 3, size=9), drawn.integers(0, 3, size=9))
 
 
 def test_long_run_after_warmup_stays_identical():
-    """Back-to-back runs shift the stream into positions where the buffered
-    half-word is pending at a constant-draw advance — the exact scenario
-    that forked the integer stream before the fix."""
-    reference = _build(ReferenceLeakageSimulator, "surface", 5, "gladiator+m",
-                       seed=202, leakage_sampling=True)
-    optimized = _build(LeakageSimulator, "surface", 5, "gladiator+m",
-                       seed=202, leakage_sampling=True)
-    assert_results_identical(
-        reference.run(shots=128, rounds=2), optimized.run(shots=128, rounds=2)
+    """Back-to-back runs continue one stream on both paths."""
+    def runs(sim):
+        return sim.run(shots=128, rounds=2), sim.run(shots=2000, rounds=12)
+
+    compiled, interpreted = _both_paths(
+        runs, "surface", 5, "gladiator+m", seed=202, leakage_sampling=True
     )
-    assert_results_identical(
-        reference.run(shots=2000, rounds=12), optimized.run(shots=2000, rounds=12)
+    for left, right in zip(interpreted, compiled):
+        assert_results_identical(left, right)
+
+
+def test_ckernels_skipped_when_disabled():
+    with _ckernels("0"):
+        from repro.sim import _ckernels as kernels
+
+        assert not kernels.available()
+        assert not DrawSource(np.random.default_rng(0)).compiled
+
+
+def test_shared_constant_masks_match_numpy_path():
+    """With ``p_leak = 0`` both gate-leak rows are constant: they consume
+    nothing, and the NumPy path hands out one shared read-only buffer for
+    them.  The compiled run must still equal the NumPy path bit for bit."""
+    noise = NoiseParams(p=4e-3, leakage_ratio=0.0, leakage_mobility=0.5)
+    compiled, interpreted = _both_paths(
+        lambda sim: sim.run(shots=64, rounds=8), "surface", 3, "gladiator+m",
+        seed=11, noise=noise, leakage_sampling=True, record_detectors=True,
     )
-
-
-def test_ckernels_skipped_when_disabled(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_CKERNELS", "0")
-    from repro.sim import _ckernels
-
-    assert not _ckernels.available()
-    sim = _build(LeakageSimulator, "surface", 3, "eraser")
-    assert not sim._use_ckernels
-
-
-def test_shared_constant_masks_match_numpy_path(monkeypatch):
-    """With ``p_leak = 0`` both gate-leak draws of a layer are the *same*
-    read-only constant buffer.  The layer kernel's pointers are
-    ``restrict``-qualified, which allows read-only aliasing between masks;
-    the compiled run must still equal the NumPy path bit for bit."""
-    from repro.sim.draws import DrawSource
-
-    def run(ckernels):
-        monkeypatch.setenv("REPRO_SIM_CKERNELS", ckernels)
-        sim = LeakageSimulator(
-            code=make_code("surface", 3),
-            noise=NoiseParams(p=4e-3, leakage_ratio=0.0, leakage_mobility=0.5),
-            policy=make_policy("gladiator+m"),
-            options=SimulatorOptions(leakage_sampling=True, record_detectors=True),
-            seed=11,
-        )
-        return sim, sim.run(shots=64, rounds=8)
-
-    sim, compiled = run("1")
-    _, interpreted = run("0")
     assert_results_identical(interpreted, compiled)
     assert compiled.total_leakage_events > 0  # transport by sampled leaks
 
-    plan = sim._build_draw_plan(4, 1)
-    # A layer block is (transport, 4 x rand, gate hit, Pauli pair 1..15, 2 x
-    # gate leak): locate the first one by its Pauli-pair draw.
-    pauli_pair = next(
-        i for i, op in enumerate(plan.body) if (op.kind, op.high) == ("randint", 16)
-    )
-    source = DrawSource(np.random.default_rng(0), plan)
-    source.start_round(False, False)
-    source.next_block(pauli_pair - 6)
-    masks = source.next_block(9)
-    assert masks[7] is masks[8] and not masks[7].flags.writeable
-    source.close()
+    with _ckernels("0"):
+        source = DrawSource(np.random.default_rng(0))
+        first, second = source.mask(0.0, (4, 6)), source.mask(0.0, (4, 6))
+        assert first is second and not first.flags.writeable
+        source.close()
 
 
 def test_layer_kernel_rejects_masks_aliasing_a_plane():
     from repro.sim import _ckernels
+    from repro.sim.draws import rate
 
     if not _ckernels.available():
         pytest.skip("compiled kernels unavailable")
     data_pack = np.zeros((4, 5), dtype=np.uint8)
     anc_pack = np.zeros((4, 4), dtype=np.uint8)
-    masks = [np.zeros((4, 2), dtype=np.uint8) for _ in range(9)]
-    masks[3] = data_pack.reshape(-1)[:8].reshape(4, 2)  # contiguous alias
+    rows = [np.zeros((4, 2), dtype=np.uint8) for _ in range(3)]
+    rows[1] = data_pack.reshape(-1)[:8].reshape(4, 2)  # contiguous alias
+    rates = np.stack([rate(p).record for p in (0.1, 0.1, 0.1)])
+    gen = _ckernels.load_pcg64(np.random.default_rng(0).bit_generator)
     with pytest.raises(AssertionError, match="aliases"):
         _ckernels.cnot_layer(
             data_pack, anc_pack, np.array([0, 1]), np.array([0, 1]),
-            np.zeros((4, 2), dtype=np.uint8), masks, np.zeros(2, dtype=np.int64),
+            np.zeros((4, 2), dtype=np.uint8), gen.ctypes.data, rates, tuple(rows),
+            np.zeros(2, dtype=np.int64),
         )
 
 
 def test_pattern_histograms_match_reference_loop():
-    """The bincount accounting reproduces the per-value Python loop exactly,
-    including explicit zero entries for unobserved patterns."""
-    optimized = _build(
-        LeakageSimulator, "color", 5, "gladiator+m", record_patterns=True,
-        leakage_sampling=True,
-    )
-    result = optimized.run(shots=32, rounds=5)
+    """The bincount accounting reproduces the frozen per-value Python loop
+    exactly on the same patterns, including explicit zero entries for
+    unobserved patterns."""
+    expected: dict = {}
 
-    # Recompute the expectation with the frozen per-value loop on a rerun of
-    # the reference simulator (identical stream -> identical patterns).
-    reference = _build(
-        ReferenceLeakageSimulator, "color", 5, "gladiator+m", record_patterns=True,
-        leakage_sampling=True,
-    )
-    ref_result = reference.run(shots=32, rounds=5)
-    assert result.pattern_histogram == ref_result.pattern_histogram
+    class Recording(LeakageSimulator):
+        def _record_patterns(self, pattern_ints, data_leaked, histogram):
+            super()._record_patterns(pattern_ints, data_leaked, histogram)
+            ReferenceLeakageSimulator._record_patterns(
+                self, pattern_ints.astype(np.int64), data_leaked, expected
+            )
+
+    result = _build(
+        Recording, "color", 5, "gladiator+m", record_patterns=True, leakage_sampling=True,
+    ).run(shots=32, rounds=5)
+    assert result.pattern_histogram == expected
     # Structure: every width bucket enumerates all 2**width values.
     code = make_code("color", 5)
     for width in set(code.pattern_widths):
@@ -220,23 +270,19 @@ def test_pattern_histograms_match_reference_loop():
 
 
 def test_no_state_leak_across_run_incremental_calls():
-    """A reused simulator's second run matches the reference's second run:
-    nothing persists across ``run_incremental`` calls except the RNG."""
-    reference = _build(ReferenceLeakageSimulator, "surface", 3, "gladiator+m",
-                       leakage_sampling=True)
-    optimized = _build(LeakageSimulator, "surface", 3, "gladiator+m",
-                       leakage_sampling=True)
-    assert_results_identical(
-        reference.run(shots=30, rounds=4), optimized.run(shots=30, rounds=4)
+    """A reused simulator's later runs match on both paths: nothing persists
+    across ``run_incremental`` calls except the RNG."""
+    def runs(sim):
+        # Second run continues the stream; the differently-shaped third
+        # run gets a fresh workspace with no stale buffers.
+        return [sim.run(shots=30, rounds=4), sim.run(shots=30, rounds=4),
+                sim.run(shots=17, rounds=3)]
+
+    compiled, interpreted = _both_paths(
+        runs, "surface", 3, "gladiator+m", leakage_sampling=True
     )
-    # Second run continues the same RNG stream on both sides.
-    assert_results_identical(
-        reference.run(shots=30, rounds=4), optimized.run(shots=30, rounds=4)
-    )
-    # Differently-shaped follow-up run: fresh workspace, no stale buffers.
-    assert_results_identical(
-        reference.run(shots=17, rounds=3), optimized.run(shots=17, rounds=3)
-    )
+    for left, right in zip(interpreted, compiled):
+        assert_results_identical(left, right)
 
 
 def test_yielded_detector_chunks_are_not_reused_buffers():
