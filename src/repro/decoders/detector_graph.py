@@ -6,9 +6,16 @@ final transversal data readout.  Edges correspond to single error mechanisms:
 
 * *space-like* edges join the (one or) two Z stabilizers flipped by an X
   error on a data qubit within one round; data qubits on the X boundary have
-  only one adjacent Z stabilizer and connect to the virtual boundary node,
+  only one adjacent Z stabilizer and connect to the virtual boundary node.
+  An X error that strikes a data qubit between its two stabilizers' CNOTs
+  (a gate fault mid-round) is seen by the later-slot stabilizer in this
+  round and by the earlier-slot one only in the next, so each such qubit
+  also gets a diagonal space-like edge across consecutive layers,
 * *time-like* edges join the same stabilizer in consecutive rounds
   (measurement errors).
+
+Without the diagonals a single gate fault costs two edges, and matching
+under gate noise loses about half the code distance.
 
 Every edge records whether the corresponding physical error flips the logical
 observable, so a matching can be converted into a logical-flip prediction.
@@ -161,8 +168,8 @@ class DetectorGraph:
             )
             chain_pairs[target] = True
         # Pairs also present as a regular two-stabilizer edge are dropped:
-        # that edge already exists with its own qubit's parity, and emitting
-        # a second copy would double the pair's weight in the sparse matrix.
+        # that edge already exists with its own qubit's parity, and a second
+        # copy would only be collapsed away by the edge lookup.
         return {
             pair: flips
             for pair, flips in chain_pairs.items()
@@ -223,13 +230,50 @@ class DetectorGraph:
                         kind="time",
                     )
                 )
+            for qubit, (early, late) in self._mid_round_pairs:
+                edges.append(
+                    GraphEdge(
+                        node_a=self.node_index(late, layer),
+                        node_b=self.node_index(early, layer + 1),
+                        weight=space_weight,
+                        flips_logical=qubit in logical_support,
+                        kind="space",
+                    )
+                )
         return edges
 
     @cached_property
+    def _mid_round_pairs(self) -> list[tuple[int, tuple[int, int]]]:
+        """``(qubit, (early, late))`` for every data qubit on two Z stabilizers.
+
+        ``early`` is the stabilizer whose CNOT on the qubit comes first in
+        the round; an X error between the two CNOTs fires ``late`` in this
+        round's layer and ``early`` in the next.
+        """
+        slot_of = {
+            (local, qubit): slot
+            for local, stab in enumerate(self._z_stabs)
+            for qubit, slot in zip(stab.data_support, stab.slots)
+        }
+        pairs = []
+        for qubit, stabs in self._data_to_z.items():
+            if len(stabs) == 2:
+                early, late = sorted(stabs, key=lambda local: slot_of[local, qubit])
+                pairs.append((qubit, (early, late)))
+        return pairs
+
+    @cached_property
     def sparse_weights(self) -> coo_matrix:
-        """Symmetric sparse weight matrix of the graph."""
+        """Symmetric sparse weight matrix of the graph.
+
+        Built from the collapsed :meth:`edge_between` lookup: parallel edges
+        (e.g. the two boundary qubits of a Z face on the X boundary) are
+        alternative single faults, so the pair costs the lighter edge.  The
+        COO constructor would otherwise sum them and price the pair as two
+        faults.
+        """
         rows, cols, vals = [], [], []
-        for edge in self.edges:
+        for edge in self._edge_lookup.values():
             rows.extend([edge.node_a, edge.node_b])
             cols.extend([edge.node_b, edge.node_a])
             vals.extend([edge.weight, edge.weight])

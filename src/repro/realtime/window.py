@@ -17,9 +17,9 @@ underlying decoder returns its correction as explicit graph edges
 
 * edges entirely below the commit boundary are finalised — their
   logical-flip parity is accumulated into the shot's running prediction,
-* the time-like edge crossing the boundary is committed too (time edges
-  never flip the logical) and leaves an artifact defect on the boundary
-  round,
+* an edge crossing the boundary (time-like, or a diagonal mid-round data
+  fault) is committed too, with its logical-flip parity, and leaves an
+  artifact defect on the boundary round,
 * everything above the boundary is discarded and re-decoded next window.
 
 When ``window_rounds >= rounds`` the first window is also the last: every
@@ -365,10 +365,11 @@ def _commit_edges(
 ) -> tuple[bool, list[int]]:
     """Split a correction into (committed logical parity, boundary artifacts).
 
-    Edges wholly below ``commit_layer`` commit; the time-like edge from layer
-    ``commit_layer - 1`` to ``commit_layer`` commits and deposits an artifact
-    defect at its upper endpoint; everything else is deferred.  Space and
-    boundary edges live inside a single layer, so only time edges can cross.
+    Edges wholly below ``commit_layer`` commit; an edge from layer
+    ``commit_layer - 1`` to ``commit_layer`` (time-like or diagonal) commits
+    and deposits an artifact defect at its upper endpoint; everything else is
+    deferred.  Boundary edges live inside a single layer and no edge spans
+    more than two, so nothing else can cross.
     """
     num_z = graph.num_z_stabs
     boundary_node = graph.boundary_node
@@ -382,12 +383,12 @@ def _commit_edges(
         if layer_b is None:
             layer_b = layer_a
         low, high = min(layer_a, layer_b), max(layer_a, layer_b)
-        if high < commit_layer:
-            edge = graph.edge_between(node_a, node_b)
-            if edge is not None and edge.flips_logical:
-                parity = not parity
-        elif low == commit_layer - 1 and high == commit_layer:
+        if high > commit_layer or low == commit_layer:
+            continue  # deferred: the next window re-decodes it
+        edge = graph.edge_between(node_a, node_b)
+        if edge is not None and edge.flips_logical:
+            parity = not parity
+        if high == commit_layer:
             upper = node_a if node_a // num_z == commit_layer else node_b
             artifacts.append(upper % num_z)
-        # low >= commit_layer: deferred, the next window re-decodes it.
     return parity, artifacts

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _ckernels
 
-__all__ = ["GAP_TABLE_MAX", "Rate", "rate", "DrawSource"]
+__all__ = ["GAP_TABLE_MAX", "Rate", "rate", "layer_rates", "DrawSource"]
 
 #: Longest gap table: at ``p = 1e-3`` a gap reaches past it 1.7% of the time
 #: (one extra output), and the table stays L2-resident.
@@ -102,6 +102,20 @@ def rate(probability: float) -> Rate:
         value = (value * keep) >> 64
     kind = _ckernels.RATE_GAPS if probability < 0.5 else _ckernels.RATE_GAPS_NOT
     return _rate(probability, kind, threshold, table)
+
+
+@lru_cache(maxsize=64)
+def layer_rates(
+    gate_error: float, p_leak: float, mobility: float
+) -> tuple[np.ndarray, tuple[Rate, ...]]:
+    """The gate-hit, gate-leak and transport rate records of an entangling
+    layer, stacked for :func:`~repro.sim._ckernels.cnot_layer`.
+
+    The :class:`Rate` objects come back (and stay cached) with the stack:
+    the records hold the raw addresses of their gap tables.
+    """
+    rates = (rate(gate_error), rate(p_leak), rate(mobility))
+    return np.stack([r.record for r in rates]), rates
 
 
 def _rate(probability: float, kind: int, threshold: int, table: list[int]) -> Rate:
@@ -168,9 +182,10 @@ class DrawSource:
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise TypeError("the draw contract is defined on PCG64 outputs")
         self.rng = rng
         use_c = _ckernels.available()
-        use_c = use_c and rng.bit_generator.state["bit_generator"] == "PCG64"
         self._gen = _ckernels.load_pcg64(rng.bit_generator) if use_c else None
         self.gen_address = self._gen.ctypes.data if self._gen is not None else 0
         self._stream = None if use_c else _RawStream(rng.bit_generator)

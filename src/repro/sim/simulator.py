@@ -41,7 +41,7 @@ from ..core.speculator import LeakagePolicy, SpeculationInput
 from ..noise import NoiseParams
 from ..obs.trace import Tracer, current_tracer
 from . import _ckernels
-from .draws import DrawSource, Rate, rate
+from .draws import DrawSource, layer_rates
 from .state import ChannelScratch, SimState
 from .workspace import RoundWorkspace
 
@@ -226,7 +226,6 @@ class LeakageSimulator:
         self._lrc_gate_error = self.gadget.gate_error(noise)
         self._lrc_induced_leak = self.gadget.induced_leakage(noise)
         self._round_tracer: Tracer | None = None
-        self._layer_rates_by_noise: dict[NoiseParams, tuple[np.ndarray, tuple[Rate, ...]]] = {}
         self._build_gather_structures()
 
     # ------------------------------------------------------------------ #
@@ -344,18 +343,6 @@ class LeakageSimulator:
             uses_mlr=self.policy.uses_mlr,
             emits_ancilla_lrc=self.policy.emits_ancilla_lrc,
         )
-
-    def _layer_rates(self, noise: NoiseParams) -> np.ndarray:
-        """The gate-hit, gate-leak and transport rate records of one round's
-        (flat) noise, stacked for :func:`~repro.sim._ckernels.cnot_layer`."""
-        entry = self._layer_rates_by_noise.get(noise)
-        if entry is None:
-            # The Rate objects stay referenced: the records hold the raw
-            # addresses of their gap tables.
-            rates = tuple(rate(p) for p in (noise.gate_error, noise.p_leak, noise.leakage_mobility))
-            entry = np.stack([r.record for r in rates]), rates
-            self._layer_rates_by_noise[noise] = entry
-        return entry[0]
 
     # ------------------------------------------------------------------ #
     # Phase instrumentation (sim.phase.* spans; tools/profile_sim.py)
@@ -703,10 +690,13 @@ class LeakageSimulator:
         assert is_z_full is not None  # allocated for every non-empty layer
 
         if source.compiled:
+            # ``_rates`` keeps the gap tables the records point at alive.
+            records, _rates = layer_rates(
+                noise.gate_error, noise.p_leak, noise.leakage_mobility
+            )
             _ckernels.cnot_layer(
                 ws.data_pack, ws.anc_pack, data_idx, anc_idx, is_z_full,
-                source.gen_address, self._layer_rates(noise),
-                (lw.m1, lw.m2, lw.m4), ws.layer_counts,
+                source.gen_address, records, (lw.m1, lw.m2, lw.m4), ws.layer_counts,
             )
             return int(ws.layer_counts[0]) + int(ws.layer_counts[1])
 

@@ -54,7 +54,9 @@ __all__ = [
 #: decoder-cache hit-rate and batch-dedup-ratio diagnostics.  v6: the
 #: simulator's sparse draw contract (:mod:`repro.sim.draws`) replaced the
 #: dense ``Generator.random`` schedule, so every simulated sample changed
-#: (statistically equivalent, see ``tools/contract_equivalence.py``).
+#: (statistically equivalent, see ``tools/contract_equivalence.py``), and
+#: the detector graph gained diagonal edges for mid-round data faults and
+#: stopped summing parallel edges, so decoded results changed too.
 ENGINE_VERSION = 6
 
 
