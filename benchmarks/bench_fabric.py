@@ -1,16 +1,16 @@
-"""Durable-fabric overhead: journaled execution vs the in-memory executor.
+"""Durable-store overhead: the on-disk job store vs the in-memory one.
 
-The ``repro.fabric`` contract is that durability is cheap: promoting every
-(unit, shard) task to a journaled job with leases, checkpoints and retry
-accounting must cost at most ``DURABLE_CEILING`` (1.25×) over the
-in-memory :class:`SweepExecutor` on the reference d=3 sweep grid.  This
-benchmark pins that contract, and re-asserts the house bit-identity
-invariant while it is at it: both executors share deterministic shard
-plans and seeds, so their rows must match bit-for-bit.
+The ``repro.fabric`` contract is that durability is cheap: journaling
+every (unit, shard) task to disk with leases and checkpoints must cost at
+most ``DURABLE_CEILING`` (1.25×) over the in-memory store on the reference
+d=3 sweep grid.  Both sides are the same :class:`SweepExecutor` and differ
+only in ``durable``.  This benchmark pins that contract, and re-asserts the
+house bit-identity invariant while it is at it: the store never changes
+the shard plans or seeds, so the rows must match bit-for-bit.
 
 Runs are interleaved and each side takes its min-of-N, which strips
-scheduler jitter; both sides run the same two-worker process pool so the
-race isolates the journal/lease overhead rather than pool mechanics.
+scheduler jitter; both sides run the same two-worker process pool and
+scheduling loop, so the race isolates the journal/lease overhead.
 Every durable repetition gets a fresh store (a resumed store would serve
 checkpoints and measure nothing).  Rows land in
 ``results/BENCH_fabric.json``.
@@ -24,12 +24,11 @@ import numpy as np
 
 from _common import emit, format_table, run_once, save
 
-from repro.fabric import FabricExecutor
 from repro.noise import paper_noise
 from repro.sweeps import SweepExecutor, WorkUnit
 
 #: The acceptance ceiling: durable execution stays within this factor of
-#: the in-memory executor on the reference grid.
+#: the in-memory store on the reference grid.
 DURABLE_CEILING = 1.25
 
 #: Interleaved repetitions per side; min-of-N strips scheduler jitter.
@@ -73,8 +72,8 @@ def _timed_durable(units):
     # checkpoints and measure nothing.
     root = tempfile.mkdtemp(prefix="bench_fabric_")
     try:
-        executor = FabricExecutor(
-            workers=WORKERS, cache=None, shard_shots=SHARD_SHOTS, root=root
+        executor = SweepExecutor(
+            workers=WORKERS, cache=None, shard_shots=SHARD_SHOTS, durable=True, root=root
         )
         started = time.perf_counter()
         rows = executor.run_units(units)
@@ -132,7 +131,7 @@ def test_durable_fabric_overhead(benchmark):
 
     rows = run_once(benchmark, workload)
     emit(
-        "Durable-fabric overhead: journaled execution vs in-memory executor",
+        "Durable-store overhead: on-disk vs in-memory job store",
         format_table(rows),
     )
     save(

@@ -218,16 +218,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # disk by default and --no-cache disables it (the library-level
     # Session.sweep default stays opt-in via REPRO_CACHE).
     cache = None if args.no_cache else SweepCache(default_cache_dir())
-    executor: Any
-    if config.execution.durable:
-        # The durable fabric: journaled tasks, leases, crash-safe resume.
-        # Re-running the same command after a crash resumes from the
-        # journal under .repro_cache/fabric/ and merges bit-identically.
-        from .fabric import FabricExecutor
-
-        executor = FabricExecutor(workers=config.execution.workers, cache=cache)
-    else:
-        executor = SweepExecutor(workers=config.execution.workers, cache=cache)
+    # Durable sweeps journal every shard under .repro_cache/fabric/:
+    # re-running the same command after a crash resumes from the journal
+    # and merges bit-identically.
+    executor = SweepExecutor(
+        workers=config.execution.workers, cache=cache, durable=config.execution.durable
+    )
 
     started = time.perf_counter()
     rows = session.sweep(axes, executor=executor)
@@ -249,7 +245,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{executor.shards_quarantined} quarantined]"
         )
     print(summary)
-    for unit, error in getattr(executor, "failed_units", []):
+    for unit, error in executor.failed_units:
         print(
             f"warning: unit {unit.family}/{unit.policy} degraded: "
             f"{error.strip().splitlines()[-1]}",

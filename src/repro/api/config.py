@@ -173,7 +173,9 @@ class ExecutionConfig:
     runs, on for undecoded ones.  ``decode_batch_size`` is the
     simulate-and-decode chunk size (part of the sweep cache key — the chunk
     plan fixes per-chunk RNG seeds); ``workers`` is the sweep process-pool
-    size (performance-only, key-exempt, ``None`` = ``REPRO_WORKERS``).
+    size (performance-only, key-exempt, ``None`` = ``REPRO_WORKERS``; the
+    shard plan never depends on it, and a unit within one shard runs as the
+    legacy single-seed run).
     ``telemetry`` activates the observability layer (``"1"``/``"on"`` for
     metrics only, any other string as the Chrome-trace output path); like
     ``workers`` it is observability-only — it never changes results and is
@@ -182,9 +184,10 @@ class ExecutionConfig:
     (``python -m repro serve``): shard count and the server-wide admission
     cap.  They describe a serving deployment, never an
     experiment — digest-exempt like the other perf knobs.  ``durable``
-    routes sweeps through the journaled :mod:`repro.fabric` executor
-    (checkpointed shards, worker leases, crash-safe resume); results are
-    bit-identical to the in-memory executor, so it too is digest-exempt.
+    keeps a sweep's task records in the on-disk :mod:`repro.fabric` job
+    store instead of memory (checkpointed shards, worker leases,
+    crash-safe resume).  It picks only the store — the shard plan, and so
+    every row, is the same either way — so it too is digest-exempt.
     """
 
     shots: int = 100

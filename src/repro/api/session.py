@@ -305,16 +305,11 @@ class Session:
             from ..sweeps.executor import SweepExecutor, cache_enabled
 
             cache = SweepCache(default_cache_dir()) if cache_enabled() else None
-            if self.config.execution.durable:
-                from ..fabric import FabricExecutor
-
-                executor = FabricExecutor(
-                    workers=self.config.execution.workers, cache=cache
-                )
-            else:
-                executor = SweepExecutor(
-                    workers=self.config.execution.workers, cache=cache
-                )
+            executor = SweepExecutor(
+                workers=self.config.execution.workers,
+                cache=cache,
+                durable=self.config.execution.durable,
+            )
         with self._telemetry():
             return executor.run_units(units)
 

@@ -10,8 +10,10 @@ engine: each (point, policy) combination becomes one
 :func:`~repro.sweeps.executor.default_executor`.  Two environment knobs
 change how that engine runs without touching any call site:
 
-* ``REPRO_WORKERS=N`` shards every unit's shot budget across ``N`` worker
-  processes (default ``1``: serial, bit-identical to the historical code).
+* ``REPRO_WORKERS=N`` runs every unit's shot shards on ``N`` worker
+  processes (default ``1``: in-process).  Rows never depend on ``N``; a
+  unit within one shard (at most 250 shots) is unchanged from the
+  historical code, while a larger unit is the merge of its shards.
 * ``REPRO_CACHE=1`` memoizes completed units under ``.repro_cache/`` so
   identical runs across the 20 benchmark scripts are not recomputed.
 

@@ -12,7 +12,9 @@ The spec is a comma-separated list of ``site=probability[:limit]`` terms::
 
 * ``crash`` — the worker process SIGKILLs itself (a *real* ``kill -9``,
   not an exception: the process pool breaks exactly as it would under an
-  OOM kill) before running its shard.
+  OOM kill) before running its shard.  A shard running inside the
+  scheduler process raises :class:`ChaosError` instead; the scheduler is
+  never killed.
 * ``stall`` — the worker sleeps for ``REPRO_CHAOS_STALL_S`` seconds
   (default 0.05) before running, long enough to expire short test leases.
 * ``flaky`` — the shard raises :class:`ChaosError`, a transient failure
@@ -88,10 +90,17 @@ class ChaosConfig:
             _OBS_INJECTED.inc()
             time.sleep(self.stall_seconds)
 
-    def maybe_crash(self, key: str, attempt: int) -> None:
-        """SIGKILL the current process — the real ``kill -9`` failure mode."""
+    def maybe_crash(self, key: str, attempt: int, kill: bool = True) -> None:
+        """SIGKILL the current process — the real ``kill -9`` failure mode.
+
+        ``kill=False`` is for a shard running inside the scheduler process,
+        which must survive: the crash becomes a raised :class:`ChaosError`,
+        so the attempt still fails and counts a strike.
+        """
         if self.should_inject("crash", key, attempt):
             _OBS_INJECTED.inc()
+            if not kill:
+                raise ChaosError(f"injected crash ({key} attempt {attempt})")
             os.kill(os.getpid(), signal.SIGKILL)
 
     def maybe_raise(self, key: str, attempt: int) -> None:

@@ -1,584 +1,22 @@
-"""The durable sweep executor: journaled tasks, leases, retries, resume.
+"""``FabricExecutor``: the sweep executor with the on-disk job store on.
 
-:class:`FabricExecutor` is a drop-in peer of
-:class:`~repro.sweeps.executor.SweepExecutor` — same ``run_units`` rows,
-same :class:`~repro.sweeps.cache.SweepCache` interop, same deterministic
-shard plans and seeds — but every (unit, shard) task is promoted to a
-durable job in a :class:`~repro.fabric.jobstore.JobStore` under the cache
-directory.  The differences only show up when something dies:
-
-* A worker process that is SIGKILLed mid-shard breaks the process pool;
-  the scheduler rebuilds the pool, counts a strike against the in-flight
-  tasks, and retries them under the
-  :class:`~repro.fabric.retry.RetryPolicy`'s backoff.
-* A scheduler that dies leaves journaled PENDING/LEASED records and DONE
-  checkpoints behind; re-running the same sweep attaches to the same
-  store, loads every checkpointed shard without recomputing it, lets the
-  dead scheduler's leases expire, and finishes the rest.
-* Multiple scheduler processes pointed at one store cooperate through
-  file-claim leases (:mod:`repro.fabric.lease`); because shards are
-  deterministic, even a duplicated shard merges to identical bytes.
-* A shard that fails ``max_attempts`` times is quarantined FAILED with
-  its traceback; the sweep completes and its unit degrades to an error
-  row instead of hanging the grid.
-
-The house invariant holds throughout: the shard plan and per-shard seeds
-are exactly :class:`SweepExecutor`'s, so a durable, resumed, crashed-and-
-recovered run merges bit-identical to the equivalent in-memory run (and,
-for units that fit in one shard, to ``workers=1``).
+There is one sweep executor, :class:`~repro.sweeps.executor.SweepExecutor`;
+its ``durable`` flag picks between the in-memory and the on-disk
+:class:`~repro.fabric.jobstore.JobStore`.  This subclass only flips that
+default, for callers that name the durable executor directly.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import multiprocessing
-import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
-from ..obs.metrics import METRICS
-from ..obs.trace import instant, span
-from ..sweeps.cache import SweepCache, default_cache_dir
-from ..sweeps.executor import (
-    DEFAULT_SHARD_SHOTS,
-    _worker_init,
-    default_workers,
-    plan_shards,
-    shard_seeds,
-)
-from ..sweeps.spec import SweepSpec
-from ..sweeps.units import (
-    ENGINE_VERSION,
-    WorkUnit,
-    apply_unit_labels,
-    merge_shards,
-    run_shard,
-    summarize_unit,
-    unit_key,
-)
-from .chaos import active_chaos
-from .jobstore import DONE, FAILED, LEASED, PENDING, JobStore, TaskSpec
-from .lease import LeaseManager
-from .retry import RetryPolicy, format_failure
+from ..sweeps.executor import FabricInterrupted, SweepExecutor, sweep_store_root
 
 __all__ = ["FabricExecutor", "FabricInterrupted", "sweep_store_root"]
 
-_OBS_COMPLETED = METRICS.counter(
-    "fabric.tasks.completed", "shard tasks executed to DONE by this process"
-)
-_OBS_CHECKPOINT = METRICS.counter(
-    "fabric.tasks.checkpoint_hits", "shards restored from journal checkpoints"
-)
-_OBS_RETRIED = METRICS.counter(
-    "fabric.tasks.retried", "shard attempts that failed and were re-queued"
-)
-_OBS_QUARANTINED = METRICS.counter(
-    "fabric.tasks.quarantined", "poison shards journaled FAILED after max strikes"
-)
-_OBS_POOL_REBUILDS = METRICS.counter(
-    "fabric.pool.rebuilds", "process pools rebuilt after a worker died"
-)
-_OBS_UNITS_FAILED = METRICS.counter(
-    "fabric.units.failed", "units degraded to error rows by quarantined shards"
-)
-_OBS_ADOPTED = METRICS.counter(
-    "fabric.tasks.adopted", "shards completed by a cooperating scheduler"
-)
 
+class FabricExecutor(SweepExecutor):
+    """:class:`SweepExecutor` with ``durable=True`` by default."""
 
-class FabricInterrupted(RuntimeError):
-    """A budget-bounded scheduling slice ran out before the sweep finished.
-
-    Raised by ``run_units(..., max_new_tasks=N)`` once N tasks completed
-    with open tasks remaining.  Everything completed so far is journaled
-    and checkpointed; re-running the same sweep resumes where this slice
-    stopped.  (Tests use this to simulate a scheduler crash without
-    killing the test process.)
-    """
-
-    def __init__(self, completed: int, open_tasks: int) -> None:
-        super().__init__(
-            f"fabric slice stopped after {completed} tasks with "
-            f"{open_tasks} still open; re-run to resume from the journal"
-        )
-        self.completed = completed
-        self.open_tasks = open_tasks
-
-
-def sweep_store_root(task_ids: Sequence[str], root: str | Path | None = None) -> Path:
-    """The store directory for one sweep: ``<root>/<digest of task ids>``.
-
-    Derived purely from the task identity set, so every scheduler process
-    that compiles the same units attaches to the same store — and a
-    different grid can never collide with it.
-    """
-    base = Path(root) if root is not None else default_cache_dir() / "fabric"
-    digest = hashlib.sha256(
-        json.dumps({"engine": ENGINE_VERSION, "tasks": sorted(task_ids)}).encode()
-    ).hexdigest()[:20]
-    return base / digest
-
-
-# --------------------------------------------------------------------- #
-# Worker side (runs in pool processes)
-# --------------------------------------------------------------------- #
-def _fabric_run_shard(
-    unit: WorkUnit, shots: int, seed: int, task_id: str, attempt: int
-) -> dict[str, Any]:
-    """Run one shard in a worker, passing through the chaos gauntlet first."""
-    chaos = active_chaos()
-    if chaos is not None:
-        chaos.maybe_stall(task_id, attempt)
-        chaos.maybe_crash(task_id, attempt)
-        chaos.maybe_raise(task_id, attempt)
-    return run_shard(unit, shots, seed)
-
-
-@dataclass(frozen=True)
-class _Task:
-    """One schedulable (unit, shard) job."""
-
-    spec: TaskSpec
-    unit: WorkUnit
-
-
-@dataclass(frozen=True)
-class _PendingUnit:
-    """A unit the cache could not satisfy, with its compiled tasks."""
-
-    index: int
-    unit: WorkUnit
-    key: str
-    task_ids: tuple[str, ...]
-
-
-class FabricExecutor:
-    """Durable peer of :class:`~repro.sweeps.executor.SweepExecutor`.
-
-    Parameters beyond the SweepExecutor trio (``workers`` / ``cache`` /
-    ``shard_shots``):
-
-    root:
-        Directory holding per-sweep job stores (default
-        ``<REPRO_CACHE_DIR>/fabric``).
-    retry:
-        The :class:`RetryPolicy` wrapped around shard execution.
-    lease_ttl:
-        Seconds a lease survives without a heartbeat; heartbeats fire at a
-        third of this.  Size it well above one shard's runtime.
-    owner:
-        Lease owner label (default ``host:pid``).
-    poll_interval:
-        Scheduler loop granularity in seconds.
-
-    Counter attributes mirror SweepExecutor's (``units_computed``,
-    ``units_from_cache``, ``shards_executed``) plus the durability set:
-    ``shards_from_checkpoint``, ``shards_retried``, ``shards_quarantined``,
-    ``shards_adopted``, ``pool_rebuilds`` and the ``failed_units`` list of
-    ``(unit, error)`` rows that degraded.
-    """
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        cache: SweepCache | str | Path | None = None,
-        shard_shots: int = DEFAULT_SHARD_SHOTS,
-        *,
-        root: str | Path | None = None,
-        retry: RetryPolicy | None = None,
-        lease_ttl: float = 30.0,
-        owner: str | None = None,
-        poll_interval: float = 0.05,
-    ) -> None:
-        self.workers = default_workers() if workers is None else max(1, int(workers))
-        if cache is None:
-            self.cache: SweepCache | None = None
-        elif isinstance(cache, SweepCache):
-            self.cache = cache
-        else:
-            self.cache = SweepCache(cache)
-        self.shard_shots = int(shard_shots)
-        self.root = Path(root) if root is not None else None
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.lease_ttl = float(lease_ttl)
-        self.owner = owner
-        self.poll_interval = float(poll_interval)
-
-        self.units_computed = 0
-        self.units_from_cache = 0
-        self.shards_executed = 0
-        self.shards_from_checkpoint = 0
-        self.shards_retried = 0
-        self.shards_quarantined = 0
-        self.shards_adopted = 0
-        self.pool_rebuilds = 0
-        self.failed_units: list[tuple[WorkUnit, str]] = []
-
-    # ------------------------------------------------------------------ #
-    # Entry points (SweepExecutor-compatible)
-    # ------------------------------------------------------------------ #
-    def run(self, spec: SweepSpec) -> list[dict[str, Any]]:
-        """Compile a spec and execute it durably; one summary row per unit."""
-        return self.run_units(spec.units())
-
-    def shard_plan(self, unit: WorkUnit) -> list[tuple[int, int]]:
-        """(shots, seed) per shard — identical to SweepExecutor's plan.
-
-        Single-shard units keep their base seed (the legacy ``workers=1``
-        stream), multi-shard units derive seeds from the unit's content
-        hash; either way the plan never depends on worker count, lease
-        timing, crashes or resume, which is what makes durable runs merge
-        bit-identical to in-memory ones.
-        """
-        sizes = plan_shards(unit.shots, self.shard_shots)
-        if len(sizes) == 1:
-            return [(sizes[0], unit.seed)]
-        return list(zip(sizes, shard_seeds(unit, len(sizes))))
-
-    def run_units(
-        self,
-        units: Sequence[WorkUnit],
-        *,
-        max_new_tasks: int | None = None,
-    ) -> list[dict[str, Any]]:
-        """Execute units durably; rows come back in input order.
-
-        ``max_new_tasks`` bounds how many shard tasks this call may
-        execute before raising :class:`FabricInterrupted` (checkpointing
-        everything it did finish) — an operator's budgeted slice, and the
-        test suite's simulated scheduler crash.
-        """
-        rows: list[dict[str, Any] | None] = [None] * len(units)
-        pending: list[_PendingUnit] = []
-        tasks: list[_Task] = []
-        for index, unit in enumerate(units):
-            plan = self.shard_plan(unit)
-            key = unit_key(unit, tuple(shots for shots, _ in plan))
-            cached = self.cache.get(key) if self.cache is not None else None
-            if cached is not None:
-                self.units_from_cache += 1
-                instant("fabric.unit.cache_hit", family=unit.family, policy=unit.policy)
-                rows[index] = apply_unit_labels(unit, cached)
-                continue
-            task_ids = []
-            for shard_index, (shots, seed) in enumerate(plan):
-                task_id = f"{key[:20]}-{shard_index:03d}"
-                task_ids.append(task_id)
-                tasks.append(
-                    _Task(TaskSpec(task_id, index, shard_index, shots, seed), unit)
-                )
-            pending.append(_PendingUnit(index, unit, key, tuple(task_ids)))
-
-        if not pending:
-            return rows  # type: ignore[return-value]
-
-        store = JobStore(sweep_store_root([t.spec.task_id for t in tasks], self.root))
-        store.attach(
-            {
-                "engine": ENGINE_VERSION,
-                "tasks": {
-                    t.spec.task_id: {"shots": t.spec.shots, "seed": t.spec.seed}
-                    for t in tasks
-                },
-            }
-        )
-        with span(
-            "fabric.run", tasks=len(tasks), units=len(pending), workers=self.workers
-        ):
-            results, failures = self._drive(store, tasks, max_new_tasks)
-
-        for entry in pending:
-            errors = [
-                failures[task_id] for task_id in entry.task_ids if task_id in failures
-            ]
-            if errors:
-                self.failed_units.append((entry.unit, errors[0]))
-                _OBS_UNITS_FAILED.inc()
-                rows[entry.index] = apply_unit_labels(
-                    entry.unit,
-                    {
-                        "error": errors[0].strip().splitlines()[-1],
-                        "failed_shards": len(errors),
-                        "policy": entry.unit.policy,
-                        "shots": entry.unit.shots,
-                    },
-                )
-                continue
-            payloads = [results[task_id] for task_id in entry.task_ids]
-            row = summarize_unit(
-                entry.unit, merge_shards(entry.unit, payloads), apply_labels=False
-            )
-            if self.cache is not None:
-                self.cache.put(entry.key, row)
-            self.units_computed += 1
-            rows[entry.index] = apply_unit_labels(entry.unit, row)
-        return rows  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------ #
-    # The scheduling loop
-    # ------------------------------------------------------------------ #
-    def _drive(
-        self,
-        store: JobStore,
-        tasks: list[_Task],
-        max_new_tasks: int | None,
-    ) -> tuple[dict[str, dict[str, Any]], dict[str, str]]:
-        """Drive every task to DONE/FAILED; returns (payloads, errors)."""
-        lease = LeaseManager(store, owner=self.owner, ttl=self.lease_ttl)
-        by_id = {task.spec.task_id: task for task in tasks}
-        results: dict[str, dict[str, Any]] = {}
-        failures: dict[str, str] = {}
-        attempts: dict[str, int] = {}
-        next_try: dict[str, float] = {}
-
-        # Bootstrap from the journal: adopt checkpoints, honour quarantines.
-        for task in tasks:
-            task_id = task.spec.task_id
-            record = store.load_task(task_id)
-            if record is None:
-                record = task.spec.fresh_record()
-                store.write_task(record)
-            attempts[task_id] = int(record.get("attempts", 0))
-            if record["state"] == FAILED:
-                failures[task_id] = str(record.get("error") or "failed")
-                continue
-            # A readable checkpoint is adopted whatever the record says:
-            # checkpoints are written once, atomically, and self-validate,
-            # so even a scheduler killed between its result write and the
-            # DONE transition leaves nothing to recompute.
-            payload = store.load_result(task_id)
-            if payload is not None:
-                results[task_id] = payload
-                self.shards_from_checkpoint += 1
-                _OBS_CHECKPOINT.inc()
-            elif record["state"] == DONE:
-                # DONE record without a readable checkpoint (torn write,
-                # quarantined file): recompute the shard.
-                store.write_task({**record, "state": PENDING})
-
-        if len(results) + len(failures) == len(tasks):
-            return results, failures
-
-        completed_new = 0
-        inflight: dict[Future, _Task] = {}
-        pool = self._new_pool(len(tasks))
-        last_heartbeat = time.time()
-        try:
-            while len(results) + len(failures) < len(tasks):
-                now = time.time()
-                budget_open = (
-                    max_new_tasks is None
-                    or completed_new + len(inflight) < max_new_tasks
-                )
-                # ---------------- submissions / remote adoption ---------- #
-                inflight_ids = {task.spec.task_id for task in inflight.values()}
-                for task in tasks:
-                    task_id = task.spec.task_id
-                    if (
-                        task_id in results
-                        or task_id in failures
-                        or task_id in inflight_ids
-                    ):
-                        continue
-                    holder = lease.peek(task_id)
-                    if (
-                        holder is not None
-                        and holder.owner != lease.owner
-                        and not holder.expired(now)
-                    ):
-                        # A cooperating scheduler is on it; adopt its outcome
-                        # if it already journaled one.
-                        record = store.load_task(task_id)
-                        if record is not None and record["state"] == DONE:
-                            payload = store.load_result(task_id)
-                            if payload is not None:
-                                results[task_id] = payload
-                                self.shards_adopted += 1
-                                _OBS_ADOPTED.inc()
-                        elif record is not None and record["state"] == FAILED:
-                            failures[task_id] = str(record.get("error") or "failed")
-                        continue
-                    record = store.load_task(task_id)
-                    if record is not None and record["state"] == DONE:
-                        payload = store.load_result(task_id)
-                        if payload is not None:
-                            results[task_id] = payload
-                            self.shards_adopted += 1
-                            _OBS_ADOPTED.inc()
-                            continue
-                        store.write_task({**record, "state": PENDING})
-                    elif record is not None and record["state"] == FAILED:
-                        failures[task_id] = str(record.get("error") or "failed")
-                        continue
-                    if next_try.get(task_id, 0.0) > now or not budget_open:
-                        continue
-                    if not lease.try_acquire(task_id):
-                        continue
-                    store.write_task(
-                        {
-                            **(record or task.spec.fresh_record()),
-                            "state": LEASED,
-                            "owner": lease.owner,
-                            "attempts": attempts[task_id],
-                        }
-                    )
-                    try:
-                        future = pool.submit(
-                            _fabric_run_shard,
-                            task.unit,
-                            task.spec.shots,
-                            task.spec.seed,
-                            task_id,
-                            attempts[task_id],
-                        )
-                    except BrokenProcessPool:
-                        # A worker died between loop passes; rebuild and let
-                        # the next pass re-submit (no strike — the shard
-                        # never ran).
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = self._new_pool(len(tasks))
-                        self.pool_rebuilds += 1
-                        _OBS_POOL_REBUILDS.inc()
-                        lease.release(task_id)
-                        break
-                    inflight[future] = task
-                    inflight_ids.add(task_id)
-                    budget_open = (
-                        max_new_tasks is None
-                        or completed_new + len(inflight) < max_new_tasks
-                    )
-
-                if not inflight:
-                    open_ids = [
-                        t.spec.task_id
-                        for t in tasks
-                        if t.spec.task_id not in results
-                        and t.spec.task_id not in failures
-                    ]
-                    if not open_ids:
-                        break
-                    if max_new_tasks is not None and completed_new >= max_new_tasks:
-                        raise FabricInterrupted(completed_new, len(open_ids))
-                    time.sleep(self.poll_interval)
-                    continue
-
-                # ---------------- completions ---------------------------- #
-                done, _ = wait(
-                    set(inflight), timeout=self.poll_interval,
-                    return_when=FIRST_COMPLETED,
-                )
-                pool_broken = False
-                for future in done:
-                    task = inflight.pop(future)
-                    task_id = task.spec.task_id
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool as exc:
-                        pool_broken = True
-                        self._record_failure(
-                            store, lease, task, exc, attempts, next_try, failures
-                        )
-                    except (CancelledError, Exception) as exc:  # noqa: BLE001 —
-                        # every shard failure (including a future cancelled by
-                        # a dying pool) is journaled, retried or quarantined.
-                        self._record_failure(
-                            store, lease, task, exc, attempts, next_try, failures
-                        )
-                    else:
-                        store.write_result(task_id, payload)
-                        store.write_task(
-                            {
-                                **task.spec.fresh_record(),
-                                "state": DONE,
-                                "owner": lease.owner,
-                                "attempts": attempts[task_id],
-                            }
-                        )
-                        lease.release(task_id)
-                        results[task_id] = payload
-                        completed_new += 1
-                        self.shards_executed += 1
-                        _OBS_COMPLETED.inc()
-                if pool_broken:
-                    # A worker died (SIGKILL/OOM): the pool is unusable.
-                    # Remaining in-flight futures resolve exceptionally on
-                    # their own; build a fresh pool for the retries.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = self._new_pool(len(tasks))
-                    self.pool_rebuilds += 1
-                    _OBS_POOL_REBUILDS.inc()
-                    instant("fabric.pool.rebuilt")
-
-                # ---------------- heartbeats ----------------------------- #
-                if time.time() - last_heartbeat >= self.lease_ttl / 3.0:
-                    for task in inflight.values():
-                        lease.renew(task.spec.task_id)
-                    last_heartbeat = time.time()
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return results, failures
-
-    def _record_failure(
-        self,
-        store: JobStore,
-        lease: LeaseManager,
-        task: _Task,
-        exc: BaseException,
-        attempts: dict[str, int],
-        next_try: dict[str, float],
-        failures: dict[str, str],
-    ) -> None:
-        """One strike against a shard: re-queue with backoff or quarantine."""
-        task_id = task.spec.task_id
-        attempts[task_id] += 1
-        if self.retry.exhausted(attempts[task_id]):
-            error = format_failure(exc)
-            store.write_task(
-                {
-                    **task.spec.fresh_record(),
-                    "state": FAILED,
-                    "attempts": attempts[task_id],
-                    "error": error,
-                }
-            )
-            failures[task_id] = error
-            self.shards_quarantined += 1
-            _OBS_QUARANTINED.inc()
-            instant("fabric.task.quarantined", task=task_id)
-        else:
-            store.write_task(
-                {
-                    **task.spec.fresh_record(),
-                    "state": PENDING,
-                    "attempts": attempts[task_id],
-                }
-            )
-            next_try[task_id] = time.time() + self.retry.delay(
-                task_id, attempts[task_id]
-            )
-            self.shards_retried += 1
-            _OBS_RETRIED.inc()
-            instant("fabric.task.retried", task=task_id, attempts=attempts[task_id])
-        lease.release(task_id)
-
-    def _new_pool(self, open_tasks: int) -> ProcessPoolExecutor:
-        src_path = str(Path(__file__).resolve().parent.parent.parent)
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
-        return ProcessPoolExecutor(
-            max_workers=min(self.workers, max(open_tasks, 1)),
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(src_path,),
-        )
+    def __init__(self, *args: Any, durable: bool = True, **kwargs: Any) -> None:
+        super().__init__(*args, durable=durable, **kwargs)

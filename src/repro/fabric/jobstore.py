@@ -9,14 +9,15 @@ under the cache directory::
         results/<task_id>.json # shard payload checkpoint, written once
         leases/<task_id>.json  # worker lease (see repro.fabric.lease)
 
-Every write follows the crash-safe discipline: serialise to a temp file in
-the same directory, flush + ``fsync``, then ``os.replace`` onto the final
-path — a reader never observes a partially written record, no matter when
-the writer dies.  Reads are correspondingly paranoid: a record that fails
-to parse (torn by a non-atomic writer, truncated by the chaos harness, or
-half a file from a dying disk) is *quarantined* to ``<name>.corrupt`` and
-reported as absent, so the scheduler re-queues the task instead of
-crashing or trusting garbage.
+Every write follows the crash-safe discipline of :mod:`repro.io.atomic`:
+serialise to a temp file in the same directory, flush + ``fsync``, then
+``os.replace`` onto the final path — a reader never observes a partially
+written record, no matter when the writer dies.  Reads are
+correspondingly paranoid: a record that fails to parse (torn by a
+non-atomic writer, truncated by the chaos harness, or half a file from a
+dying disk) is *quarantined* to ``<name>.corrupt`` and reported as absent,
+so the scheduler re-queues the task instead of crashing or trusting
+garbage.
 
 Shard payloads contain NumPy arrays whose bit-exact round-trip the merge
 invariant depends on, so arrays are encoded as ``{"__ndarray__": ...}``
@@ -28,14 +29,13 @@ from __future__ import annotations
 
 import base64
 import json
-import os
-import threading
 import time
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from ..io.atomic import atomic_write_bytes, quarantine
 from ..obs.metrics import METRICS
 from .chaos import active_chaos
 
@@ -49,14 +49,14 @@ __all__ = [
     "FAILED",
     "encode_payload",
     "decode_payload",
-    "atomic_write_bytes",
 ]
 
 SCHEMA = "repro.fabric/v1"
 TASK_SCHEMA = "repro.fabric.task/v1"
 
-#: Task journal states.  PENDING -> LEASED -> DONE | FAILED; a LEASED task
-#: whose lease expires is PENDING again in the eyes of every scheduler.
+#: Task journal states.  PENDING -> LEASED -> DONE | FAILED; a task with no
+#: record yet is PENDING, and a LEASED task whose lease expires is PENDING
+#: again in the eyes of every scheduler.
 PENDING = "PENDING"
 LEASED = "LEASED"
 DONE = "DONE"
@@ -100,48 +100,6 @@ def decode_payload(value: Any) -> Any:
     if isinstance(value, list):
         return [decode_payload(v) for v in value]
     return value
-
-
-# --------------------------------------------------------------------- #
-# Crash-safe file primitives
-# --------------------------------------------------------------------- #
-def atomic_write_bytes(path: Path, data: bytes, *, chaos_key: str | None = None,
-                       chaos_sequence: int = 0) -> None:
-    """Write-temp + fsync + atomic rename; optionally torn by chaos.
-
-    When the chaos harness injects a torn write, the truncated bytes land
-    directly at the destination (simulating a power cut on a non-atomic
-    filesystem) — the caller believes the write succeeded, and only a
-    later *reader* discovers the damage.  That is exactly the failure the
-    quarantine path exists for.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if chaos_key is not None:
-        chaos = active_chaos()
-        if chaos is not None:
-            torn = chaos.torn_write(chaos_key, chaos_sequence, data)
-            if torn is not None:
-                path.write_bytes(torn)
-                return
-    # Pid + thread id: cooperating schedulers may be threads of one
-    # process, and two writers of the same record must never share a temp.
-    tmp = path.with_name(
-        f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
-    )
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
-def _quarantine(path: Path) -> None:
-    """Move a corrupt journal file aside (never delete evidence)."""
-    try:
-        path.replace(Path(f"{path}.corrupt"))
-    except OSError:
-        pass
-    _OBS_CORRUPT.inc()
 
 
 # --------------------------------------------------------------------- #
@@ -227,8 +185,7 @@ class JobStore:
         if record is None:
             return None
         if record.get("schema") != TASK_SCHEMA or record.get("state") not in STATES:
-            self.corrupt += 1
-            _quarantine(self.task_path(task_id))
+            self._quarantine(self.task_path(task_id))
             return None
         return record
 
@@ -258,8 +215,7 @@ class JobStore:
         if body is None:
             return None
         if body.get("task") != task_id or "payload" not in body:
-            self.corrupt += 1
-            _quarantine(self.result_path(task_id))
+            self._quarantine(self.result_path(task_id))
             return None
         return decode_payload(body["payload"])
 
@@ -276,18 +232,30 @@ class JobStore:
             if not isinstance(payload, dict):
                 raise ValueError("journal payload is not an object")
         except (ValueError, json.JSONDecodeError):
-            self.corrupt += 1
-            _quarantine(path)
+            self._quarantine(path)
             return None
         return payload
+
+    def _quarantine(self, path: Path) -> None:
+        quarantine(path)
+        self.corrupt += 1
+        _OBS_CORRUPT.inc()
 
     def _write_json(self, path: Path, payload: dict[str, Any],
                     chaos_key: str | None) -> None:
         data = json.dumps(payload, sort_keys=True).encode()
         self.writes += 1
-        sequence = 0
         if chaos_key is not None:
             sequence = self._sequences.get(chaos_key, 0)
             self._sequences[chaos_key] = sequence + 1
-        atomic_write_bytes(path, data, chaos_key=chaos_key,
-                           chaos_sequence=sequence)
+            chaos = active_chaos()
+            torn = None if chaos is None else chaos.torn_write(chaos_key, sequence, data)
+            if torn is not None:
+                # The truncated bytes land directly at the destination, as
+                # after a power cut on a non-atomic filesystem: the writer
+                # believes it succeeded, and only a later reader discovers
+                # the damage — the failure quarantine exists for.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(torn)
+                return
+        atomic_write_bytes(path, data)

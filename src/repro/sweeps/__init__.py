@@ -4,9 +4,11 @@ This package is the scaling layer between the experiment harness and the
 simulator.  A sweep is declared as a :class:`SweepSpec` grid (code family x
 distance x noise point x policy), compiled into independent
 :class:`WorkUnit` jobs, and executed by a :class:`SweepExecutor` that shards
-each unit's shot budget across a ``multiprocessing`` pool with
-deterministic per-shard seeding and memoizes finished units on disk
-(:class:`SweepCache`, ``.repro_cache/`` by default).
+each unit's shot budget with deterministic per-shard seeding, runs the
+shards on a process pool (or in-process with one worker), retries failed
+shards, and memoizes finished units on disk (:class:`SweepCache`,
+``.repro_cache/`` by default).  ``SweepExecutor(durable=True)`` keeps the
+task records in the on-disk job store of :mod:`repro.fabric` instead.
 
 The legacy serial entry points (:func:`repro.experiments.compare_policies`
 and friends) are thin wrappers over this engine, so setting

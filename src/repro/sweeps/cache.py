@@ -9,23 +9,24 @@ instead of re-simulating; the 20 benchmark scripts share many identical
 (point, policy) runs, which is exactly the duplication this eliminates.
 
 The cache is deliberately dumb: one JSON file per unit, no locking beyond
-an fsynced atomic rename on write (concurrent writers of the same key
-produce the same bytes).  A corrupt or truncated entry — e.g. after power
-loss on a filesystem without ordered journaling — is quarantined to
-``<key>.json.corrupt`` and treated as a miss, so one bad file can never
-wedge a sweep or mask itself as a persistent error.
+an fsynced atomic rename on write (:mod:`repro.io.atomic`; concurrent
+writers of the same key produce the same bytes).  A corrupt or truncated
+entry — e.g. after power loss on a filesystem without ordered
+journaling — is quarantined to ``<key>.json.corrupt`` and treated as a
+miss, so one bad file can never wedge a sweep or mask itself as a
+persistent error.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from ..io.atomic import atomic_write_bytes, quarantine
 from ..io.results import _jsonable
 from ..obs.metrics import METRICS
 from .units import ENGINE_VERSION
@@ -62,17 +63,6 @@ class SweepCache:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def _quarantine(self, path: Path) -> None:
-        """Move an unparseable entry aside so the next run re-simulates it."""
-        try:
-            path.replace(Path(f"{path}.corrupt"))
-        except OSError:
-            # Lost a race with another reader, or the file vanished; either
-            # way the entry is gone and the miss path handles it.
-            pass
-        self.corrupt += 1
-        _OBS_CORRUPT.inc()
-
     def get(self, key: str) -> dict[str, Any] | None:
         """Return the cached summary row for ``key``, or None on a miss."""
         path = self._path(key)
@@ -87,8 +77,11 @@ class SweepCache:
                 raise ValueError("cache entry is not a summary payload")
         except (json.JSONDecodeError, ValueError):
             # A file that exists but does not parse is damage (torn write,
-            # disk corruption), not a plain miss: quarantine it.
-            self._quarantine(path)
+            # disk corruption), not a plain miss: quarantine it so the next
+            # run re-simulates the unit.
+            quarantine(path)
+            self.corrupt += 1
+            _OBS_CORRUPT.inc()
             self.misses += 1
             return None
         if payload.get("engine") != ENGINE_VERSION:
@@ -103,17 +96,8 @@ class SweepCache:
 
     def put(self, key: str, row: dict[str, Any]) -> None:
         """Persist one summary row; atomic so readers never see partial JSON."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(key)
         payload = {"engine": ENGINE_VERSION, "key": key, "row": _jsonable(row)}
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True))
-            handle.flush()
-            # fsync before the rename: otherwise a crash can leave the
-            # rename durable but the contents empty, i.e. a corrupt entry.
-            os.fsync(handle.fileno())
-        tmp.replace(path)
+        atomic_write_bytes(self._path(key), json.dumps(payload, sort_keys=True).encode())
         self.stores += 1
 
     def clear(self) -> int:

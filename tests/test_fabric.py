@@ -9,6 +9,7 @@ and poison quarantine, and the deterministic chaos harness itself.
 
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -60,6 +61,90 @@ def _unit(**overrides):
     return WorkUnit(**defaults)
 
 
+#: The scheduler configurations every fault test runs under: pool-backed
+#: durable and in-memory stores, and the in-memory store with its shards
+#: running inside the scheduler process.
+SCHEDULERS = pytest.mark.parametrize(
+    "durable, workers",
+    [(True, 2), (False, 2), (False, 1)],
+    ids=["durable", "memory", "inline"],
+)
+
+
+def _group_alive(pgid):
+    """Whether any process other than a zombie is left in a process group.
+
+    Signals reach zombies too, and a killed orphan stays one until its new
+    parent reaps it; it holds no resources, so it does not count.
+    """
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    if not Path("/proc").is_dir():
+        return True
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _ppid, group = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except (OSError, ValueError):
+            continue
+        if int(group) == pgid and state != "Z":
+            return True
+    return False
+
+
+def _kill_group(process):
+    """SIGKILL a process started with ``start_new_session=True`` together
+    with every process it forked, reap it, and wait until the group is gone."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(timeout=30)
+    deadline = time.time() + 10
+    while _group_alive(process.pid):
+        assert time.time() < deadline, f"process group {process.pid} survived SIGKILL"
+        time.sleep(0.05)
+
+
+def _run_isolated(tmp_path, units, chaos, timeout=60, **executor_kwargs):
+    """``SweepExecutor(**executor_kwargs).run_units(units)`` in a fresh
+    process group under ``REPRO_CHAOS=chaos``; returns (rows, executor
+    attributes).  A scheduler that hangs fails the test after ``timeout``
+    seconds instead of wedging the suite, and a chaos crash that hits the
+    scheduler itself fails it instead of killing the test process."""
+    job, out = tmp_path / "job.pkl", tmp_path / "out.pkl"
+    job.write_bytes(pickle.dumps((units, executor_kwargs)))
+    script = tmp_path / "isolated.py"
+    script.write_text(
+        textwrap.dedent(
+            f"""
+            import pickle
+            from repro.sweeps import SweepExecutor
+
+            with open({str(job)!r}, "rb") as handle:
+                units, kwargs = pickle.load(handle)
+            executor = SweepExecutor(**kwargs)
+            rows = executor.run_units(units)
+            with open({str(out)!r}, "wb") as handle:
+                pickle.dump((rows, vars(executor)), handle)
+            """
+        )
+    )
+    env = {**os.environ, "PYTHONPATH": SRC, "REPRO_CHAOS": chaos}
+    process = subprocess.Popen(
+        [sys.executable, str(script)], env=env, start_new_session=True
+    )
+    try:
+        returncode = process.wait(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"sweep still running after {timeout} s under REPRO_CHAOS={chaos}")
+    finally:
+        _kill_group(process)
+    assert returncode == 0
+    return pickle.loads(out.read_bytes())
+
+
 def _assert_rows_equal(actual, expected):
     assert len(actual) == len(expected)
     for row, reference in zip(actual, expected):
@@ -93,6 +178,24 @@ def test_multi_shard_units_bit_identical_to_inmemory_sharding(tmp_path):
     )
     _assert_rows_equal(fabric.run_units([unit]), sharded)
     assert fabric.shards_executed == 3
+
+
+def test_rows_independent_of_workers_and_store(tmp_path):
+    """One multi-shard unit, three ways: in-memory in-process (workers=1),
+    in-memory on a pool (workers=2) and durable (workers=1).  The shard plan
+    is the same every time, so the rows are bit-identical."""
+    unit = _unit(shots=600)
+    executors = [
+        SweepExecutor(workers=1, cache=None, shard_shots=250),
+        SweepExecutor(workers=2, cache=None, shard_shots=250),
+        FabricExecutor(
+            workers=1, cache=None, shard_shots=250, root=tmp_path / "fabric"
+        ),
+    ]
+    inline, pooled, durable = (e.run_units([unit]) for e in executors)
+    _assert_rows_equal(inline, pooled)
+    _assert_rows_equal(durable, pooled)
+    assert [e.shards_executed for e in executors] == [3, 3, 3]
 
 
 def test_fabric_shares_cache_entries_with_sweep_executor(tmp_path):
@@ -165,7 +268,11 @@ def test_sigkilled_scheduler_resumes_bit_identical(tmp_path):
         "REPRO_CHAOS": "stall=1",
         "REPRO_CHAOS_STALL_S": "0.25",
     }
-    victim = subprocess.Popen([sys.executable, str(script)], env=env)
+    # Its own session, so one killpg takes the scheduler and its pool
+    # worker; the worker must not outlive the test as an orphan.
+    victim = subprocess.Popen(
+        [sys.executable, str(script)], env=env, start_new_session=True
+    )
     try:
         deadline = time.time() + 30
         while time.time() < deadline:
@@ -173,9 +280,9 @@ def test_sigkilled_scheduler_resumes_bit_identical(tmp_path):
                 break
             time.sleep(0.02)
         assert list(root.glob("*/results/*.json")), "no checkpoint ever appeared"
-        os.kill(victim.pid, signal.SIGKILL)
     finally:
-        victim.wait(timeout=30)
+        _kill_group(victim)
+    assert not _group_alive(victim.pid)
 
     resumed = FabricExecutor(workers=1, cache=None, root=root, lease_ttl=0.5)
     _assert_rows_equal(resumed.run_units(units), reference)
@@ -186,31 +293,56 @@ def test_sigkilled_scheduler_resumes_bit_identical(tmp_path):
 # --------------------------------------------------------------------- #
 # Chaos: worker SIGKILL, flaky shards, torn journals, poison quarantine
 # --------------------------------------------------------------------- #
-def test_sigkilled_workers_retried_bit_identical(tmp_path, monkeypatch):
+@pytest.mark.parametrize("durable", [True, False], ids=["durable", "memory"])
+def test_sigkilled_workers_retried_bit_identical(tmp_path, durable):
     """crash=1:1 SIGKILLs every task's first attempt (a real kill -9 that
-    breaks the pool); retries must recover and merge bit-identically."""
+    breaks the pool); retries must recover and merge bit-identically,
+    whichever store holds the tasks."""
     units = [_unit(seed=seed) for seed in (5, 6)]
     reference = SweepExecutor(workers=1, cache=None).run_units(units)
-    monkeypatch.setenv("REPRO_CHAOS", "crash=1:1")
-    fabric = FabricExecutor(
+    rows, fabric = _run_isolated(
+        tmp_path,
+        units,
+        "crash=1:1",
         workers=2,
         cache=None,
+        durable=durable,
         root=tmp_path / "fabric",
         retry=RetryPolicy(max_attempts=5, base_delay=0.01, max_delay=0.05),
     )
-    _assert_rows_equal(fabric.run_units(units), reference)
-    assert fabric.pool_rebuilds >= 1
-    assert fabric.shards_retried >= 2
-    assert fabric.shards_quarantined == 0
+    _assert_rows_equal(rows, reference)
+    assert fabric["pool_rebuilds"] >= 1
+    assert fabric["shards_retried"] >= 2
+    assert fabric["shards_quarantined"] == 0
 
 
-def test_flaky_shards_absorbed_by_retry(tmp_path, monkeypatch):
+def test_inline_crash_never_kills_the_scheduler(tmp_path):
+    """A shard running inside the scheduler process turns a chaos crash into
+    a failed attempt: the sweep completes and the units degrade to error
+    rows after max_attempts strikes."""
+    units = [_unit(seed=seed) for seed in (5, 6)]
+    rows, fabric = _run_isolated(
+        tmp_path,
+        units,
+        "crash=1",
+        workers=1,
+        cache=None,
+        retry=RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.02),
+    )
+    assert all("injected crash" in row["error"] for row in rows)
+    assert fabric["shards_quarantined"] == 2
+    assert fabric["pool_rebuilds"] == 0
+
+
+@SCHEDULERS
+def test_flaky_shards_absorbed_by_retry(tmp_path, monkeypatch, durable, workers):
     units = [_unit(seed=seed) for seed in (5, 6)]
     reference = SweepExecutor(workers=1, cache=None).run_units(units)
     monkeypatch.setenv("REPRO_CHAOS", "flaky=1:2")
-    fabric = FabricExecutor(
-        workers=2,
+    fabric = SweepExecutor(
+        workers=workers,
         cache=None,
+        durable=durable,
         root=tmp_path / "fabric",
         retry=RetryPolicy(max_attempts=5, base_delay=0.01, max_delay=0.05),
     )
@@ -220,15 +352,19 @@ def test_flaky_shards_absorbed_by_retry(tmp_path, monkeypatch):
     assert fabric.shards_executed == 2
 
 
-def test_poison_shards_quarantined_and_sweep_degrades(tmp_path, monkeypatch):
+@SCHEDULERS
+def test_poison_shards_quarantined_and_sweep_degrades(
+    tmp_path, monkeypatch, durable, workers
+):
     """A shard that fails every attempt must not hang the grid: the task is
     journaled FAILED with its traceback and the unit degrades to an error
     row while the sweep still completes."""
     units = [_unit(seed=seed) for seed in (5, 6)]
     monkeypatch.setenv("REPRO_CHAOS", "flaky=1")
-    fabric = FabricExecutor(
-        workers=2,
+    fabric = SweepExecutor(
+        workers=workers,
         cache=None,
+        durable=durable,
         root=tmp_path / "fabric",
         retry=RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.02),
     )
@@ -239,6 +375,8 @@ def test_poison_shards_quarantined_and_sweep_degrades(tmp_path, monkeypatch):
         assert row["failed_shards"] == 1
     assert fabric.shards_quarantined == 2
     assert len(fabric.failed_units) == 2
+    if not durable:
+        return
     # The quarantine is durable: a FAILED record survives with a traceback.
     store_dir = next((tmp_path / "fabric").iterdir())
     store = JobStore(store_dir)

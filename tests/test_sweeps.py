@@ -254,6 +254,29 @@ def test_cache_quarantine_does_not_block_rewrite(tmp_path):
     assert cache.hits == 1
 
 
+def test_cache_reads_and_writes_the_established_entry_format(tmp_path):
+    """Entries already on disk keep hitting: an entry in the established
+    format (sorted-key JSON of engine, key and row) loads, and put() writes
+    exactly those bytes."""
+    from repro.sweeps.units import ENGINE_VERSION
+
+    key = unit_key(_unit())
+    row = {"ler": 0.125, "policy": "eraser+M", "dlp_per_round": [0.0, 0.5]}
+    established = json.dumps(
+        {"engine": ENGINE_VERSION, "key": key, "row": row}, sort_keys=True
+    )
+    path = tmp_path / f"{key}.json"
+    path.write_text(established, encoding="utf-8")
+    loaded = SweepCache(tmp_path).get(key)
+    assert loaded["ler"] == 0.125 and loaded["policy"] == "eraser+M"
+    assert np.array_equal(loaded["dlp_per_round"], [0.0, 0.5])
+
+    path.unlink()
+    SweepCache(tmp_path).put(key, {**row, "dlp_per_round": np.array([0.0, 0.5])})
+    assert path.read_bytes() == established.encode()
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_cache_stale_engine_is_plain_miss_not_corruption(tmp_path):
     """Old-engine entries are valid files — a miss, never quarantined."""
     cache = SweepCache(tmp_path)
