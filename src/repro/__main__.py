@@ -7,8 +7,9 @@ declarative :class:`~repro.api.config.ExperimentConfig`:
   noise presets) and sweep preset, straight from the registries;
 * ``run`` — one offline (or, with ``execution.window_rounds``, sliding-window
   realtime) experiment;
-* ``sweep`` — either a named preset (the legacy ``python -m repro.sweeps``
-  workloads) or a config-driven grid via repeated ``--axis``;
+* ``sweep`` — either a named preset (``python -m repro sweep smoke``; the
+  presets are printed by ``list``) or a config-driven grid via repeated
+  ``--axis``;
 * ``realtime`` — N concurrent simulator streams through the decode service;
 * ``serve`` — the network decode server (``repro.serve``): sharded workers
   behind a TCP frame protocol (optionally a websocket gateway), e.g.::
@@ -32,9 +33,8 @@ Override values parse as JSON (``--set execution.shots=500`` is an int,
 ``--set execution.window_rounds=null`` clears a field) and fall back to
 plain strings, so ``--set policy.name=gladiator+m`` also works.
 
-The legacy entry points ``python -m repro.sweeps`` and
-``python -m repro.realtime`` keep working but emit a one-time
-``DeprecationWarning`` pointing here.
+``sweep`` memoizes finished units under ``REPRO_CACHE_DIR`` (default
+``.repro_cache``); ``--no-cache`` forces recomputation.
 """
 
 from __future__ import annotations
@@ -169,6 +169,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .io import ResultRecord, format_table, results_dir, save_records
+    from .sweeps.cache import SweepCache
+    from .sweeps.executor import SweepExecutor
+
+    # The CLI caches to disk by default and --no-cache disables it (the
+    # library-level Session.sweep default stays opt-in via REPRO_CACHE).
+    cache = None if args.no_cache else SweepCache()
     if args.preset is not None:
         if args.config or args.overrides or args.axes:
             print(
@@ -184,60 +191,54 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             return 2
         from .obs import resolve_telemetry, telemetry_scope
-        from .sweeps.__main__ import run as run_named_sweep
+        from .sweeps.registry import build_sweep
 
-        forwarded: list[str] = [args.preset]
-        if args.workers is not None:
-            forwarded += ["--workers", str(args.workers)]
-        if args.no_cache:
-            forwarded.append("--no-cache")
-        if args.out is not None:
-            forwarded += ["--out", args.out]
-        if args.results_dir is not None:
-            forwarded += ["--results-dir", args.results_dir]
+        spec = build_sweep(args.preset)
+        name = spec.name
+        parameters: dict[str, Any] = {
+            "sweep": spec.name,
+            "shots": spec.shots,
+            "seed": spec.seed,
+        }
+        executor = SweepExecutor(workers=args.workers, cache=cache)
+        started = time.perf_counter()
         # Named presets bypass Session, so the scope is opened here.
         with telemetry_scope(
             resolve_telemetry(None, args.trace),
             manifest_extra={"sweep_preset": args.preset},
         ):
-            return run_named_sweep(forwarded)
+            rows = executor.run(spec)
+    else:
+        from .api.session import Session
 
-    from .api.session import Session
-    from .io import ResultRecord, format_table, results_dir, save_records
-    from .sweeps.cache import SweepCache, default_cache_dir
-    from .sweeps.executor import SweepExecutor
-
-    config = _load_config(args)
-    if args.workers is not None:
-        config = config.override("execution.workers", args.workers)
-    if args.distributed:
-        config = config.override("execution.durable", True)
-    session = Session.from_config(config)
-    axes = _parse_axes(args.axes or [])
-    # Same memoization behaviour as the preset branch: the CLI caches to
-    # disk by default and --no-cache disables it (the library-level
-    # Session.sweep default stays opt-in via REPRO_CACHE).
-    cache = None if args.no_cache else SweepCache(default_cache_dir())
-    # Durable sweeps journal every shard under .repro_cache/fabric/:
-    # re-running the same command after a crash resumes from the journal
-    # and merges bit-identically.
-    executor = SweepExecutor(
-        workers=config.execution.workers, cache=cache, durable=config.execution.durable
-    )
-
-    started = time.perf_counter()
-    rows = session.sweep(axes, executor=executor)
+        config = _load_config(args)
+        if args.workers is not None:
+            config = config.override("execution.workers", args.workers)
+        if args.distributed:
+            config = config.override("execution.durable", True)
+        session = Session.from_config(config)
+        axes = _parse_axes(args.axes or [])
+        name = config.name
+        parameters = {"config": config.to_dict(), "axes": axes}
+        # Durable sweeps journal every shard under .repro_cache/fabric/:
+        # re-running the same command after a crash resumes from the journal
+        # and merges bit-identically.
+        executor = SweepExecutor(
+            workers=config.execution.workers, cache=cache, durable=config.execution.durable
+        )
+        started = time.perf_counter()
+        rows = session.sweep(axes, executor=executor)
     elapsed = time.perf_counter() - started
 
     display = [
         {k: v for k, v in row.items() if not hasattr(v, "shape")} for row in rows
     ]
-    print(format_table(display, title=config.name))
+    print(format_table(display, title=name))
     summary = (
         f"{len(rows)} rows in {elapsed:.2f}s "
         f"({executor.units_computed} computed, {executor.units_from_cache} cached)"
     )
-    if config.execution.durable:
+    if executor.durable:
         summary += (
             f" [durable: {executor.shards_executed} shards run, "
             f"{executor.shards_from_checkpoint} from checkpoints, "
@@ -254,13 +255,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     out = args.out
     if out is None:
-        out = results_dir(args.results_dir) / f"sweep_{config.name}.json"
+        out = results_dir(args.results_dir) / f"sweep_{name}.json"
     records = [
-        ResultRecord(
-            experiment=f"sweep_{config.name}",
-            parameters={"config": config.to_dict(), "axes": axes},
-            metrics=row,
-        )
+        ResultRecord(experiment=f"sweep_{name}", parameters=parameters, metrics=row)
         for row in rows
     ]
     path = save_records(records, out)

@@ -249,8 +249,10 @@ class Session:
         """Decode ``streams`` live simulator streams through the decode service.
 
         Each stream simulates the configured experiment with seed
-        ``execution.seed + 101 * stream_index`` (the convention of the
-        legacy realtime CLI) and is window-decoded concurrently; requires
+        ``execution.seed + 101 * stream_index`` and is window-decoded
+        concurrently: this thread pushes each stream's rounds into the
+        decode service as the simulator produces them (see
+        :meth:`~repro.realtime.service.DecodeService.run`).  Requires
         ``execution.window_rounds``.
         """
         execution = self.config.execution

@@ -33,7 +33,7 @@ Quick start::
     for report in reports:
         print(report.summary())
 
-``python -m repro.realtime`` drives the same pipeline from the command line.
+``python -m repro realtime`` drives the same pipeline from the command line.
 """
 
 from .accounting import LatencyRecorder, StreamReport, WindowTiming

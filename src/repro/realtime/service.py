@@ -1,13 +1,14 @@
 """A batched decode service multiplexing many syndrome streams.
 
 One logical qubit produces one syndrome stream; a control system serves
-many.  :class:`DecodeService` models that shape in software: a scheduler
-loop round-robins over the attached streams pulling one round chunk at a
-time (the multiplexer), window-decode jobs are pushed onto a *bounded*
-queue, and a pool of worker threads drains it.  When the queue is full the
-scheduler blocks — backpressure — so buffered-but-undecoded syndrome data
-stays bounded no matter how many streams are attached, exactly the
-guarantee a real-time decoder has to make.
+many.  :class:`DecodeService` models that shape in software: round chunks
+are pushed into per-stream :class:`StreamHandle` objects, a scheduler loop
+round-robins over the attached streams feeding those chunks into their
+window sessions (the multiplexer), window-decode jobs are pushed onto a
+*bounded* queue, and a pool of worker threads drains it.  When the queue is
+full the scheduler blocks — backpressure — so buffered-but-undecoded
+syndrome data stays bounded no matter how many streams are attached,
+exactly the guarantee a real-time decoder has to make.
 
 Per-stream ordering is preserved by keeping at most one job per stream in
 flight (window ``k+1`` depends on the artifacts window ``k`` committed);
@@ -16,18 +17,18 @@ stream gets a :class:`~repro.realtime.accounting.LatencyRecorder`, and the
 final :class:`StreamReport` prices the measured latencies against the
 microarchitecture cost model's round cadence.
 
-Two front doors share this machinery:
+Streams enter through one path, :meth:`DecodeService.open_stream`: it
+returns a :class:`StreamHandle` that syndrome rounds are *pushed* into, on a
+persistent pool that serves many handles concurrently and is shut down by
+:meth:`DecodeService.close` (idempotent, safe to call from several threads,
+and raceless against streams closing mid-window).  Two producers use it:
 
-* :meth:`DecodeService.run` — the batch entry point: hand it a list of
-  :class:`~repro.realtime.stream.SyndromeStream` sources and it decodes
-  them all to completion on an ephemeral thread pool (started for the
+* the :mod:`repro.serve` network front end, pushing rounds as they arrive
+  off the wire;
+* :meth:`DecodeService.run`, the batch entry point: the calling thread draws
+  each :class:`~repro.realtime.stream.SyndromeStream` source's chunks and
+  pushes them through handles on an ephemeral thread pool (started for the
   call, fully joined before it returns).
-* :meth:`DecodeService.open_stream` — the online entry point used by the
-  :mod:`repro.serve` network front end: it returns a :class:`StreamHandle`
-  that syndrome rounds are *pushed* into as they arrive off the wire, on a
-  persistent pool that serves many handles concurrently and is shut down
-  by :meth:`DecodeService.close` (idempotent, safe to call from several
-  threads, and raceless against streams closing mid-window).
 
 With ``coalesce=True`` the scheduler merges windows that become ready on
 the same pass across streams with equal decoder identity
@@ -114,10 +115,9 @@ class ServiceObserver:
 class _StreamTask:
     """Mutable per-stream state shared between the scheduler and workers.
 
-    ``mode`` is ``"pull"`` (a :class:`SyndromeStream` the scheduler drains)
-    or ``"push"`` (rounds arrive through a :class:`StreamHandle` into the
-    ``pending`` deque).  Either way the session only ever advances on the
-    scheduler thread and decodes on a worker thread, never concurrently.
+    Rounds arrive through a :class:`StreamHandle` into the ``pending``
+    deque.  The session only ever advances on the scheduler thread and
+    decodes on a worker thread, never concurrently.
     """
 
     def __init__(
@@ -126,12 +126,9 @@ class _StreamTask:
         windowed: WindowedDecoder,
         shots: int,
         rounds: int,
-        stream: SyndromeStream | None = None,
         label: str | None = None,
     ):
         self.stream_id = stream_id
-        self.stream = stream
-        self.mode = "pull" if stream is not None else "push"
         self.label = label
         self.shots = int(shots)
         self.rounds = int(rounds)
@@ -140,8 +137,6 @@ class _StreamTask:
         )
         self.recorder = LatencyRecorder()
         self.session = windowed.session(self.shots, self.recorder)
-        self.chunk_iter = stream.chunks() if stream is not None else None
-        self.exhausted = False
         self.pending: deque[RoundChunk] = deque()
         self.rounds_submitted = 0
         self.final_chunk: FinalChunk | None = None
@@ -158,16 +153,9 @@ class _StreamTask:
         self._coalesce_key: tuple | None = None
         self._started = time.perf_counter()
 
-    def pull_chunk(self) -> None:
-        """Feed the session one more round chunk (scheduler thread only)."""
-        try:
-            self.session.feed(next(self.chunk_iter))
-        except StopIteration:
-            self.exhausted = True
-
     def complete(self) -> None:
         """Decode the tail window and close out the stream (worker thread)."""
-        final = self.stream.final() if self.stream is not None else self.final_chunk
+        final = self.final_chunk
         assert final is not None
         self.predictions = self.session.finish(final)
         if final.observable_flips is not None:
@@ -403,7 +391,6 @@ class DecodeService:
         self._threads: list[threading.Thread] = []
         self._scheduler: threading.Thread | None = None
         self._started = False
-        self._persistent = False
         self._stopping = False
         self._closed = False
         self._terminated = threading.Event()
@@ -446,10 +433,18 @@ class DecodeService:
         )
 
     # ------------------------------------------------------------------ #
-    # Public API — batch mode
+    # Public API
     # ------------------------------------------------------------------ #
     def run(self, streams: Sequence[SyndromeStream]) -> list[StreamReport]:
         """Decode every stream to completion; returns one report per stream.
+
+        The calling thread opens one :class:`StreamHandle` per stream and
+        pushes each source's chunks through it, then its final readout.  A
+        stream is drawn from only while it is fewer than
+        ``effective_window + 2`` rounds ahead of its committed rounds, so
+        the rounds buffered per stream stay bounded however fast its source
+        is.  A source that raises fails its own stream only; the first
+        stream error, in stream order, is raised once every stream is done.
 
         When the service is not already :meth:`start`-ed, the thread pool
         is created for this call and fully joined before it returns — no
@@ -459,8 +454,7 @@ class DecodeService:
             return []
         if self._closed:
             raise ServiceClosed("decode service is closed")
-        tasks = []
-        for index, stream in enumerate(streams):
+        for stream in streams:
             code = getattr(stream, "code", None)
             noise = getattr(stream, "noise", None)
             if code is None or noise is None:
@@ -469,42 +463,38 @@ class DecodeService:
                     "noise (e.g. SimulatorStream, or ReplayStream with code= "
                     "and noise= set)"
                 )
-            tasks.append(
-                _StreamTask(
-                    index,
-                    self._windowed_for(code, noise, stream.rounds),
-                    shots=stream.shots,
-                    rounds=stream.rounds,
-                    stream=stream,
-                )
-            )
         ephemeral = not self._started
         if ephemeral:
-            self._start_threads(min(self.workers, len(tasks)))
-        with self._wake:
-            self._tasks.extend(tasks)
-            self._wake.notify_all()
+            self._start_threads(min(self.workers, len(streams)))
+        handles: list[StreamHandle] = []
         try:
-            with self._wake:
-                while not all(task.finished for task in tasks):
-                    self._wake.wait(_POLL_SECONDS)
+            for stream in streams:
+                handles.append(
+                    self._open(
+                        code=stream.code,
+                        noise=stream.noise,
+                        shots=stream.shots,
+                        rounds=stream.rounds,
+                    )
+                )
+            self._drive(streams, handles)
+        except BaseException:
+            for handle in handles:
+                handle.abort()
+            raise
         finally:
             if ephemeral:
                 self._stop_threads()
-        for task in tasks:
-            if task.error is not None:
-                raise task.error
-        return [task.report() for task in tasks]
+        for handle in handles:
+            if handle.error is not None:
+                raise handle.error
+        return [handle.report() for handle in handles]
 
-    # ------------------------------------------------------------------ #
-    # Public API — online (push) mode
-    # ------------------------------------------------------------------ #
     def start(self) -> None:
         """Start the persistent scheduler/worker pool (idempotent)."""
         with self._wake:
             if self._closed:
                 raise ServiceClosed("decode service is closed")
-            self._persistent = True
         if not self._started:
             self._start_threads(self.workers)
 
@@ -527,32 +517,18 @@ class DecodeService:
         syndrome cache is always the shared service-wide one, so every
         tenant's decode work serves every other compatible tenant.
         """
-        if shots <= 0 or rounds <= 0:
-            raise ValueError("shots and rounds must be positive")
         self.start()
-        windowed = self._windowed_for(
-            code,
-            noise,
-            rounds,
+        return self._open(
+            code=code,
+            noise=noise,
+            shots=shots,
+            rounds=rounds,
+            label=label,
             window_rounds=window_rounds,
             commit_rounds=commit_rounds,
             method=method,
             strategy=strategy,
         )
-        with self._wake:
-            if self._closed:
-                raise ServiceClosed("decode service is closed")
-            task = _StreamTask(
-                self._next_stream_id,
-                windowed,
-                shots=shots,
-                rounds=rounds,
-                label=label,
-            )
-            self._next_stream_id += 1
-            self._tasks.append(task)
-            self._wake.notify_all()
-        return StreamHandle(self, task)
 
     def close(self, drain: bool = True, timeout: float | None = None) -> None:
         """Shut the service down.  Idempotent and safe from any thread.
@@ -621,6 +597,98 @@ class DecodeService:
     # ------------------------------------------------------------------ #
     # Scheduler / worker internals
     # ------------------------------------------------------------------ #
+    def _open(
+        self,
+        *,
+        code,
+        noise,
+        shots: int,
+        rounds: int,
+        label: str | None = None,
+        window_rounds: int | None = None,
+        commit_rounds: int | None = None,
+        method: str | None = None,
+        strategy: str | None = None,
+    ) -> StreamHandle:
+        """Attach a push-mode stream to the running pool."""
+        if shots <= 0 or rounds <= 0:
+            raise ValueError("shots and rounds must be positive")
+        windowed = self._windowed_for(
+            code,
+            noise,
+            rounds,
+            window_rounds=window_rounds,
+            commit_rounds=commit_rounds,
+            method=method,
+            strategy=strategy,
+        )
+        with self._wake:
+            if self._closed:
+                raise ServiceClosed("decode service is closed")
+            task = _StreamTask(
+                self._next_stream_id,
+                windowed,
+                shots=shots,
+                rounds=rounds,
+                label=label,
+            )
+            self._next_stream_id += 1
+            self._tasks.append(task)
+            self._wake.notify_all()
+        return StreamHandle(self, task)
+
+    def _drive(
+        self, streams: Sequence[SyndromeStream], handles: list[StreamHandle]
+    ) -> None:
+        """Push every source through its handle, then wait for the decodes.
+
+        Runs on the caller's thread.  Each pass feeds one chunk (or the
+        final readout) to every stream with room; when none has room the
+        driver sleeps until a worker commits a window or retires a stream.
+        """
+        live = {
+            index: (stream, iter(stream.chunks()), handle)
+            for index, (stream, handle) in enumerate(zip(streams, handles))
+        }
+
+        def due(task: _StreamTask) -> bool:
+            """Retired (drop it) or few enough rounds ahead to feed one more."""
+            session = task.session
+            bound = session.start + session.windowed.effective_window + 2
+            return task.finished or task.rounds_submitted < bound
+
+        while live:
+            with self._wake:
+                self._wake.wait_for(
+                    lambda: any(due(h._task) for _, _, h in live.values())
+                )
+                ready = [i for i, (_, _, h) in live.items() if due(h._task)]
+            for index in ready:
+                stream, chunks, handle = live[index]
+                if handle._task.finished or not self._feed_next(stream, chunks, handle):
+                    del live[index]
+        for handle in handles:
+            handle.wait()
+
+    def _feed_next(self, stream: SyndromeStream, chunks, handle: StreamHandle) -> bool:
+        """Push the source's next chunk; ``False`` once nothing more is fed."""
+        try:
+            chunk = next(chunks, None)
+            if chunk is None:
+                final = stream.final()
+                handle.finish(final.final_detectors, final.observable_flips)
+                return False
+            handle.feed_round(chunk.detectors)
+            return True
+        except BaseException as exc:  # the source failed: fail its stream only
+            task = handle._task
+            with self._wake:
+                if not task.finished:
+                    task.error = exc
+                    task.aborted = True
+                    self._wake.notify_all()
+            return False
+
     def _windowed_for(
         self,
         code,
@@ -683,7 +751,7 @@ class DecodeService:
         self._started = False
 
     def _schedule_loop(self) -> None:
-        """Round-robin multiplexer: pull/drain chunks, schedule ready windows."""
+        """Round-robin multiplexer: drain pushed chunks, schedule ready windows."""
         while True:
             with self._wake:
                 self._tasks = [t for t in self._tasks if not t.finished]
@@ -744,14 +812,6 @@ class DecodeService:
         session = task.session
         if session.ready():
             ready.append(task)
-            return True
-        if task.mode == "pull":
-            if not task.exhausted:
-                task.pull_chunk()
-                if session.ready():
-                    ready.append(task)
-                return True
-            self._enqueue("final", (task,))
             return True
         progressed = False
         while (

@@ -13,7 +13,7 @@ task records in the on-disk job store of :mod:`repro.fabric` instead.
 The legacy serial entry points (:func:`repro.experiments.compare_policies`
 and friends) are thin wrappers over this engine, so setting
 ``REPRO_WORKERS=4`` parallelises every benchmark script without further
-changes; ``python -m repro.sweeps`` runs the named presets directly.
+changes; ``python -m repro sweep <name>`` runs the named presets directly.
 
 Quick start::
 

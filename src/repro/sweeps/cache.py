@@ -99,12 +99,3 @@ class SweepCache:
         payload = {"engine": ENGINE_VERSION, "key": key, "row": _jsonable(row)}
         atomic_write_bytes(self._path(key), json.dumps(payload, sort_keys=True).encode())
         self.stores += 1
-
-    def clear(self) -> int:
-        """Delete every cache entry; return the number of files removed."""
-        removed = 0
-        if self.root.is_dir():
-            for entry in self.root.glob("*.json"):
-                entry.unlink(missing_ok=True)
-                removed += 1
-        return removed

@@ -1,4 +1,4 @@
-"""Named sweep presets runnable from the ``python -m repro.sweeps`` CLI.
+"""Named sweep presets runnable as ``python -m repro sweep <name>``.
 
 Each preset is a factory taking the active :class:`ScaleConfig` (the
 ``REPRO_SCALE`` knob) and returning a :class:`SweepSpec`.  The presets mirror

@@ -1,13 +1,11 @@
-"""Tests of the unified `python -m repro` CLI and the legacy CLI shims."""
+"""Tests of the unified `python -m repro` CLI."""
 
 import json
-import warnings
 
 import pytest
 
 from repro.__main__ import main
 from repro.api import ExperimentConfig
-from repro.api._deprecation import reset as reset_deprecations
 
 SMALL_EXECUTION = {"shots": 10, "rounds": 4, "seed": 3}
 
@@ -163,38 +161,3 @@ def test_realtime_rejects_non_positive_streams(capsys, config_file):
 def test_no_subcommand_prints_help(capsys):
     assert main([]) == 2
     assert "list" in capsys.readouterr().out
-
-
-# --------------------------------------------------------------------- #
-# Deprecation shims: legacy CLIs keep working, warn exactly once
-# --------------------------------------------------------------------- #
-def test_legacy_sweeps_cli_warns_exactly_once(tmp_path, monkeypatch):
-    from repro.sweeps.__main__ import main as sweeps_main
-
-    monkeypatch.setenv("REPRO_SCALE", "smoke")
-    reset_deprecations()
-    argv = ["smoke", "--no-cache", "--out", str(tmp_path / "s1.json")]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert sweeps_main(argv) == 0
-        assert sweeps_main(["smoke", "--no-cache", "--out", str(tmp_path / "s2.json")]) == 0
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "python -m repro sweep" in str(deprecations[0].message)
-
-
-def test_legacy_realtime_cli_warns_exactly_once(tmp_path):
-    from repro.realtime.__main__ import main as realtime_main
-
-    reset_deprecations()
-    argv = [
-        "--streams", "1", "--shots", "3", "--rounds", "6", "--window", "4",
-        "--workers", "1", "--out", str(tmp_path / "r.json"),
-    ]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert realtime_main(argv) == 0
-        assert realtime_main(argv) == 0
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "python -m repro realtime" in str(deprecations[0].message)

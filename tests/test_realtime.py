@@ -18,6 +18,7 @@ from repro.realtime import (
     LatencyRecorder,
     ReplayStream,
     ServiceClosed,
+    ServiceObserver,
     SimulatorStream,
     WindowedDecoder,
 )
@@ -348,6 +349,99 @@ def test_service_backpressure_bounds_queue_under_slow_decoder(surface_d3, monkey
         assert reports[index].failures == failures
 
 
+def test_run_draws_at_most_two_rounds_past_the_window(surface_d3, monkeypatch):
+    """With a slow decoder, run() never draws a source more than
+    ``effective_window + 2`` rounds ahead of its stream's committed rounds."""
+    from repro.realtime.window import WindowSession
+
+    lock = threading.Lock()
+    committed: dict[int, int] = {}  # stream shots -> rounds committed
+    ahead: list[int] = []
+    real_step, real_commit = WindowSession.step, WindowSession.commit_window
+
+    def step(self):
+        time.sleep(0.005)
+        return real_step(self)
+
+    def commit_window(self, *args, **kwargs):
+        # Counted before the commit lands, so the count never trails the
+        # session's own committed rounds.
+        with lock:
+            committed[self.shots] = (
+                committed.get(self.shots, 0) + self.windowed.commit_rounds
+            )
+        return real_commit(self, *args, **kwargs)
+
+    monkeypatch.setattr(WindowSession, "step", step)
+    monkeypatch.setattr(WindowSession, "commit_window", commit_window)
+    # Distinct shot counts tell the streams' sessions apart.
+    streams = [
+        _make_streams(surface_d3, 1, shots=shots, rounds=12)[0] for shots in (5, 6, 7)
+    ]
+    for stream in streams:
+
+        def chunks(source=stream.chunks, shots=stream.shots):
+            for drawn, chunk in enumerate(source(), start=1):
+                with lock:
+                    ahead.append(drawn - committed.get(shots, 0))
+                yield chunk
+
+        stream.chunks = chunks
+    service = DecodeService(window_rounds=4, commit_rounds=2, workers=1)
+    reports = service.run(streams)
+    assert [report.rounds for report in reports] == [12, 12, 12]
+    assert len(ahead) == 36
+    assert max(ahead) <= 4 + 2
+
+
+def test_run_source_error_fails_only_its_stream(surface_d3):
+    """A source raising mid-stream fails its own stream: run() raises that
+    error, the other streams still decode, and the pool is joined."""
+    done: dict[int, BaseException | None] = {}
+
+    class Observer(ServiceObserver):
+        def on_stream_done(self, stream_id, label, error):
+            done[stream_id] = error
+
+    streams = _make_streams(surface_d3, 3)
+    source = streams[1].chunks
+
+    def failing_chunks():
+        for chunk in source():
+            if chunk.round_index == 3:
+                raise RuntimeError("source died on round 3")
+            yield chunk
+
+    streams[1].chunks = failing_chunks
+    service = DecodeService(window_rounds=4, workers=2, observer=Observer())
+    with pytest.raises(RuntimeError, match="source died on round 3"):
+        service.run(streams)
+    assert done[0] is None and done[2] is None
+    assert isinstance(done[1], RuntimeError)
+    assert not [t for t in threading.enumerate() if t.name.startswith("decode-")]
+
+
+def test_run_on_started_service_keeps_the_pool(surface_d3):
+    """run() on a start()-ed service leaves the pool running for later streams."""
+    service = DecodeService(window_rounds=4, workers=2)
+    service.start()
+    try:
+        assert len(service.run(_make_streams(surface_d3, 2))) == 2
+        assert [t for t in threading.enumerate() if t.name == "decode-scheduler"]
+        result = _recorded_run(surface_d3, HEAVY, shots=5, rounds=6, seed=31)
+        handle = service.open_stream(code=surface_d3, noise=HEAVY, shots=5, rounds=6)
+        for round_index in range(6):
+            handle.feed_round(result.detector_history[:, round_index, :])
+        handle.finish(result.final_detectors, result.observable_flips)
+        handle.result(timeout=120)
+    finally:
+        service.close()
+    windowed = WindowedDecoder(code=surface_d3, noise=HEAVY, rounds=6, window_rounds=4)
+    expected = windowed.decode_stream(ReplayStream.from_run_result(result))
+    assert np.array_equal(handle.predictions, expected)
+    assert not [t for t in threading.enumerate() if t.name.startswith("decode-")]
+
+
 # --------------------------------------------------------------------- #
 # Push mode and shutdown semantics
 # --------------------------------------------------------------------- #
@@ -560,13 +654,14 @@ def test_memory_experiment_sliding_window_path(surface_d3):
 
 
 def test_realtime_cli_runs_and_writes_records(tmp_path, capsys):
+    from repro.__main__ import main
     from repro.io import load_records
-    from repro.realtime.__main__ import main
 
     out = tmp_path / "realtime.json"
     argv = [
-        "--streams", "4", "--shots", "6", "--rounds", "8", "--window", "4",
-        "--workers", "2", "--out", str(out),
+        "realtime", "--streams", "4", "--workers", "2", "--out", str(out),
+        "--set", "execution.shots=6", "--set", "execution.rounds=8",
+        "--set", "execution.window_rounds=4",
     ]
     assert main(argv) == 0
     printed = capsys.readouterr().out
@@ -577,7 +672,8 @@ def test_realtime_cli_runs_and_writes_records(tmp_path, capsys):
 
 
 def test_realtime_cli_rejects_bad_arguments(tmp_path):
-    from repro.realtime.__main__ import main
+    from repro.__main__ import main
 
-    assert main(["--streams", "0"]) == 2
-    assert main(["--family", "nope", "--distance", "3"]) == 2
+    windowed = ["--set", "execution.window_rounds=4"]
+    assert main(["realtime", "--streams", "0", *windowed]) == 2
+    assert main(["realtime", "--set", "code.name=nope", *windowed]) == 2

@@ -337,11 +337,12 @@ def test_named_sweeps_build(monkeypatch):
 
 
 def test_cli_runs_and_hits_cache(tmp_path, monkeypatch, capsys):
-    from repro.sweeps.__main__ import main
+    from repro.__main__ import main
 
     monkeypatch.setenv("REPRO_SCALE", "smoke")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     out = tmp_path / "rows.json"
-    argv = ["smoke", "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]
+    argv = ["sweep", "smoke", "--out", str(out)]
     assert main(argv) == 0
     assert out.exists()
     first = capsys.readouterr().out
@@ -447,13 +448,15 @@ def test_windowed_unit_runs_through_engine(monkeypatch):
 
 
 def test_cli_list_groups_presets_by_subsystem(capsys):
-    from repro.sweeps.__main__ import main
+    from repro.__main__ import main
+    from repro.sweeps.registry import sweep_subsystem
 
-    assert main(["--list"]) == 0
-    out = capsys.readouterr().out
-    assert out.index("offline:") < out.index("  smoke")
-    assert out.index("realtime:") < out.index("  realtime-ler")
-    assert "other:" not in out
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  smoke [offline]" in lines
+    assert "  realtime-ler [realtime]" in lines
+    for name in sweep_names():
+        assert f"  {name} [{sweep_subsystem(name)}]" in lines, name
 
 
 def test_window_axis_rejected_on_undecoded_sweeps():
