@@ -24,7 +24,7 @@ if str(_SRC) not in sys.path:
 from repro.api import ExperimentConfig, Session  # noqa: E402
 from repro.experiments import current_scale  # noqa: E402
 from repro.io import ResultRecord, banner, format_series, format_table, results_dir, save_records  # noqa: E402
-from repro.sweeps import SweepSpec, default_executor  # noqa: E402
+from repro.sweeps import SweepCache, SweepExecutor, SweepSpec, cache_enabled  # noqa: E402
 
 __all__ = [
     "current_scale",
@@ -59,14 +59,16 @@ def run_once(benchmark, workload):
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Execute a declarative sweep on the shared engine.
+    """Execute a declarative sweep on the sweep engine.
 
-    The engine honours ``REPRO_WORKERS`` (process pool size; default 1 =
+    The executor is built the way :meth:`repro.api.Session.sweep` builds
+    one: it honours ``REPRO_WORKERS`` (process pool size; default 1 =
     serial) and ``REPRO_CACHE=1`` (memoize completed units under
-    ``.repro_cache/``), so benchmark runs parallelise and deduplicate
-    without per-script changes.
+    ``REPRO_CACHE_DIR``, default ``.repro_cache/``), so benchmark runs
+    parallelise and deduplicate without per-script changes.
     """
-    return default_executor().run(spec)
+    cache = SweepCache() if cache_enabled() else None
+    return SweepExecutor(cache=cache).run(spec)
 
 
 def run_config(config: ExperimentConfig | dict, axes: dict | None = None) -> list[dict]:

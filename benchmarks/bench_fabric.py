@@ -24,7 +24,7 @@ import numpy as np
 
 from _common import emit, format_table, run_once, save
 
-from repro.noise import paper_noise
+from repro.api import ExperimentConfig, Session
 from repro.sweeps import SweepExecutor, WorkUnit
 
 #: The acceptance ceiling: durable execution stays within this factor of
@@ -45,19 +45,12 @@ WORKERS = 2
 
 
 def _units() -> list[WorkUnit]:
-    return [
-        WorkUnit(
-            family="surface",
-            distance=DISTANCE,
-            noise=paper_noise(),
-            policy=policy,
-            shots=SHOTS,
-            rounds=ROUNDS,
-            leakage_sampling=True,
-            seed=9,
-        )
-        for policy in POLICIES
-    ]
+    config = ExperimentConfig.from_dict(
+        {"code": {"name": "surface", "distance": DISTANCE},
+         "execution": {"shots": SHOTS, "rounds": ROUNDS, "seed": 9,
+                       "decoded": False, "leakage_sampling": True}}
+    )
+    return Session(config).work_units({"policy.name": list(POLICIES)})
 
 
 def _timed_memory(units):

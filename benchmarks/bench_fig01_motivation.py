@@ -6,10 +6,7 @@ uses d = 11; the quick configuration runs d = 7 to stay laptop-friendly and
 the paper-scale preset restores d = 11.
 """
 
-from _common import current_scale, emit, format_series, format_table, run_once, save
-
-from repro.experiments import compare_policies, make_code
-from repro.noise import paper_noise
+from _common import SweepSpec, current_scale, emit, format_series, format_table, run_once, run_sweep, save
 
 
 def test_fig01_motivation(benchmark):
@@ -17,18 +14,19 @@ def test_fig01_motivation(benchmark):
     distance = 7 if scale.name != "paper" else 11
     shots = scale.shots(250)
     rounds = scale.rounds(120)
-    code = make_code("surface", distance)
-    noise = paper_noise(p=1e-3, leakage_ratio=0.1)
+    spec = SweepSpec(
+        name="fig01_motivation",
+        distances=(distance,),
+        error_rates=(1e-3,),
+        leakage_ratios=(0.1,),
+        policies=("eraser+m", "gladiator+m", "ideal"),
+        shots=shots,
+        rounds=rounds,
+        seed=1,
+    )
 
     def workload():
-        return compare_policies(
-            code,
-            noise,
-            ["eraser+m", "gladiator+m", "ideal"],
-            shots=shots,
-            rounds=rounds,
-            seed=1,
-        )
+        return run_sweep(spec)
 
     rows = run_once(benchmark, workload)
     table_rows = [

@@ -6,10 +6,7 @@ scheduling (staggering) narrows, but does not close, the gap to closed-loop
 speculation.  Quick scale decodes d = 3 and 5; paper scale adds d = 7.
 """
 
-from _common import current_scale, emit, format_table, run_once, save
-
-from repro.experiments import compare_policies_decoded, make_code
-from repro.noise import paper_noise
+from _common import SweepSpec, current_scale, emit, format_table, run_once, run_sweep, save
 
 POLICIES = ("no-lrc", "always-lrc", "staggered", "eraser+m")
 
@@ -18,24 +15,20 @@ def test_fig04b_openloop_ler(benchmark):
     scale = current_scale()
     distances = [3, 5] if scale.name != "paper" else [3, 5, 7]
     shots = scale.decoded_shots(300)
-    noise = paper_noise(p=2e-3, leakage_ratio=0.5)
+    spec = SweepSpec(
+        name="fig04b_openloop_ler",
+        distances=tuple(distances),
+        error_rates=(2e-3,),
+        leakage_ratios=(0.5,),
+        policies=POLICIES,
+        shots=shots,
+        rounds=lambda distance: 3 * distance,
+        decoded=True,
+        seed=4,
+    )
 
     def workload():
-        rows = []
-        for distance in distances:
-            code = make_code("surface", distance)
-            for row in compare_policies_decoded(
-                code,
-                noise,
-                list(POLICIES),
-                shots=shots,
-                rounds=3 * distance,
-                seed=4,
-                leakage_sampling=False,
-            ):
-                row["distance"] = distance
-                rows.append(row)
-        return rows
+        return run_sweep(spec)
 
     rows = run_once(benchmark, workload)
     table_rows = [

@@ -6,23 +6,35 @@ configuration).  The paper reports GLADIATOR+M reducing false positives by
 in false negatives; GLADIATOR-D+M pushes the FP/LRC reductions further.
 """
 
-from _common import CLOSED_LOOP_POLICIES, current_scale, emit, format_table, run_once, save
-
-from repro.experiments import compare_policies, make_code
-from repro.noise import paper_noise
+from _common import (
+    CLOSED_LOOP_POLICIES,
+    SweepSpec,
+    current_scale,
+    emit,
+    format_table,
+    run_once,
+    run_sweep,
+    save,
+)
 
 
 def test_fig09_speculation_accuracy(benchmark):
     scale = current_scale()
     shots = scale.shots(300)
     rounds = scale.rounds(70)
-    code = make_code("surface", 7)
-    noise = paper_noise(p=1e-3, leakage_ratio=0.1)
+    spec = SweepSpec(
+        name="fig09_speculation_accuracy",
+        distances=(7,),
+        error_rates=(1e-3,),
+        leakage_ratios=(0.1,),
+        policies=CLOSED_LOOP_POLICIES,
+        shots=shots,
+        rounds=rounds,
+        seed=9,
+    )
 
     def workload():
-        return compare_policies(
-            code, noise, list(CLOSED_LOOP_POLICIES), shots=shots, rounds=rounds, seed=9
-        )
+        return run_sweep(spec)
 
     rows = run_once(benchmark, workload)
     table_rows = [

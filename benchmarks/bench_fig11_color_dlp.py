@@ -7,10 +7,7 @@ the narrow colour-code patterns, while the GLADIATOR variants insert far
 fewer LRCs.
 """
 
-from _common import current_scale, emit, format_series, format_table, run_once, save
-
-from repro.experiments import compare_policies, make_code
-from repro.noise import paper_noise
+from _common import SweepSpec, current_scale, emit, format_series, format_table, run_once, run_sweep, save
 
 POLICIES = ("eraser+m", "gladiator+m", "gladiator-d+m", "ideal")
 
@@ -20,13 +17,20 @@ def test_fig11_color_code_dlp_and_lrc(benchmark):
     distance = 7 if scale.name != "paper" else 11
     shots = scale.shots(250)
     rounds = scale.rounds(100)
-    code = make_code("color", distance)
-    noise = paper_noise(p=1e-3, leakage_ratio=0.1)
+    spec = SweepSpec(
+        name="fig11_color_dlp",
+        family="color",
+        distances=(distance,),
+        error_rates=(1e-3,),
+        leakage_ratios=(0.1,),
+        policies=POLICIES,
+        shots=shots,
+        rounds=rounds,
+        seed=11,
+    )
 
     def workload():
-        return compare_policies(
-            code, noise, list(POLICIES), shots=shots, rounds=rounds, seed=11
-        )
+        return run_sweep(spec)
 
     rows = run_once(benchmark, workload)
     table_rows = [

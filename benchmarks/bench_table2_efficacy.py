@@ -20,8 +20,8 @@ def test_table2_detection_efficacy(benchmark):
     long_rounds = scale.rounds(210)
     # One declarative config describes the workload; the short and long runs
     # differ only in their execution budget, and the policy line-up is a
-    # sweep axis.  run_config executes on the shared sweep engine, so the
-    # rows are bit-identical to the historical compare_policies loop.
+    # sweep axis.  run_config executes on the sweep engine, so the rows are
+    # bit-identical to a SweepSpec grid over the same points.
     base = ExperimentConfig.from_dict(
         {
             "name": "table2",

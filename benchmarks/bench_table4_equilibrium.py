@@ -6,10 +6,9 @@ FP+FN ("speculation inaccuracy") at p = 1e-3 and 1e-4.  The quick preset
 uses d = 7.
 """
 
-from _common import current_scale, emit, format_table, run_once, save
+from _common import SweepSpec, current_scale, emit, format_table, group_rows, run_once, run_sweep, save
 
-from repro.experiments import compare_policies, leakage_equilibrium, make_code
-from repro.noise import paper_noise
+from repro.experiments import leakage_equilibrium
 
 POLICIES = ("eraser+m", "gladiator+m")
 
@@ -19,21 +18,30 @@ def test_table4_equilibrium_and_inaccuracy(benchmark):
     distance = 7 if scale.name != "paper" else 11
     shots = scale.shots(200)
     rounds = scale.rounds(120)
-    code = make_code("surface", distance)
+    equilibrium_spec = SweepSpec(
+        name="table4_equilibrium",
+        distances=(distance,),
+        error_rates=(1e-3,),
+        leakage_ratios=(0.01, 0.1, 1.0),
+        policies=POLICIES,
+        shots=shots,
+        rounds=rounds,
+        seed=4,
+    )
+    inaccuracy_spec = SweepSpec(
+        name="table4_inaccuracy",
+        distances=(distance,),
+        error_rates=(1e-3, 1e-4),
+        leakage_ratios=(0.1,),
+        policies=POLICIES,
+        shots=shots,
+        rounds=scale.rounds(60),
+        seed=4,
+    )
 
     def workload():
-        equilibrium = {}
-        for leakage_ratio in (0.01, 0.1, 1.0):
-            noise = paper_noise(p=1e-3, leakage_ratio=leakage_ratio)
-            equilibrium[leakage_ratio] = compare_policies(
-                code, noise, list(POLICIES), shots=shots, rounds=rounds, seed=4
-            )
-        inaccuracy = {}
-        for p in (1e-3, 1e-4):
-            noise = paper_noise(p=p, leakage_ratio=0.1)
-            inaccuracy[p] = compare_policies(
-                code, noise, list(POLICIES), shots=shots, rounds=scale.rounds(60), seed=4
-            )
+        equilibrium = group_rows(run_sweep(equilibrium_spec), "leakage_ratio")
+        inaccuracy = group_rows(run_sweep(inaccuracy_spec), "p")
         return equilibrium, inaccuracy
 
     equilibrium, inaccuracy = run_once(benchmark, workload)

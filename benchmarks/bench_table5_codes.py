@@ -7,10 +7,10 @@ ERASER+M.  Cycle times come from the SWAP-LRC latency model, matching the
 paper's methodology of converting average LRC counts into latency overhead.
 """
 
-from _common import current_scale, emit, format_table, run_once, save
+from _common import current_scale, emit, format_table, run_config, run_once, save
 
 from repro.circuits import CycleTimeModel
-from repro.experiments import compare_policies, make_code, reduction_factor
+from repro.experiments import make_code, reduction_factor
 from repro.noise import paper_noise
 
 FAMILIES = (("surface", 7), ("color", 7), ("hgp", None), ("bpc", None))
@@ -25,11 +25,15 @@ def test_table5_code_family_reduction_factors(benchmark):
     def workload():
         results = {}
         for family, distance in FAMILIES:
-            code = make_code(family, distance)
-            rows = compare_policies(
-                code, noise, ["eraser+m", "gladiator+m"], shots=shots, rounds=rounds, seed=55
-            )
-            results[family] = (code, {row["policy"]: row for row in rows})
+            config = {
+                "name": "table5_codes",
+                "code": {"name": family, "distance": distance},
+                "noise": {"preset": "paper", "p": 1e-3, "leakage_ratio": 0.1},
+                "execution": {"shots": shots, "rounds": rounds, "seed": 55,
+                              "decoded": False},
+            }
+            rows = run_config(config, {"policy.name": ["eraser+m", "gladiator+m"]})
+            results[family] = (make_code(family, distance), {row["policy"]: row for row in rows})
         return results
 
     results = run_once(benchmark, workload)

@@ -54,12 +54,8 @@ from .core import (
 from .experiments import (
     MemoryExperiment,
     MemoryResult,
-    compare_policies,
-    compare_policies_decoded,
     current_scale,
     make_code,
-    sweep_distances,
-    sweep_error_rates,
 )
 from .noise import NoiseParams, ideal_noise, paper_noise
 from .realtime import DecodeService, ReplayStream, SimulatorStream, WindowedDecoder
@@ -115,12 +111,8 @@ __all__ = [
     "RunResult",
     "MemoryExperiment",
     "MemoryResult",
-    "compare_policies",
-    "compare_policies_decoded",
     "current_scale",
     "make_code",
-    "sweep_distances",
-    "sweep_error_rates",
     # sweep engine
     "SweepSpec",
     "SweepExecutor",

@@ -248,7 +248,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(summary)
     for unit, error in executor.failed_units:
         print(
-            f"warning: unit {unit.family}/{unit.policy} degraded: "
+            f"warning: unit {unit.config.code.name}/{unit.config.policy.name} degraded: "
             f"{error.strip().splitlines()[-1]}",
             file=sys.stderr,
         )

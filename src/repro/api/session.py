@@ -9,8 +9,8 @@ and routes to whichever execution path the call names:
   set, or an undecoded simulator run when ``execution.decoded`` is false);
 * :meth:`Session.stream` — N concurrent syndrome streams through the
   :class:`~repro.realtime.DecodeService` thread pool;
-* :meth:`Session.sweep` — a grid of configs compiled to
-  :class:`~repro.sweeps.WorkUnit` jobs on the shared sweep executor.
+* :meth:`Session.sweep` — a grid of configs canonicalised into
+  :class:`~repro.sweeps.WorkUnit` jobs on the sweep executor.
 
 Construction is shared with the internals: ``MemoryExperiment.from_config``,
 the sweep engine's shard runner and ``DecodeService.from_config`` all build
@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .config import ExperimentConfig
-from .registry import NOISE_PRESETS, POLICIES
+from .registry import NOISE_PRESETS
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep startup cheap
     from ..codes.base import StabilizerCode
@@ -40,7 +40,6 @@ __all__ = [
     "build_noise",
     "build_policy",
     "build_experiment",
-    "workunit_from_config",
 ]
 
 
@@ -98,9 +97,9 @@ def build_experiment(
     """Construct a :class:`~repro.experiments.MemoryExperiment` from a config.
 
     ``code`` / ``policy`` / ``noise`` short-circuit the registry build when
-    the caller already holds the objects (the sweep shard runner does, and
-    legacy call sites pass explicit code instances) — the remaining knobs
-    still come from the config, so both routes construct identically.
+    the caller already holds the objects (a :class:`Session` reuses its
+    lazily built components) — the remaining knobs still come from the
+    config, so both routes construct identically.
     """
     from ..experiments.memory import MemoryExperiment
 
@@ -118,50 +117,6 @@ def build_experiment(
         decoder_strategy=config.decoder.strategy,
         decode_batch_size=execution.decode_batch_size,
         decoder_cache_size=config.decoder.cache_size,
-    )
-
-
-def workunit_from_config(
-    config: ExperimentConfig,
-    labels: tuple[tuple[str, Any], ...] = (),
-) -> "WorkUnit":
-    """Compile a config into one sweep :class:`~repro.sweeps.WorkUnit`.
-
-    The unit carries exactly the fields :func:`build_experiment` would read,
-    so executing it (serially) is bit-identical to ``Session.run`` on the
-    same config.
-    """
-    from ..core.graph_model import GraphModelConfig
-    from ..sweeps.units import WorkUnit
-
-    from ..api.registry import CODES, DECODERS
-
-    execution = config.execution
-    decoded = execution.decoded
-    # Names are canonicalised (aliases resolved, case folded) so alias
-    # spellings of the same experiment compile to identical units — and
-    # therefore identical cache keys and shard seeds.
-    return WorkUnit(
-        family=CODES.canonical(config.code.name),
-        distance=config.code.distance,
-        noise=build_noise(config),
-        policy=POLICIES.canonical(config.policy.name),
-        shots=execution.shots,
-        rounds=execution.rounds,
-        decoded=decoded,
-        leakage_sampling=execution.effective_leakage_sampling,
-        decoder_method=DECODERS.canonical(config.decoder.name),
-        decoder_max_exact_nodes=config.decoder.max_exact_nodes,
-        decoder_strategy=config.decoder.strategy,
-        window_rounds=execution.window_rounds if decoded else None,
-        commit_rounds=execution.commit_rounds if decoded else None,
-        decode_batch_size=execution.decode_batch_size if decoded else None,
-        decoder_cache_size=config.decoder.cache_size if decoded else None,
-        seed=execution.seed,
-        policy_config=(
-            GraphModelConfig(**config.policy.options) if config.policy.options else None
-        ),
-        labels=labels,
     )
 
 
@@ -318,7 +273,13 @@ class Session:
     def work_units(
         self, axes: Mapping[str, Sequence[Any]] | None = None
     ) -> "list[WorkUnit]":
-        """Compile the (config x axes) grid without executing it."""
+        """Compile the (config x axes) grid without executing it.
+
+        Each grid point becomes a :class:`~repro.sweeps.WorkUnit` holding
+        its :func:`~repro.sweeps.units.canonical_config`.
+        """
+        from ..sweeps.units import WorkUnit, canonical_config
+
         points: list[tuple[ExperimentConfig, tuple[tuple[str, Any], ...]]] = [
             (self.config, ())
         ]
@@ -334,10 +295,7 @@ class Session:
                 for config, labels in points
                 for value in values
             ]
-        return [
-            workunit_from_config(config.validate(), labels=labels)
-            for config, labels in points
-        ]
+        return [WorkUnit(canonical_config(config), labels) for config, labels in points]
 
     def _telemetry(self):
         """The telemetry scope of one execution-path call.

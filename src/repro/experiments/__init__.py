@@ -19,12 +19,8 @@ from .metrics import (
 )
 from .runner import (
     ScaleConfig,
-    compare_policies,
-    compare_policies_decoded,
     current_scale,
     make_code,
-    sweep_distances,
-    sweep_error_rates,
 )
 
 __all__ = [
@@ -33,10 +29,6 @@ __all__ = [
     "ScaleConfig",
     "current_scale",
     "make_code",
-    "compare_policies",
-    "compare_policies_decoded",
-    "sweep_distances",
-    "sweep_error_rates",
     "logical_error_rate",
     "wilson_interval",
     "per_round_logical_error_rate",

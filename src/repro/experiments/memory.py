@@ -167,7 +167,7 @@ class MemoryExperiment:
 
         Components default to registry builds from the config's sections;
         pass ``code`` / ``policy`` / ``noise`` to reuse objects the caller
-        already holds (the sweep shard runner does).  This is the single
+        already holds.  This is the single
         construction path the :class:`~repro.api.session.Session` facade,
         the sweep engine and direct callers share.
         """

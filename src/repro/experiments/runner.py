@@ -1,61 +1,17 @@
-"""Parameter sweeps and policy comparisons used by the benchmark harness.
+"""Workload scaling and the code factory shared by the benchmark harness.
 
 Every figure and table of the paper is some sweep over (code, distance,
-physical error rate, leakage ratio, policy).  This module keeps the
-historical plain-function API — ``compare_policies``,
-``compare_policies_decoded``, ``sweep_distances``, ``sweep_error_rates`` —
-but the functions are now thin wrappers over the :mod:`repro.sweeps`
-engine: each (point, policy) combination becomes one
-:class:`~repro.sweeps.units.WorkUnit` executed by the shared
-:func:`~repro.sweeps.executor.default_executor`.  Two environment knobs
-change how that engine runs without touching any call site:
+physical error rate, leakage ratio, policy); the benchmarks describe those
+sweeps as :class:`~repro.sweeps.SweepSpec` grids or
+:class:`~repro.api.config.ExperimentConfig` axes and run them on the
+:mod:`repro.sweeps` engine (the keys of the summary rows it returns are
+documented in :mod:`repro.sweeps.units`).  This module keeps the two helpers
+they share:
 
-* ``REPRO_WORKERS=N`` runs every unit's shot shards on ``N`` worker
-  processes (default ``1``: in-process).  Rows never depend on ``N``; a
-  unit within one shard (at most 250 shots) is unchanged from the
-  historical code, while a larger unit is the merge of its shards.
-* ``REPRO_CACHE=1`` memoizes completed units under ``.repro_cache/`` so
-  identical runs across the 20 benchmark scripts are not recomputed.
-
-The ``REPRO_SCALE`` knob (``smoke`` / ``quick`` / ``paper``) switches
-between CI-sized and paper-sized workloads, as before.
-
-Summary-row units
------------------
-Every function here returns a list of flat summary dictionaries — the same
-rows the sweep cache serialises to disk — whose keys carry these units:
-
-========================  =====================================================
-key                       meaning / units
-========================  =====================================================
-``policy``                canonical policy display name (e.g. ``gladiator+M``)
-``code``                  code name (e.g. ``surface_d7``)
-``shots`` / ``rounds``    totals for this row's run (counts)
-``mean_dlp``              data-leakage population averaged over rounds and
-                          shots; fraction of data qubits in [0, 1]
-``final_dlp``             data-leakage population after the last round;
-                          fraction of data qubits in [0, 1]
-``dlp_per_round``         array of per-round leakage fractions (undecoded
-                          rows only), length ``rounds``
-``lrcs_per_round``        data-qubit LRC gadgets applied, **per round per
-                          shot** (average count, not a fraction)
-``fp_per_round``          unnecessary LRCs (false positives), per round per
-                          shot
-``fn_per_round``          undetected leaked qubits (false negatives), per
-                          round per shot
-``speculation_inaccuracy``  ``fp_per_round + fn_per_round``
-``total_leakage_events``  leakage injections summed over **all shots and
-                          rounds** of the run (a total, not a rate)
-``ler``                   whole-experiment logical error probability in
-                          [0, 1] (decoded rows only)
-``ler_low`` / ``ler_high``  95% Wilson interval bounds of ``ler``
-``ler_per_round``         per-round logical error probability equivalent to
-                          ``ler`` (decoded rows only)
-``leakage_equilibrium``   trailing-rounds average of the leakage population;
-                          fraction of data qubits (decoded rows only)
-``distance`` / ``p`` / ``leakage_ratio``  grid coordinates stamped by the
-                          sweep functions that vary them
-========================  =====================================================
+* :func:`current_scale` reads the ``REPRO_SCALE`` knob (``smoke`` /
+  ``quick`` / ``paper``), which switches between CI-sized and paper-sized
+  workloads;
+* :func:`make_code` builds a code by its registered family name.
 """
 
 from __future__ import annotations
@@ -65,19 +21,11 @@ from dataclasses import dataclass
 
 from ..api.registry import CODES
 from ..codes.base import StabilizerCode
-from ..core.graph_model import GraphModelConfig
-from ..noise import NoiseParams, paper_noise
-from ..sweeps.executor import default_executor
-from ..sweeps.units import WorkUnit
 
 __all__ = [
     "ScaleConfig",
     "current_scale",
     "make_code",
-    "compare_policies",
-    "compare_policies_decoded",
-    "sweep_distances",
-    "sweep_error_rates",
 ]
 
 _SCALE_PRESETS = {
@@ -139,161 +87,3 @@ def make_code(family: str, distance: int | None = None) -> StabilizerCode:
     if distance is None:
         distance = entry.metadata.get("default_distance")
     return entry.obj(distance) if distance is not None else entry.obj()
-
-
-def _code_unit_fields(code: StabilizerCode) -> dict:
-    """(family, distance, code) WorkUnit fields for an explicit code object."""
-    return {
-        "family": str(code.metadata.get("family", code.name)),
-        "distance": code.distance,
-        "code": code,
-    }
-
-
-def compare_policies(
-    code: StabilizerCode,
-    noise: NoiseParams,
-    policy_names: list[str],
-    shots: int,
-    rounds: int,
-    seed: int = 0,
-    leakage_sampling: bool = True,
-    policy_config: GraphModelConfig | None = None,
-) -> list[dict]:
-    """Undecoded comparison: leakage population, LRC usage and FP/FN rates.
-
-    Returns one summary row per entry of ``policy_names`` (see the module
-    docstring for the units of every key); each row additionally carries the
-    full ``dlp_per_round`` array for time-series figures.
-    """
-    units = [
-        WorkUnit(
-            noise=noise,
-            policy=policy_name,
-            shots=shots,
-            rounds=rounds,
-            decoded=False,
-            leakage_sampling=leakage_sampling,
-            seed=seed,
-            policy_config=policy_config,
-            **_code_unit_fields(code),
-        )
-        for policy_name in policy_names
-    ]
-    return default_executor().run_units(units)
-
-
-def compare_policies_decoded(
-    code: StabilizerCode,
-    noise: NoiseParams,
-    policy_names: list[str],
-    shots: int,
-    rounds: int,
-    seed: int = 0,
-    leakage_sampling: bool = False,
-    policy_config: GraphModelConfig | None = None,
-    decoder_method: str = "matching",
-) -> list[dict]:
-    """Decoded comparison: logical error rate plus the undecoded metrics.
-
-    Each row reports the whole-experiment ``ler`` (a probability, with its
-    95% Wilson interval in ``ler_low``/``ler_high``) and the per-round rates
-    documented in the module docstring.
-    """
-    units = [
-        WorkUnit(
-            noise=noise,
-            policy=policy_name,
-            shots=shots,
-            rounds=rounds,
-            decoded=True,
-            leakage_sampling=leakage_sampling,
-            decoder_method=decoder_method,
-            seed=seed,
-            policy_config=policy_config,
-            **_code_unit_fields(code),
-        )
-        for policy_name in policy_names
-    ]
-    return default_executor().run_units(units)
-
-
-def sweep_distances(
-    distances: list[int],
-    noise: NoiseParams,
-    policy_names: list[str],
-    shots: int,
-    rounds_per_distance,
-    family: str = "surface",
-    decoded: bool = True,
-    seed: int = 0,
-    leakage_sampling: bool = False,
-) -> list[dict]:
-    """Run a policy comparison for every code distance in ``distances``.
-
-    ``rounds_per_distance`` is either an integer or a callable mapping the
-    distance to the number of rounds (the paper uses ``10 d`` for LER studies
-    and ``100 d`` for leakage-population studies).  Every returned row is
-    stamped with its ``distance`` grid coordinate.
-    """
-    units = []
-    for distance in distances:
-        rounds = (
-            rounds_per_distance(distance)
-            if callable(rounds_per_distance)
-            else int(rounds_per_distance)
-        )
-        for policy_name in policy_names:
-            units.append(
-                WorkUnit(
-                    family=family,
-                    distance=int(distance),
-                    noise=noise,
-                    policy=policy_name,
-                    shots=shots,
-                    rounds=rounds,
-                    decoded=decoded,
-                    leakage_sampling=leakage_sampling,
-                    seed=seed,
-                    labels=(("distance", int(distance)),),
-                )
-            )
-    return default_executor().run_units(units)
-
-
-def sweep_error_rates(
-    error_rates: list[float],
-    leakage_ratio: float,
-    policy_names: list[str],
-    shots: int,
-    rounds: int,
-    distance: int = 7,
-    family: str = "surface",
-    decoded: bool = False,
-    seed: int = 0,
-    leakage_sampling: bool = True,
-) -> list[dict]:
-    """Run a policy comparison for every physical error rate in ``error_rates``.
-
-    Every returned row is stamped with its ``p`` and ``leakage_ratio`` grid
-    coordinates.
-    """
-    units = []
-    for p in error_rates:
-        noise = paper_noise(p=p, leakage_ratio=leakage_ratio)
-        for policy_name in policy_names:
-            units.append(
-                WorkUnit(
-                    family=family,
-                    distance=int(distance),
-                    noise=noise,
-                    policy=policy_name,
-                    shots=shots,
-                    rounds=rounds,
-                    decoded=decoded,
-                    leakage_sampling=leakage_sampling,
-                    seed=seed,
-                    labels=(("p", float(p)), ("leakage_ratio", float(leakage_ratio))),
-                )
-            )
-    return default_executor().run_units(units)

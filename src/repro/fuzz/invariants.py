@@ -21,7 +21,7 @@ import json
 from typing import Any
 
 from ..api.config import ExperimentConfig
-from ..api.session import Session, build_experiment, workunit_from_config
+from ..api.session import Session, build_experiment
 from ..experiments.memory import PERF_SUMMARY_KEYS
 from ..experiments.metrics import wilson_interval
 from .matrix import ScenarioCell
@@ -171,7 +171,8 @@ def _sweep_row(config: ExperimentConfig) -> dict[str, Any]:
     """Run ``config`` through the sweep engine as a single serial shard."""
     from ..sweeps.units import run_unit_serial
 
-    return run_unit_serial(workunit_from_config(config))
+    (unit,) = Session(config).work_units()
+    return run_unit_serial(unit)
 
 
 # --------------------------------------------------------------------- #

@@ -10,8 +10,11 @@ shards, and memoizes finished units on disk (:class:`SweepCache`,
 ``.repro_cache/`` by default).  ``SweepExecutor(durable=True)`` keeps the
 task records in the on-disk job store of :mod:`repro.fabric` instead.
 
-The legacy serial entry points (:func:`repro.experiments.compare_policies`
-and friends) are thin wrappers over this engine, so setting
+Every unit holds a canonical :class:`~repro.api.config.ExperimentConfig`
+(:func:`canonical_config`), whether it was compiled from a
+:class:`SweepSpec` or from :meth:`repro.api.Session.sweep` axes, so one
+schema describes an experiment on every path.  Executors built without an
+explicit worker count read ``REPRO_WORKERS``, so setting
 ``REPRO_WORKERS=4`` parallelises every benchmark script without further
 changes; ``python -m repro sweep <name>`` runs the named presets directly.
 
@@ -33,7 +36,6 @@ from .cache import SweepCache, default_cache_dir
 from .executor import (
     SweepExecutor,
     cache_enabled,
-    default_executor,
     default_workers,
     plan_shards,
     shard_seeds,
@@ -41,6 +43,7 @@ from .executor import (
 from .spec import SweepSpec
 from .units import (
     WorkUnit,
+    canonical_config,
     merge_shards,
     run_shard,
     run_unit_serial,
@@ -53,6 +56,7 @@ __all__ = [
     "SweepExecutor",
     "SweepCache",
     "WorkUnit",
+    "canonical_config",
     "unit_key",
     "run_shard",
     "run_unit_serial",
@@ -60,7 +64,6 @@ __all__ = [
     "summarize_unit",
     "plan_shards",
     "shard_seeds",
-    "default_executor",
     "default_workers",
     "default_cache_dir",
     "cache_enabled",

@@ -85,7 +85,6 @@ __all__ = [
     "plan_shards",
     "shard_seeds",
     "default_workers",
-    "default_executor",
     "cache_enabled",
 ]
 
@@ -129,6 +128,11 @@ def default_workers() -> int:
         return max(1, int(raw))
     except ValueError as exc:
         raise ValueError(f"REPRO_WORKERS must be an integer, got {raw!r}") from exc
+
+
+def cache_enabled() -> bool:
+    """Whether the ``REPRO_CACHE`` environment knob turns memoization on."""
+    return os.environ.get("REPRO_CACHE", "").lower() in ("1", "true", "yes", "on")
 
 
 def plan_shards(shots: int, shard_shots: int) -> list[int]:
@@ -387,10 +391,11 @@ class SweepExecutor:
         """(shots, seed) of every shard of a unit.
 
         A unit that fits in one shard keeps its own base seed, so it agrees
-        bit-for-bit with the legacy serial runner.  The plan never depends
-        on worker count, store, lease timing, crashes or resume.
+        bit-for-bit with :func:`~repro.sweeps.units.run_unit_serial`.  The
+        plan never depends on worker count, store, lease timing, crashes or
+        resume.
         """
-        sizes = plan_shards(unit.shots, self.shard_shots)
+        sizes = plan_shards(unit.config.execution.shots, self.shard_shots)
         if len(sizes) == 1:
             return [(sizes[0], unit.seed)]
         return list(zip(sizes, shard_seeds(unit, len(sizes))))
@@ -417,7 +422,11 @@ class SweepExecutor:
             if cached is not None:
                 self.units_from_cache += 1
                 _OBS_CACHE_HITS.inc()
-                instant("sweep.unit.cache_hit", family=unit.family, policy=unit.policy)
+                instant(
+                    "sweep.unit.cache_hit",
+                    family=unit.config.code.name,
+                    policy=unit.config.policy.name,
+                )
                 rows[index] = apply_unit_labels(unit, cached)
                 continue
             task_ids = []
@@ -464,8 +473,8 @@ class SweepExecutor:
                     {
                         "error": errors[0].strip().splitlines()[-1],
                         "failed_shards": len(errors),
-                        "policy": entry.unit.policy,
-                        "shots": entry.unit.shots,
+                        "policy": entry.unit.config.policy.name,
+                        "shots": entry.unit.config.execution.shots,
                     },
                 )
                 continue
@@ -738,34 +747,3 @@ class SweepExecutor:
         instant("sweep.pool.rebuilt")
         return self._new_pool(open_tasks)
 
-
-# --------------------------------------------------------------------- #
-# Shared default executor (used by the legacy runner wrappers)
-# --------------------------------------------------------------------- #
-def cache_enabled() -> bool:
-    """Whether the ``REPRO_CACHE`` environment knob turns memoization on."""
-    return os.environ.get("REPRO_CACHE", "").lower() in ("1", "true", "yes", "on")
-
-
-_default_executor: SweepExecutor | None = None
-_default_config: tuple[int, bool, str] | None = None
-
-
-def default_executor() -> SweepExecutor:
-    """The process-wide executor the legacy sweep functions delegate to.
-
-    Configured entirely from the environment — ``REPRO_WORKERS`` processes
-    (default 1 = serial, in-process), ``REPRO_CACHE=1`` for on-disk
-    memoization, and ``REPRO_CACHE_DIR`` for its location — and rebuilt
-    whenever any of those knobs change, so tests can flip them with
-    ``monkeypatch.setenv``.
-    """
-    global _default_executor, _default_config
-    config = (default_workers(), cache_enabled(), str(default_cache_dir()))
-    if _default_executor is None or _default_config != config:
-        workers, use_cache, _ = config
-        _default_executor = SweepExecutor(
-            workers=workers, cache=SweepCache() if use_cache else None
-        )
-        _default_config = config
-    return _default_executor

@@ -2,10 +2,10 @@
 
 A :class:`SweepSpec` names a full experiment grid — code family x distance x
 noise point x policy — plus the per-point workload (shots, rounds, decoded
-or not).  ``units()`` compiles the grid into independent
-:class:`~repro.sweeps.units.WorkUnit` jobs, each labelled with its grid
-coordinates so the executor's summary rows can be grouped and tabulated
-exactly like the legacy serial sweeps.
+or not).  ``units()`` compiles every grid point to an
+:class:`~repro.api.config.ExperimentConfig` and canonicalises it into an
+independent :class:`~repro.sweeps.units.WorkUnit`, labelled with its grid
+coordinates so the executor's summary rows can be grouped and tabulated.
 """
 
 from __future__ import annotations
@@ -13,8 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from ..api.config import (
+    CodeConfig,
+    DecoderConfig,
+    ExecutionConfig,
+    ExperimentConfig,
+    NoiseConfig,
+    PolicyConfig,
+)
 from ..api.registry import CODES
-from .units import WorkUnit, make_unit_noise
+from .units import WorkUnit, canonical_config
 
 __all__ = ["SweepSpec"]
 
@@ -105,20 +113,8 @@ class SweepSpec:
             return int(self.rounds(distance))
         return int(self.rounds)
 
-    def compile(self) -> list[WorkUnit]:
-        """Compile the grid into independent work units, in deterministic order.
-
-        (``units()`` is the historical name and remains as an alias.)
-        """
-        return self.units()
-
     def units(self) -> list[WorkUnit]:
         """Compile the grid into independent work units, in deterministic order."""
-        sampling = (
-            self.leakage_sampling
-            if self.leakage_sampling is not None
-            else not self.decoded
-        )
         # Legacy single-point sweeps keep their exact historical labels; the
         # window coordinate is only stamped when the spec actually uses it.
         label_windows = len(tuple(self.windows)) > 1 or tuple(self.windows)[0] is not None
@@ -126,14 +122,38 @@ class SweepSpec:
             # Undecoded runs never decode, so a window axis would compile to
             # units with identical cache keys under different labels.
             raise ValueError("windows only apply to decoded sweeps (set decoded=True)")
+        decoder = DecoderConfig(
+            name=self.decoder_method,
+            max_exact_nodes=self.decoder_max_exact_nodes,
+            strategy=self.decoder_strategy,
+            cache_size=self.decoder_cache_size,
+        )
         compiled: list[WorkUnit] = []
         for distance in self.distances:
             rounds = self.rounds_for(distance)
             for p in self.error_rates:
                 for leakage_ratio in self.leakage_ratios:
-                    noise = make_unit_noise(p, leakage_ratio)
                     for window in self.windows:
                         for policy in self.policies:
+                            config = ExperimentConfig(
+                                name=self.name,
+                                code=CodeConfig(name=self.family, distance=int(distance)),
+                                noise=NoiseConfig(
+                                    p=float(p), leakage_ratio=float(leakage_ratio)
+                                ),
+                                policy=PolicyConfig(name=policy),
+                                decoder=decoder,
+                                execution=ExecutionConfig(
+                                    shots=int(self.shots),
+                                    rounds=rounds,
+                                    seed=int(self.seed),
+                                    decoded=self.decoded,
+                                    leakage_sampling=self.leakage_sampling,
+                                    decode_batch_size=self.decode_batch_size,
+                                    window_rounds=window,
+                                    commit_rounds=self.commit_rounds if window else None,
+                                ),
+                            )
                             labels = (
                                 ("distance", int(distance)),
                                 ("p", float(p)),
@@ -143,27 +163,8 @@ class SweepSpec:
                                 labels += (("window", window),)
                             compiled.append(
                                 WorkUnit(
-                                    family=self.family,
-                                    distance=int(distance),
-                                    noise=noise,
-                                    policy=policy,
-                                    shots=int(self.shots),
-                                    rounds=rounds,
-                                    decoded=self.decoded,
-                                    leakage_sampling=sampling,
-                                    decoder_method=self.decoder_method,
-                                    decoder_max_exact_nodes=self.decoder_max_exact_nodes,
-                                    decoder_strategy=self.decoder_strategy,
-                                    window_rounds=window,
-                                    commit_rounds=self.commit_rounds if window else None,
-                                    decode_batch_size=(
-                                        self.decode_batch_size if self.decoded else None
-                                    ),
-                                    decoder_cache_size=(
-                                        self.decoder_cache_size if self.decoded else None
-                                    ),
-                                    seed=int(self.seed),
-                                    labels=labels + tuple(self.extra_labels),
+                                    canonical_config(config),
+                                    labels + tuple(self.extra_labels),
                                 )
                             )
         return compiled

@@ -1,39 +1,84 @@
 """Work units: the atomic jobs a sweep is compiled into.
 
-A :class:`WorkUnit` is one (code, noise, policy, shots, rounds) simulation —
-exactly the granularity at which :func:`repro.experiments.compare_policies`
-and :func:`repro.experiments.compare_policies_decoded` used to loop
-serially.  The sweep engine shards a unit's shot budget into independent
-slices (see :mod:`repro.sweeps.executor`), runs the slices on a process
-pool, and merges the shard results back into one summary row.
+A :class:`WorkUnit` is one simulation job: a canonical
+:class:`~repro.api.config.ExperimentConfig` (see :func:`canonical_config`)
+plus the grid-coordinate labels stamped onto its summary row.  Both
+:meth:`repro.api.Session.work_units` and :meth:`repro.sweeps.SweepSpec.units`
+build units through :func:`canonical_config`, so one schema describes an
+experiment on every path.  The sweep engine shards a unit's shot budget into
+independent slices (see :mod:`repro.sweeps.executor`), runs the slices on a
+process pool, and merges the shard results back into one summary row.
 
 Every helper in this module is a plain module-level function so that work
 units and their shards can be pickled into ``multiprocessing`` workers.
+
+Summary-row units
+-----------------
+Every sweep returns a list of flat summary dictionaries — the same rows the
+sweep cache serialises to disk — whose keys carry these units:
+
+========================  =====================================================
+key                       meaning / units
+========================  =====================================================
+``policy``                canonical policy display name (e.g. ``gladiator+M``)
+``code``                  code name (e.g. ``surface_d7``)
+``shots`` / ``rounds``    totals for this row's run (counts)
+``mean_dlp``              data-leakage population averaged over rounds and
+                          shots; fraction of data qubits in [0, 1]
+``final_dlp``             data-leakage population after the last round;
+                          fraction of data qubits in [0, 1]
+``dlp_per_round``         array of per-round leakage fractions (undecoded
+                          rows only), length ``rounds``
+``lrcs_per_round``        data-qubit LRC gadgets applied, **per round per
+                          shot** (average count, not a fraction)
+``fp_per_round``          unnecessary LRCs (false positives), per round per
+                          shot
+``fn_per_round``          undetected leaked qubits (false negatives), per
+                          round per shot
+``speculation_inaccuracy``  ``fp_per_round + fn_per_round``
+``total_leakage_events``  leakage injections summed over **all shots and
+                          rounds** of the run (a total, not a rate)
+``ler``                   whole-experiment logical error probability in
+                          [0, 1] (decoded rows only)
+``ler_low`` / ``ler_high``  95% Wilson interval bounds of ``ler``
+``ler_per_round``         per-round logical error probability equivalent to
+                          ``ler`` (decoded rows only)
+``leakage_equilibrium``   trailing-rounds average of the leakage population;
+                          fraction of data qubits (decoded rows only)
+``distance`` / ``p`` / ``leakage_ratio``  grid coordinates stamped by the
+                          sweeps that vary them (``SweepSpec`` grids; a
+                          ``Session.sweep`` axis stamps its leaf name)
+========================  =====================================================
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
 import numpy as np
 
-from ..codes.base import StabilizerCode
-from ..core import make_policy
+from ..api.config import (
+    CodeConfig,
+    DecoderConfig,
+    ExecutionConfig,
+    ExperimentConfig,
+    NoiseConfig,
+    PolicyConfig,
+)
+from ..api.registry import CODES, DECODERS, NOISE_PRESETS, POLICIES
+from ..api.session import build_experiment, build_noise
 from ..core.graph_model import GraphModelConfig
-from ..experiments.memory import MemoryExperiment, MemoryResult
-from ..noise import NoiseParams, paper_noise
-from ..sim import LeakageSimulator, SimulatorOptions
+from ..experiments.memory import MemoryResult
+from ..noise import NoiseParams
 from ..sim.simulator import RoundRecord, RunResult
 
 __all__ = [
     "WorkUnit",
+    "canonical_config",
     "unit_key",
-    "unit_to_config",
-    "resolve_code",
     "run_unit_serial",
     "run_shard",
     "merge_shards",
@@ -47,10 +92,10 @@ __all__ = [
 #: cache key.  v3: ``decode_batch_size`` joined the key (the chunk plan
 #: determines per-chunk simulator seeds, so two batch sizes are different —
 #: equally valid — samples).  v4: the key is a digest of the unit's
-#: :class:`~repro.api.config.ExperimentConfig` form (see
-#: :func:`unit_to_config`), so every construction route — legacy wrappers,
-#: ``SweepSpec`` grids, ``Session.sweep`` — keys the same simulation
-#: identically.  v5: decoded payloads and summaries gained the
+#: canonical :class:`~repro.api.config.ExperimentConfig` (see
+#: :func:`canonical_config`), so every construction route — ``SweepSpec``
+#: grids, ``Session.sweep`` — keys the same simulation identically.  v5:
+#: decoded payloads and summaries gained the
 #: decoder-cache hit-rate and batch-dedup-ratio diagnostics.  v6: the
 #: simulator's sparse draw contract (:mod:`repro.sim.draws`) replaced the
 #: dense ``Generator.random`` schedule, so every simulated sample changed
@@ -62,146 +107,79 @@ ENGINE_VERSION = 6
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One (code, noise, policy) simulation job of a sweep.
+    """One simulation job of a sweep: a canonical config plus row labels.
 
-    The code is named either declaratively by ``(family, distance)`` —
-    resolvable through :func:`repro.experiments.make_code` in any worker
-    process — or by an explicit :class:`StabilizerCode` object in ``code``
-    (used by the legacy ``compare_policies`` wrappers, which receive a code
-    instance from the caller).  ``labels`` are extra key/value pairs stamped
-    onto the summary row after execution; they do not affect the simulation
-    and are therefore excluded from the cache key.
+    ``config`` is the output of :func:`canonical_config`; everything the
+    shard runner builds and everything the cache key digests comes from it.
+    ``labels`` are extra key/value pairs stamped onto the summary row after
+    execution; they do not affect the simulation and are therefore excluded
+    from the cache key.
     """
 
-    family: str
-    distance: int | None
-    noise: NoiseParams
-    policy: str
-    shots: int
-    rounds: int
-    decoded: bool = False
-    leakage_sampling: bool = True
-    decoder_method: str = "matching"
-    decoder_max_exact_nodes: int | None = None
-    decoder_strategy: str | None = None
-    window_rounds: int | None = None
-    commit_rounds: int | None = None
-    decode_batch_size: int | None = None
-    decoder_cache_size: int | None = None
-    seed: int = 0
-    policy_config: GraphModelConfig | None = None
-    code: StabilizerCode | None = None
+    config: ExperimentConfig
     labels: tuple[tuple[str, Any], ...] = ()
 
-    def with_shots(self, shots: int, seed: int) -> "WorkUnit":
-        """Copy of this unit with a different shot budget and seed (a shard)."""
-        return replace(self, shots=shots, seed=seed)
+    @property
+    def seed(self) -> int:
+        """The unit's base seed (single-shard units run with it as-is)."""
+        return self.config.execution.seed
 
 
-def resolve_code(unit: WorkUnit) -> StabilizerCode:
-    """Return the unit's code, constructing it from (family, distance) if needed."""
-    if unit.code is not None:
-        return unit.code
-    from ..experiments.runner import make_code
+def canonical_config(config: ExperimentConfig) -> ExperimentConfig:
+    """Validate ``config`` and spell what it simulates in exactly one way.
 
-    return make_code(unit.family, unit.distance)
+    Two configs that simulate the same experiment canonicalise to equal
+    configs, and so get the same cache key, shard seeds and rows:
 
+    * component names are resolved through the registries (aliases, case);
+    * the noise point is written out as every
+      :class:`~repro.noise.NoiseParams` field in ``overrides``, under the
+      ``custom`` preset (time-structured presets keep their own name: their
+      schedule is not expressible as overrides);
+    * graph-model options are expanded to the full
+      :class:`~repro.core.GraphModelConfig` field set;
+    * ``leakage_sampling`` is resolved, and undecoded runs reset the decoder
+      section and the decoded-only execution fields (they never decode, so
+      those cannot change results);
+    * the deployment knobs (workers, telemetry, durable, serve_*) are left
+      at their defaults: a unit describes a simulation, not how to run it.
 
-def _structure_digest(code: StabilizerCode) -> str:
-    """Digest of a code's full stabilizer structure (name collisions can't alias)."""
-    structure = hashlib.sha256()
-    structure.update(repr((code.name, code.distance, code.num_data)).encode())
-    for stabilizer in code.stabilizers:
-        structure.update(
-            repr((stabilizer.basis, stabilizer.data_support, stabilizer.slots)).encode()
-        )
-    structure.update(code.logical_x.tobytes())
-    structure.update(code.logical_z.tobytes())
-    return structure.hexdigest()
-
-
-@lru_cache(maxsize=None)
-def _reference_digest(family: str, distance: int | None) -> str | None:
-    """Structure digest of ``make_code(family, distance)``, or None if unbuildable."""
-    from ..experiments.runner import make_code
-
-    try:
-        return _structure_digest(make_code(family, distance))
-    except (ValueError, TypeError):
-        return None
-
-
-def _code_fingerprint(unit: WorkUnit) -> dict[str, Any]:
-    """Stable, JSON-safe description of the code a unit simulates.
-
-    Declarative units are fingerprinted by (family, distance).  Explicit code
-    objects get the same declarative fingerprint when they are structurally
-    identical to ``make_code(family, distance)`` — so the legacy wrappers
-    (which pass code objects) and :class:`SweepSpec` grids (which pass
-    family/distance) share cache entries for the same simulation — and fall
-    back to a digest of the full stabilizer structure otherwise, so a custom
-    code can never alias a stock construction.
+    The function is idempotent.  The cosmetic ``name`` is kept.
     """
-    from ..api.registry import CODES
-
-    family = CODES.canonical(unit.family)
-    if unit.code is None:
-        return {"family": family, "distance": unit.distance}
-    digest = _structure_digest(unit.code)
-    if digest == _reference_digest(unit.family, unit.distance):
-        return {"family": family, "distance": unit.distance}
-    return {"code_name": unit.code.name, "code_digest": digest}
-
-
-def unit_to_config(unit: WorkUnit, seed: int | None = None) -> "ExperimentConfig":
-    """The :class:`~repro.api.config.ExperimentConfig` form of a work unit.
-
-    The noise point is serialised through the ``custom`` preset (the full
-    :class:`~repro.noise.NoiseParams` field set as overrides) so *any* noise
-    is expressible as plain config data, and the policy name is canonicalised
-    through the registry — two spellings of the same simulation produce the
-    same config and therefore the same cache key.  Undecoded units zero out
-    the decoder section, matching the legacy key semantics (an undecoded run
-    never decodes, so decoder tuning cannot change its results).
-
-    ``seed`` substitutes the execution seed (the shard runner passes its
-    shard seed so the config it executes is exactly the config it was keyed
-    under, re-seeded).
-    """
-    from ..api.config import (
-        CodeConfig,
-        DecoderConfig,
-        ExecutionConfig,
-        ExperimentConfig,
-        NoiseConfig,
-        PolicyConfig,
-    )
-    from ..api.registry import CODES, DECODERS, POLICIES
-
-    decoded = unit.decoded
+    config.validate()
+    execution = config.execution
+    decoded = execution.decoded
+    noise = build_noise(config)
+    options = config.policy.options
     return ExperimentConfig(
-        name=f"unit:{unit.family}:{unit.policy}",
-        code=CodeConfig(name=CODES.canonical(unit.family), distance=unit.distance),
-        noise=NoiseConfig(preset="custom", overrides=asdict(unit.noise)),
-        policy=PolicyConfig(
-            name=POLICIES.canonical(unit.policy),
-            options=asdict(unit.policy_config) if unit.policy_config else {},
+        name=config.name,
+        code=CodeConfig(name=CODES.canonical(config.code.name), distance=config.code.distance),
+        noise=NoiseConfig(
+            preset=(
+                NOISE_PRESETS.canonical(config.noise.preset)
+                if noise.is_time_structured
+                else "custom"
+            ),
+            overrides={f.name: getattr(noise, f.name) for f in fields(NoiseParams)},
         ),
-        decoder=DecoderConfig(
-            name=DECODERS.canonical(unit.decoder_method) if decoded else "matching",
-            max_exact_nodes=unit.decoder_max_exact_nodes if decoded else None,
-            strategy=unit.decoder_strategy if decoded else None,
-            cache_size=unit.decoder_cache_size if decoded else None,
+        policy=PolicyConfig(
+            name=POLICIES.canonical(config.policy.name),
+            options=asdict(GraphModelConfig(**options)) if options else {},
+        ),
+        decoder=(
+            replace(config.decoder, name=DECODERS.canonical(config.decoder.name))
+            if decoded
+            else DecoderConfig()
         ),
         execution=ExecutionConfig(
-            shots=unit.shots,
-            rounds=unit.rounds,
-            seed=unit.seed if seed is None else seed,
+            shots=execution.shots,
+            rounds=execution.rounds,
+            seed=execution.seed,
             decoded=decoded,
-            leakage_sampling=unit.leakage_sampling,
-            decode_batch_size=unit.decode_batch_size if decoded else None,
-            window_rounds=unit.window_rounds if decoded else None,
-            commit_rounds=unit.commit_rounds if decoded else None,
+            leakage_sampling=execution.effective_leakage_sampling,
+            decode_batch_size=execution.decode_batch_size if decoded else None,
+            window_rounds=execution.window_rounds,
+            commit_rounds=execution.commit_rounds,
         ),
     )
 
@@ -209,11 +187,14 @@ def unit_to_config(unit: WorkUnit, seed: int | None = None) -> "ExperimentConfig
 def unit_key(unit: WorkUnit, shard_sizes: tuple[int, ...] | None = None) -> str:
     """Stable hex cache key of a work unit (labels excluded — they are cosmetic).
 
-    The key digests the unit's config form (:func:`unit_to_config`, minus
-    the performance-only knobs its ``cache_payload`` drops — decoder cache
-    size and worker count never change results).  Explicit code objects
-    replace the declarative ``code`` section with a structure fingerprint so
-    a custom code can never alias a stock construction.
+    The key digests the unit config's ``cache_payload`` (which drops the
+    performance-only knobs — decoder cache size and worker count never
+    change results), with the code section written as
+    ``{"family", "distance"}`` and the noise section as every field of the
+    built noise under the ``custom`` preset.  For stationary noise that is
+    the canonical section itself; for a time-structured preset it also
+    carries the schedule fields, which is how such units have always been
+    keyed.
 
     ``shard_sizes`` is the executor's shard plan for the unit.  It is part of
     the *cache* key because the plan determines the RNG streams: a serial row
@@ -222,8 +203,12 @@ def unit_key(unit: WorkUnit, shard_sizes: tuple[int, ...] | None = None) -> str:
     (:func:`repro.sweeps.executor.shard_seeds`) uses the plan-free key, so
     shard seeds depend only on what is simulated.
     """
-    config_payload = unit_to_config(unit).cache_payload()
-    config_payload["code"] = _code_fingerprint(unit)
+    config_payload = unit.config.cache_payload()
+    code = config_payload["code"]
+    config_payload["code"] = {"family": code["name"], "distance": code["distance"]}
+    config_payload["noise"] = asdict(
+        NoiseConfig(preset="custom", overrides=asdict(build_noise(unit.config)))
+    )
     payload: dict[str, Any] = {
         "engine": ENGINE_VERSION,
         "config": config_payload,
@@ -248,15 +233,15 @@ def run_shard(unit: WorkUnit, shots: int, seed: int) -> dict[str, Any]:
     merge time); decoded payloads carry the failure count and the already
     shot-normalised per-round rates (weight-averaged at merge time).
     """
-    code = resolve_code(unit)
-    policy = make_policy(unit.policy, config=unit.policy_config)
-    if unit.decoded:
-        # Construct through the api facade: the config this shard executes is
-        # exactly the config the unit was keyed under, re-seeded for the shard.
-        experiment = MemoryExperiment.from_config(
-            unit_to_config(unit, seed=seed), code=code, policy=policy, noise=unit.noise
-        )
-        result = experiment.run(shots=shots, rounds=unit.rounds)
+    config = unit.config
+    # The config this shard executes is exactly the config the unit was
+    # keyed under, re-seeded for the shard; Session.run builds the same way.
+    experiment = build_experiment(
+        replace(config, execution=replace(config.execution, seed=seed))
+    )
+    rounds = config.execution.rounds
+    if config.execution.decoded:
+        result = experiment.run(shots=shots, rounds=rounds)
         return {
             "decoded": True,
             "policy_name": result.policy_name,
@@ -273,14 +258,7 @@ def run_shard(unit: WorkUnit, shots: int, seed: int) -> dict[str, Any]:
             "batch_dedup_ratio": result.batch_dedup_ratio,
         }
 
-    simulator = LeakageSimulator(
-        code=code,
-        noise=unit.noise,
-        policy=policy,
-        options=SimulatorOptions(leakage_sampling=unit.leakage_sampling),
-        seed=seed,
-    )
-    result = simulator.run(shots=shots, rounds=unit.rounds)
+    result = experiment.run_undecoded(shots=shots, rounds=rounds)
     records = result.round_records
     return {
         "decoded": False,
@@ -329,8 +307,9 @@ def merge_shards(unit: WorkUnit, payloads: list[dict[str, Any]]) -> RunResult | 
         raise ValueError("cannot merge zero shards")
     weights = np.array([p["shots"] for p in payloads], dtype=float)
     total_shots = int(weights.sum())
+    rounds = unit.config.execution.rounds
 
-    if unit.decoded:
+    if unit.config.execution.decoded:
         def wavg(key: str) -> Any:
             # Single-shard merges must be bit-exact (the serial path relies
             # on it), so skip the weighted round-trip entirely.
@@ -342,7 +321,7 @@ def merge_shards(unit: WorkUnit, payloads: list[dict[str, Any]]) -> RunResult | 
             code_name=payloads[0]["code_name"],
             policy_name=payloads[0]["policy_name"],
             shots=total_shots,
-            rounds=unit.rounds,
+            rounds=rounds,
             failures=int(sum(p["failures"] for p in payloads)),
             dlp_per_round=np.asarray(wavg("dlp_per_round")),
             lrcs_per_round=float(wavg("lrcs_per_round")),
@@ -375,8 +354,8 @@ def merge_shards(unit: WorkUnit, payloads: list[dict[str, Any]]) -> RunResult | 
         code_name=payloads[0]["code_name"],
         policy_name=payloads[0]["policy_name"],
         shots=total_shots,
-        rounds=unit.rounds,
-        noise=unit.noise,
+        rounds=rounds,
+        noise=build_noise(unit.config),
         round_records=round_records,
         total_data_lrcs=totals["lrc"],
         total_ancilla_lrcs=totals["anc_lrc"],
@@ -392,17 +371,17 @@ def merge_shards(unit: WorkUnit, payloads: list[dict[str, Any]]) -> RunResult | 
 def summarize_unit(
     unit: WorkUnit, result: RunResult | MemoryResult, apply_labels: bool = True
 ) -> dict[str, Any]:
-    """Produce the summary row a legacy runner function would have returned.
+    """Produce the unit's summary row (see the module docstring for its keys).
 
-    Undecoded rows get the extra ``code`` and ``dlp_per_round`` keys that
-    :func:`repro.experiments.compare_policies` always added; the unit's
-    ``labels`` are stamped on last so sweeps can tag rows with their grid
-    coordinates (distance, p, leakage ratio, ...).  The executor caches rows
+    Undecoded rows add the ``code`` name and the per-round ``dlp_per_round``
+    array to the result's summary; the unit's ``labels`` are stamped on
+    last so sweeps can tag rows with their grid coordinates (distance, p,
+    leakage ratio, ...).  The executor caches rows
     *without* labels (they are not part of the cache key) and re-stamps them
     on every hit, which is what ``apply_labels=False`` is for.
     """
     row = result.summary()
-    if not unit.decoded:
+    if not unit.config.execution.decoded:
         row["code"] = result.code_name
         row["dlp_per_round"] = result.dlp_per_round
     if apply_labels:
@@ -418,11 +397,7 @@ def apply_unit_labels(unit: WorkUnit, row: dict[str, Any]) -> dict[str, Any]:
 
 
 def run_unit_serial(unit: WorkUnit) -> dict[str, Any]:
-    """Run a unit in-process as one shard — bit-identical to the legacy path."""
-    payload = run_shard(unit, unit.shots, unit.seed)
+    """Run a unit in-process as one shard with its base seed."""
+    payload = run_shard(unit, unit.config.execution.shots, unit.seed)
     return summarize_unit(unit, merge_shards(unit, [payload]))
 
-
-def make_unit_noise(p: float, leakage_ratio: float) -> NoiseParams:
-    """The paper's noise profile at one (p, leakage-ratio) grid point."""
-    return paper_noise(p=p, leakage_ratio=leakage_ratio)

@@ -196,8 +196,7 @@ def test_override_dotted_paths():
 
 def test_digest_and_unit_key_canonicalize_alias_spellings():
     """mwpm/matching, always/always-lrc, Surface/surface: one cache key."""
-    from repro.api.session import workunit_from_config
-    from repro.sweeps.units import unit_key
+    from repro.sweeps.units import WorkUnit, canonical_config, unit_key
 
     aliased = ExperimentConfig.from_dict(
         {"code": {"name": "Surface"}, "decoder": {"name": "mwpm"},
@@ -208,8 +207,8 @@ def test_digest_and_unit_key_canonicalize_alias_spellings():
          "policy": {"name": "always-lrc"}, "execution": {"decoded": False}}
     )
     assert aliased.digest() == canonical.digest()
-    assert unit_key(workunit_from_config(aliased)) == unit_key(
-        workunit_from_config(canonical)
+    assert unit_key(WorkUnit(canonical_config(aliased))) == unit_key(
+        WorkUnit(canonical_config(canonical))
     )
 
 
@@ -229,15 +228,65 @@ def test_decoded_windowed_config_keys_are_pinned():
     change to either value orphans every stored result; such a change must
     come with an ``ENGINE_VERSION`` bump.
     """
-    from repro.api.session import workunit_from_config
-    from repro.sweeps.units import unit_key
+    from repro.sweeps.units import WorkUnit, canonical_config, unit_key
 
     config = _full_config()
     assert config.digest() == (
         "732fd98822b3ee718cbd7f14606148d2d65828a667d757731964e23f9835c8b9"
     )
-    assert unit_key(workunit_from_config(config)) == (
+    assert unit_key(WorkUnit(canonical_config(config))) == (
         "b95b7bbd13c0003b90b4491861054df7d74ddfe4143f856436b24337d472580b"
+    )
+
+
+def test_smoke_preset_unit_key_is_pinned(monkeypatch):
+    """Literal key of the first unit of the ``smoke`` sweep preset: an
+    undecoded unit whose noise comes from a ``SweepSpec`` grid point."""
+    from repro.sweeps.registry import build_sweep
+    from repro.sweeps.units import unit_key
+
+    monkeypatch.setenv("REPRO_SCALE", "smoke")
+    unit = build_sweep("smoke").units()[0]
+    assert unit_key(unit) == (
+        "ef3d8060f863fef756e5c33b8bd6cc31ac9467582ed495ec1ea09d97cd0943ca"
+    )
+
+
+def test_policy_options_unit_key_is_pinned():
+    """Literal key of an undecoded unit with graph-model options: the key
+    digests the full option set, not just the fields the config names."""
+    from repro.api.session import Session
+    from repro.sweeps.units import unit_key
+
+    config = ExperimentConfig.from_dict(
+        {"code": {"name": "surface", "distance": 3},
+         "policy": {"name": "gladiator-d+m",
+                    "options": {"threshold": 0.2, "include_second_order": False}},
+         "execution": {"shots": 20, "rounds": 5, "seed": 9, "decoded": False}}
+    )
+    (unit,) = Session(config).work_units()
+    assert unit_key(unit) == (
+        "7e1b459a8d4d942eaa25611683b348fdcef208f9f4d74d9a0717a1817cf74926"
+    )
+
+
+def test_time_structured_noise_unit_key_is_pinned():
+    """Literal key of a unit under a time-structured preset: the schedule
+    fields of the built noise are part of the key."""
+    from repro.api.session import Session
+    from repro.sweeps.units import unit_key
+
+    config = ExperimentConfig.from_dict(
+        {"code": {"name": "toric", "distance": 3},
+         "noise": {"preset": "drift", "p": 2e-3,
+                   "overrides": {"leakage_mobility": 0.2}},
+         "policy": {"name": "gladiator"},
+         "decoder": {"name": "union_find"},
+         "execution": {"shots": 300, "rounds": 6, "seed": 4}}
+    )
+    (unit,) = Session(config).work_units()
+    assert unit_key(unit) == (
+        "cbc3ca657f374e21070d03c1222d8f4351c05af49fd86a3d1da67903d08f9a7a"
     )
 
 

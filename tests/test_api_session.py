@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from repro import ExperimentConfig, MemoryExperiment, Session, make_code, make_policy
+from repro.api.session import build_noise
 from repro.noise import paper_noise
+from repro.sweeps import SweepSpec
 from repro.sweeps.executor import SweepExecutor
-from repro.sweeps.units import WorkUnit, run_unit_serial, unit_key, unit_to_config
+from repro.sweeps.units import WorkUnit, canonical_config, run_unit_serial, unit_key
 
 SHOTS = 30
 ROUNDS = 6
@@ -87,26 +89,26 @@ def test_window_covering_all_rounds_matches_offline_decode():
     assert windowed.failures == offline.failures
 
 
-def test_sweep_grid_point_matches_legacy_workunit():
-    """A Session sweep point and a hand-built WorkUnit are the same job."""
-    config = _config()
-    session = Session.from_config(config)
-    legacy_unit = WorkUnit(
-        family="surface",
-        distance=3,
-        noise=paper_noise(p=3e-3, leakage_ratio=1.0),
-        policy="gladiator+m",
+def test_sweep_grid_point_matches_spec_unit():
+    """A Session sweep point and the same SweepSpec grid point are one job."""
+    session = Session.from_config(_config())
+    spec = SweepSpec(
+        name="identity-check",
+        distances=(3,),
+        error_rates=(3e-3,),
+        leakage_ratios=(1.0,),
+        policies=("gladiator+m",),
         shots=SHOTS,
         rounds=ROUNDS,
         decoded=True,
-        leakage_sampling=False,
         seed=11,
     )
     (unit,) = session.work_units()
-    assert unit_key(unit) == unit_key(legacy_unit)
-    rows = session.sweep(executor=SweepExecutor(workers=1, cache=None))
-    legacy_row = run_unit_serial(legacy_unit)
-    assert rows == [legacy_row]
+    (spec_unit,) = spec.units()
+    assert unit.config == spec_unit.config
+    assert unit_key(unit) == unit_key(spec_unit)
+    (row,) = session.sweep(executor=SweepExecutor(workers=1, cache=None))
+    assert run_unit_serial(spec_unit) == {**row, **dict(spec_unit.labels)}
 
 
 def test_sweep_axes_label_rows_and_match_serial_runs():
@@ -175,26 +177,28 @@ def test_session_stream_requires_window():
         Session.from_config(_config()).stream(streams=1)
 
 
-def test_unit_to_config_round_trips_through_the_key():
-    """unit -> config -> unit preserves the cache key (construction routes
-    can never fork the cache)."""
-    from repro.api.session import workunit_from_config
-
-    unit = WorkUnit(
-        family="color",
-        distance=3,
-        noise=paper_noise(p=2e-3, leakage_ratio=0.5),
-        policy="eraser+m",
-        shots=17,
-        rounds=5,
-        decoded=True,
-        leakage_sampling=False,
-        decoder_method="union_find",
-        decode_batch_size=8,
-        seed=4,
-    )
-    rebuilt = workunit_from_config(unit_to_config(unit))
-    assert unit_key(rebuilt) == unit_key(unit)
+@pytest.mark.parametrize(
+    "sections",
+    [
+        {"code": {"name": "Color"}, "decoder": {"name": "union-find"},
+         "execution": {"decode_batch_size": 8, "workers": 2}},
+        {"policy": {"options": {"threshold": 0.1}},
+         "decoder": {"max_exact_nodes": 4, "cache_size": 16},
+         "execution": {"decoded": False, "telemetry": "1"}},
+        {"noise": {"preset": "drift", "overrides": {"leakage_mobility": 0.2}},
+         "execution": {"window_rounds": 4, "commit_rounds": 2}},
+    ],
+    ids=["aliases", "undecoded-options", "time-structured"],
+)
+def test_canonical_config_is_idempotent_and_preserves_the_key(sections):
+    """Canonicalising twice changes nothing (construction routes can never
+    fork the cache), and the canonical config still runs the same job."""
+    config = _config(**sections)
+    canonical = canonical_config(config)
+    assert canonical_config(canonical) == canonical
+    assert unit_key(WorkUnit(canonical_config(canonical))) == unit_key(WorkUnit(canonical))
+    assert canonical.validate() is canonical
+    assert build_noise(canonical) == build_noise(config)
 
 
 def test_memory_experiment_from_config_matches_direct_construction():

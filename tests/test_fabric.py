@@ -40,25 +40,25 @@ from repro.fabric import (
     sweep_store_root,
 )
 from repro.fabric.chaos import parse_chaos_spec
-from repro.noise import paper_noise
-from repro.sweeps import SweepExecutor, WorkUnit
+from repro.api import ExperimentConfig, Session
+from repro.sweeps import SweepExecutor
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _unit(**overrides):
-    defaults = dict(
-        family="surface",
-        distance=3,
-        noise=paper_noise(),
-        policy="eraser+m",
-        shots=60,
-        rounds=6,
-        leakage_sampling=True,
-        seed=5,
-    )
-    defaults.update(overrides)
-    return WorkUnit(**defaults)
+def _unit_config(**execution) -> dict:
+    """Dict form of an undecoded surface d=3 config; ``execution`` overrides."""
+    return {
+        "code": {"name": "surface", "distance": 3},
+        "policy": {"name": "eraser+m"},
+        "execution": {"shots": 60, "rounds": 6, "seed": 5, "decoded": False,
+                      "leakage_sampling": True, **execution},
+    }
+
+
+def _unit(**execution):
+    (unit,) = Session(ExperimentConfig.from_dict(_unit_config(**execution))).work_units()
+    return unit
 
 
 #: The scheduler configurations every fault test runs under: pool-backed
@@ -244,16 +244,12 @@ def test_sigkilled_scheduler_resumes_bit_identical(tmp_path):
     script.write_text(
         textwrap.dedent(
             f"""
+            from repro.api import ExperimentConfig, Session
             from repro.fabric import FabricExecutor
-            from repro.noise import paper_noise
-            from repro.sweeps import WorkUnit
 
-            units = [
-                WorkUnit(family="surface", distance=3, noise=paper_noise(),
-                         policy="eraser+m", shots=40, rounds=5,
-                         leakage_sampling=True, seed=seed)
-                for seed in (11, 12, 13, 14)
-            ]
+            # The same units as the parent's (seed labels are not keyed).
+            config = ExperimentConfig.from_dict({_unit_config(shots=40, rounds=5)!r})
+            units = Session(config).work_units({{"execution.seed": [11, 12, 13, 14]}})
             FabricExecutor(
                 workers=1, cache=None, root={str(root)!r}, lease_ttl=0.5
             ).run_units(units)

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro.circuits import CycleTimeModel
-from repro.codes import bpc_code, color_code, hypergraph_product_code, surface_code
+from repro.codes import surface_code
 from repro.core import make_policy
-from repro.experiments import MemoryExperiment, compare_policies, reduction_factor
+from repro.api import Session
+from repro.experiments import MemoryExperiment, reduction_factor
 from repro.noise import paper_noise
 from repro.sim import LeakageSimulator, SimulatorOptions
 
@@ -84,15 +85,15 @@ def test_cycle_time_advantage_tracks_lrc_reduction(surface_runs):
 
 
 @pytest.mark.parametrize(
-    "code_factory,lrc_margin",
+    "family,distance,lrc_margin",
     [
-        (lambda: color_code(5), 1.0),
-        (hypergraph_product_code, 1.0),
-        (bpc_code, 1.3),
+        ("color", 5, 1.0),
+        ("hgp", None, 1.0),
+        ("bpc", None, 1.3),
     ],
     ids=["color", "hgp", "bpc"],
 )
-def test_generalisation_beyond_surface_codes(code_factory, lrc_margin):
+def test_generalisation_beyond_surface_codes(family, distance, lrc_margin):
     """Table 5's qualitative claim: GLADIATOR never needs substantially more LRCs.
 
     On the colour and HGP codes GLADIATOR inserts strictly fewer LRCs, as in
@@ -101,16 +102,11 @@ def test_generalisation_beyond_surface_codes(code_factory, lrc_margin):
     qubit under test) erodes the single-round advantage, so the bound there
     only asserts rough parity; see EXPERIMENTS.md for the discussion.
     """
-    code = code_factory()
-    noise = paper_noise()
-    rows = compare_policies(
-        code,
-        noise,
-        ["eraser+m", "gladiator+m"],
-        shots=150,
-        rounds=40,
-        seed=5,
+    session = Session.from_config(
+        {"code": {"name": family, "distance": distance},
+         "execution": {"shots": 150, "rounds": 40, "seed": 5, "decoded": False}}
     )
+    rows = session.sweep({"policy.name": ["eraser+m", "gladiator+m"]})
     by_policy = {row["policy"]: row for row in rows}
     assert (
         by_policy["gladiator+M"]["lrcs_per_round"]

@@ -263,8 +263,7 @@ def test_nested_scopes_join_the_outer_tracer(tmp_path):
 
 
 def test_execution_telemetry_is_not_part_of_the_cache_key():
-    from repro.api.session import workunit_from_config
-    from repro.sweeps.units import unit_key
+    from repro.sweeps.units import WorkUnit, canonical_config, unit_key
 
     plain = _config()
     traced = _config(**{"execution.telemetry": "trace.json"})
@@ -273,8 +272,8 @@ def test_execution_telemetry_is_not_part_of_the_cache_key():
     # cache key alike.
     assert "telemetry" not in plain.cache_payload()["execution"]
     assert plain.digest() == traced.digest()
-    assert unit_key(workunit_from_config(plain)) == unit_key(
-        workunit_from_config(traced)
+    assert unit_key(WorkUnit(canonical_config(plain))) == unit_key(
+        WorkUnit(canonical_config(traced))
     )
 
 

@@ -1,17 +1,9 @@
-"""Tests of the sweep/comparison runner and workload scaling."""
+"""Tests of the code factory and workload scaling."""
 
 import pytest
 
-from repro.experiments import (
-    compare_policies,
-    compare_policies_decoded,
-    current_scale,
-    make_code,
-    sweep_distances,
-    sweep_error_rates,
-)
+from repro.experiments import current_scale, make_code
 from repro.experiments.runner import ScaleConfig
-from repro.noise import paper_noise
 
 
 def test_make_code_families():
@@ -40,52 +32,3 @@ def test_scale_config_floors():
     assert scale.shots(100) >= 10
     assert scale.rounds(100) >= 5
     assert scale.decoded_shots(100) >= 10
-
-
-def test_compare_policies_returns_one_row_per_policy(surface_d3, noise):
-    rows = compare_policies(
-        surface_d3, noise, ["eraser+m", "gladiator+m"], shots=40, rounds=10, seed=1
-    )
-    assert len(rows) == 2
-    assert {row["policy"] for row in rows} == {"eraser+M", "gladiator+M"}
-    for row in rows:
-        assert row["code"] == surface_d3.name
-        assert "mean_dlp" in row and "lrcs_per_round" in row
-        assert row["dlp_per_round"].shape == (10,)
-
-
-def test_compare_policies_decoded_includes_ler(surface_d3, noise):
-    rows = compare_policies_decoded(
-        surface_d3, noise, ["eraser+m"], shots=40, rounds=6, seed=1
-    )
-    assert len(rows) == 1
-    assert 0 <= rows[0]["ler"] <= 1
-
-
-def test_sweep_distances_labels_rows(noise):
-    rows = sweep_distances(
-        [3, 5],
-        noise,
-        ["eraser+m"],
-        shots=30,
-        rounds_per_distance=lambda d: 2 * d,
-        decoded=False,
-        leakage_sampling=True,
-    )
-    assert len(rows) == 2
-    assert {row["distance"] for row in rows} == {3, 5}
-    assert rows[0]["rounds"] == 6 and rows[1]["rounds"] == 10
-
-
-def test_sweep_error_rates_labels_rows():
-    rows = sweep_error_rates(
-        [1e-3, 1e-4],
-        leakage_ratio=0.1,
-        policy_names=["gladiator+m"],
-        shots=30,
-        rounds=10,
-        distance=3,
-        decoded=False,
-    )
-    assert len(rows) == 2
-    assert {row["p"] for row in rows} == {1e-3, 1e-4}

@@ -6,12 +6,13 @@ import os
 import numpy as np
 import pytest
 
-from repro.noise import paper_noise
+from repro.api import ExperimentConfig
 from repro.sweeps import (
     SweepCache,
     SweepExecutor,
     SweepSpec,
     WorkUnit,
+    canonical_config,
     plan_shards,
     run_unit_serial,
     shard_seeds,
@@ -19,20 +20,32 @@ from repro.sweeps import (
 )
 from repro.sweeps.registry import build_sweep, sweep_names
 
+#: Short keyword names of the config fields the tests below vary.
+_UNIT_FIELDS = {
+    "policy": "policy.name",
+    "shots": "execution.shots",
+    "rounds": "execution.rounds",
+    "seed": "execution.seed",
+    "decoded": "execution.decoded",
+    "leakage_sampling": "execution.leakage_sampling",
+    "window_rounds": "execution.window_rounds",
+    "commit_rounds": "execution.commit_rounds",
+    "decoder_max_exact_nodes": "decoder.max_exact_nodes",
+    "decoder_strategy": "decoder.strategy",
+}
 
-def _unit(**overrides):
-    defaults = dict(
-        family="surface",
-        distance=3,
-        noise=paper_noise(),
-        policy="eraser+m",
-        shots=200,
-        rounds=10,
-        leakage_sampling=True,
-        seed=5,
+
+def _unit(labels=(), **overrides):
+    """An undecoded surface d=3 unit under paper noise, with config overrides."""
+    config = ExperimentConfig.from_dict(
+        {"code": {"name": "surface", "distance": 3},
+         "policy": {"name": "eraser+m"},
+         "execution": {"shots": 200, "rounds": 10, "seed": 5, "decoded": False,
+                       "leakage_sampling": True}}
     )
-    defaults.update(overrides)
-    return WorkUnit(**defaults)
+    for name, value in overrides.items():
+        config = config.override(_UNIT_FIELDS[name], value)
+    return WorkUnit(canonical_config(config), labels)
 
 
 # --------------------------------------------------------------------- #
@@ -180,42 +193,25 @@ def test_cache_never_substitutes_sharded_rows_for_serial(tmp_path):
     assert again.units_computed == 0 and again.cache.hits == 1
 
 
-def test_wrapper_and_spec_units_share_cache_keys(surface_d3):
-    """A code object identical to make_code output gets the declarative
-    fingerprint, so legacy wrappers and SweepSpec grids share cache entries."""
-    declarative = _unit()
-    wrapped = _unit(code=surface_d3)
-    assert unit_key(declarative) == unit_key(wrapped)
-
-    # A structurally different code with the same (family, distance) must not alias.
-    from repro.codes import color_code
-
-    impostor = _unit(code=color_code(3))
-    assert unit_key(impostor) != unit_key(declarative)
-
-
 def test_default_executor_tracks_environment(monkeypatch, tmp_path):
-    from repro.sweeps.executor import default_executor
+    """An executor built with defaults reads REPRO_WORKERS when constructed,
+    cache_enabled() reads REPRO_CACHE and a default cache REPRO_CACHE_DIR."""
+    from repro.sweeps.executor import cache_enabled
 
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.setenv("REPRO_CACHE", "1")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
-    first = default_executor()
-    assert first.cache is not None and first.cache.root == tmp_path / "a"
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b"))
-    second = default_executor()
-    assert second is not first
-    assert second.cache.root == tmp_path / "b"
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    assert SweepExecutor().workers == 1
+    assert not cache_enabled()
 
     monkeypatch.setenv("REPRO_WORKERS", "3")
-    assert default_executor().workers == 3
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert SweepExecutor().workers == 3
+    assert cache_enabled()
+    assert SweepCache().root == tmp_path
 
-    monkeypatch.delenv("REPRO_CACHE")
-    monkeypatch.delenv("REPRO_CACHE_DIR")
-    monkeypatch.delenv("REPRO_WORKERS")
-    rebuilt = default_executor()
-    assert rebuilt.cache is None and rebuilt.workers == 1
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    assert not cache_enabled()
 
 
 def test_cache_survives_corrupt_entries(tmp_path):
@@ -289,7 +285,7 @@ def test_cache_stale_engine_is_plain_miss_not_corruption(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Legacy wrapper equivalence
+# Serial engine equivalence
 # --------------------------------------------------------------------- #
 def test_serial_engine_matches_direct_simulator(surface_d3, noise):
     """The workers=1 path is bit-identical to driving the simulator by hand."""
@@ -305,7 +301,7 @@ def test_serial_engine_matches_direct_simulator(surface_d3, noise):
     )
     expected = simulator.run(shots=50, rounds=8).summary()
 
-    row = run_unit_serial(_unit(code=surface_d3, shots=50, rounds=8, seed=5))
+    row = run_unit_serial(_unit(shots=50, rounds=8, seed=5))
     for key, value in expected.items():
         assert row[key] == value, key
 
@@ -322,7 +318,7 @@ def test_spec_expansion_grid_order_and_labels():
     )
     units = spec.units()
     assert len(units) == 4
-    assert [unit.rounds for unit in units] == [6, 6, 10, 10]
+    assert [unit.config.execution.rounds for unit in units] == [6, 6, 10, 10]
     assert units[0].labels == (("distance", 3), ("p", 1e-3), ("leakage_ratio", 0.1))
     assert units[1].labels == (("distance", 3), ("p", 1e-3), ("leakage_ratio", 1.0))
 
@@ -413,9 +409,10 @@ def test_window_axis_expands_and_labels_units():
         commit_rounds=2,
     )
     units = spec.units()
-    assert [unit.window_rounds for unit in units] == [None, 4, 8]
+    executions = [unit.config.execution for unit in units]
+    assert [execution.window_rounds for execution in executions] == [None, 4, 8]
     # commit_rounds only applies where a window does.
-    assert [unit.commit_rounds for unit in units] == [None, 2, 2]
+    assert [execution.commit_rounds for execution in executions] == [None, 2, 2]
     assert [dict(unit.labels)["window"] for unit in units] == [None, 4, 8]
     # Specs that do not sweep windows keep their historical label layout.
     legacy = SweepSpec(name="plain", distances=(3,), policies=("eraser+m",), shots=10, rounds=5)
