@@ -24,7 +24,6 @@ import numpy as np
 from _common import emit, format_table, run_once, save
 
 from repro.core import make_policy
-from repro.core.speculator import SpeculationInput
 from repro.experiments import make_code
 from repro.noise import paper_noise
 from repro.obs.metrics import METRICS
@@ -57,8 +56,8 @@ class BareLeakageSimulator(LeakageSimulator):
     ``_run_round`` is a verbatim copy of :meth:`LeakageSimulator._run_round`
     minus the tracer resolution, the ``sim.phase.*`` marks and the
     ``sim.round`` span; everything it calls (draw source, layer kernel,
-    measurement, speculation) is the engine's own.  Re-derive it whenever
-    the engine's round loop changes shape: the signature must stay
+    measurement, the speculation step) is the engine's own.  Re-derive it
+    whenever the engine's round loop changes shape: the signature must stay
     call-compatible with ``run_incremental``, and with no tracer active the
     two engines draw the identical RNG stream.
     """
@@ -76,8 +75,8 @@ class BareLeakageSimulator(LeakageSimulator):
         noise = self.noise.params_for_round(round_index)
         shots = state.shots
 
-        lrcs_this_round = int(np.count_nonzero(ws.data_lrc))
-        anc_lrcs_this_round = int(np.count_nonzero(ws.anc_lrc))
+        lrcs_this_round = ws.pending_data_lrcs
+        anc_lrcs_this_round = int(np.count_nonzero(ws.anc_lrc)) if ws.emits_ancilla_lrc else 0
         totals["lrc"] += lrcs_this_round
         totals["anc_lrc"] += anc_lrcs_this_round
         if lrcs_this_round:
@@ -105,56 +104,28 @@ class BareLeakageSimulator(LeakageSimulator):
         _unpack_register(ws.anc_pack, state.anc_x, state.anc_z, state.anc_leaked, ws.anc_u8)
 
         self._measure(state, ws, source, noise)
-        np.logical_xor(ws.measurement, state.prev_measurement, out=ws.detectors)
-        if round_index == 0:
-            ws.detectors[:, self._x_stab_indices] = False
+
+        self._speculate(state, round_index, ws)
         state.prev_measurement, ws.measurement = ws.measurement, state.prev_measurement
         z_detectors = ws.detectors[:, self._z_stab_indices]
         if detector_history is not None:
             detector_history[:, round_index, :] = z_detectors
 
-        self._extract_patterns(ws.detectors, ws.pattern_a, ws)
-        if ws.mlr_flags is not None and ws.mlr_neighbor is not None:
-            self._mlr_neighbor(ws.mlr_flags, ws.mlr_neighbor, ws)
-        ctx = SpeculationInput(
-            round_index=round_index,
-            pattern_ints=ws.pattern_a,
-            prev_pattern_ints=ws.pattern_b,
-            detectors=ws.detectors,
-            mlr_flags=ws.mlr_flags,
-            mlr_neighbor=ws.mlr_neighbor,
-            data_leaked=state.data_leaked,
-        )
-        self.policy.decide_into(
-            ctx, ws.data_lrc, ws.anc_lrc if ws.emits_ancilla_lrc else None
-        )
-
-        data = ws.data
-        lrc_u8 = ws.data_lrc.view(np.uint8)
-        leaked_u8 = state.data_leaked.view(np.uint8)
-        np.bitwise_xor(leaked_u8, 1, out=data.t1)
-        np.bitwise_and(lrc_u8, data.t1, out=data.t2)
-        false_positives = int(np.count_nonzero(data.t2))
-        np.bitwise_xor(lrc_u8, 1, out=data.t1)
-        np.bitwise_and(leaked_u8, data.t1, out=data.t2)
-        false_negatives = int(np.count_nonzero(data.t2))
-        np.bitwise_and(lrc_u8, leaked_u8, out=data.t2)
-        true_positives = int(np.count_nonzero(data.t2))
-        totals["fp"] += false_positives
-        totals["fn"] += false_negatives
-        totals["tp"] += true_positives
-
+        fp, fn, tp, leaked_data, leaked_anc = ws.speculate_counts.tolist()
+        totals["fp"] += fp
+        totals["fn"] += fn
+        totals["tp"] += tp
+        ws.pending_data_lrcs = fp + tp
         if self.options.record_patterns:
             self._record_patterns(ws.pattern_a, state.data_leaked, pattern_histogram)
-
         record = RoundRecord(
             round_index=round_index,
-            data_leakage_population=state.leaked_fraction(),
-            ancilla_leakage_population=float(state.anc_leaked.mean()),
+            data_leakage_population=leaked_data / state.data_leaked.size,
+            ancilla_leakage_population=leaked_anc / state.anc_leaked.size,
             lrcs_applied=lrcs_this_round / shots,
-            false_positives=false_positives / shots,
-            false_negatives=false_negatives / shots,
-            true_positives=true_positives / shots,
+            false_positives=fp / shots,
+            false_negatives=fn / shots,
+            true_positives=tp / shots,
         )
         ws.pattern_a, ws.pattern_b = ws.pattern_b, ws.pattern_a
         return record, z_detectors

@@ -14,12 +14,12 @@ increase).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .gladiator import GladiatorPolicy
 from .graph_model import labels_for_qubit
-from .speculator import SpeculationInput, PolicyDecision
 
 __all__ = ["GladiatorDPolicy", "GladiatorDMPolicy"]
 
@@ -32,6 +32,12 @@ class GladiatorDPolicy(GladiatorPolicy):
     uses_mlr: bool = False
     uses_two_rounds: bool = True
 
+    #: No previous round yet: the deferred speculator stays silent in the
+    #: very first round (the paper applies LRCs "every round except the
+    #: first" in the sliding-window scheme); MLR-neighbour triggers, when
+    #: enabled, still fire.
+    silent_first_round: ClassVar[bool] = True
+
     def flag_table(self, qubit: int) -> np.ndarray:
         return labels_for_qubit(
             self.code,
@@ -40,31 +46,6 @@ class GladiatorDPolicy(GladiatorPolicy):
             config=self.config,
             two_rounds=True,
         )
-
-    def decide(self, ctx: SpeculationInput) -> PolicyDecision:
-        decision = super().decide(ctx)
-        if ctx.round_index == 0:
-            # No previous round yet: the deferred speculator stays silent in
-            # the very first round (the paper applies LRCs "every round except
-            # the first" in the sliding-window scheme).
-            decision.data_lrc &= False
-            if ctx.mlr_neighbor is not None and self.uses_mlr and self.trigger_on_mlr_neighbor:
-                decision.data_lrc |= ctx.mlr_neighbor
-        return decision
-
-    def decide_into(
-        self,
-        ctx: SpeculationInput,
-        data_lrc: np.ndarray,
-        ancilla_lrc: np.ndarray | None = None,
-    ) -> None:
-        super().decide_into(ctx, data_lrc, ancilla_lrc)
-        if ctx.round_index == 0:
-            # Mirror :meth:`decide`: silent in the very first round, except
-            # for MLR-neighbour triggers when enabled.
-            data_lrc[:] = False
-            if ctx.mlr_neighbor is not None and self.uses_mlr and self.trigger_on_mlr_neighbor:
-                data_lrc |= ctx.mlr_neighbor
 
 
 @dataclass

@@ -205,6 +205,10 @@ class OraclePolicy(LeakagePolicy):
         return PolicyDecision(data_lrc=ctx.data_leaked.copy())
 
     @property
+    def uses_mlr_neighbor(self) -> bool:
+        return False
+
+    @property
     def emits_ancilla_lrc(self) -> bool:
         return False
 

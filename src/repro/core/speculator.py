@@ -11,14 +11,21 @@ combinational logic (Section 4.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..codes.base import StabilizerCode
 from ..noise import NoiseParams
 
-__all__ = ["SpeculationInput", "PolicyDecision", "LeakagePolicy", "LookupPolicy"]
+__all__ = [
+    "SpeculationInput",
+    "PolicyDecision",
+    "LeakagePolicy",
+    "LookupPolicy",
+    "TableLayout",
+]
 
 
 @dataclass
@@ -106,6 +113,16 @@ class LeakagePolicy:
         """
         return True
 
+    @property
+    def uses_mlr_neighbor(self) -> bool:
+        """Whether :meth:`decide` reads ``ctx.mlr_neighbor``.
+
+        The simulator computes (and allocates) the MLR-neighbour flags only
+        for MLR policies that answer ``True``.  The base class does, so
+        third-party policies keep their input.
+        """
+        return True
+
     def decide_into(
         self,
         ctx: SpeculationInput,
@@ -150,69 +167,87 @@ class LeakagePolicy:
         return f"{self.name}{suffix}"
 
 
+@dataclass(frozen=True)
+class TableLayout:
+    """The online half of a :class:`LookupPolicy`, as plain data.
+
+    The NumPy lookup and the simulator's compiled speculation kernel
+    (:mod:`repro.sim._ckernels`) read the same layout, so the two cannot
+    disagree on a decision.
+
+    Attributes
+    ----------
+    flat:
+        Every data qubit's boolean flag table, back to back.
+    offsets:
+        ``(num_data,)`` int64 start of each qubit's table in ``flat``.
+    shifts:
+        ``(num_data,)`` int64 shift of the previous round's pattern in a
+        two-round key (the qubit's pattern width), or ``None`` for
+        single-round policies, whose key is the pattern itself.
+    or_mlr_neighbor:
+        Whether a data qubit is also flagged when an adjacent ancilla's
+        multi-level readout flags leakage.
+    silent_first_round:
+        Whether round 0 flags nothing from the tables (the MLR-neighbour OR
+        still applies): a deferred speculator has no previous round yet.
+    """
+
+    flat: np.ndarray
+    offsets: np.ndarray
+    shifts: np.ndarray | None
+    or_mlr_neighbor: bool
+    silent_first_round: bool
+
+
 @dataclass
 class LookupPolicy(LeakagePolicy):
     """Closed-loop policy driven by per-qubit pattern lookup tables.
 
     Subclasses implement :meth:`flag_table`, returning for each data qubit a
     boolean table indexed by the packed pattern (or, for two-round policies,
-    by ``prev_pattern * 2**width + pattern``).  ``prepare`` groups qubits by
-    pattern width so the online lookup is a handful of vectorised gathers.
+    by ``prev_pattern * 2**width + pattern``).  ``prepare`` lays them out
+    as one :class:`TableLayout`: the tables back to back in one flat array,
+    each qubit's offset into it, each qubit's previous-pattern key shift
+    (two-round policies), and the two rules around the lookup (the
+    MLR-neighbour OR, a silent first round).  The online lookup of every
+    qubit at once is a single ``np.take(flat, keys + offsets)``, and the
+    simulator's compiled speculation step reads the same arrays.
     """
 
     trigger_on_mlr_neighbor: bool = False
-    _groups: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
+
+    #: Whether round 0 is silent (see :attr:`TableLayout.silent_first_round`).
+    silent_first_round: ClassVar[bool] = False
 
     def flag_table(self, qubit: int) -> np.ndarray:
         """Boolean flag table of one data qubit (size ``2**width`` or ``4**width``)."""
         raise NotImplementedError
 
+    @property
+    def uses_mlr_neighbor(self) -> bool:
+        """Only the optional MLR-neighbour trigger reads ``mlr_neighbor``."""
+        return self.uses_mlr and self.trigger_on_mlr_neighbor
+
     def prepare(self, code: StabilizerCode, noise: NoiseParams) -> None:
         super().prepare(code, noise)
-        tables: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for qubit in range(code.num_data):
-            table = np.asarray(self.flag_table(qubit), dtype=bool)
-            tables.setdefault(table.shape[0], []).append((qubit, table))
-        self._groups = []
-        for _, entries in sorted(tables.items()):
-            qubits = np.array([qubit for qubit, _ in entries], dtype=np.int64)
-            stacked = np.stack([table for _, table in entries])
-            self._groups.append((qubits, stacked))
-        # Flat-table view of the same data: one 1-D gather per group via
-        # ``flat[key + qubit_offset]`` is markedly cheaper than the 2-D fancy
-        # gather on the stacked tables (simulator hot path).  When a group
-        # covers every qubit in order (uniform pattern width, the common
-        # case), the column gather/scatter disappears entirely.
-        self._flat_groups = [
-            (
-                qubits,
-                stacked.reshape(-1),
-                (np.arange(len(qubits), dtype=np.int64) * stacked.shape[1])[np.newaxis, :],
-                len(qubits) == code.num_data,
-            )
-            for qubits, stacked in self._groups
-        ]
-
-    def _lookup_keys(self, ctx: SpeculationInput) -> np.ndarray:
-        """Packed lookup keys per (shot, data qubit)."""
-        if not self.uses_two_rounds:
-            return ctx.pattern_ints
-        dtype = ctx.pattern_ints.dtype
-        cache = getattr(self, "_widths_rows", None)
-        if cache is None:
-            cache = {}
-            self._widths_rows = cache
-        widths = cache.get(dtype.str)
-        if widths is None:
-            widths = np.asarray(self.code.pattern_widths, dtype=dtype)[np.newaxis, :]
-            cache[dtype.str] = widths
-        return ctx.pattern_ints + (ctx.prev_pattern_ints << widths)
+        tables = [np.asarray(self.flag_table(q), dtype=bool) for q in range(code.num_data)]
+        sizes = np.array([table.shape[0] for table in tables], dtype=np.int64)
+        self.table_layout = TableLayout(
+            flat=np.concatenate(tables),
+            offsets=np.cumsum(sizes) - sizes,
+            shifts=(
+                np.asarray(code.pattern_widths, dtype=np.int64)
+                if self.uses_two_rounds
+                else None
+            ),
+            or_mlr_neighbor=self.uses_mlr_neighbor,
+            silent_first_round=self.silent_first_round,
+        )
 
     def decide(self, ctx: SpeculationInput) -> PolicyDecision:
-        keys = self._lookup_keys(ctx)
-        shots = keys.shape[0]
-        data_lrc = np.zeros((shots, self.code.num_data), dtype=bool)
-        self._fill_from_tables(keys, ctx, data_lrc)
+        data_lrc = np.empty((ctx.pattern_ints.shape[0], self.code.num_data), dtype=bool)
+        self.decide_into(ctx, data_lrc)
         return PolicyDecision(data_lrc=data_lrc)
 
     @property
@@ -227,26 +262,18 @@ class LookupPolicy(LeakagePolicy):
         ancilla_lrc: np.ndarray | None = None,
     ) -> None:
         """Table lookup straight into the caller's decision buffer."""
-        self._fill_from_tables(self._lookup_keys(ctx), ctx, data_lrc)
+        layout = self.table_layout
+        if layout.silent_first_round and ctx.round_index == 0:
+            data_lrc[:] = False
+        else:
+            keys = ctx.pattern_ints
+            if layout.shifts is not None:
+                keys = keys + (ctx.prev_pattern_ints << layout.shifts)
+            np.take(layout.flat, keys + layout.offsets, out=data_lrc)
+        if layout.or_mlr_neighbor and ctx.mlr_neighbor is not None:
+            data_lrc |= ctx.mlr_neighbor
         if ancilla_lrc is not None:  # never emitted, but honour the contract
             ancilla_lrc[:] = False
-
-    def _fill_from_tables(
-        self, keys: np.ndarray, ctx: SpeculationInput, data_lrc: np.ndarray
-    ) -> None:
-        """Gather the per-qubit flag tables; every column is overwritten."""
-        scratch = getattr(self, "_index_scratch", None)
-        if scratch is None or scratch.shape != keys.shape or scratch.dtype != keys.dtype:
-            scratch = np.empty(keys.shape, dtype=keys.dtype)
-            self._index_scratch = scratch
-        for qubits, flat, offsets, covers_all in self._flat_groups:
-            if covers_all:
-                np.add(keys, offsets, out=scratch)
-                np.take(flat, scratch, out=data_lrc)
-            else:
-                data_lrc[:, qubits] = np.take(flat, keys[:, qubits] + offsets)
-        if self.uses_mlr and self.trigger_on_mlr_neighbor and ctx.mlr_neighbor is not None:
-            data_lrc |= ctx.mlr_neighbor
 
     def flagged_fraction(self) -> dict[int, float]:
         """Fraction of patterns flagged, per pattern width (diagnostic)."""

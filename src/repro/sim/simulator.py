@@ -14,7 +14,11 @@ round-shaped allocations.  Draws come from a
 contract (only the variates the round consumes, in call order); the
 Pauli/XOR algebra is in-place bitwise kernels on them.  With the compiled
 kernels (:mod:`repro.sim._ckernels`) each entangling layer is one call
-that draws its rows and gathers, updates and scatters the packed planes.
+that draws its rows and gathers, updates and scatters the packed planes,
+and, for a lookup policy, the round's speculation step (detectors,
+patterns, table lookup, accuracy counts) is one more; every other policy
+runs the NumPy speculation path (pattern GEMM + ``decide_into``), which is
+also the kernel's oracle.
 Runs are bit-for-bit reproducible per seed and ``ENGINE_VERSION``, with
 the kernels on or off (``tests/test_sim_equivalence.py`` pins both modes
 and checks the engine statistically against the frozen dense-contract
@@ -37,7 +41,7 @@ import numpy as np
 from ..circuits.lrc import LrcGadget, default_lrc
 from ..circuits.schedule import RoundSchedule
 from ..codes.base import StabilizerCode
-from ..core.speculator import LeakagePolicy, SpeculationInput
+from ..core.speculator import LeakagePolicy, LookupPolicy, SpeculationInput
 from ..noise import NoiseParams
 from ..obs.trace import Tracer, current_tracer
 from . import _ckernels
@@ -294,10 +298,6 @@ class LeakageSimulator:
                 column += 1
         self._pattern_num_groups = num_groups
         self._pattern_single_member = single_member
-        # int32 pattern buffers halve the lookup-gather traffic; two-round
-        # policies key on ``pattern + (prev << width)`` so int32 is safe while
-        # 2*width+1 fits in 31 bits (true for every supported code family).
-        self._pattern_dtype = np.int32 if 2 * self._max_width + 1 < 31 else np.int64
         if single_member:
             self._pattern_matrix = members @ weights
             self._pattern_members = None
@@ -306,7 +306,20 @@ class LeakageSimulator:
             self._pattern_matrix = None
             self._pattern_members = members
             self._pattern_weights = weights
-        # Adjacent-ancilla structure for MLR neighbour flags.
+        # The same groups as fixed slots for the compiled speculation step:
+        # (qubit, position, member) ancillas, padded with ``num_ancilla``,
+        # which the kernel reads as a detector that never fires.
+        group_size = max(stab_groups.shape[1] for _, _, stab_groups in self._pattern_gather)
+        self._pattern_slots = np.full(
+            (code.num_data, self._max_width, group_size), code.num_ancilla, dtype=np.int32
+        )
+        for position, qubits, stab_groups in self._pattern_gather:
+            self._pattern_slots[qubits, position, : stab_groups.shape[1]] = stab_groups
+        # Round 0 defines no X-stabilizer detector (see ``_speculate``).
+        self._round0_keep = np.ones(code.num_ancilla, dtype=np.uint8)
+        self._round0_keep[self._x_stab_indices] = 0
+        # Adjacent-ancilla structure for MLR neighbour flags, grouped by
+        # count for NumPy and as padded slots for the kernel.
         neighbor_lists = [
             np.array([stab for stab, _ in code.data_adjacency[q]], dtype=np.int64)
             for q in range(code.num_data)
@@ -319,6 +332,11 @@ class LeakageSimulator:
             (np.array(qubits, dtype=np.int64), np.stack(ancilla_rows))
             for qubits, ancilla_rows in by_count.values()
         ]
+        self._neighbor_slots = np.full(
+            (code.num_data, max(by_count)), code.num_ancilla, dtype=np.int32
+        )
+        for qubits, ancilla_rows in self._neighbor_gather:
+            self._neighbor_slots[qubits, : ancilla_rows.shape[1]] = ancilla_rows
         # Data qubits grouped by pattern width, in ascending width order
         # (np.unique order), for the bincount pattern accounting.
         widths = np.asarray(code.pattern_widths)
@@ -339,9 +357,33 @@ class LeakageSimulator:
             layer_is_z=self._slot_is_z,
             num_pattern_groups=self._pattern_num_groups,
             pattern_needs_threshold=not self._pattern_single_member,
-            pattern_dtype=self._pattern_dtype,
             uses_mlr=self.policy.uses_mlr,
+            uses_mlr_neighbor=self.policy.uses_mlr_neighbor,
             emits_ancilla_lrc=self.policy.emits_ancilla_lrc,
+        )
+
+    def _speculate_plan(self) -> _ckernels.SpeculatePlan | None:
+        """The compiled speculation step's plan, or ``None`` for NumPy.
+
+        The kernel implements :meth:`LookupPolicy.decide_into` from the
+        policy's :class:`~repro.core.speculator.TableLayout`, so a subclass
+        that overrides ``decide_into`` keeps the NumPy path.
+        """
+        policy = self.policy
+        if (
+            not isinstance(policy, LookupPolicy)
+            or type(policy).decide_into is not LookupPolicy.decide_into
+        ):
+            return None
+        layout = policy.table_layout
+        return _ckernels.SpeculatePlan(
+            slots=self._pattern_slots,
+            neighbors=self._neighbor_slots if layout.or_mlr_neighbor else None,
+            keep0=self._round0_keep,
+            table=layout.flat,
+            offsets=layout.offsets,
+            shifts=layout.shifts,
+            silent_first_round=layout.silent_first_round,
         )
 
     # ------------------------------------------------------------------ #
@@ -406,6 +448,8 @@ class LeakageSimulator:
 
         ws = self._make_workspace(shots)
         source = DrawSource(rng)
+        if source.compiled:
+            ws.speculate_plan = self._speculate_plan()
         detector_history = (
             np.zeros((shots, rounds, len(self._z_stab_indices)), dtype=bool)
             if self.options.record_detectors
@@ -483,8 +527,8 @@ class LeakageSimulator:
         #    / ``ws.anc_lrc`` still hold that decision; they are fully consumed
         #    here, freeing the buffers for this round's decision in phase 6.
         #    A register without LRCs draws nothing for them.
-        lrcs_this_round = int(np.count_nonzero(ws.data_lrc))
-        anc_lrcs_this_round = int(np.count_nonzero(ws.anc_lrc))
+        lrcs_this_round = ws.pending_data_lrcs
+        anc_lrcs_this_round = int(np.count_nonzero(ws.anc_lrc)) if ws.emits_ancilla_lrc else 0
         totals["lrc"] += lrcs_this_round
         totals["anc_lrc"] += anc_lrcs_this_round
         if lrcs_this_round:
@@ -522,14 +566,13 @@ class LeakageSimulator:
         if instrument:
             tick = self._phase_mark("cnot_layers", tick, round_index)
 
-        # 5. Measurement, MLR, detectors.
+        # 5. Measurement and MLR.
         self._measure(state, ws, source, noise)
-        np.logical_xor(ws.measurement, state.prev_measurement, out=ws.detectors)
-        if round_index == 0:
-            # X-stabilizer outcomes are intrinsically random in the first
-            # round of a memory-Z experiment; their first detector is defined
-            # only from round 1 onwards.
-            ws.detectors[:, self._x_stab_indices] = False
+        if instrument:
+            tick = self._phase_mark("measure", tick, round_index)
+
+        # 6. Speculation: detectors, patterns, the decision and its accuracy.
+        self._speculate(state, round_index, ws)
         # Reference-swap instead of copying: ``prev_measurement`` now points
         # at this round's outcomes, and the retired buffer becomes next
         # round's measurement landing zone.
@@ -538,11 +581,60 @@ class LeakageSimulator:
         if detector_history is not None:
             detector_history[:, round_index, :] = z_detectors
         if instrument:
-            tick = self._phase_mark("measure", tick, round_index)
+            tick = self._phase_mark("speculate", tick, round_index)
 
-        # 6. Speculation.  ``pattern_a`` receives this round's patterns while
-        #    ``pattern_b`` still holds the previous round's (two-round
-        #    policies read both); the buffers swap at the end of the round.
+        # 7. Bookkeeping.
+        fp, fn, tp, leaked_data, leaked_anc = ws.speculate_counts.tolist()
+        totals["fp"] += fp
+        totals["fn"] += fn
+        totals["tp"] += tp
+        # Every LRC requested is a true or a false positive.
+        ws.pending_data_lrcs = fp + tp
+        if self.options.record_patterns:
+            self._record_patterns(ws.pattern_a, state.data_leaked, pattern_histogram)
+        record = RoundRecord(
+            round_index=round_index,
+            data_leakage_population=leaked_data / state.data_leaked.size,
+            ancilla_leakage_population=leaked_anc / state.anc_leaked.size,
+            lrcs_applied=lrcs_this_round / shots,
+            false_positives=fp / shots,
+            false_negatives=fn / shots,
+            true_positives=tp / shots,
+        )
+        ws.pattern_a, ws.pattern_b = ws.pattern_b, ws.pattern_a
+        if instrument:
+            tick = self._phase_mark("bookkeeping", tick, round_index)
+            if tracer is not None:
+                tracer.complete_ns(
+                    "sim.round", round_start_ns, tick,
+                    {"round": round_index, "lrcs": lrcs_this_round},
+                )
+        return record, z_detectors
+
+    def _speculate(self, state: SimState, round_index: int, ws: RoundWorkspace) -> None:
+        """Detectors, patterns, the policy decision and its accuracy counts.
+
+        Fills ``ws.detectors``, ``ws.pattern_a`` (``ws.pattern_b`` still
+        holds the previous round's patterns), the decision buffers and
+        ``ws.speculate_counts``: false positives, false negatives, true
+        positives, leaked data qubits, leaked ancillas.  Draw-free.  With a
+        :attr:`~RoundWorkspace.speculate_plan` it is one C call; otherwise
+        the NumPy path below, the kernel's oracle, runs any policy.
+        """
+        plan = ws.speculate_plan
+        if plan is not None:
+            _ckernels.speculate(
+                plan, round_index, ws.measurement, state.prev_measurement,
+                ws.detectors, ws.pattern_a, ws.pattern_b, ws.mlr_flags,
+                state.data_leaked, state.anc_leaked, ws.data_lrc, ws.speculate_counts,
+            )
+            return
+        np.logical_xor(ws.measurement, state.prev_measurement, out=ws.detectors)
+        if round_index == 0:
+            # X-stabilizer outcomes are intrinsically random in the first
+            # round of a memory-Z experiment; their first detector is defined
+            # only from round 1 onwards.
+            ws.detectors[:, self._x_stab_indices] = False
         self._extract_patterns(ws.detectors, ws.pattern_a, ws)
         if ws.mlr_flags is not None and ws.mlr_neighbor is not None:
             self._mlr_neighbor(ws.mlr_flags, ws.mlr_neighbor, ws)
@@ -558,46 +650,13 @@ class LeakageSimulator:
         self.policy.decide_into(
             ctx, ws.data_lrc, ws.anc_lrc if ws.emits_ancilla_lrc else None
         )
-        if instrument:
-            tick = self._phase_mark("speculate", tick, round_index)
-
-        # 7. Accuracy accounting at decision time.
-        data = ws.data
-        lrc_u8 = ws.data_lrc.view(np.uint8)
-        leaked_u8 = state.data_leaked.view(np.uint8)
-        np.bitwise_xor(leaked_u8, 1, out=data.t1)
-        np.bitwise_and(lrc_u8, data.t1, out=data.t2)
-        false_positives = int(np.count_nonzero(data.t2))
-        np.bitwise_xor(lrc_u8, 1, out=data.t1)
-        np.bitwise_and(leaked_u8, data.t1, out=data.t2)
-        false_negatives = int(np.count_nonzero(data.t2))
-        np.bitwise_and(lrc_u8, leaked_u8, out=data.t2)
-        true_positives = int(np.count_nonzero(data.t2))
-        totals["fp"] += false_positives
-        totals["fn"] += false_negatives
-        totals["tp"] += true_positives
-
-        if self.options.record_patterns:
-            self._record_patterns(ws.pattern_a, state.data_leaked, pattern_histogram)
-
-        record = RoundRecord(
-            round_index=round_index,
-            data_leakage_population=state.leaked_fraction(),
-            ancilla_leakage_population=float(state.anc_leaked.mean()),
-            lrcs_applied=lrcs_this_round / shots,
-            false_positives=false_positives / shots,
-            false_negatives=false_negatives / shots,
-            true_positives=true_positives / shots,
+        lrcs = np.count_nonzero(ws.data_lrc)
+        leaked = np.count_nonzero(state.data_leaked)
+        np.logical_and(ws.data_lrc, state.data_leaked, out=ws.data.t1.view(bool))
+        tp = np.count_nonzero(ws.data.t1)
+        ws.speculate_counts[:] = (
+            lrcs - tp, leaked - tp, tp, leaked, np.count_nonzero(state.anc_leaked)
         )
-        ws.pattern_a, ws.pattern_b = ws.pattern_b, ws.pattern_a
-        if instrument:
-            tick = self._phase_mark("bookkeeping", tick, round_index)
-            if tracer is not None:
-                tracer.complete_ns(
-                    "sim.round", round_start_ns, tick,
-                    {"round": round_index, "lrcs": lrcs_this_round},
-                )
-        return record, z_detectors
 
     # ------------------------------------------------------------------ #
     # Physical processes

@@ -26,9 +26,11 @@ cheaper than the public boolean layout:
   packs are rebuilt from the boolean state before the entangling layers and
   unpacked right after, so every other phase (and every policy) keeps
   seeing plain ``bool`` arrays.
-* ``det_f32`` / ``counts_f32`` / ``pat_f32`` back the pattern extraction,
-  which is two small float32 matmuls (member-count GEMM, OR-threshold,
-  position-weight GEMM) instead of per-group gather/shift/scatter loops.
+* ``det_f32`` / ``counts_f32`` / ``pat_f32`` back the NumPy pattern
+  extraction, which is two small float32 matmuls (member-count GEMM,
+  OR-threshold, position-weight GEMM) instead of per-group
+  gather/shift/scatter loops.  With the compiled speculation step they are
+  allocated but never touched.
 
 Nothing in here is shared across ``run_incremental`` calls: a fresh
 workspace per call is what keeps concurrent generators (e.g. multiple
@@ -39,10 +41,14 @@ isolated without locking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .state import ChannelScratch
+
+if TYPE_CHECKING:
+    from ._ckernels import SpeculatePlan
 
 __all__ = ["LayerWorkspace", "RoundWorkspace"]
 
@@ -92,6 +98,8 @@ class RoundWorkspace:
     * ``measurement`` is reference-swapped with ``SimState.prev_measurement``
       each round, so consecutive measurements alternate between two buffers
       without copying.
+    * ``pending_data_lrcs`` counts the LRCs in ``data_lrc``'s decision, read
+      back from the speculation step's counts instead of recounted.
     * ``anc_lrc`` is a single *frozen* (non-writable) zeros array when the
       policy declares ``emits_ancilla_lrc = False`` — the per-round
       ``np.zeros`` of the baseline hoisted to one allocation per run.
@@ -100,6 +108,11 @@ class RoundWorkspace:
     #: Becomes ``True`` (as an instance attribute) once :meth:`release` runs;
     #: live workspaces read the class-level ``False``.
     released: bool = False
+
+    #: The compiled speculation step's run-constant plan, set by the
+    #: simulator when the kernels and the policy allow it; ``None`` runs
+    #: the NumPy speculation path.
+    speculate_plan: SpeculatePlan | None = None
 
     def __init__(
         self,
@@ -111,7 +124,7 @@ class RoundWorkspace:
         pattern_needs_threshold: bool,
         uses_mlr: bool,
         emits_ancilla_lrc: bool,
-        pattern_dtype: type = np.int64,
+        uses_mlr_neighbor: bool = True,
     ) -> None:
         self.shots = shots
         # Per-channel scratch (two uint8 temporaries).
@@ -126,9 +139,11 @@ class RoundWorkspace:
             frozen.flags.writeable = False
             self.anc_lrc = frozen
         self.emits_ancilla_lrc = emits_ancilla_lrc
-        # Speculation-pattern ping-pong (current / previous round).
-        self.pattern_a = np.zeros((shots, num_data), dtype=pattern_dtype)
-        self.pattern_b = np.zeros((shots, num_data), dtype=pattern_dtype)
+        # Speculation-pattern ping-pong (current / previous round).  Patterns
+        # are at most 20 bits wide (the GEMM's bound), and lookup keys are
+        # built in int64, so int32 holds them.
+        self.pattern_a = np.zeros((shots, num_data), dtype=np.int32)
+        self.pattern_b = np.zeros((shots, num_data), dtype=np.int32)
         # Measurement round-trip.
         self.measurement = np.empty((shots, num_ancilla), dtype=bool)
         self.detectors = np.empty((shots, num_ancilla), dtype=bool)
@@ -136,8 +151,15 @@ class RoundWorkspace:
             np.empty((shots, num_ancilla), dtype=bool) if uses_mlr else None
         )
         self.mlr_neighbor = (
-            np.empty((shots, num_data), dtype=bool) if uses_mlr else None
+            np.empty((shots, num_data), dtype=bool)
+            if uses_mlr and uses_mlr_neighbor
+            else None
         )
+        # The speculation step's counts (false positives, false negatives,
+        # true positives, leaked data qubits, leaked ancillas) and the LRCs
+        # its decision requests.
+        self.speculate_counts = np.zeros(5, dtype=np.int64)
+        self.pending_data_lrcs = 0
         # New-leak event counters filled by the fused C layer kernel.
         self.layer_counts = np.zeros(2, dtype=np.int64)
         # Packed Pauli-frame planes (x | z<<1 | leaked<<2) and the uint8

@@ -23,7 +23,9 @@ import pytest
 
 from reference_sim import ReferenceLeakageSimulator, assert_results_identical
 
+from repro.api.registry import CODES
 from repro.core import make_policy
+from repro.core.speculator import LeakagePolicy, LookupPolicy, SpeculationInput
 from repro.experiments import make_code
 from repro.noise import NoiseParams, burst_noise, drifting_noise, paper_noise
 from repro.sim import LeakageSimulator, SimulatorOptions
@@ -42,6 +44,9 @@ SCENARIOS = [
     ("color", 5, "eraser", dict(leakage_sampling=True, record_patterns=True)),
     ("surface", 3, "ideal", dict(leakage_sampling=True)),
     ("surface", 3, "mlr-only", dict()),
+    ("toric", 3, "gladiator+m", dict(record_detectors=True)),
+    ("color", 3, "gladiator-d+m", dict(record_patterns=True)),
+    ("surface", 3, ("eraser+m", dict(trigger_on_mlr_neighbor=True)), dict(leakage_sampling=True)),
 ]
 
 
@@ -59,10 +64,12 @@ def _ckernels(value):
 
 
 def _build(simulator_cls, family, distance, policy, seed=7, noise=None, **options):
+    """``policy`` is a registered name or a ``(name, keyword arguments)`` pair."""
+    name, kwargs = (policy, {}) if isinstance(policy, str) else policy
     return simulator_cls(
         code=make_code(family, distance),
         noise=noise or paper_noise(p=2e-3, leakage_ratio=0.1),
-        policy=make_policy(policy),
+        policy=make_policy(name, **kwargs),
         options=SimulatorOptions(**options),
         seed=seed,
     )
@@ -242,6 +249,93 @@ def test_layer_kernel_rejects_masks_aliasing_a_plane():
         )
 
 
+#: (code, policy) pairs of the direct speculation-kernel check: every
+#: registered code under the single-round lookup policies, the two-round
+#: ones on the small codes (BPC's two-round table build is slow).
+KERNEL_CASES = [
+    (family, policy)
+    for family in CODES.names()
+    for policy in ("eraser", "eraser+m", "gladiator", "gladiator+m")
+] + [
+    (family, policy)
+    for family in ("surface", "color", "toric")
+    for policy in ("gladiator-d", "gladiator-d+m")
+] + [("color", ("eraser+m", dict(trigger_on_mlr_neighbor=True)))]
+
+
+@pytest.mark.parametrize("round_index", [0, 3])
+@pytest.mark.parametrize("family,policy", KERNEL_CASES)
+def test_speculate_kernel_matches_numpy_lookup(family, policy, round_index):
+    """One compiled speculation step equals detectors + ``_extract_patterns``
+    + ``decide_into`` + NumPy accuracy counts on random inputs, and so does
+    the simulator's NumPy speculation path (the only one checked when the
+    kernels are off)."""
+    from repro.sim import _ckernels
+    from repro.sim.state import SimState
+
+    sim = _build(LeakageSimulator, family, 3, policy)
+    code, built, shots = sim.code, sim.policy, 257
+    rng = np.random.default_rng(round_index * 1000 + code.num_data)
+    state = SimState(shots, code.num_data, code.num_ancilla)
+    state.prev_measurement[:] = rng.random(state.prev_measurement.shape) < 0.3
+    state.data_leaked[:] = rng.random(state.data_leaked.shape) < 0.1
+    state.anc_leaked[:] = rng.random(state.anc_leaked.shape) < 0.1
+    ws = sim._make_workspace(shots)
+    ws.measurement[:] = rng.random(ws.measurement.shape) < 0.3
+    if ws.mlr_flags is not None:
+        ws.mlr_flags[:] = rng.random(ws.mlr_flags.shape) < 0.1
+    # Valid previous-round patterns, from random detectors.
+    sim._extract_patterns(rng.random(ws.detectors.shape) < 0.3, ws.pattern_b, ws)
+
+    outputs = {}
+    plans = {"numpy": None}
+    if _ckernels.available():
+        plans["kernel"] = sim._speculate_plan()
+        assert plans["kernel"] is not None
+    for path, plan in plans.items():
+        ws.speculate_plan = plan
+        sim._speculate(state, round_index, ws)
+        outputs[path] = [
+            ws.detectors.copy(), ws.pattern_a.copy(), ws.data_lrc.copy(),
+            ws.speculate_counts.tolist(),
+        ]
+
+    detectors = ws.measurement ^ state.prev_measurement
+    if round_index == 0:
+        detectors[:, sim._x_stab_indices] = False
+    patterns = np.zeros_like(ws.pattern_a)
+    sim._extract_patterns(detectors, patterns, ws)
+    mlr_neighbor = None
+    if ws.mlr_flags is not None:
+        mlr_neighbor = np.zeros_like(state.data_leaked)
+        sim._mlr_neighbor(ws.mlr_flags, mlr_neighbor, ws)
+    expected = np.ones_like(ws.data_lrc)
+    built.decide_into(
+        SpeculationInput(
+            round_index=round_index, pattern_ints=patterns,
+            prev_pattern_ints=ws.pattern_b, detectors=detectors,
+            mlr_flags=ws.mlr_flags, mlr_neighbor=mlr_neighbor,
+            data_leaked=state.data_leaked,
+        ),
+        expected,
+    )
+    leaked = state.data_leaked
+    counts = [
+        np.count_nonzero(expected & ~leaked),
+        np.count_nonzero(~expected & leaked),
+        np.count_nonzero(expected & leaked),
+        np.count_nonzero(leaked),
+        np.count_nonzero(state.anc_leaked),
+    ]
+    for path, (got_detectors, got_patterns, got_lrc, got_counts) in outputs.items():
+        assert np.array_equal(got_detectors, detectors), path
+        assert np.array_equal(got_patterns, patterns), path
+        assert np.array_equal(got_lrc, expected), path
+        assert got_counts == counts, path
+    # Past round 0 (silent for deferred policies) some qubits are flagged.
+    assert (~expected).any() and (expected.any() or round_index == 0)
+
+
 def test_pattern_histograms_match_reference_loop():
     """The bincount accounting reproduces the frozen per-value Python loop
     exactly on the same patterns, including explicit zero entries for
@@ -329,9 +423,9 @@ def test_frozen_ancilla_decision_buffer_is_immutable():
                "gladiator+m", "gladiator-d"]
 )
 def test_decide_into_matches_decide(policy):
-    """The buffered policy fast path fills exactly what decide() returns."""
-    from repro.core.speculator import SpeculationInput
-
+    """The buffered policy fast path fills exactly what decide() returns,
+    and a lookup policy's :class:`TableLayout` answers what its per-qubit
+    flag tables say, in round 0 and later."""
     code = make_code("surface", 3)
     noise = NoiseParams(p=2e-3, leakage_ratio=0.1)
     built = make_policy(policy)
@@ -340,26 +434,63 @@ def test_decide_into_matches_decide(policy):
     shots = 12
     # Patterns must respect each qubit's width or the table lookup is invalid.
     limits = np.array([1 << w for w in code.pattern_widths], dtype=np.int64)
-    ctx = SpeculationInput(
-        round_index=1,
-        pattern_ints=rng.integers(0, limits, (shots, code.num_data)).astype(np.int64),
-        prev_pattern_ints=rng.integers(0, limits, (shots, code.num_data)).astype(np.int64),
-        detectors=rng.random((shots, code.num_ancilla)) < 0.2,
-        mlr_flags=rng.random((shots, code.num_ancilla)) < 0.1 if built.uses_mlr else None,
-        mlr_neighbor=rng.random((shots, code.num_data)) < 0.1 if built.uses_mlr else None,
-        data_leaked=rng.random((shots, code.num_data)) < 0.05,
-    )
-    decision = built.decide(ctx)
-    data_out = np.ones((shots, code.num_data), dtype=bool)  # must be overwritten
-    anc_out = (
-        np.ones((shots, code.num_ancilla), dtype=bool)
-        if built.emits_ancilla_lrc
-        else None
-    )
-    built.decide_into(ctx, data_out, anc_out)
-    assert np.array_equal(data_out, np.asarray(decision.data_lrc, dtype=bool))
-    if anc_out is not None and decision.ancilla_lrc is not None:
-        assert np.array_equal(anc_out, np.asarray(decision.ancilla_lrc, dtype=bool))
+    for round_index in (0, 1):
+        ctx = SpeculationInput(
+            round_index=round_index,
+            pattern_ints=rng.integers(0, limits, (shots, code.num_data)).astype(np.int32),
+            prev_pattern_ints=rng.integers(0, limits, (shots, code.num_data)).astype(np.int32),
+            detectors=rng.random((shots, code.num_ancilla)) < 0.2,
+            mlr_flags=rng.random((shots, code.num_ancilla)) < 0.1 if built.uses_mlr else None,
+            mlr_neighbor=rng.random((shots, code.num_data)) < 0.1 if built.uses_mlr else None,
+            data_leaked=rng.random((shots, code.num_data)) < 0.05,
+        )
+        decision = built.decide(ctx)
+        data_out = np.ones((shots, code.num_data), dtype=bool)  # must be overwritten
+        anc_out = (
+            np.ones((shots, code.num_ancilla), dtype=bool)
+            if built.emits_ancilla_lrc
+            else None
+        )
+        built.decide_into(ctx, data_out, anc_out)
+        assert np.array_equal(data_out, np.asarray(decision.data_lrc, dtype=bool))
+        if anc_out is not None and decision.ancilla_lrc is not None:
+            assert np.array_equal(anc_out, np.asarray(decision.ancilla_lrc, dtype=bool))
+        if isinstance(built, LookupPolicy):
+            assert np.array_equal(data_out, _per_qubit_lookup(built, ctx))
+
+
+def _per_qubit_lookup(policy, ctx):
+    """A lookup policy's decision from its per-qubit flag tables alone."""
+    code = policy.code
+    layout = policy.table_layout
+    assert layout.flat.dtype == bool and layout.offsets.shape == (code.num_data,)
+    assert (layout.shifts is not None) == policy.uses_two_rounds
+    expected = np.zeros(ctx.data_leaked.shape, dtype=bool)
+    if not (policy.silent_first_round and ctx.round_index == 0):
+        for qubit in range(code.num_data):
+            keys = ctx.pattern_ints[:, qubit].astype(np.int64)
+            if policy.uses_two_rounds:
+                prev = ctx.prev_pattern_ints[:, qubit].astype(np.int64)
+                keys += prev << code.pattern_width(qubit)
+            expected[:, qubit] = np.asarray(policy.flag_table(qubit), dtype=bool)[keys]
+    if policy.uses_mlr_neighbor:
+        expected |= ctx.mlr_neighbor
+    return expected
+
+
+def test_uses_mlr_neighbor_trait_gates_the_neighbour_buffer():
+    """Only policies that read the MLR-neighbour flags get them."""
+    traits = {
+        "gladiator+m": False, "eraser+m": False, "gladiator-d+m": False,
+        "mlr-only": True, "ideal": False, "eraser": False,
+    }
+    for name, wanted in traits.items():
+        sim = _build(LeakageSimulator, "surface", 3, name)
+        assert sim.policy.uses_mlr_neighbor == wanted, name
+        assert (sim._make_workspace(4).mlr_neighbor is not None) == wanted, name
+    assert make_policy("eraser+m", trigger_on_mlr_neighbor=True).uses_mlr_neighbor
+    assert not make_policy("eraser", trigger_on_mlr_neighbor=True).uses_mlr_neighbor
+    assert LeakagePolicy().uses_mlr_neighbor  # third-party policies keep their input
 
 
 def test_run_exhaustion_guard():
