@@ -337,14 +337,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server_config = ServerConfig(
         host=args.host,
         port=args.port,
-        shards=args.shards if args.shards is not None else (execution.serve_shards or 2),
+        shards=args.shards,
         workers_per_shard=args.workers_per_shard,
         queue_depth=args.queue_depth,
-        max_streams=(
-            args.max_streams
-            if args.max_streams is not None
-            else (execution.serve_max_streams or 256)
-        ),
+        max_streams=args.max_streams,
         max_streams_per_tenant=args.max_streams_per_tenant,
         tenant_rate=args.tenant_rate,
         window_rounds=execution.window_rounds or 4,
@@ -531,12 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PORT",
         help="also expose a websocket gateway on PORT (0 picks free)",
     )
-    serve_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="decode shards (default: execution.serve_shards, else 2)",
-    )
+    serve_parser.add_argument("--shards", type=int, default=2, help="decode shards")
     serve_parser.add_argument(
         "--workers-per-shard", type=int, default=2, help="worker threads per shard"
     )
@@ -544,10 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--queue-depth", type=int, default=None, help="pending-window queue bound per shard"
     )
     serve_parser.add_argument(
-        "--max-streams",
-        type=int,
-        default=None,
-        help="admission cap (default: execution.serve_max_streams, else 256)",
+        "--max-streams", type=int, default=256, help="server-wide admission cap"
     )
     serve_parser.add_argument(
         "--max-streams-per-tenant", type=int, default=64, help="per-tenant admission cap"

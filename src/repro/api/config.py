@@ -179,11 +179,7 @@ class ExecutionConfig:
     ``telemetry`` activates the observability layer (``"1"``/``"on"`` for
     metrics only, any other string as the Chrome-trace output path); like
     ``workers`` it is observability-only — it never changes results and is
-    excluded from the sweep cache key.  ``serve_shards`` /
-    ``serve_max_streams`` shape the network decode server
-    (``python -m repro serve``): shard count and the server-wide admission
-    cap.  They describe a serving deployment, never an
-    experiment — digest-exempt like the other perf knobs.  ``durable``
+    excluded from the sweep cache key.  ``durable``
     keeps a sweep's task records in the on-disk :mod:`repro.fabric` job
     store instead of memory (checkpointed shards, worker leases,
     crash-safe resume).  It picks only the store — the shard plan, and so
@@ -201,8 +197,6 @@ class ExecutionConfig:
     workers: int | None = None
     telemetry: str | None = None
     durable: bool = False
-    serve_shards: int | None = None
-    serve_max_streams: int | None = None
 
     def validate(self) -> None:
         if self.shots <= 0 or self.rounds <= 0:
@@ -221,10 +215,6 @@ class ExecutionConfig:
                 raise ValueError("commit_rounds must lie in [1, window_rounds]")
         if self.workers is not None and self.workers <= 0:
             raise ValueError("workers must be positive")
-        if self.serve_shards is not None and self.serve_shards <= 0:
-            raise ValueError("serve_shards must be positive")
-        if self.serve_max_streams is not None and self.serve_max_streams <= 0:
-            raise ValueError("serve_max_streams must be positive")
 
     @property
     def effective_leakage_sampling(self) -> bool:
@@ -375,8 +365,6 @@ class ExperimentConfig:
         payload["execution"].pop("workers")
         payload["execution"].pop("telemetry")
         payload["execution"].pop("durable")
-        payload["execution"].pop("serve_shards")
-        payload["execution"].pop("serve_max_streams")
         payload["code"]["name"] = CODES.canonical(payload["code"]["name"])
         payload["decoder"]["name"] = DECODERS.canonical(payload["decoder"]["name"])
         payload["policy"]["name"] = POLICIES.canonical(payload["policy"]["name"])

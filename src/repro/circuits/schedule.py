@@ -26,11 +26,6 @@ class CnotOperation:
     time_slot: int
     basis: str
 
-    @property
-    def control_is_data(self) -> bool:
-        """Z-type checks use the data qubit as CNOT control, X-type the ancilla."""
-        return self.basis == "Z"
-
 
 @dataclass
 class RoundSchedule:

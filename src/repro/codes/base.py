@@ -163,11 +163,6 @@ class StabilizerCode:
         return matrix
 
     @cached_property
-    def max_stabilizer_weight(self) -> int:
-        """Largest stabilizer weight."""
-        return max(s.weight for s in self.stabilizers)
-
-    @cached_property
     def num_time_slots(self) -> int:
         """Number of entangling layers needed by one syndrome-extraction round."""
         return max(max(s.slots) for s in self.stabilizers) + 1
@@ -244,11 +239,6 @@ class StabilizerCode:
         coloring = nx.greedy_color(self.interaction_graph, strategy="largest_first")
         return [coloring[q] for q in range(self.num_data)]
 
-    @property
-    def num_color_groups(self) -> int:
-        """Number of colour classes used by :attr:`data_coloring`."""
-        return max(self.data_coloring) + 1 if self.num_data else 0
-
     # ------------------------------------------------------------------ #
     # Validation
     # ------------------------------------------------------------------ #
@@ -285,10 +275,6 @@ class StabilizerCode:
     # ------------------------------------------------------------------ #
     # Convenience
     # ------------------------------------------------------------------ #
-    def stabilizer_ancilla_coords(self) -> list[tuple[float, float] | None]:
-        """Coordinates of the ancilla qubits, ordered by stabilizer index."""
-        return [s.coords for s in self.stabilizers]
-
     def describe(self) -> str:
         """One-line human-readable summary of the code."""
         widths = sorted(set(self.pattern_widths))

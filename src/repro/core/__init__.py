@@ -47,13 +47,12 @@ from .policies import (
     StaggeredLrcPolicy,
     make_policy,
 )
-from .speculator import LeakagePolicy, LookupPolicy, PolicyDecision, SpeculationInput
+from .speculator import LeakagePolicy, LookupPolicy, SpeculationInput
 
 __all__ = [
     # speculation framework
     "LeakagePolicy",
     "LookupPolicy",
-    "PolicyDecision",
     "SpeculationInput",
     "make_policy",
     "POLICY_NAMES",

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import eraser_flags_pattern
 from .speculator import LookupPolicy
 
 __all__ = ["EraserPolicy", "EraserMPolicy"]
@@ -47,8 +46,3 @@ class EraserMPolicy(EraserPolicy):
 
     name: str = "eraser"
     uses_mlr: bool = True
-
-
-def eraser_flag_count(width: int) -> int:
-    """Number of ``width``-bit patterns ERASER flags (11/16 for the surface code)."""
-    return sum(1 for value in range(1 << width) if eraser_flags_pattern(value, width))

@@ -30,7 +30,6 @@ import networkx as nx
 import numpy as np
 
 from ..codes.base import StabilizerCode
-from ..noise import NoiseParams
 from .calibration import CalibrationData
 
 __all__ = [
@@ -215,20 +214,6 @@ class TransitionModel:
             if group.position >= start_position:
                 mask |= 1 << group.position
         return mask
-
-    @staticmethod
-    def _uniform_outcomes(mask: int) -> tuple[tuple[int, float], ...]:
-        """Uniform distribution over all sub-patterns of ``mask``."""
-        positions = [i for i in range(mask.bit_length()) if mask & (1 << i)]
-        count = 1 << len(positions)
-        outcomes = []
-        for value in range(count):
-            pattern = 0
-            for bit_index, position in enumerate(positions):
-                if value & (1 << bit_index):
-                    pattern |= 1 << position
-            outcomes.append((pattern, 1.0 / count))
-        return tuple(outcomes)
 
     # ------------------------------------------------------------------ #
     # Mechanism enumeration: single round

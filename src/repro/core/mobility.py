@@ -21,7 +21,7 @@ import numpy as np
 
 from ..codes.base import StabilizerCode
 from ..noise import NoiseParams
-from .speculator import LeakagePolicy, PolicyDecision, SpeculationInput
+from .speculator import LeakagePolicy, SpeculationInput
 
 __all__ = [
     "MobilityRecordingPolicy",
@@ -54,14 +54,23 @@ class MobilityRecordingPolicy(LeakagePolicy):
         super().prepare(code, noise)
         self.inner.prepare(code, noise)
 
-    def decide(self, ctx: SpeculationInput) -> PolicyDecision:
-        decision = self.inner.decide(ctx)
+    @property
+    def emits_ancilla_lrc(self) -> bool:
+        """The inner policy's answer: the caller's buffers go straight to it."""
+        return self.inner.emits_ancilla_lrc
+
+    def decide_into(
+        self,
+        ctx: SpeculationInput,
+        data_lrc: np.ndarray,
+        ancilla_lrc: np.ndarray | None = None,
+    ) -> None:
+        """Let the inner policy decide into the caller's buffers, then count."""
+        self.inner.decide_into(ctx, data_lrc, ancilla_lrc)
         if ctx.mlr_neighbor is not None:
-            flagged = decision.data_lrc
-            self.flagged_count += int(flagged.sum())
-            self.co_flagged_count += int((flagged & ctx.mlr_neighbor).sum())
+            self.flagged_count += int(np.count_nonzero(data_lrc))
+            self.co_flagged_count += int(np.count_nonzero(data_lrc & ctx.mlr_neighbor))
         self.rounds_observed += 1
-        return decision
 
     @property
     def conditional_probability(self) -> float:

@@ -28,7 +28,7 @@ from .eraser import EraserMPolicy, EraserPolicy
 from .gladiator import GladiatorMPolicy, GladiatorPolicy
 from .gladiator_d import GladiatorDMPolicy, GladiatorDPolicy
 from .graph_model import GraphModelConfig
-from .speculator import LeakagePolicy, PolicyDecision, SpeculationInput
+from .speculator import LeakagePolicy, SpeculationInput
 
 __all__ = [
     "NoLrcPolicy",
@@ -47,12 +47,6 @@ class NoLrcPolicy(LeakagePolicy):
 
     name: str = "no-lrc"
 
-    def decide(self, ctx: SpeculationInput) -> PolicyDecision:
-        shots = ctx.pattern_ints.shape[0]
-        return PolicyDecision(
-            data_lrc=np.zeros((shots, self.code.num_data), dtype=bool)
-        )
-
     @property
     def emits_ancilla_lrc(self) -> bool:
         return False
@@ -64,8 +58,6 @@ class NoLrcPolicy(LeakagePolicy):
         ancilla_lrc: np.ndarray | None = None,
     ) -> None:
         data_lrc[:] = False
-        if ancilla_lrc is not None:  # never emitted, but honour the contract
-            ancilla_lrc[:] = False
 
 
 @dataclass
@@ -74,18 +66,6 @@ class AlwaysLrcPolicy(LeakagePolicy):
 
     name: str = "always-lrc"
     include_ancillas: bool = True
-
-    def decide(self, ctx: SpeculationInput) -> PolicyDecision:
-        shots = ctx.pattern_ints.shape[0]
-        ancilla = (
-            np.ones((shots, self.code.num_ancilla), dtype=bool)
-            if self.include_ancillas
-            else None
-        )
-        return PolicyDecision(
-            data_lrc=np.ones((shots, self.code.num_data), dtype=bool),
-            ancilla_lrc=ancilla,
-        )
 
     @property
     def emits_ancilla_lrc(self) -> bool:
@@ -122,19 +102,6 @@ class StaggeredLrcPolicy(LeakagePolicy):
             for group in range(self._num_groups)
         ]
 
-    def decide(self, ctx: SpeculationInput) -> PolicyDecision:
-        shots = ctx.pattern_ints.shape[0]
-        group = ctx.round_index % self._num_groups
-        data_lrc = np.broadcast_to(
-            self._group_masks[group], (shots, self.code.num_data)
-        ).copy()
-        ancilla_lrc = None
-        if self.include_ancillas:
-            ancilla_lrc = np.broadcast_to(
-                self._ancilla_masks[group], (shots, self.code.num_ancilla)
-            ).copy()
-        return PolicyDecision(data_lrc=data_lrc, ancilla_lrc=ancilla_lrc)
-
     @property
     def emits_ancilla_lrc(self) -> bool:
         return self.include_ancillas
@@ -163,14 +130,6 @@ class MlrOnlyPolicy(LeakagePolicy):
     name: str = "mlr-only"
     uses_mlr: bool = True
 
-    def decide(self, ctx: SpeculationInput) -> PolicyDecision:
-        shots = ctx.pattern_ints.shape[0]
-        if ctx.mlr_neighbor is None:
-            data_lrc = np.zeros((shots, self.code.num_data), dtype=bool)
-        else:
-            data_lrc = ctx.mlr_neighbor.copy()
-        return PolicyDecision(data_lrc=data_lrc)
-
     @property
     def emits_ancilla_lrc(self) -> bool:
         return False
@@ -185,8 +144,6 @@ class MlrOnlyPolicy(LeakagePolicy):
             data_lrc[:] = False
         else:
             np.copyto(data_lrc, ctx.mlr_neighbor)
-        if ancilla_lrc is not None:  # never emitted, but honour the contract
-            ancilla_lrc[:] = False
 
 
 @dataclass
@@ -198,11 +155,7 @@ class OraclePolicy(LeakagePolicy):
     """
 
     name: str = "ideal"
-    is_oracle: bool = True
     uses_mlr: bool = True
-
-    def decide(self, ctx: SpeculationInput) -> PolicyDecision:
-        return PolicyDecision(data_lrc=ctx.data_leaked.copy())
 
     @property
     def uses_mlr_neighbor(self) -> bool:
@@ -219,8 +172,6 @@ class OraclePolicy(LeakagePolicy):
         ancilla_lrc: np.ndarray | None = None,
     ) -> None:
         np.copyto(data_lrc, ctx.data_leaked)
-        if ancilla_lrc is not None:  # never emitted, but honour the contract
-            ancilla_lrc[:] = False
 
 
 # ------------------------------------------------------------------ #

@@ -21,7 +21,6 @@ from ..noise import NoiseParams
 
 __all__ = [
     "SpeculationInput",
-    "PolicyDecision",
     "LeakagePolicy",
     "LookupPolicy",
     "TableLayout",
@@ -42,14 +41,11 @@ class SpeculationInput:
     prev_pattern_ints:
         Same, for the previous round (all zeros in round 0); consumed by the
         deferred GLADIATOR-D speculator.
-    detectors:
-        ``(shots, num_ancilla)`` raw detector flips of the current round.
-    mlr_flags:
-        ``(shots, num_ancilla)`` multi-level-readout leakage flags, or
-        ``None`` when the policy does not use MLR.
     mlr_neighbor:
-        ``(shots, num_data)`` OR of the MLR flags of each data qubit's
-        adjacent ancillas (``None`` without MLR).
+        ``(shots, num_data)`` OR of the multi-level-readout leakage flags of
+        each data qubit's adjacent ancillas (``None`` without MLR, or when
+        the policy does not read it, see
+        :attr:`LeakagePolicy.uses_mlr_neighbor`).
     data_leaked:
         ``(shots, num_data)`` ground-truth leakage state.  Only the IDEAL
         oracle policy may read this; it exists so the paper's "perfect
@@ -59,63 +55,44 @@ class SpeculationInput:
     round_index: int
     pattern_ints: np.ndarray
     prev_pattern_ints: np.ndarray
-    detectors: np.ndarray
-    mlr_flags: np.ndarray | None
     mlr_neighbor: np.ndarray | None
     data_leaked: np.ndarray
-
-
-@dataclass
-class PolicyDecision:
-    """LRC requests produced by a policy for the next round."""
-
-    data_lrc: np.ndarray
-    ancilla_lrc: np.ndarray | None = None
 
 
 @dataclass
 class LeakagePolicy:
     """Base class for leakage-mitigation policies.
 
-    Subclasses set the class attributes below and implement :meth:`decide`.
-    ``prepare`` is called once per run with the code and noise model so
-    policies can build their lookup tables offline, mirroring the paper's
-    offline/online split.
+    Subclasses set the class attributes below and implement
+    :meth:`decide_into`, the one online decision method.  ``prepare`` is
+    called once per run with the code and noise model so policies can build
+    their lookup tables offline, mirroring the paper's offline/online split.
     """
 
     name: str = "base"
     uses_mlr: bool = False
     uses_two_rounds: bool = False
-    is_oracle: bool = False
 
     def prepare(self, code: StabilizerCode, noise: NoiseParams) -> None:
         """Offline stage: build whatever tables the policy needs."""
         self._code = code
         self._noise = noise
 
-    def decide(self, ctx: SpeculationInput) -> PolicyDecision:
-        """Online stage: map one round's observations to LRC requests."""
-        raise NotImplementedError
-
-    # -------------------------------------------------------------------------
-    # Buffered fast path (simulator hot loop)
-    # -------------------------------------------------------------------------
     @property
     def emits_ancilla_lrc(self) -> bool:
-        """Whether :meth:`decide` may request ancilla LRCs.
+        """Whether :meth:`decide_into` may request ancilla LRCs.
 
-        The simulator preallocates (or, when this is ``False``, freezes a
-        single all-zeros) ancilla-decision buffer based on this trait.  The
-        base class answers ``True`` so third-party policies that only
-        implement :meth:`decide` keep their ancilla requests; built-in
-        policies that never emit them override it to ``False``, which lets
-        the simulator skip the per-round ancilla zeros entirely.
+        The caller passes an ``ancilla_lrc`` buffer exactly when this is
+        ``True``; otherwise the simulator freezes a single all-zeros ancilla
+        decision and skips the per-round ancilla work.  The base class
+        answers ``True`` so third-party policies keep their ancilla
+        requests; built-in policies that never emit them answer ``False``.
         """
         return True
 
     @property
     def uses_mlr_neighbor(self) -> bool:
-        """Whether :meth:`decide` reads ``ctx.mlr_neighbor``.
+        """Whether :meth:`decide_into` reads ``ctx.mlr_neighbor``.
 
         The simulator computes (and allocates) the MLR-neighbour flags only
         for MLR policies that answer ``True``.  The base class does, so
@@ -129,26 +106,17 @@ class LeakagePolicy:
         data_lrc: np.ndarray,
         ancilla_lrc: np.ndarray | None = None,
     ) -> None:
-        """Buffered variant of :meth:`decide`: fill caller-provided arrays.
+        """Online stage: write one round's LRC requests into the caller's buffers.
 
-        ``data_lrc`` (``(shots, num_data)`` bool) and, when the policy
-        :attr:`emits_ancilla_lrc`, ``ancilla_lrc`` (``(shots, num_ancilla)``
-        bool) are fully overwritten — never OR-accumulated — so a reused
-        buffer cannot leak one round's decision into the next.  The arrays in
-        ``ctx`` alias the simulator's round workspace and are rewritten every
-        round; policies must copy anything they retain.
-
-        The default implementation delegates to :meth:`decide` and copies,
-        so existing policies work unchanged; hot policies override this to
-        write in place.
+        ``data_lrc`` (``(shots, num_data)`` bool) and, passed exactly when
+        the policy :attr:`emits_ancilla_lrc`, ``ancilla_lrc``
+        (``(shots, num_ancilla)`` bool) must be fully overwritten — never
+        OR-accumulated — so a reused buffer cannot leak one round's decision
+        into the next.  The arrays in ``ctx`` alias the simulator's round
+        workspace and are rewritten every round; policies must copy anything
+        they retain.
         """
-        decision = self.decide(ctx)
-        np.copyto(data_lrc, np.asarray(decision.data_lrc, dtype=bool))
-        if ancilla_lrc is not None:
-            if decision.ancilla_lrc is None:
-                ancilla_lrc[:] = False
-            else:
-                np.copyto(ancilla_lrc, np.asarray(decision.ancilla_lrc, dtype=bool))
+        raise NotImplementedError
 
     # Convenience for subclasses -------------------------------------------------
     @property
@@ -245,11 +213,6 @@ class LookupPolicy(LeakagePolicy):
             silent_first_round=self.silent_first_round,
         )
 
-    def decide(self, ctx: SpeculationInput) -> PolicyDecision:
-        data_lrc = np.empty((ctx.pattern_ints.shape[0], self.code.num_data), dtype=bool)
-        self.decide_into(ctx, data_lrc)
-        return PolicyDecision(data_lrc=data_lrc)
-
     @property
     def emits_ancilla_lrc(self) -> bool:
         """Lookup policies only ever request data-qubit LRCs."""
@@ -272,8 +235,6 @@ class LookupPolicy(LeakagePolicy):
             np.take(layout.flat, keys + layout.offsets, out=data_lrc)
         if layout.or_mlr_neighbor and ctx.mlr_neighbor is not None:
             data_lrc |= ctx.mlr_neighbor
-        if ancilla_lrc is not None:  # never emitted, but honour the contract
-            ancilla_lrc[:] = False
 
     def flagged_fraction(self) -> dict[int, float]:
         """Fraction of patterns flagged, per pattern width (diagnostic)."""

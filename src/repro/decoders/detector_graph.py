@@ -381,17 +381,3 @@ class DetectorGraph:
             return_predecessors=True,
         )
         return distances, predecessors
-
-    def path_logical_parity(self, predecessors_row: np.ndarray, target: int) -> int:
-        """Parity of logical-flipping edges along one shortest-path tree branch."""
-        parity = 0
-        node = target
-        while True:
-            previous = predecessors_row[node]
-            if previous < 0:
-                break
-            edge = self.edge_between(int(previous), int(node))
-            if edge is not None and edge.flips_logical:
-                parity ^= 1
-            node = int(previous)
-        return parity

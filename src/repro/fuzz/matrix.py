@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..api.config import (
     CodeConfig,
@@ -177,11 +177,3 @@ def cell_config(cell: ScenarioCell, instance: SmallInstance) -> ExperimentConfig
             decoded=True,
         ),
     )
-
-
-def iter_combos(cells: Iterable[ScenarioCell]) -> list[tuple[str, str, str, str]]:
-    """The distinct mode-independent combinations of ``cells``, in order."""
-    seen: dict[tuple[str, str, str, str], None] = {}
-    for cell in cells:
-        seen.setdefault(cell.combo)
-    return list(seen)

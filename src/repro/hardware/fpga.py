@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core.boolean_minimize import Implicant, count_literals
+from ..core.boolean_minimize import Implicant
 
 __all__ = [
     "GLADIATOR_LUTS_PER_CHECKER",
@@ -116,8 +116,3 @@ def resource_report(distances: list[int]) -> list[FpgaReport]:
         )
         for d in distances
     ]
-
-
-def total_literal_cost(implicants: list[Implicant], width: int) -> int:
-    """Total literal count of an expression (a LUT-independent size proxy)."""
-    return count_literals(implicants, width)

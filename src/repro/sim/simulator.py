@@ -642,8 +642,6 @@ class LeakageSimulator:
             round_index=round_index,
             pattern_ints=ws.pattern_a,
             prev_pattern_ints=ws.pattern_b,
-            detectors=ws.detectors,
-            mlr_flags=ws.mlr_flags,
             mlr_neighbor=ws.mlr_neighbor,
             data_leaked=state.data_leaked,
         )

@@ -63,7 +63,7 @@ class ReferenceLeakageSimulator(LeakageSimulator):
     fresh ``(shots, n)`` arrays for every Bernoulli draw and boolean
     temporary, gather/scatter copies per entangling layer, per-column loops
     in the pattern gathers, a Python loop over ``2**width`` values in the
-    pattern accounting, and the unbuffered ``policy.decide()`` interface.
+    pattern accounting, and fresh ``decide_into`` buffers every round.
     Construction (index structures, policy tables) is shared with the
     optimized engine — only the round loop differs.  Like the engine, it
     applies the per-round parameters of time-structured noise and draws
@@ -184,17 +184,13 @@ class ReferenceLeakageSimulator(LeakageSimulator):
             round_index=round_index,
             pattern_ints=pattern_ints,
             prev_pattern_ints=prev_pattern_ints,
-            detectors=detectors,
-            mlr_flags=mlr_flags,
             mlr_neighbor=mlr_neighbor,
             data_leaked=state.data_leaked,
         )
-        decision = self.policy.decide(ctx)
-        next_lrc = np.asarray(decision.data_lrc, dtype=bool)
-        next_anc_lrc = (
-            np.asarray(decision.ancilla_lrc, dtype=bool)
-            if decision.ancilla_lrc is not None
-            else np.zeros((shots, self.code.num_ancilla), dtype=bool)
+        next_lrc = np.zeros((shots, self.code.num_data), dtype=bool)
+        next_anc_lrc = np.zeros((shots, self.code.num_ancilla), dtype=bool)
+        self.policy.decide_into(
+            ctx, next_lrc, next_anc_lrc if self.policy.emits_ancilla_lrc else None
         )
 
         false_positive = next_lrc & ~state.data_leaked

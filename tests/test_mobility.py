@@ -1,12 +1,14 @@
 """Tests of leakage-mobility estimation and classification (Table 6)."""
 
 import pytest
+from reference_sim import assert_results_identical
 
-from repro.codes import surface_code
+from repro.codes import color_code, surface_code
 from repro.core import MobilityEstimator, classify_mobility
 from repro.core.mobility import MOBILITY_THRESHOLD, MobilityRecordingPolicy
 from repro.core import make_policy
 from repro.noise import paper_noise
+from repro.sim import LeakageSimulator, SimulatorOptions
 
 
 def test_classify_mobility_threshold():
@@ -26,6 +28,31 @@ def test_recording_policy_tracks_conditional_probability(surface_d5, noise):
     recorder = MobilityRecordingPolicy(inner=make_policy("gladiator+m"))
     assert recorder.conditional_probability == 0.0
     assert recorder.uses_mlr
+
+
+@pytest.mark.parametrize("policy", ["gladiator+m", "eraser+m", "gladiator-d+m"])
+@pytest.mark.parametrize("make_code", [surface_code, color_code], ids=["surface", "color"])
+def test_recording_leaves_mlr_policy_runs_bit_identical(make_code, policy):
+    """Wrapping an MLR policy in the recorder changes no decision and no
+    draw: detector history and every round record (DLP, LRCs, FN) match."""
+    code, noise = make_code(5), paper_noise().with_(leakage_mobility=0.09)
+    options = SimulatorOptions(leakage_sampling=True, record_detectors=True)
+    shots, rounds = 64, 12
+
+    def run(built):
+        simulator = LeakageSimulator(code=code, noise=noise, policy=built, options=options, seed=5)
+        return simulator.run(shots=shots, rounds=rounds)
+
+    plain = run(make_policy(policy))
+    recorder = MobilityRecordingPolicy(inner=make_policy(policy))
+    recorded = run(recorder)
+    assert_results_identical(plain, recorded)
+    assert recorded.total_data_lrcs > 0 and recorded.total_false_negatives > 0
+    assert recorder.rounds_observed == rounds
+    assert recorder.flagged_count == (
+        recorded.total_false_positives + recorded.total_true_positives
+    )
+    assert 0 < recorder.co_flagged_count <= recorder.flagged_count
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from decisions import decide_buffers
 from reference_sim import ReferenceLeakageSimulator, assert_results_identical
 
 from repro.api.registry import CODES
@@ -313,8 +314,7 @@ def test_speculate_kernel_matches_numpy_lookup(family, policy, round_index):
     built.decide_into(
         SpeculationInput(
             round_index=round_index, pattern_ints=patterns,
-            prev_pattern_ints=ws.pattern_b, detectors=detectors,
-            mlr_flags=ws.mlr_flags, mlr_neighbor=mlr_neighbor,
+            prev_pattern_ints=ws.pattern_b, mlr_neighbor=mlr_neighbor,
             data_leaked=state.data_leaked,
         ),
         expected,
@@ -423,9 +423,10 @@ def test_frozen_ancilla_decision_buffer_is_immutable():
                "gladiator+m", "gladiator-d"]
 )
 def test_decide_into_matches_decide(policy):
-    """The buffered policy fast path fills exactly what decide() returns,
-    and a lookup policy's :class:`TableLayout` answers what its per-qubit
-    flag tables say, in round 0 and later."""
+    """``decide_into`` decides the same whatever its buffers held before
+    (prefilled ``False`` or ``True``), and a lookup policy's
+    :class:`TableLayout` answers what its per-qubit flag tables say, in
+    round 0 and later."""
     code = make_code("surface", 3)
     noise = NoiseParams(p=2e-3, leakage_ratio=0.1)
     built = make_policy(policy)
@@ -439,22 +440,10 @@ def test_decide_into_matches_decide(policy):
             round_index=round_index,
             pattern_ints=rng.integers(0, limits, (shots, code.num_data)).astype(np.int32),
             prev_pattern_ints=rng.integers(0, limits, (shots, code.num_data)).astype(np.int32),
-            detectors=rng.random((shots, code.num_ancilla)) < 0.2,
-            mlr_flags=rng.random((shots, code.num_ancilla)) < 0.1 if built.uses_mlr else None,
             mlr_neighbor=rng.random((shots, code.num_data)) < 0.1 if built.uses_mlr else None,
             data_leaked=rng.random((shots, code.num_data)) < 0.05,
         )
-        decision = built.decide(ctx)
-        data_out = np.ones((shots, code.num_data), dtype=bool)  # must be overwritten
-        anc_out = (
-            np.ones((shots, code.num_ancilla), dtype=bool)
-            if built.emits_ancilla_lrc
-            else None
-        )
-        built.decide_into(ctx, data_out, anc_out)
-        assert np.array_equal(data_out, np.asarray(decision.data_lrc, dtype=bool))
-        if anc_out is not None and decision.ancilla_lrc is not None:
-            assert np.array_equal(anc_out, np.asarray(decision.ancilla_lrc, dtype=bool))
+        data_out, _ = decide_buffers(built, ctx)
         if isinstance(built, LookupPolicy):
             assert np.array_equal(data_out, _per_qubit_lookup(built, ctx))
 

@@ -16,6 +16,8 @@ from repro.core import (
 )
 from repro.core.speculator import SpeculationInput
 
+from decisions import decide_buffers
+
 
 def make_ctx(code, pattern_ints, prev=None, round_index=1, mlr_neighbor=None):
     shots = pattern_ints.shape[0]
@@ -23,8 +25,6 @@ def make_ctx(code, pattern_ints, prev=None, round_index=1, mlr_neighbor=None):
         round_index=round_index,
         pattern_ints=pattern_ints,
         prev_pattern_ints=prev if prev is not None else np.zeros_like(pattern_ints),
-        detectors=np.zeros((shots, code.num_ancilla), dtype=bool),
-        mlr_flags=None,
         mlr_neighbor=mlr_neighbor,
         data_leaked=np.zeros((shots, code.num_data), dtype=bool),
     )
@@ -46,11 +46,11 @@ def test_eraser_triggers_on_half_flips(surface_d5, noise):
     qubit = next(q for q in range(surface_d5.num_data) if surface_d5.pattern_width(q) == 4)
     patterns = np.zeros((1, surface_d5.num_data), dtype=np.int64)
     patterns[0, qubit] = 0b0011
-    decision = policy.decide(make_ctx(surface_d5, patterns))
-    assert decision.data_lrc[0, qubit]
+    data_lrc, _ = decide_buffers(policy, make_ctx(surface_d5, patterns))
+    assert data_lrc[0, qubit]
     patterns[0, qubit] = 0b0001
-    decision = policy.decide(make_ctx(surface_d5, patterns))
-    assert not decision.data_lrc[0, qubit]
+    data_lrc, _ = decide_buffers(policy, make_ctx(surface_d5, patterns))
+    assert not data_lrc[0, qubit]
 
 
 def test_gladiator_flags_fewer_patterns_than_eraser(surface_d5, noise):
@@ -67,8 +67,8 @@ def test_gladiator_quiet_on_zero_syndrome(surface_d5, noise):
     policy = GladiatorPolicy()
     policy.prepare(surface_d5, noise)
     patterns = np.zeros((3, surface_d5.num_data), dtype=np.int64)
-    decision = policy.decide(make_ctx(surface_d5, patterns))
-    assert not decision.data_lrc.any()
+    data_lrc, _ = decide_buffers(policy, make_ctx(surface_d5, patterns))
+    assert not data_lrc.any()
 
 
 def test_gladiator_uses_custom_calibration(surface_d5, noise):
@@ -114,8 +114,8 @@ def test_gladiator_d_uses_two_round_history(surface_d5, noise):
     complement = sum(1 << p for p in z_positions) ^ suffix
     prev[0, qubit] = suffix
     patterns[0, qubit] = complement
-    benign = policy.decide(make_ctx(surface_d5, patterns, prev=prev))
-    assert not benign.data_lrc[0, qubit]
+    benign, _ = decide_buffers(policy, make_ctx(surface_d5, patterns, prev=prev))
+    assert not benign[0, qubit]
 
 
 def test_gladiator_d_silent_in_round_zero(surface_d5, noise):
@@ -124,8 +124,8 @@ def test_gladiator_d_silent_in_round_zero(surface_d5, noise):
     patterns = np.full((1, surface_d5.num_data), 0, dtype=np.int64)
     qubit = next(q for q in range(surface_d5.num_data) if surface_d5.pattern_width(q) == 4)
     patterns[0, qubit] = 0b0101
-    decision = policy.decide(make_ctx(surface_d5, patterns, round_index=0))
-    assert not decision.data_lrc.any()
+    data_lrc, _ = decide_buffers(policy, make_ctx(surface_d5, patterns, round_index=0))
+    assert not data_lrc.any()
 
 
 def test_mlr_variants_report_usage(surface_d5, noise):
@@ -142,8 +142,8 @@ def test_mlr_neighbor_trigger_optional(surface_d5, noise):
     patterns = np.zeros((1, surface_d5.num_data), dtype=np.int64)
     mlr_neighbor = np.zeros((1, surface_d5.num_data), dtype=bool)
     mlr_neighbor[0, 3] = True
-    decision = policy.decide(make_ctx(surface_d5, patterns, mlr_neighbor=mlr_neighbor))
-    assert decision.data_lrc[0, 3]
+    data_lrc, _ = decide_buffers(policy, make_ctx(surface_d5, patterns, mlr_neighbor=mlr_neighbor))
+    assert data_lrc[0, 3]
 
 
 def test_make_policy_registry_names():
