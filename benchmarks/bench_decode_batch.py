@@ -35,7 +35,7 @@ from scipy.sparse.csgraph import dijkstra
 from _common import current_scale, emit, format_table, run_once, save
 
 from repro.core import make_policy
-from repro.decoders import DetectorGraph, make_decoder
+from repro.decoders import DetectorGraph, SyndromeCache, make_decoder
 from repro.experiments import make_code
 from repro.noise import paper_noise
 from repro.sim import LeakageSimulator, SimulatorOptions
@@ -148,7 +148,7 @@ def test_decode_batch_throughput(benchmark):
         rows = []
         for method in ("matching", "union_find"):
             if method == "matching":
-                fallback = make_decoder(graph, method, cache_size=0)._greedy_matching
+                fallback = make_decoder(graph, method, cache=SyndromeCache(0))._greedy_matching
                 legacy, legacy_s = _timed(
                     lambda: np.array(
                         [
@@ -162,7 +162,7 @@ def test_decode_batch_throughput(benchmark):
                 # legacy loop is the engine's own per-shot path without the
                 # cache, on the interpreted path (kernels off for this row
                 # only), so the row keeps measuring the compiled kernel too.
-                uncached = make_decoder(graph, method, cache_size=0)
+                uncached = make_decoder(graph, method, cache=SyndromeCache(0))
                 with _decoder_kernels_off():
                     legacy, legacy_s = _timed(
                         lambda: np.array(
@@ -172,7 +172,7 @@ def test_decode_batch_throughput(benchmark):
                             ]
                         )
                     )
-            per_shot_decoder = make_decoder(graph, method, cache_size=0)
+            per_shot_decoder = make_decoder(graph, method, cache=SyndromeCache(0))
             per_shot, per_shot_s = _timed(
                 lambda: np.array(
                     [

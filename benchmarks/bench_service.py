@@ -69,7 +69,6 @@ def test_service_capacity(benchmark):
                 shards=SHARDS,
                 workers_per_shard=2,
                 window_rounds=window,
-                coalesce=True,
                 max_streams=4 * FLOOR_STREAMS,
             )
             with ServerThread(config) as server:

@@ -54,13 +54,7 @@ def record_stream(seed: int):
 def main() -> None:
     records = [record_stream(seed=100 + 13 * i) for i in range(CLIENTS)]
 
-    config = ServerConfig(
-        port=0,
-        shards=2,
-        workers_per_shard=2,
-        window_rounds=4,
-        coalesce=True,
-    )
+    config = ServerConfig(port=0, shards=2, workers_per_shard=2, window_rounds=4)
     with ServerThread(config) as server:
         print(f"decode server listening on 127.0.0.1:{server.port}")
         results = decode_records(

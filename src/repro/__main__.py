@@ -347,8 +347,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         commit_rounds=execution.commit_rounds,
         method=config.decoder.name,
         strategy=config.decoder.strategy,
-        cache_size=config.decoder.cache_size,
-        coalesce=not args.no_coalesce,
     )
 
     async def serve() -> None:
@@ -545,9 +543,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="per-tenant token-bucket rate in round chunks/s (default: unmetered)",
-    )
-    serve_parser.add_argument(
-        "--no-coalesce", action="store_true", help="disable cross-stream batch coalescing"
     )
     serve_parser.add_argument(
         "--serve-seconds",

@@ -132,16 +132,13 @@ class DecoderConfig:
     """Which decoder corrects the syndrome record, and its tuning.
 
     ``max_exact_nodes`` / ``strategy`` are matching-decoder knobs (rejected
-    for decoders that have none); ``cache_size`` sizes the cross-call
-    syndrome cache (``0`` disables, ``None`` keeps the decoder default) and
-    is performance-only — it never changes results and is excluded from the
-    sweep cache key.
+    for decoders that have none).  The cross-call syndrome cache always has
+    the default capacity (:data:`repro.decoders.DEFAULT_CACHE_ENTRIES`).
     """
 
     name: str = "matching"
     max_exact_nodes: int | None = None
     strategy: str | None = None
-    cache_size: int | None = None
 
     def validate(self) -> None:
         entry = DECODERS.get(self.name)
@@ -158,8 +155,6 @@ class DecoderConfig:
                 )
         if self.max_exact_nodes is not None and self.max_exact_nodes < 0:
             raise ValueError("max_exact_nodes must be non-negative")
-        if self.cache_size is not None and self.cache_size < 0:
-            raise ValueError("cache_size must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -350,7 +345,7 @@ class ExperimentConfig:
     def cache_payload(self) -> dict[str, Any]:
         """:meth:`to_dict` minus everything that cannot change results.
 
-        Performance-only knobs — ``decoder.cache_size``, ``execution.workers``,
+        Performance-only knobs — ``execution.workers``,
         ``execution.telemetry``, ``execution.durable`` —
         and the cosmetic ``name`` are dropped, and component names are
         canonicalised through the registries (``mwpm`` -> ``matching``,
@@ -361,7 +356,6 @@ class ExperimentConfig:
         """
         payload = self.to_dict()
         payload.pop("name")
-        payload["decoder"].pop("cache_size")
         payload["execution"].pop("workers")
         payload["execution"].pop("telemetry")
         payload["execution"].pop("durable")

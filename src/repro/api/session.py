@@ -116,7 +116,6 @@ def build_experiment(
         decoder_max_exact_nodes=config.decoder.max_exact_nodes,
         decoder_strategy=config.decoder.strategy,
         decode_batch_size=execution.decode_batch_size,
-        decoder_cache_size=config.decoder.cache_size,
     )
 
 

@@ -34,8 +34,7 @@ class GladiatorDPolicy(GladiatorPolicy):
 
     #: No previous round yet: the deferred speculator stays silent in the
     #: very first round (the paper applies LRCs "every round except the
-    #: first" in the sliding-window scheme); MLR-neighbour triggers, when
-    #: enabled, still fire.
+    #: first" in the sliding-window scheme).
     silent_first_round: ClassVar[bool] = True
 
     def flag_table(self, qubit: int) -> np.ndarray:

@@ -153,18 +153,14 @@ class TableLayout:
         ``(num_data,)`` int64 shift of the previous round's pattern in a
         two-round key (the qubit's pattern width), or ``None`` for
         single-round policies, whose key is the pattern itself.
-    or_mlr_neighbor:
-        Whether a data qubit is also flagged when an adjacent ancilla's
-        multi-level readout flags leakage.
     silent_first_round:
-        Whether round 0 flags nothing from the tables (the MLR-neighbour OR
-        still applies): a deferred speculator has no previous round yet.
+        Whether round 0 flags nothing: a deferred speculator has no
+        previous round yet.
     """
 
     flat: np.ndarray
     offsets: np.ndarray
     shifts: np.ndarray | None
-    or_mlr_neighbor: bool
     silent_first_round: bool
 
 
@@ -177,13 +173,13 @@ class LookupPolicy(LeakagePolicy):
     by ``prev_pattern * 2**width + pattern``).  ``prepare`` lays them out
     as one :class:`TableLayout`: the tables back to back in one flat array,
     each qubit's offset into it, each qubit's previous-pattern key shift
-    (two-round policies), and the two rules around the lookup (the
-    MLR-neighbour OR, a silent first round).  The online lookup of every
-    qubit at once is a single ``np.take(flat, keys + offsets)``, and the
-    simulator's compiled speculation step reads the same arrays.
+    (two-round policies), and whether round 0 is silent.  The online lookup
+    of every qubit at once is a single ``np.take(flat, keys + offsets)``,
+    and the simulator's compiled speculation step reads the same arrays.
+    The decision depends on the syndrome patterns alone: a ``+M`` variant
+    uses multi-level readout to reset leaked ancillas, but its lookup never
+    reads the MLR-neighbour flags.
     """
-
-    trigger_on_mlr_neighbor: bool = False
 
     #: Whether round 0 is silent (see :attr:`TableLayout.silent_first_round`).
     silent_first_round: ClassVar[bool] = False
@@ -194,8 +190,8 @@ class LookupPolicy(LeakagePolicy):
 
     @property
     def uses_mlr_neighbor(self) -> bool:
-        """Only the optional MLR-neighbour trigger reads ``mlr_neighbor``."""
-        return self.uses_mlr and self.trigger_on_mlr_neighbor
+        """A table lookup never reads ``mlr_neighbor``."""
+        return False
 
     def prepare(self, code: StabilizerCode, noise: NoiseParams) -> None:
         super().prepare(code, noise)
@@ -209,7 +205,6 @@ class LookupPolicy(LeakagePolicy):
                 if self.uses_two_rounds
                 else None
             ),
-            or_mlr_neighbor=self.uses_mlr_neighbor,
             silent_first_round=self.silent_first_round,
         )
 
@@ -233,8 +228,6 @@ class LookupPolicy(LeakagePolicy):
             if layout.shifts is not None:
                 keys = keys + (ctx.prev_pattern_ints << layout.shifts)
             np.take(layout.flat, keys + layout.offsets, out=data_lrc)
-        if layout.or_mlr_neighbor and ctx.mlr_neighbor is not None:
-            data_lrc |= ctx.mlr_neighbor
 
     def flagged_fraction(self) -> dict[int, float]:
         """Fraction of patterns flagged, per pattern width (diagnostic)."""

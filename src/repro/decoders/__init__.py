@@ -36,7 +36,6 @@ def make_decoder(
     max_exact_nodes: int | None = None,
     strategy: str | None = None,
     cache: SyndromeCache | None = None,
-    cache_size: int | None = None,
 ):
     """Factory: build a registered decoder over ``graph`` by method name.
 
@@ -51,14 +50,11 @@ def make_decoder(
     silently ignore a requested configuration.
 
     ``cache`` attaches an existing :class:`SyndromeCache` (shared across
-    decoders by the realtime service); ``cache_size`` instead sizes a fresh
-    private cache (``0`` disables cross-call caching).  Both apply to every
-    decoder, since batching and caching live in :class:`DecoderBase`.
+    decoders by the realtime service; ``SyndromeCache(0)`` disables
+    cross-call caching); ``None`` gives the decoder a private cache of
+    :data:`DEFAULT_CACHE_ENTRIES`.  It applies to every decoder, since
+    batching and caching live in :class:`DecoderBase`.
     """
-    if cache is not None and cache_size is not None:
-        raise ValueError("pass either cache or cache_size, not both")
-    if cache is None and cache_size is not None:
-        cache = SyndromeCache(cache_size)
     entry = DECODERS.get(method)  # unknown names fail with did-you-mean help
     kwargs: dict = {}
     if max_exact_nodes is not None:

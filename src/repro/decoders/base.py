@@ -10,11 +10,12 @@ it lives here exactly once:
 
 * **per-shot entry points** — :meth:`decode_shot` (logical parity) and
   :meth:`decode_shot_edges` (explicit edges, used by windowed decoding),
-* **the batched fast path** — :meth:`decode_batch` /
-  :meth:`decode_edges_batch` pack the whole ``(shots, rounds, detectors)``
-  record into per-shot syndrome bitstrings with whole-batch NumPy ops,
-  deduplicate identical syndromes via ``np.unique`` and decode each unique
-  syndrome once.  At low physical error rates most shots share a handful of
+* **the batched fast path** — :meth:`decode_batch` (logical parities) and
+  :meth:`decode_edges_unique` (correction edges per unique syndrome plus
+  the scatter map, used by windowed decoding) pack the whole
+  ``(shots, rounds, detectors)`` record into per-shot syndrome bitstrings
+  with whole-batch NumPy ops, deduplicate identical syndromes via
+  ``np.unique`` and decode each unique syndrome once.  At low physical error rates most shots share a handful of
   syndromes, so one decode serves thousands of shots,
 * **the cross-call cache** — every decoded syndrome lands in a
   :class:`~repro.decoders.cache.SyndromeCache` keyed by the detector
@@ -148,14 +149,6 @@ class DecoderBase:
         )
         return flips[inverse]
 
-    def decode_edges_batch(
-        self, detector_history: np.ndarray, final_detectors: np.ndarray
-    ) -> list[tuple[tuple[int, int], ...]]:
-        """Per-shot correction edges for a batch, deduplicated like
-        :meth:`decode_batch` (the windowed decoder's batch entry point)."""
-        entries, inverse = self.decode_edges_unique(detector_history, final_detectors)
-        return [entries[j] for j in inverse]
-
     def decode_edges_unique(
         self, detector_history: np.ndarray, final_detectors: np.ndarray
     ) -> tuple[list[tuple[tuple[int, int], ...]], np.ndarray]:
@@ -165,7 +158,6 @@ class DecoderBase:
         ``s``'s correction — the representation
         :class:`repro.realtime.window.WindowSession` consumes so per-window
         commit work scales with unique syndromes instead of shots.
-        :meth:`decode_edges_batch` is exactly this followed by the scatter.
         """
         history, final, first, inverse = self._deduplicate(
             detector_history, final_detectors

@@ -31,8 +31,7 @@ __all__ = ["MemoryResult", "MemoryExperiment", "PERF_SUMMARY_KEYS"]
 #: Summary keys that report execution-path performance, not physics.  They
 #: are inherently path-dependent (a windowed decode sees different batch
 #: boundaries than an offline decode of the same record), so bit-identity
-#: comparisons across execution paths strip them — the same spirit in which
-#: ``decoder.cache_size`` is excluded from the sweep cache key.
+#: comparisons across execution paths strip them.
 PERF_SUMMARY_KEYS = ("decoder_cache_hit_rate", "batch_dedup_ratio")
 
 
@@ -126,9 +125,7 @@ class MemoryExperiment:
     ``decode_batch_size`` sets the simulate-and-decode chunk size of
     :meth:`run` (the whole-batch NumPy decode path deduplicates syndromes
     within each chunk); because chunk boundaries determine per-chunk RNG
-    seeds it is part of the sweep cache key.  ``decoder_cache_size`` sizes
-    the decoder's cross-call syndrome cache (``0`` disables it; ``None``
-    keeps the default) — it changes speed only, never results.
+    seeds it is part of the sweep cache key.
 
     Every batch takes one path: the simulator records the batch's detector
     history (:meth:`_run_batch`) and the decoder consumes it in one
@@ -148,7 +145,6 @@ class MemoryExperiment:
     decoder_max_exact_nodes: int | None = None
     decoder_strategy: str | None = None
     decode_batch_size: int | None = None
-    decoder_cache_size: int | None = None
 
     #: Default simulate-and-decode chunk size when neither the experiment nor
     #: the ``run`` call overrides it.
@@ -251,7 +247,6 @@ class MemoryExperiment:
                 method=self.decoder_method,
                 max_exact_nodes=self.decoder_max_exact_nodes,
                 strategy=self.decoder_strategy,
-                cache_size=self.decoder_cache_size,
             )
         graph = DetectorGraph(
             code=self.code, rounds=rounds, noise=self.noise, hyperedges="decompose"
@@ -261,7 +256,6 @@ class MemoryExperiment:
             self.decoder_method,
             max_exact_nodes=self.decoder_max_exact_nodes,
             strategy=self.decoder_strategy,
-            cache_size=self.decoder_cache_size,
         )
 
     def run_undecoded(self, shots: int, rounds: int) -> RunResult:

@@ -30,15 +30,16 @@ and raceless against streams closing mid-window).  Two producers use it:
   pushes them through handles on an ephemeral thread pool (started for the
   call, fully joined before it returns).
 
-With ``coalesce=True`` the scheduler merges windows that become ready on
-the same pass across streams with equal decoder identity
-(:attr:`~repro.decoders.base.DecoderBase.decode_identity`) into a single
-:meth:`~repro.decoders.base.DecoderBase.decode_edges_unique` call and
-demuxes the per-unique-syndrome results back through each session's
-``inverse`` slice.  Because that decode is deterministic per unique
-syndrome and independent of batch composition, coalesced results are
-bit-identical to the uncoalesced path — the dispatch cost is amortised,
-the answers are not changed.
+The scheduler coalesces: windows that become ready on the same pass
+across streams with equal decoder identity
+(:attr:`~repro.decoders.base.DecoderBase.decode_identity`) go out as one
+dispatch.  A group of several windows is decoded by a single
+:meth:`~repro.decoders.base.DecoderBase.decode_edges_unique` call whose
+per-unique-syndrome results are demuxed back through each session's
+``inverse`` slice; a group of one steps its session directly.  Because that
+decode is deterministic per unique syndrome and independent of batch
+composition, coalesced results are bit-identical to decoding each stream
+alone — the dispatch cost is amortised, the answers are not changed.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ class ServiceObserver:
         """One window committed for one stream."""
 
     def on_batch(self, windows: int) -> None:
-        """One decode dispatch served ``windows`` stream windows."""
+        """One decode dispatch served ``windows`` stream windows (``1`` when
+        the window went out alone)."""
 
     def on_queue_depth(self, depth: int) -> None:
         """Pending-window queue depth after an enqueue."""
@@ -335,18 +337,16 @@ class DecodeService:
     queue_depth:
         Bound of the pending-window queue; the scheduler blocks when it is
         full (backpressure).  Defaults to ``max(2, workers)``.
-    cache_size:
-        Capacity of the service-wide :class:`~repro.decoders.SyndromeCache`
-        (``None``: default capacity, ``0``: disabled).  All attached streams
-        decode through this one cache — streams of the same code and noise
-        overwhelmingly share sparse syndromes, so one stream's decode work
-        serves every other stream the service multiplexes.
-    coalesce:
-        Merge same-pass ready windows of compatible streams into one
-        batched decode call (bit-identical demux; see module docstring).
     observer:
         Optional :class:`ServiceObserver` receiving per-window, per-batch
         and queue-depth callbacks — the serve layer's SLO feed.
+
+    All attached streams decode through one service-wide
+    :class:`~repro.decoders.SyndromeCache` — streams of the same code and
+    noise overwhelmingly share sparse syndromes, so one stream's decode work
+    serves every other stream the service multiplexes — and same-pass ready
+    windows of compatible streams are coalesced into one dispatch (see the
+    module docstring).
     """
 
     def __init__(
@@ -358,8 +358,6 @@ class DecodeService:
         strategy: str | None = None,
         workers: int = 4,
         queue_depth: int | None = None,
-        cache_size: int | None = None,
-        coalesce: bool = False,
         observer: ServiceObserver | None = None,
     ) -> None:
         if workers <= 0:
@@ -369,18 +367,17 @@ class DecodeService:
         self.method = method
         self.max_exact_nodes = max_exact_nodes
         self.strategy = strategy
-        self.coalesce = bool(coalesce)
         self.observer = observer
         self.workers = int(workers)
         self.queue_depth = int(queue_depth) if queue_depth is not None else max(2, workers)
         if self.queue_depth <= 0:
             raise ValueError("queue_depth must be positive")
-        self.cache = SyndromeCache(cache_size)
+        self.cache = SyndromeCache()
         self.windows_decoded = 0
         self.streams_served = 0
         self.backpressure_stalls = 0
         #: Decode dispatches vs stream windows they served; their ratio is
-        #: the coalescing amortisation (1.0 when coalescing is off/idle).
+        #: the coalescing amortisation (1.0 when no windows coalesced).
         self.window_batches = 0
         self.window_jobs = 0
         self._wake = threading.Condition()
@@ -402,17 +399,15 @@ class DecodeService:
         *,
         workers: int = 4,
         queue_depth: int | None = None,
-        coalesce: bool = False,
         observer: ServiceObserver | None = None,
     ) -> "DecodeService":
         """Build a service from an :class:`~repro.api.config.ExperimentConfig`.
 
         The window geometry comes from ``execution.window_rounds`` /
-        ``commit_rounds`` and the decoder from the ``decoder`` section
-        (including the service-wide ``cache_size``); ``workers`` and
-        ``queue_depth`` stay call-time arguments because they describe the
-        serving deployment, not the experiment.  This is the construction
-        path :meth:`repro.api.Session.stream` uses.
+        ``commit_rounds`` and the decoder from the ``decoder`` section;
+        ``workers`` and ``queue_depth`` stay call-time arguments because
+        they describe the serving deployment, not the experiment.  This is
+        the construction path :meth:`repro.api.Session.stream` uses.
         """
         execution = config.execution
         if execution.window_rounds is None:
@@ -427,8 +422,6 @@ class DecodeService:
             strategy=config.decoder.strategy,
             workers=workers,
             queue_depth=queue_depth,
-            cache_size=config.decoder.cache_size,
-            coalesce=coalesce,
             observer=observer,
         )
 
@@ -790,11 +783,7 @@ class DecodeService:
             order: list[tuple] = []
             for task in ready:
                 try:
-                    key = (
-                        task.coalesce_key()
-                        if self.coalesce
-                        else ("solo", task.stream_id)
-                    )
+                    key = task.coalesce_key()
                 except BaseException as exc:
                     task.error = exc
                     self._finalize(task)
@@ -894,10 +883,8 @@ class DecodeService:
                 task.session.step()
             _OBS_WINDOWS.inc()
             task.recorder.add_wait(wait)
-            with self._counter_lock:
-                self.window_batches += 1
-                self.window_jobs += 1
             self._observe_window(task, wait)
+            self._count_dispatch(1)
             return
         started = time.perf_counter()
         live = [task for task in tasks if not task.aborted]
@@ -925,11 +912,15 @@ class DecodeService:
             task.recorder.add_wait(wait)
             self._observe_window(task, wait)
         _OBS_COALESCED.inc(len(live))
+        self._count_dispatch(len(live))
+
+    def _count_dispatch(self, windows: int) -> None:
+        """Account one decode dispatch that served ``windows`` windows."""
         with self._counter_lock:
             self.window_batches += 1
-            self.window_jobs += len(live)
+            self.window_jobs += windows
         if self.observer is not None:
-            self.observer.on_batch(len(live))
+            self.observer.on_batch(windows)
 
     def _observe_window(self, task: _StreamTask, wait: float) -> None:
         if self.observer is None or not task.recorder.timings:

@@ -73,15 +73,16 @@ class WindowedDecoder:
         forward windows that communicate only through artifacts.
     method / max_exact_nodes / strategy:
         Passed through to :func:`repro.decoders.make_decoder`.
-    cache / cache_size:
+    cache:
         The syndrome->correction cache shared by every window-size decoder
-        this instance builds.  Sliding windows revisit the same sparse
-        syndromes constantly, so the cache (plus the batched
-        ``decode_edges_batch`` path used per window) is where the streaming
-        throughput comes from.  Pass an existing
+        this instance builds (``None``: a fresh one of
+        :data:`~repro.decoders.DEFAULT_CACHE_ENTRIES`).  Sliding windows
+        revisit the same sparse syndromes constantly, so the cache (plus the
+        batched ``decode_edges_unique`` path used per window) is where the
+        streaming throughput comes from.  Pass an existing
         :class:`~repro.decoders.SyndromeCache` to pool syndromes across
         decoders (the decode service shares one per service), or
-        ``cache_size=0`` to disable reuse.
+        ``SyndromeCache(0)`` to disable reuse.
     """
 
     code: StabilizerCode
@@ -93,7 +94,6 @@ class WindowedDecoder:
     max_exact_nodes: int | None = None
     strategy: str | None = None
     cache: SyndromeCache | None = None
-    cache_size: int | None = None
     _decoders: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -108,10 +108,8 @@ class WindowedDecoder:
                 f"commit_rounds must be in [1, window_rounds]; got "
                 f"{self.commit_rounds} for window {self.window_rounds}"
             )
-        if self.cache is not None and self.cache_size is not None:
-            raise ValueError("pass either cache or cache_size, not both")
         if self.cache is None:
-            self.cache = SyndromeCache(self.cache_size)
+            self.cache = SyndromeCache()
 
     @property
     def effective_window(self) -> int:

@@ -133,7 +133,12 @@ class TokenBucket:
 @dataclass
 class ServerConfig:
     """Deployment shape of one decode server (not part of any experiment
-    digest — these knobs change capacity and latency, never results)."""
+    digest — these knobs change capacity and latency, never results).
+
+    Every shard is a :class:`DecodeService`: it coalesces same-pass ready
+    windows across its streams and decodes through one syndrome cache of
+    the default capacity.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0  # 0: pick a free port; read it back from DecodeServer.port
@@ -148,8 +153,6 @@ class ServerConfig:
     commit_rounds: int | None = None
     method: str = "matching"
     strategy: str | None = None
-    cache_size: int | None = None
-    coalesce: bool = True
     drain_timeout: float = 10.0
 
     def __post_init__(self) -> None:
@@ -235,8 +238,6 @@ class DecodeServer:
                 strategy=self.config.strategy,
                 workers=self.config.workers_per_shard,
                 queue_depth=self.config.queue_depth,
-                cache_size=self.config.cache_size,
-                coalesce=self.config.coalesce,
                 observer=self.slo,
             )
             for _ in range(self.config.shards)

@@ -29,7 +29,7 @@ __all__ = ["SloTracker"]
 #: telemetry scope is active (the private histogram below is always on).
 _OBS_ROUNDS = METRICS.counter("serve.rounds", "syndrome rounds committed by the server")
 _OBS_WINDOWS = METRICS.counter("serve.windows", "stream windows decoded by the server")
-_OBS_BATCHES = METRICS.counter("serve.batches", "coalesced decode dispatches")
+_OBS_BATCHES = METRICS.counter("serve.batches", "decode dispatches")
 _OBS_STREAMS = METRICS.counter("serve.streams", "streams completed by the server")
 _OBS_REJECTED = METRICS.counter("serve.admission_rejected", "streams refused admission")
 _OBS_QUEUE_DEPTH = METRICS.gauge("serve.queue_depth", "max shard queue depth observed")
@@ -45,7 +45,6 @@ class SloTracker:
         self.rounds = 0
         self.windows = 0
         self.batches = 0
-        self.batched_windows = 0
         self.streams_done = 0
         self.stream_errors = 0
         self.admission_rejected = 0
@@ -73,7 +72,6 @@ class SloTracker:
     def on_batch(self, windows: int) -> None:
         with self._lock:
             self.batches += 1
-            self.batched_windows += windows
         _OBS_BATCHES.inc()
 
     def on_queue_depth(self, depth: int) -> None:
@@ -118,7 +116,6 @@ class SloTracker:
             wait_p99 = self._wait.percentile(99)
             windows = self.windows
             batches = self.batches
-            batched = self.batched_windows
             snapshot = {
                 "rounds": self.rounds,
                 "windows": windows,
@@ -139,10 +136,8 @@ class SloTracker:
                 "slo_p50": p50 / budget_seconds,
                 "slo_p99": p99 / budget_seconds,
                 "slo_p999": p999 / budget_seconds,
-                # Windows per decode dispatch; 1.0 with coalescing off.
-                # Single-window dispatches never fire on_batch, so they are
-                # (windows - batched) extra dispatches of one window each.
-                "coalesce_ratio": windows / max(1, batches + max(0, windows - batched)),
+                # Windows per decode dispatch; 1.0 when nothing coalesced.
+                "coalesce_ratio": windows / max(1, batches),
             }
         )
         return snapshot

@@ -41,9 +41,9 @@ all are awkward for NumPy itself:
 * **The speculation step.**  ``speculate`` runs the draw-free tail of a
   round for a lookup policy in one call, shot row by shot row: the
   detector XOR (with round 0's X-stabilizer mask), the per-qubit pattern
-  gather, the flag-table lookup (single- or two-round key), the optional
-  MLR-neighbour OR and the accuracy counts (false/true positives, false
-  negatives, leaked data qubits and ancillas).  The gather reads fixed
+  gather, the flag-table lookup (single- or two-round key) and the
+  accuracy counts (false/true positives, false negatives, leaked data
+  qubits and ancillas).  The gather reads fixed
   (qubit, position, member) slots padded with an index that never fires,
   and is specialised on the slot shape so the compiler unrolls it; the
   run-constant half (slots, the policy's
@@ -321,9 +321,8 @@ void cnot_layer(uint8_t* restrict data_pack, uint8_t* restrict anc_pack,
 
 /* The run-constant half of a speculation step (SpeculatePlan.record). */
 typedef struct {
-    int64_t nd, na, width, members, k, silent;
+    int64_t nd, na, width, members, silent;
     const int32_t* slots;      /* nd x width x members, padded with na */
-    const int32_t* neighbors;  /* nd x k adjacent ancillas padded with na; NULL: no OR */
     const uint8_t* table;      /* every qubit's flag table, back to back */
     const int64_t* offsets;    /* nd: start of each qubit's table */
     const int64_t* shifts;     /* nd: previous-pattern key shift; NULL: one round */
@@ -331,30 +330,27 @@ typedef struct {
 } spec_plan_t;
 
 /* One round's speculation, row by row: detectors, patterns, the table
- * lookup, the MLR-neighbour OR and the accuracy counts.  W x M is the
- * pattern gather's shape (positions x members per group); constant
- * arguments let the compiler unroll it. */
+ * lookup and the accuracy counts.  W x M is the pattern gather's shape
+ * (positions x members per group); constant arguments let the compiler
+ * unroll it. */
 static inline __attribute__((always_inline)) void spec_rows(
         const spec_plan_t* p, int64_t first, int64_t shots,
         const uint8_t* restrict meas, const uint8_t* restrict prev,
         uint8_t* restrict det, int32_t* restrict pat,
-        const int32_t* restrict prev_pat, const uint8_t* restrict mlr,
-        const uint8_t* restrict leaked, const uint8_t* restrict anc_leaked,
+        const int32_t* restrict prev_pat, const uint8_t* restrict leaked, const uint8_t* restrict anc_leaked,
         uint8_t* restrict lrc, int64_t* restrict counts,
         const int64_t W, const int64_t M) {
-    const int64_t nd = p->nd, na = p->na, k = p->k;
+    const int64_t nd = p->nd, na = p->na;
     const int32_t* restrict slots = p->slots;
-    const int32_t* restrict nb = mlr ? p->neighbors : NULL;
     const uint8_t* restrict table = p->table;
     const int64_t* restrict offsets = p->offsets;
     const int64_t* restrict shifts = p->shifts;
     const uint8_t* restrict keep = first ? p->keep0 : NULL;
     const int lookup = !(first && p->silent);
-    /* This row's detectors and MLR flags, plus the never-firing pad. */
-    uint8_t d[na + 1], m[na + 1];
+    /* This row's detectors, plus the never-firing pad. */
+    uint8_t d[na + 1];
     int64_t lrcs = 0, tp = 0, leaks = 0, anc_leaks = 0;
     d[na] = 0;
-    m[na] = 0;
     for (int64_t r = 0; r < shots; r++) {
         const uint8_t* restrict mr = meas + r * na;
         const uint8_t* restrict pr = prev + r * na;
@@ -365,7 +361,6 @@ static inline __attribute__((always_inline)) void spec_rows(
             for (int64_t a = 0; a < na; a++) d[a] = mr[a] ^ pr[a];
         }
         memcpy(det + r * na, d, (size_t)na);
-        if (nb) memcpy(m, mlr + r * na, (size_t)na);
         for (int64_t a = 0; a < na; a++) anc_leaks += al[a];
         int32_t* restrict pq = pat + r * nd;
         const int32_t* restrict ppq = prev_pat + r * nd;
@@ -385,9 +380,6 @@ static inline __attribute__((always_inline)) void spec_rows(
                 int64_t key = v;
                 if (shifts) key += (int64_t)ppq[q] << shifts[q];
                 f = table[offsets[q] + key];
-            }
-            if (nb) {
-                for (int64_t j = 0; j < k; j++) f |= m[nb[q * k + j]];
             }
             fq[q] = f;
         }
@@ -411,11 +403,10 @@ static inline __attribute__((always_inline)) void spec_rows(
  * shape runs the same body with runtime bounds. */
 void speculate(const spec_plan_t* p, int64_t first, int64_t shots,
                const uint8_t* meas, const uint8_t* prev, uint8_t* det,
-               int32_t* pat, const int32_t* prev_pat, const uint8_t* mlr,
-               const uint8_t* leaked, const uint8_t* anc_leaked, uint8_t* lrc,
-               int64_t* counts) {
+               int32_t* pat, const int32_t* prev_pat, const uint8_t* leaked,
+               const uint8_t* anc_leaked, uint8_t* lrc, int64_t* counts) {
 #define SPEC(W, M) do { spec_rows(p, first, shots, meas, prev, det, pat, prev_pat, \
-        mlr, leaked, anc_leaked, lrc, counts, W, M); return; } while (0)
+        leaked, anc_leaked, lrc, counts, W, M); return; } while (0)
 #define SPEC_WIDTHS(M) switch (p->width) { \
         case 1: SPEC(1, M); case 2: SPEC(2, M); case 3: SPEC(3, M); \
         case 4: SPEC(4, M); case 5: SPEC(5, M); case 6: SPEC(6, M); \
@@ -443,7 +434,7 @@ def _build() -> ctypes.CDLL | None:
     lib.cnot_layer.argtypes = (
         [pointer] * 2 + [i64] * 3 + [pointer] * 2 + [i64] + [pointer] * 7
     )
-    lib.speculate.argtypes = [pointer, i64, i64] + [pointer] * 10
+    lib.speculate.argtypes = [pointer, i64, i64] + [pointer] * 9
     for function in (lib.draw_row, lib.draw_choices, lib.cnot_layer, lib.speculate):
         function.restype = None
     return lib
@@ -536,10 +527,8 @@ class SpeculatePlan:
 
     ``slots`` (``(num_data, width, members)``) lists the ancillas ORed into
     each pattern bit, padded with ``num_ancilla``, an index the kernel reads
-    as a detector that never fires; ``neighbors`` (``(num_data, k)``, same
-    padding, or ``None`` for no MLR-neighbour OR) the ancillas adjacent to
-    each data qubit.  ``keep0`` (uint8 ``(num_ancilla,)``) is 0 where round
-    0 defines no detector.  ``table`` / ``offsets`` / ``shifts`` /
+    as a detector that never fires.  ``keep0`` (uint8 ``(num_ancilla,)``)
+    is 0 where round 0 defines no detector.  ``table`` / ``offsets`` / ``shifts`` /
     ``silent_first_round`` are a policy's
     :class:`~repro.core.speculator.TableLayout`.  The plan holds every
     array it points at.
@@ -548,7 +537,6 @@ class SpeculatePlan:
     def __init__(
         self,
         slots: np.ndarray,
-        neighbors: np.ndarray | None,
         keep0: np.ndarray,
         table: np.ndarray,
         offsets: np.ndarray,
@@ -558,7 +546,6 @@ class SpeculatePlan:
         num_data, width, members = slots.shape
         arrays = [
             np.ascontiguousarray(slots, dtype=np.int32),
-            None if neighbors is None else np.ascontiguousarray(neighbors, dtype=np.int32),
             np.ascontiguousarray(table, dtype=bool).view(np.uint8),
             np.ascontiguousarray(offsets, dtype=np.int64),
             None if shifts is None else np.ascontiguousarray(shifts, dtype=np.int64),
@@ -566,13 +553,12 @@ class SpeculatePlan:
         ]
         self._arrays = arrays
         self.num_data, self.num_ancilla = num_data, keep0.shape[0]
-        k = 0 if neighbors is None else neighbors.shape[1]
         self.record = np.array(
-            [num_data, self.num_ancilla, width, members, k, int(silent_first_round)]
+            [num_data, self.num_ancilla, width, members, int(silent_first_round)]
             + [0 if array is None else array.ctypes.data for array in arrays],
             dtype=np.uint64,
         )
-        assert self.record.shape == (12,)  # the words of spec_plan_t
+        assert self.record.shape == (10,)  # the words of spec_plan_t
         self.address = self.record.ctypes.data
 
 
@@ -584,7 +570,6 @@ def speculate(
     detectors: np.ndarray,
     patterns: np.ndarray,
     prev_patterns: np.ndarray,
-    mlr_flags: np.ndarray | None,
     data_leaked: np.ndarray,
     anc_leaked: np.ndarray,
     data_lrc: np.ndarray,
@@ -593,7 +578,7 @@ def speculate(
     """One round's speculation step in one call, in place.
 
     Reads the ``(shots, num_ancilla)`` bool ``measurement`` /
-    ``prev_measurement`` / ``mlr_flags`` / ``anc_leaked``, the
+    ``prev_measurement`` / ``anc_leaked``, the
     ``(shots, num_data)`` int32 ``prev_patterns`` and bool ``data_leaked``;
     writes ``detectors``, ``patterns`` and the decision ``data_lrc``, and
     ``counts`` (int64[5]): false positives, false negatives, true
@@ -605,8 +590,6 @@ def speculate(
     _lib.speculate(
         plan.address, round_index == 0, data_lrc.shape[0],
         measurement.ctypes.data, prev_measurement.ctypes.data, detectors.ctypes.data,
-        patterns.ctypes.data, prev_patterns.ctypes.data,
-        None if mlr_flags is None else mlr_flags.ctypes.data,
-        data_leaked.ctypes.data, anc_leaked.ctypes.data, data_lrc.ctypes.data,
+        patterns.ctypes.data, prev_patterns.ctypes.data, data_leaked.ctypes.data, anc_leaked.ctypes.data, data_lrc.ctypes.data,
         counts.ctypes.data,
     )

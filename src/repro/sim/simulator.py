@@ -319,7 +319,7 @@ class LeakageSimulator:
         self._round0_keep = np.ones(code.num_ancilla, dtype=np.uint8)
         self._round0_keep[self._x_stab_indices] = 0
         # Adjacent-ancilla structure for MLR neighbour flags, grouped by
-        # count for NumPy and as padded slots for the kernel.
+        # count.
         neighbor_lists = [
             np.array([stab for stab, _ in code.data_adjacency[q]], dtype=np.int64)
             for q in range(code.num_data)
@@ -332,11 +332,6 @@ class LeakageSimulator:
             (np.array(qubits, dtype=np.int64), np.stack(ancilla_rows))
             for qubits, ancilla_rows in by_count.values()
         ]
-        self._neighbor_slots = np.full(
-            (code.num_data, max(by_count)), code.num_ancilla, dtype=np.int32
-        )
-        for qubits, ancilla_rows in self._neighbor_gather:
-            self._neighbor_slots[qubits, : ancilla_rows.shape[1]] = ancilla_rows
         # Data qubits grouped by pattern width, in ascending width order
         # (np.unique order), for the bincount pattern accounting.
         widths = np.asarray(code.pattern_widths)
@@ -378,7 +373,6 @@ class LeakageSimulator:
         layout = policy.table_layout
         return _ckernels.SpeculatePlan(
             slots=self._pattern_slots,
-            neighbors=self._neighbor_slots if layout.or_mlr_neighbor else None,
             keep0=self._round0_keep,
             table=layout.flat,
             offsets=layout.offsets,
@@ -625,8 +619,7 @@ class LeakageSimulator:
         if plan is not None:
             _ckernels.speculate(
                 plan, round_index, ws.measurement, state.prev_measurement,
-                ws.detectors, ws.pattern_a, ws.pattern_b, ws.mlr_flags,
-                state.data_leaked, state.anc_leaked, ws.data_lrc, ws.speculate_counts,
+                ws.detectors, ws.pattern_a, ws.pattern_b, state.data_leaked, state.anc_leaked, ws.data_lrc, ws.speculate_counts,
             )
             return
         np.logical_xor(ws.measurement, state.prev_measurement, out=ws.detectors)

@@ -78,10 +78,6 @@ class SweepSpec:
         Simulate-and-decode chunk size of each decoded unit (``None``: the
         :class:`~repro.experiments.memory.MemoryExperiment` default).  Part
         of the cache key — the chunk plan fixes per-chunk simulator seeds.
-    decoder_cache_size:
-        Capacity of each unit's syndrome->correction cache (``0`` disables,
-        ``None`` keeps the decoder default).  Performance-only: excluded
-        from the cache key because results are identical at any size.
     seed:
         Base seed; every unit derives its shard seeds from this plus its own
         cache key, so grid points are statistically independent.
@@ -103,7 +99,6 @@ class SweepSpec:
     windows: Sequence[int | None] = (None,)
     commit_rounds: int | None = None
     decode_batch_size: int | None = None
-    decoder_cache_size: int | None = None
     seed: int = 0
     extra_labels: tuple[tuple[str, object], ...] = field(default_factory=tuple)
 
@@ -126,7 +121,6 @@ class SweepSpec:
             name=self.decoder_method,
             max_exact_nodes=self.decoder_max_exact_nodes,
             strategy=self.decoder_strategy,
-            cache_size=self.decoder_cache_size,
         )
         compiled: list[WorkUnit] = []
         for distance in self.distances:

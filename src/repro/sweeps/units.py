@@ -188,7 +188,7 @@ def unit_key(unit: WorkUnit, shard_sizes: tuple[int, ...] | None = None) -> str:
     """Stable hex cache key of a work unit (labels excluded — they are cosmetic).
 
     The key digests the unit config's ``cache_payload`` (which drops the
-    performance-only knobs — decoder cache size and worker count never
+    performance-only knobs — worker count, telemetry and durability never
     change results), with the code section written as
     ``{"family", "distance"}`` and the noise section as every field of the
     built noise under the ``custom`` preset.  For stationary noise that is

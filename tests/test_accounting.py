@@ -147,10 +147,12 @@ def test_coalesce_ratio_counts_solo_dispatches():
     tracker = SloTracker()
     for stream in range(4):
         tracker.on_window(stream, None, 1, 1e-6, 0.0)
-    # One batch merged 3 of the 4 windows; the fourth went out alone.
+    # One dispatch merged 3 of the 4 windows; the fourth went out alone,
+    # and every dispatch reports itself, a lone window included.
     tracker.on_batch(3)
+    tracker.on_batch(1)
     snapshot = tracker.snapshot()
-    # 4 windows over (1 batch + 1 solo dispatch) = 2 dispatches.
+    # 4 windows over 2 dispatches.
     assert snapshot["coalesce_ratio"] == pytest.approx(2.0)
 
 
@@ -158,6 +160,7 @@ def test_coalesce_ratio_is_one_without_batching():
     tracker = SloTracker()
     for stream in range(5):
         tracker.on_window(stream, None, 1, 1e-6, 0.0)
+        tracker.on_batch(1)
     assert tracker.snapshot()["coalesce_ratio"] == pytest.approx(1.0)
 
 

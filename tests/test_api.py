@@ -94,8 +94,7 @@ def _full_config() -> ExperimentConfig:
         noise=NoiseConfig(preset="paper", p=2e-3, leakage_ratio=1.0,
                           overrides={"leakage_mobility": 0.2}),
         policy=PolicyConfig(name="gladiator+m", options={"threshold": 0.05}),
-        decoder=DecoderConfig(name="matching", max_exact_nodes=10,
-                              strategy="greedy", cache_size=64),
+        decoder=DecoderConfig(name="matching", max_exact_nodes=10, strategy="greedy"),
         execution=ExecutionConfig(shots=40, rounds=6, seed=3, decoded=True,
                                   leakage_sampling=True, decode_batch_size=16,
                                   window_rounds=4, commit_rounds=2, workers=2),
@@ -214,7 +213,6 @@ def test_digest_and_unit_key_canonicalize_alias_spellings():
 
 def test_digest_ignores_performance_only_knobs():
     base = _full_config()
-    assert base.digest() == base.override("decoder.cache_size", 999).digest()
     assert base.digest() == base.override("execution.workers", 16).digest()
     assert base.digest() == base.override("name", "other").digest()
     assert base.digest() != base.override("execution.seed", 99).digest()

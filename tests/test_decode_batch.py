@@ -1,6 +1,6 @@
 """Tests of the batched decoding engine: dedup, syndrome cache, equivalence.
 
-The batched path (``decode_batch`` / ``decode_edges_batch``) must be
+The batched path (``decode_batch`` / ``decode_edges_unique``) must be
 bit-identical to looping the per-shot ``decode_shot`` — over random
 syndromes, all-zero batches and duplicate-heavy batches, for both decoders,
 on both a matching-native code (surface) and a hyperedge-decomposed one
@@ -48,13 +48,20 @@ def _random_batch(graph, shots, density, seed):
 
 def _per_shot_reference(graph, method, history, final):
     """Ground truth: an uncached decoder looped shot by shot."""
-    decoder = make_decoder(graph, method, cache_size=0)
+    decoder = make_decoder(graph, method, cache=SyndromeCache(0))
     return np.array(
         [
             bool(decoder.decode_shot(history[shot], final[shot]))
             for shot in range(history.shape[0])
         ]
     )
+
+
+def _edges_per_shot(decoder, history, final):
+    """Per-shot correction edges: ``decode_edges_unique``'s entries scattered
+    through ``inverse``, as windowed decoding consumes them."""
+    entries, inverse = decoder.decode_edges_unique(history, final)
+    return [entries[j] for j in inverse]
 
 
 # --------------------------------------------------------------------- #
@@ -109,9 +116,9 @@ def test_batch_duplicate_heavy_decodes_each_syndrome_once(graphs, method):
 def test_edges_batch_matches_per_shot_edges(graphs, method):
     graph = graphs["surface"]
     history, final = _random_batch(graph, shots=20, density=0.05, seed=23)
-    reference = make_decoder(graph, method, cache_size=0)
+    reference = make_decoder(graph, method, cache=SyndromeCache(0))
     batched = make_decoder(graph, method)
-    edge_lists = batched.decode_edges_batch(history, final)
+    edge_lists = _edges_per_shot(batched, history, final)
     assert len(edge_lists) == 20
     for shot, edges in enumerate(edge_lists):
         expected = reference.decode_shot_edges(history[shot], final[shot])
@@ -124,7 +131,7 @@ def test_batch_handles_empty_batch(graphs):
     final = np.zeros((0, graph.num_z_stabs), dtype=bool)
     decoder = MatchingDecoder(graph)
     assert decoder.decode_batch(history, final).shape == (0,)
-    assert decoder.decode_edges_batch(history, final) == []
+    assert _edges_per_shot(decoder, history, final) == []
 
 
 # --------------------------------------------------------------------- #
@@ -194,8 +201,6 @@ def test_cache_lru_eviction_and_disabled_mode(graphs):
 
     with pytest.raises(ValueError):
         SyndromeCache(maxsize=-1)
-    with pytest.raises(ValueError):
-        make_decoder(graph, "matching", cache=disabled, cache_size=4)
 
 
 def test_oversized_syndromes_bypass_the_cache():
@@ -210,7 +215,7 @@ def test_oversized_syndromes_bypass_the_cache():
     final = np.zeros((2, graph.num_z_stabs), dtype=bool)
     history.reshape(2, -1)[:, : _CACHE_MAX_FIRED + 4] = True  # identical heavy shots
     decoder = make_decoder(graph, "union_find")
-    reference = make_decoder(graph, "union_find", cache_size=0)
+    reference = make_decoder(graph, "union_find", cache=SyndromeCache(0))
     expected = np.array(
         [bool(reference.decode_shot(history[s], final[s])) for s in range(2)]
     )
@@ -280,10 +285,10 @@ def test_kernels_on_and_off_agree_on_leakage_records(monkeypatch, family, policy
     decoded = {}
     for flag in ("1", "0"):
         monkeypatch.setenv("REPRO_DECODER_CKERNELS", flag)
-        decoder = make_decoder(graph, "matching", cache_size=0)
+        decoder = make_decoder(graph, "matching", cache=SyndromeCache(0))
         decoded[flag] = (
             decoder.decode_batch(history, final),
-            decoder.decode_edges_batch(history, final),
+            _edges_per_shot(decoder, history, final),
         )
     (flips_on, edges_on), (flips_off, edges_off) = decoded["1"], decoded["0"]
     assert np.array_equal(flips_on, flips_off)

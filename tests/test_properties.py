@@ -36,7 +36,13 @@ from repro.codes.scheduling import assign_conflict_free_slots
 from repro.core import CalibrationData, GraphModelConfig, TransitionModel
 from repro.core.boolean_minimize import evaluate, quine_mccluskey
 from repro.core.graph_model import GroupInfo, QubitContext
-from repro.decoders import DetectorGraph, MatchingDecoder, UnionFindDecoder, make_decoder
+from repro.decoders import (
+    DetectorGraph,
+    MatchingDecoder,
+    SyndromeCache,
+    UnionFindDecoder,
+    make_decoder,
+)
 from repro.decoders import _ckernels as deckernels
 from repro.decoders.matching import STRATEGIES, _networkx_matching
 from repro.noise import paper_noise
@@ -478,7 +484,7 @@ def test_corrections_reproduce_their_syndrome(family, seed, density):
     for flag in ("0", "1"):
         with _kernels(flag):
             for method, tuning in _DECODER_TUNINGS:
-                decoder = make_decoder(graph, method, cache_size=0, **tuning)
+                decoder = make_decoder(graph, method, cache=SyndromeCache(0), **tuning)
                 correction = decoder.decode_shot_edges(history, final)
                 assert _boundary_mod2(graph, correction) == syndrome, (method, tuning, flag)
 

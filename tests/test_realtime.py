@@ -448,7 +448,7 @@ def test_run_on_started_service_keeps_the_pool(surface_d3):
 def test_push_mode_matches_serial_decode_with_coalescing(surface_d3):
     """Two identical push-mode streams, coalesced, equal the serial decode."""
     result = _recorded_run(surface_d3, HEAVY, shots=10, rounds=8, seed=23)
-    service = DecodeService(window_rounds=4, workers=2, coalesce=True)
+    service = DecodeService(window_rounds=4, workers=2)
     service.start()
     try:
         handles = [
@@ -592,7 +592,7 @@ def test_windowed_decoder_cached_batch_path_reuses_syndromes(surface_d3):
     stats = shared.stats()
     assert stats["misses"] > 0
     # The cache changes speed only: an uncached decode is bit-identical.
-    uncached = WindowedDecoder(**kwargs, cache_size=0).decode_stream(
+    uncached = WindowedDecoder(**kwargs, cache=SyndromeCache(0)).decode_stream(
         ReplayStream.from_run_result(result)
     )
     assert np.array_equal(first, uncached)
@@ -604,8 +604,6 @@ def test_windowed_decoder_cached_batch_path_reuses_syndromes(surface_d3):
     replay_stats = shared.stats()
     assert replay_stats["misses"] == stats["misses"]
     assert replay_stats["hits"] > stats["hits"]
-    with pytest.raises(ValueError):
-        WindowedDecoder(**kwargs, cache=shared, cache_size=16)
 
 
 def test_service_streams_share_one_syndrome_cache(surface_d3):
@@ -629,11 +627,16 @@ def test_service_streams_share_one_syndrome_cache(surface_d3):
     stats = service.cache.stats()
     assert stats["hits"] > 0
     assert reports[0].failures == reports[1].failures
-    # Disabling the service cache must not change any prediction.
-    uncached = DecodeService(window_rounds=6, workers=1, cache_size=0)
-    plain = uncached.run(twin_streams())
-    assert not uncached.cache.enabled
-    assert [r.failures for r in plain] == [r.failures for r in reports]
+    # The shared cache changes speed only: each stream decoded alone through
+    # an uncached windowed decoder fails on the same shots.
+    plain = []
+    for stream in twin_streams():
+        predictions = WindowedDecoder(
+            code=surface_d3, noise=HEAVY, rounds=12, window_rounds=6,
+            cache=SyndromeCache(0),
+        ).decode_stream(stream)
+        plain.append(int(np.count_nonzero(predictions != stream.final().observable_flips)))
+    assert plain == [r.failures for r in reports]
 
 
 # --------------------------------------------------------------------- #

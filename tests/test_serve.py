@@ -1,11 +1,11 @@
 """End-to-end tests of the decode server (``repro.serve``).
 
 The load-bearing property is bit-identity: predictions that come back over
-the wire must equal what the in-process :class:`DecodeService` produces for
-the same recorded streams, across the full code-family × decoder-method ×
-coalescing matrix.  Around that sit the service-level behaviors: admission
-control, per-tenant caps, the live SLO snapshot, the websocket gateway and
-graceful drain.
+the wire must equal a plain per-record :class:`WindowedDecoder` decode of
+the same recorded streams (no multiplexing, no coalescing, no wire), across
+the full code-family × decoder-method × traffic-shape matrix.  Around that
+sit the service-level behaviors: admission control, per-tenant caps, the
+live SLO snapshot, the websocket gateway and graceful drain.
 """
 
 import asyncio
@@ -22,7 +22,7 @@ import pytest
 from repro.codes import color_code, surface_code, toric_code
 from repro.core import make_policy
 from repro.noise import paper_noise
-from repro.realtime import DecodeService
+from repro.realtime import WindowedDecoder
 from repro.serve import (
     FrameType,
     ServeClient,
@@ -75,48 +75,34 @@ def _records(family: str, count: int = 3) -> list:
     return _RECORD_CACHE[family]
 
 
-def _inprocess(family: str, method: str, coalesce: bool) -> list[np.ndarray]:
-    """Reference predictions from the in-process push-mode DecodeService."""
-    records = _records(family)
-    service = DecodeService(
-        window_rounds=WINDOW,
-        method=method,
-        workers=2,
-        coalesce=coalesce,
-    )
-    try:
-        service.start()
-        noise = paper_noise(**NOISE)
-        handles = [
-            service.open_stream(
-                code=FAMILIES[family](DISTANCE),
-                noise=noise,
-                shots=SHOTS,
-                rounds=ROUNDS,
-            )
-            for _ in records
-        ]
-        for round_index in range(ROUNDS):
-            for (history, _, _), handle in zip(records, handles):
-                handle.feed_round(history[:, round_index, :])
-        for (_, final, flips), handle in zip(records, handles):
-            handle.finish(final, flips)
-        for handle in handles:
-            handle.result(timeout=120)
-        return [handle.predictions for handle in handles]
-    finally:
-        service.close()
+def _reference(family: str, method: str) -> list[np.ndarray]:
+    """Reference predictions: each record decoded alone by a plain
+    :class:`WindowedDecoder` with the server's window geometry."""
+    return [
+        WindowedDecoder(
+            code=FAMILIES[family](DISTANCE),
+            noise=paper_noise(**NOISE),
+            rounds=ROUNDS,
+            window_rounds=WINDOW,
+            method=method,
+        ).decode_batch(history, final)
+        for history, final, _ in _records(family)
+    ]
 
 
 # --------------------------------------------------------------------- #
 # Bit-identity across the scenario matrix
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("coalesce", [True, False], ids=["coalesce", "solo"])
+@pytest.mark.parametrize("traffic", ["coalesce", "solo"])
 @pytest.mark.parametrize("method", ["matching", "union_find"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_served_predictions_bit_identical(family, method, coalesce):
+def test_served_predictions_bit_identical(family, method, traffic):
+    """``coalesce`` traffic runs every record as a concurrent stream on one
+    connection, so same-pass windows may share a decode dispatch; ``solo``
+    traffic serves one record at a time, so every dispatch is a single
+    window (the session-step branch)."""
     records = _records(family)
-    reference = _inprocess(family, method, coalesce)
+    reference = _reference(family, method)
 
     config = ServerConfig(
         port=0,
@@ -124,17 +110,24 @@ def test_served_predictions_bit_identical(family, method, coalesce):
         workers_per_shard=2,
         window_rounds=WINDOW,
         method=method,
-        coalesce=coalesce,
     )
+    batches = [records] if traffic == "coalesce" else [[record] for record in records]
     with ServerThread(config) as server:
-        results = decode_records(
-            "127.0.0.1",
-            server.port,
-            records,
-            code={"family": family, "distance": DISTANCE},
-            noise=NOISE,
-            tenant="matrix",
-        )
+        results = [
+            result
+            for batch in batches
+            for result in decode_records(
+                "127.0.0.1",
+                server.port,
+                batch,
+                code={"family": family, "distance": DISTANCE},
+                noise=NOISE,
+                tenant="matrix",
+            )
+        ]
+        status = server.status()
+    if traffic == "solo":
+        assert status["coalesce_ratio"] == 1.0
 
     assert len(results) == len(records)
     for result, expected, (_, _, flips) in zip(results, reference, records):
@@ -339,9 +332,7 @@ def test_connect_retries_until_server_comes_up():
 # SLO accounting
 # --------------------------------------------------------------------- #
 def test_slo_snapshot_reflects_served_traffic():
-    config = ServerConfig(
-        port=0, shards=1, workers_per_shard=2, window_rounds=WINDOW, coalesce=True
-    )
+    config = ServerConfig(port=0, shards=1, workers_per_shard=2, window_rounds=WINDOW)
     with ServerThread(config) as server:
         records = _records("surface")
         decode_records(
@@ -366,6 +357,8 @@ def test_slo_snapshot_reflects_served_traffic():
     )
     # All three streams run concurrently, so some windows must coalesce.
     assert status["coalesce_ratio"] > 1.0
+    # Every dispatch reaches the SLO feed, so the one shard's own count agrees.
+    assert status["coalesce_ratio"] == status["shards"][0]["coalesce_ratio"]
     assert status["admission_rejected"] == 0
     assert status["active_streams"] == 0
 
@@ -424,12 +417,10 @@ def _ws_recv(sock: socket.socket) -> tuple[FrameType, bytes]:
 
 
 def test_websocket_round_trip_matches_tcp():
-    config = ServerConfig(
-        port=0, shards=1, workers_per_shard=2, window_rounds=WINDOW, coalesce=False
-    )
+    config = ServerConfig(port=0, shards=1, workers_per_shard=2, window_rounds=WINDOW)
     records = _records("surface")[:1]
     history, final, flips = records[0]
-    reference = _inprocess("surface", "matching", False)[0]
+    reference = _reference("surface", "matching")[0]
 
     with ServerThread(config, websocket=True) as server:
         with _ws_connect(server.ws_port) as sock:

@@ -47,7 +47,6 @@ SCENARIOS = [
     ("surface", 3, "mlr-only", dict()),
     ("toric", 3, "gladiator+m", dict(record_detectors=True)),
     ("color", 3, "gladiator-d+m", dict(record_patterns=True)),
-    ("surface", 3, ("eraser+m", dict(trigger_on_mlr_neighbor=True)), dict(leakage_sampling=True)),
 ]
 
 
@@ -65,12 +64,10 @@ def _ckernels(value):
 
 
 def _build(simulator_cls, family, distance, policy, seed=7, noise=None, **options):
-    """``policy`` is a registered name or a ``(name, keyword arguments)`` pair."""
-    name, kwargs = (policy, {}) if isinstance(policy, str) else policy
     return simulator_cls(
         code=make_code(family, distance),
         noise=noise or paper_noise(p=2e-3, leakage_ratio=0.1),
-        policy=make_policy(name, **kwargs),
+        policy=make_policy(policy),
         options=SimulatorOptions(**options),
         seed=seed,
     )
@@ -261,7 +258,7 @@ KERNEL_CASES = [
     (family, policy)
     for family in ("surface", "color", "toric")
     for policy in ("gladiator-d", "gladiator-d+m")
-] + [("color", ("eraser+m", dict(trigger_on_mlr_neighbor=True)))]
+]
 
 
 @pytest.mark.parametrize("round_index", [0, 3])
@@ -477,8 +474,6 @@ def test_uses_mlr_neighbor_trait_gates_the_neighbour_buffer():
         sim = _build(LeakageSimulator, "surface", 3, name)
         assert sim.policy.uses_mlr_neighbor == wanted, name
         assert (sim._make_workspace(4).mlr_neighbor is not None) == wanted, name
-    assert make_policy("eraser+m", trigger_on_mlr_neighbor=True).uses_mlr_neighbor
-    assert not make_policy("eraser", trigger_on_mlr_neighbor=True).uses_mlr_neighbor
     assert LeakagePolicy().uses_mlr_neighbor  # third-party policies keep their input
 
 

@@ -19,13 +19,13 @@ from repro.core.speculator import SpeculationInput
 from decisions import decide_buffers
 
 
-def make_ctx(code, pattern_ints, prev=None, round_index=1, mlr_neighbor=None):
+def make_ctx(code, pattern_ints, prev=None, round_index=1):
     shots = pattern_ints.shape[0]
     return SpeculationInput(
         round_index=round_index,
         pattern_ints=pattern_ints,
         prev_pattern_ints=prev if prev is not None else np.zeros_like(pattern_ints),
-        mlr_neighbor=mlr_neighbor,
+        mlr_neighbor=None,
         data_leaked=np.zeros((shots, code.num_data), dtype=bool),
     )
 
@@ -134,16 +134,6 @@ def test_mlr_variants_report_usage(surface_d5, noise):
     assert GladiatorDMPolicy().uses_mlr
     assert not EraserPolicy().uses_mlr
     assert not GladiatorPolicy().uses_mlr
-
-
-def test_mlr_neighbor_trigger_optional(surface_d5, noise):
-    policy = EraserMPolicy(trigger_on_mlr_neighbor=True)
-    policy.prepare(surface_d5, noise)
-    patterns = np.zeros((1, surface_d5.num_data), dtype=np.int64)
-    mlr_neighbor = np.zeros((1, surface_d5.num_data), dtype=bool)
-    mlr_neighbor[0, 3] = True
-    data_lrc, _ = decide_buffers(policy, make_ctx(surface_d5, patterns, mlr_neighbor=mlr_neighbor))
-    assert data_lrc[0, 3]
 
 
 def test_make_policy_registry_names():
