@@ -29,11 +29,7 @@ from repro.noise import paper_noise
 from repro.obs.metrics import METRICS
 from repro.obs.trace import current_tracer
 from repro.sim import LeakageSimulator, SimulatorOptions
-from repro.sim.simulator import (
-    RoundRecord,
-    _pack_register,
-    _unpack_register,
-)
+from repro.sim.simulator import RoundRecord
 
 #: The acceptance ceiling: with telemetry disabled, the instrumented round
 #: loop must stay within this factor of the frozen uninstrumented baseline.
@@ -54,12 +50,13 @@ class BareLeakageSimulator(LeakageSimulator):
     """The engine's round loop with every telemetry hook stripped.
 
     ``_run_round`` is a verbatim copy of :meth:`LeakageSimulator._run_round`
-    minus the tracer resolution, the ``sim.phase.*`` marks and the
-    ``sim.round`` span; everything it calls (draw source, layer kernel,
-    measurement, the speculation step) is the engine's own.  Re-derive it
-    whenever the engine's round loop changes shape: the signature must stay
-    call-compatible with ``run_incremental``, and with no tracer active the
-    two engines draw the identical RNG stream.
+    minus the tracer resolution, the phase ticks and the span emission;
+    everything it calls (the compiled round, the NumPy per-phase round, the
+    NumPy speculation step) is the engine's own, with the round kernel
+    told to read no clock.  Re-derive it whenever the engine's round loop
+    changes shape: the signature must stay call-compatible with
+    ``run_incremental``, and with no tracer active the two engines draw the
+    identical RNG stream.
     """
 
     def _run_round(
@@ -75,37 +72,14 @@ class BareLeakageSimulator(LeakageSimulator):
         noise = self.noise.params_for_round(round_index)
         shots = state.shots
 
-        lrcs_this_round = ws.pending_data_lrcs
-        anc_lrcs_this_round = int(np.count_nonzero(ws.anc_lrc)) if ws.emits_ancilla_lrc else 0
-        totals["lrc"] += lrcs_this_round
-        totals["anc_lrc"] += anc_lrcs_this_round
-        if lrcs_this_round:
-            self._apply_lrc(
-                ws.data_lrc, state.data_leaked, state.data_x, state.data_z,
-                ws.data, source, totals, return_flips=True,
-            )
-        if anc_lrcs_this_round:
-            self._apply_lrc(
-                ws.anc_lrc, state.anc_leaked, state.anc_x, state.anc_z,
-                ws.anc, source, totals, return_flips=False,
-            )
+        plan = ws.round_plan
+        if plan is not None:
+            lrcs_this_round = self._compiled_round(round_index, ws, noise, totals, traced=False)
+        else:
+            lrcs_this_round = self._numpy_round(state, ws, source, noise, totals, None)
 
-        state.depolarize_data(noise.p, source, ws.data)
-        totals["leak_events"] += state.inject_data_leakage(noise.p_leak, source, ws.data)
-
-        state.reset_ancillas(noise.p, noise.ancilla_reset_removes_leakage, source, ws.anc)
-        totals["leak_events"] += state.inject_ancilla_leakage(noise.p_leak, source, ws.anc)
-
-        _pack_register(ws.data_pack, state.data_x, state.data_z, state.data_leaked, ws.data_u8)
-        _pack_register(ws.anc_pack, state.anc_x, state.anc_z, state.anc_leaked, ws.anc_u8)
-        for layer_index in range(len(self._slot_anc)):
-            totals["leak_events"] += self._apply_cnot_layer(layer_index, ws, source, noise)
-        _unpack_register(ws.data_pack, state.data_x, state.data_z, state.data_leaked, ws.data_u8)
-        _unpack_register(ws.anc_pack, state.anc_x, state.anc_z, state.anc_leaked, ws.anc_u8)
-
-        self._measure(state, ws, source, noise)
-
-        self._speculate(state, round_index, ws)
+        if plan is None or not plan.speculates:
+            self._speculate(state, round_index, ws)
         state.prev_measurement, ws.measurement = ws.measurement, state.prev_measurement
         z_detectors = ws.detectors[:, self._z_stab_indices]
         if detector_history is not None:

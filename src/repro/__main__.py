@@ -43,10 +43,13 @@ import argparse
 import json
 import sys
 import time
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .api.config import ExperimentConfig
 from .api.registry import all_registries
+
+if TYPE_CHECKING:
+    from .serve import ServerConfig
 
 __all__ = ["main"]
 
@@ -312,6 +315,28 @@ def _cmd_realtime(args: argparse.Namespace) -> int:
     return 0
 
 
+def _server_config(args: argparse.Namespace, config: ExperimentConfig) -> ServerConfig:
+    """The ``serve`` command's :class:`~repro.serve.ServerConfig`: the
+    deployment flags plus the experiment config's window and decoder."""
+    from .serve import ServerConfig
+
+    return ServerConfig(
+        host=args.host,
+        port=args.port,
+        shards=args.shards,
+        workers_per_shard=args.workers_per_shard,
+        queue_depth=args.queue_depth,
+        max_streams=args.max_streams,
+        max_streams_per_tenant=args.max_streams_per_tenant,
+        tenant_rate=args.tenant_rate,
+        window_rounds=config.execution.window_rounds or 4,
+        commit_rounds=config.execution.commit_rounds,
+        method=config.decoder.name,
+        max_exact_nodes=config.decoder.max_exact_nodes,
+        strategy=config.decoder.strategy,
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -330,24 +355,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
         return 0
 
-    from .serve import DecodeServer, ServerConfig, WebSocketGateway
+    from .serve import DecodeServer, WebSocketGateway
 
-    config = _load_config(args)
-    execution = config.execution
-    server_config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        shards=args.shards,
-        workers_per_shard=args.workers_per_shard,
-        queue_depth=args.queue_depth,
-        max_streams=args.max_streams,
-        max_streams_per_tenant=args.max_streams_per_tenant,
-        tenant_rate=args.tenant_rate,
-        window_rounds=execution.window_rounds or 4,
-        commit_rounds=execution.commit_rounds,
-        method=config.decoder.name,
-        strategy=config.decoder.strategy,
-    )
+    server_config = _server_config(args, _load_config(args))
 
     async def serve() -> None:
         server = DecodeServer(server_config)

@@ -101,9 +101,9 @@ class ServiceObserver:
     ) -> None:
         """One window committed for one stream."""
 
-    def on_batch(self, windows: int) -> None:
-        """One decode dispatch served ``windows`` stream windows (``1`` when
-        the window went out alone)."""
+    def on_batch(self) -> None:
+        """One decode dispatch went out (a lone window or a coalesced batch;
+        each of its windows also reports through :meth:`on_window`)."""
 
     def on_queue_depth(self, depth: int) -> None:
         """Pending-window queue depth after an enqueue."""
@@ -376,12 +376,7 @@ class DecodeService:
         self.windows_decoded = 0
         self.streams_served = 0
         self.backpressure_stalls = 0
-        #: Decode dispatches vs stream windows they served; their ratio is
-        #: the coalescing amortisation (1.0 when no windows coalesced).
-        self.window_batches = 0
-        self.window_jobs = 0
         self._wake = threading.Condition()
-        self._counter_lock = threading.Lock()
         self._tasks: list[_StreamTask] = []
         self._next_stream_id = 0
         self._work: queue.Queue | None = None
@@ -575,15 +570,17 @@ class DecodeService:
             return sum(1 for t in self._tasks if not t.finished)
 
     def stats(self) -> dict:
-        """Service-wide counters (coalescing ratio, backpressure, volume)."""
-        batches = self.window_batches
+        """Service-wide counters (backpressure, volume, the syndrome cache).
+
+        The coalescing ratio is the observer's to count (every dispatch
+        reports through :meth:`ServiceObserver.on_batch`); the decode
+        server's :class:`~repro.serve.slo.SloTracker` publishes it.
+        """
         return {
             "streams_served": self.streams_served,
             "windows_decoded": self.windows_decoded,
             "active_streams": self.active_streams,
             "backpressure_stalls": self.backpressure_stalls,
-            "window_batches": batches,
-            "coalesce_ratio": self.window_jobs / batches if batches else 0.0,
             "cache": self.cache.stats(),
         }
 
@@ -884,7 +881,7 @@ class DecodeService:
             _OBS_WINDOWS.inc()
             task.recorder.add_wait(wait)
             self._observe_window(task, wait)
-            self._count_dispatch(1)
+            self._count_dispatch()
             return
         started = time.perf_counter()
         live = [task for task in tasks if not task.aborted]
@@ -912,15 +909,12 @@ class DecodeService:
             task.recorder.add_wait(wait)
             self._observe_window(task, wait)
         _OBS_COALESCED.inc(len(live))
-        self._count_dispatch(len(live))
+        self._count_dispatch()
 
-    def _count_dispatch(self, windows: int) -> None:
-        """Account one decode dispatch that served ``windows`` windows."""
-        with self._counter_lock:
-            self.window_batches += 1
-            self.window_jobs += windows
+    def _count_dispatch(self) -> None:
+        """Report one decode dispatch to the observer."""
         if self.observer is not None:
-            self.observer.on_batch(windows)
+            self.observer.on_batch()
 
     def _observe_window(self, task: _StreamTask, wait: float) -> None:
         if self.observer is None or not task.recorder.timings:

@@ -152,6 +152,7 @@ class ServerConfig:
     window_rounds: int = 4
     commit_rounds: int | None = None
     method: str = "matching"
+    max_exact_nodes: int | None = None
     strategy: str | None = None
     drain_timeout: float = 10.0
 
@@ -235,6 +236,7 @@ class DecodeServer:
                 window_rounds=self.config.window_rounds,
                 commit_rounds=self.config.commit_rounds,
                 method=self.config.method,
+                max_exact_nodes=self.config.max_exact_nodes,
                 strategy=self.config.strategy,
                 workers=self.config.workers_per_shard,
                 queue_depth=self.config.queue_depth,

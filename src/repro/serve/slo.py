@@ -69,7 +69,7 @@ class SloTracker:
         _OBS_ROUNDS.inc(committed_rounds)
         _OBS_WINDOWS.inc()
 
-    def on_batch(self, windows: int) -> None:
+    def on_batch(self) -> None:
         with self._lock:
             self.batches += 1
         _OBS_BATCHES.inc()

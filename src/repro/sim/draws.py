@@ -32,10 +32,13 @@ draws only what the simulation consumes:
 
 The NumPy path here is the contract's oracle; the compiled kernels
 (:mod:`repro.sim._ckernels`) run the same contract against a shadow copy of
-the PCG64 state and must match it value for value.  Closing the source
-leaves the Generator's state advanced by exactly the outputs consumed, and
-its half-word buffer as it was, on both paths.  Masks are uint8 0/1 so the
-packed-plane kernels can use them in bitwise arithmetic directly.
+the PCG64 state and must match it value for value: the compiled round
+draws its rows into event lists and its conditional variates in the same
+order, without materialising a mask.  Closing the source leaves the
+Generator's state advanced by exactly the outputs consumed, and its
+half-word buffer as it was, on both paths.  Masks are uint8 0/1 so the
+NumPy path's packed-plane algebra can use them in bitwise arithmetic
+directly.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import numpy as np
 
 from . import _ckernels
 
-__all__ = ["GAP_TABLE_MAX", "Rate", "rate", "layer_rates", "DrawSource"]
+__all__ = ["GAP_TABLE_MAX", "Rate", "rate", "RoundRates", "round_rates", "DrawSource"]
 
 #: Longest gap table: at ``p = 1e-3`` a gap reaches past it 1.7% of the time
 #: (one extra output), and the table stays L2-resident.
@@ -104,18 +107,27 @@ def rate(probability: float) -> Rate:
     return _rate(probability, kind, threshold, table)
 
 
-@lru_cache(maxsize=64)
-def layer_rates(
-    gate_error: float, p_leak: float, mobility: float
-) -> tuple[np.ndarray, tuple[Rate, ...]]:
-    """The gate-hit, gate-leak and transport rate records of an entangling
-    layer, stacked for :func:`~repro.sim._ckernels.cnot_layer`.
+@dataclass(frozen=True, eq=False)
+class RoundRates:
+    """The rate records of one compiled round, stacked for
+    :func:`~repro.sim._ckernels.qec_round` (``address`` points at
+    ``records``).  ``rates`` keeps the gap tables the records point at
+    alive."""
 
-    The :class:`Rate` objects come back (and stay cached) with the stack:
-    the records hold the raw addresses of their gap tables.
-    """
-    rates = (rate(gate_error), rate(p_leak), rate(mobility))
-    return np.stack([r.record for r in rates]), rates
+    records: np.ndarray
+    rates: tuple[Rate, ...]
+    address: int
+
+
+@lru_cache(maxsize=64)
+def round_rates(*probabilities: float) -> RoundRates:
+    """The :class:`RoundRates` of one probability per entry of
+    :data:`~repro.sim._ckernels.ROUND_RATES`, in that order (built once
+    per combination)."""
+    assert len(probabilities) == len(_ckernels.ROUND_RATES)
+    rates = tuple(rate(probability) for probability in probabilities)
+    records = np.stack([r.record for r in rates])
+    return RoundRates(records, rates, records.ctypes.data)
 
 
 def _rate(probability: float, kind: int, threshold: int, table: list[int]) -> Rate:
@@ -176,7 +188,7 @@ class DrawSource:
     The source owns the Generator's stream from construction to
     :meth:`close`.  With the compiled kernels the state lives in a shadow
     copy (``gen_address`` is its address, for kernels that draw inside,
-    like :func:`~repro.sim._ckernels.cnot_layer`); otherwise a
+    like :func:`~repro.sim._ckernels.qec_round`); otherwise a
     :class:`_RawStream` supplies the NumPy oracle.  Returned masks are
     valid until ``RING_SLOTS`` more of the same shape are drawn.
     """
@@ -239,7 +251,7 @@ class DrawSource:
     def layer_draws(
         self, one: np.ndarray, hit: np.ndarray, mobility: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The layer's conditional sweep (NumPy path; the kernel draws inline).
+        """The layer's conditional sweep (NumPy path; the round kernel draws inline).
 
         ``one`` flags the sites with exactly one leaked operand, ``hit`` the
         gate-hit row.  Returns dense uint8 ``(transport, flips, pair)``,

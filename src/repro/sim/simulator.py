@@ -9,20 +9,24 @@ is what makes the paper's 100d-round sweeps tractable in pure Python.
 
 The per-round hot path runs entirely inside a preallocated
 :class:`~repro.sim.workspace.RoundWorkspace`, so a round performs no
-round-shaped allocations.  Draws come from a
-:class:`~repro.sim.draws.DrawSource` as uint8 masks under the sparse draw
-contract (only the variates the round consumes, in call order); the
-Pauli/XOR algebra is in-place bitwise kernels on them.  With the compiled
-kernels (:mod:`repro.sim._ckernels`) each entangling layer is one call
-that draws its rows and gathers, updates and scatters the packed planes,
-and, for a lookup policy, the round's speculation step (detectors,
-patterns, table lookup, accuracy counts) is one more; every other policy
-runs the NumPy speculation path (pattern GEMM + ``decide_into``), which is
-also the kernel's oracle.
-Runs are bit-for-bit reproducible per seed and ``ENGINE_VERSION``, with
-the kernels on or off (``tests/test_sim_equivalence.py`` pins both modes
-and checks the engine statistically against the frozen dense-contract
-simulator in ``tests/reference_sim.py``).
+round-shaped allocations, and every variate comes from a
+:class:`~repro.sim.draws.DrawSource` under the sparse draw contract (only
+the variates the round consumes, in call order).  With the compiled
+kernels (:mod:`repro.sim._ckernels`) a run packs its state once into the
+``x | z<<1 | leaked<<2`` uint8 planes, which stay resident until the final
+readout, and each round is one call: pending LRCs, noise, every
+entangling layer, measurement and MLR and, for a lookup policy, the
+speculation step (detectors, patterns, table lookup, accuracy counts),
+with every row applied at its drawn events.  Any other policy gets the
+outcomes and the leak flags it reads and runs the NumPy speculation step
+(pattern GEMM + ``decide_into``).  Without the kernels the round runs
+phase by phase in NumPy on bool state (uint8 masks, in-place bitwise
+algebra, the planes packed around the entangling layers); that path is
+the kernels' oracle.  Runs are bit-for-bit reproducible per seed and
+``ENGINE_VERSION``, with the kernels on or off
+(``tests/test_sim_equivalence.py`` pins both modes and checks the engine
+statistically against the frozen dense-contract simulator in
+``tests/reference_sim.py``).
 
 The simulator reports the evaluation metrics of Section 7: data-leakage
 population, LRC usage, false positives/negatives, and (optionally) the full
@@ -45,7 +49,7 @@ from ..core.speculator import LeakagePolicy, LookupPolicy, SpeculationInput
 from ..noise import NoiseParams
 from ..obs.trace import Tracer, current_tracer
 from . import _ckernels
-from .draws import DrawSource, layer_rates
+from .draws import DrawSource, round_rates
 from .state import ChannelScratch, SimState
 from .workspace import RoundWorkspace
 
@@ -380,21 +384,63 @@ class LeakageSimulator:
             silent_first_round=layout.silent_first_round,
         )
 
+    def _round_plan(
+        self, state: SimState, ws: RoundWorkspace, source: DrawSource
+    ) -> _ckernels.RoundPlan:
+        """The compiled round's run-constant plan over this run's buffers.
+
+        The NumPy speculation step (any policy without a speculation plan)
+        reads the bool leak flags, and ``mlr-only`` the MLR flags; pattern
+        recording reads the data leak flags.  The kernel writes exactly
+        those each round.
+        """
+        speculate = self._speculate_plan()
+        numpy_speculation = speculate is None
+        return _ckernels.RoundPlan(
+            gen_address=source.gen_address,
+            layers=list(zip(self._slot_data, self._slot_anc, self._slot_is_z)),
+            measure_frame=np.left_shift(1, self._measure_shift_row[0]),
+            speculate=speculate,
+            uses_mlr=self.policy.uses_mlr,
+            data_pack=ws.data_pack,
+            anc_pack=ws.anc_pack,
+            data_lrc=ws.data_lrc,
+            anc_lrc=ws.anc_lrc if ws.emits_ancilla_lrc else None,
+            # Round 0 measures into the workspace buffer; the end-of-round
+            # reference swaps keep these pairs in step with the kernel's.
+            measurements=(ws.measurement, state.prev_measurement),
+            patterns=(ws.pattern_a, ws.pattern_b),
+            detectors=ws.detectors,
+            mlr_flags=ws.mlr_flags if ws.mlr_neighbor is not None else None,
+            data_leaked=(
+                state.data_leaked
+                if numpy_speculation or self.options.record_patterns
+                else None
+            ),
+            anc_leaked=state.anc_leaked if numpy_speculation else None,
+            ticks=ws.ticks,
+            counts=ws.round_counts,
+        )
+
     # ------------------------------------------------------------------ #
     # Phase instrumentation (sim.phase.* spans; tools/profile_sim.py)
     # ------------------------------------------------------------------ #
-    def _phase_mark(self, phase: str, tick: int, round_index: int) -> int:
-        """Close one round phase that started at ``tick``; return the new tick.
+    def _trace_round(
+        self, tracer: Tracer, round_index: int, start: int, ticks: np.ndarray, end: int,
+        lrcs: int,
+    ) -> None:
+        """Emit one round's ``sim.phase.*`` spans and its ``sim.round`` span.
 
-        Emits the active tracer's ``sim.phase.*`` span (only called while a
-        telemetry scope is open).  Pure observation — no RNG access, no
-        state mutation.
+        ``ticks`` holds the ends of the noise, CNOT-layer, measurement and
+        speculation phases (``time.perf_counter_ns`` clock; the compiled
+        round stamps the first three from inside its call); bookkeeping
+        ends at ``end``.  Pure observation: no RNG access, no state
+        mutation.
         """
-        now = time.perf_counter_ns()
-        tracer = self._round_tracer
-        if tracer is not None:
-            tracer.complete_ns(f"sim.phase.{phase}", tick, now, {"round": round_index})
-        return now
+        bounds = [start, *ticks.tolist(), end]
+        for phase, begin, finish in zip(PHASE_NAMES, bounds, bounds[1:]):
+            tracer.complete_ns(f"sim.phase.{phase}", begin, finish, {"round": round_index})
+        tracer.complete_ns("sim.round", start, end, {"round": round_index, "lrcs": lrcs})
 
     # ------------------------------------------------------------------ #
     # Main entry points
@@ -443,7 +489,11 @@ class LeakageSimulator:
         ws = self._make_workspace(shots)
         source = DrawSource(rng)
         if source.compiled:
-            ws.speculate_plan = self._speculate_plan()
+            # The planes stay packed (and the bool state stale) until the
+            # final readout.
+            ws.round_plan = self._round_plan(state, ws, source)
+            _pack_register(ws.data_pack, state.data_x, state.data_z, state.data_leaked, ws.data.t1)
+            _pack_register(ws.anc_pack, state.anc_x, state.anc_z, state.anc_leaked, ws.anc.t1)
         detector_history = (
             np.zeros((shots, rounds, len(self._z_stab_indices)), dtype=bool)
             if self.options.record_detectors
@@ -464,6 +514,13 @@ class LeakageSimulator:
                 yield round_index, z_detectors
 
             final_tick = time.perf_counter_ns() if tracer is not None else 0
+            if ws.round_plan is not None:
+                _unpack_register(
+                    ws.data_pack, state.data_x, state.data_z, state.data_leaked, ws.data.t1
+                )
+                _unpack_register(
+                    ws.anc_pack, state.anc_x, state.anc_z, state.anc_leaked, ws.anc.t1
+                )
             final_detectors, observable_flips = self._final_readout(state, ws, source)
             if tracer is not None:
                 now = time.perf_counter_ns()
@@ -504,7 +561,7 @@ class LeakageSimulator:
         state: SimState,
         round_index: int,
         ws: RoundWorkspace,
-        source,
+        source: DrawSource,
         totals: dict[str, int],
         detector_history: np.ndarray | None,
         pattern_histogram: dict[int, dict[int, tuple[int, int]]],
@@ -513,10 +570,94 @@ class LeakageSimulator:
         noise = self.noise.params_for_round(round_index)
         shots = state.shots
         tracer = self._round_tracer
-        instrument = tracer is not None
-        tick = time.perf_counter_ns() if instrument else 0
-        round_start_ns = tick
+        ticks = ws.ticks if tracer is not None else None
+        round_start_ns = time.perf_counter_ns() if tracer is not None else 0
 
+        # 1-5. Pending LRCs, noise, entangling layers, measurement (and 6,
+        #      speculation, when the compiled round runs it too).
+        plan = ws.round_plan
+        if plan is not None:
+            lrcs_this_round = self._compiled_round(
+                round_index, ws, noise, totals, traced=ticks is not None
+            )
+        else:
+            lrcs_this_round = self._numpy_round(state, ws, source, noise, totals, ticks)
+
+        # 6. Speculation: detectors, patterns, the decision and its accuracy.
+        if plan is None or not plan.speculates:
+            self._speculate(state, round_index, ws)
+        # Reference-swap instead of copying: ``prev_measurement`` now points
+        # at this round's outcomes, and the retired buffer becomes next
+        # round's measurement landing zone.
+        state.prev_measurement, ws.measurement = ws.measurement, state.prev_measurement
+        z_detectors = ws.detectors[:, self._z_stab_indices]
+        if detector_history is not None:
+            detector_history[:, round_index, :] = z_detectors
+        if ticks is not None:
+            ticks[3] = time.perf_counter_ns()
+
+        # 7. Bookkeeping.
+        fp, fn, tp, leaked_data, leaked_anc = ws.speculate_counts.tolist()
+        totals["fp"] += fp
+        totals["fn"] += fn
+        totals["tp"] += tp
+        # Every LRC requested is a true or a false positive.
+        ws.pending_data_lrcs = fp + tp
+        if self.options.record_patterns:
+            self._record_patterns(ws.pattern_a, state.data_leaked, pattern_histogram)
+        record = RoundRecord(
+            round_index=round_index,
+            data_leakage_population=leaked_data / state.data_leaked.size,
+            ancilla_leakage_population=leaked_anc / state.anc_leaked.size,
+            lrcs_applied=lrcs_this_round / shots,
+            false_positives=fp / shots,
+            false_negatives=fn / shots,
+            true_positives=tp / shots,
+        )
+        ws.pattern_a, ws.pattern_b = ws.pattern_b, ws.pattern_a
+        if tracer is not None:
+            self._trace_round(
+                tracer, round_index, round_start_ns, ws.ticks, time.perf_counter_ns(),
+                lrcs_this_round,
+            )
+        return record, z_detectors
+
+    def _compiled_round(
+        self,
+        round_index: int,
+        ws: RoundWorkspace,
+        noise: NoiseParams,
+        totals: dict[str, int],
+        traced: bool,
+    ) -> int:
+        """Phases 1-5, and 6 for a lookup policy, as one compiled call on
+        the resident planes; returns the data LRCs applied."""
+        assert ws.round_plan is not None
+        rates = round_rates(
+            noise.p, noise.p_leak, noise.gate_error, noise.leakage_mobility,
+            noise.ancilla_reset_removes_leakage, noise.mlr_error,
+            self.gadget.removal_prob, self._lrc_gate_error, self._lrc_induced_leak,
+        )
+        _ckernels.qec_round(
+            ws.round_plan, rates.address, round_index, noise.readout_leak_random, traced
+        )
+        lrcs, anc_lrcs, leaks = ws.round_counts[:3].tolist()
+        totals["lrc"] += lrcs
+        totals["anc_lrc"] += anc_lrcs
+        totals["leak_events"] += leaks
+        return lrcs
+
+    def _numpy_round(
+        self,
+        state: SimState,
+        ws: RoundWorkspace,
+        source: DrawSource,
+        noise: NoiseParams,
+        totals: dict[str, int],
+        ticks: np.ndarray | None,
+    ) -> int:
+        """Phases 1-5 phase by phase on the bool state (the kernels'
+        oracle); returns the data LRCs applied."""
         # 1. Apply the LRCs scheduled by last round's decision.  ``ws.data_lrc``
         #    / ``ws.anc_lrc`` still hold that decision; they are fully consumed
         #    here, freeing the buffers for this round's decision in phase 6.
@@ -544,8 +685,8 @@ class LeakageSimulator:
         #    leakage has no such escape hatch).
         state.reset_ancillas(noise.p, noise.ancilla_reset_removes_leakage, source, ws.anc)
         totals["leak_events"] += state.inject_ancilla_leakage(noise.p_leak, source, ws.anc)
-        if instrument:
-            tick = self._phase_mark("noise", tick, round_index)
+        if ticks is not None:
+            ticks[0] = time.perf_counter_ns()
 
         # 4. Entangling layers, executed on packed uint8 planes
         #    (x | z<<1 | leaked<<2): one gather/scatter per register per
@@ -557,53 +698,14 @@ class LeakageSimulator:
             totals["leak_events"] += self._apply_cnot_layer(layer_index, ws, source, noise)
         _unpack_register(ws.data_pack, state.data_x, state.data_z, state.data_leaked, ws.data_u8)
         _unpack_register(ws.anc_pack, state.anc_x, state.anc_z, state.anc_leaked, ws.anc_u8)
-        if instrument:
-            tick = self._phase_mark("cnot_layers", tick, round_index)
+        if ticks is not None:
+            ticks[1] = time.perf_counter_ns()
 
         # 5. Measurement and MLR.
         self._measure(state, ws, source, noise)
-        if instrument:
-            tick = self._phase_mark("measure", tick, round_index)
-
-        # 6. Speculation: detectors, patterns, the decision and its accuracy.
-        self._speculate(state, round_index, ws)
-        # Reference-swap instead of copying: ``prev_measurement`` now points
-        # at this round's outcomes, and the retired buffer becomes next
-        # round's measurement landing zone.
-        state.prev_measurement, ws.measurement = ws.measurement, state.prev_measurement
-        z_detectors = ws.detectors[:, self._z_stab_indices]
-        if detector_history is not None:
-            detector_history[:, round_index, :] = z_detectors
-        if instrument:
-            tick = self._phase_mark("speculate", tick, round_index)
-
-        # 7. Bookkeeping.
-        fp, fn, tp, leaked_data, leaked_anc = ws.speculate_counts.tolist()
-        totals["fp"] += fp
-        totals["fn"] += fn
-        totals["tp"] += tp
-        # Every LRC requested is a true or a false positive.
-        ws.pending_data_lrcs = fp + tp
-        if self.options.record_patterns:
-            self._record_patterns(ws.pattern_a, state.data_leaked, pattern_histogram)
-        record = RoundRecord(
-            round_index=round_index,
-            data_leakage_population=leaked_data / state.data_leaked.size,
-            ancilla_leakage_population=leaked_anc / state.anc_leaked.size,
-            lrcs_applied=lrcs_this_round / shots,
-            false_positives=fp / shots,
-            false_negatives=fn / shots,
-            true_positives=tp / shots,
-        )
-        ws.pattern_a, ws.pattern_b = ws.pattern_b, ws.pattern_a
-        if instrument:
-            tick = self._phase_mark("bookkeeping", tick, round_index)
-            if tracer is not None:
-                tracer.complete_ns(
-                    "sim.round", round_start_ns, tick,
-                    {"round": round_index, "lrcs": lrcs_this_round},
-                )
-        return record, z_detectors
+        if ticks is not None:
+            ticks[2] = time.perf_counter_ns()
+        return lrcs_this_round
 
     def _speculate(self, state: SimState, round_index: int, ws: RoundWorkspace) -> None:
         """Detectors, patterns, the policy decision and its accuracy counts.
@@ -611,17 +713,10 @@ class LeakageSimulator:
         Fills ``ws.detectors``, ``ws.pattern_a`` (``ws.pattern_b`` still
         holds the previous round's patterns), the decision buffers and
         ``ws.speculate_counts``: false positives, false negatives, true
-        positives, leaked data qubits, leaked ancillas.  Draw-free.  With a
-        :attr:`~RoundWorkspace.speculate_plan` it is one C call; otherwise
-        the NumPy path below, the kernel's oracle, runs any policy.
+        positives, leaked data qubits, leaked ancillas.  Draw-free.  This is
+        the NumPy step, for any policy: a lookup policy's compiled round
+        runs the same step in C, and this path is its oracle.
         """
-        plan = ws.speculate_plan
-        if plan is not None:
-            _ckernels.speculate(
-                plan, round_index, ws.measurement, state.prev_measurement,
-                ws.detectors, ws.pattern_a, ws.pattern_b, state.data_leaked, state.anc_leaked, ws.data_lrc, ws.speculate_counts,
-            )
-            return
         np.logical_xor(ws.measurement, state.prev_measurement, out=ws.detectors)
         if round_index == 0:
             # X-stabilizer outcomes are intrinsically random in the first
@@ -708,7 +803,7 @@ class LeakageSimulator:
         leaked_u8 |= t1
         totals["leak_events"] += int(np.count_nonzero(t1))
 
-    #: Shot rows per tile of the layer kernel: ~20 uint8 buffers of
+    #: Shot rows per tile of the NumPy layer loop: ~20 uint8 buffers of
     #: ``rows * gates`` bytes must stay L2-resident while the op sequence
     #: sweeps over them.
     _LAYER_TILE_ROWS = 2048
@@ -724,8 +819,7 @@ class LeakageSimulator:
         transport decision and partner flips where exactly one operand is
         leaked and the Pauli pair 1..15 where the gate hit.
 
-        With the compiled kernels the draws, the gather, the algebra and
-        the scatter are one C call on the full planes.  The NumPy fallback
+        This is the NumPy path (the compiled round runs its own layers): it
         gathers the operand columns, draws, runs the algebra *tiled over
         shot blocks* (every operand stays in cache instead of streaming full
         ``(shots, gates)`` arrays through memory once per op; tiling is pure
@@ -738,17 +832,6 @@ class LeakageSimulator:
         data_idx = self._slot_data[layer_index]
         is_z_full = ws.layer_is_z_full[layer_index]
         assert is_z_full is not None  # allocated for every non-empty layer
-
-        if source.compiled:
-            # ``_rates`` keeps the gap tables the records point at alive.
-            records, _rates = layer_rates(
-                noise.gate_error, noise.p_leak, noise.leakage_mobility
-            )
-            _ckernels.cnot_layer(
-                ws.data_pack, ws.anc_pack, data_idx, anc_idx, is_z_full,
-                source.gen_address, records, (lw.m1, lw.m2, lw.m4), ws.layer_counts,
-            )
-            return int(ws.layer_counts[0]) + int(ws.layer_counts[1])
 
         shape = is_z_full.shape
         gate_hit = source.mask(noise.gate_error, shape)

@@ -11,26 +11,32 @@ round-shaped arrays — not arithmetic — dominated wall-clock.
 :class:`RoundWorkspace` hoists the buffers out of the round loop: the
 round-shaped temporaries are allocated once per
 :meth:`~repro.sim.LeakageSimulator.run_incremental` call and reused every
-round.  Random draws land in buffers the run's
+round.  On the NumPy path random draws land in buffers the run's
 :class:`~repro.sim.draws.DrawSource` owns (or, for an entangling layer's
-rows, in the layer scratch below).
+rows, in the layer scratch below); the compiled round draws its rows into
+event buffers its :class:`~repro.sim._ckernels.RoundPlan` owns.
 
 Two further representations live here because they make the hot loops much
 cheaper than the public boolean layout:
 
 * ``data_pack`` / ``anc_pack`` are uint8 planes packing each register's
-  Pauli frame and leakage flag as ``x | z << 1 | leaked << 2``.  The CNOT
-  layers gather/scatter *one* packed array per register instead of six
-  boolean ones (the compiled layer kernel updates them in place), and apply
-  the two-qubit Pauli-pair error with two bitwise ops instead of eight.  The
-  packs are rebuilt from the boolean state before the entangling layers and
-  unpacked right after, so every other phase (and every policy) keeps
-  seeing plain ``bool`` arrays.
+  Pauli frame and leakage flag as ``x | z << 1 | leaked << 2``.  With the
+  compiled kernels they *are* the run's state: the simulator packs them
+  once, every round (:attr:`RoundWorkspace.round_plan`, one
+  :func:`~repro.sim._ckernels.qec_round` call) updates them in place, and
+  they are unpacked into the boolean ``SimState`` for the final readout;
+  the call writes bool copies of the leak flags only for a caller that
+  reads them (the NumPy speculation step, pattern recording).  The NumPy
+  path packs them from the boolean state before the entangling layers and
+  unpacks them right after, so its other phases (and every policy) keep
+  seeing plain ``bool`` arrays; there the CNOT layers gather/scatter
+  *one* packed array per register instead of six boolean ones, and apply
+  the two-qubit Pauli-pair error with two bitwise ops instead of eight.
 * ``det_f32`` / ``counts_f32`` / ``pat_f32`` back the NumPy pattern
   extraction, which is two small float32 matmuls (member-count GEMM,
   OR-threshold, position-weight GEMM) instead of per-group
-  gather/shift/scatter loops.  With the compiled speculation step they are
-  allocated but never touched.
+  gather/shift/scatter loops.  When the compiled round speculates they
+  are allocated but never touched.
 
 Nothing in here is shared across ``run_incremental`` calls: a fresh
 workspace per call is what keeps concurrent generators (e.g. multiple
@@ -48,7 +54,7 @@ import numpy as np
 from .state import ChannelScratch
 
 if TYPE_CHECKING:
-    from ._ckernels import SpeculatePlan
+    from ._ckernels import RoundPlan
 
 __all__ = ["LayerWorkspace", "RoundWorkspace"]
 
@@ -60,8 +66,7 @@ class LayerWorkspace:
     Layers with the same gate count share one instance: a layer's buffers
     are dead once its write-back completes, so reuse across layers is safe.
     All masks are uint8 holding 0/1 (the packed-plane algebra is bitwise).
-    With the compiled kernels ``m1`` / ``m2`` / ``m4`` receive the layer's
-    gate-hit and gate-leak rows.
+    Only the NumPy path uses them.
     """
 
     ld: np.ndarray  # original data-leak flags (0/1)
@@ -109,10 +114,9 @@ class RoundWorkspace:
     #: live workspaces read the class-level ``False``.
     released: bool = False
 
-    #: The compiled speculation step's run-constant plan, set by the
-    #: simulator when the kernels and the policy allow it; ``None`` runs
-    #: the NumPy speculation path.
-    speculate_plan: SpeculatePlan | None = None
+    #: The compiled round's run-constant plan, set by the simulator when
+    #: the kernels are available; ``None`` runs the NumPy per-phase path.
+    round_plan: RoundPlan | None = None
 
     def __init__(
         self,
@@ -155,15 +159,20 @@ class RoundWorkspace:
             if uses_mlr and uses_mlr_neighbor
             else None
         )
-        # The speculation step's counts (false positives, false negatives,
-        # true positives, leaked data qubits, leaked ancillas) and the LRCs
-        # its decision requests.
-        self.speculate_counts = np.zeros(5, dtype=np.int64)
+        # The compiled round's counts: data LRCs, ancilla LRCs and new leaks,
+        # then the speculation step's (false positives, false negatives,
+        # true positives, leaked data qubits, leaked ancillas), which the
+        # NumPy step writes too; and the LRCs its decision requests.
+        self.round_counts = np.zeros(8, dtype=np.int64)
+        self.speculate_counts = self.round_counts[3:]
         self.pending_data_lrcs = 0
-        # New-leak event counters filled by the fused C layer kernel.
-        self.layer_counts = np.zeros(2, dtype=np.int64)
+        # Phase-boundary ticks of a traced round (ends of noise, CNOT
+        # layers, measurement, speculation; the compiled round stamps the
+        # first three).
+        self.ticks = np.zeros(4, dtype=np.int64)
         # Packed Pauli-frame planes (x | z<<1 | leaked<<2) and the uint8
-        # shift scratch used to (un)pack them around the entangling layers.
+        # shift scratch the NumPy path (un)packs them with around the
+        # entangling layers.
         self.data_pack = np.empty((shots, num_data), dtype=np.uint8)
         self.anc_pack = np.empty((shots, num_ancilla), dtype=np.uint8)
         self.data_u8 = np.empty((shots, num_data), dtype=np.uint8)

@@ -149,8 +149,8 @@ def test_coalesce_ratio_counts_solo_dispatches():
         tracker.on_window(stream, None, 1, 1e-6, 0.0)
     # One dispatch merged 3 of the 4 windows; the fourth went out alone,
     # and every dispatch reports itself, a lone window included.
-    tracker.on_batch(3)
-    tracker.on_batch(1)
+    tracker.on_batch()
+    tracker.on_batch()
     snapshot = tracker.snapshot()
     # 4 windows over 2 dispatches.
     assert snapshot["coalesce_ratio"] == pytest.approx(2.0)
@@ -160,7 +160,7 @@ def test_coalesce_ratio_is_one_without_batching():
     tracker = SloTracker()
     for stream in range(5):
         tracker.on_window(stream, None, 1, 1e-6, 0.0)
-        tracker.on_batch(1)
+        tracker.on_batch()
     assert tracker.snapshot()["coalesce_ratio"] == pytest.approx(1.0)
 
 

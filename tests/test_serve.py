@@ -136,6 +136,25 @@ def test_served_predictions_bit_identical(family, method, traffic):
         assert result.summary["windows"] > 0
 
 
+def test_serve_command_carries_decoder_threshold_to_every_shard(tmp_path):
+    """``repro serve --config`` hands the config's ``decoder.max_exact_nodes``
+    to every shard's decode service, like the decoder name and strategy."""
+    from repro.__main__ import _build_parser, _load_config, _server_config
+    from repro.api import ExperimentConfig
+    from repro.serve import DecodeServer
+
+    config_file = tmp_path / "served.json"
+    ExperimentConfig().save(config_file)
+    args = _build_parser().parse_args([
+        "serve", "--config", str(config_file), "--set", "decoder.max_exact_nodes=7",
+        "--shards", "3",
+    ])
+    server_config = _server_config(args, _load_config(args))
+    assert server_config.max_exact_nodes == 7
+    server = DecodeServer(server_config)
+    assert [shard.max_exact_nodes for shard in server.shards] == [7, 7, 7]
+
+
 # --------------------------------------------------------------------- #
 # Admission control and tenant caps
 # --------------------------------------------------------------------- #
@@ -357,8 +376,8 @@ def test_slo_snapshot_reflects_served_traffic():
     )
     # All three streams run concurrently, so some windows must coalesce.
     assert status["coalesce_ratio"] > 1.0
-    # Every dispatch reaches the SLO feed, so the one shard's own count agrees.
-    assert status["coalesce_ratio"] == status["shards"][0]["coalesce_ratio"]
+    # The SLO feed is the one dispatch count: shards report no ratio of their own.
+    assert "coalesce_ratio" not in status["shards"][0]
     assert status["admission_rejected"] == 0
     assert status["active_streams"] == 0
 

@@ -15,6 +15,7 @@ Two kinds of check:
   post-state; workspace reuse must not leak state across rounds or runs.
 """
 
+import dataclasses
 import os
 from contextlib import contextmanager
 
@@ -25,6 +26,7 @@ from decisions import decide_buffers
 from reference_sim import ReferenceLeakageSimulator, assert_results_identical
 
 from repro.api.registry import CODES
+from repro.circuits.lrc import ResetLrc
 from repro.core import make_policy
 from repro.core.speculator import LeakagePolicy, LookupPolicy, SpeculationInput
 from repro.experiments import make_code
@@ -35,7 +37,12 @@ from repro.sim.workspace import RoundWorkspace
 
 #: The pinned scenario matrix: surface and colour codes, MLR and non-MLR
 #: policies (including the two-round and the ancilla-LRC-emitting ones),
-#: leakage sampling on/off, detector/pattern recording on.
+#: leakage sampling on/off, detector/pattern recording on; then noise that
+#: changes every round (drift epochs of one round, bursts every other
+#: round), stuck leaked readouts, a fair-coin ancilla reset (a fair row),
+#: no leakage injection (constant rows that draw nothing), and rates past
+#: 1/2 (complement rows: a 95% LRC removal, gate leakage 0.6, fair MLR
+#: misses, certain transport).
 SCENARIOS = [
     ("surface", 3, "gladiator+m", dict(record_detectors=True)),
     ("surface", 3, "eraser", dict(leakage_sampling=True)),
@@ -47,6 +54,35 @@ SCENARIOS = [
     ("surface", 3, "mlr-only", dict()),
     ("toric", 3, "gladiator+m", dict(record_detectors=True)),
     ("color", 3, "gladiator-d+m", dict(record_patterns=True)),
+    ("surface", 3, "gladiator+m", dict(
+        noise=drifting_noise(p=2e-3, leakage_ratio=1.0, drift_epoch_rounds=1),
+        leakage_sampling=True,
+    )),
+    ("surface", 3, "eraser+m", dict(
+        noise=burst_noise(p=2e-3, leakage_ratio=1.0, burst_period=2, burst_rounds=1),
+        record_detectors=True,
+    )),
+    ("surface", 3, "gladiator+m", dict(
+        noise=dataclasses.replace(
+            paper_noise(p=2e-3, leakage_ratio=1.0), readout_leak_random=False
+        ),
+        leakage_sampling=True,
+    )),
+    ("color", 3, "mlr-only", dict(
+        noise=dataclasses.replace(
+            paper_noise(p=2e-3, leakage_ratio=1.0), ancilla_reset_removes_leakage=0.5
+        ),
+        leakage_sampling=True,
+    )),
+    ("surface", 3, "always", dict(
+        noise=paper_noise(p=2e-3, leakage_ratio=0.0), leakage_sampling=True,
+    )),
+    ("surface", 3, "gladiator-d+m", dict(
+        noise=NoiseParams(
+            p=0.06, leakage_ratio=10.0, mlr_error_factor=10.0, leakage_mobility=1.0
+        ),
+        gadget=ResetLrc(), record_patterns=True,
+    )),
 ]
 
 
@@ -63,11 +99,14 @@ def _ckernels(value):
             os.environ["REPRO_SIM_CKERNELS"] = previous
 
 
-def _build(simulator_cls, family, distance, policy, seed=7, noise=None, **options):
+def _build(
+    simulator_cls, family, distance, policy, seed=7, noise=None, gadget=None, **options
+):
     return simulator_cls(
         code=make_code(family, distance),
         noise=noise or paper_noise(p=2e-3, leakage_ratio=0.1),
         policy=make_policy(policy),
+        gadget=gadget,
         options=SimulatorOptions(**options),
         seed=seed,
     )
@@ -135,11 +174,80 @@ def test_sparse_contract_matches_old_contract_statistically(scenario):
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("family,distance,policy,options", SCENARIOS)
 def test_optimized_matches_reference(family, distance, policy, options):
-    """The compiled kernels reproduce the NumPy oracle path bit for bit."""
+    """The compiled round reproduces the NumPy oracle path bit for bit and
+    leaves the Generator in the same state."""
     compiled, interpreted = _both_paths(
-        lambda sim: sim.run(shots=48, rounds=6), family, distance, policy, **options
+        lambda sim: (sim.run(shots=48, rounds=6), sim.rng.bit_generator.state),
+        family, distance, policy, **options,
     )
-    assert_results_identical(interpreted, compiled)
+    assert_results_identical(interpreted[0], compiled[0])
+    assert interpreted[1] == compiled[1]
+
+
+def test_compiled_run_is_one_kernel_call_per_round(monkeypatch):
+    """A compiled run of a lookup policy calls the round kernel once per
+    round and draws nothing else until the final readout (its two rows)."""
+    from repro.sim import _ckernels
+
+    if not _ckernels.available():
+        pytest.skip("compiled kernels unavailable")
+    calls = {"qec_round": 0, "draw_row": 0, "draw_choices": 0, "speculate": 0}
+    for name in calls:
+        original = getattr(_ckernels, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(_ckernels, name, counted)
+    sim = _build(LeakageSimulator, "surface", 3, "gladiator+m", leakage_sampling=True)
+    stream = sim.run_incremental(32, 5)
+    for round_index in range(5):
+        next(stream)
+        assert calls["qec_round"] == round_index + 1
+        assert calls["draw_row"] == calls["draw_choices"] == calls["speculate"] == 0
+    with pytest.raises(StopIteration):
+        next(stream)
+    assert calls == {"qec_round": 5, "draw_row": 2, "draw_choices": 0, "speculate": 0}
+
+
+@pytest.mark.parametrize("policy", ["gladiator+m", "mlr-only"])
+def test_traced_phases_tile_each_round(policy):
+    """With a tracer active each round's five ``sim.phase.*`` spans tile its
+    ``sim.round`` span in order, on both paths and whichever step
+    speculates: the compiled round's ticks are on ``perf_counter_ns``'s
+    clock.  Tracing changes no result."""
+    from repro.obs.trace import Tracer, activate, deactivate
+    from repro.sim.simulator import PHASE_NAMES
+
+    def traced(sim):
+        tracer = Tracer()
+        activate(tracer)
+        try:
+            return sim.run(shots=40, rounds=4), tracer.events()
+        finally:
+            deactivate()
+
+    untraced = _both_paths(lambda sim: sim.run(shots=40, rounds=4), "surface", 3, policy)
+    for (result, events), plain in zip(_both_paths(traced, "surface", 3, policy), untraced):
+        assert_results_identical(plain, result)
+        rounds = [event for event in events if event["name"] == "sim.round"]
+        assert [event["args"]["round"] for event in rounds] == [0, 1, 2, 3]
+        for round_event in rounds:
+            phases = [
+                event for event in events
+                if event["name"].startswith("sim.phase.")
+                and event["args"]["round"] == round_event["args"]["round"]
+            ]
+            assert [event["name"] for event in phases] == [
+                f"sim.phase.{name}" for name in PHASE_NAMES
+            ]
+            edge = round_event["ts"]
+            for phase in phases:
+                assert phase["ts"] == pytest.approx(edge, abs=1e-3)
+                assert phase["dur"] >= 0
+                edge = phase["ts"] + phase["dur"]
+            assert edge == pytest.approx(round_event["ts"] + round_event["dur"], abs=1e-3)
 
 
 @pytest.mark.parametrize("ckernels", ["0", "1"])
@@ -227,24 +335,25 @@ def test_shared_constant_masks_match_numpy_path():
         source.close()
 
 
-def test_layer_kernel_rejects_masks_aliasing_a_plane():
+def test_round_plan_rejects_buffers_aliasing_a_plane():
+    """The round kernel's planes are ``restrict``-qualified: a plan whose
+    output buffer shares a plane's memory is refused."""
     from repro.sim import _ckernels
-    from repro.sim.draws import rate
 
     if not _ckernels.available():
         pytest.skip("compiled kernels unavailable")
-    data_pack = np.zeros((4, 5), dtype=np.uint8)
-    anc_pack = np.zeros((4, 4), dtype=np.uint8)
-    rows = [np.zeros((4, 2), dtype=np.uint8) for _ in range(3)]
-    rows[1] = data_pack.reshape(-1)[:8].reshape(4, 2)  # contiguous alias
-    rates = np.stack([rate(p).record for p in (0.1, 0.1, 0.1)])
-    gen = _ckernels.load_pcg64(np.random.default_rng(0).bit_generator)
-    with pytest.raises(AssertionError, match="aliases"):
-        _ckernels.cnot_layer(
-            data_pack, anc_pack, np.array([0, 1]), np.array([0, 1]),
-            np.zeros((4, 2), dtype=np.uint8), gen.ctypes.data, rates, tuple(rows),
-            np.zeros(2, dtype=np.int64),
-        )
+    from repro.sim.state import SimState
+
+    sim = _build(LeakageSimulator, "surface", 3, "gladiator+m")
+    shots, code = 4, sim.code
+    ws = sim._make_workspace(shots)
+    state = SimState(shots, code.num_data, code.num_ancilla)
+    source = DrawSource(sim.rng)
+    assert sim._round_plan(state, ws, source).speculates
+    ws.detectors = ws.anc_pack.view(bool)
+    with pytest.raises(AssertionError, match="detectors aliases a plane"):
+        sim._round_plan(state, ws, source)
+    source.close()
 
 
 #: (code, policy) pairs of the direct speculation-kernel check: every
@@ -264,10 +373,11 @@ KERNEL_CASES = [
 @pytest.mark.parametrize("round_index", [0, 3])
 @pytest.mark.parametrize("family,policy", KERNEL_CASES)
 def test_speculate_kernel_matches_numpy_lookup(family, policy, round_index):
-    """One compiled speculation step equals detectors + ``_extract_patterns``
-    + ``decide_into`` + NumPy accuracy counts on random inputs, and so does
-    the simulator's NumPy speculation path (the only one checked when the
-    kernels are off)."""
+    """The compiled speculation step (the tail of a lookup policy's round
+    kernel, run alone on bool leak flags) equals detectors +
+    ``_extract_patterns`` + ``decide_into`` + NumPy accuracy counts on
+    random inputs, and so does the simulator's NumPy speculation step (the
+    only one checked when the kernels are off)."""
     from repro.sim import _ckernels
     from repro.sim.state import SimState
 
@@ -286,13 +396,17 @@ def test_speculate_kernel_matches_numpy_lookup(family, policy, round_index):
     sim._extract_patterns(rng.random(ws.detectors.shape) < 0.3, ws.pattern_b, ws)
 
     outputs = {}
-    plans = {"numpy": None}
+    steps = {"numpy": lambda: sim._speculate(state, round_index, ws)}
     if _ckernels.available():
-        plans["kernel"] = sim._speculate_plan()
-        assert plans["kernel"] is not None
-    for path, plan in plans.items():
-        ws.speculate_plan = plan
-        sim._speculate(state, round_index, ws)
+        plan = sim._speculate_plan()
+        assert plan is not None
+        steps["kernel"] = lambda: _ckernels.speculate(
+            plan, round_index, ws.measurement, state.prev_measurement, ws.detectors,
+            ws.pattern_a, ws.pattern_b, state.data_leaked, state.anc_leaked, ws.data_lrc,
+            ws.speculate_counts,
+        )
+    for path, step in steps.items():
+        step()
         outputs[path] = [
             ws.detectors.copy(), ws.pattern_a.copy(), ws.data_lrc.copy(),
             ws.speculate_counts.tolist(),
