@@ -125,6 +125,10 @@ class PolicyConfig:
                     raise ValueError(
                         _unknown_field_message("policy.options", key, sorted(known))
                     )
+            try:
+                GraphModelConfig(**self.options)
+            except ValueError as error:
+                raise ValueError(f"policy.options: {error}") from None
 
 
 @dataclass(frozen=True)

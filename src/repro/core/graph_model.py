@@ -9,7 +9,8 @@ each mechanism produces on the qubit's adjacent ancillas:
   optionally pairs of those) yield *deterministic* patterns,
 * **leakage** mechanisms (leakage injected before any CNOT, or leakage that
   persists from earlier rounds) randomise every subsequent CNOT and therefore
-  spread their probability uniformly over all reachable patterns.
+  spread their probability over all reachable patterns (uniformly where
+  every pattern bit reads one ancilla).
 
 Summing the probabilities of the mechanisms that reach a pattern gives the
 leakage super-edge weight ``W_L`` and non-leakage super-edge weight ``W_NL``
@@ -19,10 +20,22 @@ table is what the online sequence checker matches against.
 
 The same machinery, applied to a two-round window, yields the deferred
 GLADIATOR-D tables (Section 5.2).
+
+Every mechanism carries its distribution as arrays: ``patterns`` (int64)
+and ``conditionals`` (float64).  A leakage distribution is built one masked
+bit at a time, a two-round product is one broadcast (round-1 major), and
+each weight table is one scatter-add (``np.bincount``) over the
+concatenated outcomes of one kind.  The scatter-add sums each pattern's
+contributions in mechanism order, then outcome order, and every product is
+taken in the same order as the per-outcome definition; the tables are
+therefore byte-stable, which the label tables, goldens and unit keys depend
+on (``tests/test_graph_model.py`` pins their SHA-256).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -42,6 +55,9 @@ __all__ = [
 ]
 
 _PAULIS = ("X", "Y", "Z")
+
+#: A pattern distribution: ``(patterns, conditionals)`` (int64, float64).
+Outcomes = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -93,10 +109,19 @@ class GraphModelConfig:
     include_neighbor_leakage: bool = True
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0 or self.threshold_two_round <= 0:
-            raise ValueError("thresholds must be positive")
-        if self.persistence_rounds < 0:
-            raise ValueError("persistence_rounds must be non-negative")
+        # Options reach here unchecked from JSON configs and ``--set``.
+        for name, positive in (
+            ("threshold", True),
+            ("threshold_two_round", True),
+            ("persistence_rounds", False),
+            ("gate_error_factor", False),
+            ("isolated_flip_factor", False),
+        ):
+            value = getattr(self, name)
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (number and math.isfinite(value)) or value < 0 or positive and value == 0:
+                bound = "positive" if positive else "non-negative"
+                raise ValueError(f"{name} must be a finite {bound} number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -125,10 +150,11 @@ class GroupInfo:
 class QubitContext:
     """Everything the graph model needs to know about one data qubit.
 
-    ``neighbor_overlaps`` lists, for every neighbouring data qubit that shares
-    at least one ancilla with this one, the bit mask of this qubit's pattern
-    positions that the shared ancillas feed.  Leakage on that neighbour can
-    randomise exactly those bits and nothing else.
+    ``groups`` are in position order.  ``neighbor_overlaps`` lists, for
+    every neighbouring data qubit that shares at least one ancilla with this
+    one, the bit mask of this qubit's pattern positions that the shared
+    ancillas feed.  Leakage on that neighbour can randomise exactly those
+    bits and nothing else.
     """
 
     width: int
@@ -168,14 +194,36 @@ def qubit_context(code: StabilizerCode, qubit: int) -> QubitContext:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Mechanism:
-    """One error mechanism and its (conditional) pattern distribution."""
+    """One error mechanism and its conditional pattern distribution.
+
+    Given the mechanism, pattern ``patterns[i]`` (int64) occurs with
+    probability ``conditionals[i]`` (float64); a deterministic mechanism has
+    one pattern at conditional probability 1.  Pattern ``patterns[i]``
+    gains ``probability * conditionals[i]`` of super-edge weight, which is
+    how the aggregated second-order faults (probability 1, their rates as
+    ``conditionals``) carry one rate per pattern.
+    """
 
     name: str
     probability: float
     is_leakage: bool
-    outcomes: tuple[tuple[int, float], ...]  # (pattern, conditional probability)
+    patterns: np.ndarray
+    conditionals: np.ndarray
+
+
+_BASE_PATTERN = np.zeros(1, dtype=np.int64)
+_CERTAIN = np.ones(1)
+_NO_PATTERNS = np.zeros(0, dtype=np.int64)
+_NO_WEIGHTS = np.zeros(0)
+for _shared in (_BASE_PATTERN, _CERTAIN, _NO_PATTERNS, _NO_WEIGHTS):
+    _shared.flags.writeable = False
+
+
+def _certain(name: str, probability: float, pattern: int) -> Mechanism:
+    """A deterministic non-leakage mechanism producing ``pattern``."""
+    return Mechanism(name, probability, False, np.array([pattern]), _CERTAIN)
 
 
 @dataclass
@@ -185,11 +233,6 @@ class TransitionModel:
     context: QubitContext
     calibration: CalibrationData
     config: GraphModelConfig = field(default_factory=GraphModelConfig)
-    #: :meth:`_leakage_outcomes` per mask: the two-round enumeration asks
-    #: for the same few masks inside its nested outcome loops.
-    _outcomes_by_mask: dict[int, tuple[tuple[int, float], ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     # ------------------------------------------------------------------ #
     # Pattern algebra
@@ -232,11 +275,8 @@ class TransitionModel:
                 if pattern == 0:
                     continue
                 mechanisms.append(
-                    Mechanism(
-                        name=f"data_{pauli}_t{position}",
-                        probability=base_probability * scale / 3.0,
-                        is_leakage=False,
-                        outcomes=((pattern, 1.0),),
+                    _certain(
+                        f"data_{pauli}_t{position}", base_probability * scale / 3.0, pattern
                     )
                 )
 
@@ -251,41 +291,32 @@ class TransitionModel:
                     if pattern == 0:
                         continue
                     mechanisms.append(
-                        Mechanism(
-                            name=f"prior_{pauli}_t{position}",
-                            probability=cal.gate_error * cfg.gate_error_factor / 3.0,
-                            is_leakage=False,
-                            outcomes=((pattern, 1.0),),
+                        _certain(
+                            f"prior_{pauli}_t{position}",
+                            cal.gate_error * cfg.gate_error_factor / 3.0,
+                            pattern,
                         )
                     )
 
         # Isolated single-bit flips (measurement, reset, ancilla-side gate error).
         isolated = self._isolated_bit_probabilities()
         for position, probability in isolated.items():
-            mechanisms.append(
-                Mechanism(
-                    name=f"isolated_bit{position}",
-                    probability=probability,
-                    is_leakage=False,
-                    outcomes=((1 << position, 1.0),),
-                )
-            )
+            mechanisms.append(_certain(f"isolated_bit{position}", probability, 1 << position))
 
         # Second-order: XOR combinations of any two first-order non-leakage
         # mechanisms (two independent faults in the same round).
         if cfg.include_second_order:
-            mechanisms.extend(self._second_order_pairs(mechanisms))
+            mechanisms.append(self._second_order(mechanisms))
 
         # Leakage injected before each CNOT position: subsequent CNOTs
         # malfunction and produce uniformly random flips.
         for position in range(width):
-            mask = self._suffix_mask(position)
             mechanisms.append(
                 Mechanism(
-                    name=f"leak_t{position}",
-                    probability=cal.leakage_rate,
-                    is_leakage=True,
-                    outcomes=self._leakage_outcomes(mask),
+                    f"leak_t{position}",
+                    cal.leakage_rate,
+                    True,
+                    *self._leakage_outcomes(self._suffix_mask(position)),
                 )
             )
 
@@ -296,12 +327,10 @@ class TransitionModel:
         if cfg.persistence_rounds > 0:
             mechanisms.append(
                 Mechanism(
-                    name="leak_persistent",
-                    probability=cal.leakage_rate
-                    * (width + 1)
-                    * cfg.persistence_rounds,
-                    is_leakage=True,
-                    outcomes=self._leakage_outcomes(self._suffix_mask(0)),
+                    "leak_persistent",
+                    cal.leakage_rate * (width + 1) * cfg.persistence_rounds,
+                    True,
+                    *self._leakage_outcomes(self._suffix_mask(0)),
                 )
             )
 
@@ -315,10 +344,10 @@ class TransitionModel:
                     continue
                 mechanisms.append(
                     Mechanism(
-                        name=f"neighbor_leak_{index}",
-                        probability=neighbor_leaked,
-                        is_leakage=False,
-                        outcomes=self._leakage_outcomes(overlap),
+                        f"neighbor_leak_{index}",
+                        neighbor_leaked,
+                        False,
+                        *self._leakage_outcomes(overlap),
                     )
                 )
         return mechanisms
@@ -333,29 +362,23 @@ class TransitionModel:
         )
 
     @staticmethod
-    def _second_order_pairs(first_order: list[Mechanism]) -> list[Mechanism]:
-        """XOR combinations of two deterministic first-order non-leakage mechanisms."""
-        deterministic = [
-            (mechanism.probability, mechanism.outcomes[0][0])
-            for mechanism in first_order
-            if not mechanism.is_leakage and len(mechanism.outcomes) == 1
-        ]
-        pairs: dict[int, float] = {}
-        for index, (prob_a, pattern_a) in enumerate(deterministic):
-            for prob_b, pattern_b in deterministic[index + 1 :]:
-                combined = pattern_a ^ pattern_b
-                if combined == 0:
-                    continue
-                pairs[combined] = pairs.get(combined, 0.0) + prob_a * prob_b
-        return [
-            Mechanism(
-                name="second_order",
-                probability=probability,
-                is_leakage=False,
-                outcomes=((pattern, 1.0),),
-            )
-            for pattern, probability in pairs.items()
-        ]
+    def _second_order(first_order: list[Mechanism]) -> Mechanism:
+        """XOR combinations of two deterministic first-order non-leakage mechanisms.
+
+        One mechanism of probability 1 whose ``conditionals`` are the rates
+        of the combined patterns, so each pattern gains exactly its rate: the
+        sum of ``p_a * p_b`` over the pairs ``a < b``, in enumeration order.
+        """
+        deterministic = [m for m in first_order if not m.is_leakage and m.patterns.size == 1]
+        rates = np.array([m.probability for m in deterministic])
+        patterns = np.concatenate([_NO_PATTERNS] + [m.patterns for m in deterministic])
+        upper = np.arange(rates.size)[:, None] < np.arange(rates.size)  # row-major a < b
+        combined = (patterns[:, None] ^ patterns)[upper]
+        products = (rates[:, None] * rates)[upper]
+        keep = combined != 0
+        reached = np.flatnonzero(np.bincount(combined[keep]))
+        sums = np.bincount(combined[keep], products[keep])
+        return Mechanism("second_order", 1.0, False, reached, sums[reached])
 
     def _isolated_bit_probabilities(self) -> dict[int, float]:
         """Per-bit probability of a flip caused by measurement/reset/ancilla errors.
@@ -382,42 +405,41 @@ class TransitionModel:
             probabilities[group.position] = total * scale
         return probabilities
 
-    def _leakage_outcomes(self, mask: int) -> tuple[tuple[int, float], ...]:
-        """Pattern distribution produced by leakage randomising the masked bits.
+    def _leakage_outcomes(self, mask: int) -> Outcomes:
+        """``(patterns, conditionals)`` of leakage randomising the masked bits.
 
         A leaked qubit randomises each CNOT partner independently (50% flip),
         so a pattern bit that ORs ``n`` ancillas flips with probability
         ``1 - 0.5**n``; for single-ancilla groups this reduces to the uniform
         distribution, for the colour code's plaquette pairs it is biased
-        towards heavier patterns.
+        towards heavier patterns.  The distribution is built one masked bit
+        at a time, lowest first, each step appending the flipped copy of the
+        outcomes so far: outcome ``i`` sets the masked bits that ``i`` sets,
+        and its probability is the product of its per-bit factors taken in
+        bit order.
         """
-        cached = self._outcomes_by_mask.get(mask)
-        if cached is not None:
-            return cached
-        positions = [i for i in range(mask.bit_length()) if mask & (1 << i)]
-        flip_probabilities = []
-        group_by_position = {g.position: g for g in self.context.groups}
-        for position in positions:
-            group = group_by_position.get(position)
-            ancillas = len(group.bases) if group is not None else 1
-            flip_probabilities.append(1.0 - 0.5**ancillas)
-        outcomes = []
-        for value in range(1 << len(positions)):
-            pattern = 0
-            probability = 1.0
-            for bit_index, position in enumerate(positions):
-                if value & (1 << bit_index):
-                    pattern |= 1 << position
-                    probability *= flip_probabilities[bit_index]
-                else:
-                    probability *= 1.0 - flip_probabilities[bit_index]
-            outcomes.append((pattern, probability))
-        cached = self._outcomes_by_mask[mask] = tuple(outcomes)
-        return cached
+        patterns, conditionals = _BASE_PATTERN, _CERTAIN
+        for group in self.context.groups:
+            if mask >> group.position & 1:
+                flip = 1.0 - 0.5 ** len(group.bases)
+                patterns = np.concatenate((patterns, patterns | (1 << group.position)))
+                conditionals = np.concatenate(
+                    (conditionals * (1.0 - flip), conditionals * flip)
+                )
+        return patterns, conditionals
 
     # ------------------------------------------------------------------ #
     # Mechanism enumeration: two-round window (GLADIATOR-D)
     # ------------------------------------------------------------------ #
+    def _window(self, first: Outcomes, second: Outcomes) -> Outcomes:
+        """Joint distribution of independent round-1 and round-2 outcomes.
+
+        Packed as ``current | (previous << width)``, round-1 major.
+        """
+        (previous, p1), (current, p2) = first, second
+        patterns = (previous[:, None] << self.context.width) | current[None, :]
+        return patterns.ravel(), (p1[:, None] * p2[None, :]).ravel()
+
     def two_round_mechanisms(self) -> list[Mechanism]:
         """Error mechanisms over a two-round window.
 
@@ -434,37 +456,26 @@ class TransitionModel:
         # round 1, complementary flips in round 2.
         for position in range(width):
             scale = 1.0 if position == 0 else cfg.gate_error_factor
-            base_probability = cal.data_error if position == 0 else cal.gate_error
+            probability = (cal.data_error if position == 0 else cal.gate_error) * scale / 3.0
             for pauli in _PAULIS:
                 suffix = self._pauli_flip_pattern(pauli, position)
                 full = self._pauli_flip_pattern(pauli, 0)
                 if suffix == 0 and full == 0:
                     continue
                 mechanisms.append(
-                    Mechanism(
-                        name=f"data_{pauli}_r1_t{position}",
-                        probability=base_probability * scale / 3.0,
-                        is_leakage=False,
-                        outcomes=((pack(suffix, full ^ suffix), 1.0),),
+                    _certain(
+                        f"data_{pauli}_r1_t{position}", probability, pack(suffix, full ^ suffix)
                     )
                 )
                 # Same error occurring in the second (current) round.
                 mechanisms.append(
-                    Mechanism(
-                        name=f"data_{pauli}_r2_t{position}",
-                        probability=base_probability * scale / 3.0,
-                        is_leakage=False,
-                        outcomes=((pack(0, suffix), 1.0),),
-                    )
+                    _certain(f"data_{pauli}_r2_t{position}", probability, pack(0, suffix))
                 )
                 # Error from before the window completing in round 1.
                 if cfg.include_prior_round_completion and (full ^ suffix) != 0:
                     mechanisms.append(
-                        Mechanism(
-                            name=f"data_{pauli}_r0_t{position}",
-                            probability=base_probability * scale / 3.0,
-                            is_leakage=False,
-                            outcomes=((pack(full ^ suffix, 0), 1.0),),
+                        _certain(
+                            f"data_{pauli}_r0_t{position}", probability, pack(full ^ suffix, 0)
                         )
                     )
 
@@ -473,74 +484,35 @@ class TransitionModel:
         isolated = self._isolated_bit_probabilities()
         for position, probability in isolated.items():
             bit = 1 << position
-            mechanisms.append(
-                Mechanism(
-                    name=f"meas_bit{position}_r1",
-                    probability=probability,
-                    is_leakage=False,
-                    outcomes=((pack(bit, bit), 1.0),),
-                )
-            )
-            mechanisms.append(
-                Mechanism(
-                    name=f"meas_bit{position}_r2",
-                    probability=probability,
-                    is_leakage=False,
-                    outcomes=((pack(0, bit), 1.0),),
-                )
-            )
-            mechanisms.append(
-                Mechanism(
-                    name=f"meas_bit{position}_r0",
-                    probability=probability,
-                    is_leakage=False,
-                    outcomes=((pack(bit, 0), 1.0),),
-                )
-            )
+            mechanisms.append(_certain(f"meas_bit{position}_r1", probability, pack(bit, bit)))
+            mechanisms.append(_certain(f"meas_bit{position}_r2", probability, pack(0, bit)))
+            mechanisms.append(_certain(f"meas_bit{position}_r0", probability, pack(bit, 0)))
 
         if cfg.include_second_order:
-            mechanisms.extend(self._second_order_pairs(mechanisms))
+            mechanisms.append(self._second_order(mechanisms))
 
         # Leakage: once leaked, every later CNOT in the window is randomised.
-        full_mask = self._suffix_mask(0)
+        full_outcomes = self._leakage_outcomes(self._suffix_mask(0))
         for position in range(width):
-            suffix_mask = self._suffix_mask(position)
-            outcomes = []
-            for r1_pattern, p1 in self._leakage_outcomes(suffix_mask):
-                for r2_pattern, p2 in self._leakage_outcomes(full_mask):
-                    outcomes.append((pack(r1_pattern, r2_pattern), p1 * p2))
+            suffix_outcomes = self._leakage_outcomes(self._suffix_mask(position))
             mechanisms.append(
                 Mechanism(
-                    name=f"leak_r1_t{position}",
-                    probability=cal.leakage_rate,
-                    is_leakage=True,
-                    outcomes=tuple(outcomes),
+                    f"leak_r1_t{position}",
+                    cal.leakage_rate,
+                    True,
+                    *self._window(suffix_outcomes, full_outcomes),
                 )
             )
             mechanisms.append(
-                Mechanism(
-                    name=f"leak_r2_t{position}",
-                    probability=cal.leakage_rate,
-                    is_leakage=True,
-                    outcomes=tuple(
-                        (pack(0, pattern), weight)
-                        for pattern, weight in self._leakage_outcomes(suffix_mask)
-                    ),
-                )
+                Mechanism(f"leak_r2_t{position}", cal.leakage_rate, True, *suffix_outcomes)
             )
         if cfg.persistence_rounds > 0:
-            outcomes = []
-            for r1_pattern, p1 in self._leakage_outcomes(full_mask):
-                for r2_pattern, p2 in self._leakage_outcomes(full_mask):
-                    outcomes.append((pack(r1_pattern, r2_pattern), p1 * p2))
             mechanisms.append(
                 Mechanism(
-                    name="leak_persistent_window",
-                    probability=cal.leakage_rate
-                    * (width + 1)
-                    * cfg.persistence_rounds,
-                    is_leakage=True,
-                    outcomes=tuple(outcomes),
+                    "leak_persistent_window",
+                    cal.leakage_rate * (width + 1) * cfg.persistence_rounds,
+                    True,
+                    *self._window(full_outcomes, full_outcomes),
                 )
             )
 
@@ -551,16 +523,13 @@ class TransitionModel:
             for index, overlap in enumerate(self.context.neighbor_overlaps):
                 if overlap == 0:
                     continue
-                outcomes = []
-                for r1_pattern, p1 in self._leakage_outcomes(overlap):
-                    for r2_pattern, p2 in self._leakage_outcomes(overlap):
-                        outcomes.append((pack(r1_pattern, r2_pattern), p1 * p2))
+                shared = self._leakage_outcomes(overlap)
                 mechanisms.append(
                     Mechanism(
-                        name=f"neighbor_leak_window_{index}",
-                        probability=neighbor_leaked,
-                        is_leakage=False,
-                        outcomes=tuple(outcomes),
+                        f"neighbor_leak_window_{index}",
+                        neighbor_leaked,
+                        False,
+                        *self._window(shared, shared),
                     )
                 )
         return mechanisms
@@ -569,16 +538,36 @@ class TransitionModel:
     # Super-edge weights and labelling
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _accumulate(
-        mechanisms: list[Mechanism], table_size: int
+    def _outcomes(
+        mechanisms: list[Mechanism], is_leakage: bool
     ) -> tuple[np.ndarray, np.ndarray]:
-        leakage_weight = np.zeros(table_size)
-        nonleakage_weight = np.zeros(table_size)
-        for mechanism in mechanisms:
-            target = leakage_weight if mechanism.is_leakage else nonleakage_weight
-            for pattern, conditional in mechanism.outcomes:
-                target[pattern] += mechanism.probability * conditional
-        return leakage_weight, nonleakage_weight
+        """Every outcome of one kind's mechanisms, in mechanism order.
+
+        Returns the patterns and their unconditional weights
+        ``probability * conditional``.
+        """
+        chosen = [m for m in mechanisms if m.is_leakage == is_leakage]
+        patterns = np.concatenate([_NO_PATTERNS] + [m.patterns for m in chosen])
+        conditionals = np.concatenate([_NO_WEIGHTS] + [m.conditionals for m in chosen])
+        probabilities = np.repeat(
+            [m.probability for m in chosen], [m.patterns.size for m in chosen]
+        )
+        return patterns, probabilities * conditionals
+
+    @classmethod
+    def _accumulate(
+        cls, mechanisms: list[Mechanism], table_size: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(W_L, W_NL)``: one scatter-add per kind.
+
+        ``np.bincount`` adds its weights one by one in input order, so each
+        pattern's sum runs over its outcomes in mechanism order, then outcome
+        order: the summation order is part of the label tables' contract.
+        """
+        return tuple(
+            np.bincount(*cls._outcomes(mechanisms, is_leakage), minlength=table_size)
+            for is_leakage in (True, False)
+        )
 
     def super_edge_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """``(W_L, W_NL)`` per single-round pattern."""
@@ -590,12 +579,17 @@ class TransitionModel:
             self.two_round_mechanisms(), 1 << (2 * self.context.width)
         )
 
-    def label_patterns(self) -> np.ndarray:
-        """Boolean table over single-round patterns: True = leakage-critical."""
-        leakage_weight, nonleakage_weight = self.super_edge_weights()
-        flagged = leakage_weight > self.config.threshold * nonleakage_weight
+    @staticmethod
+    def _flag(weights: tuple[np.ndarray, np.ndarray], threshold: float) -> np.ndarray:
+        """Patterns with ``W_L > threshold * W_NL``; pattern 0 is never flagged."""
+        leakage_weight, nonleakage_weight = weights
+        flagged = leakage_weight > threshold * nonleakage_weight
         flagged[0] = False
         return flagged
+
+    def label_patterns(self) -> np.ndarray:
+        """Boolean table over single-round patterns: True = leakage-critical."""
+        return self._flag(self.super_edge_weights(), self.config.threshold)
 
     def label_two_round_patterns(self) -> np.ndarray:
         """Boolean table over two-round pattern pairs: True = leakage-critical.
@@ -605,10 +599,9 @@ class TransitionModel:
         a *smaller* fraction of its (much larger) pattern space than the
         single-round speculator, as reported in Section 5.2.
         """
-        leakage_weight, nonleakage_weight = self.two_round_super_edge_weights()
-        flagged = leakage_weight > self.config.threshold_two_round * nonleakage_weight
-        flagged[0] = False
-        return flagged
+        return self._flag(
+            self.two_round_super_edge_weights(), self.config.threshold_two_round
+        )
 
 
 def build_transition_graph(
@@ -617,29 +610,30 @@ def build_transition_graph(
     """Materialise the merged transition graph as a ``networkx`` multidigraph.
 
     Nodes are patterns (integers); edges run from the error-free base pattern
-    ``0`` to every reachable pattern, keyed by ``"leakage"`` /
-    ``"nonleakage"``, and carry the merged super-edge ``weight``.  Node
-    attribute ``label`` records the final classification, mirroring
-    Figure 6(b,c) of the paper.
+    ``0`` to every pattern a mechanism of that kind reaches, keyed by
+    ``"leakage"`` / ``"nonleakage"``, and carry the merged super-edge
+    ``weight``.  Node attribute ``label`` records the final classification,
+    mirroring Figure 6(b,c) of the paper.
     """
-    width = model.context.width * (2 if two_rounds else 1)
-    mechanisms = (
-        model.two_round_mechanisms() if two_rounds else model.single_round_mechanisms()
-    )
+    if two_rounds:
+        mechanisms = model.two_round_mechanisms()
+        size, threshold = 1 << (2 * model.context.width), model.config.threshold_two_round
+    else:
+        mechanisms = model.single_round_mechanisms()
+        size, threshold = 1 << model.context.width, model.config.threshold
     graph = nx.MultiDiGraph()
-    graph.add_nodes_from(range(1 << width))
-    for mechanism in mechanisms:
-        for pattern, conditional in mechanism.outcomes:
-            weight = mechanism.probability * conditional
-            kind = "leakage" if mechanism.is_leakage else "nonleakage"
-            if graph.has_edge(0, pattern, key=kind):
-                graph[0][pattern][kind]["weight"] += weight
-            else:
-                graph.add_edge(0, pattern, key=kind, weight=weight, kind=kind)
-    labels = (
-        model.label_two_round_patterns() if two_rounds else model.label_patterns()
-    )
-    for pattern in range(1 << width):
+    graph.add_nodes_from(range(size))
+    weights = model._accumulate(mechanisms, size)
+    for is_leakage, weight in zip((True, False), weights):
+        kind = "leakage" if is_leakage else "nonleakage"
+        patterns, _ = model._outcomes(mechanisms, is_leakage)
+        reached = np.flatnonzero(np.bincount(patterns, minlength=size)).tolist()
+        graph.add_edges_from(
+            (0, pattern, kind, {"weight": float(weight[pattern]), "kind": kind})
+            for pattern in reached
+        )
+    labels = model._flag(weights, threshold)
+    for pattern in range(size):
         graph.nodes[pattern]["label"] = "leakage" if labels[pattern] else "nonleakage"
     return graph
 
@@ -650,8 +644,8 @@ def _cached_labels(
     calibration: CalibrationData,
     config: GraphModelConfig,
     two_rounds: bool,
-) -> tuple[bool, ...]:
-    """Cache labels across data qubits that share the same context."""
+) -> np.ndarray:
+    """Cache labels (read-only) across data qubits that share the same context."""
     group_part, overlap_part = signature
     context = QubitContext(
         width=len(group_part),
@@ -663,7 +657,8 @@ def _cached_labels(
     )
     model = TransitionModel(context=context, calibration=calibration, config=config)
     table = model.label_two_round_patterns() if two_rounds else model.label_patterns()
-    return tuple(bool(x) for x in table)
+    table.flags.writeable = False
+    return table
 
 
 def labels_for_qubit(
@@ -675,5 +670,4 @@ def labels_for_qubit(
 ) -> np.ndarray:
     """Leakage-critical pattern table for one data qubit (cached by context)."""
     context = qubit_context(code, qubit)
-    cached = _cached_labels(context.signature, calibration, config, two_rounds)
-    return np.array(cached, dtype=bool)
+    return _cached_labels(context.signature, calibration, config, two_rounds).copy()

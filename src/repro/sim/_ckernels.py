@@ -18,9 +18,10 @@ packed planes; the rest of this module is what that call is built from.
   many sites" (the geometric law is memoryless).  ``draw_row`` /
   ``draw_choices`` expose a mask row and the conditional integers to
   :class:`~repro.sim.draws.DrawSource` (the final readout and the
-  sampler's property tests); ``load_pcg64`` / ``store_pcg64`` move the
-  state between the Generator and ``gen``, and NumPy's buffered half-word
-  is neither read nor written.  ``tests/test_properties.py`` checks the
+  sampler's property tests); ``draw_row`` draws with the round's own
+  sampler, so those tests pin what a round runs.  ``load_pcg64`` /
+  ``store_pcg64`` move the state between the Generator and ``gen``, and
+  NumPy's buffered half-word is neither read nor written.  ``tests/test_properties.py`` checks the
   kernels against the NumPy oracle value for value and both against the
   laws they sample.
 * **The round.**  ``qec_round`` runs one round on the planes
@@ -159,42 +160,8 @@ static inline int64_t gap(uint64_t u, const uint64_t* t, int64_t k) {
     return lo;
 }
 
-static void fill_row(pcg_t* g, const rate_t* r, uint8_t* out, int64_t n) {
-    if (r->kind <= RATE_ONE) {
-        memset(out, (int)r->kind, (size_t)n);
-        return;
-    }
-    if (r->kind == RATE_FAIR) {
-        for (int64_t i = 0; i < n; i += 64) {
-            const uint64_t w = next64(g);
-            const int64_t m = n - i < 64 ? n - i : 64;
-            for (int64_t b = 0; b < m; b++) out[i + b] = (uint8_t)((w >> b) & 1u);
-        }
-        return;
-    }
-    const uint8_t base = r->kind == RATE_GAPS_NOT;
-    const int64_t k = r->k;
-    memset(out, base, (size_t)n);
-    for (int64_t c = 0; c < n;) {
-        const int64_t j = gap(next64(g), r->table, k);
-        if (j == k) {  /* no event within the next k sites */
-            c += k;
-            continue;
-        }
-        c += j;
-        if (c < n) out[c] = base ^ 1u;
-        c++;
-    }
-}
-
 static inline uint8_t bern1(pcg_t* g, const rate_t* r) {
     return r->kind <= RATE_ONE ? (uint8_t)r->kind : (uint8_t)(next64(g) < r->threshold);
-}
-
-void draw_row(uint64_t* gen, const rate_t* rate, uint8_t* out, int64_t n) {
-    pcg_t g = load(gen);
-    fill_row(&g, rate, out, n);
-    store(gen, &g);
 }
 
 #if __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
@@ -240,8 +207,10 @@ typedef struct {
     const uint64_t* words;
 } row_t;
 
-/* Draws a row into buf (room for n sites, 8-byte aligned), consuming
- * exactly the outputs fill_row does. */
+/* Draws a row into buf (8-byte aligned, room for n sites and for a fair
+ * row's (n + 63) / 64 words), consuming one output per event of a
+ * gap-sampled row, one per 64 sites of a fair row and none for a constant
+ * one. */
 static row_t draw(pcg_t* g, const rate_t* r, int64_t n, int32_t* buf) {
     row_t row = {r->kind, n, 0, 0, -1, buf, (const uint64_t*)buf};
     if (r->kind == RATE_FAIR) {
@@ -290,6 +259,16 @@ static inline int64_t next_hit(row_t* r) {
 }
 
 #define FOR_HITS(row, s) for (int64_t s; (s = next_hit(&(row))) < (row).n;)
+
+/* One row of n sites as a 0/1 mask, drawn exactly as the round draws it;
+ * buf is draw()'s scratch. */
+void draw_row(uint64_t* gen, const rate_t* rate, uint8_t* out, int64_t n, int32_t* buf) {
+    pcg_t g = load(gen);
+    row_t row = draw(&g, rate, n, buf);
+    memset(out, 0, (size_t)n);
+    FOR_HITS(row, s) out[s] = 1;
+    store(gen, &g);
+}
 
 /* Whether site s is a hit; queries come in ascending site order. */
 static inline uint8_t hit_at(row_t* r, int64_t s) {
@@ -758,7 +737,7 @@ def _build() -> ctypes.CDLL | None:
     if lib is None:
         return None
     pointer, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.draw_row.argtypes = [pointer, pointer, pointer, i64]
+    lib.draw_row.argtypes = [pointer, pointer, pointer, i64, pointer]
     lib.draw_choices.argtypes = [pointer] * 3 + [i64, ctypes.c_uint64, ctypes.c_uint64]
     lib.speculate.argtypes = [pointer, i64, i64] + [pointer] * 9
     lib.qec_round.argtypes = [pointer, pointer, i64, i64, i64]
@@ -796,11 +775,15 @@ def store_pcg64(gen: np.ndarray, bit_generator: np.random.BitGenerator) -> None:
 def draw_row(gen_address: int, rate_address: int, out: np.ndarray) -> None:
     """Fill the C-contiguous uint8 ``out`` with one Bernoulli row.
 
-    Callers pass raw addresses for the generator and the rate record
-    (resolved once per run): ``.ctypes`` costs microseconds a call.
+    The row is drawn by the round's own sampler (``draw``, then a walk over
+    its hits).  Callers pass raw addresses for the generator and the rate
+    record (resolved once per run): ``.ctypes`` costs microseconds a call.
     """
     assert _lib is not None and out.flags.c_contiguous and out.dtype == np.uint8
-    _lib.draw_row(gen_address, rate_address, out.ctypes.data, out.size)
+    # draw()'s scratch: n int32 event sites or (n + 63) // 64 u64 fair words
+    # (two int32 at n = 1), 8-byte aligned.
+    scratch = np.empty(max(-(-out.size // 2), -(-out.size // 64)), dtype=np.uint64)
+    _lib.draw_row(gen_address, rate_address, out.ctypes.data, out.size, scratch.ctypes.data)
 
 
 def draw_choices(

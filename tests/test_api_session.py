@@ -206,3 +206,36 @@ def test_memory_experiment_from_config_matches_direct_construction():
     from_config = MemoryExperiment.from_config(config)
     direct = _legacy_experiment(config)
     assert from_config.run(5, 4).summary() == direct.run(5, 4).summary()
+
+
+@pytest.mark.parametrize(
+    "options, fragment",
+    [
+        ({"gate_error_factor": -3, "isolated_flip_factor": -1}, "gate_error_factor"),
+        ({"isolated_flip_factor": -1}, "isolated_flip_factor"),
+        ({"gate_error_factor": float("nan")}, "gate_error_factor"),
+        ({"isolated_flip_factor": float("inf")}, "isolated_flip_factor"),
+        ({"threshold": float("inf")}, "threshold"),
+        ({"threshold_two_round": float("nan")}, "threshold_two_round"),
+        ({"persistence_rounds": float("inf")}, "persistence_rounds"),
+        ({"gate_error_factor": "0.5"}, "gate_error_factor"),
+    ],
+)
+def test_session_rejects_invalid_graph_model_options(options, fragment):
+    # A negative factor would price W_NL below zero and flag most patterns.
+    config = _config(policy={"name": "gladiator+m", "options": options})
+    with pytest.raises(ValueError, match=f"policy.options: {fragment}"):
+        config.validate()
+    with pytest.raises(ValueError, match=fragment):
+        Session(config)
+
+
+def test_session_accepts_zero_graph_model_factors():
+    config = _config(
+        policy={
+            "name": "gladiator+m",
+            "options": {"gate_error_factor": 0, "isolated_flip_factor": 0.0},
+        },
+        execution={"shots": 10, "rounds": 3, "decoded": False},
+    )
+    assert Session(config).run().summary()["policy"] == "gladiator+M"

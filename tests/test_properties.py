@@ -12,7 +12,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -639,10 +639,16 @@ _PROBABILITIES = st.sampled_from(
     ),
 )
 @settings(max_examples=60, deadline=None)
+# A fair row of one site (its scratch is one u64 word), the edge
+# probabilities, and complement rows (p > 1/2) at a few shapes.
+@example(seed=1, shape=(1, 1), ops=[0.5, (0, 3), 0.5])
+@example(seed=2, shape=(40, 30), ops=[5e-324, 1.0 - 2**-53, (0, 4), 0.75, (1, 16), 0.999])
+@example(seed=3, shape=(1, 3), ops=[1.0 - 2**-53, 0.75, (0, 3), 5e-324, 0.5])
 def test_sampler_paths_match_on_random_plans(seed, shape, ops):
     """A random sequence of Bernoulli rows and conditional integers (each
     conditioned on the latest row) gives the same values and leaves the
-    Generator in the same state on the compiled and the NumPy path."""
+    Generator in the same state on the compiled path (the round's own
+    ``draw()`` sampler) and the NumPy path."""
 
     def execute(flag):
         with _kernels(flag, "REPRO_SIM_CKERNELS"):
