@@ -332,8 +332,6 @@ def _server_config(args: argparse.Namespace, config: ExperimentConfig) -> Server
         window_rounds=config.execution.window_rounds or 4,
         commit_rounds=config.execution.commit_rounds,
         method=config.decoder.name,
-        max_exact_nodes=config.decoder.max_exact_nodes,
-        strategy=config.decoder.strategy,
     )
 
 

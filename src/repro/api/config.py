@@ -133,32 +133,17 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Which decoder corrects the syndrome record, and its tuning.
+    """Which decoder corrects the syndrome record.
 
-    ``max_exact_nodes`` / ``strategy`` are matching-decoder knobs (rejected
-    for decoders that have none).  The cross-call syndrome cache always has
-    the default capacity (:data:`repro.decoders.DEFAULT_CACHE_ENTRIES`).
+    The decoders take no tuning: matching is exact up to 60 fired detectors
+    and greedy beyond, and the cross-call syndrome cache always has the
+    default capacity (:data:`repro.decoders.DEFAULT_CACHE_ENTRIES`).
     """
 
     name: str = "matching"
-    max_exact_nodes: int | None = None
-    strategy: str | None = None
 
     def validate(self) -> None:
-        entry = DECODERS.get(self.name)
-        if self.max_exact_nodes is not None or self.strategy is not None:
-            from ..decoders import ensure_tunable
-
-            ensure_tunable(entry)
-        if self.strategy is not None:
-            from ..decoders import STRATEGIES
-
-            if self.strategy not in STRATEGIES:
-                raise ValueError(
-                    f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-                )
-        if self.max_exact_nodes is not None and self.max_exact_nodes < 0:
-            raise ValueError("max_exact_nodes must be non-negative")
+        DECODERS.get(self.name)
 
 
 @dataclass(frozen=True)
@@ -365,6 +350,11 @@ class ExperimentConfig:
         payload["execution"].pop("durable")
         payload["code"]["name"] = CODES.canonical(payload["code"]["name"])
         payload["decoder"]["name"] = DECODERS.canonical(payload["decoder"]["name"])
+        # The decoder section once carried two matching knobs, null unless
+        # set.  They stay in the payload as null constants: digests, sweep
+        # unit keys and the shard seeds derived from them hash this
+        # payload, and dropping the keys would move every one.
+        payload["decoder"].update(max_exact_nodes=None, strategy=None)
         payload["policy"]["name"] = POLICIES.canonical(payload["policy"]["name"])
         payload["noise"]["preset"] = NOISE_PRESETS.canonical(payload["noise"]["preset"])
         return payload

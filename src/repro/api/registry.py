@@ -222,11 +222,7 @@ def register_code(name: str, **kwargs: Any) -> Callable:
 
 
 def register_decoder(name: str, **kwargs: Any) -> Callable:
-    """Register a decoder class: ``cls(graph, cache=...) -> DecoderBase``.
-
-    Pass ``tunable=True`` if the class accepts the matching-style
-    ``max_exact_nodes`` / ``strategy`` keyword knobs.
-    """
+    """Register a decoder class: ``cls(graph, cache=...) -> DecoderBase``."""
     return DECODERS.register(name, **kwargs)
 
 

@@ -113,8 +113,6 @@ def build_experiment(
         seed=execution.seed,
         window_rounds=execution.window_rounds,
         commit_rounds=execution.commit_rounds,
-        decoder_max_exact_nodes=config.decoder.max_exact_nodes,
-        decoder_strategy=config.decoder.strategy,
         decode_batch_size=execution.decode_batch_size,
     )
 

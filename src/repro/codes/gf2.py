@@ -157,20 +157,35 @@ def css_logical_operators(
 
 
 def _quotient_basis(kernel_basis: np.ndarray, stabilizer_matrix: np.ndarray) -> np.ndarray:
-    """Basis for ``kernel_basis`` rows modulo the row space of ``stabilizer_matrix``."""
-    stab_space = gf2_rowspace(stabilizer_matrix)
-    representatives: list[np.ndarray] = []
-    current = stab_space.copy() if stab_space.size else np.zeros(
-        (0, kernel_basis.shape[1]), dtype=np.uint8
-    )
-    current_rank = gf2_rank(current) if current.size else 0
-    for row in kernel_basis:
-        stacked = np.vstack([current, row[np.newaxis, :]]) if current.size else row[np.newaxis, :]
-        new_rank = gf2_rank(stacked)
-        if new_rank > current_rank:
-            representatives.append(row.copy())
-            current = stacked
-            current_rank = new_rank
+    """Basis for ``kernel_basis`` rows modulo the row space of ``stabilizer_matrix``.
+
+    Keeps one fully reduced echelon basis of the span so far (each basis row
+    is zero at every other row's pivot column), so reducing a row is one
+    XOR of the basis rows whose pivots it hits.  A kernel row is kept, in
+    order, exactly when its remainder is nonzero — when it raises the rank
+    of the stabilizers plus the rows kept before it.
+    """
+    width = kernel_basis.shape[1]
+    basis = np.zeros((width, width), dtype=np.uint8)
+    pivots = np.zeros(width, dtype=np.intp)
+    rank = 0
+
+    def extend(row: np.ndarray) -> bool:
+        nonlocal rank
+        hits = row[pivots[:rank]].astype(bool)
+        remainder = row ^ np.bitwise_xor.reduce(basis[:rank][hits], axis=0)
+        nonzero = np.flatnonzero(remainder)
+        if nonzero.size == 0:
+            return False
+        pivot = nonzero[0]
+        basis[:rank][basis[:rank, pivot] == 1] ^= remainder
+        basis[rank], pivots[rank] = remainder, pivot
+        rank += 1
+        return True
+
+    for row in _as_gf2(stabilizer_matrix).reshape(-1, width):
+        extend(row)
+    representatives = [row.copy() for row in _as_gf2(kernel_basis) if extend(row)]
     if representatives:
         return np.vstack(representatives).astype(np.uint8)
-    return np.zeros((0, kernel_basis.shape[1]), dtype=np.uint8)
+    return np.zeros((0, width), dtype=np.uint8)

@@ -12,7 +12,7 @@ from ..api.registry import DECODERS
 from .base import DecoderBase
 from .cache import DEFAULT_CACHE_ENTRIES, SyndromeCache
 from .detector_graph import DetectorGraph, GraphEdge
-from .matching import STRATEGIES, MatchingDecoder
+from .matching import MatchingDecoder
 from .union_find import UnionFindDecoder
 
 __all__ = [
@@ -23,9 +23,7 @@ __all__ = [
     "UnionFindDecoder",
     "SyndromeCache",
     "DEFAULT_CACHE_ENTRIES",
-    "STRATEGIES",
     "make_decoder",
-    "ensure_tunable",
 ]
 
 
@@ -33,21 +31,15 @@ def make_decoder(
     graph: DetectorGraph,
     method: str = "matching",
     *,
-    max_exact_nodes: int | None = None,
-    strategy: str | None = None,
     cache: SyndromeCache | None = None,
 ):
     """Factory: build a registered decoder over ``graph`` by method name.
 
     A thin lookup over :data:`repro.api.registry.DECODERS` (``"matching"``
-    for MWPM, ``"union_find"`` for the UF decoder, plus anything third
-    parties register); unknown names fail with a did-you-mean suggestion
-    and the full registered list.
-
-    ``max_exact_nodes`` and ``strategy`` tune the matching decoder's
-    exact-vs-greedy trade-off (see :class:`MatchingDecoder`); they are
-    rejected for decoders not registered as ``tunable`` so a sweep cannot
-    silently ignore a requested configuration.
+    for MWPM — exact up to 60 fired detectors, greedy beyond —
+    ``"union_find"`` for the UF decoder, plus anything third parties
+    register); unknown names fail with a did-you-mean suggestion and the
+    full registered list.
 
     ``cache`` attaches an existing :class:`SyndromeCache` (shared across
     decoders by the realtime service; ``SyndromeCache(0)`` disables
@@ -55,26 +47,4 @@ def make_decoder(
     :data:`DEFAULT_CACHE_ENTRIES`.  It applies to every decoder, since
     batching and caching live in :class:`DecoderBase`.
     """
-    entry = DECODERS.get(method)  # unknown names fail with did-you-mean help
-    kwargs: dict = {}
-    if max_exact_nodes is not None:
-        kwargs["max_exact_nodes"] = int(max_exact_nodes)
-    if strategy is not None:
-        kwargs["strategy"] = strategy
-    if kwargs:
-        ensure_tunable(entry)
-    return entry.obj(graph, cache=cache, **kwargs)
-
-
-def ensure_tunable(entry) -> None:
-    """Reject tuning knobs for a decoder not registered as ``tunable``.
-
-    Shared by :func:`make_decoder` and ``DecoderConfig.validate`` so the
-    rule and its error message have exactly one source of truth.
-    """
-    if not entry.metadata.get("tunable", False):
-        tunable = [e.name for e in DECODERS if e.metadata.get("tunable")]
-        raise ValueError(
-            f"max_exact_nodes/strategy only apply to tunable decoders "
-            f"({', '.join(tunable)}), not {entry.name!r}"
-        )
+    return DECODERS.get(method).obj(graph, cache=cache)

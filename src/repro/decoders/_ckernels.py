@@ -14,39 +14,48 @@ bit-identical NumPy/Python fallbacks when no compiler is available:
   rows (collisions demote to the exact path), so hashing never changes
   results — only the representative *order*, which the inverse-scatter
   erases.
-* **The ≤8-detector bitmask DP.**
-  :meth:`~repro.decoders.matching.MatchingDecoder._dp_matching` enumerates
-  matchings over subsets in pure Python.  ``dp_match`` is a line-for-line C
-  mirror — same mask iteration order, same lowest-free-bit commit, same
-  strict ``<`` tie-breaking, same IEEE double arithmetic — so the chosen
-  pairs (not just their weight) are identical to the Python DP.
-* **Blossom matching for 9+ detectors.**  ``networkx.max_weight_matching``
-  on the virtual-boundary graph was ~62% of the durable sweep's shard
-  compute (~3.7 ms per call at a median of 12 fired detectors, on a
-  shared 2-vCPU x86-64 host).
-  ``blossom_match`` is a line-for-line port of networkx 3.6.1's
-  ``max_weight_matching(G, maxcardinality=True)`` on its float-weight path
-  over exactly the graph ``matching._networkx_matching`` builds: the same
-  node order (``d0..dn-1`` then ``b0..bn-1``), the same neighbour (edge
-  insertion) order, the same ``1e9 - cost`` weights, the same dict
-  iteration orders (blossoms in creation order, ``bestedgeto`` in first
-  insertion order, ``leaves()`` in stack order) and the same IEEE double
-  operations in the same order.  The matched pair *set*, orientation
-  included, is therefore identical to networkx's, ties too; any non-finite
-  cost returns -1 so the caller defers to networkx and inf/NaN semantics
-  stay out of the port.
-* **The whole exact decode.**  ``decode_syndrome`` runs the entire entry
-  construction for one exact syndrome in one call against a
-  :class:`DecodeContext` of pinned all-pairs matrices — cost extraction,
-  the analytic 1/2-detector rules, the DP (3..8) or blossom (9+), the
-  predecessor retrace and the logical parity — emitting the exact edge
-  sequence the interpreted path would produce.
+* **The whole exact decode.**  ``decode_syndrome`` is the one compiled
+  matching entry, for every graph size: one call per exact syndrome runs
+  cost extraction, the analytic 1/2-detector rules, the matching, the
+  predecessor retrace and the logical parity, emitting the exact edge
+  sequence of :class:`~repro.decoders.matching.MatchingDecoder`'s
+  interpreted path.  Each fired detector reads its distance and
+  predecessor rows through a row index: the pinned all-pairs matrices of a
+  graph under the all-pairs gate (rows = the fired node ids, so nothing is
+  copied per syndrome), or the syndrome's own dijkstra rows past it (rows
+  = ``0..count-1``).  Each retraced edge's logical-flip bit comes from the
+  graph's CSR (:class:`GraphContext`), read at the endpoint that is not
+  the boundary node.  The matching itself:
+
+  - *3..8 detectors*: a bitmask DP, the line-for-line mirror of
+    ``MatchingDecoder._dp_matching`` — same mask iteration order, same
+    lowest-free-bit commit, same strict ``<`` tie-breaking, same IEEE
+    double arithmetic — so the chosen pairs (not just their weight) are
+    the Python DP's.
+  - *9+ detectors*: a line-for-line port of networkx 3.6.1's
+    ``max_weight_matching(G, maxcardinality=True)`` on its float-weight
+    path over exactly the graph ``matching._networkx_matching`` builds:
+    the same node order (``d0..dn-1`` then ``b0..bn-1``), the same
+    neighbour (edge insertion) order, the same ``1e9 - cost`` weights, the
+    same dict iteration orders (blossoms in creation order, ``bestedgeto``
+    in first insertion order, ``leaves()`` in stack order) and the same
+    IEEE double operations in the same order.  The matched pair *set*,
+    orientation included, is therefore networkx's, ties too.  Before the
+    port, networkx blossom was ~62% of the durable sweep's shard compute
+    (~3.7 ms per call at a median of 12 fired detectors, on a shared
+    2-vCPU x86-64 host).
+
+  The DP's infinite dead end and any non-finite blossom cost return
+  ``None``, and the caller decodes that syndrome on the interpreted path
+  (the Python DP, which demotes to greedy, or networkx), so inf/NaN
+  semantics stay out of the port.  Matched pairs leave the blossom port in
+  one canonical order: by ascending lower detector index, each pair
+  oriented as networkx's ``matching_dict_to_set`` reports it (so the entry
+  never depends on ``PYTHONHASHSEED``).
 * **Union-find decoding.**  ``uf_decode`` mirrors
   :class:`~repro.decoders.union_find.UnionFindDecoder`'s cluster growth,
-  peeling and parity line for line in one call per syndrome, over a
-  :class:`UnionFindContext`: the graph as CSR (``graph.neighbors`` in list
-  order plus one logical-flip bit per slot, O(nodes + edges), so graphs
-  past the all-pairs gate are covered too).  The Python algorithm's output
+  peeling and parity line for line in one call per syndrome, over the same
+  :class:`GraphContext` CSR.  The Python algorithm's output
   depends on CPython's ``set`` iteration order for ints (the fired set
   fixes cluster order, each member set the frontier order, its first slot
   the peeling root), so the kernel rebuilds each such set's slot layout —
@@ -59,12 +68,8 @@ bit-identical NumPy/Python fallbacks when no compiler is available:
   future CPython changing its set layout), disables only this kernel;
   :func:`intset_order` exposes the emulation to the tests.
 
-Matched pairs leave both blossom backends in one canonical order: by
-ascending lower detector index, each pair oriented as networkx's
-``matching_dict_to_set`` reports it (so the entry never depends on
-``PYTHONHASHSEED``).  Work buffers are per-thread and grown on demand, so
-arbitrarily large ``strategy="exact"`` syndromes and the realtime worker
-threads are both safe.
+Work buffers are per-thread and grown on demand, so syndromes of any size
+and the realtime worker threads are both safe.
 
 Gating: set ``REPRO_DECODER_CKERNELS=0`` to force the fallbacks; when that
 variable is unset the sim-wide ``REPRO_SIM_CKERNELS`` switch applies, so
@@ -86,14 +91,11 @@ from .._cbuild import build
 __all__ = [
     "available",
     "hash_rows",
-    "dp_match",
-    "blossom_match",
     "decode_syndrome",
-    "DecodeContext",
+    "GraphContext",
     "uf_available",
     "uf_decode",
     "intset_order",
-    "UnionFindContext",
 ]
 
 _SOURCE = r"""
@@ -115,16 +117,15 @@ void hash_rows(const uint8_t* data, int64_t rows, int64_t nbytes,
     }
 }
 
-/* Exact minimum-weight matching by DP over matched-detector subsets: the
- * line-for-line mirror of MatchingDecoder._dp_matching.  boundary_cost is
- * double[count], pair_cost double[count*count]; out_pairs receives up to
- * count (i, j) index pairs with j == -1 meaning "matched to the boundary",
- * in the Python retrace order (full mask walking back to empty).  Returns
- * the number of pairs, or -1 when every complete matching has infinite
- * cost (the caller falls back to greedy, as the Python DP does). */
-int32_t dp_match(int32_t count, const double* boundary_cost,
-                 const double* pair_cost, int32_t* out_pairs) {
-    if (count <= 0) return 0;
+/* Exact minimum-weight matching by DP over matched-detector subsets for
+ * 1..8 detectors: the line-for-line mirror of MatchingDecoder._dp_matching.
+ * boundary_cost is double[count], pair_cost double[count*count]; out_pairs
+ * receives up to count (i, j) index pairs with j == -1 meaning "matched to
+ * the boundary", in the Python retrace order (full mask walking back to
+ * empty).  Returns the number of pairs, or -1 when every complete matching
+ * has infinite cost (the Python DP then falls back to greedy). */
+static int32_t dp_match(int32_t count, const double* boundary_cost,
+                        const double* pair_cost, int32_t* out_pairs) {
     int32_t size = 1 << count;
     double best[256];
     int32_t prev[256], pick_i[256], pick_j[256];
@@ -236,7 +237,7 @@ static int64_t bm_layout(BM* s, char* mem, int32_t n) {
     return off;
 }
 
-/* Bytes of work buffer blossom_match / decode_syndrome need for n detectors. */
+/* Bytes of work buffer decode_syndrome needs for n detectors. */
 int64_t match_work_bytes(int32_t n) {
     BM s;
     return bm_layout(&s, 0, n);
@@ -691,11 +692,10 @@ static void bm_solve(BM* s) {
 /* Maximum-weight maximum-cardinality matching of the virtual-boundary
  * graph for n detectors: d_i--d_j weighs 1e9 - pair_cost[i*n+j] (i < j,
  * the upper triangle only), d_i--b_i weighs 1e9 - boundary_cost[i], and
- * b_i--b_j weighs 1e9.  `work` holds match_work_bytes(n) bytes.  Writes
- * the matched (i, j) index pairs (j == -1: boundary) into out_pairs in
- * ascending order of their lower detector index, each oriented as
- * networkx's matching_dict_to_set reports it, and returns their number,
- * or -1 when a cost is not finite. */
+ * b_i--b_j weighs 1e9.  Writes the matched (i, j) index pairs (j == -1:
+ * boundary) into out_pairs in ascending order of their lower detector
+ * index, each oriented as networkx's matching_dict_to_set reports it, and
+ * returns their number, or -1 when a cost is not finite. */
 static int32_t bm_match(BM* s, const double* bcost, const double* pcost,
                         int32_t* out_pairs) {
     const int32_t n = s->n, V = s->V;
@@ -767,30 +767,40 @@ static int32_t bm_match(BM* s, const double* bcost, const double* pcost,
     return pairs;
 }
 
-int32_t blossom_match(int32_t n, const double* boundary_cost,
-                      const double* pair_cost, void* work, int32_t* out_pairs) {
-    BM s;
-    bm_layout(&s, (char*)work, n);
-    return bm_match(&s, boundary_cost, pair_cost, out_pairs);
+/* Logical-flip bit of the edge a--b from the graph's CSR: the slot of b in
+ * the row of whichever endpoint is not the boundary node (a detector row is
+ * a handful of slots; the boundary's holds every boundary edge).  0 when no
+ * such edge exists, as DetectorGraph.edge_between returns None then. */
+static inline int32_t edge_flip(int32_t a, int32_t b, int32_t boundary,
+                                const int32_t* indptr, const int32_t* indices,
+                                const uint8_t* flips) {
+    if (a == boundary) { int32_t t = a; a = b; b = t; }
+    for (int32_t s = indptr[a]; s < indptr[a + 1]; s++)
+        if (indices[s] == b) return flips[s];
+    return 0;
 }
 
-/* One-call decode of an exact syndrome against a graph's cached all-pairs
- * arrays: cost extraction, exact matching (analytic for one or two fired
- * detectors, the bitmask DP for 3..8, blossom for 9+), shortest-path
- * retrace and the logical parity, all without crossing back into Python.
- * ``dist`` is the (num_nodes, num_nodes) float64 distance matrix, ``pred``
- * the int32 predecessor matrix (negative = no predecessor, as scipy
- * emits), and ``flips`` a dense symmetric uint8 matrix with 1 where the
- * (collapsed) edge between two nodes crosses the logical.  ``work`` holds
- * match_work_bytes(count) bytes and ``pair_idx`` 2*count ints.
- * Emits (a, b) node pairs into out_edges in exactly the Python retrace
- * order and returns their number, or -1 when the DP hits the infinite
- * dead end or a blossom cost is not finite (the caller falls back to the
- * interpreted path, which demotes to greedy or defers to networkx). */
-int32_t decode_syndrome(int32_t count, const int64_t* flagged, int64_t num_nodes,
-                        int64_t boundary, const double* dist, const int32_t* pred,
+/* One-call decode of an exact syndrome: cost extraction, exact matching
+ * (analytic for one or two fired detectors, the bitmask DP for 3..8,
+ * blossom for 9+), shortest-path retrace and the logical parity, all
+ * without crossing back into Python.  Fired detector i reads its distance
+ * and predecessor rows at row rows[i] of ``dist`` (float64) and ``pred``
+ * (int32, negative = no predecessor, as scipy emits), both num_nodes wide:
+ * a graph's all-pairs matrices with rows = flagged, or the per-syndrome
+ * dijkstra rows with rows = 0..count-1.  indptr / indices / flips are the
+ * graph's CSR with one logical-flip bit per slot.  ``work`` holds
+ * match_work_bytes(count) bytes and ``pair_idx`` 2*count ints.  Emits
+ * (a, b) node pairs into out_edges in exactly the Python retrace order and
+ * returns their number, or -1 when the DP hits the infinite dead end or a
+ * blossom cost is not finite (the caller then decodes the syndrome on the
+ * interpreted path, which demotes to greedy or runs networkx). */
+int32_t decode_syndrome(int32_t count, const int64_t* flagged, const int64_t* rows,
+                        const double* dist, const int32_t* pred,
+                        int32_t num_nodes, int32_t boundary,
+                        const int32_t* indptr, const int32_t* indices,
                         const uint8_t* flips, void* work, int32_t* pair_idx,
                         int32_t* out_edges, int32_t* out_parity) {
+    const int64_t N = num_nodes;
     int32_t num_pairs;
     if (count == 1) {
         pair_idx[0] = 0; pair_idx[1] = -1;
@@ -798,9 +808,9 @@ int32_t decode_syndrome(int32_t count, const int64_t* flagged, int64_t num_nodes
     } else if (count == 2) {
         /* Mirror of _exact_matching's analytic two-detector rule,
          * including the <= that prefers pairing on exact ties. */
-        double paired = dist[flagged[0] * num_nodes + flagged[1]];
-        double via_boundary = dist[flagged[0] * num_nodes + boundary]
-                            + dist[flagged[1] * num_nodes + boundary];
+        double paired = dist[rows[0] * N + flagged[1]];
+        double via_boundary = dist[rows[0] * N + boundary]
+                            + dist[rows[1] * N + boundary];
         if (paired <= via_boundary) {
             pair_idx[0] = 0; pair_idx[1] = 1;
             num_pairs = 1;
@@ -813,7 +823,7 @@ int32_t decode_syndrome(int32_t count, const int64_t* flagged, int64_t num_nodes
         BM s;
         bm_layout(&s, (char*)work, count);
         for (int32_t i = 0; i < count; i++) {
-            const double* row = dist + flagged[i] * num_nodes;
+            const double* row = dist + rows[i] * N;
             s.bcost[i] = row[boundary];
             for (int32_t j = 0; j < count; j++)
                 s.pcost[(int64_t)i * count + j] = row[flagged[j]];
@@ -827,15 +837,15 @@ int32_t decode_syndrome(int32_t count, const int64_t* flagged, int64_t num_nodes
     for (int32_t k = 0; k < num_pairs; k++) {
         int32_t i = pair_idx[2 * k];
         int32_t j = pair_idx[2 * k + 1];
-        const int32_t* row = pred + flagged[i] * num_nodes;
-        int64_t node = (j < 0) ? boundary : flagged[j];
+        const int32_t* row = pred + rows[i] * N;
+        int32_t node = (j < 0) ? boundary : (int32_t)flagged[j];
         for (;;) {
             int32_t prev = row[node];
             if (prev < 0) break;
             out_edges[2 * n] = prev;
-            out_edges[2 * n + 1] = (int32_t)node;
+            out_edges[2 * n + 1] = node;
             n++;
-            parity ^= flips[(int64_t)prev * num_nodes + node];
+            parity ^= edge_flip(prev, node, boundary, indptr, indices, flips);
             node = prev;
         }
     }
@@ -1124,10 +1134,6 @@ int32_t uf_decode(int32_t count, const int64_t* flagged, int32_t num_nodes,
 }
 """
 
-#: Largest syndrome the C DP accepts (its DP tables are stack-allocated for
-#: 2^8 masks, matching ``matching._DP_EXACT_MAX``).
-DP_MAX_COUNT = 8
-
 _FNV_OFFSET = np.uint64(14695981039346656037)
 _FNV_PRIME = np.uint64(1099511628211)
 
@@ -1159,14 +1165,10 @@ def _build() -> ctypes.CDLL | None:
     ptr = ctypes.c_void_p
     lib.hash_rows.argtypes = [ptr, ctypes.c_int64, ctypes.c_int64, ptr]
     lib.hash_rows.restype = None
-    lib.dp_match.argtypes = [ctypes.c_int32, ptr, ptr, ptr]
-    lib.dp_match.restype = ctypes.c_int32
     lib.match_work_bytes.argtypes = [ctypes.c_int32]
     lib.match_work_bytes.restype = ctypes.c_int64
-    lib.blossom_match.argtypes = [ctypes.c_int32, ptr, ptr, ptr, ptr]
-    lib.blossom_match.restype = ctypes.c_int32
     lib.decode_syndrome.argtypes = [
-        ctypes.c_int32, ptr, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int32, ptr, ptr, ptr, ptr, ctypes.c_int32, ctypes.c_int32,
         ptr, ptr, ptr, ptr, ptr, ptr, ptr,
     ]
     lib.decode_syndrome.restype = ctypes.c_int32
@@ -1227,8 +1229,7 @@ class _Scratch(threading.local):
     array allocation and ``ctypes`` pointer construction would dominate.
     Each thread (the realtime service decodes from worker threads) keeps
     one set of buffers with their pointers extracted once, regrown only
-    when a larger syndrome (or graph) arrives.  The pair-cost matrix is
-    flattened with the *runtime* ``count`` stride the kernels index by.
+    when a larger syndrome (or graph) arrives.
     """
 
     def __init__(self) -> None:
@@ -1239,18 +1240,18 @@ class _Scratch(threading.local):
         self.parity_ptr = _ptr(self.parity)
 
     def reserve(self, count: int) -> None:
-        """Size the cost, pair and blossom work buffers for ``count``."""
+        """Size the pair, row-index and matching work buffers for ``count``."""
         if count <= self.count:
             return
         assert _lib is not None
         self.count = count
-        self.boundary = np.empty(count, dtype=np.float64)
-        self.pair = np.empty(count * count, dtype=np.float64)
         self.pairs = np.empty(2 * count, dtype=np.int32)
+        # Row i of per-syndrome shortest-path arrays belongs to detector i.
+        self.rows = np.arange(count, dtype=np.int64)
         work_bytes = int(_lib.match_work_bytes(count))
         self.work = np.empty((work_bytes + 7) // 8, dtype=np.float64)
-        self.boundary_ptr, self.pair_ptr = _ptr(self.boundary), _ptr(self.pair)
-        self.pairs_ptr, self.work_ptr = _ptr(self.pairs), _ptr(self.work)
+        self.pairs_ptr, self.rows_ptr = _ptr(self.pairs), _ptr(self.rows)
+        self.work_ptr = _ptr(self.work)
 
     def reserve_edges(self, capacity: int) -> None:
         if capacity > self.edge_capacity:
@@ -1275,67 +1276,27 @@ class _Scratch(threading.local):
             self.uf_capacity = num_nodes
         self.reserve_edges(2 * num_nodes)
 
-    def load_costs(self, boundary_cost: np.ndarray, pair_cost: np.ndarray) -> int:
-        count = int(boundary_cost.shape[0])
-        if boundary_cost.shape != (count,) or np.shape(pair_cost) != (count, count):
-            raise ValueError("costs must be shaped (count,) and (count, count)")
-        self.reserve(count)
-        self.boundary[:count] = boundary_cost
-        self.pair[: count * count] = np.asarray(pair_cost, dtype=np.float64).reshape(-1)
-        return count
-
-    def index_pairs(self, pairs: int) -> list[tuple[int, int]]:
-        flat = self.pairs[: 2 * pairs].tolist()
-        return list(zip(flat[0::2], flat[1::2]))
-
 
 _scratch = _Scratch()
 
 
-class DecodeContext:
-    """One graph's decode arrays pinned for :func:`decode_syndrome`.
-
-    Holds contiguous copies of the all-pairs distance/predecessor matrices
-    and the dense logical-flip edge matrix, with their ``ctypes`` pointers
-    extracted once — the per-syndrome kernel call then passes raw pointers
-    without touching ``ndarray.ctypes`` again.  Built once per decoder
-    (see ``MatchingDecoder._fast_ctx``) and kept alive by it, so the
-    pointers can never dangle.
-    """
-
-    __slots__ = ("distances", "predecessors", "flips", "num_nodes", "args")
-
-    def __init__(
-        self,
-        distances: np.ndarray,
-        predecessors: np.ndarray,
-        flips: np.ndarray,
-        boundary: int,
-    ) -> None:
-        self.distances = np.ascontiguousarray(distances, dtype=np.float64)
-        self.predecessors = np.ascontiguousarray(predecessors, dtype=np.int32)
-        self.flips = np.ascontiguousarray(flips, dtype=np.uint8)
-        self.num_nodes = int(self.distances.shape[0])
-        self.args = (
-            ctypes.c_int64(self.num_nodes),
-            ctypes.c_int64(int(boundary)),
-            _ptr(self.distances),
-            _ptr(self.predecessors),
-            _ptr(self.flips),
-        )
-
-
-class UnionFindContext:
-    """One graph's CSR adjacency pinned for :func:`uf_decode`.
+class GraphContext:
+    """One detector graph pinned for the compiled decoders.
 
     ``indptr``/``indices`` are ``graph.neighbors`` flattened in list order
     and ``flips`` holds the logical-flip bit of each CSR slot's (collapsed)
-    edge — O(nodes + edges) memory, so graphs past the all-pairs gate are
-    covered too.  Built once per decoder (``UnionFindDecoder._fast_ctx``)
-    and kept alive by it, so the pointers can never dangle.
+    edge (:attr:`~repro.decoders.detector_graph.DetectorGraph.csr`):
+    O(nodes + edges), so every graph size is covered.  :func:`uf_decode`
+    walks it, and :func:`decode_syndrome` reads each retraced edge's flip
+    from it.  ``all_pairs`` optionally pins a graph's all-pairs
+    ``(distances, predecessors)`` matrices, from which
+    :func:`decode_syndrome` reads fired detectors' rows in place; without
+    them the caller passes each syndrome's own shortest-path rows.  Built
+    once per decoder (its ``_fast_ctx``) and kept alive by it, so the
+    pointers can never dangle.
     """
 
-    __slots__ = ("indptr", "indices", "flips", "num_nodes", "args")
+    __slots__ = ("indptr", "indices", "flips", "num_nodes", "args", "all_pairs", "pair_args")
 
     def __init__(
         self,
@@ -1343,6 +1304,7 @@ class UnionFindContext:
         indices: np.ndarray,
         flips: np.ndarray,
         boundary: int,
+        all_pairs: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int32)
         self.indices = np.ascontiguousarray(indices, dtype=np.int32)
@@ -1355,6 +1317,13 @@ class UnionFindContext:
             _ptr(self.indices),
             _ptr(self.flips),
         )
+        self.all_pairs: tuple[np.ndarray, np.ndarray] | None = None
+        self.pair_args: tuple[ctypes.c_void_p, ctypes.c_void_p] | None = None
+        if all_pairs is not None:
+            distances = np.ascontiguousarray(all_pairs[0], dtype=np.float64)
+            predecessors = np.ascontiguousarray(all_pairs[1], dtype=np.int32)
+            self.all_pairs = (distances, predecessors)
+            self.pair_args = (_ptr(distances), _ptr(predecessors))
 
 
 def hash_rows(packed: np.ndarray) -> np.ndarray:
@@ -1382,92 +1351,56 @@ def hash_rows(packed: np.ndarray) -> np.ndarray:
     return out
 
 
-def dp_match(
-    boundary_cost: np.ndarray, pair_cost: np.ndarray
-) -> list[tuple[int, int]] | None:
-    """Run the compiled bitmask DP; ``None`` signals the infinite dead end.
-
-    ``boundary_cost`` is float64[count], ``pair_cost`` float64[count, count];
-    the return value is the Python DP's pair list with *indices into the
-    flagged array* (``j == -1`` meaning the boundary), in identical order.
-    Only call when :func:`available` is true and ``count <= DP_MAX_COUNT``.
-    """
-    assert _lib is not None
-    count = int(boundary_cost.shape[0])
-    if not 0 < count <= DP_MAX_COUNT:
-        raise ValueError(f"dp_match handles 1..{DP_MAX_COUNT} detectors, got {count}")
-    scratch = _scratch
-    scratch.load_costs(boundary_cost, pair_cost)
-    pairs = int(
-        _lib.dp_match(count, scratch.boundary_ptr, scratch.pair_ptr, scratch.pairs_ptr)
-    )
-    if pairs < 0:
-        return None
-    return scratch.index_pairs(pairs)
-
-
-def blossom_match(
-    boundary_cost: np.ndarray, pair_cost: np.ndarray
-) -> list[tuple[int, int]] | None:
-    """Run the compiled blossom port; ``None`` when a cost is not finite.
-
-    Same inputs as :func:`dp_match` (only the upper triangle of
-    ``pair_cost`` is read, as the networkx graph does).  Returns networkx's
-    matched pairs as flagged-array index pairs (``j == -1`` meaning the
-    boundary) in the canonical order described in the module docstring —
-    identical to ``matching._networkx_matching`` on the same inputs.  Only
-    call when :func:`available` is true.
-    """
-    assert _lib is not None
-    scratch = _scratch
-    count = scratch.load_costs(boundary_cost, pair_cost)
-    if count == 0:
-        return []
-    pairs = int(
-        _lib.blossom_match(
-            count, scratch.boundary_ptr, scratch.pair_ptr, scratch.work_ptr,
-            scratch.pairs_ptr,
-        )
-    )
-    if pairs < 0:
-        return None
-    return scratch.index_pairs(pairs)
-
-
 def decode_syndrome(
-    ctx: DecodeContext, flagged: np.ndarray
-) -> tuple[list[tuple[int, int]], int] | None:
+    ctx: GraphContext,
+    flagged: np.ndarray,
+    paths: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[tuple[tuple[int, int], ...], int] | None:
     """Decode one exact syndrome entirely in C against ``ctx``.
 
-    Returns ``(edges, parity)`` — the correction edges in exactly the
-    order the interpreted retrace emits them, plus the logical-flip
-    parity — or ``None`` when the DP hits the infinite dead end or a
-    blossom cost is not finite (the caller then runs the full interpreted
-    path, which demotes to greedy or defers to networkx).  Only call when
-    :func:`available` is true and ``flagged`` is non-empty.
+    Fired detectors read their distance and predecessor rows from the
+    all-pairs matrices ``ctx`` pins, or, when it pins none, from ``paths``:
+    ``graph.shortest_paths_from(flagged)``, one row per fired detector.
+    Returns ``(edges, parity)`` — the correction edges in exactly the order
+    the interpreted retrace emits them, plus the logical-flip parity — or
+    ``None`` when the DP hits the infinite dead end or a blossom cost is
+    not finite (the caller then decodes on the interpreted path, which
+    demotes to greedy or runs networkx).  Only call when :func:`available`
+    is true and ``flagged`` is non-empty.
     """
     assert _lib is not None
     count = int(flagged.shape[0])
     if count <= 0:
         raise ValueError("decode_syndrome needs at least one fired detector")
     flagged = np.ascontiguousarray(flagged, dtype=np.int64)
+    flagged_ptr = _ptr(flagged)
     scratch = _scratch
     scratch.reserve(count)
     scratch.reserve_edges(2 * count * ctx.num_nodes)
-    edges_emitted = int(
+    if ctx.pair_args is not None:
+        rows_ptr, (dist_ptr, pred_ptr) = flagged_ptr, ctx.pair_args
+    else:
+        if paths is None:
+            raise ValueError("a context without all-pairs matrices needs paths")
+        distances = np.ascontiguousarray(paths[0], dtype=np.float64)
+        predecessors = np.ascontiguousarray(paths[1], dtype=np.int32)
+        if distances.shape != (count, ctx.num_nodes) or predecessors.shape != distances.shape:
+            raise ValueError("paths must hold one row per fired detector")
+        rows_ptr, dist_ptr, pred_ptr = scratch.rows_ptr, _ptr(distances), _ptr(predecessors)
+    emitted = int(
         _lib.decode_syndrome(
-            count, _ptr(flagged), *ctx.args, scratch.work_ptr, scratch.pairs_ptr,
-            scratch.edges_ptr, scratch.parity_ptr,
+            count, flagged_ptr, rows_ptr, dist_ptr, pred_ptr, *ctx.args,
+            scratch.work_ptr, scratch.pairs_ptr, scratch.edges_ptr, scratch.parity_ptr,
         )
     )
-    if edges_emitted < 0:
+    if emitted < 0:
         return None
-    flat = scratch.edges[: 2 * edges_emitted].tolist()
-    return list(zip(flat[0::2], flat[1::2])), int(scratch.parity[0])
+    flat = scratch.edges[: 2 * emitted].tolist()
+    return tuple(zip(flat[0::2], flat[1::2])), int(scratch.parity[0])
 
 
 def uf_decode(
-    ctx: UnionFindContext, flagged: np.ndarray, max_steps: int
+    ctx: GraphContext, flagged: np.ndarray, max_steps: int
 ) -> tuple[tuple[tuple[int, int], ...], int] | None:
     """Union-find decode of one syndrome entirely in C against ``ctx``.
 

@@ -14,15 +14,15 @@ it lives here exactly once:
   :meth:`decode_edges_unique` (correction edges per unique syndrome plus
   the scatter map, used by windowed decoding) pack the whole
   ``(shots, rounds, detectors)`` record into per-shot syndrome bitstrings
-  with whole-batch NumPy ops, deduplicate identical syndromes via
-  ``np.unique`` and decode each unique syndrome once.  At low physical error rates most shots share a handful of
+  with whole-batch NumPy ops, deduplicate identical syndromes by a 64-bit
+  row hash and decode each unique syndrome once.  At low physical error rates most shots share a handful of
   syndromes, so one decode serves thousands of shots,
 * **the cross-call cache** — every decoded syndrome lands in a
   :class:`~repro.decoders.cache.SyndromeCache` keyed by the detector
   graph's fingerprint plus the decoder's own configuration, so repeated
   batches, sliding windows and multiplexed realtime streams all reuse each
-  other's work.  Decoders with different tuning (strategy, thresholds)
-  never alias: the tuning is part of the key.
+  other's work.  Decoders with different configurations (method,
+  union-find growth cap) never alias: the configuration is part of the key.
 """
 
 from __future__ import annotations
@@ -218,25 +218,18 @@ class DecoderBase:
             return history, final, empty, empty
         events = np.concatenate([history.reshape(shots, -1), final], axis=1)
         packed = np.packbits(events, axis=1)
-        if _ckernels.available():
-            # Group by a compiled 64-bit row hash instead of lex-sorting the
-            # whole row matrix; the grouping is verified against the raw
-            # rows, so a hash collision only costs a demotion to the exact
-            # path, never a wrong merge.  Group *order* differs between the
-            # two paths, but every per-shot output is rebuilt through
-            # ``inverse``, which erases the order.
-            hashes = _ckernels.hash_rows(packed)
-            _, first, inverse = np.unique(
-                hashes, return_index=True, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
-            if not np.array_equiv(packed, packed[first[inverse]]):
-                _OBS_HASH_COLLISIONS.inc()
-                _, first, inverse = np.unique(
-                    packed, axis=0, return_index=True, return_inverse=True
-                )
-                inverse = inverse.reshape(-1)
-        else:
+        # Group by a 64-bit row hash (compiled, or its bit-identical NumPy
+        # fallback) instead of lex-sorting the whole row matrix; the
+        # grouping is verified against the raw rows, so a hash collision
+        # only costs a demotion to the exact row sort, never a wrong merge.
+        # Group *order* differs between the two, but every per-shot output
+        # is rebuilt through ``inverse``, which erases the order.
+        _, first, inverse = np.unique(
+            _ckernels.hash_rows(packed), return_index=True, return_inverse=True
+        )
+        inverse = inverse.reshape(-1)
+        if not np.array_equiv(packed, packed[first[inverse]]):
+            _OBS_HASH_COLLISIONS.inc()
             _, first, inverse = np.unique(
                 packed, axis=0, return_index=True, return_inverse=True
             )

@@ -11,7 +11,7 @@ with least-recently-used eviction.
 
 Keys embed the owning decoder's cache prefix, which includes the
 :attr:`~repro.decoders.detector_graph.DetectorGraph.fingerprint` of the
-detector graph and the decoder's tuning (method, strategy, thresholds), so
+detector graph and the decoder's configuration (method, growth cap), so
 one cache instance can safely be shared between decoders over different
 graphs — the realtime :class:`~repro.realtime.service.DecodeService` does
 exactly that to let multiplexed streams pool their syndromes.  All

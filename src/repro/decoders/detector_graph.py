@@ -305,24 +305,26 @@ class DetectorGraph:
         return self._edge_lookup.get((min(node_a, node_b), max(node_a, node_b)))
 
     @cached_property
-    def flips_dense(self) -> np.ndarray | None:
-        """Dense symmetric uint8 matrix of per-edge logical-flip parities.
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The graph as CSR with one logical-flip bit per slot.
 
-        ``flips_dense[a, b]`` is 1 exactly when :meth:`edge_between` returns
-        an edge with ``flips_logical`` (after parallel-edge collapsing), so a
-        matrix lookup is interchangeable with the edge-object path.  Used by
-        the compiled :func:`repro.decoders._ckernels.decode_syndrome` kernel;
-        ``None`` past the all-pairs size gate, where the kernel cannot run
-        anyway.
+        ``(indptr, indices, flips)``: node ``a``'s slots
+        ``indptr[a]:indptr[a + 1]`` hold :attr:`neighbors` ``[a]`` in list
+        order, and ``flips[s]`` is 1 exactly when :meth:`edge_between` of
+        the slot's node pair crosses the logical (after parallel-edge
+        collapsing).  O(nodes + edges); the compiled decoders read the
+        graph from it (:class:`repro.decoders._ckernels.GraphContext`).
         """
-        if self.num_nodes > _ALL_PAIRS_MAX_NODES:
-            return None
-        flips = np.zeros((self.num_nodes, self.num_nodes), dtype=np.uint8)
-        for (node_a, node_b), edge in self._edge_lookup.items():
-            if edge.flips_logical:
-                flips[node_a, node_b] = 1
-                flips[node_b, node_a] = 1
-        return flips
+        slots = [(a, b) for a, row in enumerate(self.neighbors) for b in row]
+        lookup = self._edge_lookup
+        return (
+            np.cumsum([0, *map(len, self.neighbors)], dtype=np.int32),
+            np.array([b for _, b in slots], dtype=np.int32),
+            np.array(
+                [lookup[min(a, b), max(a, b)].flips_logical for a, b in slots],
+                dtype=np.uint8,
+            ),
+        )
 
     @cached_property
     def fingerprint(self) -> str:

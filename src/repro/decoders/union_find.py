@@ -91,21 +91,9 @@ class UnionFindDecoder(DecoderBase):
     # Compiled whole-entry shortcut (the DecoderBase._fast_entry hook)
     # ------------------------------------------------------------------ #
     @cached_property
-    def _fast_ctx(self) -> _ckernels.UnionFindContext:
-        """The graph as CSR for the union-find kernel, built on first use.
-
-        Slots follow ``graph.neighbors`` list order, each carrying the
-        logical-flip bit of its (parallel-collapsed) edge.
-        """
-        neighbors = self.graph.neighbors
-        lookup = self.graph._edge_lookup
-        slots = [(a, b) for a, row in enumerate(neighbors) for b in row]
-        return _ckernels.UnionFindContext(
-            np.cumsum([0, *map(len, neighbors)]),
-            np.array([b for _, b in slots]),
-            np.array([lookup[min(a, b), max(a, b)].flips_logical for a, b in slots]),
-            self.graph.boundary_node,
-        )
+    def _fast_ctx(self) -> _ckernels.GraphContext:
+        """The graph as CSR for the union-find kernel, built on first use."""
+        return _ckernels.GraphContext(*self.graph.csr, self.graph.boundary_node)
 
     def _fast_entry(self, flagged: np.ndarray) -> tuple | None:
         """Serve the whole entry from the C kernel when it is available.

@@ -118,9 +118,6 @@ class MemoryExperiment:
     :mod:`repro.realtime` instead: corrections are committed
     ``commit_rounds`` rounds at a time as the record is replayed, and
     ``window_rounds >= rounds`` is bit-identical to the offline decode.
-    ``decoder_max_exact_nodes`` and ``decoder_strategy`` tune the matching
-    decoder's exact-vs-greedy trade-off (see
-    :class:`repro.decoders.MatchingDecoder`).
 
     ``decode_batch_size`` sets the simulate-and-decode chunk size of
     :meth:`run` (the whole-batch NumPy decode path deduplicates syndromes
@@ -142,8 +139,6 @@ class MemoryExperiment:
     seed: int = 0
     window_rounds: int | None = None
     commit_rounds: int | None = None
-    decoder_max_exact_nodes: int | None = None
-    decoder_strategy: str | None = None
     decode_batch_size: int | None = None
 
     #: Default simulate-and-decode chunk size when neither the experiment nor
@@ -245,18 +240,11 @@ class MemoryExperiment:
                 window_rounds=self.window_rounds,
                 commit_rounds=self.commit_rounds,
                 method=self.decoder_method,
-                max_exact_nodes=self.decoder_max_exact_nodes,
-                strategy=self.decoder_strategy,
             )
         graph = DetectorGraph(
             code=self.code, rounds=rounds, noise=self.noise, hyperedges="decompose"
         )
-        return make_decoder(
-            graph,
-            self.decoder_method,
-            max_exact_nodes=self.decoder_max_exact_nodes,
-            strategy=self.decoder_strategy,
-        )
+        return make_decoder(graph, self.decoder_method)
 
     def run_undecoded(self, shots: int, rounds: int) -> RunResult:
         """Run the simulator without decoding (leakage-population studies)."""

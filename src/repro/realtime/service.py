@@ -328,7 +328,7 @@ class DecodeService:
 
     Parameters
     ----------
-    window_rounds / commit_rounds / method / max_exact_nodes / strategy:
+    window_rounds / commit_rounds / method:
         Windowed-decoder configuration, applied per stream (see
         :class:`~repro.realtime.window.WindowedDecoder`).
     workers:
@@ -354,8 +354,6 @@ class DecodeService:
         window_rounds: int,
         commit_rounds: int | None = None,
         method: str = "matching",
-        max_exact_nodes: int | None = None,
-        strategy: str | None = None,
         workers: int = 4,
         queue_depth: int | None = None,
         observer: ServiceObserver | None = None,
@@ -365,8 +363,6 @@ class DecodeService:
         self.window_rounds = int(window_rounds)
         self.commit_rounds = commit_rounds
         self.method = method
-        self.max_exact_nodes = max_exact_nodes
-        self.strategy = strategy
         self.observer = observer
         self.workers = int(workers)
         self.queue_depth = int(queue_depth) if queue_depth is not None else max(2, workers)
@@ -413,8 +409,6 @@ class DecodeService:
             window_rounds=execution.window_rounds,
             commit_rounds=execution.commit_rounds,
             method=config.decoder.name,
-            max_exact_nodes=config.decoder.max_exact_nodes,
-            strategy=config.decoder.strategy,
             workers=workers,
             queue_depth=queue_depth,
             observer=observer,
@@ -497,7 +491,6 @@ class DecodeService:
         window_rounds: int | None = None,
         commit_rounds: int | None = None,
         method: str | None = None,
-        strategy: str | None = None,
     ) -> StreamHandle:
         """Open a push-mode stream on the persistent pool (auto-starts it).
 
@@ -515,7 +508,6 @@ class DecodeService:
             window_rounds=window_rounds,
             commit_rounds=commit_rounds,
             method=method,
-            strategy=strategy,
         )
 
     def close(self, drain: bool = True, timeout: float | None = None) -> None:
@@ -598,7 +590,6 @@ class DecodeService:
         window_rounds: int | None = None,
         commit_rounds: int | None = None,
         method: str | None = None,
-        strategy: str | None = None,
     ) -> StreamHandle:
         """Attach a push-mode stream to the running pool."""
         if shots <= 0 or rounds <= 0:
@@ -610,7 +601,6 @@ class DecodeService:
             window_rounds=window_rounds,
             commit_rounds=commit_rounds,
             method=method,
-            strategy=strategy,
         )
         with self._wake:
             if self._closed:
@@ -688,7 +678,6 @@ class DecodeService:
         window_rounds: int | None = None,
         commit_rounds: int | None = None,
         method: str | None = None,
-        strategy: str | None = None,
     ) -> WindowedDecoder:
         return WindowedDecoder(
             code=code,
@@ -697,8 +686,6 @@ class DecodeService:
             window_rounds=self.window_rounds if window_rounds is None else window_rounds,
             commit_rounds=self.commit_rounds if commit_rounds is None else commit_rounds,
             method=self.method if method is None else method,
-            max_exact_nodes=self.max_exact_nodes,
-            strategy=self.strategy if strategy is None else strategy,
             cache=self.cache,
         )
 

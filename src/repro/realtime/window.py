@@ -71,8 +71,8 @@ class WindowedDecoder:
         Defaults to ``max(1, W // 2)`` — 50% overlap, the usual
         latency/accuracy compromise.  ``C == W`` gives non-overlapping
         forward windows that communicate only through artifacts.
-    method / max_exact_nodes / strategy:
-        Passed through to :func:`repro.decoders.make_decoder`.
+    method:
+        The decoder name, passed to :func:`repro.decoders.make_decoder`.
     cache:
         The syndrome->correction cache shared by every window-size decoder
         this instance builds (``None``: a fresh one of
@@ -91,8 +91,6 @@ class WindowedDecoder:
     window_rounds: int
     commit_rounds: int | None = None
     method: str = "matching"
-    max_exact_nodes: int | None = None
-    strategy: str | None = None
     cache: SyndromeCache | None = None
     _decoders: dict = field(init=False, default_factory=dict, repr=False)
 
@@ -129,13 +127,7 @@ class WindowedDecoder:
             )
             self._decoders[window] = (
                 graph,
-                make_decoder(
-                    graph,
-                    self.method,
-                    max_exact_nodes=self.max_exact_nodes,
-                    strategy=self.strategy,
-                    cache=self.cache,
-                ),
+                make_decoder(graph, self.method, cache=self.cache),
             )
         return self._decoders[window]
 

@@ -204,8 +204,8 @@ class ServeClient:
         ``code`` is ``{"family": "surface"|"color"|"toric", "distance": d}``
         and ``noise`` is ``{"p": ..., "leakage_ratio": ...}``; ``overrides``
         pass through per-stream decoder knobs (``window_rounds``,
-        ``commit_rounds``, ``method``, ``strategy``); the server ignores
-        keys it does not know.
+        ``commit_rounds``, ``method``); the server ignores keys it does
+        not know.
 
         ``accept_retries`` bounds re-OPEN attempts after a ``REJECT``
         (admission control pushes back when the server or tenant is at

@@ -66,7 +66,7 @@ class FrameType(IntEnum):
     HELLO = 1  # client->server: {tenant, protocol}
     WELCOME = 2  # server->client: {server, protocol, shards}
     # client->server: {stream, shots, rounds, code, noise} plus optional
-    # window_rounds / commit_rounds / method / strategy; other keys are ignored
+    # window_rounds / commit_rounds / method; other keys are ignored
     OPEN = 3
     ACCEPT = 4  # server->client: {stream}
     REJECT = 5  # server->client: {stream, reason}

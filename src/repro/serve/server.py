@@ -137,7 +137,8 @@ class ServerConfig:
 
     Every shard is a :class:`DecodeService`: it coalesces same-pass ready
     windows across its streams and decodes through one syndrome cache of
-    the default capacity.
+    the default capacity, with the one matching behaviour (exact up to 60
+    fired detectors, greedy beyond).
     """
 
     host: str = "127.0.0.1"
@@ -152,8 +153,6 @@ class ServerConfig:
     window_rounds: int = 4
     commit_rounds: int | None = None
     method: str = "matching"
-    max_exact_nodes: int | None = None
-    strategy: str | None = None
     drain_timeout: float = 10.0
 
     def __post_init__(self) -> None:
@@ -236,8 +235,6 @@ class DecodeServer:
                 window_rounds=self.config.window_rounds,
                 commit_rounds=self.config.commit_rounds,
                 method=self.config.method,
-                max_exact_nodes=self.config.max_exact_nodes,
-                strategy=self.config.strategy,
                 workers=self.config.workers_per_shard,
                 queue_depth=self.config.queue_depth,
                 observer=self.slo,
@@ -441,7 +438,6 @@ class DecodeServer:
                     window_rounds=request.get("window_rounds"),
                     commit_rounds=request.get("commit_rounds"),
                     method=request.get("method"),
-                    strategy=request.get("strategy"),
                 )
         except ServiceClosed:
             self.slo.on_rejected()

@@ -61,11 +61,8 @@ class SweepSpec:
         Defaults to the legacy convention: on for undecoded sweeps, off for
         decoded ones.
     decoder_method:
-        Decoder backend for decoded sweeps (``matching`` or ``union_find``).
-    decoder_max_exact_nodes / decoder_strategy:
-        Matching-decoder tuning forwarded to
-        :func:`repro.decoders.make_decoder` (exact->greedy threshold and
-        the ``auto``/``exact``/``greedy`` strategy pin).
+        Decoder backend for decoded sweeps (``matching`` or ``union_find``;
+        matching is exact up to 60 fired detectors, greedy beyond).
     windows:
         Sliding-window axis for decoded sweeps: each entry is a
         ``window_rounds`` value routed through the
@@ -94,8 +91,6 @@ class SweepSpec:
     decoded: bool = False
     leakage_sampling: bool | None = None
     decoder_method: str = "matching"
-    decoder_max_exact_nodes: int | None = None
-    decoder_strategy: str | None = None
     windows: Sequence[int | None] = (None,)
     commit_rounds: int | None = None
     decode_batch_size: int | None = None
@@ -117,11 +112,7 @@ class SweepSpec:
             # Undecoded runs never decode, so a window axis would compile to
             # units with identical cache keys under different labels.
             raise ValueError("windows only apply to decoded sweeps (set decoded=True)")
-        decoder = DecoderConfig(
-            name=self.decoder_method,
-            max_exact_nodes=self.decoder_max_exact_nodes,
-            strategy=self.decoder_strategy,
-        )
+        decoder = DecoderConfig(name=self.decoder_method)
         compiled: list[WorkUnit] = []
         for distance in self.distances:
             rounds = self.rounds_for(distance)

@@ -88,8 +88,7 @@ __all__ = [
 
 #: Bump when the shard payload or summary format changes so stale cache
 #: entries are never deserialised into the new layout.  v2: decoder tuning
-#: (max_exact_nodes / strategy) and realtime window configuration joined the
-#: cache key.  v3: ``decode_batch_size`` joined the key (the chunk plan
+#: and realtime window configuration joined the cache key.  v3: ``decode_batch_size`` joined the key (the chunk plan
 #: determines per-chunk simulator seeds, so two batch sizes are different —
 #: equally valid — samples).  v4: the key is a digest of the unit's
 #: canonical :class:`~repro.api.config.ExperimentConfig` (see

@@ -94,7 +94,7 @@ def _full_config() -> ExperimentConfig:
         noise=NoiseConfig(preset="paper", p=2e-3, leakage_ratio=1.0,
                           overrides={"leakage_mobility": 0.2}),
         policy=PolicyConfig(name="gladiator+m", options={"threshold": 0.05}),
-        decoder=DecoderConfig(name="matching", max_exact_nodes=10, strategy="greedy"),
+        decoder=DecoderConfig(name="matching"),
         execution=ExecutionConfig(shots=40, rounds=6, seed=3, decoded=True,
                                   leakage_sampling=True, decode_batch_size=16,
                                   window_rounds=4, commit_rounds=2, workers=2),
@@ -151,10 +151,6 @@ def test_removed_fused_flag_is_an_unknown_field():
 def test_validation_rejects_bad_sections():
     with pytest.raises(ValueError):
         ExperimentConfig(execution=ExecutionConfig(shots=0)).validate()
-    with pytest.raises(ValueError):  # union_find has no tuning knobs
-        ExperimentConfig(
-            decoder=DecoderConfig(name="union_find", strategy="greedy")
-        ).validate()
     with pytest.raises(ValueError):  # windows need decoding
         ExperimentConfig(
             execution=ExecutionConfig(decoded=False, window_rounds=4)
@@ -230,10 +226,10 @@ def test_decoded_windowed_config_keys_are_pinned():
 
     config = _full_config()
     assert config.digest() == (
-        "732fd98822b3ee718cbd7f14606148d2d65828a667d757731964e23f9835c8b9"
+        "cbebd1d341e45503ee6dba2c056af3745cd5ea626c2bf3e5a6fb068a0a1f6d7d"
     )
     assert unit_key(WorkUnit(canonical_config(config))) == (
-        "b95b7bbd13c0003b90b4491861054df7d74ddfe4143f856436b24337d472580b"
+        "76aee26889a3559b9d7bf566f316f0b69c5b286f91888d1339c341c4b2feed30"
     )
 
 

@@ -183,7 +183,7 @@ def test_session_stream_requires_window():
         {"code": {"name": "Color"}, "decoder": {"name": "union-find"},
          "execution": {"decode_batch_size": 8, "workers": 2}},
         {"policy": {"options": {"threshold": 0.1}},
-         "decoder": {"max_exact_nodes": 4},
+         "decoder": {"name": "union_find"},
          "execution": {"decoded": False, "telemetry": "1"}},
         {"noise": {"preset": "drift", "overrides": {"leakage_mobility": 0.2}},
          "execution": {"window_rounds": 4, "commit_rounds": 2}},

@@ -21,6 +21,8 @@ from repro.decoders import (
     make_decoder,
 )
 from repro.decoders import _ckernels
+from repro.api.registry import CODES
+from repro.experiments import make_code
 from repro.noise import paper_noise
 from repro.sim import LeakageSimulator, SimulatorOptions
 
@@ -166,19 +168,17 @@ def test_cache_never_aliases_different_graphs_or_tuning(graphs):
     assert graph.fingerprint != other_rounds.fingerprint
     assert graph.fingerprint != other_noise.fingerprint
 
-    # Same graph, different matching tuning: separate cache entries.
+    # Same graph, different decoders: separate cache entries.
     history, final = _random_batch(graph, shots=1, density=0.08, seed=41)
     shared = SyndromeCache()
-    make_decoder(graph, "matching", strategy="exact", cache=shared).decode_batch(
-        history, final
-    )
-    make_decoder(graph, "matching", strategy="greedy", cache=shared).decode_batch(
-        history, final
-    )
+    make_decoder(graph, "matching", cache=shared).decode_batch(history, final)
+    make_decoder(graph, "union_find", cache=shared).decode_batch(history, final)
     stats = shared.stats()
     assert stats["misses"] == 2 and stats["hits"] == 0
-    # ...and union-find is keyed apart from matching as well.
-    make_decoder(graph, "union_find", cache=shared).decode_batch(history, final)
+    # ...and union-find decoders with different growth caps as well.
+    UnionFindDecoder(graph, max_growth_steps=50, cache=shared).decode_batch(
+        history, final
+    )
     assert shared.stats()["misses"] == 3
 
 
@@ -240,6 +240,57 @@ def test_shortest_paths_fallback_matches_all_pairs_tables(monkeypatch):
     fall_dist, fall_pred = gated.shortest_paths_from(sources)
     assert np.allclose(table_dist, fall_dist)
     assert np.array_equal(table_pred, fall_pred)
+
+
+@pytest.mark.parametrize("family", sorted(CODES.names()))
+def test_past_gate_matching_equals_all_pairs_and_interpreted(monkeypatch, family):
+    """Past the all-pairs size gate the compiled entry reads each syndrome's
+    own dijkstra rows: every matching entry (edges, their order, parity)
+    equals the all-pairs decode and the kernels-off decode, on every
+    registered code, including toric syndromes whose unreachable boundary
+    ends the DP in its infinite dead end."""
+    from repro.decoders import detector_graph as dg
+
+    code = make_code(family, 3)
+    noise = paper_noise(p=2e-3, leakage_ratio=1.0)
+    tabled = DetectorGraph(code=code, rounds=ROUNDS, noise=noise, hyperedges="decompose")
+    assert tabled._all_pairs is not None
+    monkeypatch.setattr(dg, "_ALL_PAIRS_MAX_NODES", 1)
+    gated = DetectorGraph(code=code, rounds=ROUNDS, noise=noise, hyperedges="decompose")
+    assert gated._all_pairs is None
+    rng = np.random.default_rng(57)
+    shots, detectors = 40, gated.boundary_node
+    flat = np.zeros((shots, detectors), dtype=bool)
+    for shot in range(shots):  # 1..16 fired: analytic, DP and blossom sizes
+        count = int(rng.integers(1, min(16, detectors) + 1))
+        flat[shot, rng.choice(detectors, size=count, replace=False)] = True
+    history = flat[:, : ROUNDS * gated.num_z_stabs].reshape(shots, ROUNDS, -1)
+    final = flat[:, ROUNDS * gated.num_z_stabs :]
+    fired = [gated.flagged_nodes(history[s], final[s]) for s in range(shots)]
+    assert any(f.size > 8 for f in fired), "no syndrome reaches blossom"
+
+    entries = {}
+    for flag in ("1", "0"):
+        monkeypatch.setenv("REPRO_DECODER_CKERNELS", flag)
+        for name, graph in (("all-pairs", tabled), ("past-gate", gated)):
+            decoder = make_decoder(graph, "matching", cache=SyndromeCache(0))
+            entries[flag, name] = [
+                (decoder.decode_shot_edges(history[s], final[s]),
+                 decoder.decode_shot(history[s], final[s]))
+                for s in range(shots)
+            ]
+    for key, value in entries.items():
+        assert value == entries["0", "all-pairs"], key
+
+    monkeypatch.setenv("REPRO_DECODER_CKERNELS", "1")
+    if family == "toric" and _ckernels.available():
+        ctx = make_decoder(gated, "matching")._fast_ctx
+        dead_ends = [
+            f for f in fired
+            if 2 < f.size <= 8
+            and _ckernels.decode_syndrome(ctx, f, gated.shortest_paths_from(f)) is None
+        ]
+        assert dead_ends, "no toric syndrome reaches the DP dead end"
 
 
 def test_cache_clear_resets_counters():

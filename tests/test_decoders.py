@@ -11,6 +11,7 @@ import pytest
 from repro.core import make_policy
 from repro.decoders import DetectorGraph, MatchingDecoder, UnionFindDecoder, make_decoder
 from repro.decoders import _ckernels as deckernels
+from repro.decoders.matching import _EXACT_MAX_FIRED
 from repro.noise import ideal_noise, paper_noise
 from repro.sim import LeakageSimulator, SimulatorOptions
 
@@ -187,23 +188,30 @@ def test_mid_round_data_faults_have_diagonal_edges():
 def test_make_decoder_factory(graph_d3):
     assert isinstance(make_decoder(graph_d3, "matching"), MatchingDecoder)
     assert isinstance(make_decoder(graph_d3, "union_find"), UnionFindDecoder)
+    assert isinstance(make_decoder(graph_d3, "union-find"), UnionFindDecoder)
     with pytest.raises(ValueError):
         make_decoder(graph_d3, "bp-osd")
 
 
-def test_greedy_fallback_used_for_large_syndromes(surface_d3):
-    noise = paper_noise(p=2e-2, leakage_ratio=0.0)
-    graph = DetectorGraph(code=surface_d3, rounds=8, noise=noise)
-    decoder = MatchingDecoder(graph, max_exact_nodes=2)
+@pytest.fixture(scope="module")
+def graph_long(surface_d3):
+    """Surface d=3 over enough rounds to fire more than the exact bound."""
+    graph = DetectorGraph(code=surface_d3, rounds=20, noise=paper_noise())
+    assert graph.boundary_node > _EXACT_MAX_FIRED + 1
+    return graph
+
+
+def test_greedy_fallback_used_for_large_syndromes(graph_long):
     rng = np.random.default_rng(9)
-    history = rng.random((8, graph.num_z_stabs)) < 0.2
-    final = rng.random(graph.num_z_stabs) < 0.2
+    history = rng.random((20, graph_long.num_z_stabs)) < 0.9
+    final = rng.random(graph_long.num_z_stabs) < 0.9
+    assert graph_long.flagged_nodes(history, final).size > _EXACT_MAX_FIRED
     # Must complete and return a valid parity even through the greedy path.
-    assert decoder.decode_shot(history, final) in (0, 1)
+    assert MatchingDecoder(graph_long).decode_shot(history, final) in (0, 1)
 
 
 # --------------------------------------------------------------------- #
-# Exact -> greedy fallback boundary and decoder tuning knobs
+# Exact -> greedy fallback boundary
 # --------------------------------------------------------------------- #
 def _spy_on_strategies(decoder):
     """Count which matching backend a decoder actually invokes.
@@ -246,56 +254,24 @@ def _fire(graph, count):
     return history, final
 
 
-def test_fallback_boundary_empty_at_and_over_threshold(graph_d3):
-    threshold = 4
+def test_fallback_boundary_empty_at_and_over_threshold(graph_long):
     # Empty syndrome: neither backend runs, the prediction is trivially 0.
-    decoder = MatchingDecoder(graph_d3, max_exact_nodes=threshold)
+    decoder = MatchingDecoder(graph_long)
     calls = _spy_on_strategies(decoder)
-    assert decoder.decode_shot(*_fire(graph_d3, 0)) == 0
+    assert decoder.decode_shot(*_fire(graph_long, 0)) == 0
     assert calls == {"exact": 0, "greedy": 0}
 
     # Exactly at the threshold: still exact.
-    decoder = MatchingDecoder(graph_d3, max_exact_nodes=threshold)
+    decoder = MatchingDecoder(graph_long)
     calls = _spy_on_strategies(decoder)
-    assert decoder.decode_shot(*_fire(graph_d3, threshold)) in (0, 1)
+    assert decoder.decode_shot(*_fire(graph_long, _EXACT_MAX_FIRED)) in (0, 1)
     assert calls == {"exact": 1, "greedy": 0}
 
     # One over: greedy takes over.
-    decoder = MatchingDecoder(graph_d3, max_exact_nodes=threshold)
+    decoder = MatchingDecoder(graph_long)
     calls = _spy_on_strategies(decoder)
-    assert decoder.decode_shot(*_fire(graph_d3, threshold + 1)) in (0, 1)
+    assert decoder.decode_shot(*_fire(graph_long, _EXACT_MAX_FIRED + 1)) in (0, 1)
     assert calls == {"exact": 0, "greedy": 1}
-
-
-def test_strategy_pin_overrides_threshold(graph_d3):
-    # "greedy" ignores how small the syndrome is...
-    decoder = MatchingDecoder(graph_d3, max_exact_nodes=60, strategy="greedy")
-    calls = _spy_on_strategies(decoder)
-    decoder.decode_shot(*_fire(graph_d3, 2))
-    assert calls == {"exact": 0, "greedy": 1}
-    # ...and "exact" ignores how large it is.
-    decoder = MatchingDecoder(graph_d3, max_exact_nodes=2, strategy="exact")
-    calls = _spy_on_strategies(decoder)
-    decoder.decode_shot(*_fire(graph_d3, 6))
-    assert calls == {"exact": 1, "greedy": 0}
-
-
-def test_matching_decoder_validates_tuning(graph_d3):
-    with pytest.raises(ValueError):
-        MatchingDecoder(graph_d3, strategy="fastest")
-    with pytest.raises(ValueError):
-        MatchingDecoder(graph_d3, max_exact_nodes=-1)
-
-
-def test_make_decoder_forwards_tuning(graph_d3):
-    decoder = make_decoder(graph_d3, "matching", max_exact_nodes=7, strategy="greedy")
-    assert decoder.max_exact_nodes == 7
-    assert decoder.strategy == "greedy"
-    # union-find has no such knobs; a requested configuration must not be
-    # silently dropped.
-    with pytest.raises(ValueError):
-        make_decoder(graph_d3, "union_find", max_exact_nodes=7)
-    assert isinstance(make_decoder(graph_d3, "union-find"), UnionFindDecoder)
 
 
 def test_hyperedge_decomposition_opt_in():

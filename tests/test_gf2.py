@@ -1,10 +1,15 @@
 """Tests for GF(2) linear algebra helpers."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.api.registry import CODES
 from repro.codes.classical import hamming_parity_check, repetition_parity_check
 from repro.codes.gf2 import (
+    _quotient_basis,
     css_logical_operators,
     gf2_nullspace,
     gf2_rank,
@@ -13,6 +18,7 @@ from repro.codes.gf2 import (
     gf2_solve,
     in_rowspace,
 )
+from repro.experiments import make_code
 
 
 def test_rank_identity():
@@ -98,3 +104,70 @@ def test_rowspace_basis_is_full_rank():
     basis = gf2_rowspace(matrix)
     assert basis.shape[0] == 2
     assert gf2_rank(basis) == 2
+
+
+# --------------------------------------------------------------------- #
+# Logical-operator representatives
+# --------------------------------------------------------------------- #
+def _quotient_basis_by_rank(kernel_basis, stabilizer_matrix):
+    """Reference: keep a kernel row when stacking it raises ``gf2_rank``."""
+    current = gf2_rowspace(stabilizer_matrix)
+    representatives = []
+    for row in kernel_basis:
+        stacked = np.vstack([current, row[np.newaxis, :]])
+        if gf2_rank(stacked) > gf2_rank(current):
+            representatives.append(row.copy())
+            current = stacked
+    return np.array(representatives, dtype=np.uint8).reshape(-1, kernel_basis.shape[1])
+
+
+@st.composite
+def css_pairs(draw):
+    """A random ``(h_x, h_z)`` pair with ``h_x @ h_z.T = 0`` over GF(2)."""
+    qubits = draw(st.integers(min_value=1, max_value=14))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    h_x = rng.integers(0, 2, size=(draw(st.integers(0, qubits)), qubits))
+    null = gf2_nullspace(h_x)
+    combos = rng.integers(0, 2, size=(draw(st.integers(0, 8)), null.shape[0]))
+    return h_x, (combos @ null) % 2
+
+
+@given(css_pairs())
+@settings(max_examples=80, deadline=None)
+def test_quotient_basis_equals_the_rank_per_row_reference(pair):
+    h_x, h_z = pair
+    for kernel, stabilizers in ((gf2_nullspace(h_z), h_x), (gf2_nullspace(h_x), h_z)):
+        fast = _quotient_basis(kernel, stabilizers)
+        reference = _quotient_basis_by_rank(kernel, stabilizers)
+        assert fast.dtype == reference.dtype
+        assert np.array_equal(fast, reference)
+
+
+#: sha256 of ``css_logical_operators`` output (both matrices, shapes, dtype)
+#: on each registered code's parity checks, from the rank-per-row algorithm.
+_CSS_LOGICAL_DIGESTS = {
+    ("bpc", None): "126672ebcd897dddb3c69ee29f9fa5b5bc52a6a12bcfae66f4ec05323cbd13ce",
+    ("color", 3): "770b8f780af88d86aa5117c3574c6394670d2e21e90a8be5aa5ce361cd1f6cc5",
+    ("color", 5): "2e62860c9778615b4242b3b196274af1906e23bb2efa21ae286a2fad72559dfa",
+    ("hgp", None): "4a62acf0d596f7163bc4a35d507d2b9b250c4b62c57d467a5b5a8bfaa735a66e",
+    ("surface", 3): "d9036029c76a4f00df3721515bd178a05477be2ebe4fae02753010b22e39ce50",
+    ("surface", 5): "bb99d18c9715cf455b880794f0a3ab716bf75f6aa11bca077a6d9ea33595b7c6",
+    ("toric", 3): "4ad17570e3c1c5e94025ea3e2a3eb2090621ce1f1bdd8250235aa469783b9c7f",
+    ("toric", 5): "fbaf51c31f8fcb31a759f85c3f07b8e90c90b6605d4ae6e9aa1df3b3b2a915eb",
+}
+
+
+def test_css_logical_digests_cover_every_registered_code():
+    assert {family for family, _ in _CSS_LOGICAL_DIGESTS} == set(CODES.names())
+
+
+@pytest.mark.parametrize("family, distance", list(_CSS_LOGICAL_DIGESTS))
+def test_css_logical_operators_are_byte_pinned(family, distance):
+    code = make_code(family, distance)
+    logical_x, logical_z = css_logical_operators(code.parity_check_x, code.parity_check_z)
+    digest = hashlib.sha256(
+        logical_x.tobytes()
+        + logical_z.tobytes()
+        + repr((logical_x.shape, logical_z.shape, str(logical_x.dtype))).encode()
+    ).hexdigest()
+    assert digest == _CSS_LOGICAL_DIGESTS[family, distance]

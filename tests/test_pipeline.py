@@ -264,14 +264,6 @@ def test_hash_collision_demotes_to_exact_dedup(monkeypatch):
     assert np.array_equal(collided, expected)
 
 
-def test_dp_kernel_rejects_oversized_inputs():
-    if not deckernels.available():
-        pytest.skip("no C toolchain available")
-    costs = np.full((9, 9), 2.0)
-    with pytest.raises(ValueError):
-        deckernels.dp_match(np.full(9, 1.0), costs)
-
-
 @pytest.mark.parametrize("family", sorted(CODES))
 def test_dp_decode_entry_matches_interpreted_path(monkeypatch, family):
     """The one-call ``decode_syndrome`` kernel reproduces the interpreted entry

@@ -44,7 +44,8 @@ from repro.decoders import (
     make_decoder,
 )
 from repro.decoders import _ckernels as deckernels
-from repro.decoders.matching import STRATEGIES, _networkx_matching
+from repro.decoders import matching
+from repro.decoders.matching import _networkx_matching
 from repro.noise import paper_noise
 from repro.sim import _ckernels as simkernels
 from repro.sim.draws import DrawSource
@@ -381,22 +382,49 @@ def _dp_pairs(boundary, pair):
     return [(a, -1 if b == count else b) for a, b in pairs]
 
 
+def _kernel_pairs(boundary, pair):
+    """``decode_syndrome`` on a synthetic complete graph: detectors are nodes
+    ``0..n-1``, node ``n`` is the boundary, and ``pred[i][j] = i``, so each
+    matched pair ``(i, j)`` retraces as exactly the one edge ``(i, j)``, in
+    the kernel's pair order and orientation.  ``None`` when the kernel
+    defers (DP dead end, non-finite blossom cost)."""
+    count = boundary.size
+    distances = np.zeros((count + 1, count + 1))
+    distances[:count, :count] = pair
+    distances[:count, count] = distances[count, :count] = boundary
+    predecessors = np.repeat(np.arange(count + 1, dtype=np.int32)[:, None], count + 1, axis=1)
+    np.fill_diagonal(predecessors, -9999)
+    # No CSR slots: the instance has no logical, every flip bit reads 0.
+    ctx = deckernels.GraphContext(
+        np.zeros(count + 2), np.zeros(0), np.zeros(0), count,
+        all_pairs=(distances, predecessors),
+    )
+    entry = deckernels.decode_syndrome(ctx, np.arange(count))
+    if entry is None:
+        return None
+    edges, parity = entry
+    assert parity == 0
+    return [(a, -1 if b == count else b) for a, b in edges]
+
+
 @given(matching_instances(max_count=10))
 @settings(max_examples=40, deadline=None)
 def test_exact_matching_backends_reach_the_brute_force_minimum(instance):
-    """The DP (interpreted and compiled), the compiled blossom port and
-    networkx blossom each return a complete pairing whose total cost equals
-    the minimum over every pairing-with-boundary, ties included (integer
-    and dyadic costs keep every sum exact)."""
+    """The interpreted DP, networkx blossom and the compiled
+    ``decode_syndrome`` (analytic, DP and blossom port) each return a
+    complete pairing whose total cost equals the minimum over every
+    pairing-with-boundary, ties included (integer and dyadic costs keep
+    every sum exact); for 3..8 detectors the compiled DP's pairs are the
+    interpreted DP's, in the same order."""
     boundary, pair = instance
     count = boundary.size
     best = min(_pairing_cost(p, boundary, pair) for p in _pairings(list(range(count))))
-    chosen = {"networkx": _networkx_matching(boundary, pair)}
-    for flag in ("0", "1"):
-        with _kernels(flag):
-            chosen[f"dp kernels={flag}"] = _dp_pairs(boundary, pair)
-            if deckernels.available():
-                chosen["blossom kernel"] = deckernels.blossom_match(boundary, pair)
+    chosen = {"networkx": _networkx_matching(boundary, pair), "dp": _dp_pairs(boundary, pair)}
+    with _kernels("1"):
+        if deckernels.available():
+            chosen["decode_syndrome"] = _kernel_pairs(boundary, pair)
+            if 3 <= count <= 8:
+                assert chosen["decode_syndrome"] == chosen["dp"]
     for backend, pairs in chosen.items():
         covered = sorted(i for p in pairs for i in p if i >= 0)
         assert covered == list(range(count)), backend
@@ -414,11 +442,11 @@ def test_exact_matching_backends_reach_the_brute_force_minimum(instance):
 )
 @settings(max_examples=30, deadline=None)
 def test_blossom_kernel_pairs_equal_networkx(instance):
-    """The compiled blossom port returns networkx's exact pair list — same
-    pairs, orientation and order, ties included — and defers (``None``)
-    on any non-finite cost."""
+    """The compiled blossom port (through ``decode_syndrome``) returns
+    networkx's exact pair list — same pairs, orientation and order, ties
+    included — and defers (``None``) on any non-finite cost."""
     boundary, pair = instance
-    kernel = deckernels.blossom_match(boundary, pair)
+    kernel = _kernel_pairs(boundary, pair)
     if not (np.isfinite(boundary).all() and np.isfinite(pair).all()):
         assert kernel is None
         return
@@ -460,10 +488,24 @@ def _records(graph, nodes):
     )
 
 
-_DECODER_TUNINGS = [
-    *(("matching", {"strategy": strategy}) for strategy in STRATEGIES),
-    ("union_find", {}),
+#: ``(method, exact->greedy bound)``: matching as shipped, matching with
+#: every syndrome sent to the greedy pairing, and union-find.
+_DECODER_PATHS = [
+    ("matching", matching._EXACT_MAX_FIRED),
+    ("matching", 0),
+    ("union_find", matching._EXACT_MAX_FIRED),
 ]
+
+
+@contextmanager
+def _exact_max_fired(bound):
+    previous = matching._EXACT_MAX_FIRED
+    matching._EXACT_MAX_FIRED = bound
+    try:
+        yield
+    finally:
+        matching._EXACT_MAX_FIRED = previous
+
 
 _graph_families = st.tuples(st.sampled_from(sorted(_CODES)), st.sampled_from([3, 5]))
 
@@ -472,9 +514,9 @@ _graph_families = st.tuples(st.sampled_from(sorted(_CODES)), st.sampled_from([3,
 @settings(max_examples=30, deadline=None)
 def test_corrections_reproduce_their_syndrome(family, seed, density):
     """Oracle independent of any decoder path: the syndrome of a random set
-    of graph edges is decoded by every decoder and matching strategy,
-    kernels on and off, and the mod-2 boundary of each correction must be
-    that syndrome again."""
+    of graph edges is decoded by every decoder, the matching decoder's
+    exact and greedy pairings both, kernels on and off, and the mod-2
+    boundary of each correction must be that syndrome again."""
     graph = _graph(*family)
     edges = sorted(graph._edge_lookup)
     rng = np.random.default_rng(seed)
@@ -483,10 +525,11 @@ def test_corrections_reproduce_their_syndrome(family, seed, density):
     history, final = _records(graph, syndrome)
     for flag in ("0", "1"):
         with _kernels(flag):
-            for method, tuning in _DECODER_TUNINGS:
-                decoder = make_decoder(graph, method, cache=SyndromeCache(0), **tuning)
-                correction = decoder.decode_shot_edges(history, final)
-                assert _boundary_mod2(graph, correction) == syndrome, (method, tuning, flag)
+            for method, bound in _DECODER_PATHS:
+                with _exact_max_fired(bound):
+                    decoder = make_decoder(graph, method, cache=SyndromeCache(0))
+                    correction = decoder.decode_shot_edges(history, final)
+                assert _boundary_mod2(graph, correction) == syndrome, (method, bound, flag)
 
 
 def _set_by_adds(keys):

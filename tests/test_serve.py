@@ -136,9 +136,9 @@ def test_served_predictions_bit_identical(family, method, traffic):
         assert result.summary["windows"] > 0
 
 
-def test_serve_command_carries_decoder_threshold_to_every_shard(tmp_path):
-    """``repro serve --config`` hands the config's ``decoder.max_exact_nodes``
-    to every shard's decode service, like the decoder name and strategy."""
+def test_serve_command_carries_the_decoder_to_every_shard(tmp_path):
+    """``repro serve --config`` hands the config's ``decoder.name`` to every
+    shard's decode service."""
     from repro.__main__ import _build_parser, _load_config, _server_config
     from repro.api import ExperimentConfig
     from repro.serve import DecodeServer
@@ -146,13 +146,13 @@ def test_serve_command_carries_decoder_threshold_to_every_shard(tmp_path):
     config_file = tmp_path / "served.json"
     ExperimentConfig().save(config_file)
     args = _build_parser().parse_args([
-        "serve", "--config", str(config_file), "--set", "decoder.max_exact_nodes=7",
+        "serve", "--config", str(config_file), "--set", "decoder.name=union_find",
         "--shards", "3",
     ])
     server_config = _server_config(args, _load_config(args))
-    assert server_config.max_exact_nodes == 7
+    assert server_config.method == "union_find"
     server = DecodeServer(server_config)
-    assert [shard.max_exact_nodes for shard in server.shards] == [7, 7, 7]
+    assert [shard.method for shard in server.shards] == ["union_find"] * 3
 
 
 # --------------------------------------------------------------------- #

@@ -30,8 +30,7 @@ _UNIT_FIELDS = {
     "leakage_sampling": "execution.leakage_sampling",
     "window_rounds": "execution.window_rounds",
     "commit_rounds": "execution.commit_rounds",
-    "decoder_max_exact_nodes": "decoder.max_exact_nodes",
-    "decoder_strategy": "decoder.strategy",
+    "decoder": "decoder.name",
 }
 
 
@@ -425,10 +424,9 @@ def test_unit_key_sees_window_and_decoder_tuning():
     assert unit_key(_unit(decoded=True, window_rounds=6)) != unit_key(
         _unit(decoded=True, window_rounds=6, commit_rounds=2)
     )
-    assert unit_key(base) != unit_key(_unit(decoded=True, decoder_max_exact_nodes=10))
-    assert unit_key(base) != unit_key(_unit(decoded=True, decoder_strategy="greedy"))
-    # Undecoded units never decode, so decoder tuning must not split keys.
-    assert unit_key(_unit()) == unit_key(_unit(decoder_max_exact_nodes=10))
+    assert unit_key(base) != unit_key(_unit(decoded=True, decoder="union_find"))
+    # Undecoded units never decode, so the decoder must not split keys.
+    assert unit_key(_unit()) == unit_key(_unit(decoder="union_find"))
 
 
 def test_windowed_unit_runs_through_engine(monkeypatch):
