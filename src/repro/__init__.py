@@ -58,9 +58,7 @@ from .experiments import (
     make_code,
 )
 from .noise import NoiseParams, ideal_noise, paper_noise
-from .realtime import DecodeService, ReplayStream, SimulatorStream, WindowedDecoder
 from .sim import LeakageSimulator, RunResult, SimulatorOptions
-from .sweeps import SweepCache, SweepExecutor, SweepSpec, WorkUnit
 from .api import (
     CodeConfig,
     DecoderConfig,
@@ -76,6 +74,33 @@ from .api import (
 )
 
 __version__ = "1.0.0"
+
+#: Re-exports of the serving and sweep layers, imported on first access
+#: (PEP 562) so that ``import repro`` does not load them.
+_LAZY = {
+    "SweepSpec": "sweeps",
+    "SweepExecutor": "sweeps",
+    "SweepCache": "sweeps",
+    "WorkUnit": "sweeps",
+    "SimulatorStream": "realtime",
+    "ReplayStream": "realtime",
+    "WindowedDecoder": "realtime",
+    "DecodeService": "realtime",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "__version__",

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 from .gf2 import gf2_rank
@@ -217,26 +216,26 @@ class StabilizerCode:
         return [self.pattern_width(q) for q in range(self.num_data)]
 
     @cached_property
-    def interaction_graph(self) -> nx.Graph:
-        """Graph on data qubits; edges join qubits that share a stabilizer."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_data))
-        for stab in self.stabilizers:
-            support = stab.data_support
-            for i in range(len(support)):
-                for j in range(i + 1, len(support)):
-                    graph.add_edge(support[i], support[j])
-        return graph
-
-    @cached_property
     def data_coloring(self) -> list[int]:
         """A proper colouring of the data interaction graph.
 
         Used by the staggered Always-LRC policy: qubits of the same colour are
         never adjacent, so resetting one colour group per round avoids
-        correlated LRC faults on neighbouring qubits.
+        correlated LRC faults on neighbouring qubits.  Largest-first greedy
+        (``networkx.greedy_color(strategy="largest_first")``): qubits in
+        stable descending-degree order, each taking the smallest colour its
+        neighbours (qubits sharing a stabilizer) lack.
         """
-        coloring = nx.greedy_color(self.interaction_graph, strategy="largest_first")
+        neighbours: list[set[int]] = [set() for _ in range(self.num_data)]
+        for stab in self.stabilizers:
+            for qubit in stab.data_support:
+                neighbours[qubit].update(stab.data_support)
+        for qubit, others in enumerate(neighbours):
+            others.discard(qubit)
+        coloring: dict[int, int] = {}
+        for qubit in sorted(range(self.num_data), key=lambda q: -len(neighbours[q])):
+            taken = {coloring[other] for other in neighbours[qubit] if other in coloring}
+            coloring[qubit] = next(c for c in range(len(taken) + 1) if c not in taken)
         return [coloring[q] for q in range(self.num_data)]
 
     # ------------------------------------------------------------------ #

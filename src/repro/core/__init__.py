@@ -16,7 +16,6 @@ from .graph_model import (
     GroupInfo,
     QubitContext,
     TransitionModel,
-    build_transition_graph,
     labels_for_qubit,
     qubit_context,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "GroupInfo",
     "qubit_context",
     "labels_for_qubit",
-    "build_transition_graph",
     "CalibrationData",
     # patterns & boolean minimisation
     "bits_to_int",

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import networkx as nx
 import numpy as np
 
 from ..codes.base import StabilizerCode
@@ -51,7 +51,6 @@ __all__ = [
     "GroupInfo",
     "qubit_context",
     "TransitionModel",
-    "build_transition_graph",
 ]
 
 _PAULIS = ("X", "Y", "Z")
@@ -604,40 +603,6 @@ class TransitionModel:
         )
 
 
-def build_transition_graph(
-    model: TransitionModel, two_rounds: bool = False
-) -> nx.MultiDiGraph:
-    """Materialise the merged transition graph as a ``networkx`` multidigraph.
-
-    Nodes are patterns (integers); edges run from the error-free base pattern
-    ``0`` to every pattern a mechanism of that kind reaches, keyed by
-    ``"leakage"`` / ``"nonleakage"``, and carry the merged super-edge
-    ``weight``.  Node attribute ``label`` records the final classification,
-    mirroring Figure 6(b,c) of the paper.
-    """
-    if two_rounds:
-        mechanisms = model.two_round_mechanisms()
-        size, threshold = 1 << (2 * model.context.width), model.config.threshold_two_round
-    else:
-        mechanisms = model.single_round_mechanisms()
-        size, threshold = 1 << model.context.width, model.config.threshold
-    graph = nx.MultiDiGraph()
-    graph.add_nodes_from(range(size))
-    weights = model._accumulate(mechanisms, size)
-    for is_leakage, weight in zip((True, False), weights):
-        kind = "leakage" if is_leakage else "nonleakage"
-        patterns, _ = model._outcomes(mechanisms, is_leakage)
-        reached = np.flatnonzero(np.bincount(patterns, minlength=size)).tolist()
-        graph.add_edges_from(
-            (0, pattern, kind, {"weight": float(weight[pattern]), "kind": kind})
-            for pattern in reached
-        )
-    labels = model._flag(weights, threshold)
-    for pattern in range(size):
-        graph.nodes[pattern]["label"] = "leakage" if labels[pattern] else "nonleakage"
-    return graph
-
-
 @lru_cache(maxsize=None)
 def _cached_labels(
     signature: tuple,
@@ -669,5 +634,20 @@ def labels_for_qubit(
     two_rounds: bool = False,
 ) -> np.ndarray:
     """Leakage-critical pattern table for one data qubit (cached by context)."""
-    context = qubit_context(code, qubit)
-    return _cached_labels(context.signature, calibration, config, two_rounds).copy()
+    return _cached_labels(_signatures(code)[qubit], calibration, config, two_rounds).copy()
+
+
+#: Per-code context signatures, keyed by ``id(code)`` and dropped when the
+#: code is collected (a :class:`StabilizerCode` is unhashable).
+_SIGNATURES: dict[int, tuple[tuple, ...]] = {}
+
+
+def _signatures(code: StabilizerCode) -> tuple[tuple, ...]:
+    """Every data qubit's :func:`qubit_context` signature (built once per code)."""
+    key = id(code)
+    signatures = _SIGNATURES.get(key)
+    if signatures is None:
+        signatures = tuple(qubit_context(code, q).signature for q in range(code.num_data))
+        _SIGNATURES[key] = signatures
+        weakref.finalize(code, _SIGNATURES.pop, key, None)
+    return signatures

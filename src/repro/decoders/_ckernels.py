@@ -128,7 +128,8 @@ static int32_t dp_match(int32_t count, const double* boundary_cost,
                         const double* pair_cost, int32_t* out_pairs) {
     int32_t size = 1 << count;
     double best[256];
-    int32_t prev[256], pick_i[256], pick_j[256];
+    /* prev[0..size) is set below; zeroed for -Wmaybe-uninitialized. */
+    int32_t prev[256] = {0}, pick_i[256], pick_j[256];
     for (int32_t m = 0; m < size; m++) { best[m] = INFINITY; prev[m] = -1; }
     best[0] = 0.0;
     for (int32_t mask = 0; mask < size - 1; mask++) {
@@ -820,7 +821,7 @@ int32_t decode_syndrome(int32_t count, const int64_t* flagged, const int64_t* ro
             num_pairs = 2;
         }
     } else {
-        BM s;
+        BM s = {0};  /* bm_layout sets it; zeroed for -Wmaybe-uninitialized */
         bm_layout(&s, (char*)work, count);
         for (int32_t i = 0; i < count; i++) {
             const double* row = dist + rows[i] * N;

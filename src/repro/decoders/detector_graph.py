@@ -26,13 +26,15 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from ..codes.base import StabilizerCode
 from ..noise import NoiseParams
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = ["DetectorGraph", "GraphEdge"]
 
@@ -263,7 +265,7 @@ class DetectorGraph:
         return pairs
 
     @cached_property
-    def sparse_weights(self) -> coo_matrix:
+    def sparse_weights(self) -> csr_matrix:
         """Symmetric sparse weight matrix of the graph.
 
         Built from the collapsed :meth:`edge_between` lookup: parallel edges
@@ -272,6 +274,8 @@ class DetectorGraph:
         COO constructor would otherwise sum them and price the pair as two
         faults.
         """
+        from scipy.sparse import coo_matrix
+
         rows, cols, vals = [], [], []
         for edge in self._edge_lookup.values():
             rows.extend([edge.node_a, edge.node_b])
@@ -364,6 +368,8 @@ class DetectorGraph:
         """All-pairs (distances, predecessors), or ``None`` past the size gate."""
         if self.num_nodes > _ALL_PAIRS_MAX_NODES:
             return None
+        from scipy.sparse.csgraph import dijkstra
+
         return dijkstra(
             self.sparse_weights, directed=False, return_predecessors=True
         )
@@ -376,6 +382,8 @@ class DetectorGraph:
         if all_pairs is not None:
             distances, predecessors = all_pairs
             return distances[sources], predecessors[sources]
+        from scipy.sparse.csgraph import dijkstra
+
         distances, predecessors = dijkstra(
             self.sparse_weights,
             directed=False,

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 from ..api.registry import register_decoder
@@ -279,6 +278,8 @@ def _networkx_matching(
     order the compiled port in ``decode_syndrome`` matches in, and
     independent of ``PYTHONHASHSEED`` (the result set's iteration order).
     """
+    import networkx as nx
+
     count = int(boundary_cost.shape[0])
     graph = nx.Graph()
     large = 1e9

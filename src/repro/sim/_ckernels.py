@@ -87,6 +87,7 @@ __all__ = [
     "RATE_GAPS_NOT",
     "RATE_WORDS",
     "available",
+    "gap_table",
     "draw_row",
     "draw_choices",
     "load_pcg64",
@@ -181,6 +182,14 @@ static inline int64_t pop_byte(uint64_t* w) {
     const int b = __builtin_ctzll(*w) & 56;
     *w &= ~(0xFFULL << b);
     return b >> 3;
+}
+
+/* The gap table of rate(): t_1 = keep, t_{j+1} = floor(t_j * keep / 2^64),
+ * up to max nonzero entries.  Returns its length. */
+int64_t gap_table(uint64_t keep, uint64_t* out, int64_t max) {
+    int64_t k = 0;
+    for (uint64_t t = keep; t && k < max; t = (uint64_t)(((u128)t * keep) >> 64)) out[k++] = t;
+    return k;
 }
 
 void draw_choices(uint64_t* gen, const uint8_t* where, uint8_t* out, int64_t n,
@@ -743,6 +752,8 @@ def _build() -> ctypes.CDLL | None:
     lib.qec_round.argtypes = [pointer, pointer, i64, i64, i64]
     for function in (lib.draw_row, lib.draw_choices, lib.speculate, lib.qec_round):
         function.restype = None
+    lib.gap_table.argtypes = [ctypes.c_uint64, pointer, i64]
+    lib.gap_table.restype = i64
     return lib
 
 
@@ -770,6 +781,14 @@ def store_pcg64(gen: np.ndarray, bit_generator: np.random.BitGenerator) -> None:
     state = bit_generator.state
     state["state"]["state"] = (int(gen[0]) << 64) | int(gen[1])
     bit_generator.state = state
+
+
+def gap_table(keep: int, limit: int) -> np.ndarray:
+    """The gap table of :func:`repro.sim.draws.rate` for ``keep``
+    (``2**64 - ceil(p * 2**64)``), at most ``limit`` entries, as uint64."""
+    assert _lib is not None and 0 < keep < 1 << 64
+    table = np.empty(limit, dtype=np.uint64)
+    return table[: _lib.gap_table(keep, table.ctypes.data, limit)].copy()
 
 
 def draw_row(gen_address: int, rate_address: int, out: np.ndarray) -> None:

@@ -92,19 +92,29 @@ def rate(probability: float) -> Rate:
     """The compiled :class:`Rate` of ``probability`` (built once per value)."""
     if probability <= 0.0 or probability >= 1.0:
         kind = _ckernels.RATE_ONE if probability >= 1.0 else _ckernels.RATE_ZERO
-        return _rate(probability, kind, 0, [])
+        return _rate(probability, kind, 0, np.empty(0, dtype=np.uint64))
     threshold = math.ceil(probability * 18446744073709551616.0)
     if probability == 0.5:
-        return _rate(probability, _ckernels.RATE_FAIR, threshold, [])
+        return _rate(probability, _ckernels.RATE_FAIR, threshold, np.empty(0, dtype=np.uint64))
     sampled = probability if probability < 0.5 else 1.0 - probability
     keep = _TWO64 - math.ceil(sampled * 18446744073709551616.0)
+    if _ckernels.available():
+        table = _ckernels.gap_table(keep, GAP_TABLE_MAX)
+    else:
+        table = gap_table(keep)
+    kind = _ckernels.RATE_GAPS if probability < 0.5 else _ckernels.RATE_GAPS_NOT
+    return _rate(probability, kind, threshold, table)
+
+
+def gap_table(keep: int) -> np.ndarray:
+    """The gap table of ``keep`` in Python integers: the kernels-off path
+    and the oracle of :func:`repro.sim._ckernels.gap_table`."""
     table = []
     value = keep
     while value and len(table) < GAP_TABLE_MAX:
         table.append(value)
         value = (value * keep) >> 64
-    kind = _ckernels.RATE_GAPS if probability < 0.5 else _ckernels.RATE_GAPS_NOT
-    return _rate(probability, kind, threshold, table)
+    return np.array(table, dtype=np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,14 +140,13 @@ def round_rates(*probabilities: float) -> RoundRates:
     return RoundRates(records, rates, records.ctypes.data)
 
 
-def _rate(probability: float, kind: int, threshold: int, table: list[int]) -> Rate:
-    array = np.array(table, dtype=np.uint64)
+def _rate(probability: float, kind: int, threshold: int, table: np.ndarray) -> Rate:
     record = np.array(
-        [kind, threshold, len(table), array.ctypes.data if len(table) else 0],
+        [kind, threshold, table.size, table.ctypes.data if table.size else 0],
         dtype=np.uint64,
     )
-    array.flags.writeable = False
-    return Rate(probability, kind, threshold, array, record)
+    table.flags.writeable = False
+    return Rate(probability, kind, threshold, table, record)
 
 
 class _RawStream:

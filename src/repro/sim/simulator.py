@@ -336,11 +336,12 @@ class LeakageSimulator:
             (np.array(qubits, dtype=np.int64), np.stack(ancilla_rows))
             for qubits, ancilla_rows in by_count.values()
         ]
-        # Data qubits grouped by pattern width, in ascending width order
-        # (np.unique order), for the bincount pattern accounting.
+        # Data qubits grouped by pattern width, in ascending width order,
+        # for the bincount pattern accounting.  (A sorted set, not
+        # np.unique, which imports numpy.ma.)
         widths = np.asarray(code.pattern_widths)
         self._width_groups = [
-            (int(width), np.nonzero(widths == width)[0]) for width in np.unique(widths)
+            (width, np.nonzero(widths == width)[0]) for width in sorted(set(code.pattern_widths))
         ]
         # Z-stabilizer support matrix for the final data-readout detectors.
         self._z_support = code.parity_check_z.astype(bool)

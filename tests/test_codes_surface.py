@@ -90,8 +90,9 @@ def test_invalid_distances_rejected():
 
 def test_coloring_is_proper(surface_d5):
     coloring = surface_d5.data_coloring
-    for a, b in surface_d5.interaction_graph.edges:
-        assert coloring[a] != coloring[b]
+    for stab in surface_d5.stabilizers:
+        colours = [coloring[q] for q in stab.data_support]
+        assert len(set(colours)) == len(colours)
 
 
 def test_x_error_flips_at_most_two_z_stabilizers(surface_d7):

@@ -1,6 +1,7 @@
 """Tests of GLADIATOR's error-propagation graph model."""
 
 import hashlib
+from collections import Counter
 
 import networkx as nx
 import numpy as np
@@ -12,11 +13,17 @@ from scipy.stats import binom
 from strategies import group_bases_lists
 
 from repro.api.registry import CODES
-from repro.core import CalibrationData, GraphModelConfig, TransitionModel
+from repro.codes import color_code, surface_code
+from repro.core import (
+    CalibrationData,
+    GraphModelConfig,
+    TransitionModel,
+    graph_model,
+    make_policy,
+)
 from repro.core.graph_model import (
     GroupInfo,
     QubitContext,
-    build_transition_graph,
     labels_for_qubit,
     qubit_context,
 )
@@ -120,6 +127,38 @@ def test_color_code_flags_fewer_than_eraser(color_d5, calibration, graph_config)
     assert int(labels.sum()) < 4  # ERASER flags 4 of 8 three-bit patterns
 
 
+def build_transition_graph(model, two_rounds=False):
+    """The merged transition graph as a ``networkx`` multidigraph.
+
+    Nodes are patterns (integers); edges run from the error-free base pattern
+    ``0`` to every pattern a mechanism of that kind reaches, keyed by
+    ``"leakage"`` / ``"nonleakage"``, and carry the merged super-edge
+    ``weight``.  Node attribute ``label`` records the final classification,
+    mirroring Figure 6(b,c) of the paper.
+    """
+    if two_rounds:
+        mechanisms = model.two_round_mechanisms()
+        size, threshold = 1 << (2 * model.context.width), model.config.threshold_two_round
+    else:
+        mechanisms = model.single_round_mechanisms()
+        size, threshold = 1 << model.context.width, model.config.threshold
+    graph = nx.MultiDiGraph()
+    graph.add_nodes_from(range(size))
+    weights = model._accumulate(mechanisms, size)
+    for is_leakage, weight in zip((True, False), weights):
+        kind = "leakage" if is_leakage else "nonleakage"
+        patterns, _ = model._outcomes(mechanisms, is_leakage)
+        reached = np.flatnonzero(np.bincount(patterns, minlength=size)).tolist()
+        graph.add_edges_from(
+            (0, pattern, kind, {"weight": float(weight[pattern]), "kind": kind})
+            for pattern in reached
+        )
+    labels = model._flag(weights, threshold)
+    for pattern in range(size):
+        graph.nodes[pattern]["label"] = "leakage" if labels[pattern] else "nonleakage"
+    return graph
+
+
 def test_transition_graph_structure(surface_d5, calibration, graph_config):
     context = qubit_context(surface_d5, bulk_qubit(surface_d5))
     model = TransitionModel(context, calibration, graph_config)
@@ -130,6 +169,24 @@ def test_transition_graph_structure(surface_d5, calibration, graph_config):
     assert kinds == {"leakage", "nonleakage"}
     labels = {graph.nodes[n]["label"] for n in graph.nodes}
     assert labels == {"leakage", "nonleakage"}
+
+
+def test_qubit_context_built_once_per_code_and_qubit(monkeypatch, noise):
+    """Preparing several lookup policies on the same codes builds each
+    (code, qubit) context once: the signatures are memoised per code."""
+    calls = Counter()
+    original = graph_model.qubit_context
+
+    def counted(code, qubit):
+        calls[id(code), qubit] += 1
+        return original(code, qubit)
+
+    monkeypatch.setattr(graph_model, "qubit_context", counted)
+    codes = [surface_code(3), color_code(3)]
+    for code in codes:
+        for name in ("gladiator", "gladiator+m", "gladiator-d", "gladiator-d+m"):
+            make_policy(name).prepare(code, noise)
+    assert calls == {(id(code), q): 1 for code in codes for q in range(code.num_data)}
 
 
 def test_invalid_config_rejected():

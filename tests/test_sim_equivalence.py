@@ -308,6 +308,48 @@ def test_long_run_after_warmup_stays_identical():
         assert_results_identical(left, right)
 
 
+#: Small rates whose tables fill ``GAP_TABLE_MAX``, rates whose tables end
+#: early, complements (``p > 1/2``) of both, and the table-free rates
+#: ``0``, ``1/2`` and ``1``.
+GAP_TABLE_RATES = (
+    5e-324, 1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5 - 2**-54,
+    0.5 + 2**-53, 0.7, 0.99, 1.0 - 1e-4, 1.0 - 2**-53,
+    0.0, 0.5, 1.0,
+)
+
+
+def test_gap_tables_match_python_oracle(monkeypatch):
+    """Every rate record, gap table included, is byte-equal whether the
+    table is built by the compiled loop or the Python big-integer one."""
+    from repro.sim import _ckernels as kernels
+    from repro.sim.draws import GAP_TABLE_MAX, rate
+
+    if not kernels.available():
+        pytest.skip("compiled kernels unavailable")
+    compiled_builds = []
+    original = kernels.gap_table
+
+    def counted(keep, limit):
+        compiled_builds.append(keep)
+        return original(keep, limit)
+
+    monkeypatch.setattr(kernels, "gap_table", counted)
+    lengths = []
+    for probability in GAP_TABLE_RATES:
+        built = {}
+        for flag in ("1", "0"):
+            with _ckernels(flag):
+                built[flag] = rate.__wrapped__(probability)
+        compiled, python = built["1"], built["0"]
+        assert compiled.table.dtype == python.table.dtype == np.uint64
+        assert compiled.table.tobytes() == python.table.tobytes(), probability
+        assert compiled.record[:3].tolist() == python.record[:3].tolist(), probability
+        lengths.append(python.table.size)
+    assert len(compiled_builds) == sum(1 for length in lengths if length)
+    assert {0, GAP_TABLE_MAX} <= set(lengths)
+    assert len(set(lengths) - {0, GAP_TABLE_MAX}) >= 3  # tables that end early
+
+
 def test_ckernels_skipped_when_disabled():
     with _ckernels("0"):
         from repro.sim import _ckernels as kernels
