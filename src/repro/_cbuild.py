@@ -11,6 +11,12 @@ library is never reused across ISAs or flag changes.
 GNU-C default (``-ffp-contract=fast``) may fuse ``a + b - 2 * c`` into an
 FMA under ``-march=native``, which rounds once instead of twice and drifts
 from the double arithmetic the Python reference paths perform.
+
+``REPRO_CKERNEL_CFLAGS`` appends build-only flags (whitespace-separated)
+after :data:`CFLAGS` and joins the cache key; CI's sanitizer step sets
+``-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=undefined``
+there and preloads ``libasan``.  It selects how the kernels are compiled,
+never what they compute.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ def build(source: str, name: str) -> ctypes.CDLL | None:
     Returns ``None`` when no working C compiler is available, so callers
     can fall back to their pure-Python/NumPy paths.
     """
-    tag = "|".join((*CFLAGS, "-march=native", cpu_tag()))
+    flags = (*CFLAGS, *os.environ.get("REPRO_CKERNEL_CFLAGS", "").split())
+    tag = "|".join((*flags, "-march=native", cpu_tag()))
     digest = hashlib.sha256((source + "|" + tag).encode()).hexdigest()[:16]
     cache_dir = os.environ.get("REPRO_CKERNEL_DIR") or os.path.join(
         tempfile.gettempdir(), "repro-ckernels"
@@ -73,7 +80,7 @@ def build(source: str, name: str) -> ctypes.CDLL | None:
             for extra in (["-march=native"], []):
                 try:
                     subprocess.run(
-                        ["cc", *CFLAGS, *extra, src_path, "-o", tmp_path],
+                        ["cc", *flags, *extra, src_path, "-o", tmp_path],
                         check=True,
                         capture_output=True,
                         timeout=120,

@@ -11,13 +11,14 @@ touching this module.
 from ..api.registry import DECODERS
 from .base import DecoderBase
 from .cache import DEFAULT_CACHE_ENTRIES, SyndromeCache
-from .detector_graph import DetectorGraph, GraphEdge
+from .detector_graph import DetectorGraph, GraphEdge, shared_graph
 from .matching import MatchingDecoder
 from .union_find import UnionFindDecoder
 
 __all__ = [
     "DetectorGraph",
     "GraphEdge",
+    "shared_graph",
     "DecoderBase",
     "MatchingDecoder",
     "UnionFindDecoder",

@@ -68,8 +68,16 @@ bit-identical NumPy/Python fallbacks when no compiler is available:
   future CPython changing its set layout), disables only this kernel;
   :func:`intset_order` exposes the emulation to the tests.
 
+* **One call per batch.**  ``decode_rows`` loops ``decode_syndrome`` (on
+  a graph with pinned all-pairs matrices) or ``uf_decode`` over every
+  uncached syndrome of a batch, given as CSR fired-node rows, and returns
+  CSR edges, parities and a per-row status; the rows it defers (past the
+  exact-matching bound, or handed back by the per-syndrome kernel) take
+  the per-syndrome path.  Its entries equal the per-syndrome calls'.
+
 Work buffers are per-thread and grown on demand, so syndromes of any size
-and the realtime worker threads are both safe.
+and the realtime worker threads are both safe; a batch's output buffers
+live only for its call.
 
 Gating: set ``REPRO_DECODER_CKERNELS=0`` to force the fallbacks; when that
 variable is unset the sim-wide ``REPRO_SIM_CKERNELS`` switch applies, so
@@ -82,7 +90,7 @@ import ctypes
 import operator
 import os
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -95,6 +103,7 @@ __all__ = [
     "GraphContext",
     "uf_available",
     "uf_decode",
+    "decode_rows",
     "intset_order",
 ]
 
@@ -1133,7 +1142,70 @@ int32_t uf_decode(int32_t count, const int64_t* flagged, int32_t num_nodes,
     *out_parity = parity;
     return nedges;
 }
+
+/* ------------------------------------------------------------------------
+ * Batch entry: decode the fired-node rows sel[start..nrows) in one call.
+ * Row k's fired node ids, ascending, are nodes[row_ptr[sel[k]] ..
+ * row_ptr[sel[k] + 1]).  method 0 runs decode_syndrome against the
+ * all-pairs matrices dist / pred (row index = the fired id), method 1
+ * uf_decode with max_steps over a uf_cap work buffer.  Row k's edges land
+ * at out_edges[2 * edge_ptr[k] ..], edge_ptr[k + 1] closes them, parity[k]
+ * is their logical parity and status[k] is 0 (decoded) or 1 (deferred, no
+ * edges).  A row is deferred when it fires more than max_fired detectors
+ * (or more than num_nodes, which only repeated ids can), holds a node id
+ * outside [0, num_nodes), or its kernel hands it back: the
+ * DP's dead end, a non-finite blossom cost, growth that does not converge,
+ * a stale frontier root.  Row k is decoded only when its worst case
+ * (method 0: count * (num_nodes - 1) retraced edges, method 1: num_nodes
+ * peeled edges) fits below edge_cap; otherwise the entry returns k and the
+ * caller grows out_edges and resumes there.  Returns nrows when done.
+ * ---------------------------------------------------------------------- */
+int64_t decode_rows(int32_t method, int64_t start, int64_t nrows,
+                    const int64_t* sel, const int64_t* row_ptr,
+                    const int64_t* nodes, int64_t max_fired,
+                    const double* dist, const int32_t* pred,
+                    int32_t num_nodes, int32_t boundary,
+                    const int32_t* indptr, const int32_t* indices,
+                    const uint8_t* flips, int32_t max_steps, int32_t uf_cap,
+                    void* work, int32_t* pair_idx, int64_t* edge_ptr,
+                    int32_t* out_edges, int64_t edge_cap,
+                    int32_t* parity, uint8_t* status) {
+    for (int64_t k = start; k < nrows; k++) {
+        const int64_t* fired = nodes + row_ptr[sel[k]];
+        int64_t count = row_ptr[sel[k] + 1] - row_ptr[sel[k]];
+        int64_t at = edge_ptr[k];
+        edge_ptr[k + 1] = at;
+        parity[k] = 0;
+        status[k] = 1;
+        if (count <= 0 || count > max_fired || count > num_nodes) continue;
+        int in_range = 1;
+        for (int64_t a = 0; a < count; a++)
+            in_range &= fired[a] >= 0 && fired[a] < num_nodes;
+        if (!in_range) continue;
+        int64_t worst = method == 0 ? count * (int64_t)(num_nodes - 1) : num_nodes;
+        if (at + worst > edge_cap) return k;
+        int32_t got = method == 0
+            ? decode_syndrome((int32_t)count, fired, fired, dist, pred, num_nodes,
+                              boundary, indptr, indices, flips, work, pair_idx,
+                              out_edges + 2 * at, parity + k)
+            : uf_decode((int32_t)count, fired, num_nodes, boundary, indptr,
+                        indices, flips, max_steps, uf_cap, work,
+                        out_edges + 2 * at, parity + k);
+        if (got < 0) {
+            parity[k] = 0;
+            continue;
+        }
+        edge_ptr[k + 1] = at + got;
+        status[k] = 0;
+    }
+    return nrows;
+}
 """
+
+#: First guess of :func:`decode_rows`' output, in edges per fired
+#: detector, on top of one worst-case row; the call grows it when a batch
+#: needs more.
+_EDGES_PER_FIRED = 8
 
 _FNV_OFFSET = np.uint64(14695981039346656037)
 _FNV_PRIME = np.uint64(1099511628211)
@@ -1182,6 +1254,12 @@ def _build() -> ctypes.CDLL | None:
         ctypes.c_int32, ctypes.c_int32, ptr, ptr, ptr,
     ]
     lib.uf_decode.restype = ctypes.c_int32
+    i32, i64 = ctypes.c_int32, ctypes.c_int64
+    lib.decode_rows.argtypes = [
+        i32, i64, i64, ptr, ptr, ptr, i64, ptr, ptr, i32, i32, ptr, ptr, ptr,
+        i32, i32, ptr, ptr, ptr, ptr, i64, ptr, ptr,
+    ]
+    lib.decode_rows.restype = ctypes.c_int64
     global _uf_layout_ok
     _uf_layout_ok = all(
         _intset_order(lib, keys) == list(set(keys)) for keys in _SET_SELF_CHECK
@@ -1292,12 +1370,18 @@ class GraphContext:
     from it.  ``all_pairs`` optionally pins a graph's all-pairs
     ``(distances, predecessors)`` matrices, from which
     :func:`decode_syndrome` reads fired detectors' rows in place; without
-    them the caller passes each syndrome's own shortest-path rows.  Built
-    once per decoder (its ``_fast_ctx``) and kept alive by it, so the
-    pointers can never dangle.
+    them the caller passes each syndrome's own shortest-path rows.  It may
+    be a zero-argument callable returning the matrices (or ``None``), run
+    on the first read of :attr:`all_pairs`, so union-find, which never
+    reads them, never builds them (nor imports scipy).  Built once per
+    graph (:attr:`~repro.decoders.detector_graph.DetectorGraph.context`)
+    and kept alive by it, so the pointers can never dangle.
     """
 
-    __slots__ = ("indptr", "indices", "flips", "num_nodes", "args", "all_pairs", "pair_args")
+    __slots__ = (
+        "indptr", "indices", "flips", "num_nodes", "args",
+        "_pairs", "_pair_args", "_load_pairs", "_lock",
+    )
 
     def __init__(
         self,
@@ -1305,7 +1389,11 @@ class GraphContext:
         indices: np.ndarray,
         flips: np.ndarray,
         boundary: int,
-        all_pairs: tuple[np.ndarray, np.ndarray] | None = None,
+        all_pairs: (
+            tuple[np.ndarray, np.ndarray]
+            | Callable[[], tuple[np.ndarray, np.ndarray] | None]
+            | None
+        ) = None,
     ) -> None:
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int32)
         self.indices = np.ascontiguousarray(indices, dtype=np.int32)
@@ -1318,13 +1406,33 @@ class GraphContext:
             _ptr(self.indices),
             _ptr(self.flips),
         )
-        self.all_pairs: tuple[np.ndarray, np.ndarray] | None = None
-        self.pair_args: tuple[ctypes.c_void_p, ctypes.c_void_p] | None = None
-        if all_pairs is not None:
-            distances = np.ascontiguousarray(all_pairs[0], dtype=np.float64)
-            predecessors = np.ascontiguousarray(all_pairs[1], dtype=np.int32)
-            self.all_pairs = (distances, predecessors)
-            self.pair_args = (_ptr(distances), _ptr(predecessors))
+        self._pairs: tuple[np.ndarray, np.ndarray] | None = None
+        self._pair_args: tuple[ctypes.c_void_p, ctypes.c_void_p] | None = None
+        self._load_pairs: Callable[[], tuple[np.ndarray, np.ndarray] | None] | None = (
+            all_pairs if callable(all_pairs) else (lambda: all_pairs)
+        )
+        self._lock = threading.Lock()
+
+    @property
+    def all_pairs(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The pinned ``(distances, predecessors)``, or ``None``."""
+        if self._load_pairs is not None:
+            with self._lock:  # pin once, so pointers in use never change
+                load = self._load_pairs
+                if load is not None:
+                    pairs = load()
+                    if pairs is not None:
+                        distances = np.ascontiguousarray(pairs[0], dtype=np.float64)
+                        predecessors = np.ascontiguousarray(pairs[1], dtype=np.int32)
+                        self._pair_args = (_ptr(distances), _ptr(predecessors))
+                        self._pairs = (distances, predecessors)
+                    self._load_pairs = None
+        return self._pairs
+
+    @property
+    def pair_args(self) -> tuple[ctypes.c_void_p, ctypes.c_void_p] | None:
+        """Pointers to :attr:`all_pairs`, or ``None``."""
+        return None if self.all_pairs is None else self._pair_args
 
 
 def hash_rows(packed: np.ndarray) -> np.ndarray:
@@ -1433,6 +1541,92 @@ def uf_decode(
         return None
     flat = scratch.edges[: 2 * emitted].tolist()
     return tuple(zip(flat[0::2], flat[1::2])), int(scratch.parity[0])
+
+
+def decode_rows(
+    ctx: GraphContext,
+    nodes: np.ndarray,
+    row_ptr: np.ndarray,
+    rows: np.ndarray,
+    *,
+    max_fired: int | None = None,
+    max_steps: int | None = None,
+) -> tuple[list[tuple[tuple[tuple[int, int], ...], int] | None], np.ndarray]:
+    """Decode many syndromes in one C call against ``ctx``.
+
+    Row ``r`` fires the ascending node ids ``nodes[row_ptr[r]:row_ptr[r + 1]]``
+    and ``rows`` selects the non-empty rows to decode.  With ``max_steps``
+    each row runs :func:`uf_decode`'s union-find; without it each row of at
+    most ``max_fired`` detectors runs :func:`decode_syndrome`'s exact
+    matching against the all-pairs matrices ``ctx`` must pin.  Returns
+    ``(entries, served)``: ``entries[i]`` is row ``rows[i]``'s
+    ``(edges, parity)``, equal to the per-syndrome call's, or ``None`` where
+    ``served[i]`` is false and the row is deferred (larger than
+    ``max_fired``, a node id outside the graph, or one the per-syndrome
+    call also hands back).  Only call when :func:`available` is true (for
+    union-find, :func:`uf_available`).
+    """
+    assert _lib is not None
+    nodes = np.ascontiguousarray(nodes, dtype=np.int64)
+    row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    count = int(rows.size)
+    offsets_ok = row_ptr.size and row_ptr[0] >= 0 and row_ptr[-1] <= nodes.size
+    if not offsets_ok or (np.diff(row_ptr) < 0).any():
+        raise ValueError("row_ptr must hold non-decreasing offsets into nodes")
+    if count and (int(rows.min()) < 0 or int(rows.max()) >= row_ptr.size - 1):
+        raise ValueError(f"rows must lie in [0, {row_ptr.size - 1})")
+    sizes = row_ptr[rows + 1] - row_ptr[rows]
+    scratch = _scratch
+    num_nodes = ctx.num_nodes
+    pairs_ptr: ctypes.c_void_p | None = None
+    dist_ptr: ctypes.c_void_p | None = None
+    pred_ptr: ctypes.c_void_p | None = None
+    if max_steps is not None:
+        method, limit, worst = 1, 2**62, num_nodes
+        steps = max(0, min(operator.index(max_steps), 2**31 - 1))
+        scratch.reserve_uf(num_nodes)
+        work_ptr = scratch.uf_work_ptr
+    else:
+        if ctx.pair_args is None or max_fired is None:
+            raise ValueError("batched matching needs all-pairs matrices and max_fired")
+        method, limit, steps = 0, int(max_fired), 0
+        largest = int(sizes[sizes <= limit].max(initial=1))
+        worst = largest * (num_nodes - 1)
+        scratch.reserve(largest)
+        work_ptr, pairs_ptr = scratch.work_ptr, scratch.pairs_ptr
+        dist_ptr, pred_ptr = ctx.pair_args
+    edge_ptr = np.zeros(count + 1, dtype=np.int64)
+    parity = np.zeros(count, dtype=np.int32)
+    status = np.ones(count, dtype=np.uint8)
+    capacity = worst + _EDGES_PER_FIRED * int(sizes.sum())
+    edges = np.empty(2 * capacity, dtype=np.int32)
+    start = 0
+    while start < count:
+        start = int(
+            _lib.decode_rows(
+                method, start, count, _ptr(rows), _ptr(row_ptr), _ptr(nodes), limit,
+                dist_ptr, pred_ptr, *ctx.args, steps, scratch.uf_capacity, work_ptr,
+                pairs_ptr, _ptr(edge_ptr), _ptr(edges), capacity, _ptr(parity),
+                _ptr(status),
+            )
+        )
+        if start < count:
+            done = int(edge_ptr[start])
+            capacity = max(2 * capacity, done + worst)
+            grown = np.empty(2 * capacity, dtype=np.int32)
+            grown[: 2 * done] = edges[: 2 * done]
+            edges = grown
+    served = status == 0
+    flat = edges[: 2 * int(edge_ptr[count])].tolist()
+    pairs = list(zip(flat[0::2], flat[1::2]))
+    bounds = edge_ptr.tolist()
+    parities = parity.tolist()
+    entries = [
+        (tuple(pairs[bounds[i] : bounds[i + 1]]), parities[i]) if ok else None
+        for i, ok in enumerate(served.tolist())
+    ]
+    return entries, served
 
 
 def intset_order(keys: Sequence[int]) -> list[int]:

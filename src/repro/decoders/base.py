@@ -10,19 +10,30 @@ it lives here exactly once:
 
 * **per-shot entry points** — :meth:`decode_shot` (logical parity) and
   :meth:`decode_shot_edges` (explicit edges, used by windowed decoding),
+  both through :meth:`_decode_entry`, which is also the batch path's oracle,
 * **the batched fast path** — :meth:`decode_batch` (logical parities) and
   :meth:`decode_edges_unique` (correction edges per unique syndrome plus
   the scatter map, used by windowed decoding) pack the whole
   ``(shots, rounds, detectors)`` record into per-shot syndrome bitstrings
   with whole-batch NumPy ops, deduplicate identical syndromes by a 64-bit
-  row hash and decode each unique syndrome once.  At low physical error rates most shots share a handful of
-  syndromes, so one decode serves thousands of shots,
+  row hash, take every unique syndrome's fired nodes in one NumPy pass,
+  look them all up in the cache under one lock, and hand the misses to
+  :meth:`_decode_rows` together — which the concrete decoders serve with
+  one compiled call per batch.  Entries, their order and every counter
+  equal a per-unique :meth:`_decode_entry` loop's.  At low physical error
+  rates most shots share a handful of syndromes, so one decode serves
+  thousands of shots.  Each call emits one ``decode.dedup``, one
+  ``decode.cache`` and one ``decode.match`` span when tracing is on,
 * **the cross-call cache** — every decoded syndrome lands in a
   :class:`~repro.decoders.cache.SyndromeCache` keyed by the detector
   graph's fingerprint plus the decoder's own configuration, so repeated
   batches, sliding windows and multiplexed realtime streams all reuse each
   other's work.  Decoders with different configurations (method,
   union-find growth cap) never alias: the configuration is part of the key.
+
+Decoders over equal inputs share one graph per process
+(:func:`~repro.decoders.detector_graph.shared_graph`) and its pinned
+kernel context, but never a decoder, cache or counter.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.metrics import METRICS
+from ..obs.trace import span
 from . import _ckernels
 from .cache import SyndromeCache
 from .detector_graph import DetectorGraph
@@ -94,17 +106,36 @@ class DecoderBase:
         """Hashable decoder configuration mixed into every cache key."""
         raise NotImplementedError
 
-    def _fast_entry(self, flagged: np.ndarray) -> _Entry | None:
+    def _kernels_on(self) -> bool:
+        """Whether this decoder's compiled kernels may run (the switch, read
+        once per per-shot call and once per batch)."""
+        return _ckernels.available()
+
+    def _fast_entry(self, flagged: np.ndarray, compiled: bool) -> _Entry | None:
         """Optional compiled shortcut producing a whole ``(edges, flip)`` entry.
 
-        Subclasses may return the exact entry the interpreted
-        :meth:`_edges_for_syndrome` + parity path would build (bit for bit:
-        same edges, same order, same parity) when a kernel can serve this
-        syndrome, or ``None`` to take the interpreted path.  Results are
-        cached identically either way, so the shortcut is invisible except
-        in wall-clock time.
+        Subclasses may return the exact entry :meth:`_interpreted_entry`
+        would build (bit for bit: same edges, same order, same parity) when
+        ``compiled`` is true and a kernel can serve this syndrome, or
+        ``None`` to take the interpreted path.  Results are cached
+        identically either way, so the shortcut is invisible except in
+        wall-clock time.
         """
         return None
+
+    def _decode_rows(
+        self, nodes: np.ndarray, row_ptr: np.ndarray, rows: np.ndarray, compiled: bool
+    ) -> list[_Entry]:
+        """Entries of the batch rows ``rows``, none of them empty or cached.
+
+        Row ``r`` fires ``nodes[row_ptr[r]:row_ptr[r + 1]]``.  Here each row
+        takes the per-syndrome path; subclasses decode the rows a batch
+        kernel serves in one call and send the rest down that path.
+        """
+        return [
+            self._miss_entry(nodes[row_ptr[row] : row_ptr[row + 1]], compiled)
+            for row in rows
+        ]
 
     # ------------------------------------------------------------------ #
     # Per-shot entry points
@@ -139,13 +170,9 @@ class DecoderBase:
         detector-event bitstrings are decoded once and the result scattered
         back over the batch; bit-identical to looping :meth:`decode_shot`.
         """
-        history, final, first, inverse = self._deduplicate(
-            detector_history, final_detectors
-        )
+        entries, inverse = self._unique_entries(detector_history, final_detectors)
         flips = np.fromiter(
-            (self._decode_entry(history[i], final[i])[1] for i in first),
-            dtype=bool,
-            count=len(first),
+            (entry[1] for entry in entries), dtype=bool, count=len(entries)
         )
         return flips[inverse]
 
@@ -159,11 +186,8 @@ class DecoderBase:
         :class:`repro.realtime.window.WindowSession` consumes so per-window
         commit work scales with unique syndromes instead of shots.
         """
-        history, final, first, inverse = self._deduplicate(
-            detector_history, final_detectors
-        )
-        entries = [self._decode_entry(history[i], final[i])[0] for i in first]
-        return entries, inverse
+        entries, inverse = self._unique_entries(detector_history, final_detectors)
+        return [entry[0] for entry in entries], inverse
 
     # ------------------------------------------------------------------ #
     # Diagnostics
@@ -203,20 +227,21 @@ class DecoderBase:
     # ------------------------------------------------------------------ #
     def _deduplicate(
         self, detector_history: np.ndarray, final_detectors: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Whole-batch syndrome extraction and deduplication.
 
-        Returns ``(history, final, first, inverse)`` where ``first`` indexes
-        one representative shot per unique syndrome and ``inverse`` maps
-        every shot back onto its representative.
+        Returns ``(events, first, inverse)``: the ``(shots, detectors)``
+        event matrix, one representative shot per unique syndrome, and the
+        map of every shot onto its representative.
         """
         history = np.asarray(detector_history, dtype=bool)
         final = np.asarray(final_detectors, dtype=bool)
         shots = history.shape[0]
+        width = int(np.prod(history.shape[1:]))
+        events = np.concatenate([history.reshape(shots, width), final], axis=1)
         if shots == 0:
             empty = np.zeros(0, dtype=np.intp)
-            return history, final, empty, empty
-        events = np.concatenate([history.reshape(shots, -1), final], axis=1)
+            return events, empty, empty
         packed = np.packbits(events, axis=1)
         # Group by a 64-bit row hash (compiled, or its bit-identical NumPy
         # fallback) instead of lex-sorting the whole row matrix; the
@@ -238,12 +263,61 @@ class DecoderBase:
         self.batch_unique += len(first)
         _OBS_BATCH_SHOTS.inc(shots)
         _OBS_BATCH_UNIQUE.inc(len(first))
-        return history, final, first, inverse
+        return events, first, inverse
+
+    def _unique_entries(
+        self, detector_history: np.ndarray, final_detectors: np.ndarray
+    ) -> tuple[list[_Entry], np.ndarray]:
+        """``(edges, flip)`` per unique syndrome of a batch, plus the scatter map.
+
+        Equal, entry for entry and counter for counter, to calling
+        :meth:`_decode_entry` on each unique syndrome in turn: the same
+        cache lookups and stores in the same order, the same backend
+        tallies.  Only the work is grouped: every unique row's fired nodes
+        come from one NumPy pass, the lookups take the cache lock once,
+        and the misses go to :meth:`_decode_rows` together.
+        """
+        with span("decode.dedup"):
+            events, first, inverse = self._deduplicate(detector_history, final_detectors)
+            count = len(first)
+            row_of, nodes = np.nonzero(events[first])
+            row_ptr = np.zeros(count + 1, dtype=np.int64)
+            np.cumsum(np.bincount(row_of, minlength=count), out=row_ptr[1:])
+        entries: list[_Entry] = [((), 0)] * count
+        with span("decode.cache"):
+            sizes = np.diff(row_ptr)
+            needed = sizes > 0
+            cacheable = np.flatnonzero(needed & (sizes <= _CACHE_MAX_FIRED)).tolist()
+            # The keys _decode_entry builds: the fired ids' int64 bytes.
+            raw = nodes.astype(np.int64, copy=False).tobytes()
+            bounds = (8 * row_ptr).tolist()
+            prefix = self._cache_prefix
+            keys = [(prefix, raw[bounds[row] : bounds[row + 1]]) for row in cacheable]
+            for row, entry in zip(cacheable, self.cache.claim(keys)):
+                if entry is not None:
+                    entries[row] = entry
+                    needed[row] = False
+        stored: list[_Entry | None] = [None] * len(keys)
+        try:
+            with span("decode.match"):
+                misses = np.flatnonzero(needed)
+                if misses.size:
+                    decoded = self._decode_rows(nodes, row_ptr, misses, self._kernels_on())
+                    for row, entry in zip(misses.tolist(), decoded):
+                        entries[row] = entry
+                stored = [entries[row] for row in cacheable]
+        finally:
+            # Only the slots claim() held take a value; none, on an error.
+            self.cache.settle(keys, stored)
+        return entries, inverse
 
     def _decode_entry(
         self, detector_history: np.ndarray, final_detectors: np.ndarray
     ) -> _Entry:
-        """(edges, flip) for one shot, served from the cache when possible."""
+        """(edges, flip) for one shot, served from the cache when possible.
+
+        The per-shot path, and the oracle the batched path must equal.
+        """
         flagged = self.graph.flagged_nodes(detector_history, final_detectors)
         if flagged.size == 0:
             return ((), 0)
@@ -253,17 +327,26 @@ class DecoderBase:
             entry = self.cache.get(key)
             if entry is not None:
                 return entry
-        entry = self._fast_entry(flagged)
-        if entry is None:
-            edges = tuple(
-                (int(a), int(b)) for a, b in self._edges_for_syndrome(flagged)
-            )
-            parity = 0
-            for node_a, node_b in edges:
-                edge = self.graph.edge_between(node_a, node_b)
-                if edge is not None and edge.flips_logical:
-                    parity ^= 1
-            entry = (edges, parity)
+        entry = self._miss_entry(flagged, self._kernels_on())
         if cacheable:
             self.cache.put(key, entry)
         return entry
+
+    def _miss_entry(self, flagged: np.ndarray, compiled: bool) -> _Entry:
+        """Decode one uncached syndrome: the compiled shortcut, else the
+        interpreted path."""
+        entry = self._fast_entry(flagged, compiled)
+        if entry is None:
+            entry = self._interpreted_entry(flagged)
+        return entry
+
+    def _interpreted_entry(self, flagged: np.ndarray) -> _Entry:
+        """The interpreted ``(edges, flip)``: :meth:`_edges_for_syndrome`
+        plus the parity of its logical-crossing edges."""
+        edges = tuple((int(a), int(b)) for a, b in self._edges_for_syndrome(flagged))
+        parity = 0
+        for node_a, node_b in edges:
+            edge = self.graph.edge_between(node_a, node_b)
+            if edge is not None and edge.flips_logical:
+                parity ^= 1
+        return edges, parity

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 from typing import Any, Hashable
 
 from ..obs.metrics import METRICS
@@ -47,6 +48,11 @@ _OBS_EVICTIONS = METRICS.counter(
 #: costs at most a few tens of MB while covering far more unique syndromes
 #: than a low-p sweep ever produces.
 DEFAULT_CACHE_ENTRIES = 65_536
+
+#: The value of a slot :meth:`SyndromeCache.claim` holds for a key whose
+#: correction is still being decoded; :meth:`SyndromeCache.get` reads it as
+#: a miss.
+_PENDING = object()
 
 
 class SyndromeCache:
@@ -82,7 +88,7 @@ class SyndromeCache:
         """The cached correction for ``key``, or ``None`` (counts a miss)."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None or entry is _PENDING:
                 self.misses += 1
                 _OBS_MISSES.inc()
                 return None
@@ -102,6 +108,59 @@ class SyndromeCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
                 _OBS_EVICTIONS.inc()
+
+    def claim(self, keys: Sequence[Hashable]) -> list[Any | None]:
+        """:meth:`get` every key in order, holding a slot for each miss.
+
+        A batch decodes its misses after looking them all up.  Holding a
+        pending slot for each miss, where :meth:`put` would have stored it,
+        leaves the counters, the LRU order and the evictions exactly as a
+        run of ``get(key)`` then, on a miss, ``put(key, ...)`` per key does.
+        :meth:`settle` then stores the decoded values in the held slots.
+        Returns the cached value per key, ``None`` for a miss.
+        """
+        found: list[Any | None] = []
+        hits = evictions = 0
+        with self._lock:
+            entries = self._entries
+            for key in keys:
+                entry = entries.get(key)
+                if entry is not None and entry is not _PENDING:
+                    entries.move_to_end(key)
+                    hits += 1
+                    found.append(entry)
+                    continue
+                found.append(None)
+                if self.maxsize:
+                    entries[key] = _PENDING
+                    entries.move_to_end(key)
+                    while len(entries) > self.maxsize:
+                        entries.popitem(last=False)
+                        evictions += 1
+            misses = len(found) - hits
+            self.hits += hits
+            self.misses += misses
+            self.evictions += evictions
+        _OBS_HITS.inc(hits)
+        _OBS_MISSES.inc(misses)
+        _OBS_EVICTIONS.inc(evictions)
+        return found
+
+    def settle(self, keys: Sequence[Hashable], values: Sequence[Any | None]) -> None:
+        """Fill the slots :meth:`claim` held for ``keys`` with ``values``.
+
+        A slot evicted (or filled by another caller) meanwhile is left
+        alone; a ``None`` value drops its still-pending slot, so a batch
+        that failed part way leaves no placeholder behind.
+        """
+        with self._lock:
+            entries = self._entries
+            for key, value in zip(keys, values):
+                if entries.get(key) is _PENDING:
+                    if value is None:
+                        del entries[key]
+                    else:
+                        entries[key] = value
 
     def clear(self) -> None:
         """Drop all entries and reset the hit/miss/eviction counters."""

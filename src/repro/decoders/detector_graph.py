@@ -24,6 +24,8 @@ observable, so a matching can be converted into a logical-flip prediction.
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -32,17 +34,27 @@ import numpy as np
 
 from ..codes.base import StabilizerCode
 from ..noise import NoiseParams
+from . import _ckernels
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
-__all__ = ["DetectorGraph", "GraphEdge"]
+__all__ = ["DetectorGraph", "GraphEdge", "shared_graph"]
 
 #: Node-count gate for the cached all-pairs shortest-path tables.  Below it
 #: one dijkstra call serves every decode of the graph's lifetime (the batch
 #: engine's hot path); above it the tables would cost O(n^2) memory, so
 #: per-syndrome dijkstra is used instead.
 _ALL_PAIRS_MAX_NODES = 2048
+
+#: Graphs :func:`shared_graph` keeps per process, least recently used
+#: evicted first.  A sweep or a windowed stream needs one or two graphs per
+#: (code, rounds, p); the bound keeps a long-lived process from pinning
+#: every all-pairs table it ever built.
+_GRAPH_MEMO_MAX = 8
+
+_graph_memo: OrderedDict[tuple, "DetectorGraph"] = OrderedDict()
+_graph_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -331,6 +343,20 @@ class DetectorGraph:
         )
 
     @cached_property
+    def context(self) -> _ckernels.GraphContext:
+        """The graph pinned for the compiled decoders, built on first use.
+
+        One :class:`~repro.decoders._ckernels.GraphContext` per graph, which
+        every decoder over it shares: the CSR, plus the all-pairs matrices
+        when the graph is under the all-pairs size gate (past it each
+        syndrome brings its own shortest-path rows), computed when matching
+        first reads them.
+        """
+        return _ckernels.GraphContext(
+            *self.csr, self.boundary_node, all_pairs=lambda: self._all_pairs
+        )
+
+    @cached_property
     def fingerprint(self) -> str:
         """Content digest of the decoding problem this graph defines.
 
@@ -391,3 +417,45 @@ class DetectorGraph:
             return_predecessors=True,
         )
         return distances, predecessors
+
+
+def shared_graph(
+    code: StabilizerCode, rounds: int, noise: NoiseParams, hyperedges: str = "reject"
+) -> DetectorGraph:
+    """The process's :class:`DetectorGraph` for these inputs, built once.
+
+    Keyed by exactly what the edges are built from: the Z stabilizers'
+    supports and CNOT slots, ``num_data``, the logical-Z support, ``rounds``,
+    ``noise.p`` and ``hyperedges``.  Not by object identity, since
+    :func:`~repro.experiments.make_code` builds a new code on every call.
+    The graph's cached edges, fingerprint, all-pairs tables and
+    :attr:`~DetectorGraph.context` are therefore built once per process and
+    shared by every decoder over it, offline and windowed; pool workers
+    forked after a warm-up inherit them.  Decoders keep their own caches and
+    counters, so sharing a graph changes no result.  At most
+    :data:`_GRAPH_MEMO_MAX` graphs are kept.
+    """
+    key = (
+        tuple(
+            (stab.data_support, stab.slots)
+            for stab in code.stabilizers
+            if stab.basis == "Z"
+        ),
+        code.num_data,
+        np.asarray(code.logical_z, dtype=bool).tobytes(),
+        int(rounds),
+        float(noise.p),
+        hyperedges,
+    )
+    with _graph_memo_lock:
+        graph = _graph_memo.get(key)
+        if graph is not None:
+            _graph_memo.move_to_end(key)
+            return graph
+    graph = DetectorGraph(code=code, rounds=rounds, noise=noise, hyperedges=hyperedges)
+    with _graph_memo_lock:
+        graph = _graph_memo.setdefault(key, graph)
+        _graph_memo.move_to_end(key)
+        while len(_graph_memo) > _GRAPH_MEMO_MAX:
+            _graph_memo.popitem(last=False)
+    return graph

@@ -14,7 +14,9 @@ qualitative behaviour at a fraction of the cost.
 
 With the compiled kernels available an exact syndrome is decoded by one C
 call, :func:`repro.decoders._ckernels.decode_syndrome`, on every graph
-size; its entry equals this module's interpreted one edge for edge.  The
+size; its entry equals this module's interpreted one edge for edge.  On a
+graph under the all-pairs gate a batch's uncached exact syndromes all go
+through one :func:`repro.decoders._ckernels.decode_rows` call.  The
 interpreted path — the Python DP and ``networkx.max_weight_matching`` —
 decodes the greedy-sized syndromes, the few the kernel hands back (the
 DP's infinite dead end, a non-finite blossom cost) and everything when the
@@ -28,7 +30,6 @@ implements the matching itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -75,20 +76,9 @@ class MatchingDecoder(DecoderBase):
         return ("matching",)
 
     # ------------------------------------------------------------------ #
-    # Compiled whole-entry shortcut (the DecoderBase._fast_entry hook)
+    # Compiled decoding (the DecoderBase._fast_entry / _decode_rows hooks)
     # ------------------------------------------------------------------ #
-    @cached_property
-    def _fast_ctx(self) -> _ckernels.GraphContext:
-        """The graph pinned for ``decode_syndrome``, built on first use.
-
-        Carries the all-pairs matrices when the graph is under the
-        all-pairs size gate; past it each syndrome brings its own rows.
-        """
-        return _ckernels.GraphContext(
-            *self.graph.csr, self.graph.boundary_node, all_pairs=self.graph._all_pairs
-        )
-
-    def _fast_entry(self, flagged: np.ndarray) -> tuple | None:
+    def _fast_entry(self, flagged: np.ndarray, compiled: bool) -> tuple | None:
         """Serve an exact matching entirely from the C kernel.
 
         Returns the identical ``(edges, flip)`` entry the interpreted path
@@ -104,9 +94,9 @@ class MatchingDecoder(DecoderBase):
             _OBS_GREEDY.inc()
             return None
         _OBS_EXACT.inc()
-        if not _ckernels.available():
+        if not compiled:
             return None
-        ctx = self._fast_ctx
+        ctx = self.graph.context
         paths = None if ctx.all_pairs is not None else self.graph.shortest_paths_from(flagged)
         entry = _ckernels.decode_syndrome(ctx, flagged, paths)
         if entry is not None:
@@ -115,6 +105,35 @@ class MatchingDecoder(DecoderBase):
             elif count > 2:
                 _OBS_DP_KERNEL.inc()
         return entry
+
+    def _decode_rows(
+        self, nodes: np.ndarray, row_ptr: np.ndarray, rows: np.ndarray, compiled: bool
+    ) -> list:
+        """Every exact row in one ``decode_rows`` call on an all-pairs graph.
+
+        Takes the tallies :meth:`_fast_entry` would per row.  Greedy-sized
+        rows and those the kernel defers take the interpreted path; past the
+        all-pairs gate, or with the kernels off, every row takes the
+        per-syndrome path.
+        """
+        ctx = self.graph.context if compiled else None
+        if ctx is None or ctx.all_pairs is None:
+            return super()._decode_rows(nodes, row_ptr, rows, compiled)
+        sizes = row_ptr[rows + 1] - row_ptr[rows]
+        greedy = int(np.count_nonzero(sizes > _EXACT_MAX_FIRED))
+        _OBS_GREEDY.inc(greedy)
+        _OBS_EXACT.inc(len(rows) - greedy)
+        entries, served = _ckernels.decode_rows(
+            ctx, nodes, row_ptr, rows, max_fired=_EXACT_MAX_FIRED
+        )
+        _OBS_BLOSSOM_KERNEL.inc(int(np.count_nonzero(served & (sizes > _DP_EXACT_MAX))))
+        _OBS_DP_KERNEL.inc(
+            int(np.count_nonzero(served & (sizes > 2) & (sizes <= _DP_EXACT_MAX)))
+        )
+        for i in np.flatnonzero(~served).tolist():
+            row = rows[i]
+            entries[i] = self._interpreted_entry(nodes[row_ptr[row] : row_ptr[row + 1]])
+        return entries
 
     # ------------------------------------------------------------------ #
     # Correction construction (the DecoderBase hook)

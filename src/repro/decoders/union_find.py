@@ -13,10 +13,13 @@ Growth and peeling run compiled when the decoder kernels are available:
 ``(edges, flip)`` entry in one call per syndrome, a line-for-line port of
 this module's loops that also reproduces CPython's int-set iteration order
 (which the loops below depend on), so its entries equal the interpreted
-ones edge for edge.  The Python path stays as the fallback and the test
-oracle.  On the durable sweep benchmark's syndromes (surface and colour
-d=5, 10 rounds, 6-9 fired detectors at the median) it takes ~85-110 µs
-each, the kernel's whole entry ~11-12 µs (shared 2-vCPU x86-64 host).
+ones edge for edge.  A batch's uncached syndromes go to the same kernel in
+one ``decode_rows`` call.  The Python path stays as the fallback and the
+test oracle.  On GLADIATOR+M syndromes at the paper's noise (surface and
+colour d=5, 10 rounds, 4-5 fired detectors at the median) the interpreted
+path takes ~125-200 µs per syndrome, the per-shot entry (cache lookup
+included) ~25-30 µs, and ``decode_batch`` ~8-11 µs per unique syndrome
+(shared 2-vCPU x86-64 host).
 
 Batching, syndrome deduplication and the cross-call correction cache are
 inherited from :class:`~repro.decoders.base.DecoderBase`; this module only
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -88,23 +90,36 @@ class UnionFindDecoder(DecoderBase):
         return ("union_find", self.max_growth_steps)
 
     # ------------------------------------------------------------------ #
-    # Compiled whole-entry shortcut (the DecoderBase._fast_entry hook)
+    # Compiled decoding (the DecoderBase._fast_entry / _decode_rows hooks)
     # ------------------------------------------------------------------ #
-    @cached_property
-    def _fast_ctx(self) -> _ckernels.GraphContext:
-        """The graph as CSR for the union-find kernel, built on first use."""
-        return _ckernels.GraphContext(*self.graph.csr, self.graph.boundary_node)
+    def _kernels_on(self) -> bool:
+        return _ckernels.uf_available()
 
-    def _fast_entry(self, flagged: np.ndarray) -> tuple | None:
+    def _fast_entry(self, flagged: np.ndarray, compiled: bool) -> tuple | None:
         """Serve the whole entry from the C kernel when it is available.
 
         The kernel returns the identical ``(edges, flip)`` entry the
         interpreted path builds; ``None`` (kernels off, or growth that does
         not converge, which the interpreted path then reports) defers.
         """
-        if not _ckernels.uf_available():
+        if not compiled:
             return None
-        return _ckernels.uf_decode(self._fast_ctx, flagged, self.max_growth_steps)
+        return _ckernels.uf_decode(self.graph.context, flagged, self.max_growth_steps)
+
+    def _decode_rows(
+        self, nodes: np.ndarray, row_ptr: np.ndarray, rows: np.ndarray, compiled: bool
+    ) -> list:
+        """Every row in one ``decode_rows`` call; the rows it defers take the
+        per-syndrome path, which repeats the kernel's verdict."""
+        if not compiled:
+            return super()._decode_rows(nodes, row_ptr, rows, compiled)
+        entries, served = _ckernels.decode_rows(
+            self.graph.context, nodes, row_ptr, rows, max_steps=self.max_growth_steps
+        )
+        for i in np.flatnonzero(~served).tolist():
+            row = rows[i]
+            entries[i] = self._miss_entry(nodes[row_ptr[row] : row_ptr[row + 1]], compiled)
+        return entries
 
     # ------------------------------------------------------------------ #
     # Correction construction (the DecoderBase hook)

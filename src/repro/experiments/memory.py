@@ -16,7 +16,7 @@ import numpy as np
 from ..circuits.lrc import LrcGadget, default_lrc
 from ..codes.base import StabilizerCode
 from ..core.speculator import LeakagePolicy
-from ..decoders import DetectorGraph, make_decoder
+from ..decoders import make_decoder, shared_graph
 from ..noise import NoiseParams
 from ..sim import LeakageSimulator, RunResult, SimulatorOptions
 from .metrics import (
@@ -241,9 +241,7 @@ class MemoryExperiment:
                 commit_rounds=self.commit_rounds,
                 method=self.decoder_method,
             )
-        graph = DetectorGraph(
-            code=self.code, rounds=rounds, noise=self.noise, hyperedges="decompose"
-        )
+        graph = shared_graph(self.code, rounds, self.noise, hyperedges="decompose")
         return make_decoder(graph, self.decoder_method)
 
     def run_undecoded(self, shots: int, rounds: int) -> RunResult:

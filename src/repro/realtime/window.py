@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..codes.base import StabilizerCode
-from ..decoders import DetectorGraph, SyndromeCache, make_decoder
+from ..decoders import DetectorGraph, SyndromeCache, make_decoder, shared_graph
 from ..noise import NoiseParams
 from ..pipeline.ring import PackedRing
 from .accounting import LatencyRecorder
@@ -122,9 +122,7 @@ class WindowedDecoder:
     def decoder_for(self, window: int):
         """The (graph, decoder) pair for a ``window``-round sub-problem, cached."""
         if window not in self._decoders:
-            graph = DetectorGraph(
-                code=self.code, rounds=window, noise=self.noise, hyperedges="decompose"
-            )
+            graph = shared_graph(self.code, window, self.noise, hyperedges="decompose")
             self._decoders[window] = (
                 graph,
                 make_decoder(graph, self.method, cache=self.cache),

@@ -284,7 +284,7 @@ def test_past_gate_matching_equals_all_pairs_and_interpreted(monkeypatch, family
 
     monkeypatch.setenv("REPRO_DECODER_CKERNELS", "1")
     if family == "toric" and _ckernels.available():
-        ctx = make_decoder(gated, "matching")._fast_ctx
+        ctx = gated.context
         dead_ends = [
             f for f in fired
             if 2 < f.size <= 8
@@ -344,3 +344,321 @@ def test_kernels_on_and_off_agree_on_leakage_records(monkeypatch, family, policy
     (flips_on, edges_on), (flips_off, edges_off) = decoded["1"], decoded["0"]
     assert np.array_equal(flips_on, flips_off)
     assert edges_on == edges_off
+
+
+# --------------------------------------------------------------------- #
+# The batch entry against the per-unique _decode_entry oracle
+# --------------------------------------------------------------------- #
+#: Fired-detector counts of the oracle batches: empty, the analytic one and
+#: two, the DP's 3..8, blossom's 9..60 and the greedy pairing past 60
+#: (clipped to the graph's detector count; every d=5 graph of
+#: ``ORACLE_ROUNDS`` rounds has more than 70 detectors).
+ORACLE_SIZES = (0, 1, 1, 2, 2, 3, 4, 6, 8, 9, 13, 24, 60, 61, 70)
+ORACLE_ROUNDS = 8
+
+#: Counters the batch must move exactly as the per-unique loop does.
+ORACLE_COUNTERS = (
+    "decode.batch.shots",
+    "decode.batch.unique",
+    "decode.cache.hits",
+    "decode.cache.misses",
+    "decode.cache.evictions",
+    "decode.matching.exact",
+    "decode.matching.greedy",
+    "decode.matching.dp_kernel",
+    "decode.matching.blossom_kernel",
+)
+
+
+def _sized_batch(graph, sizes, seed):
+    """One shot per entry of ``sizes`` firing that many random detectors,
+    every non-empty shot twice, shuffled."""
+    rng = np.random.default_rng(seed)
+    detectors = graph.boundary_node
+    flat = np.zeros((len(sizes), detectors), dtype=bool)
+    for shot, size in enumerate(sizes):
+        flat[shot, rng.choice(detectors, size=min(size, detectors), replace=False)] = True
+    flat = np.concatenate([flat, flat[1:]])[rng.permutation(2 * len(sizes) - 1)]
+    layer = graph.num_z_stabs
+    history = flat[:, : graph.rounds * layer].reshape(len(flat), graph.rounds, layer)
+    return history, flat[:, graph.rounds * layer :]
+
+
+def _oracle_entries(decoder, history, final):
+    """The batched path as the per-unique loop it replaces: dedup, then
+    ``_decode_entry`` on every unique syndrome in turn."""
+    _, first, inverse = decoder._deduplicate(history, final)
+    return [decoder._decode_entry(history[i], final[i]) for i in first], inverse
+
+
+def _counted(call):
+    """``call()`` under a metrics scope, plus the oracle counters it moved."""
+    from repro.obs import telemetry_scope
+    from repro.obs.metrics import METRICS
+
+    with telemetry_scope("on"):
+        result = call()
+        snapshot = METRICS.snapshot()
+    return result, {name: snapshot[name] for name in ORACLE_COUNTERS}
+
+
+def _assert_batch_equals_oracle(graph, method, history, final, cache_size):
+    batch = make_decoder(graph, method, cache=SyndromeCache(cache_size))
+    oracle = make_decoder(graph, method, cache=SyndromeCache(cache_size))
+    for _ in range(2):  # the second call finds the first one's entries cached
+        got, got_counts = _counted(lambda: batch._unique_entries(history, final))
+        want, want_counts = _counted(lambda: _oracle_entries(oracle, history, final))
+        (entries, inverse), (expected, expected_inverse) = got, want
+        assert entries == expected  # edges, their order and the parity
+        assert np.array_equal(inverse, expected_inverse)
+        assert got_counts == want_counts
+        assert batch.cache.stats() == oracle.cache.stats()
+        assert list(batch.cache._entries) == list(oracle.cache._entries)  # LRU order
+        assert (batch.batch_shots, batch.batch_unique) == (
+            oracle.batch_shots, oracle.batch_unique
+        )
+    # The public entry points scatter the same entries over every shot.
+    per_shot = [expected[j] for j in expected_inverse]
+    edges, scatter = batch.decode_edges_unique(history, final)
+    assert [edges[j] for j in scatter] == [entry[0] for entry in per_shot]
+    assert batch.decode_batch(history, final).tolist() == [
+        bool(entry[1]) for entry in per_shot
+    ]
+
+
+@pytest.mark.parametrize("family", ["surface", "color", "toric"])
+@pytest.mark.parametrize("distance", [3, 5])
+@pytest.mark.parametrize("method", ["matching", "union_find"])
+@pytest.mark.parametrize("cache_size", [None, 0, 3])
+def test_batch_entry_equals_per_unique_oracle(family, distance, method, cache_size):
+    """Every batch entry, counter and cache statistic equals the per-unique
+    ``_decode_entry`` loop's: with a cache, without one, under eviction
+    pressure (three entries), and on a second call that hits."""
+    graph = DetectorGraph(
+        code=make_code(family, distance), rounds=ORACLE_ROUNDS, noise=paper_noise(),
+        hyperedges="decompose",
+    )
+    if distance == 5:
+        assert graph.boundary_node > max(ORACLE_SIZES)
+    history, final = _sized_batch(graph, ORACLE_SIZES, seed=7 * distance + len(family))
+    _assert_batch_equals_oracle(graph, method, history, final, cache_size)
+
+
+@pytest.mark.parametrize("method", ["matching", "union_find"])
+def test_batch_entry_equals_oracle_past_the_all_pairs_gate(monkeypatch, method):
+    """Past the all-pairs size gate every row takes the per-syndrome path."""
+    from repro.decoders import detector_graph as dg
+
+    monkeypatch.setattr(dg, "_ALL_PAIRS_MAX_NODES", 1)
+    graph = DetectorGraph(
+        code=color_code(5), rounds=ROUNDS, noise=paper_noise(), hyperedges="decompose"
+    )
+    assert graph.context.all_pairs is None
+    history, final = _sized_batch(graph, ORACLE_SIZES, seed=3)
+    _assert_batch_equals_oracle(graph, method, history, final, None)
+
+
+def test_batch_kernel_defers_the_toric_dp_dead_end():
+    """An odd syndrome on the boundaryless toric graph has no finite
+    matching: the batch kernel defers it, and the batch entry still equals
+    the oracle (which demotes it to the greedy pairing)."""
+    if not _ckernels.available():
+        pytest.skip("no C toolchain available")
+    graph = DetectorGraph(code=make_code("toric", 3), rounds=ROUNDS, noise=paper_noise())
+    history, final = _sized_batch(graph, (3, 5, 7, 4, 1), seed=11)
+    events = np.concatenate([history.reshape(len(history), -1), final], axis=1)
+    row_of, nodes = np.nonzero(events)
+    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(row_of, minlength=len(events)))])
+    rows = np.arange(len(events))
+    entries, served = _ckernels.decode_rows(graph.context, nodes, row_ptr, rows, max_fired=60)
+    sizes = np.diff(row_ptr)
+    dead_ends = (sizes > 2) & (sizes % 2 == 1)
+    assert dead_ends.any() and not served[dead_ends].any()
+    assert all((entry is None) == (not ok) for entry, ok in zip(entries, served))
+    _assert_batch_equals_oracle(graph, "matching", history, final, None)
+
+
+def test_batch_kernel_grows_its_edge_buffer(monkeypatch):
+    """Rows whose edges outgrow the first output buffer resume in a larger
+    one: the entries equal the per-syndrome kernel's."""
+    if not _ckernels.available():
+        pytest.skip("no C toolchain available")
+    # Room for one worst-case row only: every later row forces a regrowth.
+    monkeypatch.setattr(_ckernels, "_EDGES_PER_FIRED", 0)
+    graph = DetectorGraph(code=surface_code(5), rounds=ROUNDS, noise=paper_noise())
+    history, final = _sized_batch(graph, (60,) * 12 + (1, 2), seed=13)
+    events = np.concatenate([history.reshape(len(history), -1), final], axis=1)
+    row_of, nodes = np.nonzero(events)
+    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(row_of, minlength=len(events)))])
+    rows = np.arange(len(events))
+    for method in ("matching", "union_find"):
+        kwargs = {"max_fired": 60} if method == "matching" else {"max_steps": 10_000}
+        entries, served = _ckernels.decode_rows(graph.context, nodes, row_ptr, rows, **kwargs)
+        assert served.all()
+        for row, entry in zip(rows, entries):
+            flagged = nodes[row_ptr[row] : row_ptr[row + 1]]
+            if method == "matching":
+                expected = _ckernels.decode_syndrome(graph.context, flagged)
+            else:
+                expected = _ckernels.uf_decode(graph.context, flagged, 10_000)
+            assert entry == expected
+
+
+def test_batch_failure_leaves_no_pending_cache_slot(graphs, monkeypatch):
+    """A batch whose decode raises releases the cache slots it held."""
+    graph = graphs["surface"]
+    history, final = _random_batch(graph, shots=10, density=0.05, seed=19)
+    decoder = make_decoder(graph, "union_find")
+
+    def explode(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(UnionFindDecoder, "_decode_rows", explode)
+    with pytest.raises(RuntimeError, match="boom"):
+        decoder.decode_batch(history, final)
+    assert len(decoder.cache) == 0
+    monkeypatch.undo()
+    reference = _per_shot_reference(graph, "union_find", history, final)
+    assert np.array_equal(decoder.decode_batch(history, final), reference)
+
+
+# --------------------------------------------------------------------- #
+# One detector graph per process
+# --------------------------------------------------------------------- #
+def test_shared_graph_is_one_object_per_input():
+    """Equal inputs give the same graph object across separately built codes
+    and across the offline and windowed decoders."""
+    from repro.decoders import shared_graph
+    from repro.experiments.memory import MemoryExperiment
+    from repro.realtime import WindowedDecoder
+
+    noise = paper_noise()
+    graph = shared_graph(make_code("surface", 3), ROUNDS, noise, "decompose")
+    assert shared_graph(make_code("surface", 3), ROUNDS, paper_noise(), "decompose") is graph
+    experiment = MemoryExperiment(
+        code=make_code("surface", 3), noise=noise, policy=make_policy("eraser+m")
+    )
+    assert experiment._make_decoder(ROUNDS).graph is graph
+    windowed = WindowedDecoder(
+        code=make_code("surface", 3), noise=noise, rounds=2 * ROUNDS, window_rounds=ROUNDS
+    )
+    window_graph, decoder = windowed.decoder_for(ROUNDS)
+    assert window_graph is graph and decoder.graph is graph
+    # Decoders share the graph's pinned context, never their caches.
+    assert decoder.cache is not experiment._make_decoder(ROUNDS).cache
+
+
+def test_shared_graph_tells_inputs_apart_and_stays_bounded():
+    from repro.decoders import detector_graph as dg
+    from repro.decoders import shared_graph
+
+    noise = paper_noise()
+    base = shared_graph(surface_code(3), ROUNDS, noise, "decompose")
+    variants = [
+        shared_graph(surface_code(3), ROUNDS, paper_noise(p=5e-3), "decompose"),
+        shared_graph(surface_code(3), ROUNDS + 1, noise, "decompose"),
+        shared_graph(surface_code(5), ROUNDS, noise, "decompose"),
+        shared_graph(make_code("toric", 3), ROUNDS, noise, "decompose"),
+    ]
+    for graph in variants:
+        assert graph is not base
+        assert graph.fingerprint != base.fingerprint
+    # Surface edges never need decomposing, so both settings build the same
+    # edges (one fingerprint), but they stay separate graphs.
+    rejecting = shared_graph(surface_code(3), ROUNDS, noise, "reject")
+    assert rejecting is not base and rejecting.fingerprint == base.fingerprint
+    for rounds in range(1, 3 * dg._GRAPH_MEMO_MAX):
+        shared_graph(surface_code(3), rounds, noise, "decompose")
+        assert len(dg._graph_memo) <= dg._GRAPH_MEMO_MAX
+
+
+def test_durable_pool_rows_equal_inline_rows(tmp_path):
+    """Pool workers forked with a warm graph memo return the inline rows."""
+    from repro.api import ExperimentConfig, Session
+    from repro.sweeps import SweepExecutor
+
+    config = ExperimentConfig.from_dict(
+        {"code": {"name": "surface", "distance": 3},
+         "execution": {"shots": 30, "rounds": ROUNDS, "seed": 5}}
+    )
+    units = Session(config).work_units({"decoder.name": ["matching", "union_find"]})
+    inline = SweepExecutor(workers=1, cache=None, shard_shots=15).run_units(units)
+    durable = SweepExecutor(
+        workers=1, cache=None, shard_shots=15, durable=True, root=tmp_path
+    ).run_units(units)
+    assert len(inline) == len(durable) == 2
+    for inline_row, durable_row in zip(inline, durable):
+        assert inline_row.keys() == durable_row.keys()
+        for key, value in inline_row.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(durable_row[key], value), key
+            else:
+                assert durable_row[key] == value, key
+
+
+def test_batch_kernel_rejects_rows_outside_its_offsets():
+    """Row indices and offsets are checked before the kernel reads them."""
+    if not _ckernels.available():
+        pytest.skip("no C toolchain available")
+    graph = DetectorGraph(code=surface_code(3), rounds=ROUNDS, noise=paper_noise())
+    nodes = np.array([0, 1, 2], dtype=np.int64)
+    row_ptr = np.array([0, 1, 3], dtype=np.int64)
+    for rows in ([2], [-1]):
+        with pytest.raises(ValueError, match="rows must lie in"):
+            _ckernels.decode_rows(graph.context, nodes, row_ptr, np.array(rows), max_steps=10)
+    for bad in ([0, 2, 1], [0, 1, 4], [-1, 1, 3]):
+        with pytest.raises(ValueError, match="row_ptr"):
+            _ckernels.decode_rows(graph.context, nodes, np.array(bad), np.array([0]), max_steps=10)
+
+
+def test_threads_share_graph_and_cache_without_lost_entries():
+    """Threads (more than cores) fetch one shared graph and batch-decode
+    overlapping syndromes through one small shared cache: every prediction
+    equals the uncached reference, every lookup is counted once, and no
+    pending slot outlives its batch."""
+    import sys
+    import threading
+
+    from repro.decoders import shared_graph
+    from repro.decoders.cache import _PENDING
+
+    noise = paper_noise(p=3e-3)
+    graph = shared_graph(surface_code(3), ROUNDS, noise, "decompose")
+    batches = [_random_batch(graph, shots=30, density=0.05, seed=600 + i % 3) for i in range(12)]
+    expected = [_per_shot_reference(graph, "matching", h, f) for h, f in batches]
+    cache = SyndromeCache(maxsize=16)
+    results: dict[int, object] = {}
+    errors: list[BaseException] = []
+
+    def work(index):
+        try:
+            mine = shared_graph(surface_code(3), ROUNDS, noise, "decompose")
+            assert mine is graph
+            decoder = make_decoder(mine, "matching", cache=cache)
+            results[index] = decoder.decode_batch(*batches[index])
+        except BaseException as error:  # surfaced by the main thread below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(batches))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    for index in range(len(batches)):
+        assert np.array_equal(results[index], expected[index]), index
+    stats = cache.stats()
+    assert stats["entries"] <= 16
+    assert all(value is not _PENDING for value in cache._entries.values())
+    lookups = 0
+    for history, final in batches:
+        events = np.concatenate([history.reshape(len(history), -1), final], axis=1)
+        fired = {row.tobytes() for row in events[events.any(axis=1)]}
+        lookups += len(fired)
+    assert stats["hits"] + stats["misses"] == lookups

@@ -365,4 +365,4 @@ def test_union_find_kernel_rejects_nodes_outside_the_graph(graph_d3):
     decoder = UnionFindDecoder(graph_d3)
     for flagged in ([0, graph_d3.num_nodes], [-1]):
         with pytest.raises(ValueError, match="must lie in"):
-            deckernels.uf_decode(decoder._fast_ctx, np.array(flagged), 10)
+            deckernels.uf_decode(decoder.graph.context, np.array(flagged), 10)

@@ -65,6 +65,29 @@ def test_undecoded_run_loads_no_heavy_module():
     assert unlisted == []
 
 
+def test_union_find_decode_loads_no_scipy():
+    """Union-find decodes from the graph's CSR: a decoded union-find run
+    never builds the all-pairs tables, so scipy stays unloaded."""
+    probe = """
+import json, sys
+from repro import ExperimentConfig, Session
+
+config = ExperimentConfig.from_dict({
+    "code": {"name": "surface", "distance": 3},
+    "decoder": {"name": "union_find"},
+    "execution": {"shots": 40, "rounds": 3, "decoded": True},
+})
+Session(config).run()
+print(json.dumps(sorted(name for name in ("scipy", "networkx") if name in sys.modules)))
+"""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert json.loads(completed.stdout.strip().splitlines()[-1]) == []
+
+
 def test_lazy_exports_are_the_layer_objects():
     import repro
     from repro.realtime import DecodeService

@@ -573,7 +573,7 @@ def test_union_find_kernel_entry_equals_interpreted(family, seed, fired):
     count = min(fired, graph.boundary_node)
     flagged = np.sort(rng.choice(graph.boundary_node, size=count, replace=False))
     expected = _interpreted_uf_entry(decoder, flagged)
-    assert deckernels.uf_decode(decoder._fast_ctx, flagged, 10_000) == expected
+    assert deckernels.uf_decode(decoder.graph.context, flagged, 10_000) == expected
     history, final = _records(graph, flagged.tolist())
     assert decoder.decode_shot_edges(history, final) == list(expected[0])
 
@@ -589,7 +589,7 @@ def test_union_find_kernel_agrees_when_growth_is_capped(family, seed, steps):
     rng = np.random.default_rng(seed)
     count = min(int(rng.integers(1, 12)), graph.boundary_node)
     flagged = np.sort(rng.choice(graph.boundary_node, size=count, replace=False))
-    kernel = deckernels.uf_decode(decoder._fast_ctx, flagged, steps)
+    kernel = deckernels.uf_decode(decoder.graph.context, flagged, steps)
     try:
         expected = _interpreted_uf_entry(decoder, flagged)
     except RuntimeError:

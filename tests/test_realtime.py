@@ -299,11 +299,12 @@ def test_service_propagates_mid_decode_exception(surface_d3, monkeypatch):
     """An exception inside a worker's decode surfaces in run() and the pool
     shuts down cleanly instead of hanging."""
 
-    def explode(self, flagged):
+    def explode(self, *args):
         raise RuntimeError("decoder blew up mid-window")
 
-    # Both entry points: the compiled whole-entry shortcut and the
-    # interpreted path it defers to.
+    # Every entry point: the batched rows, the compiled whole-entry
+    # shortcut and the interpreted path both defer to.
+    monkeypatch.setattr(UnionFindDecoder, "_decode_rows", explode)
     monkeypatch.setattr(UnionFindDecoder, "_fast_entry", explode)
     monkeypatch.setattr(UnionFindDecoder, "_edges_for_syndrome", explode)
     service = DecodeService(window_rounds=6, workers=2, method="union_find")
