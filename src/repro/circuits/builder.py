@@ -122,11 +122,3 @@ class CycleTimeModel:
     def round_duration_ns(self, lrcs_per_round: float) -> float:
         """Average round duration when ``lrcs_per_round`` LRCs fire per round."""
         return self.circuit.base_duration_ns() + self.lrc_overhead_ns(lrcs_per_round)
-
-    def relative_depth_overhead(self, lrcs_per_round: float) -> float:
-        """Fractional execution-depth increase caused by LRC insertion."""
-        return self.lrc_overhead_ns(lrcs_per_round) / self.circuit.base_duration_ns()
-
-    def total_execution_ns(self, lrcs_per_round: float, rounds: int) -> float:
-        """Total execution time of ``rounds`` QEC rounds."""
-        return self.round_duration_ns(lrcs_per_round) * rounds

@@ -64,14 +64,6 @@ class RoundSchedule:
         """Total number of two-qubit gates per round."""
         return len(self.operations)
 
-    def data_qubit_slots(self, data_qubit: int) -> list[tuple[int, int]]:
-        """Time slots in which ``data_qubit`` is touched, as ``(slot, stabilizer)``."""
-        return [
-            (op.time_slot, op.stabilizer)
-            for op in self.operations
-            if op.data_qubit == data_qubit
-        ]
-
     def validate(self) -> None:
         """Check that no qubit is used twice within one time slot."""
         for slot_index, layer in enumerate(self.slots):

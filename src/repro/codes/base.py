@@ -130,11 +130,6 @@ class StabilizerCode:
         """Number of parity (ancilla) qubits; one per stabilizer generator."""
         return len(self.stabilizers)
 
-    @property
-    def num_qubits(self) -> int:
-        """Total physical qubit count (data plus ancilla)."""
-        return self.num_data + self.num_ancilla
-
     @cached_property
     def x_stabilizers(self) -> list[Stabilizer]:
         """Stabilizers of X type (detect Z errors)."""

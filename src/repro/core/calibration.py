@@ -91,18 +91,6 @@ class CalibrationData:
         """Copy with the given fields replaced."""
         return replace(self, **changes)
 
-    # ------------------------------------------------------------------ #
-    # Derived quantities
-    # ------------------------------------------------------------------ #
-    @property
-    def isolated_flip_rate(self) -> float:
-        """Probability that a single syndrome bit flips for non-data reasons.
-
-        Combines measurement error, reset error and the roughly 50% of gate
-        errors that hit only the ancilla operand.
-        """
-        return self.measurement_error + self.reset_error + 0.5 * self.gate_error
-
     def describe(self) -> str:
         """One-line calibration summary."""
         return (

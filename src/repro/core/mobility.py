@@ -89,11 +89,6 @@ class MobilityEstimate:
     flagged_events: int
     rounds: int
 
-    @property
-    def is_high_mobility(self) -> bool:
-        """Whether the device is classified as high mobility."""
-        return self.regime == "high"
-
 
 def classify_mobility(
     conditional_probability: float, threshold: float = MOBILITY_THRESHOLD

@@ -228,12 +228,3 @@ class LookupPolicy(LeakagePolicy):
             if layout.shifts is not None:
                 keys = keys + (ctx.prev_pattern_ints << layout.shifts)
             np.take(layout.flat, keys + layout.offsets, out=data_lrc)
-
-    def flagged_fraction(self) -> dict[int, float]:
-        """Fraction of patterns flagged, per pattern width (diagnostic)."""
-        fractions: dict[int, list[float]] = {}
-        for qubit in range(self.code.num_data):
-            width = self.code.pattern_width(qubit)
-            table = np.asarray(self.flag_table(qubit), dtype=bool)
-            fractions.setdefault(width, []).append(float(table.mean()))
-        return {width: float(np.mean(values)) for width, values in fractions.items()}

@@ -14,18 +14,24 @@ bit-identical NumPy/Python fallbacks when no compiler is available:
   rows (collisions demote to the exact path), so hashing never changes
   results — only the representative *order*, which the inverse-scatter
   erases.
-* **The whole exact decode.**  ``decode_syndrome`` is the one compiled
-  matching entry, for every graph size: one call per exact syndrome runs
-  cost extraction, the analytic 1/2-detector rules, the matching, the
+* **One compiled decode entry.**  ``decode_rows`` is the only decode call
+  the Python side makes, for both decoders and every graph size: it takes
+  CSR fired-node rows (a batch's uncached syndromes, or the one row of a
+  per-shot miss), decodes each with one of the two static C helpers below
+  and returns CSR edges, parities and a per-row status.  Its entries equal
+  the interpreted path's edge for edge; the rows it defers go to that path.
+* **Exact matching** (``decode_syndrome``, static).  One row runs cost
+  extraction, the analytic 1/2-detector rules, the matching, the
   predecessor retrace and the logical parity, emitting the exact edge
   sequence of :class:`~repro.decoders.matching.MatchingDecoder`'s
   interpreted path.  Each fired detector reads its distance and
   predecessor rows through a row index: the pinned all-pairs matrices of a
   graph under the all-pairs gate (rows = the fired node ids, so nothing is
-  copied per syndrome), or the syndrome's own dijkstra rows past it (rows
-  = ``0..count-1``).  Each retraced edge's logical-flip bit comes from the
-  graph's CSR (:class:`GraphContext`), read at the endpoint that is not
-  the boundary node.  The matching itself:
+  copied per syndrome), or, past it, the syndrome's own dijkstra rows
+  (rows = ``0..count-1``, one ``decode_rows`` call per row).  Each
+  retraced edge's logical-flip bit comes from the graph's CSR
+  (:class:`GraphContext`), read at the endpoint that is not the boundary
+  node.  The matching itself:
 
   - *3..8 detectors*: a bitmask DP, the line-for-line mirror of
     ``MatchingDecoder._dp_matching`` — same mask iteration order, same
@@ -45,39 +51,33 @@ bit-identical NumPy/Python fallbacks when no compiler is available:
     (~3.7 ms per call at a median of 12 fired detectors, on a shared
     2-vCPU x86-64 host).
 
-  The DP's infinite dead end and any non-finite blossom cost return
-  ``None``, and the caller decodes that syndrome on the interpreted path
-  (the Python DP, which demotes to greedy, or networkx), so inf/NaN
-  semantics stay out of the port.  Matched pairs leave the blossom port in
-  one canonical order: by ascending lower detector index, each pair
-  oriented as networkx's ``matching_dict_to_set`` reports it (so the entry
-  never depends on ``PYTHONHASHSEED``).
-* **Union-find decoding.**  ``uf_decode`` mirrors
+  The DP's infinite dead end and any non-finite blossom cost defer the
+  row to the interpreted path (the Python DP, which demotes to greedy, or
+  networkx), so inf/NaN semantics stay out of the port.  Matched pairs
+  leave the blossom port in one canonical order: by ascending lower
+  detector index, each pair oriented as networkx's
+  ``matching_dict_to_set`` reports it (so the entry never depends on
+  ``PYTHONHASHSEED``).
+* **Union-find** (``uf_decode``, static).  One row runs
   :class:`~repro.decoders.union_find.UnionFindDecoder`'s cluster growth,
-  peeling and parity line for line in one call per syndrome, over the same
-  :class:`GraphContext` CSR.  The Python algorithm's output
-  depends on CPython's ``set`` iteration order for ints (the fired set
-  fixes cluster order, each member set the frontier order, its first slot
-  the peeling root), so the kernel rebuilds each such set's slot layout —
-  ``hash(n) == n``, 8 initial slots, 9 linear probes then perturbed
-  probing, growth to the next power of two above ``4 * used`` — and the
-  entry is the interpreted one, edge for edge (iterating in insertion
-  order instead changed the logical parity of 46 in 900 random 1-19
-  detector colour d=5 syndromes, and of 278 in 900 toric ones).  A load-time self-check compares the emulation with
-  ``list(set(...))`` on fixed add sequences and, on disagreement (a
-  future CPython changing its set layout), disables only this kernel;
-  :func:`intset_order` exposes the emulation to the tests.
-
-* **One call per batch.**  ``decode_rows`` loops ``decode_syndrome`` (on
-  a graph with pinned all-pairs matrices) or ``uf_decode`` over every
-  uncached syndrome of a batch, given as CSR fired-node rows, and returns
-  CSR edges, parities and a per-row status; the rows it defers (past the
-  exact-matching bound, or handed back by the per-syndrome kernel) take
-  the per-syndrome path.  Its entries equal the per-syndrome calls'.
+  peeling and parity line for line over the same :class:`GraphContext`
+  CSR.  The Python algorithm's output depends on CPython's ``set``
+  iteration order for ints (the fired set fixes cluster order, each
+  member set the frontier order, its first slot the peeling root), so the
+  kernel rebuilds each such set's slot layout — ``hash(n) == n``, 8
+  initial slots, 9 linear probes then perturbed probing, growth to the
+  next power of two above ``4 * used`` — and the entry is the interpreted
+  one, edge for edge (iterating in insertion order instead changed the
+  logical parity of 46 in 900 random 1-19 detector colour d=5 syndromes,
+  and of 278 in 900 toric ones).  A load-time self-check compares the
+  emulation with ``list(set(...))`` on fixed add sequences and, on
+  disagreement (a future CPython changing its set layout), disables only
+  the union-find rows; :func:`intset_order` exposes the emulation to the
+  tests.
 
 Work buffers are per-thread and grown on demand, so syndromes of any size
-and the realtime worker threads are both safe; a batch's output buffers
-live only for its call.
+and the realtime worker threads are both safe; a call's output buffers
+live only for that call.
 
 Gating: set ``REPRO_DECODER_CKERNELS=0`` to force the fallbacks; when that
 variable is unset the sim-wide ``REPRO_SIM_CKERNELS`` switch applies, so
@@ -99,10 +99,8 @@ from .._cbuild import build
 __all__ = [
     "available",
     "hash_rows",
-    "decode_syndrome",
     "GraphContext",
     "uf_available",
-    "uf_decode",
     "decode_rows",
     "intset_order",
 ]
@@ -790,26 +788,27 @@ static inline int32_t edge_flip(int32_t a, int32_t b, int32_t boundary,
     return 0;
 }
 
-/* One-call decode of an exact syndrome: cost extraction, exact matching
- * (analytic for one or two fired detectors, the bitmask DP for 3..8,
- * blossom for 9+), shortest-path retrace and the logical parity, all
- * without crossing back into Python.  Fired detector i reads its distance
- * and predecessor rows at row rows[i] of ``dist`` (float64) and ``pred``
- * (int32, negative = no predecessor, as scipy emits), both num_nodes wide:
- * a graph's all-pairs matrices with rows = flagged, or the per-syndrome
- * dijkstra rows with rows = 0..count-1.  indptr / indices / flips are the
- * graph's CSR with one logical-flip bit per slot.  ``work`` holds
- * match_work_bytes(count) bytes and ``pair_idx`` 2*count ints.  Emits
- * (a, b) node pairs into out_edges in exactly the Python retrace order and
- * returns their number, or -1 when the DP hits the infinite dead end or a
- * blossom cost is not finite (the caller then decodes the syndrome on the
- * interpreted path, which demotes to greedy or runs networkx). */
-int32_t decode_syndrome(int32_t count, const int64_t* flagged, const int64_t* rows,
-                        const double* dist, const int32_t* pred,
-                        int32_t num_nodes, int32_t boundary,
-                        const int32_t* indptr, const int32_t* indices,
-                        const uint8_t* flips, void* work, int32_t* pair_idx,
-                        int32_t* out_edges, int32_t* out_parity) {
+/* Decode of one exact syndrome (a decode_rows helper): cost extraction,
+ * exact matching (analytic for one or two fired detectors, the bitmask DP
+ * for 3..8, blossom for 9+), shortest-path retrace and the logical parity.
+ * Fired detector i reads its distance and predecessor rows at row rows[i]
+ * of ``dist`` (float64) and ``pred`` (int32, negative = no predecessor, as
+ * scipy emits), both num_nodes wide: a graph's all-pairs matrices with
+ * rows = flagged, or the syndrome's own dijkstra rows with
+ * rows = 0..count-1.  indptr / indices / flips are the graph's CSR with one
+ * logical-flip bit per slot.  ``work`` holds match_work_bytes(count) bytes
+ * and ``pair_idx`` 2*count ints.  Emits (a, b) node pairs into out_edges
+ * in exactly the Python retrace order and returns their number, or -1 when
+ * the DP hits the infinite dead end or a blossom cost is not finite (the
+ * row is then deferred to the interpreted path, which demotes to greedy or
+ * runs networkx). */
+static int32_t decode_syndrome(int32_t count, const int64_t* flagged,
+                               const int64_t* rows, const double* dist,
+                               const int32_t* pred, int32_t num_nodes,
+                               int32_t boundary, const int32_t* indptr,
+                               const int32_t* indices, const uint8_t* flips,
+                               void* work, int32_t* pair_idx,
+                               int32_t* out_edges, int32_t* out_parity) {
     const int64_t N = num_nodes;
     int32_t num_pairs;
     if (count == 1) {
@@ -1042,23 +1041,20 @@ static inline void uf_add(UF* u, uint32_t stamp, int32_t node, int fired,
     u->flags[node] = (uint8_t)((fired ? 5 : 0) | (node == boundary ? 2 : 0));
 }
 
-/* Decode one non-empty syndrome.  flagged holds count node ids in the
- * order the Python set was built from; indptr / indices / flips are the
- * CSR graph of num_nodes <= cap nodes.  Emits (node, parent) edges into
- * out_edges in _peel's order with their logical parity, and returns the
- * edge count; -1 when growth does not converge within max_steps (the
- * caller re-runs the Python path, which raises), -2 on a frontier root
- * outside the stale grouping (the caller defers to Python), -3 on a node
- * id outside [0, num_nodes). */
-int32_t uf_decode(int32_t count, const int64_t* flagged, int32_t num_nodes,
-                  int32_t boundary, const int32_t* indptr,
-                  const int32_t* indices, const uint8_t* flips,
-                  int32_t max_steps, int32_t cap, void* work,
-                  int32_t* out_edges, int32_t* out_parity) {
-    UF u;
+/* Union-find decode of one non-empty syndrome (a decode_rows helper).
+ * flagged holds count node ids, all in [0, num_nodes), in the order the
+ * Python set was built from; indptr / indices / flips are the CSR graph of
+ * num_nodes <= cap nodes.  Emits (node, parent) edges into out_edges in
+ * _peel's order with their logical parity, and returns the edge count; -1
+ * when growth does not converge within max_steps (the interpreted path then
+ * raises), -2 on a frontier root outside the stale grouping (the row is
+ * deferred to Python). */
+static int32_t uf_decode(int32_t count, const int64_t* flagged, int32_t boundary,
+                         const int32_t* indptr, const int32_t* indices,
+                         const uint8_t* flips, int32_t max_steps, int32_t cap,
+                         void* work, int32_t* out_edges, int32_t* out_parity) {
+    UF u = {0};  /* uf_layout sets it; zeroed for -Wmaybe-uninitialized */
     uf_layout(&u, (char*)work, cap);
-    for (int32_t a = 0; a < count; a++)
-        if (flagged[a] < 0 || flagged[a] >= num_nodes) return -3;
     uint32_t stamp = uf_stamp(&u.hdr[0], u.mark, 2 * (int64_t)cap);
     /* fired_nodes = set(flagged): its slot order is membership order. */
     for (int32_t a = 0; a < count; a++) u.order[a] = (int32_t)flagged[a];
@@ -1144,26 +1140,30 @@ int32_t uf_decode(int32_t count, const int64_t* flagged, int32_t num_nodes,
 }
 
 /* ------------------------------------------------------------------------
- * Batch entry: decode the fired-node rows sel[start..nrows) in one call.
- * Row k's fired node ids, ascending, are nodes[row_ptr[sel[k]] ..
- * row_ptr[sel[k] + 1]).  method 0 runs decode_syndrome against the
- * all-pairs matrices dist / pred (row index = the fired id), method 1
- * uf_decode with max_steps over a uf_cap work buffer.  Row k's edges land
- * at out_edges[2 * edge_ptr[k] ..], edge_ptr[k + 1] closes them, parity[k]
- * is their logical parity and status[k] is 0 (decoded) or 1 (deferred, no
+ * The one compiled decode entry: decode the fired-node rows
+ * sel[start..nrows) in one call.  Row k's fired node ids, ascending, are
+ * nodes[row_ptr[sel[k]] .. row_ptr[sel[k] + 1]).  method 0 runs
+ * decode_syndrome against dist / pred: with path_rows NULL these are the
+ * all-pairs matrices (row index = the fired id), otherwise they hold the
+ * fired detectors' own shortest-path rows, detector i at row path_rows[i]
+ * (0..count-1, one row decoded per call).  method 1 runs uf_decode with
+ * max_steps over a uf_cap work buffer.  Row k's edges land at
+ * out_edges[2 * edge_ptr[k] ..], edge_ptr[k + 1] closes them, parity[k] is
+ * their logical parity and status[k] is 0 (decoded) or 1 (deferred, no
  * edges).  A row is deferred when it fires more than max_fired detectors
  * (or more than num_nodes, which only repeated ids can), holds a node id
- * outside [0, num_nodes), or its kernel hands it back: the
- * DP's dead end, a non-finite blossom cost, growth that does not converge,
- * a stale frontier root.  Row k is decoded only when its worst case
- * (method 0: count * (num_nodes - 1) retraced edges, method 1: num_nodes
- * peeled edges) fits below edge_cap; otherwise the entry returns k and the
- * caller grows out_edges and resumes there.  Returns nrows when done.
+ * outside [0, num_nodes), or its helper hands it back: the DP's dead end,
+ * a non-finite blossom cost, growth that does not converge, a stale
+ * frontier root.  Row k is decoded only when its worst case (method 0:
+ * count * (num_nodes - 1) retraced edges, method 1: num_nodes peeled
+ * edges) fits below edge_cap; otherwise the entry returns k and the caller
+ * grows out_edges and resumes there.  Returns nrows when done.
  * ---------------------------------------------------------------------- */
 int64_t decode_rows(int32_t method, int64_t start, int64_t nrows,
                     const int64_t* sel, const int64_t* row_ptr,
                     const int64_t* nodes, int64_t max_fired,
                     const double* dist, const int32_t* pred,
+                    const int64_t* path_rows,
                     int32_t num_nodes, int32_t boundary,
                     const int32_t* indptr, const int32_t* indices,
                     const uint8_t* flips, int32_t max_steps, int32_t uf_cap,
@@ -1185,12 +1185,11 @@ int64_t decode_rows(int32_t method, int64_t start, int64_t nrows,
         int64_t worst = method == 0 ? count * (int64_t)(num_nodes - 1) : num_nodes;
         if (at + worst > edge_cap) return k;
         int32_t got = method == 0
-            ? decode_syndrome((int32_t)count, fired, fired, dist, pred, num_nodes,
-                              boundary, indptr, indices, flips, work, pair_idx,
-                              out_edges + 2 * at, parity + k)
-            : uf_decode((int32_t)count, fired, num_nodes, boundary, indptr,
-                        indices, flips, max_steps, uf_cap, work,
-                        out_edges + 2 * at, parity + k);
+            ? decode_syndrome((int32_t)count, fired, path_rows ? path_rows : fired,
+                              dist, pred, num_nodes, boundary, indptr, indices,
+                              flips, work, pair_idx, out_edges + 2 * at, parity + k)
+            : uf_decode((int32_t)count, fired, boundary, indptr, indices, flips,
+                        max_steps, uf_cap, work, out_edges + 2 * at, parity + k);
         if (got < 0) {
             parity[k] = 0;
             continue;
@@ -1240,23 +1239,13 @@ def _build() -> ctypes.CDLL | None:
     lib.hash_rows.restype = None
     lib.match_work_bytes.argtypes = [ctypes.c_int32]
     lib.match_work_bytes.restype = ctypes.c_int64
-    lib.decode_syndrome.argtypes = [
-        ctypes.c_int32, ptr, ptr, ptr, ptr, ctypes.c_int32, ctypes.c_int32,
-        ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-    ]
-    lib.decode_syndrome.restype = ctypes.c_int32
     lib.intset_order.argtypes = [ptr, ctypes.c_int32, ptr, ptr]
     lib.intset_order.restype = ctypes.c_int32
     lib.uf_work_bytes.argtypes = [ctypes.c_int32]
     lib.uf_work_bytes.restype = ctypes.c_int64
-    lib.uf_decode.argtypes = [
-        ctypes.c_int32, ptr, ctypes.c_int32, ctypes.c_int32, ptr, ptr, ptr,
-        ctypes.c_int32, ctypes.c_int32, ptr, ptr, ptr,
-    ]
-    lib.uf_decode.restype = ctypes.c_int32
     i32, i64 = ctypes.c_int32, ctypes.c_int64
     lib.decode_rows.argtypes = [
-        i32, i64, i64, ptr, ptr, ptr, i64, ptr, ptr, i32, i32, ptr, ptr, ptr,
+        i32, i64, i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, i32, i32, ptr, ptr, ptr,
         i32, i32, ptr, ptr, ptr, ptr, i64, ptr, ptr,
     ]
     lib.decode_rows.restype = ctypes.c_int64
@@ -1281,8 +1270,8 @@ def available() -> bool:
 
 
 def uf_available() -> bool:
-    """Whether :func:`uf_decode` may run: the kernels are available and the
-    load-time self-check passed (see ``_uf_layout_ok``)."""
+    """Whether :func:`decode_rows` may run union-find: the kernels are
+    available and the load-time self-check passed (see ``_uf_layout_ok``)."""
     return available() and _uf_layout_ok
 
 
@@ -1302,58 +1291,45 @@ def _intset_order(lib: ctypes.CDLL, keys: Sequence[int]) -> list[int]:
 
 
 class _Scratch(threading.local):
-    """Per-thread reusable kernel buffers, grown on demand.
+    """Per-thread reusable kernel work buffers, grown on demand.
 
-    A small-syndrome kernel call runs in about a microsecond, so per-call
-    array allocation and ``ctypes`` pointer construction would dominate.
     Each thread (the realtime service decodes from worker threads) keeps
-    one set of buffers with their pointers extracted once, regrown only
-    when a larger syndrome (or graph) arrives.
+    one set of work buffers with their pointers extracted once, regrown
+    only when a larger syndrome (or graph) arrives, so a one-row
+    :func:`decode_rows` call allocates only its outputs.
     """
 
     def __init__(self) -> None:
         self.count = 0
-        self.edge_capacity = 0
         self.uf_capacity = 0
-        self.parity = np.zeros(1, dtype=np.int32)
-        self.parity_ptr = _ptr(self.parity)
 
     def reserve(self, count: int) -> None:
-        """Size the pair, row-index and matching work buffers for ``count``."""
+        """Size the pair, path-row and matching work buffers for ``count``."""
         if count <= self.count:
             return
         assert _lib is not None
         self.count = count
         self.pairs = np.empty(2 * count, dtype=np.int32)
-        # Row i of per-syndrome shortest-path arrays belongs to detector i.
+        # Row i of a syndrome's own shortest-path arrays belongs to detector i.
         self.rows = np.arange(count, dtype=np.int64)
         work_bytes = int(_lib.match_work_bytes(count))
         self.work = np.empty((work_bytes + 7) // 8, dtype=np.float64)
         self.pairs_ptr, self.rows_ptr = _ptr(self.pairs), _ptr(self.rows)
         self.work_ptr = _ptr(self.work)
 
-    def reserve_edges(self, capacity: int) -> None:
-        if capacity > self.edge_capacity:
-            self.edges = np.empty(capacity, dtype=np.int32)
-            self.edges_ptr = _ptr(self.edges)
-            self.edge_capacity = capacity
-
     def reserve_uf(self, num_nodes: int) -> None:
-        """Size the union-find work, syndrome and edge buffers for ``num_nodes``.
+        """Size the union-find work buffer for graphs of ``num_nodes``.
 
-        The work buffer starts zeroed (its per-node stamps must), and the
-        kernel lays it out by ``uf_capacity``, so one buffer serves every
-        graph up to that size.
+        The buffer starts zeroed (its per-node stamps must), and the kernel
+        lays it out by ``uf_capacity``, so one buffer serves every graph up
+        to that size.
         """
         if num_nodes > self.uf_capacity:
             assert _lib is not None
             work_bytes = int(_lib.uf_work_bytes(num_nodes))
             self.uf_work = np.zeros((work_bytes + 7) // 8, dtype=np.uint64)
-            self.uf_flagged = np.empty(num_nodes, dtype=np.int64)
             self.uf_work_ptr = _ptr(self.uf_work)
-            self.uf_flagged_ptr = _ptr(self.uf_flagged)
             self.uf_capacity = num_nodes
-        self.reserve_edges(2 * num_nodes)
 
 
 _scratch = _Scratch()
@@ -1365,12 +1341,12 @@ class GraphContext:
     ``indptr``/``indices`` are ``graph.neighbors`` flattened in list order
     and ``flips`` holds the logical-flip bit of each CSR slot's (collapsed)
     edge (:attr:`~repro.decoders.detector_graph.DetectorGraph.csr`):
-    O(nodes + edges), so every graph size is covered.  :func:`uf_decode`
-    walks it, and :func:`decode_syndrome` reads each retraced edge's flip
+    O(nodes + edges), so every graph size is covered.  :func:`decode_rows`
+    walks it for union-find and reads each retraced matching edge's flip
     from it.  ``all_pairs`` optionally pins a graph's all-pairs
-    ``(distances, predecessors)`` matrices, from which
-    :func:`decode_syndrome` reads fired detectors' rows in place; without
-    them the caller passes each syndrome's own shortest-path rows.  It may
+    ``(distances, predecessors)`` matrices, from which :func:`decode_rows`
+    reads fired detectors' rows in place; without them the caller passes
+    each syndrome's own shortest-path rows.  It may
     be a zero-argument callable returning the matrices (or ``None``), run
     on the first read of :attr:`all_pairs`, so union-find, which never
     reads them, never builds them (nor imports scipy).  Built once per
@@ -1460,89 +1436,6 @@ def hash_rows(packed: np.ndarray) -> np.ndarray:
     return out
 
 
-def decode_syndrome(
-    ctx: GraphContext,
-    flagged: np.ndarray,
-    paths: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[tuple[tuple[int, int], ...], int] | None:
-    """Decode one exact syndrome entirely in C against ``ctx``.
-
-    Fired detectors read their distance and predecessor rows from the
-    all-pairs matrices ``ctx`` pins, or, when it pins none, from ``paths``:
-    ``graph.shortest_paths_from(flagged)``, one row per fired detector.
-    Returns ``(edges, parity)`` — the correction edges in exactly the order
-    the interpreted retrace emits them, plus the logical-flip parity — or
-    ``None`` when the DP hits the infinite dead end or a blossom cost is
-    not finite (the caller then decodes on the interpreted path, which
-    demotes to greedy or runs networkx).  Only call when :func:`available`
-    is true and ``flagged`` is non-empty.
-    """
-    assert _lib is not None
-    count = int(flagged.shape[0])
-    if count <= 0:
-        raise ValueError("decode_syndrome needs at least one fired detector")
-    flagged = np.ascontiguousarray(flagged, dtype=np.int64)
-    flagged_ptr = _ptr(flagged)
-    scratch = _scratch
-    scratch.reserve(count)
-    scratch.reserve_edges(2 * count * ctx.num_nodes)
-    if ctx.pair_args is not None:
-        rows_ptr, (dist_ptr, pred_ptr) = flagged_ptr, ctx.pair_args
-    else:
-        if paths is None:
-            raise ValueError("a context without all-pairs matrices needs paths")
-        distances = np.ascontiguousarray(paths[0], dtype=np.float64)
-        predecessors = np.ascontiguousarray(paths[1], dtype=np.int32)
-        if distances.shape != (count, ctx.num_nodes) or predecessors.shape != distances.shape:
-            raise ValueError("paths must hold one row per fired detector")
-        rows_ptr, dist_ptr, pred_ptr = scratch.rows_ptr, _ptr(distances), _ptr(predecessors)
-    emitted = int(
-        _lib.decode_syndrome(
-            count, flagged_ptr, rows_ptr, dist_ptr, pred_ptr, *ctx.args,
-            scratch.work_ptr, scratch.pairs_ptr, scratch.edges_ptr, scratch.parity_ptr,
-        )
-    )
-    if emitted < 0:
-        return None
-    flat = scratch.edges[: 2 * emitted].tolist()
-    return tuple(zip(flat[0::2], flat[1::2])), int(scratch.parity[0])
-
-
-def uf_decode(
-    ctx: GraphContext, flagged: np.ndarray, max_steps: int
-) -> tuple[tuple[tuple[int, int], ...], int] | None:
-    """Union-find decode of one syndrome entirely in C against ``ctx``.
-
-    Returns the ``(edges, parity)`` entry the interpreted
-    ``_grow_clusters`` + ``_peel`` + parity path builds — same edges, order
-    and orientation — or ``None`` when growth does not converge within
-    ``max_steps`` (the caller re-runs the Python path, which raises).
-    ``flagged`` lists fired node ids in the order the Python set is built
-    from; an id outside the graph raises ``ValueError``.  Only call when
-    :func:`uf_available` is true.
-    """
-    assert _lib is not None
-    steps = max(0, min(operator.index(max_steps), 2**31 - 1))
-    count = int(flagged.shape[0])
-    scratch = _scratch
-    scratch.reserve_uf(ctx.num_nodes)
-    # Copied into the pinned buffer: cheaper than a fresh ctypes pointer.
-    scratch.uf_flagged[:count] = flagged
-    emitted = int(
-        _lib.uf_decode(
-            count, scratch.uf_flagged_ptr, *ctx.args, steps,
-            scratch.uf_capacity, scratch.uf_work_ptr, scratch.edges_ptr,
-            scratch.parity_ptr,
-        )
-    )
-    if emitted == -3:
-        raise ValueError(f"flagged node ids must lie in [0, {ctx.num_nodes})")
-    if emitted < 0:
-        return None
-    flat = scratch.edges[: 2 * emitted].tolist()
-    return tuple(zip(flat[0::2], flat[1::2])), int(scratch.parity[0])
-
-
 def decode_rows(
     ctx: GraphContext,
     nodes: np.ndarray,
@@ -1551,51 +1444,71 @@ def decode_rows(
     *,
     max_fired: int | None = None,
     max_steps: int | None = None,
+    paths: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[list[tuple[tuple[tuple[int, int], ...], int] | None], np.ndarray]:
-    """Decode many syndromes in one C call against ``ctx``.
+    """Decode syndromes in one C call against ``ctx``: the one compiled
+    decode entry, for both decoders and every graph size.
 
     Row ``r`` fires the ascending node ids ``nodes[row_ptr[r]:row_ptr[r + 1]]``
     and ``rows`` selects the non-empty rows to decode.  With ``max_steps``
-    each row runs :func:`uf_decode`'s union-find; without it each row of at
-    most ``max_fired`` detectors runs :func:`decode_syndrome`'s exact
-    matching against the all-pairs matrices ``ctx`` must pin.  Returns
-    ``(entries, served)``: ``entries[i]`` is row ``rows[i]``'s
-    ``(edges, parity)``, equal to the per-syndrome call's, or ``None`` where
-    ``served[i]`` is false and the row is deferred (larger than
-    ``max_fired``, a node id outside the graph, or one the per-syndrome
-    call also hands back).  Only call when :func:`available` is true (for
-    union-find, :func:`uf_available`).
+    each row runs the union-find port.  Without it each row of at most
+    ``max_fired`` detectors runs the exact matching, reading each fired
+    detector's distance and predecessor rows from the all-pairs matrices
+    ``ctx`` pins, or from ``paths``: the ``shortest_paths_from`` matrices
+    of the one row ``rows`` then selects, one row per fired detector.
+    Returns ``(entries, served)``: ``entries[i]`` is row ``rows[i]``'s
+    ``(edges, parity)``, equal to the interpreted path's edge for edge, or
+    ``None`` where ``served[i]`` is false and the row is deferred (larger
+    than ``max_fired``, the DP's infinite dead end, a non-finite blossom
+    cost, union-find growth that does not converge).  A node id outside
+    ``[0, ctx.num_nodes)`` raises ``ValueError``.  Only call when
+    :func:`available` is true (for union-find, :func:`uf_available`).
     """
     assert _lib is not None
     nodes = np.ascontiguousarray(nodes, dtype=np.int64)
     row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     count = int(rows.size)
+    num_nodes = ctx.num_nodes
     offsets_ok = row_ptr.size and row_ptr[0] >= 0 and row_ptr[-1] <= nodes.size
     if not offsets_ok or (np.diff(row_ptr) < 0).any():
         raise ValueError("row_ptr must hold non-decreasing offsets into nodes")
     if count and (int(rows.min()) < 0 or int(rows.max()) >= row_ptr.size - 1):
         raise ValueError(f"rows must lie in [0, {row_ptr.size - 1})")
+    if nodes.size and (int(nodes.min()) < 0 or int(nodes.max()) >= num_nodes):
+        raise ValueError(f"node ids must lie in [0, {num_nodes})")
     sizes = row_ptr[rows + 1] - row_ptr[rows]
     scratch = _scratch
-    num_nodes = ctx.num_nodes
     pairs_ptr: ctypes.c_void_p | None = None
     dist_ptr: ctypes.c_void_p | None = None
     pred_ptr: ctypes.c_void_p | None = None
+    path_rows_ptr: ctypes.c_void_p | None = None
     if max_steps is not None:
         method, limit, worst = 1, 2**62, num_nodes
         steps = max(0, min(operator.index(max_steps), 2**31 - 1))
         scratch.reserve_uf(num_nodes)
         work_ptr = scratch.uf_work_ptr
     else:
-        if ctx.pair_args is None or max_fired is None:
-            raise ValueError("batched matching needs all-pairs matrices and max_fired")
+        if max_fired is None:
+            raise ValueError("matching needs max_fired")
         method, limit, steps = 0, int(max_fired), 0
         largest = int(sizes[sizes <= limit].max(initial=1))
         worst = largest * (num_nodes - 1)
         scratch.reserve(largest)
         work_ptr, pairs_ptr = scratch.work_ptr, scratch.pairs_ptr
-        dist_ptr, pred_ptr = ctx.pair_args
+        if paths is not None:
+            distances = np.ascontiguousarray(paths[0], dtype=np.float64)
+            predecessors = np.ascontiguousarray(paths[1], dtype=np.int32)
+            if count != 1 or distances.shape != (int(sizes[0]), num_nodes) or (
+                predecessors.shape != distances.shape
+            ):
+                raise ValueError("paths serve one row, one path row per fired detector")
+            dist_ptr, pred_ptr = _ptr(distances), _ptr(predecessors)
+            path_rows_ptr = scratch.rows_ptr
+        elif ctx.pair_args is not None:
+            dist_ptr, pred_ptr = ctx.pair_args
+        else:
+            raise ValueError("a context without all-pairs matrices needs paths")
     edge_ptr = np.zeros(count + 1, dtype=np.int64)
     parity = np.zeros(count, dtype=np.int32)
     status = np.ones(count, dtype=np.uint8)
@@ -1606,9 +1519,9 @@ def decode_rows(
         start = int(
             _lib.decode_rows(
                 method, start, count, _ptr(rows), _ptr(row_ptr), _ptr(nodes), limit,
-                dist_ptr, pred_ptr, *ctx.args, steps, scratch.uf_capacity, work_ptr,
-                pairs_ptr, _ptr(edge_ptr), _ptr(edges), capacity, _ptr(parity),
-                _ptr(status),
+                dist_ptr, pred_ptr, path_rows_ptr, *ctx.args, steps,
+                scratch.uf_capacity, work_ptr, pairs_ptr, _ptr(edge_ptr), _ptr(edges),
+                capacity, _ptr(parity), _ptr(status),
             )
         )
         if start < count:

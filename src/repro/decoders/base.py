@@ -4,13 +4,17 @@ Both concrete decoders (:class:`~repro.decoders.matching.MatchingDecoder`
 and :class:`~repro.decoders.union_find.UnionFindDecoder`) reduce to the
 same skeleton: extract the fired detector nodes of a shot, turn them into a
 correction — a list of detector-graph edges — and read the logical-flip
-parity off that edge list.  Only the middle step differs, so it is the one
-hook subclasses implement (:meth:`_edges_for_syndrome`); everything around
-it lives here exactly once:
+parity off that edge list.  Only the middle step differs, so subclasses
+implement it twice: interpreted, one syndrome at a time
+(:meth:`_edges_for_syndrome`, the oracle and the kernels-off path), and
+compiled, many rows in one
+:func:`~repro.decoders._ckernels.decode_rows` call (:meth:`_decode_rows`,
+the one compiled hook).  Everything around it lives here exactly once:
 
 * **per-shot entry points** — :meth:`decode_shot` (logical parity) and
   :meth:`decode_shot_edges` (explicit edges, used by windowed decoding),
-  both through :meth:`_decode_entry`, which is also the batch path's oracle,
+  both through :meth:`_decode_entry`, which is also the batch path's oracle
+  and decodes its cache miss as a one-row :meth:`_decode_rows` call,
 * **the batched fast path** — :meth:`decode_batch` (logical parities) and
   :meth:`decode_edges_unique` (correction edges per unique syndrome plus
   the scatter map, used by windowed decoding) pack the whole
@@ -66,6 +70,10 @@ _OBS_HASH_COLLISIONS = METRICS.counter(
 #: Cached entry: (correction edges, logical-flip parity).
 _Entry = tuple[tuple[tuple[int, int], ...], int]
 
+#: The ``rows`` argument of a one-row :meth:`DecoderBase._decode_rows` call.
+_ONE_ROW = np.zeros(1, dtype=np.int64)
+_ONE_ROW.setflags(write=False)
+
 #: Syndromes firing more detectors than this bypass the cache entirely.
 #: Heavy syndromes (un-mitigated leakage floods) are essentially never
 #: repeated, so caching them buys no hits while each entry would hold a
@@ -111,29 +119,21 @@ class DecoderBase:
         once per per-shot call and once per batch)."""
         return _ckernels.available()
 
-    def _fast_entry(self, flagged: np.ndarray, compiled: bool) -> _Entry | None:
-        """Optional compiled shortcut producing a whole ``(edges, flip)`` entry.
-
-        Subclasses may return the exact entry :meth:`_interpreted_entry`
-        would build (bit for bit: same edges, same order, same parity) when
-        ``compiled`` is true and a kernel can serve this syndrome, or
-        ``None`` to take the interpreted path.  Results are cached
-        identically either way, so the shortcut is invisible except in
-        wall-clock time.
-        """
-        return None
-
     def _decode_rows(
         self, nodes: np.ndarray, row_ptr: np.ndarray, rows: np.ndarray, compiled: bool
     ) -> list[_Entry]:
-        """Entries of the batch rows ``rows``, none of them empty or cached.
+        """Entries of the rows ``rows``, none of them empty or cached.
 
-        Row ``r`` fires ``nodes[row_ptr[r]:row_ptr[r + 1]]``.  Here each row
-        takes the per-syndrome path; subclasses decode the rows a batch
-        kernel serves in one call and send the rest down that path.
+        Row ``r`` fires ``nodes[row_ptr[r]:row_ptr[r + 1]]``.  Here every row
+        takes the interpreted path.  Subclasses, when ``compiled`` is true,
+        serve the rows their kernel can in
+        :func:`~repro.decoders._ckernels.decode_rows` — entries equal to
+        :meth:`_interpreted_entry`'s bit for bit, so results and cache
+        contents never show which path ran — and send the rows it defers
+        to :meth:`_interpreted_entry`.
         """
         return [
-            self._miss_entry(nodes[row_ptr[row] : row_ptr[row + 1]], compiled)
+            self._interpreted_entry(nodes[row_ptr[row] : row_ptr[row + 1]])
             for row in rows
         ]
 
@@ -316,7 +316,8 @@ class DecoderBase:
     ) -> _Entry:
         """(edges, flip) for one shot, served from the cache when possible.
 
-        The per-shot path, and the oracle the batched path must equal.
+        The per-shot path, and the oracle the batched path must equal; a
+        miss is decoded as a one-row :meth:`_decode_rows` call.
         """
         flagged = self.graph.flagged_nodes(detector_history, final_detectors)
         if flagged.size == 0:
@@ -327,17 +328,10 @@ class DecoderBase:
             entry = self.cache.get(key)
             if entry is not None:
                 return entry
-        entry = self._miss_entry(flagged, self._kernels_on())
+        row_ptr = np.array([0, flagged.size], dtype=np.int64)
+        entry = self._decode_rows(flagged, row_ptr, _ONE_ROW, self._kernels_on())[0]
         if cacheable:
             self.cache.put(key, entry)
-        return entry
-
-    def _miss_entry(self, flagged: np.ndarray, compiled: bool) -> _Entry:
-        """Decode one uncached syndrome: the compiled shortcut, else the
-        interpreted path."""
-        entry = self._fast_entry(flagged, compiled)
-        if entry is None:
-            entry = self._interpreted_entry(flagged)
         return entry
 
     def _interpreted_entry(self, flagged: np.ndarray) -> _Entry:

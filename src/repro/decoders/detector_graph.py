@@ -93,7 +93,7 @@ class DetectorGraph:
             raise ValueError(
                 f"hyperedges must be 'reject' or 'decompose', got {self.hyperedges!r}"
             )
-        self._z_stabs = [s for s in self.code.stabilizers if s.basis == "Z"]
+        self._z_stabs = self.code.z_stabilizers
         if not self._z_stabs:
             raise ValueError("code has no Z stabilizers; nothing to decode")
         adjacency: dict[int, list[int]] = {q: [] for q in range(self.code.num_data)}
@@ -436,11 +436,7 @@ def shared_graph(
     :data:`_GRAPH_MEMO_MAX` graphs are kept.
     """
     key = (
-        tuple(
-            (stab.data_support, stab.slots)
-            for stab in code.stabilizers
-            if stab.basis == "Z"
-        ),
+        tuple((stab.data_support, stab.slots) for stab in code.z_stabilizers),
         code.num_data,
         np.asarray(code.logical_z, dtype=bool).tobytes(),
         int(rounds),

@@ -12,15 +12,16 @@ copy per detector.  Larger syndromes (typically produced by un-mitigated
 leakage) take a greedy nearest-neighbour pairing, which preserves the
 qualitative behaviour at a fraction of the cost.
 
-With the compiled kernels available an exact syndrome is decoded by one C
-call, :func:`repro.decoders._ckernels.decode_syndrome`, on every graph
-size; its entry equals this module's interpreted one edge for edge.  On a
-graph under the all-pairs gate a batch's uncached exact syndromes all go
-through one :func:`repro.decoders._ckernels.decode_rows` call.  The
-interpreted path — the Python DP and ``networkx.max_weight_matching`` —
-decodes the greedy-sized syndromes, the few the kernel hands back (the
-DP's infinite dead end, a non-finite blossom cost) and everything when the
-kernels are off, and is the kernel's test oracle.
+With the compiled kernels available exact syndromes are decoded by
+:func:`repro.decoders._ckernels.decode_rows`, whose entries equal this
+module's interpreted ones edge for edge: on a graph under the all-pairs
+gate one call serves all of a batch's uncached exact syndromes; past the
+gate, one call per syndrome reads that syndrome's own shortest paths.  A
+per-shot miss is a one-row batch.  The interpreted path — the Python DP
+and ``networkx.max_weight_matching`` — decodes the greedy-sized
+syndromes, the few the kernel defers (the DP's infinite dead end, a
+non-finite blossom cost) and everything when the kernels are off, and is
+the kernel's test oracle.
 
 Batching, syndrome deduplication and the cross-call correction cache are
 inherited from :class:`~repro.decoders.base.DecoderBase`; this module only
@@ -36,7 +37,7 @@ import numpy as np
 from ..api.registry import register_decoder
 from ..obs.metrics import METRICS
 from . import _ckernels
-from .base import DecoderBase
+from .base import _ONE_ROW, DecoderBase
 
 __all__ = ["MatchingDecoder"]
 
@@ -76,56 +77,43 @@ class MatchingDecoder(DecoderBase):
         return ("matching",)
 
     # ------------------------------------------------------------------ #
-    # Compiled decoding (the DecoderBase._fast_entry / _decode_rows hooks)
+    # Compiled decoding (the DecoderBase._decode_rows hook)
     # ------------------------------------------------------------------ #
-    def _fast_entry(self, flagged: np.ndarray, compiled: bool) -> tuple | None:
-        """Serve an exact matching entirely from the C kernel.
-
-        Returns the identical ``(edges, flip)`` entry the interpreted path
-        builds — same analytic 1/2-detector rules, same DP tie-breaking,
-        same blossom pair set and order, same retrace edge order, same
-        parity — or ``None`` to defer (greedy-sized syndromes, kernels
-        disabled, the DP's infinite dead end or a non-finite blossom cost).
-        Every uncached syndrome passes here first, so the exact/greedy
-        tallies are taken here and read the same with the kernels on or off.
-        """
-        count = flagged.size
-        if count > _EXACT_MAX_FIRED:
-            _OBS_GREEDY.inc()
-            return None
-        _OBS_EXACT.inc()
-        if not compiled:
-            return None
-        ctx = self.graph.context
-        paths = None if ctx.all_pairs is not None else self.graph.shortest_paths_from(flagged)
-        entry = _ckernels.decode_syndrome(ctx, flagged, paths)
-        if entry is not None:
-            if count > _DP_EXACT_MAX:
-                _OBS_BLOSSOM_KERNEL.inc()
-            elif count > 2:
-                _OBS_DP_KERNEL.inc()
-        return entry
-
     def _decode_rows(
         self, nodes: np.ndarray, row_ptr: np.ndarray, rows: np.ndarray, compiled: bool
     ) -> list:
-        """Every exact row in one ``decode_rows`` call on an all-pairs graph.
+        """Exact rows through ``decode_rows``, the rest interpreted.
 
-        Takes the tallies :meth:`_fast_entry` would per row.  Greedy-sized
-        rows and those the kernel defers take the interpreted path; past the
-        all-pairs gate, or with the kernels off, every row takes the
-        per-syndrome path.
+        Every uncached syndrome passes here, so the exact/greedy tallies are
+        taken here and read the same with the kernels on or off.  On a graph
+        with all-pairs matrices the exact rows take one call; past the gate,
+        one call each with the row's own shortest paths.  Greedy-sized rows,
+        the rows the kernel defers and, with the kernels off, every row take
+        the interpreted path.
         """
-        ctx = self.graph.context if compiled else None
-        if ctx is None or ctx.all_pairs is None:
-            return super()._decode_rows(nodes, row_ptr, rows, compiled)
         sizes = row_ptr[rows + 1] - row_ptr[rows]
-        greedy = int(np.count_nonzero(sizes > _EXACT_MAX_FIRED))
-        _OBS_GREEDY.inc(greedy)
-        _OBS_EXACT.inc(len(rows) - greedy)
-        entries, served = _ckernels.decode_rows(
-            ctx, nodes, row_ptr, rows, max_fired=_EXACT_MAX_FIRED
-        )
+        exact = sizes <= _EXACT_MAX_FIRED
+        exact_count = int(np.count_nonzero(exact))
+        _OBS_EXACT.inc(exact_count)
+        _OBS_GREEDY.inc(len(rows) - exact_count)
+        if not compiled:
+            return super()._decode_rows(nodes, row_ptr, rows, compiled)
+        ctx = self.graph.context
+        entries: list
+        if ctx.all_pairs is not None:
+            entries, served = _ckernels.decode_rows(
+                ctx, nodes, row_ptr, rows, max_fired=_EXACT_MAX_FIRED
+            )
+        else:
+            entries, served = [None] * len(rows), np.zeros(len(rows), dtype=bool)
+            for i in np.flatnonzero(exact).tolist():
+                fired = nodes[row_ptr[rows[i]] : row_ptr[rows[i] + 1]]
+                one, ok = _ckernels.decode_rows(
+                    ctx, fired, np.array([0, fired.size]), _ONE_ROW,
+                    max_fired=_EXACT_MAX_FIRED,
+                    paths=self.graph.shortest_paths_from(fired),
+                )
+                entries[i], served[i] = one[0], ok[0]
         _OBS_BLOSSOM_KERNEL.inc(int(np.count_nonzero(served & (sizes > _DP_EXACT_MAX))))
         _OBS_DP_KERNEL.inc(
             int(np.count_nonzero(served & (sizes > 2) & (sizes <= _DP_EXACT_MAX)))
@@ -197,7 +185,7 @@ class MatchingDecoder(DecoderBase):
         ``mask``; each step commits the lowest unmatched detector either to
         the boundary or to one partner, so every matching is enumerated once
         (O(2^n * n) total — far below blossom's constant for the small
-        syndromes this handles).  ``decode_syndrome``'s compiled DP mirrors
+        syndromes this handles).  The compiled DP behind ``decode_rows`` mirrors
         this loop line for line (iteration order, strict ``<``
         tie-breaking, IEEE doubles), so the chosen pairs are identical.
         """
@@ -294,7 +282,7 @@ def _networkx_matching(
     maximum-cardinality matching is the minimum-cost pairing.  Returns
     ``(i, j)`` index pairs (``j == -1`` meaning the boundary), each oriented
     as networkx reports it, ordered by their lower detector index — the
-    order the compiled port in ``decode_syndrome`` matches in, and
+    order the compiled port behind ``decode_rows`` matches in, and
     independent of ``PYTHONHASHSEED`` (the result set's iteration order).
     """
     import networkx as nx

@@ -9,17 +9,18 @@ better choice for the long leakage-heavy runs where un-mitigated leakage
 floods the syndrome record.
 
 Growth and peeling run compiled when the decoder kernels are available:
-``uf_decode`` in :mod:`repro.decoders._ckernels` builds the whole
-``(edges, flip)`` entry in one call per syndrome, a line-for-line port of
-this module's loops that also reproduces CPython's int-set iteration order
+``decode_rows`` in :mod:`repro.decoders._ckernels` builds the whole
+``(edges, flip)`` entry of every uncached syndrome of a batch in one call
+(a per-shot miss is a one-row batch), with a line-for-line port of this
+module's loops that also reproduces CPython's int-set iteration order
 (which the loops below depend on), so its entries equal the interpreted
-ones edge for edge.  A batch's uncached syndromes go to the same kernel in
-one ``decode_rows`` call.  The Python path stays as the fallback and the
-test oracle.  On GLADIATOR+M syndromes at the paper's noise (surface and
-colour d=5, 10 rounds, 4-5 fired detectors at the median) the interpreted
-path takes ~125-200 µs per syndrome, the per-shot entry (cache lookup
-included) ~25-30 µs, and ``decode_batch`` ~8-11 µs per unique syndrome
-(shared 2-vCPU x86-64 host).
+ones edge for edge.  The Python path decodes the rows the kernel defers,
+and stays as the fallback and the test oracle.  On GLADIATOR+M syndromes
+at the paper's noise (surface and colour d=5, 10 rounds, 4-5 fired
+detectors at the median) the interpreted path takes ~125-200 µs per
+syndrome and ``decode_batch`` ~8-11 µs per unique syndrome; a per-shot
+miss, one one-row ``decode_rows`` call, takes ~60-70 µs (1-8 random fired
+detectors on surface d=5, 10 rounds; shared 2-vCPU x86-64 host).
 
 Batching, syndrome deduplication and the cross-call correction cache are
 inherited from :class:`~repro.decoders.base.DecoderBase`; this module only
@@ -90,27 +91,18 @@ class UnionFindDecoder(DecoderBase):
         return ("union_find", self.max_growth_steps)
 
     # ------------------------------------------------------------------ #
-    # Compiled decoding (the DecoderBase._fast_entry / _decode_rows hooks)
+    # Compiled decoding (the DecoderBase._decode_rows hook)
     # ------------------------------------------------------------------ #
     def _kernels_on(self) -> bool:
         return _ckernels.uf_available()
 
-    def _fast_entry(self, flagged: np.ndarray, compiled: bool) -> tuple | None:
-        """Serve the whole entry from the C kernel when it is available.
-
-        The kernel returns the identical ``(edges, flip)`` entry the
-        interpreted path builds; ``None`` (kernels off, or growth that does
-        not converge, which the interpreted path then reports) defers.
-        """
-        if not compiled:
-            return None
-        return _ckernels.uf_decode(self.graph.context, flagged, self.max_growth_steps)
-
     def _decode_rows(
         self, nodes: np.ndarray, row_ptr: np.ndarray, rows: np.ndarray, compiled: bool
     ) -> list:
-        """Every row in one ``decode_rows`` call; the rows it defers take the
-        per-syndrome path, which repeats the kernel's verdict."""
+        """Every row in one ``decode_rows`` call.  The rows it defers (growth
+        that does not converge, which the interpreted path then reports; a
+        stale frontier root) and, with the kernels off, every row take the
+        interpreted path."""
         if not compiled:
             return super()._decode_rows(nodes, row_ptr, rows, compiled)
         entries, served = _ckernels.decode_rows(
@@ -118,7 +110,7 @@ class UnionFindDecoder(DecoderBase):
         )
         for i in np.flatnonzero(~served).tolist():
             row = rows[i]
-            entries[i] = self._miss_entry(nodes[row_ptr[row] : row_ptr[row + 1]], compiled)
+            entries[i] = self._interpreted_entry(nodes[row_ptr[row] : row_ptr[row + 1]])
         return entries
 
     # ------------------------------------------------------------------ #

@@ -125,11 +125,6 @@ class NoiseParams:
         """Depolarising error probability applied by one LRC gadget."""
         return min(0.5, self.lrc_error_factor * self.p)
 
-    @property
-    def lrc_leak_prob(self) -> float:
-        """Leakage probability induced by one LRC gadget."""
-        return self.lrc_leakage_factor * self.p_leak
-
     # ------------------------------------------------------------------ #
     # Convenience constructors
     # ------------------------------------------------------------------ #

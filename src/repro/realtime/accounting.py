@@ -76,13 +76,6 @@ class LatencyRecorder:
         """Total rounds finalised across all windows."""
         return sum(t.committed_rounds for t in self.timings)
 
-    @property
-    def per_round_latencies(self) -> np.ndarray:
-        """Decode seconds per committed round, one entry per window."""
-        return np.array(
-            [t.service_seconds / max(1, t.committed_rounds) for t in self.timings]
-        )
-
     def percentile(self, q: float) -> float:
         """Percentile of the per-round decode latency (seconds)."""
         return self.histogram.percentile(q)

@@ -134,9 +134,7 @@ class _StreamTask:
         self.label = label
         self.shots = int(shots)
         self.rounds = int(rounds)
-        self.num_z_stabs = sum(
-            1 for stab in windowed.code.stabilizers if stab.basis == "Z"
-        )
+        self.num_z_stabs = len(windowed.code.z_stabilizers)
         self.recorder = LatencyRecorder()
         self.session = windowed.session(self.shots, self.recorder)
         self.pending: deque[RoundChunk] = deque()

@@ -155,9 +155,7 @@ class SimulatorStream(SyndromeStream):
             ),
             seed=self.seed,
         )
-        self.num_z_stabs = len(
-            [s for s in self.code.stabilizers if s.basis == "Z"]
-        )
+        self.num_z_stabs = len(self.code.z_stabilizers)
 
     def chunks(self):
         generator = self._simulator.run_incremental(self.shots, self.rounds)

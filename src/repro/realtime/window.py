@@ -114,11 +114,6 @@ class WindowedDecoder:
         """The window actually used: never longer than the stream itself."""
         return min(self.window_rounds, self.rounds)
 
-    @property
-    def covers_stream(self) -> bool:
-        """True when one window spans the whole stream (offline-equivalent)."""
-        return self.window_rounds >= self.rounds
-
     def decoder_for(self, window: int):
         """The (graph, decoder) pair for a ``window``-round sub-problem, cached."""
         if window not in self._decoders:
@@ -204,7 +199,7 @@ class WindowSession:
     def __post_init__(self) -> None:
         self.start = 0
         self.windows_decoded = 0
-        num_z = sum(1 for stab in self.windowed.code.stabilizers if stab.basis == "Z")
+        num_z = len(self.windowed.code.z_stabilizers)
         window = self.windowed.effective_window
         # window + 1 slots: a full window plus its context round.
         self.ring = PackedRing(window + 1, self.shots, num_z)

@@ -252,7 +252,7 @@ class LeakageSimulator:
         # Basis flag per ancilla (True for Z-type stabilizers).
         self._anc_is_z = np.array([s.basis == "Z" for s in code.stabilizers], dtype=bool)
         self._z_stab_indices = np.array(
-            [s.index for s in code.stabilizers if s.basis == "Z"], dtype=np.int64
+            [s.index for s in code.z_stabilizers], dtype=np.int64
         )
         self._x_stab_indices = np.nonzero(~self._anc_is_z)[0]
         # Per-ancilla bit shift selecting the measured plane from the packed

@@ -141,11 +141,3 @@ class SimState:
             leaked_u8 = self.anc_leaked.view(np.uint8)
             np.bitwise_and(mask, leaked_u8, out=scratch.t1)  # cleared
             leaked_u8 ^= scratch.t1  # cleared is a subset of leaked
-
-    def leaked_fraction(self) -> float:
-        """Fraction of data qubits currently leaked, averaged over shots."""
-        return float(self.data_leaked.mean())
-
-    def leaked_counts(self) -> np.ndarray:
-        """Per-shot count of currently leaked data qubits."""
-        return self.data_leaked.sum(axis=1)

@@ -205,7 +205,7 @@ class ReferenceLeakageSimulator(LeakageSimulator):
 
         record = RoundRecord(
             round_index=round_index,
-            data_leakage_population=state.leaked_fraction(),
+            data_leakage_population=float(state.data_leaked.mean()),
             ancilla_leakage_population=float(state.anc_leaked.mean()),
             lrcs_applied=lrcs_this_round / shots,
             false_positives=float(false_positive.sum()) / shots,

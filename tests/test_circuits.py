@@ -36,7 +36,9 @@ def test_every_stabilizer_edge_is_scheduled(surface_d5):
 
 def test_data_qubit_slots_query(surface_d5):
     schedule = RoundSchedule(surface_d5)
-    entries = schedule.data_qubit_slots(12)  # a bulk qubit of the d=5 code
+    entries = [  # a bulk qubit of the d=5 code
+        (op.time_slot, op.stabilizer) for op in schedule.operations if op.data_qubit == 12
+    ]
     assert len(entries) == 4
     assert len({slot for slot, _ in entries}) == 4
 
@@ -87,7 +89,7 @@ def test_cycle_time_monotone_in_lrc_rate(surface_d7, noise):
     light = model.round_duration_ns(1.0)
     heavy = model.round_duration_ns(49.0)
     assert quiet < light < heavy
-    assert model.relative_depth_overhead(0.0) == 0.0
+    assert model.lrc_overhead_ns(0.0) == 0.0
 
 
 def test_cycle_time_overhead_ratio_tracks_lrc_ratio(surface_d7, noise):

@@ -12,7 +12,6 @@ def test_qubit_counts(distance):
     code = surface_code(distance)
     assert code.num_data == distance**2
     assert code.num_ancilla == distance**2 - 1
-    assert code.num_qubits == 2 * distance**2 - 1
 
 
 @pytest.mark.parametrize("distance", [3, 5, 7])

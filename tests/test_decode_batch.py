@@ -284,11 +284,14 @@ def test_past_gate_matching_equals_all_pairs_and_interpreted(monkeypatch, family
 
     monkeypatch.setenv("REPRO_DECODER_CKERNELS", "1")
     if family == "toric" and _ckernels.available():
-        ctx = gated.context
+        one_row = np.zeros(1, dtype=np.int64)
         dead_ends = [
             f for f in fired
             if 2 < f.size <= 8
-            and _ckernels.decode_syndrome(ctx, f, gated.shortest_paths_from(f)) is None
+            and not _ckernels.decode_rows(
+                gated.context, f, np.array([0, f.size]), one_row, max_fired=60,
+                paths=gated.shortest_paths_from(f),
+            )[1][0]
         ]
         assert dead_ends, "no toric syndrome reaches the DP dead end"
 
@@ -446,7 +449,8 @@ def test_batch_entry_equals_per_unique_oracle(family, distance, method, cache_si
 
 @pytest.mark.parametrize("method", ["matching", "union_find"])
 def test_batch_entry_equals_oracle_past_the_all_pairs_gate(monkeypatch, method):
-    """Past the all-pairs size gate every row takes the per-syndrome path."""
+    """Past the all-pairs size gate matching decodes each row in its own
+    ``decode_rows`` call, with the row's own shortest paths."""
     from repro.decoders import detector_graph as dg
 
     monkeypatch.setattr(dg, "_ALL_PAIRS_MAX_NODES", 1)
@@ -480,7 +484,7 @@ def test_batch_kernel_defers_the_toric_dp_dead_end():
 
 def test_batch_kernel_grows_its_edge_buffer(monkeypatch):
     """Rows whose edges outgrow the first output buffer resume in a larger
-    one: the entries equal the per-syndrome kernel's."""
+    one: the entries equal the interpreted oracle's."""
     if not _ckernels.available():
         pytest.skip("no C toolchain available")
     # Room for one worst-case row only: every later row forces a regrowth.
@@ -491,17 +495,14 @@ def test_batch_kernel_grows_its_edge_buffer(monkeypatch):
     row_of, nodes = np.nonzero(events)
     row_ptr = np.concatenate([[0], np.cumsum(np.bincount(row_of, minlength=len(events)))])
     rows = np.arange(len(events))
-    for method in ("matching", "union_find"):
-        kwargs = {"max_fired": 60} if method == "matching" else {"max_steps": 10_000}
+    for decoder, kwargs in (
+        (MatchingDecoder(graph), {"max_fired": 60}),
+        (UnionFindDecoder(graph), {"max_steps": 10_000}),
+    ):
         entries, served = _ckernels.decode_rows(graph.context, nodes, row_ptr, rows, **kwargs)
         assert served.all()
         for row, entry in zip(rows, entries):
-            flagged = nodes[row_ptr[row] : row_ptr[row + 1]]
-            if method == "matching":
-                expected = _ckernels.decode_syndrome(graph.context, flagged)
-            else:
-                expected = _ckernels.uf_decode(graph.context, flagged, 10_000)
-            assert entry == expected
+            assert entry == decoder._interpreted_entry(nodes[row_ptr[row] : row_ptr[row + 1]])
 
 
 def test_batch_failure_leaves_no_pending_cache_slot(graphs, monkeypatch):

@@ -213,17 +213,17 @@ def test_greedy_fallback_used_for_large_syndromes(graph_long):
 # --------------------------------------------------------------------- #
 # Exact -> greedy fallback boundary
 # --------------------------------------------------------------------- #
-def _spy_on_strategies(decoder):
+def _spy_on_strategies(decoder, monkeypatch):
     """Count which matching backend a decoder actually invokes.
 
-    A syndrome served whole by the compiled ``decode_syndrome`` shortcut
-    (``_fast_entry``) is an exact matching by construction, so it counts
-    toward ``"exact"`` — the tallies describe backend *selection*, not
-    which implementation (interpreted or C) carried it out.
+    A row served by the compiled ``decode_rows`` (always with a
+    ``max_fired`` bound for matching) is an exact matching by construction,
+    so it counts toward ``"exact"`` — the tallies describe backend
+    *selection*, not which implementation (interpreted or C) carried it out.
     """
     calls = {"exact": 0, "greedy": 0}
     exact, greedy = decoder._exact_matching, decoder._greedy_matching
-    fast = decoder._fast_entry
+    kernel = deckernels.decode_rows
 
     def count_exact(*args, **kwargs):
         calls["exact"] += 1
@@ -233,15 +233,14 @@ def _spy_on_strategies(decoder):
         calls["greedy"] += 1
         return greedy(*args, **kwargs)
 
-    def count_fast(*args, **kwargs):
-        entry = fast(*args, **kwargs)
-        if entry is not None:
-            calls["exact"] += 1
-        return entry
+    def count_kernel(*args, **kwargs):
+        entries, served = kernel(*args, **kwargs)
+        calls["exact"] += int(served.sum())
+        return entries, served
 
     decoder._exact_matching = count_exact
     decoder._greedy_matching = count_greedy
-    decoder._fast_entry = count_fast
+    monkeypatch.setattr(deckernels, "decode_rows", count_kernel)
     return calls
 
 
@@ -254,22 +253,22 @@ def _fire(graph, count):
     return history, final
 
 
-def test_fallback_boundary_empty_at_and_over_threshold(graph_long):
+def test_fallback_boundary_empty_at_and_over_threshold(graph_long, monkeypatch):
     # Empty syndrome: neither backend runs, the prediction is trivially 0.
     decoder = MatchingDecoder(graph_long)
-    calls = _spy_on_strategies(decoder)
+    calls = _spy_on_strategies(decoder, monkeypatch)
     assert decoder.decode_shot(*_fire(graph_long, 0)) == 0
     assert calls == {"exact": 0, "greedy": 0}
 
     # Exactly at the threshold: still exact.
     decoder = MatchingDecoder(graph_long)
-    calls = _spy_on_strategies(decoder)
+    calls = _spy_on_strategies(decoder, monkeypatch)
     assert decoder.decode_shot(*_fire(graph_long, _EXACT_MAX_FIRED)) in (0, 1)
     assert calls == {"exact": 1, "greedy": 0}
 
     # One over: greedy takes over.
     decoder = MatchingDecoder(graph_long)
-    calls = _spy_on_strategies(decoder)
+    calls = _spy_on_strategies(decoder, monkeypatch)
     assert decoder.decode_shot(*_fire(graph_long, _EXACT_MAX_FIRED + 1)) in (0, 1)
     assert calls == {"exact": 0, "greedy": 1}
 
@@ -360,9 +359,13 @@ def test_blossom_entries_do_not_depend_on_the_hash_seed():
 
 
 @pytest.mark.skipif(not deckernels.uf_available(), reason="no C toolchain available")
-def test_union_find_kernel_rejects_nodes_outside_the_graph(graph_d3):
-    """Node ids are bounds-checked before the kernel indexes by them."""
-    decoder = UnionFindDecoder(graph_d3)
-    for flagged in ([0, graph_d3.num_nodes], [-1]):
-        with pytest.raises(ValueError, match="must lie in"):
-            deckernels.uf_decode(decoder.graph.context, np.array(flagged), 10)
+def test_decode_rows_rejects_nodes_outside_the_graph(graph_d3):
+    """Node ids are bounds-checked before either kernel indexes by them:
+    an id of -1 or ``num_nodes`` raises instead of deferring the row."""
+    ctx = graph_d3.context
+    rows = np.zeros(1, dtype=np.int64)
+    for kwargs in ({"max_fired": 60}, {"max_steps": 10}):
+        for flagged in ([0, graph_d3.num_nodes], [-1], [-1, 3]):
+            row_ptr = np.array([0, len(flagged)])
+            with pytest.raises(ValueError, match="must lie in"):
+                deckernels.decode_rows(ctx, np.array(flagged), row_ptr, rows, **kwargs)

@@ -64,7 +64,6 @@ def test_estimator_classifies_extreme_regimes(mobility, expected):
     noise = paper_noise().with_(leakage_mobility=mobility)
     estimate = MobilityEstimator(code, noise, seed=7).estimate(shots=150, rounds=50)
     assert estimate.regime == expected
-    assert estimate.is_high_mobility == (expected == "high")
     assert estimate.flagged_events > 0
 
 

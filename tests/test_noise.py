@@ -35,7 +35,6 @@ def test_mlr_error_is_capped():
 def test_lrc_derived_probabilities():
     noise = NoiseParams(p=1e-3, leakage_ratio=0.1, lrc_error_factor=2.0, lrc_leakage_factor=3.0)
     assert noise.lrc_gate_error == pytest.approx(2e-3)
-    assert noise.lrc_leak_prob == pytest.approx(3e-4)
 
 
 @pytest.mark.parametrize(

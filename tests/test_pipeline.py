@@ -266,7 +266,7 @@ def test_hash_collision_demotes_to_exact_dedup(monkeypatch):
 
 @pytest.mark.parametrize("family", sorted(CODES))
 def test_dp_decode_entry_matches_interpreted_path(monkeypatch, family):
-    """The one-call ``decode_syndrome`` kernel reproduces the interpreted entry
+    """The compiled matching behind ``decode_rows`` reproduces the interpreted entry
     construction bit for bit — identical edge sequences (same retrace
     order), identical logical parity — across random syndromes on all
     three code families, including the analytic 1/2-detector rules and

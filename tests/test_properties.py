@@ -382,8 +382,18 @@ def _dp_pairs(boundary, pair):
     return [(a, -1 if b == count else b) for a, b in pairs]
 
 
+def _one_row(ctx, flagged, **kwargs):
+    """``decode_rows`` on the one row ``flagged``: its entry, or ``None``
+    where the kernel defers."""
+    flagged = np.asarray(flagged, dtype=np.int64)
+    entries, _ = deckernels.decode_rows(
+        ctx, flagged, np.array([0, flagged.size]), np.zeros(1, dtype=np.int64), **kwargs
+    )
+    return entries[0]
+
+
 def _kernel_pairs(boundary, pair):
-    """``decode_syndrome`` on a synthetic complete graph: detectors are nodes
+    """One-row ``decode_rows`` on a synthetic complete graph: detectors are nodes
     ``0..n-1``, node ``n`` is the boundary, and ``pred[i][j] = i``, so each
     matched pair ``(i, j)`` retraces as exactly the one edge ``(i, j)``, in
     the kernel's pair order and orientation.  ``None`` when the kernel
@@ -399,7 +409,7 @@ def _kernel_pairs(boundary, pair):
         np.zeros(count + 2), np.zeros(0), np.zeros(0), count,
         all_pairs=(distances, predecessors),
     )
-    entry = deckernels.decode_syndrome(ctx, np.arange(count))
+    entry = _one_row(ctx, np.arange(count), max_fired=count)
     if entry is None:
         return None
     edges, parity = entry
@@ -410,8 +420,8 @@ def _kernel_pairs(boundary, pair):
 @given(matching_instances(max_count=10))
 @settings(max_examples=40, deadline=None)
 def test_exact_matching_backends_reach_the_brute_force_minimum(instance):
-    """The interpreted DP, networkx blossom and the compiled
-    ``decode_syndrome`` (analytic, DP and blossom port) each return a
+    """The interpreted DP, networkx blossom and the compiled matching in
+    ``decode_rows`` (analytic, DP and blossom port) each return a
     complete pairing whose total cost equals the minimum over every
     pairing-with-boundary, ties included (integer and dyadic costs keep
     every sum exact); for 3..8 detectors the compiled DP's pairs are the
@@ -422,9 +432,9 @@ def test_exact_matching_backends_reach_the_brute_force_minimum(instance):
     chosen = {"networkx": _networkx_matching(boundary, pair), "dp": _dp_pairs(boundary, pair)}
     with _kernels("1"):
         if deckernels.available():
-            chosen["decode_syndrome"] = _kernel_pairs(boundary, pair)
+            chosen["decode_rows"] = _kernel_pairs(boundary, pair)
             if 3 <= count <= 8:
-                assert chosen["decode_syndrome"] == chosen["dp"]
+                assert chosen["decode_rows"] == chosen["dp"]
     for backend, pairs in chosen.items():
         covered = sorted(i for p in pairs for i in p if i >= 0)
         assert covered == list(range(count)), backend
@@ -442,7 +452,7 @@ def test_exact_matching_backends_reach_the_brute_force_minimum(instance):
 )
 @settings(max_examples=30, deadline=None)
 def test_blossom_kernel_pairs_equal_networkx(instance):
-    """The compiled blossom port (through ``decode_syndrome``) returns
+    """The compiled blossom port (through ``decode_rows``) returns
     networkx's exact pair list — same pairs, orientation and order, ties
     included — and defers (``None``) on any non-finite cost."""
     boundary, pair = instance
@@ -573,7 +583,7 @@ def test_union_find_kernel_entry_equals_interpreted(family, seed, fired):
     count = min(fired, graph.boundary_node)
     flagged = np.sort(rng.choice(graph.boundary_node, size=count, replace=False))
     expected = _interpreted_uf_entry(decoder, flagged)
-    assert deckernels.uf_decode(decoder.graph.context, flagged, 10_000) == expected
+    assert _one_row(decoder.graph.context, flagged, max_steps=10_000) == expected
     history, final = _records(graph, flagged.tolist())
     assert decoder.decode_shot_edges(history, final) == list(expected[0])
 
@@ -589,7 +599,7 @@ def test_union_find_kernel_agrees_when_growth_is_capped(family, seed, steps):
     rng = np.random.default_rng(seed)
     count = min(int(rng.integers(1, 12)), graph.boundary_node)
     flagged = np.sort(rng.choice(graph.boundary_node, size=count, replace=False))
-    kernel = deckernels.uf_decode(decoder.graph.context, flagged, steps)
+    kernel = _one_row(decoder.graph.context, flagged, max_steps=steps)
     try:
         expected = _interpreted_uf_entry(decoder, flagged)
     except RuntimeError:

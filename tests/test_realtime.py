@@ -216,10 +216,10 @@ def test_windowed_decoder_validates_configuration(surface_d3):
         )
     default = WindowedDecoder(code=surface_d3, noise=HEAVY, rounds=20, window_rounds=8)
     assert default.commit_rounds == 4
-    assert not default.covers_stream
+    assert default.effective_window == 8
     assert WindowedDecoder(
         code=surface_d3, noise=HEAVY, rounds=6, window_rounds=8
-    ).covers_stream
+    ).effective_window == 6
 
 
 # --------------------------------------------------------------------- #
@@ -302,10 +302,9 @@ def test_service_propagates_mid_decode_exception(surface_d3, monkeypatch):
     def explode(self, *args):
         raise RuntimeError("decoder blew up mid-window")
 
-    # Every entry point: the batched rows, the compiled whole-entry
-    # shortcut and the interpreted path both defer to.
+    # Every entry point: the compiled rows and the interpreted path they
+    # defer to.
     monkeypatch.setattr(UnionFindDecoder, "_decode_rows", explode)
-    monkeypatch.setattr(UnionFindDecoder, "_fast_entry", explode)
     monkeypatch.setattr(UnionFindDecoder, "_edges_for_syndrome", explode)
     service = DecodeService(window_rounds=6, workers=2, method="union_find")
     with pytest.raises(RuntimeError, match="blew up mid-window"):

@@ -22,7 +22,6 @@ def test_initial_state_is_clean():
     assert not state.data_z.any()
     assert not state.data_leaked.any()
     assert not state.anc_leaked.any()
-    assert state.leaked_fraction() == 0.0
 
 
 def test_depolarize_zero_probability_is_identity():
@@ -82,8 +81,3 @@ def test_reset_flip_probability():
     assert 0.2 < fraction < 0.3
 
 
-def test_leaked_counts_per_shot():
-    state = make_state(shots=3, num_data=5)
-    state.data_leaked[0, [0, 3]] = True
-    state.data_leaked[2, 1] = True
-    assert state.leaked_counts().tolist() == [2, 0, 1]

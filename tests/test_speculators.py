@@ -157,6 +157,11 @@ def test_policy_config_is_forwarded(surface_d5, noise):
 def test_flagged_fraction_diagnostic(surface_d5, noise):
     policy = GladiatorPolicy()
     policy.prepare(surface_d5, noise)
-    fractions = policy.flagged_fraction()
+    # Fraction of patterns flagged, per pattern width.
+    per_width: dict[int, list[float]] = {}
+    for qubit in range(surface_d5.num_data):
+        table = np.asarray(policy.flag_table(qubit), dtype=bool)
+        per_width.setdefault(surface_d5.pattern_width(qubit), []).append(table.mean())
+    fractions = {width: float(np.mean(values)) for width, values in per_width.items()}
     assert set(fractions) == {2, 3, 4}
     assert all(0 <= fraction <= 1 for fraction in fractions.values())
