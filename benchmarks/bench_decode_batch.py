@@ -10,7 +10,9 @@ four ways per decoder backend:
   with the decoder kernels off (the interpreted cluster growth and
   peeling),
 * ``per_shot`` — the engine's own ``decode_shot`` looped shot by shot with
-  the syndrome cache disabled,
+  the syndrome cache disabled; each call is a batch of one through the same
+  entry ``decode_batch`` uses, so this row prices the per-call overhead of
+  that entry,
 * ``batch``   — ``decode_batch`` on a cold cache: whole-batch NumPy
   syndrome extraction, deduplication, analytic/DP fast paths and all-pairs
   shortest-path tables,
@@ -77,7 +79,7 @@ def _legacy_exact_matching(flagged, distances, boundary):
 
 def _legacy_decode_shot(graph, greedy_fallback, history, final, max_exact_nodes=60):
     """One shot through the legacy path: dijkstra + blossom, no fast paths."""
-    flagged = graph.flagged_nodes(history, final)
+    flagged = np.flatnonzero(np.concatenate((history.reshape(-1), final)))
     if flagged.size == 0:
         return 0
     distances, predecessors = dijkstra(

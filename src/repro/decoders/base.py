@@ -11,23 +11,21 @@ compiled, many rows in one
 :func:`~repro.decoders._ckernels.decode_rows` call (:meth:`_decode_rows`,
 the one compiled hook).  Everything around it lives here exactly once:
 
-* **per-shot entry points** — :meth:`decode_shot` (logical parity) and
-  :meth:`decode_shot_edges` (explicit edges, used by windowed decoding),
-  both through :meth:`_decode_entry`, which is also the batch path's oracle
-  and decodes its cache miss as a one-row :meth:`_decode_rows` call,
-* **the batched fast path** — :meth:`decode_batch` (logical parities) and
-  :meth:`decode_edges_unique` (correction edges per unique syndrome plus
-  the scatter map, used by windowed decoding) pack the whole
+* **one decode entry** — :meth:`_unique_entries` packs the whole
   ``(shots, rounds, detectors)`` record into per-shot syndrome bitstrings
-  with whole-batch NumPy ops, deduplicate identical syndromes by a 64-bit
-  row hash, take every unique syndrome's fired nodes in one NumPy pass,
-  look them all up in the cache under one lock, and hand the misses to
-  :meth:`_decode_rows` together — which the concrete decoders serve with
-  one compiled call per batch.  Entries, their order and every counter
-  equal a per-unique :meth:`_decode_entry` loop's.  At low physical error
-  rates most shots share a handful of syndromes, so one decode serves
-  thousands of shots.  Each call emits one ``decode.dedup``, one
-  ``decode.cache`` and one ``decode.match`` span when tracing is on,
+  with whole-batch NumPy ops, deduplicates identical syndromes by a 64-bit
+  row hash, takes every unique syndrome's fired nodes in one NumPy pass,
+  looks them all up in the cache under one lock (:meth:`SyndromeCache.claim`)
+  and hands the misses to :meth:`_decode_rows` together — which the
+  concrete decoders serve with one compiled call per batch.  Every public
+  entry point goes through it: :meth:`decode_batch` (logical parities),
+  :meth:`decode_edges_unique` (correction edges per unique syndrome plus
+  the scatter map, used by windowed decoding), and the per-shot
+  :meth:`decode_shot` / :meth:`decode_shot_edges`, which decode a batch of
+  one.  At low physical error rates most shots share a handful of
+  syndromes, so one decode serves thousands of shots.  Each call emits one
+  ``decode.dedup``, one ``decode.cache`` and one ``decode.match`` span when
+  tracing is on,
 * **the cross-call cache** — every decoded syndrome lands in a
   :class:`~repro.decoders.cache.SyndromeCache` keyed by the detector
   graph's fingerprint plus the decoder's own configuration, so repeated
@@ -38,6 +36,10 @@ the one compiled hook).  Everything around it lives here exactly once:
 Decoders over equal inputs share one graph per process
 (:func:`~repro.decoders.detector_graph.shared_graph`) and its pinned
 kernel context, but never a decoder, cache or counter.
+
+The tests check the entry against oracles that do not run it:
+:meth:`_interpreted_entry` for every entry, and a plain LRU model for the
+cache's counters, evictions and order.
 """
 
 from __future__ import annotations
@@ -70,10 +72,6 @@ _OBS_HASH_COLLISIONS = METRICS.counter(
 #: Cached entry: (correction edges, logical-flip parity).
 _Entry = tuple[tuple[tuple[int, int], ...], int]
 
-#: The ``rows`` argument of a one-row :meth:`DecoderBase._decode_rows` call.
-_ONE_ROW = np.zeros(1, dtype=np.int64)
-_ONE_ROW.setflags(write=False)
-
 #: Syndromes firing more detectors than this bypass the cache entirely.
 #: Heavy syndromes (un-mitigated leakage floods) are essentially never
 #: repeated, so caching them buys no hits while each entry would hold a
@@ -99,7 +97,7 @@ class DecoderBase:
         if self.cache is None:
             self.cache = SyndromeCache()
         self._cache_prefix = (self.graph.fingerprint, self._cache_config())
-        # Lifetime dedup tallies of this instance's batched entry points.
+        # Lifetime dedup tallies of this instance's decode calls.
         self.batch_shots = 0
         self.batch_unique = 0
 
@@ -116,7 +114,7 @@ class DecoderBase:
 
     def _kernels_on(self) -> bool:
         """Whether this decoder's compiled kernels may run (the switch, read
-        once per per-shot call and once per batch)."""
+        once per decode call)."""
         return _ckernels.available()
 
     def _decode_rows(
@@ -143,22 +141,24 @@ class DecoderBase:
     def decode_shot(
         self, detector_history: np.ndarray, final_detectors: np.ndarray
     ) -> int:
-        """Predict the logical flip (0/1) for one shot."""
-        return self._decode_entry(detector_history, final_detectors)[1]
+        """Predict the logical flip (0/1) for one shot: a batch of one."""
+        entries, inverse = self._unique_entries(detector_history[None], final_detectors[None])
+        return entries[inverse[0]][1]
 
     def decode_shot_edges(
         self, detector_history: np.ndarray, final_detectors: np.ndarray
     ) -> list[tuple[int, int]]:
-        """The correction as explicit graph edges (used by windowed decoding).
+        """The correction as explicit graph edges: a batch of one.
 
         Returns the list of ``(node_a, node_b)`` detector-graph edges along
         the corrected error chains; :meth:`decode_shot` is the parity of the
         logical-crossing edges in this list.
         """
-        return list(self._decode_entry(detector_history, final_detectors)[0])
+        entries, inverse = self._unique_entries(detector_history[None], final_detectors[None])
+        return list(entries[inverse[0]][0])
 
     # ------------------------------------------------------------------ #
-    # Batched fast path
+    # Batch entry points
     # ------------------------------------------------------------------ #
     def decode_batch(
         self, detector_history: np.ndarray, final_detectors: np.ndarray
@@ -203,23 +203,19 @@ class DecoderBase:
         """
         return self._cache_prefix
 
-    @property
-    def batch_dedup_ratio(self) -> float:
-        """Fraction of batched shots served by another shot's decode.
-
-        ``1 - unique/shots`` over this instance's lifetime; ``0.0`` before
-        any batched call.  Perf diagnostic only — never part of results.
-        """
-        if not self.batch_shots:
-            return 0.0
-        return 1.0 - self.batch_unique / self.batch_shots
-
     def decode_stats(self) -> dict:
-        """Cache and dedup diagnostics of this decoder instance."""
+        """Cache and dedup diagnostics of this decoder instance.
+
+        ``dedup_ratio`` is the fraction of decoded shots served by another
+        shot's decode, ``1 - unique/shots`` over this instance's lifetime
+        (``0.0`` before any call).  Perf diagnostics only — never part of
+        results.
+        """
         assert self.cache is not None  # __post_init__ guarantees it
+        shots = self.batch_shots
         return {
             "cache_hit_rate": self.cache.stats()["hit_rate"],
-            "dedup_ratio": self.batch_dedup_ratio,
+            "dedup_ratio": 1.0 - self.batch_unique / shots if shots else 0.0,
         }
 
     # ------------------------------------------------------------------ #
@@ -270,12 +266,11 @@ class DecoderBase:
     ) -> tuple[list[_Entry], np.ndarray]:
         """``(edges, flip)`` per unique syndrome of a batch, plus the scatter map.
 
-        Equal, entry for entry and counter for counter, to calling
-        :meth:`_decode_entry` on each unique syndrome in turn: the same
-        cache lookups and stores in the same order, the same backend
-        tallies.  Only the work is grouped: every unique row's fired nodes
-        come from one NumPy pass, the lookups take the cache lock once,
-        and the misses go to :meth:`_decode_rows` together.
+        The one decode entry: every public entry point, a single shot
+        included, is a call of it.  Every unique row's fired nodes come
+        from one NumPy pass; the cacheable rows' keys are claimed in unique
+        order under one lock; the misses go to :meth:`_decode_rows`
+        together, and their entries settle the slots the claim held.
         """
         with span("decode.dedup"):
             events, first, inverse = self._deduplicate(detector_history, final_detectors)
@@ -288,7 +283,7 @@ class DecoderBase:
             sizes = np.diff(row_ptr)
             needed = sizes > 0
             cacheable = np.flatnonzero(needed & (sizes <= _CACHE_MAX_FIRED)).tolist()
-            # The keys _decode_entry builds: the fired ids' int64 bytes.
+            # A key is the decoder's prefix plus the fired ids' int64 bytes.
             raw = nodes.astype(np.int64, copy=False).tobytes()
             bounds = (8 * row_ptr).tolist()
             prefix = self._cache_prefix
@@ -310,29 +305,6 @@ class DecoderBase:
             # Only the slots claim() held take a value; none, on an error.
             self.cache.settle(keys, stored)
         return entries, inverse
-
-    def _decode_entry(
-        self, detector_history: np.ndarray, final_detectors: np.ndarray
-    ) -> _Entry:
-        """(edges, flip) for one shot, served from the cache when possible.
-
-        The per-shot path, and the oracle the batched path must equal; a
-        miss is decoded as a one-row :meth:`_decode_rows` call.
-        """
-        flagged = self.graph.flagged_nodes(detector_history, final_detectors)
-        if flagged.size == 0:
-            return ((), 0)
-        cacheable = flagged.size <= _CACHE_MAX_FIRED
-        if cacheable:
-            key = (self._cache_prefix, flagged.astype(np.int64, copy=False).tobytes())
-            entry = self.cache.get(key)
-            if entry is not None:
-                return entry
-        row_ptr = np.array([0, flagged.size], dtype=np.int64)
-        entry = self._decode_rows(flagged, row_ptr, _ONE_ROW, self._kernels_on())[0]
-        if cacheable:
-            self.cache.put(key, entry)
-        return entry
 
     def _interpreted_entry(self, flagged: np.ndarray) -> _Entry:
         """The interpreted ``(edges, flip)``: :meth:`_edges_for_syndrome`

@@ -17,6 +17,12 @@ graphs — the realtime :class:`~repro.realtime.service.DecodeService` does
 exactly that to let multiplexed streams pool their syndromes.  All
 operations take an internal lock, so concurrent decode workers can share a
 cache without corrupting the LRU order.
+
+The cache has one protocol, :meth:`SyndromeCache.claim` then
+:meth:`SyndromeCache.settle`, and one caller, the decoders' single decode
+entry (a shot decoded on its own is a batch of one).  Its counters,
+evictions and order are tested against a plain ``OrderedDict`` LRU model
+replaying each batch's keys in claim order.
 """
 
 from __future__ import annotations
@@ -50,8 +56,7 @@ _OBS_EVICTIONS = METRICS.counter(
 DEFAULT_CACHE_ENTRIES = 65_536
 
 #: The value of a slot :meth:`SyndromeCache.claim` holds for a key whose
-#: correction is still being decoded; :meth:`SyndromeCache.get` reads it as
-#: a miss.
+#: correction is still being decoded; a later claim of the key counts a miss.
 _PENDING = object()
 
 
@@ -59,9 +64,13 @@ class SyndromeCache:
     """Thread-safe LRU map from (decoder config, syndrome) to corrections.
 
     ``maxsize`` bounds the number of cached syndromes; ``0`` disables the
-    cache entirely (every :meth:`get` misses, :meth:`put` is a no-op), which
-    keeps the batched decode path valid — deduplication within a batch still
-    happens, only cross-call reuse is lost.
+    cache entirely (every claim misses and holds no slot), which keeps the
+    decode path valid — deduplication within a batch still happens, only
+    cross-call reuse is lost.
+
+    :meth:`claim` then :meth:`settle` is the only protocol: a decode call
+    claims its batch's keys in order, decodes the misses, and settles the
+    slots the claim held.
     """
 
     def __init__(self, maxsize: int | None = None) -> None:
@@ -79,45 +88,16 @@ class SyndromeCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def enabled(self) -> bool:
-        """Whether the cache stores anything at all."""
-        return self.maxsize > 0
-
-    def get(self, key: Hashable) -> Any | None:
-        """The cached correction for ``key``, or ``None`` (counts a miss)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry is _PENDING:
-                self.misses += 1
-                _OBS_MISSES.inc()
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            _OBS_HITS.inc()
-            return entry
-
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert a correction, evicting the least recently used beyond capacity."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                _OBS_EVICTIONS.inc()
-
     def claim(self, keys: Sequence[Hashable]) -> list[Any | None]:
-        """:meth:`get` every key in order, holding a slot for each miss.
+        """Look every key up in order, holding a slot for each miss.
 
-        A batch decodes its misses after looking them all up.  Holding a
-        pending slot for each miss, where :meth:`put` would have stored it,
-        leaves the counters, the LRU order and the evictions exactly as a
-        run of ``get(key)`` then, on a miss, ``put(key, ...)`` per key does.
-        :meth:`settle` then stores the decoded values in the held slots.
-        Returns the cached value per key, ``None`` for a miss.
+        A hit moves its key to the most recently used end.  A miss counts
+        once and, unless the cache is disabled, holds a pending slot at that
+        end, evicting the least recently used entries beyond ``maxsize`` —
+        pending slots included.  A key whose slot is still pending (another
+        caller is decoding it) reads as a miss.  :meth:`settle` stores the
+        decoded values in the held slots.  Returns the cached value per
+        key, ``None`` for a miss.
         """
         found: list[Any | None] = []
         hits = evictions = 0
@@ -161,14 +141,6 @@ class SyndromeCache:
                         del entries[key]
                     else:
                         entries[key] = value
-
-    def clear(self) -> None:
-        """Drop all entries and reset the hit/miss/eviction counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
 
     def stats(self) -> dict:
         """Flat counters snapshot (for benchmarks and service reports)."""

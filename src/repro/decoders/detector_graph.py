@@ -378,17 +378,8 @@ class DetectorGraph:
         return digest.hexdigest()
 
     # ------------------------------------------------------------------ #
-    # Detector serialisation and shortest paths
+    # Shortest paths
     # ------------------------------------------------------------------ #
-    def flagged_nodes(self, detector_history: np.ndarray, final_detectors: np.ndarray) -> np.ndarray:
-        """Node ids of fired detectors for one shot.
-
-        ``detector_history`` has shape ``(rounds, num_z_stabs)`` and
-        ``final_detectors`` shape ``(num_z_stabs,)``.
-        """
-        flat = np.concatenate((detector_history.reshape(-1), final_detectors))
-        return np.nonzero(flat)[0]
-
     @cached_property
     def _all_pairs(self) -> tuple[np.ndarray, np.ndarray] | None:
         """All-pairs (distances, predecessors), or ``None`` past the size gate."""

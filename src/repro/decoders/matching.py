@@ -17,11 +17,12 @@ With the compiled kernels available exact syndromes are decoded by
 module's interpreted ones edge for edge: on a graph under the all-pairs
 gate one call serves all of a batch's uncached exact syndromes; past the
 gate, one call per syndrome reads that syndrome's own shortest paths.  A
-per-shot miss is a one-row batch.  The interpreted path — the Python DP
+shot decoded on its own is a batch of one.  The interpreted path — the Python DP
 and ``networkx.max_weight_matching`` — decodes the greedy-sized
 syndromes, the few the kernel defers (the DP's infinite dead end, a
 non-finite blossom cost) and everything when the kernels are off, and is
-the kernel's test oracle.
+the kernel's test oracle (through
+:meth:`~repro.decoders.base.DecoderBase._interpreted_entry`).
 
 Batching, syndrome deduplication and the cross-call correction cache are
 inherited from :class:`~repro.decoders.base.DecoderBase`; this module only
@@ -37,7 +38,7 @@ import numpy as np
 from ..api.registry import register_decoder
 from ..obs.metrics import METRICS
 from . import _ckernels
-from .base import _ONE_ROW, DecoderBase
+from .base import DecoderBase
 
 __all__ = ["MatchingDecoder"]
 
@@ -106,10 +107,11 @@ class MatchingDecoder(DecoderBase):
             )
         else:
             entries, served = [None] * len(rows), np.zeros(len(rows), dtype=bool)
+            one_row = np.zeros(1, dtype=np.int64)
             for i in np.flatnonzero(exact).tolist():
                 fired = nodes[row_ptr[rows[i]] : row_ptr[rows[i] + 1]]
                 one, ok = _ckernels.decode_rows(
-                    ctx, fired, np.array([0, fired.size]), _ONE_ROW,
+                    ctx, fired, np.array([0, fired.size]), one_row,
                     max_fired=_EXACT_MAX_FIRED,
                     paths=self.graph.shortest_paths_from(fired),
                 )

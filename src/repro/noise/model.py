@@ -14,7 +14,9 @@ stated or implied by the paper:
   operand of a CNOT with probability 0.1, otherwise the healthy operand picks
   up a uniformly random Pauli (the "leaked control => 50% bit flip" effect
   characterised on IBM hardware in Section 2.3);
-* LRC gadgets add extra gate error and can themselves induce leakage.
+* LRC gadgets add extra gate error and can themselves induce leakage; those
+  rates belong to the gadget (:class:`repro.circuits.lrc.LrcGadget`), not
+  to this container.
 """
 
 from __future__ import annotations
@@ -44,19 +46,11 @@ class NoiseParams:
     leakage_mobility:
         Probability that a CNOT with one leaked operand transports the
         leakage onto the other operand (default 10%).
-    lrc_error_factor:
-        Depolarising error added to a qubit by one LRC gadget, as a multiple
-        of ``p`` (SWAP-based LRCs cost roughly two extra entangling gates).
-    lrc_leakage_factor:
-        Leakage induced by one LRC gadget, as a multiple of ``p_leak``.
     gate_error_factor:
         Multiplier on the two-qubit depolarising error applied after each
         entangling gate (the gate error is ``gate_error_factor * p``, capped
         at 0.5).  1.0 reproduces the paper's model; time-structured presets
         raise it during correlated burst windows.
-    lrc_removal_prob:
-        Probability that an LRC applied to a genuinely leaked qubit returns
-        it to the computational subspace.
     ancilla_reset_removes_leakage:
         Probability that the per-round ancilla measure-and-reset returns a
         leaked parity qubit to the computational subspace.  Parity qubits are
@@ -73,9 +67,6 @@ class NoiseParams:
     mlr_error_factor: float = 10.0
     leakage_mobility: float = 0.1
     gate_error_factor: float = 1.0
-    lrc_error_factor: float = 2.0
-    lrc_leakage_factor: float = 1.0
-    lrc_removal_prob: float = 1.0
     ancilla_reset_removes_leakage: float = 1.0
     readout_leak_random: bool = True
 
@@ -86,17 +77,12 @@ class NoiseParams:
             "mlr_error_factor",
             "leakage_mobility",
             "gate_error_factor",
-            "lrc_error_factor",
-            "lrc_leakage_factor",
-            "lrc_removal_prob",
         ):
             value = getattr(self, field_name)
             if value < 0:
                 raise ValueError(f"{field_name} must be non-negative, got {value}")
         if not 0 <= self.leakage_mobility <= 1:
             raise ValueError("leakage_mobility must lie in [0, 1]")
-        if not 0 <= self.lrc_removal_prob <= 1:
-            raise ValueError("lrc_removal_prob must lie in [0, 1]")
         if not 0 <= self.ancilla_reset_removes_leakage <= 1:
             raise ValueError("ancilla_reset_removes_leakage must lie in [0, 1]")
         if self.p > 0.5:
@@ -119,11 +105,6 @@ class NoiseParams:
     def gate_error(self) -> float:
         """Two-qubit depolarising error per entangling gate, capped at 0.5."""
         return min(0.5, self.gate_error_factor * self.p)
-
-    @property
-    def lrc_gate_error(self) -> float:
-        """Depolarising error probability applied by one LRC gadget."""
-        return min(0.5, self.lrc_error_factor * self.p)
 
     # ------------------------------------------------------------------ #
     # Convenience constructors

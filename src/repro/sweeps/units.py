@@ -190,10 +190,10 @@ def unit_key(unit: WorkUnit, shard_sizes: tuple[int, ...] | None = None) -> str:
     performance-only knobs — worker count, telemetry and durability never
     change results), with the code section written as
     ``{"family", "distance"}`` and the noise section as every field of the
-    built noise under the ``custom`` preset.  For stationary noise that is
-    the canonical section itself; for a time-structured preset it also
-    carries the schedule fields, which is how such units have always been
-    keyed.
+    built noise, plus three retired LRC fields at their former defaults,
+    under the ``custom`` preset.  For stationary noise that is the canonical
+    section plus those fields; for a time-structured preset it also carries
+    the schedule fields, which is how such units have always been keyed.
 
     ``shard_sizes`` is the executor's shard plan for the unit.  It is part of
     the *cache* key because the plan determines the RNG streams: a serial row
@@ -205,9 +205,12 @@ def unit_key(unit: WorkUnit, shard_sizes: tuple[int, ...] | None = None) -> str:
     config_payload = unit.config.cache_payload()
     code = config_payload["code"]
     config_payload["code"] = {"family": code["name"], "distance": code["distance"]}
-    config_payload["noise"] = asdict(
-        NoiseConfig(preset="custom", overrides=asdict(build_noise(unit.config)))
-    )
+    # Noise points carried these LRC rates until they were found unread (the
+    # LRC gadget owns them); their old defaults keep every key, memoised row
+    # and shard seed where it was.
+    noise = {**asdict(build_noise(unit.config)),
+             "lrc_error_factor": 2.0, "lrc_leakage_factor": 1.0, "lrc_removal_prob": 1.0}
+    config_payload["noise"] = asdict(NoiseConfig(preset="custom", overrides=noise))
     payload: dict[str, Any] = {
         "engine": ENGINE_VERSION,
         "config": config_payload,

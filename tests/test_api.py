@@ -148,6 +148,15 @@ def test_removed_fused_flag_is_an_unknown_field():
         ExperimentConfig().override("execution.fused", True)
 
 
+@pytest.mark.parametrize("field", ["lrc_error_factor", "lrc_leakage_factor", "lrc_removal_prob"])
+def test_removed_lrc_noise_fields_are_unknown_overrides(field):
+    """The LRC rates live on the gadget; a noise override naming the removed
+    noise fields fails validation instead of being silently ignored."""
+    config = ExperimentConfig.from_dict({"noise": {"overrides": {field: 1.0}}})
+    with pytest.raises(ValueError, match=f"unknown noise.overrides field '{field}'"):
+        config.validate()
+
+
 def test_validation_rejects_bad_sections():
     with pytest.raises(ValueError):
         ExperimentConfig(execution=ExecutionConfig(shots=0)).validate()
@@ -295,7 +304,7 @@ def test_build_helpers_construct_the_configured_components():
     # custom preset reconstructs arbitrary NoiseParams exactly
     from dataclasses import asdict
 
-    exotic = paper_noise(p=3e-3).with_(lrc_error_factor=5.0)
+    exotic = paper_noise(p=3e-3).with_(gate_error_factor=5.0)
     rebuilt = build_noise(NoiseConfig(preset="custom", overrides=asdict(exotic)))
     assert rebuilt == exotic
 

@@ -8,6 +8,8 @@ on both a matching-native code (surface) and a hyperedge-decomposed one
 decoders with different graphs or tuning.
 """
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from repro.decoders import (
     make_decoder,
 )
 from repro.decoders import _ckernels
+from repro.decoders.base import _CACHE_MAX_FIRED
+from repro.decoders.cache import _PENDING, DEFAULT_CACHE_ENTRIES
 from repro.api.registry import CODES
 from repro.experiments import make_code
 from repro.noise import paper_noise
@@ -57,6 +61,11 @@ def _per_shot_reference(graph, method, history, final):
             for shot in range(history.shape[0])
         ]
     )
+
+
+def _fired(history, final):
+    """Node ids of one shot's fired detectors (rounds first, then final)."""
+    return np.flatnonzero(np.concatenate((history.reshape(-1), final)))
 
 
 def _edges_per_shot(decoder, history, final):
@@ -194,7 +203,7 @@ def test_cache_lru_eviction_and_disabled_mode(graphs):
     assert tiny.stats()["evictions"] > 0
 
     disabled = SyndromeCache(maxsize=0)
-    assert not disabled.enabled
+    assert disabled.maxsize == 0
     decoder = make_decoder(graph, "union_find", cache=disabled)
     assert np.array_equal(decoder.decode_batch(history, final), reference)
     assert len(disabled) == 0
@@ -206,8 +215,6 @@ def test_cache_lru_eviction_and_disabled_mode(graphs):
 def test_oversized_syndromes_bypass_the_cache():
     """Leakage-flood syndromes are never shared, so they must not bloat the
     cache — decoding stays correct, the cache stays empty."""
-    from repro.decoders.base import _CACHE_MAX_FIRED
-
     rounds = 12  # enough detector positions to exceed the fired-node bound
     graph = DetectorGraph(code=surface_code(3), rounds=rounds, noise=paper_noise())
     assert graph.num_layers * graph.num_z_stabs > _CACHE_MAX_FIRED + 4
@@ -266,7 +273,7 @@ def test_past_gate_matching_equals_all_pairs_and_interpreted(monkeypatch, family
         flat[shot, rng.choice(detectors, size=count, replace=False)] = True
     history = flat[:, : ROUNDS * gated.num_z_stabs].reshape(shots, ROUNDS, -1)
     final = flat[:, ROUNDS * gated.num_z_stabs :]
-    fired = [gated.flagged_nodes(history[s], final[s]) for s in range(shots)]
+    fired = [_fired(history[s], final[s]) for s in range(shots)]
     assert any(f.size > 8 for f in fired), "no syndrome reaches blossom"
 
     entries = {}
@@ -296,18 +303,6 @@ def test_past_gate_matching_equals_all_pairs_and_interpreted(monkeypatch, family
         assert dead_ends, "no toric syndrome reaches the DP dead end"
 
 
-def test_cache_clear_resets_counters():
-    cache = SyndromeCache(maxsize=4)
-    cache.put("a", 1)
-    assert cache.get("a") == 1
-    assert cache.get("b") is None
-    cache.clear()
-    stats = cache.stats()
-    assert len(cache) == 0
-    assert stats["hits"] == stats["misses"] == stats["evictions"] == 0
-    assert stats["hit_rate"] == 0.0
-
-
 # --------------------------------------------------------------------- #
 # Compiled kernels on == off over leakage records with heavy syndromes
 # --------------------------------------------------------------------- #
@@ -333,7 +328,7 @@ def test_kernels_on_and_off_agree_on_leakage_records(monkeypatch, family, policy
     ).run(shots=60, rounds=rounds)
     history, final = run.detector_history, run.final_detectors
     graph = DetectorGraph(code=code, rounds=rounds, noise=noise, hyperedges="decompose")
-    fired = [graph.flagged_nodes(history[shot], final[shot]).size for shot in range(60)]
+    fired = [_fired(history[shot], final[shot]).size for shot in range(60)]
     assert sum(count > 8 for count in fired) >= 10, "records never reach blossom"
 
     decoded = {}
@@ -350,7 +345,8 @@ def test_kernels_on_and_off_agree_on_leakage_records(monkeypatch, family, policy
 
 
 # --------------------------------------------------------------------- #
-# The batch entry against the per-unique _decode_entry oracle
+# The batch entry against a loop of one-shot batches, and the cache
+# against a plain LRU model
 # --------------------------------------------------------------------- #
 #: Fired-detector counts of the oracle batches: empty, the analytic one and
 #: two, the DP's 3..8, blossom's 9..60 and the greedy pairing past 60
@@ -361,8 +357,6 @@ ORACLE_ROUNDS = 8
 
 #: Counters the batch must move exactly as the per-unique loop does.
 ORACLE_COUNTERS = (
-    "decode.batch.shots",
-    "decode.batch.unique",
     "decode.cache.hits",
     "decode.cache.misses",
     "decode.cache.evictions",
@@ -371,6 +365,61 @@ ORACLE_COUNTERS = (
     "decode.matching.dp_kernel",
     "decode.matching.blossom_kernel",
 )
+
+#: Counters of the decode calls themselves: every one-shot call of the loop
+#: moves them too, so the batch's are checked against its own shot and
+#: unique-syndrome counts instead.
+BATCH_COUNTERS = ("decode.batch.shots", "decode.batch.unique")
+
+
+class _LruModel:
+    """The cache's contract as a plain ``OrderedDict`` LRU, replaying one
+    batch's distinct keys in claim order: a hit moves its key to the recent
+    end; a miss inserts it there, evicting the least recent keys beyond
+    ``maxsize`` (``0`` keeps nothing)."""
+
+    def __init__(self, maxsize):
+        self.maxsize = DEFAULT_CACHE_ENTRIES if maxsize is None else maxsize
+        self.keys = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
+
+    def replay(self, keys):
+        for key in keys:
+            if key in self.keys:
+                self.keys.move_to_end(key)
+                self.hits += 1
+                continue
+            self.misses += 1
+            if self.maxsize:
+                self.keys[key] = None
+                while len(self.keys) > self.maxsize:
+                    self.keys.popitem(last=False)
+                    self.evictions += 1
+
+    def assert_matches(self, cache):
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["evictions"]) == (
+            self.hits, self.misses, self.evictions
+        )
+        assert list(cache._entries) == list(self.keys)  # LRU order
+        assert all(value is not _PENDING for value in cache._entries.values())
+
+
+def _unique_fired(history, final, inverse):
+    """Each unique syndrome's fired node ids, in the batch's unique order."""
+    events = np.concatenate([history.reshape(len(history), -1), final], axis=1)
+    _, shots = np.unique(inverse, return_index=True)  # one shot per unique index
+    return [np.flatnonzero(events[shot]) for shot in shots]
+
+
+def _claimed_keys(decoder, unique_fired):
+    """The keys a batch claims, in unique order: each cacheable syndrome's
+    fired node ids as int64 bytes under the decoder's identity."""
+    return [
+        (decoder.decode_identity, fired.astype(np.int64).tobytes())
+        for fired in unique_fired
+        if 0 < fired.size <= _CACHE_MAX_FIRED
+    ]
 
 
 def _sized_batch(graph, sizes, seed):
@@ -388,38 +437,52 @@ def _sized_batch(graph, sizes, seed):
 
 
 def _oracle_entries(decoder, history, final):
-    """The batched path as the per-unique loop it replaces: dedup, then
-    ``_decode_entry`` on every unique syndrome in turn."""
+    """The batch as a loop over its unique syndromes, in its unique order,
+    each decoded as a one-shot batch (what ``decode_shot`` runs)."""
     _, first, inverse = decoder._deduplicate(history, final)
-    return [decoder._decode_entry(history[i], final[i]) for i in first], inverse
+    entries = []
+    for shot in first:
+        one, scatter = decoder._unique_entries(history[shot][None], final[shot][None])
+        entries.append(one[scatter[0]])
+    return entries, inverse
 
 
 def _counted(call):
-    """``call()`` under a metrics scope, plus the oracle counters it moved."""
+    """``call()`` under a metrics scope, plus the counters it moved."""
     from repro.obs import telemetry_scope
     from repro.obs.metrics import METRICS
 
     with telemetry_scope("on"):
         result = call()
         snapshot = METRICS.snapshot()
-    return result, {name: snapshot[name] for name in ORACLE_COUNTERS}
+    return result, {name: snapshot[name] for name in ORACLE_COUNTERS + BATCH_COUNTERS}
 
 
 def _assert_batch_equals_oracle(graph, method, history, final, cache_size):
     batch = make_decoder(graph, method, cache=SyndromeCache(cache_size))
     oracle = make_decoder(graph, method, cache=SyndromeCache(cache_size))
-    for _ in range(2):  # the second call finds the first one's entries cached
+    model = _LruModel(cache_size)
+    for call in (1, 2):  # the second call finds the first one's entries cached
         got, got_counts = _counted(lambda: batch._unique_entries(history, final))
         want, want_counts = _counted(lambda: _oracle_entries(oracle, history, final))
         (entries, inverse), (expected, expected_inverse) = got, want
         assert entries == expected  # edges, their order and the parity
         assert np.array_equal(inverse, expected_inverse)
-        assert got_counts == want_counts
+        for name in ORACLE_COUNTERS:
+            assert got_counts[name] == want_counts[name], name
+        assert got_counts["decode.batch.shots"] == len(history)
+        assert got_counts["decode.batch.unique"] == len(entries)
+        assert (batch.batch_shots, batch.batch_unique) == (
+            call * len(history), call * len(entries)
+        )
         assert batch.cache.stats() == oracle.cache.stats()
         assert list(batch.cache._entries) == list(oracle.cache._entries)  # LRU order
-        assert (batch.batch_shots, batch.batch_unique) == (
-            oracle.batch_shots, oracle.batch_unique
-        )
+        unique_fired = _unique_fired(history, final, inverse)
+        model.replay(_claimed_keys(batch, unique_fired))
+        model.assert_matches(batch.cache)
+    # Every entry is the interpreted decode of its syndrome.
+    for entry, fired in zip(entries, unique_fired):
+        assert entry == (batch._interpreted_entry(fired) if fired.size else ((), 0))
     # The public entry points scatter the same entries over every shot.
     per_shot = [expected[j] for j in expected_inverse]
     edges, scatter = batch.decode_edges_unique(history, final)
@@ -429,13 +492,43 @@ def _assert_batch_equals_oracle(graph, method, history, final, cache_size):
     ]
 
 
+@pytest.mark.parametrize("maxsize", [None, 0, 3])
+def test_claim_and_settle_follow_an_lru_model(maxsize):
+    """Random batches of distinct keys from a small alphabet, each claimed
+    then settled: hits, misses, evictions and key order follow the LRU
+    model, and a hit returns the value its key was settled with."""
+    rng = np.random.default_rng(29)
+    cache, model = SyndromeCache(maxsize), _LruModel(maxsize)
+    for _ in range(60):
+        keys = rng.choice(8, size=int(rng.integers(0, 6)), replace=False).tolist()
+        found = cache.claim(keys)
+        assert all(value in (None, ("value", key)) for key, value in zip(keys, found))
+        cache.settle(keys, [("value", key) for key in keys])
+        model.replay(keys)
+        model.assert_matches(cache)
+
+
+def test_claim_reads_a_pending_slot_as_a_miss():
+    """A key claimed but not yet settled (another caller is decoding it) is a
+    miss for the next claim; settling ``None`` drops the pending slot."""
+    cache = SyndromeCache(4)
+    assert cache.claim(["a", "b"]) == [None, None]
+    assert cache.claim(["a"]) == [None]
+    cache.settle(["a", "b"], [1, None])
+    assert list(cache._entries.items()) == [("a", 1)]
+    assert cache.claim(["a"]) == [1]
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"], stats["evictions"]) == (1, 3, 0)
+
+
 @pytest.mark.parametrize("family", ["surface", "color", "toric"])
 @pytest.mark.parametrize("distance", [3, 5])
 @pytest.mark.parametrize("method", ["matching", "union_find"])
 @pytest.mark.parametrize("cache_size", [None, 0, 3])
 def test_batch_entry_equals_per_unique_oracle(family, distance, method, cache_size):
-    """Every batch entry, counter and cache statistic equals the per-unique
-    ``_decode_entry`` loop's: with a cache, without one, under eviction
+    """Every batch entry, counter and cache statistic equals a loop of
+    one-shot batches over the unique syndromes, and the cache's counters and
+    order equal the LRU model's: with a cache, without one, under eviction
     pressure (three entries), and on a second call that hits."""
     graph = DetectorGraph(
         code=make_code(family, distance), rounds=ORACLE_ROUNDS, noise=paper_noise(),

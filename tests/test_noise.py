@@ -32,18 +32,13 @@ def test_mlr_error_is_capped():
     assert noise.mlr_error == 0.5
 
 
-def test_lrc_derived_probabilities():
-    noise = NoiseParams(p=1e-3, leakage_ratio=0.1, lrc_error_factor=2.0, lrc_leakage_factor=3.0)
-    assert noise.lrc_gate_error == pytest.approx(2e-3)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"p": -1e-3},
         {"p": 0.6},
         {"leakage_mobility": 1.5},
-        {"lrc_removal_prob": -0.1},
+        {"gate_error_factor": -1.0},
         {"ancilla_reset_removes_leakage": 2.0},
     ],
 )
