@@ -6,9 +6,9 @@ four ways per decoder backend:
 * ``legacy``  — the pre-engine per-shot loop: for matching, reproduced
   verbatim below (per-syndrome dijkstra, blossom matching for every exact
   syndrome, no caching), frozen here so the baseline cannot drift as the
-  library improves; for union-find, the engine's uncached per-shot loop
-  with the decoder kernels off (the interpreted cluster growth and
-  peeling),
+  library improves; for union-find, the interpreted cluster growth and
+  peeling (``_interpreted_entry``) called once per shot on its fired
+  detectors, with no batch entry, no deduplication and no cache,
 * ``per_shot`` — the engine's own ``decode_shot`` looped shot by shot with
   the syndrome cache disabled; each call is a batch of one through the same
   entry ``decode_batch`` uses, so this row prices the per-call overhead of
@@ -26,9 +26,7 @@ rows must be bit-identical to each other by construction.  Rows land in
 points alongside ``BENCH_realtime.json``.
 """
 
-import os
 import time
-from contextlib import contextmanager
 
 import networkx as nx
 import numpy as np
@@ -106,18 +104,9 @@ def _legacy_decode_shot(graph, greedy_fallback, history, final, max_exact_nodes=
     return parity
 
 
-@contextmanager
-def _decoder_kernels_off():
-    """Force the interpreted decoder paths inside the block only."""
-    previous = os.environ.get("REPRO_DECODER_CKERNELS")
-    os.environ["REPRO_DECODER_CKERNELS"] = "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ["REPRO_DECODER_CKERNELS"]
-        else:
-            os.environ["REPRO_DECODER_CKERNELS"] = previous
+def _fired(history, final):
+    """The detector-graph nodes one shot fired."""
+    return np.flatnonzero(np.concatenate((history.reshape(-1), final)))
 
 
 def _timed(fn):
@@ -161,19 +150,18 @@ def test_decode_batch_throughput(benchmark):
                 )
             else:
                 # Union-find's algorithm predates the engine unchanged: its
-                # legacy loop is the engine's own per-shot path without the
-                # cache, on the interpreted path (kernels off for this row
-                # only), so the row keeps measuring the compiled kernel too.
+                # legacy loop calls the interpreted decode on each shot's
+                # fired detectors directly, bypassing the batch entry and
+                # the cache, so the row does not move with the engine.
                 uncached = make_decoder(graph, method, cache=SyndromeCache(0))
-                with _decoder_kernels_off():
-                    legacy, legacy_s = _timed(
-                        lambda: np.array(
-                            [
-                                bool(uncached.decode_shot(history[i], final[i]))
-                                for i in range(shots)
-                            ]
-                        )
+                legacy, legacy_s = _timed(
+                    lambda: np.array(
+                        [
+                            bool(uncached._interpreted_entry(_fired(h, f))[1])
+                            for h, f in zip(history, final)
+                        ]
                     )
+                )
             per_shot_decoder = make_decoder(graph, method, cache=SyndromeCache(0))
             per_shot, per_shot_s = _timed(
                 lambda: np.array(

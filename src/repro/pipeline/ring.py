@@ -180,10 +180,6 @@ class PackedRing:
             )
         self.base = round_index
 
-    def clear(self) -> None:
-        """Release everything; the ring restarts empty at ``next_round``."""
-        self.base = self.next_round
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #

@@ -15,8 +15,10 @@ Three pieces stack up:
   finalised and a buffer region whose boundary artifacts carry into the
   next window; ``window >= rounds`` is bit-identical to offline decoding,
 * :class:`DecodeService` — N concurrent streams multiplexed over a worker
-  pool with bounded queues and backpressure, with per-stream latency and
-  throughput accounting priced against the microarchitecture cost model.
+  pool with bounded queues and backpressure; every dispatch, a lone window
+  included, is one decode call, one commit walk and one
+  :class:`LatencyRecorder` booking per window (tail windows too), priced
+  against the microarchitecture cost model.
 
 Quick start::
 
@@ -36,8 +38,8 @@ Quick start::
 ``python -m repro realtime`` drives the same pipeline from the command line.
 """
 
-from .accounting import LatencyRecorder, StreamReport, WindowTiming
-from .service import DecodeService, ServiceClosed, ServiceObserver, StreamHandle
+from .accounting import LatencyRecorder, StreamReport
+from .service import DecodeService, ServiceClosed, StreamHandle
 from .stream import FinalChunk, ReplayStream, RoundChunk, SimulatorStream, SyndromeStream
 from .window import WindowedDecoder, WindowSession
 
@@ -51,9 +53,7 @@ __all__ = [
     "WindowSession",
     "DecodeService",
     "ServiceClosed",
-    "ServiceObserver",
     "StreamHandle",
     "LatencyRecorder",
     "StreamReport",
-    "WindowTiming",
 ]

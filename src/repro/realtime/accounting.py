@@ -8,73 +8,61 @@ headline figure is ``realtime_factor`` — the hardware budget for the rounds
 processed divided by the time the decoder actually took.  A factor of 1.0
 means the decoder exactly keeps up; pure-Python decoding lands far below
 1.0, and the point of recording it is to track the trajectory.
+
+:class:`LatencyRecorder` is the one set of window books: the decode
+service's worker books every window it decodes, a stream's tail window
+included, with one :meth:`LatencyRecorder.record` call into the stream's
+recorder, and the decode server's :class:`~repro.serve.slo.SloTracker`
+keeps its served-traffic books in another recorder fed by the same call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..hardware.microarchitecture import ROUND_LATENCY_NS, realtime_deadline_ns
 from ..obs.metrics import Histogram
 
-__all__ = ["WindowTiming", "LatencyRecorder", "StreamReport"]
-
-
-@dataclass(frozen=True)
-class WindowTiming:
-    """One decoded window: rounds committed, decode time, queue wait."""
-
-    committed_rounds: int
-    service_seconds: float
-    wait_seconds: float = 0.0
+__all__ = ["LatencyRecorder", "StreamReport"]
 
 
 @dataclass
 class LatencyRecorder:
-    """Collects per-window timings of one stream and summarises them.
+    """Running latency books over committed windows, summarised on demand.
 
-    The per-round latency distribution lives in a private
-    :class:`~repro.obs.metrics.Histogram` (an always-on instrument metering
-    this recorder's own data, independent of the global telemetry switch),
-    so the percentiles here and the ones a telemetry snapshot reports come
-    from the same primitive.  Summary keys are unchanged from the
-    pre-histogram implementation.
+    One :meth:`record` call books one window: its committed rounds, its
+    decode (service) seconds and its queue wait.  Counts and sums are
+    running totals; the per-round latency and the queue-wait distributions
+    live in private :class:`~repro.obs.metrics.Histogram` instances (always
+    on, metering this recorder's own data independently of the global
+    telemetry switch), so the percentiles here and the ones a telemetry
+    snapshot reports come from the same primitive.  A stream keeps one,
+    and the decode server's :class:`~repro.serve.slo.SloTracker` keeps one
+    for every window it serves.
     """
 
-    timings: list[WindowTiming] = field(default_factory=list)
+    windows: int = 0
+    rounds_committed: int = 0
+    decode_seconds: float = 0.0
+    wait_seconds: float = 0.0
     histogram: Histogram = field(
         default_factory=lambda: Histogram("realtime.round_latency"), repr=False
+    )
+    wait_histogram: Histogram = field(
+        default_factory=lambda: Histogram("realtime.window_wait"), repr=False
     )
 
     def record(
         self, committed_rounds: int, service_seconds: float, wait_seconds: float = 0.0
     ) -> None:
-        """Append one window's timing."""
-        self.timings.append(
-            WindowTiming(int(committed_rounds), float(service_seconds), float(wait_seconds))
-        )
-        self.histogram.observe(float(service_seconds) / max(1, int(committed_rounds)))
-
-    def add_wait(self, wait_seconds: float) -> None:
-        """Attach a queue wait to the most recently recorded window."""
-        if not self.timings:
-            return
-        last = self.timings[-1]
-        self.timings[-1] = WindowTiming(
-            last.committed_rounds, last.service_seconds, last.wait_seconds + float(wait_seconds)
-        )
-
-    @property
-    def windows(self) -> int:
-        """Number of windows decoded."""
-        return len(self.timings)
-
-    @property
-    def rounds_committed(self) -> int:
-        """Total rounds finalised across all windows."""
-        return sum(t.committed_rounds for t in self.timings)
+        """Book one window's committed rounds, decode time and queue wait."""
+        rounds = int(committed_rounds)
+        self.windows += 1
+        self.rounds_committed += rounds
+        self.decode_seconds += float(service_seconds)
+        self.wait_seconds += float(wait_seconds)
+        self.histogram.observe(float(service_seconds) / max(1, rounds))
+        self.wait_histogram.observe(float(wait_seconds))
 
     def percentile(self, q: float) -> float:
         """Percentile of the per-round decode latency (seconds)."""
@@ -82,9 +70,7 @@ class LatencyRecorder:
 
     def summary(self) -> dict:
         """Flat latency summary (seconds), priced against the hardware budget."""
-        service = sum(t.service_seconds for t in self.timings)
-        waits = [t.wait_seconds for t in self.timings]
-        rounds = self.rounds_committed
+        rounds, service = self.rounds_committed, self.decode_seconds
         budget_seconds = realtime_deadline_ns(rounds) * 1e-9 if rounds else 0.0
         return {
             "windows": self.windows,
@@ -92,7 +78,7 @@ class LatencyRecorder:
             "decode_seconds": service,
             "round_latency_p50": self.percentile(50),
             "round_latency_p99": self.percentile(99),
-            "mean_queue_wait": float(np.mean(waits)) if waits else 0.0,
+            "mean_queue_wait": self.wait_seconds / max(1, self.windows),
             "hardware_round_ns": ROUND_LATENCY_NS,
             "realtime_factor": budget_seconds / service if service > 0 else 0.0,
         }

@@ -15,7 +15,10 @@ flight (window ``k+1`` depends on the artifacts window ``k`` committed);
 throughput comes from decoding *different* streams concurrently.  Every
 stream gets a :class:`~repro.realtime.accounting.LatencyRecorder`, and the
 final :class:`StreamReport` prices the measured latencies against the
-microarchitecture cost model's round cadence.
+microarchitecture cost model's round cadence.  The worker that ran a
+dispatch times it and books each of its streams' windows, the tail window
+included, with one call that writes the stream's recorder and, when one is
+attached, the :class:`~repro.serve.slo.SloTracker` observer.
 
 Streams enter through one path, :meth:`DecodeService.open_stream`: it
 returns a :class:`StreamHandle` that syndrome rounds are *pushed* into, on a
@@ -33,13 +36,15 @@ and raceless against streams closing mid-window).  Two producers use it:
 The scheduler coalesces: windows that become ready on the same pass
 across streams with equal decoder identity
 (:attr:`~repro.decoders.base.DecoderBase.decode_identity`) go out as one
-dispatch.  A group of several windows is decoded by a single
-:meth:`~repro.decoders.base.DecoderBase.decode_edges_unique` call whose
-per-unique-syndrome results are demuxed back through each session's
-``inverse`` slice; a group of one steps its session directly.  Because that
-decode is deterministic per unique syndrome and independent of batch
-composition, coalesced results are bit-identical to decoding each stream
-alone — the dispatch cost is amortised, the answers are not changed.
+dispatch, and a lone window is a dispatch of one.  Every dispatch takes one
+path: a single :meth:`~repro.decoders.base.DecoderBase.decode_edges_unique`
+call, a single :func:`~repro.realtime.window.entries_commit` walk of its
+per-unique-syndrome entries, and one
+:meth:`~repro.realtime.window.WindowSession.commit_window` per session
+through that session's ``inverse`` slice.  Because that decode is
+deterministic per unique syndrome and independent of batch composition,
+coalesced results are bit-identical to decoding each stream alone — the
+dispatch cost is amortised, the answers are not changed.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import queue
 import threading
 import time
 from collections import deque
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -57,9 +62,12 @@ from ..obs.metrics import METRICS
 from ..obs.trace import span
 from .accounting import LatencyRecorder, StreamReport
 from .stream import FinalChunk, RoundChunk, SyndromeStream
-from .window import WindowedDecoder
+from .window import WindowedDecoder, entries_commit
 
-__all__ = ["DecodeService", "ServiceClosed", "ServiceObserver", "StreamHandle"]
+if TYPE_CHECKING:
+    from ..serve.slo import SloTracker
+
+__all__ = ["DecodeService", "ServiceClosed", "StreamHandle"]
 
 _POLL_SECONDS = 0.05
 
@@ -71,7 +79,7 @@ _OBS_BACKPRESSURE = METRICS.counter(
     "realtime.backpressure_stalls", "producer blocks on a full window queue"
 )
 _OBS_WINDOWS = METRICS.counter(
-    "realtime.windows_decoded", "window decode jobs completed by the workers"
+    "realtime.windows_decoded", "windows committed by the workers, tail windows included",
 )
 _OBS_COALESCED = METRICS.counter(
     "realtime.windows_coalesced",
@@ -81,37 +89,6 @@ _OBS_COALESCED = METRICS.counter(
 
 class ServiceClosed(RuntimeError):
     """Raised when a stream is opened or fed after the service shut down."""
-
-
-class ServiceObserver:
-    """Hook points the serving layer overrides for live SLO accounting.
-
-    Every method is a no-op here, so :class:`DecodeService` can call them
-    unconditionally.  Callbacks fire on scheduler/worker threads — keep
-    overrides cheap and thread-safe.
-    """
-
-    def on_window(
-        self,
-        stream_id: int,
-        label: str | None,
-        committed_rounds: int,
-        service_seconds: float,
-        wait_seconds: float,
-    ) -> None:
-        """One window committed for one stream."""
-
-    def on_batch(self) -> None:
-        """One decode dispatch went out (a lone window or a coalesced batch;
-        each of its windows also reports through :meth:`on_window`)."""
-
-    def on_queue_depth(self, depth: int) -> None:
-        """Pending-window queue depth after an enqueue."""
-
-    def on_stream_done(
-        self, stream_id: int, label: str | None, error: BaseException | None
-    ) -> None:
-        """A stream finished (successfully, aborted, or with ``error``)."""
 
 
 class _StreamTask:
@@ -136,7 +113,7 @@ class _StreamTask:
         self.rounds = int(rounds)
         self.num_z_stabs = len(windowed.code.z_stabilizers)
         self.recorder = LatencyRecorder()
-        self.session = windowed.session(self.shots, self.recorder)
+        self.session = windowed.session(self.shots)
         self.pending: deque[RoundChunk] = deque()
         self.rounds_submitted = 0
         self.final_chunk: FinalChunk | None = None
@@ -336,8 +313,9 @@ class DecodeService:
         Bound of the pending-window queue; the scheduler blocks when it is
         full (backpressure).  Defaults to ``max(2, workers)``.
     observer:
-        Optional :class:`ServiceObserver` receiving per-window, per-batch
-        and queue-depth callbacks — the serve layer's SLO feed.
+        Optional :class:`~repro.serve.slo.SloTracker` booking every window,
+        dispatch, queue depth and finished stream — the serve layer's SLO
+        feed.
 
     All attached streams decode through one service-wide
     :class:`~repro.decoders.SyndromeCache` — streams of the same code and
@@ -354,7 +332,7 @@ class DecodeService:
         method: str = "matching",
         workers: int = 4,
         queue_depth: int | None = None,
-        observer: ServiceObserver | None = None,
+        observer: "SloTracker | None" = None,
     ) -> None:
         if workers <= 0:
             raise ValueError("workers must be positive")
@@ -388,7 +366,7 @@ class DecodeService:
         *,
         workers: int = 4,
         queue_depth: int | None = None,
-        observer: ServiceObserver | None = None,
+        observer: "SloTracker | None" = None,
     ) -> "DecodeService":
         """Build a service from an :class:`~repro.api.config.ExperimentConfig`.
 
@@ -563,8 +541,8 @@ class DecodeService:
         """Service-wide counters (backpressure, volume, the syndrome cache).
 
         The coalescing ratio is the observer's to count (every dispatch
-        reports through :meth:`ServiceObserver.on_batch`); the decode
-        server's :class:`~repro.serve.slo.SloTracker` publishes it.
+        reports through :meth:`~repro.serve.slo.SloTracker.on_batch`); the
+        decode server's tracker publishes it.
         """
         return {
             "streams_served": self.streams_served,
@@ -838,10 +816,7 @@ class DecodeService:
                 if kind == "window":
                     self._decode_group(tasks, wait)
                 else:
-                    task = tasks[0]
-                    if not task.aborted:
-                        with span("realtime.final", stream=task.stream_id):
-                            task.complete()
+                    self._decode_tail(tasks[0], wait)
             except BaseException as exc:  # surface on run()/handle, keep pool
                 for task in tasks:
                     task.error = exc
@@ -856,18 +831,7 @@ class DecodeService:
                 work.task_done()
 
     def _decode_group(self, tasks: tuple[_StreamTask, ...], wait: float) -> None:
-        """Decode one window job: a single stream or a coalesced batch."""
-        if len(tasks) == 1:
-            task = tasks[0]
-            if task.aborted:
-                return
-            with span("realtime.window", stream=task.stream_id):
-                task.session.step()
-            _OBS_WINDOWS.inc()
-            task.recorder.add_wait(wait)
-            self._observe_window(task, wait)
-            self._count_dispatch()
-            return
+        """Decode one dispatch: the ready windows of one or more streams."""
         started = time.perf_counter()
         live = [task for task in tasks if not task.aborted]
         if not live:
@@ -878,40 +842,50 @@ class DecodeService:
         inputs = [task.session.window_inputs() for task in live]
         history = np.concatenate([h for h, _ in inputs], axis=0)
         context = np.concatenate([c for _, c in inputs], axis=0)
-        lead = live[0].session.windowed
-        _, decoder = lead.decoder_for(lead.effective_window)
-        with span("realtime.window_batch", streams=len(live)):
+        windowed = live[0].session.windowed
+        commit = windowed.commit_rounds
+        graph, decoder = windowed.decoder_for(windowed.effective_window)
+        with span("realtime.window", streams=len(live)):
             entries, inverse = decoder.decode_edges_unique(history, context)
+            flips, masks = entries_commit(entries, graph, commit)
             offset = 0
             for task, (chunk, _) in zip(live, inputs):
                 shots = chunk.shape[0]
-                task.session.commit_window(
-                    entries, inverse[offset : offset + shots], started
-                )
+                session_inverse = inverse[offset : offset + shots]
+                task.session.commit_window(flips, masks, session_inverse)
                 offset += shots
-        for task in live:
-            _OBS_WINDOWS.inc()
-            task.recorder.add_wait(wait)
-            self._observe_window(task, wait)
-        _OBS_COALESCED.inc(len(live))
-        self._count_dispatch()
+        self._book([(task, commit) for task in live], started, wait)
+        if len(live) > 1:
+            _OBS_COALESCED.inc(len(live))
 
-    def _count_dispatch(self) -> None:
-        """Report one decode dispatch to the observer."""
-        if self.observer is not None:
-            self.observer.on_batch()
-
-    def _observe_window(self, task: _StreamTask, wait: float) -> None:
-        if self.observer is None or not task.recorder.timings:
+    def _decode_tail(self, task: _StreamTask, wait: float) -> None:
+        """Decode a stream's tail window and close the stream out."""
+        if task.aborted:
             return
-        timing = task.recorder.timings[-1]
-        self.observer.on_window(
-            task.stream_id,
-            task.label,
-            timing.committed_rounds,
-            timing.service_seconds,
-            wait,
-        )
+        tail = task.rounds - task.session.start
+        started = time.perf_counter()
+        with span("realtime.final", stream=task.stream_id):
+            task.complete()
+        self._book([(task, tail)], started, wait)
+
+    def _book(
+        self, windows: list[tuple[_StreamTask, int]], started: float, wait: float
+    ) -> None:
+        """Book one dispatch that began at ``started``, on the worker that ran it.
+
+        Each ``(task, committed_rounds)`` window is one record into its
+        stream's recorder and, when attached, the observer; the observer
+        also counts the dispatch.
+        """
+        seconds = time.perf_counter() - started
+        observer = self.observer
+        for task, rounds in windows:
+            task.recorder.record(rounds, seconds, wait)
+            if observer is not None:
+                observer.on_window(rounds, seconds, wait)
+        _OBS_WINDOWS.inc(len(windows))
+        if observer is not None:
+            observer.on_batch()
 
     def _finalize(self, task: _StreamTask) -> None:
         """Retire a finished/errored/aborted stream exactly once."""
@@ -929,7 +903,7 @@ class DecodeService:
             task.done_event.set()
             self._wake.notify_all()
         if self.observer is not None:
-            self.observer.on_stream_done(task.stream_id, task.label, task.error)
+            self.observer.on_stream_done(task.error)
         for callback in callbacks:
             try:
                 callback()

@@ -36,7 +36,6 @@ MemoryExperiment`) replay a recorded history through the same session.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,6 @@ from ..codes.base import StabilizerCode
 from ..decoders import DetectorGraph, SyndromeCache, make_decoder, shared_graph
 from ..noise import NoiseParams
 from ..pipeline.ring import PackedRing
-from .accounting import LatencyRecorder
 from .stream import FinalChunk, ReplayStream, RoundChunk, SyndromeStream
 
 __all__ = ["WindowedDecoder", "WindowSession", "entries_commit"]
@@ -127,17 +125,13 @@ class WindowedDecoder:
     # ------------------------------------------------------------------ #
     # Entry points
     # ------------------------------------------------------------------ #
-    def session(
-        self, shots: int, recorder: LatencyRecorder | None = None
-    ) -> "WindowSession":
+    def session(self, shots: int) -> "WindowSession":
         """Start an incremental decode session for a batch of ``shots`` shots."""
-        return WindowSession(windowed=self, shots=shots, recorder=recorder)
+        return WindowSession(windowed=self, shots=shots)
 
-    def decode_stream(
-        self, stream: SyndromeStream, recorder: LatencyRecorder | None = None
-    ) -> np.ndarray:
+    def decode_stream(self, stream: SyndromeStream) -> np.ndarray:
         """Consume a whole stream; returns the (shots,) logical-flip predictions."""
-        session = self.session(stream.shots, recorder)
+        session = self.session(stream.shots)
         for chunk in stream.chunks():
             session.feed(chunk)
             while session.ready():
@@ -194,7 +188,6 @@ class WindowSession:
 
     windowed: WindowedDecoder
     shots: int
-    recorder: LatencyRecorder | None = None
 
     def __post_init__(self) -> None:
         self.start = 0
@@ -233,12 +226,12 @@ class WindowSession:
 
         ``history`` is ``(shots, window, num_z)`` and ``context`` the one
         round past the window.  Together with :meth:`commit_window` this is
-        the seam the decode service's cross-stream coalescer uses: it
-        concatenates several sessions' inputs, decodes them in one batched
-        call, and hands each session its slice of the results — which is
-        bit-identical to each session decoding alone, because every unique
-        syndrome decodes independently (see ``repro.serve``).  Both arrays
-        are this session's reusable unpack buffers, valid until the next
+        the seam the decode service dispatches through: it concatenates the
+        inputs of one or more sessions, decodes them in one batched call,
+        walks the resulting entries once, and hands each session its slice
+        of the results — which is bit-identical to each session decoding
+        alone, because every unique syndrome decodes independently.  Both
+        arrays are this session's reusable unpack buffers, valid until the next
         ``window_inputs`` / ``step`` call, so a coalescer must copy them
         (``np.concatenate`` does).
         """
@@ -250,24 +243,21 @@ class WindowSession:
         return self._history, self._context
 
     def commit_window(
-        self,
-        entries: list[tuple[tuple[int, int], ...]],
-        inverse: np.ndarray,
-        started: float | None = None,
+        self, flips: np.ndarray, masks: np.ndarray, inverse: np.ndarray
     ) -> None:
-        """Commit one decoded window from per-unique-syndrome ``entries``.
+        """Commit one decoded window from per-unique-syndrome commit arrays.
 
-        ``entries[inverse[s]]`` is shot ``s``'s correction, exactly the
-        representation :meth:`~repro.decoders.base.DecoderBase.
-        decode_edges_unique` returns (``inverse`` may be a slice of a larger
-        coalesced batch).  ``started`` is the ``perf_counter`` tick the
-        window's decode began at; the recorder logs the elapsed time through
-        the end of this commit against the committed rounds.
+        ``flips`` and ``masks`` are :func:`entries_commit`'s output for the
+        decode call's entries, and ``inverse`` maps this session's shots
+        onto them (it may be a slice of a larger batch's map, so one walk
+        of the entries serves every session in the batch).  An intermediate
+        window finalises its oldest ``commit_rounds`` rounds; the last
+        window finalises every remaining round.
         """
-        commit = self.windowed.commit_rounds
+        window = self.windowed.effective_window
+        remaining = self.windowed.rounds - self.start
+        commit = remaining if remaining <= window else self.windowed.commit_rounds
         assert commit is not None  # WindowedDecoder.__post_init__ resolves it
-        graph, _ = self.windowed.decoder_for(self.windowed.effective_window)
-        flips, masks = entries_commit(entries, graph, commit)
         self._parity ^= flips[inverse]
         if masks.any():
             # Boundary artifacts become extra defects on the first
@@ -280,19 +270,16 @@ class WindowSession:
         self.ring.release_until(self.start + commit)
         self.start += commit
         self.windows_decoded += 1
-        if self.recorder is not None:
-            elapsed = 0.0 if started is None else time.perf_counter() - started
-            self.recorder.record(commit, elapsed)
 
     def step(self) -> None:
         """Decode the next intermediate window and commit its oldest rounds."""
-        started = time.perf_counter()
         history, context = self.window_inputs()
-        _, decoder = self.windowed.decoder_for(self.windowed.effective_window)
+        graph, decoder = self.windowed.decoder_for(self.windowed.effective_window)
         # Batched, deduplicated decode: identical window syndromes (common at
         # low p) are decoded once and served from the shared syndrome cache.
         entries, inverse = decoder.decode_edges_unique(history, context)
-        self.commit_window(entries, inverse, started)
+        flips, masks = entries_commit(entries, graph, self.windowed.commit_rounds)
+        self.commit_window(flips, masks, inverse)
 
     def finish(self, final: FinalChunk) -> np.ndarray:
         """Decode the tail window against the final readout; return predictions."""
@@ -304,7 +291,6 @@ class WindowSession:
         while self.ready():  # flush any windows the caller did not step
             self.step()
         tail = self.windowed.rounds - self.start
-        started = time.perf_counter()
         history = self.ring.window(self.start, tail, out=self._history[:, :tail, :])
         final_detectors = np.asarray(final.final_detectors, dtype=bool)
         graph, decoder = self.windowed.decoder_for(tail)
@@ -312,11 +298,7 @@ class WindowSession:
         # Commit boundary beyond the last layer: every edge is finalised.
         flips, masks = entries_commit(entries, graph, graph.num_layers)
         assert not masks.any()
-        self._parity ^= flips[inverse]
-        self.ring.clear()
-        self.windows_decoded += 1
-        if self.recorder is not None:
-            self.recorder.record(tail, time.perf_counter() - started)
+        self.commit_window(flips, masks, inverse)
         return self._parity.copy()
 
 

@@ -1,15 +1,18 @@
 """Live SLO accounting for the decode server.
 
-:class:`SloTracker` is the :class:`~repro.realtime.service.ServiceObserver`
-every shard reports into.  It maintains the serving-side latency
-distribution (decode seconds per committed round, the same per-round unit
-:class:`~repro.realtime.accounting.LatencyRecorder` uses) in an always-on
-:class:`~repro.obs.metrics.Histogram`, mirrors the headline counters into
-the global :data:`~repro.obs.metrics.METRICS` registry under ``serve.*``
-names, and renders the p50/p99/p999 tail priced against the
-microarchitecture round budget (``ROUND_LATENCY_NS``) — the number a
-control system actually cares about: *how many hardware round periods does
-one served round cost at the tail?*
+:class:`SloTracker` is the observer every shard's
+:class:`~repro.realtime.service.DecodeService` reports into.  Its window
+books are one :class:`~repro.realtime.accounting.LatencyRecorder` — the
+class that books each stream's windows — fed by the same per-window call
+from the worker that decoded the window, so the served rounds, windows,
+per-round decode latency and queue wait count every window, tail windows
+included.  On top it keeps only the dispatch, stream, rejection and
+queue-depth counters, mirrors the headline counters into the global
+:data:`~repro.obs.metrics.METRICS` registry under ``serve.*`` names, and
+renders the p50/p99/p999 tail priced against the microarchitecture round
+budget (``ROUND_LATENCY_NS``) — the number a control system actually cares
+about: *how many hardware round periods does one served round cost at the
+tail?*
 
 Everything here is called from scheduler/worker threads of several shards
 concurrently, so state updates take one short lock and snapshots copy
@@ -22,11 +25,12 @@ import threading
 
 from ..hardware.microarchitecture import ROUND_LATENCY_NS
 from ..obs.metrics import METRICS, Histogram
+from ..realtime.accounting import LatencyRecorder
 
 __all__ = ["SloTracker"]
 
 #: Serving telemetry mirrored into the global registry; no-ops unless a
-#: telemetry scope is active (the private histogram below is always on).
+#: telemetry scope is active (the recorder's histograms are always on).
 _OBS_ROUNDS = METRICS.counter("serve.rounds", "syndrome rounds committed by the server")
 _OBS_WINDOWS = METRICS.counter("serve.windows", "stream windows decoded by the server")
 _OBS_BATCHES = METRICS.counter("serve.batches", "decode dispatches")
@@ -40,10 +44,10 @@ class SloTracker:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._latency = Histogram("serve.round_latency")
-        self._wait = Histogram("serve.window_wait")
-        self.rounds = 0
-        self.windows = 0
+        self.recorder = LatencyRecorder(
+            histogram=Histogram("serve.round_latency"),
+            wait_histogram=Histogram("serve.window_wait"),
+        )
         self.batches = 0
         self.streams_done = 0
         self.stream_errors = 0
@@ -51,39 +55,33 @@ class SloTracker:
         self.queue_depth = 0
         self.max_queue_depth = 0
 
-    # ---------------- ServiceObserver interface ---------------- #
+    # ---------------- decode-service events ---------------- #
     def on_window(
-        self,
-        stream_id: int,
-        label: str | None,
-        committed_rounds: int,
-        service_seconds: float,
-        wait_seconds: float,
+        self, committed_rounds: int, service_seconds: float, wait_seconds: float
     ) -> None:
-        per_round = service_seconds / max(1, committed_rounds)
+        """One window committed for one stream, tail windows included."""
         with self._lock:
-            self.rounds += committed_rounds
-            self.windows += 1
-            self._latency.observe(per_round)
-            self._wait.observe(wait_seconds)
+            self.recorder.record(committed_rounds, service_seconds, wait_seconds)
         _OBS_ROUNDS.inc(committed_rounds)
         _OBS_WINDOWS.inc()
 
     def on_batch(self) -> None:
+        """One decode dispatch went out (each of its windows also reports
+        through :meth:`on_window`)."""
         with self._lock:
             self.batches += 1
         _OBS_BATCHES.inc()
 
     def on_queue_depth(self, depth: int) -> None:
+        """Pending-window queue depth after an enqueue."""
         with self._lock:
             self.queue_depth = depth
             self.max_queue_depth = max(self.max_queue_depth, depth)
         if METRICS.enabled:
             _OBS_QUEUE_DEPTH.set(depth)
 
-    def on_stream_done(
-        self, stream_id: int, label: str | None, error: BaseException | None
-    ) -> None:
+    def on_stream_done(self, error: BaseException | None) -> None:
+        """A stream finished (successfully, aborted, or with ``error``)."""
         with self._lock:
             self.streams_done += 1
             if error is not None:
@@ -97,10 +95,6 @@ class SloTracker:
         _OBS_REJECTED.inc()
 
     # ---------------- snapshots ---------------- #
-    def percentile(self, q: float) -> float:
-        """Per-round decode latency percentile in seconds."""
-        return self._latency.percentile(q)
-
     def snapshot(self) -> dict:
         """Flat live-SLO dictionary (the ``--status`` payload body).
 
@@ -110,14 +104,14 @@ class SloTracker:
         with syndrome extraction.
         """
         with self._lock:
-            p50 = self._latency.percentile(50)
-            p99 = self._latency.percentile(99)
-            p999 = self._latency.percentile(99.9)
-            wait_p99 = self._wait.percentile(99)
-            windows = self.windows
+            p50 = self.recorder.percentile(50)
+            p99 = self.recorder.percentile(99)
+            p999 = self.recorder.percentile(99.9)
+            wait_p99 = self.recorder.wait_histogram.percentile(99)
+            windows = self.recorder.windows
             batches = self.batches
             snapshot = {
-                "rounds": self.rounds,
+                "rounds": self.recorder.rounds_committed,
                 "windows": windows,
                 "streams_done": self.streams_done,
                 "stream_errors": self.stream_errors,

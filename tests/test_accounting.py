@@ -6,13 +6,16 @@ degenerate inputs — no windows yet, a single sample, tail percentiles with
 far fewer than 1000 observations — must be boring and well-defined.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.hardware.microarchitecture import ROUND_LATENCY_NS, realtime_deadline_ns
 from repro.obs.metrics import Histogram
 from repro.realtime import LatencyRecorder
-from repro.realtime.accounting import StreamReport, WindowTiming
+from repro.realtime.accounting import StreamReport
 from repro.serve.slo import SloTracker
 
 
@@ -82,16 +85,16 @@ def test_zero_committed_rounds_window_does_not_divide_by_zero():
     assert recorder.summary()["realtime_factor"] == 0.0
 
 
-def test_add_wait_attaches_to_last_window_only():
+def test_record_wait_drives_mean_queue_wait():
     recorder = LatencyRecorder()
-    recorder.add_wait(1.0)  # no windows yet: silently ignored
-    assert recorder.timings == []
-    recorder.record(2, 1e-6)
-    recorder.record(2, 1e-6)
-    recorder.add_wait(3e-6)
-    recorder.add_wait(4e-6)
-    assert recorder.timings[0].wait_seconds == 0.0
-    assert recorder.timings[1].wait_seconds == pytest.approx(7e-6)
+    recorder.record(2, 1e-6)  # no wait given: books a zero wait
+    recorder.record(2, 1e-6, 3e-6)
+    recorder.record(3, 1e-6, 6e-6)
+    summary = recorder.summary()
+    assert summary["windows"] == 3
+    assert summary["rounds_committed"] == 7
+    assert summary["mean_queue_wait"] == pytest.approx(3e-6)
+    assert recorder.wait_histogram.percentile(100) == pytest.approx(6e-6)
 
 
 def test_stream_report_failures_are_optional():
@@ -132,8 +135,8 @@ def test_tracker_prices_latency_against_round_budget():
     tracker = SloTracker()
     # Two windows, both costing exactly one hardware round per round.
     budget_seconds = ROUND_LATENCY_NS * 1e-9
-    tracker.on_window(0, None, 4, 4 * budget_seconds, 0.0)
-    tracker.on_window(1, None, 2, 2 * budget_seconds, 0.0)
+    tracker.on_window(4, 4 * budget_seconds, 0.0)
+    tracker.on_window(2, 2 * budget_seconds, 0.0)
     snapshot = tracker.snapshot()
     assert snapshot["rounds"] == 6
     assert snapshot["windows"] == 2
@@ -145,7 +148,7 @@ def test_tracker_prices_latency_against_round_budget():
 def test_coalesce_ratio_counts_solo_dispatches():
     tracker = SloTracker()
     for stream in range(4):
-        tracker.on_window(stream, None, 1, 1e-6, 0.0)
+        tracker.on_window(1, 1e-6, 0.0)
     # One dispatch merged 3 of the 4 windows; the fourth went out alone,
     # and every dispatch reports itself, a lone window included.
     tracker.on_batch()
@@ -158,7 +161,7 @@ def test_coalesce_ratio_counts_solo_dispatches():
 def test_coalesce_ratio_is_one_without_batching():
     tracker = SloTracker()
     for stream in range(5):
-        tracker.on_window(stream, None, 1, 1e-6, 0.0)
+        tracker.on_window(1, 1e-6, 0.0)
         tracker.on_batch()
     assert tracker.snapshot()["coalesce_ratio"] == pytest.approx(1.0)
 
@@ -174,10 +177,41 @@ def test_queue_depth_tracks_maximum():
 
 def test_stream_and_rejection_counters():
     tracker = SloTracker()
-    tracker.on_stream_done(0, "a", None)
-    tracker.on_stream_done(1, "b", RuntimeError("boom"))
+    tracker.on_stream_done(None)
+    tracker.on_stream_done(RuntimeError("boom"))
     tracker.on_rejected()
     snapshot = tracker.snapshot()
     assert snapshot["streams_done"] == 2
     assert snapshot["stream_errors"] == 1
     assert snapshot["admission_rejected"] == 1
+
+
+def test_tracker_books_concurrent_windows_without_losing_any():
+    """Shard workers book windows concurrently; the tracker's lock keeps
+    every count, sum and histogram sample."""
+    tracker = SloTracker()
+    threads_n, per_thread = 8, 400
+
+    def book():
+        for _ in range(per_thread):
+            tracker.on_window(2, 1e-6, 1e-6)
+            tracker.on_batch()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=book) for _ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    total = threads_n * per_thread
+    snapshot = tracker.snapshot()
+    assert snapshot["windows"] == tracker.recorder.histogram.count == total
+    assert snapshot["rounds"] == 2 * total
+    assert tracker.recorder.wait_histogram.count == total
+    assert tracker.recorder.decode_seconds == pytest.approx(total * 1e-6)
+    assert snapshot["coalesce_ratio"] == pytest.approx(1.0)

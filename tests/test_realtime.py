@@ -10,18 +10,18 @@ import pytest
 from repro.codes import color_code, surface_code
 from repro.core import make_policy
 from repro.decoders import DetectorGraph, SyndromeCache, UnionFindDecoder, make_decoder
+from repro.decoders.base import DecoderBase
 from repro.experiments import MemoryExperiment
 from repro.experiments.memory import PERF_SUMMARY_KEYS
 from repro.noise import ideal_noise, paper_noise
 from repro.realtime import (
     DecodeService,
-    LatencyRecorder,
     ReplayStream,
     ServiceClosed,
-    ServiceObserver,
     SimulatorStream,
     WindowedDecoder,
 )
+from repro.serve.slo import SloTracker
 from repro.sim import LeakageSimulator, SimulatorOptions
 
 HEAVY = paper_noise(p=2e-3, leakage_ratio=1.0)
@@ -169,11 +169,10 @@ def test_sliding_window_tracks_offline_accuracy(surface_d3, method):
 
 def test_window_session_buffer_stays_bounded_and_records_latency(surface_d3):
     result = _recorded_run(surface_d3, HEAVY, shots=10, rounds=12, seed=4)
-    recorder = LatencyRecorder()
     windowed = WindowedDecoder(
         code=surface_d3, noise=HEAVY, rounds=12, window_rounds=4, commit_rounds=2
     )
-    session = windowed.session(10, recorder)
+    session = windowed.session(10)
     max_buffered = 0
     for chunk in ReplayStream.from_run_result(result).chunks():
         session.feed(chunk)
@@ -183,12 +182,6 @@ def test_window_session_buffer_stays_bounded_and_records_latency(surface_d3):
     session.finish(ReplayStream.from_run_result(result).final())
     # The buffer never holds more than window + 1 context rounds.
     assert max_buffered <= 5
-    assert recorder.windows == session.windows_decoded
-    assert recorder.rounds_committed == 12
-    assert recorder.percentile(99) >= recorder.percentile(50) >= 0.0
-    summary = recorder.summary()
-    assert summary["windows"] == recorder.windows
-    assert summary["realtime_factor"] >= 0.0
 
 
 def test_window_session_rejects_out_of_order_chunks(surface_d3):
@@ -317,7 +310,6 @@ def test_service_backpressure_bounds_queue_under_slow_decoder(surface_d3, monkey
     """With a slow decoder the bounded queue fills (producer blocks) and the
     results still match the serial windowed decode exactly."""
     from repro.realtime import service as service_module
-    from repro.realtime.window import WindowSession
 
     max_seen = {"depth": 0}
     lock = threading.Lock()
@@ -329,14 +321,14 @@ def test_service_backpressure_bounds_queue_under_slow_decoder(surface_d3, monkey
             with lock:
                 max_seen["depth"] = max(max_seen["depth"], self.qsize())
 
-    slow_step = WindowSession.step
+    real_decode = DecoderBase.decode_edges_unique
 
-    def step(self):
+    def decode_edges_unique(self, *args):
         time.sleep(0.005)
-        return slow_step(self)
+        return real_decode(self, *args)
 
     monkeypatch.setattr(service_module.queue, "Queue", TrackingQueue)
-    monkeypatch.setattr(WindowSession, "step", step)
+    monkeypatch.setattr(DecoderBase, "decode_edges_unique", decode_edges_unique)
     service = DecodeService(window_rounds=4, commit_rounds=2, workers=1, queue_depth=1)
     reports = service.run(_make_streams(surface_d3, 3))
     assert max_seen["depth"] == 1  # the queue filled: backpressure engaged
@@ -357,11 +349,12 @@ def test_run_draws_at_most_two_rounds_past_the_window(surface_d3, monkeypatch):
     lock = threading.Lock()
     committed: dict[int, int] = {}  # stream shots -> rounds committed
     ahead: list[int] = []
-    real_step, real_commit = WindowSession.step, WindowSession.commit_window
+    real_decode = DecoderBase.decode_edges_unique
+    real_commit = WindowSession.commit_window
 
-    def step(self):
+    def decode_edges_unique(self, *args):
         time.sleep(0.005)
-        return real_step(self)
+        return real_decode(self, *args)
 
     def commit_window(self, *args, **kwargs):
         # Counted before the commit lands, so the count never trails the
@@ -372,7 +365,7 @@ def test_run_draws_at_most_two_rounds_past_the_window(surface_d3, monkeypatch):
             )
         return real_commit(self, *args, **kwargs)
 
-    monkeypatch.setattr(WindowSession, "step", step)
+    monkeypatch.setattr(DecoderBase, "decode_edges_unique", decode_edges_unique)
     monkeypatch.setattr(WindowSession, "commit_window", commit_window)
     # Distinct shot counts tell the streams' sessions apart.
     streams = [
@@ -397,12 +390,6 @@ def test_run_draws_at_most_two_rounds_past_the_window(surface_d3, monkeypatch):
 def test_run_source_error_fails_only_its_stream(surface_d3):
     """A source raising mid-stream fails its own stream: run() raises that
     error, the other streams still decode, and the pool is joined."""
-    done: dict[int, BaseException | None] = {}
-
-    class Observer(ServiceObserver):
-        def on_stream_done(self, stream_id, label, error):
-            done[stream_id] = error
-
     streams = _make_streams(surface_d3, 3)
     source = streams[1].chunks
 
@@ -413,12 +400,64 @@ def test_run_source_error_fails_only_its_stream(surface_d3):
             yield chunk
 
     streams[1].chunks = failing_chunks
-    service = DecodeService(window_rounds=4, workers=2, observer=Observer())
+    tracker = SloTracker()
+    service = DecodeService(window_rounds=4, workers=2, observer=tracker)
     with pytest.raises(RuntimeError, match="source died on round 3"):
         service.run(streams)
-    assert done[0] is None and done[2] is None
-    assert isinstance(done[1], RuntimeError)
+    assert tracker.streams_done == 3
+    assert tracker.stream_errors == 1
     assert not [t for t in threading.enumerate() if t.name.startswith("decode-")]
+
+
+def test_run_walks_entries_once_per_dispatch(surface_d3, monkeypatch):
+    """Every dispatch (a coalesced group, a lone window or a tail) is one
+    decode call and one ``entries_commit`` walk, not one walk per window."""
+    from repro.realtime import service as service_module
+    from repro.realtime import window as window_module
+
+    lock = threading.Lock()
+    counts = {"decodes": 0, "walks": 0}
+    real_decode = DecoderBase.decode_edges_unique
+    real_walk = window_module.entries_commit
+
+    def decode_edges_unique(self, *args):
+        with lock:
+            counts["decodes"] += 1
+        time.sleep(0.005)  # slow decodes let other streams' windows pile up
+        return real_decode(self, *args)
+
+    def entries_commit(*args):
+        with lock:
+            counts["walks"] += 1
+        return real_walk(*args)
+
+    monkeypatch.setattr(DecoderBase, "decode_edges_unique", decode_edges_unique)
+    monkeypatch.setattr(service_module, "entries_commit", entries_commit)
+    monkeypatch.setattr(window_module, "entries_commit", entries_commit)
+    # Replayed sources are drawn faster than the slow decoder keeps up, so
+    # the streams' windows become ready together and coalesce.
+    streams = []
+    for seed in range(4):
+        result = _recorded_run(surface_d3, HEAVY, shots=15, rounds=12, seed=40 + seed)
+        streams.append(
+            ReplayStream(
+                result.detector_history,
+                result.final_detectors,
+                result.observable_flips,
+                code=surface_d3,
+                noise=HEAVY,
+            )
+        )
+    tracker = SloTracker()
+    service = DecodeService(
+        window_rounds=4, commit_rounds=2, workers=1, queue_depth=1, observer=tracker
+    )
+    reports = service.run(streams)
+    windows = sum(report.recorder.windows for report in reports)
+    assert windows == tracker.recorder.windows == service.windows_decoded
+    assert counts["walks"] == counts["decodes"] == tracker.batches
+    # Coalesced windows shared a walk: fewer walks than windows decoded.
+    assert len(streams) < counts["walks"] < windows
 
 
 def test_run_on_started_service_keeps_the_pool(surface_d3):
@@ -549,15 +588,13 @@ def test_service_close_is_idempotent_and_raceless(surface_d3):
 def test_service_close_while_streams_backpressured(surface_d3, monkeypatch):
     """Closing while the scheduler is blocked on a full work queue must not
     deadlock: the slow worker drains the queue, aborts land, threads join."""
-    from repro.realtime.window import WindowSession
+    real_decode = DecoderBase.decode_edges_unique
 
-    slow_step = WindowSession.step
-
-    def step(self):
+    def decode_edges_unique(self, *args):
         time.sleep(0.02)
-        return slow_step(self)
+        return real_decode(self, *args)
 
-    monkeypatch.setattr(WindowSession, "step", step)
+    monkeypatch.setattr(DecoderBase, "decode_edges_unique", decode_edges_unique)
     result = _recorded_run(surface_d3, HEAVY, shots=4, rounds=12, seed=31)
     service = DecodeService(window_rounds=2, commit_rounds=1, workers=1, queue_depth=1)
     service.start()
